@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .numerics import QuadNum
+from .numerics import QuadNum, quad_float, quad_floor, quad_sign
 
 __all__ = [
     "QuadraticIrrational",
@@ -78,13 +78,7 @@ class QuadraticIrrational:
 
     @staticmethod
     def from_quadnum(q: QuadNum) -> "QuadraticIrrational":
-        den = q.a.denominator * q.b.denominator // gcd(q.a.denominator, q.b.denominator)
-        return QuadraticIrrational(
-            q.a.numerator * (den // q.a.denominator),
-            q.b.numerator * (den // q.b.denominator),
-            den,
-            2,
-        )
+        return QuadraticIrrational(*q.ints, 2)
 
     @staticmethod
     def sqrt_of(n: int) -> "QuadraticIrrational":
@@ -153,18 +147,7 @@ class QuadraticIrrational:
     # -- order -------------------------------------------------------------------
 
     def sign(self) -> int:
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb if sa == 0 else sa
-        diff = self.a * self.a - self.b * self.b * self.d
-        if diff > 0:
-            return sa
-        if diff < 0:
-            return sb
-        return 0
+        return quad_sign(self.a, self.b, self.d)
 
     def __abs__(self) -> "QuadraticIrrational":
         return -self if self.sign() < 0 else self
@@ -191,22 +174,10 @@ class QuadraticIrrational:
 
     def floor(self) -> int:
         """Exact floor; the irrational part is bracketed by integer square roots."""
-        if self.b == 0:
-            return self.a // self.c
-        scale = 1
-        while True:
-            bs = self.b * scale
-            t = isqrt(bs * bs * self.d)
-            lo = t if bs >= 0 else -t - 1  # strict: d is not a square here
-            num_lo = self.a * scale + lo
-            den = self.c * scale
-            if (num_lo + 1) % den == 0 or num_lo // den == (num_lo + 1) // den:
-                return num_lo // den
-            scale *= 10
+        return quad_floor(self.a, self.b, self.c, self.d)
 
     def __float__(self) -> float:
-        shifted = self * 10**15
-        return shifted.floor() / 1e15
+        return quad_float(self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -27,6 +27,7 @@ __all__ = [
     "NU",
     "GAMMA",
     "GAMMA_NU",
+    "GAMMA_NU_INV",
     "SECTOR_BOUNDS",
     "Direction",
     "TiePolicy",
@@ -62,6 +63,9 @@ GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
 #: The Farey branches F_j as matrices gamma * nu_j.
 GAMMA_NU: tuple[Mat2, ...] = tuple(GAMMA @ nu for nu in NU)
+
+#: Their inverses, the branches pulling a direction back through an entry.
+GAMMA_NU_INV: tuple[Mat2, ...] = tuple(g.inverse() for g in GAMMA_NU)
 
 #: cot(j*pi/8) for j = 1..7; the extreme boundaries are the two horizontal rays.
 SECTOR_BOUNDS: tuple[QuadNum, ...] = (
@@ -338,7 +342,7 @@ def reconstruct(prefix) -> RP1Interval:
     last = entries[-1]
     ends = [_boundary_direction(last), _boundary_direction(last + 1)]
     for s in reversed(entries[:-1]):
-        inv = GAMMA_NU[s].inverse()
+        inv = GAMMA_NU_INV[s]
         ends = [Direction(inv.apply(e.vector)) for e in ends]
     if theta_cmp(ends[0], ends[1]) <= 0:
         return RP1Interval(ends[0], ends[1])

@@ -1,9 +1,10 @@
 """Exact arithmetic in the quadratic field Q(sqrt(2)) and 2x2 linear algebra over it.
 
 Every geometric predicate in this package reduces to the exact sign of an
-element ``a + b*sqrt(2)`` with rational ``a, b``.  Values are immutable and
-canonical (component-wise equality is field equality), so they can be shared
-freely and used as dict keys.
+element ``a + b*sqrt(2)`` with rational ``a, b``, held as canonical ints
+``(p + q*sqrt(2))/den``.  Values are immutable and canonical (component-wise
+equality is field equality), so they can be shared freely and used as dict
+keys.
 
 Decimal output is quarantined in :func:`to_decimal`; nothing in this package
 branches on a decimal rendering.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 import re
 
 __all__ = [
@@ -43,102 +44,188 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+# -- the exact kernel over (p + q*sqrt(d))/den -------------------------------------
+#
+# Shared by QuadNum (d = 2) and classical.QuadraticIrrational.  Every function
+# assumes den > 0 and that d is not a perfect square whenever q != 0.
+
+
+def quad_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d).
+
+    If p and q agree in sign the answer is immediate; otherwise compare p^2
+    against d*q^2, which decides |p| against |q*sqrt(d)| in integers.
+    """
+    if q == 0:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if p == 0:
+        return sq
+    sp = 1 if p > 0 else -1
+    if sp == sq:
+        return sp
+    diff = p * p - d * q * q
+    if diff > 0:
+        return sp
+    if diff < 0:
+        return sq
+    return 0  # unreachable for nonzero input: sqrt(d) is irrational
+
+
+def quad_floor(p: int, q: int, den: int, d: int) -> int:
+    """Exact floor of (p + q*sqrt(d))/den.
+
+    q*sqrt(d) is irrational, so it lies strictly between the integers
+    lo = floor(q*sqrt(d)) and lo + 1.  Then floor((p + lo)/den) is the answer:
+    the value could only reach the next integer if p + lo + 1 were a multiple
+    of den, and the strict upper bound rules that out.
+    """
+    if q == 0:
+        return p // den
+    t = isqrt(d * q * q)
+    lo = t if q > 0 else -t - 1
+    return (p + lo) // den
+
+
+_FLOAT_SCALE = 10**18
+
+
+def quad_float(p: int, q: int, den: int, d: int) -> float:
+    """(p + q*sqrt(d))/den to within 1e-18, as a float; for display only.
+
+    The last step divides int by int, so every value in the float range
+    converts and values beyond it raise OverflowError, as for Fraction.
+    """
+    return quad_floor(p * _FLOAT_SCALE, q * _FLOAT_SCALE, den, d) / _FLOAT_SCALE
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise QuadNumParseError(f"zero denominator in {text!r}") from None
+
+
 class QuadNum:
     """The real number ``a + b*sqrt(2)`` with ``a, b`` rational.
 
-    The representation is unique because sqrt(2) is irrational, so structural
-    equality is numeric equality.  Arithmetic is exact; division uses the
-    field conjugate ``a - b*sqrt(2)``.
+    It is stored as three ints ``(p, q, den)`` for ``(p + q*sqrt(2))/den`` in
+    canonical form: ``den > 0`` and ``gcd(p, q, den) = 1``.  The form is unique
+    because sqrt(2) is irrational, so structural equality is numeric equality
+    and values can be hashed.  As with Fraction, the slots are private and the
+    public views ``a``, ``b`` and ``ints`` are read-only, so values never change
+    once built.  Arithmetic is exact; division uses the field conjugate
+    ``a - b*sqrt(2)``.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_p", "_q", "_den")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._den = a, b, 1
+            return
+        a, b = _as_fraction(a), _as_fraction(b)
+        p, q = a.numerator * b.denominator, b.numerator * a.denominator
+        den = a.denominator * b.denominator
+        g = gcd(p, q, den)
+        self._p, self._q, self._den = p // g, q // g, den // g
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(2)."""
+        return Fraction(self._q, self._den)
+
+    @property
+    def ints(self) -> tuple[int, int, int]:
+        """The canonical ints ``(p, q, den)``."""
+        return self._p, self._q, self._den
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QuadNum:
+            return NotImplemented
+        return self._p == other._p and self._q == other._q and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._den))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "QuadNum") -> "QuadNum":
-        other = _coerce(other)
-        return QuadNum(self.a + other.a, self.b + other.b)
+        if other.__class__ is not QuadNum:
+            other = _coerce(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _reduced(self._p + other._p, self._q + other._q, d1)
+        return _reduced(self._p * d2 + other._p * d1, self._q * d2 + other._q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadNum") -> "QuadNum":
-        other = _coerce(other)
-        return QuadNum(self.a - other.a, self.b - other.b)
+        if other.__class__ is not QuadNum:
+            other = _coerce(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _reduced(self._p - other._p, self._q - other._q, d1)
+        return _reduced(self._p * d2 - other._p * d1, self._q * d2 - other._q * d1, d1 * d2)
 
     def __rsub__(self, other) -> "QuadNum":
         return _coerce(other) - self
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b)
+        return _new(-self._p, -self._q, self._den)
 
     def __mul__(self, other) -> "QuadNum":
-        other = _coerce(other)
-        return QuadNum(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        if other.__class__ is not QuadNum:
+            other = _coerce(other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QuadNum":
-        other = _coerce(other)
-        return self * other.inverse()
+        return self * _coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "QuadNum":
         return _coerce(other) * self.inverse()
 
     def inverse(self) -> "QuadNum":
-        """Exact inverse via the conjugate: 1/(a+b*sqrt2) = (a-b*sqrt2)/(a^2-2b^2)."""
-        norm = self.a * self.a - 2 * self.b * self.b
+        """Exact inverse via the conjugate: den/(p+q*sqrt2) = den*(p-q*sqrt2)/(p^2-2q^2)."""
+        p, q, den = self._p, self._q, self._den
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return QuadNum(self.a / norm, -self.b / norm)
+        if norm < 0:
+            p, q, norm = -p, -q, -norm
+        return _reduced(den * p, -den * q, norm)
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b)
+        return _new(self._p, -self._q, self._den)
 
     # -- order structure ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(2).
-
-        If a and b agree in sign the answer is immediate; otherwise compare
-        a^2 against 2*b^2, which decides |a| against |b*sqrt(2)| in exact
-        integer arithmetic.
-        """
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == 0:
-            return sb
-        if sb == 0 or sa == sb:
-            return sa
-        d = self.a * self.a - 2 * self.b * self.b
-        if d > 0:
-            return sa
-        if d < 0:
-            return sb
-        return 0  # unreachable for nonzero input: sqrt(2) is irrational
+        """Exact sign of the real number a + b*sqrt(2)."""
+        return quad_sign(self._p, self._q, 2)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def __lt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        return (self - _coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other) -> bool:
-        return (self - _coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self) -> "QuadNum":
         return -self if self.sign() < 0 else self
@@ -149,44 +236,25 @@ class QuadNum:
     # -- integer part ------------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor, bracketing b*sqrt(2) between consecutive integers.
-
-        2*R^2 is never a perfect square for R != 0, so the bracket is strict
-        and refining the scale always terminates.
-        """
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        den = self.a.denominator * self.b.denominator // _gcd(
-            self.a.denominator, self.b.denominator
-        )
-        p = self.a.numerator * (den // self.a.denominator)
-        r = self.b.numerator * (den // self.b.denominator)
-        scale = 1
-        while True:
-            rs = r * scale
-            t = isqrt(2 * rs * rs)
-            lo = t if rs >= 0 else -t - 1
-            num_lo = p * scale + lo
-            d = den * scale
-            if (num_lo + 1) % d == 0 or num_lo // d == (num_lo + 1) // d:
-                return num_lo // d
-            scale *= 10
+        """Exact floor."""
+        return quad_floor(self._p, self._q, self._den, 2)
 
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
         # Display/diagnostic helper only; all logic uses exact predicates.
-        return (self * 10**18).floor() / 1e18
+        return quad_float(self._p, self._q, self._den, 2)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if abs(self.b) == 1:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if abs(b) == 1:
             tail = "sqrt(2)"
         else:
-            tail = f"{abs(self.b)}*sqrt(2)"
-        sign = "-" if self.b < 0 else ("+" if self.a != 0 else "")
-        head = "" if self.a == 0 else str(self.a)
+            tail = f"{abs(b)}*sqrt(2)"
+        sign = "-" if b < 0 else ("+" if a != 0 else "")
+        head = "" if a == 0 else str(a)
         return f"{head}{sign}{tail}"
 
     def __repr__(self) -> str:
@@ -197,7 +265,7 @@ class QuadNum:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadNum":
-        return QuadNum(Fraction(obj["a"]), Fraction(obj["b"]))
+        return QuadNum(_fraction(obj["a"]), _fraction(obj["b"]))
 
     @staticmethod
     def parse(text: str) -> "QuadNum":
@@ -214,7 +282,7 @@ class QuadNum:
             m = re.fullmatch(r"[+-]?\d+(?:/\d+)?", s)
             if not m:
                 raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
-            return QuadNum(Fraction(s))
+            return QuadNum(_fraction(s))
         m = re.fullmatch(
             r"(?:(?P<ra>[+-]?\d+(?:/\d+)?)(?=[+-]))?"
             r"(?P<sb>[+-])?(?P<rb>\d+(?:/\d+)?)?@",
@@ -222,46 +290,55 @@ class QuadNum:
         )
         if not m:
             raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
-        a = Fraction(m.group("ra")) if m.group("ra") else Fraction(0)
-        b = Fraction(m.group("rb")) if m.group("rb") else Fraction(1)
+        a = _fraction(m.group("ra")) if m.group("ra") else Fraction(0)
+        b = _fraction(m.group("rb")) if m.group("rb") else Fraction(1)
         if m.group("sb") == "-":
             b = -b
         return QuadNum(a, b)
 
 
+_object_new = object.__new__
+
+
+def _new(p: int, q: int, den: int) -> QuadNum:
+    """A QuadNum from ints already in canonical form."""
+    x = _object_new(QuadNum)
+    x._p, x._q, x._den = p, q, den
+    return x
+
+
+def _reduced(p: int, q: int, den: int) -> QuadNum:
+    """A QuadNum from ints with den > 0, divided by their gcd."""
+    g = gcd(p, q, den)
+    x = _object_new(QuadNum)
+    x._p, x._q, x._den = p // g, q // g, den // g
+    return x
+
+
 def _coerce(x) -> QuadNum:
-    if isinstance(x, QuadNum):
+    if x.__class__ is QuadNum:
         return x
     if isinstance(x, (int, Fraction)):
         return QuadNum(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt(2))")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 ZERO = QuadNum(0)
 ONE = QuadNum(1)
 SQRT2 = QuadNum(0, 1)
-HALF_SQRT2 = QuadNum(0, Fraction(1, 2))  # 1/sqrt(2)
 
 
 def to_decimal(q: QuadNum, digits: int) -> str:
     """Correctly rounded decimal string of ``q`` with ``digits`` places.
 
-    The irrational part is enclosed between consecutive integers at a scale
-    refined until rounding is unambiguous, so the output is exact
-    round-half-even of the true real value.  For irrational q no tie is
-    possible; rational ties round half to even.
+    The output is exact round-half-even of the true real value.  For
+    irrational q no tie is possible; rational ties round half to even.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     scaled = q * 10**digits
-    if scaled.b == 0:
-        n = _round_half_even(scaled.a)
+    if scaled._q == 0:
+        n = round(scaled.a)  # Fraction rounds half to even
     else:
         # No tie: scaled is irrational, so floor(scaled + 1/2) is its rounding.
         n = (scaled + Fraction(1, 2)).floor()
@@ -269,16 +346,6 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     n = abs(n)
     intpart, fracpart = divmod(n, 10**digits)
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
-
-
-def _round_half_even(x: Fraction) -> int:
-    fl = x.numerator // x.denominator
-    rem = x - fl
-    if rem > Fraction(1, 2):
-        return fl + 1
-    if rem < Fraction(1, 2):
-        return fl
-    return fl if fl % 2 == 0 else fl + 1
 
 
 @dataclass(frozen=True)
@@ -405,10 +472,6 @@ class ProjVal:
 
 
 INFINITY = ProjVal(None)
-
-
-def finite(q) -> ProjVal:
-    return ProjVal(_coerce(q))
 
 
 def moebius(m: Mat2, u: ProjVal) -> ProjVal:

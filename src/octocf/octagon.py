@@ -43,6 +43,7 @@ from .diagch import (
 from .farey import (
     GAMMA,
     GAMMA_NU,
+    GAMMA_NU_INV,
     NU,
     SECTOR_BOUNDS,
     Direction,
@@ -463,7 +464,7 @@ class ExpansionTrace:
 
     def initial_original_wedges(self) -> tuple[Vec2, ...]:
         """The starting wedge vectors transported to the original frame."""
-        m = GAMMA_NU[self.expansion.entries[0]].inverse()
+        m = GAMMA_NU_INV[self.expansion.entries[0]]
         return tuple(m.apply(v) for v in self.initial.wedge_vector_tuple())
 
     def holonomies(self) -> list[Vec2]:

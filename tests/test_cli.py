@@ -42,6 +42,11 @@ class TestExpand:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_zero_denominator_is_parse_failure(self, capsys):
+        code, _, err = run_cli(capsys, "expand", "--u", "1/0", "--depth", "2")
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err
+
     def test_dual_of_terminating(self, capsys):
         record = run_json(capsys, "expand", "--u", "1+sqrt2", "--depth", "4", "--dual")
         assert record["entries"] == [0, 1, 1, 1]

@@ -10,6 +10,7 @@ from helpers import interior_directions
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
+    GAMMA_NU_INV,
     NU,
     SECTOR_BOUNDS,
     Direction,
@@ -34,6 +35,10 @@ class TestDihedralElements:
 
     def test_gamma_squared_is_identity(self):
         assert GAMMA @ GAMMA == Mat2.identity()
+
+    def test_cached_branch_inverses(self):
+        for g, inv in zip(GAMMA_NU, GAMMA_NU_INV, strict=True):
+            assert inv @ g == Mat2.identity()
 
     def test_determinants_alternate(self):
         for j, nu in enumerate(NU):

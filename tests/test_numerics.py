@@ -1,13 +1,14 @@
 """Exact arithmetic kernel: field axioms, ordering, Moebius action, decimals."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isclose, isqrt, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import nonzero_quadnums, quadnums
+from helpers import fractions, nonzero_quadnums, quadnums
+from octocf.classical import QuadraticIrrational
 from octocf.numerics import (
     INFINITY,
     Mat2,
@@ -187,10 +188,14 @@ class TestParseAndJson:
     def test_parse(self, text, expected):
         assert QuadNum.parse(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "two", "1+2", "sqrt3", "1//2"])
+    @pytest.mark.parametrize("text", ["", "two", "1+2", "sqrt3", "1//2", "1/0", "1/0+sqrt2"])
     def test_parse_rejects(self, text):
         with pytest.raises(QuadNumParseError):
             QuadNum.parse(text)
+
+    def test_json_rejects_zero_denominator(self):
+        with pytest.raises(QuadNumParseError):
+            QuadNum.from_json({"a": "1/0", "b": "0"})
 
     @given(quadnums())
     def test_json_round_trip(self, q):
@@ -206,3 +211,114 @@ class TestParseAndJson:
     def test_vec_json_round_trip(self, x, y):
         v = Vec2(x, y)
         assert Vec2.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize(
+    "make",
+    [QuadNum, lambda n: QuadraticIrrational(n, 0, 1, 0)],
+    ids=["QuadNum", "QuadraticIrrational"],
+)
+def test_float_covers_the_float_range(make):
+    assert float(make(10**300)) == 1e300
+    assert float(make(-(10**300))) == -1e300
+    with pytest.raises(OverflowError):
+        float(make(10**320))
+
+
+def test_float_of_large_irrationals():
+    assert isclose(float(QuadNum(0, 10**300)), 2**0.5 * 1e300, rel_tol=1e-15)
+    assert isclose(float(QuadraticIrrational(0, 10**300, 1, 2)), 2**0.5 * 1e300, rel_tol=1e-15)
+    with pytest.raises(OverflowError):
+        float(QuadNum(0, 10**320))
+
+
+class RefQuad:
+    """Reference model of Q(sqrt(2)) as a pair of Fractions a + b*sqrt(2)."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return RefQuad(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return RefQuad(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return RefQuad(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        norm = self.a * self.a - 2 * self.b * self.b
+        return RefQuad(self.a / norm, -self.b / norm)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def sign(self):
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa == 0 or sb == 0 or sa == sb:
+            return sa or sb
+        return sa if self.a * self.a > 2 * self.b * self.b else sb
+
+    def floor(self):
+        # bracket b*sqrt(2) between integers at finer scales until decided
+        if self.b == 0:
+            return self.a.numerator // self.a.denominator
+        den = lcm(self.a.denominator, self.b.denominator)
+        p, r = int(self.a * den), int(self.b * den)
+        scale = 1
+        while True:
+            t = isqrt(2 * (r * scale) ** 2)
+            num_lo = p * scale + (t if r >= 0 else -t - 1)
+            d = den * scale
+            if (num_lo + 1) % d == 0 or num_lo // d == (num_lo + 1) // d:
+                return num_lo // d
+            scale *= 10
+
+
+def _wide_fractions():
+    """Coefficients from a few bits up to well past 64 bits."""
+    return st.one_of(fractions(), fractions(2**100, 2**80))
+
+
+def _pairs():
+    return st.tuples(_wide_fractions(), _wide_fractions())
+
+
+def _agrees(q: QuadNum, ref: RefQuad) -> bool:
+    return (q.a, q.b) == (ref.a, ref.b)
+
+
+class TestAgainstFractionModel:
+    @given(_pairs(), _pairs())
+    def test_field_operations(self, x, y):
+        q1, q2, r1, r2 = QuadNum(*x), QuadNum(*y), RefQuad(*x), RefQuad(*y)
+        assert _agrees(q1, r1) and _agrees(q2, r2)
+        assert _agrees(q1 + q2, r1 + r2)
+        assert _agrees(q1 - q2, r1 - r2)
+        assert _agrees(q1 * q2, r1 * r2)
+        assert _agrees(q1 + q1, r1 + r1) and _agrees(q1 - q1, r1 - r1)
+        if not q2.is_zero():
+            assert _agrees(q1 / q2, r1 / r2)
+            assert _agrees(q2.inverse(), r2.inverse())
+
+    @given(_pairs())
+    def test_sign_and_floor(self, x):
+        q, r = QuadNum(*x), RefQuad(*x)
+        assert q.sign() == r.sign()
+        assert q.floor() == r.floor()
+
+    @given(_pairs(), _pairs())
+    def test_equality_and_hash(self, x, y):
+        q1, q2 = QuadNum(*x), QuadNum(*y)
+        assert (q1 == q2) == ((x[0], x[1]) == (y[0], y[1]))
+        rebuilt = (q1 * QuadNum(3, 1) - q1) / QuadNum(2, 1) + QuadNum(0)
+        assert rebuilt == q1 and hash(rebuilt) == hash(q1)
+
+    def test_equal_values_built_differently(self):
+        half = QuadNum(Fraction(2, 4))
+        assert half == QuadNum(1) / 2 == QuadNum(3) / 6
+        assert len({half, QuadNum(1) / 2, QuadNum(3) / 6}) == 1
+        assert QuadNum(0, Fraction(1, 2)) == QuadNum(0, 1).inverse()
+        assert QuadNum(1).__eq__(1) is NotImplemented
+        assert QuadNum(1) != 1

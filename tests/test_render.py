@@ -1,6 +1,7 @@
 """SVG rendering: determinism, panel counts, basic structure."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,25 @@ from octocf.farey import Direction
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import qprime, run_expansion, sector_midpoint, sector_move_states
 from octocf.render import RenderSpec, render_state, render_states, trace_panels
+
+
+FIGURES = Path(__file__).resolve().parent.parent / "demos" / "out"
+
+
+def _committed(name: str) -> str:
+    # the figures written by demos/04_render_figures.py pin the decimal
+    # formatting of exact coordinates
+    return (FIGURES / name).read_text(encoding="utf-8")
+
+
+def test_base_figure_matches_committed():
+    assert render_state(qprime(sector_midpoint(4))) == _committed("base_quadrangulation.svg")
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_sector_figures_match_committed(i):
+    svg = render_states(sector_move_states(i, sector_midpoint(i)))
+    assert svg == _committed(f"sector_{i}_moves.svg")
 
 
 def test_byte_identical_for_identical_input():
