@@ -164,14 +164,6 @@ class QuadraticIrrational:
     def __ge__(self, other) -> bool:
         return (self - other).sign() >= 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
-
     def floor(self) -> int:
         """Exact floor; the irrational part is bracketed by integer square roots."""
         return quad_floor(self.a, self.b, self.c, self.d)

@@ -145,6 +145,8 @@ def _parse_alpha(text: str):
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise _ParseFailure("step count must be >= 0")
     direction, approximate = _parse_direction(args)
     state = _initial_state(args.quad, direction)
     steps = []
@@ -190,8 +192,16 @@ def _initial_state(spec: str, direction: Direction):
         raise SystemExit(EXIT_IO)
     except json.JSONDecodeError as exc:
         raise _ParseFailure(f"invalid quadrangulation JSON: {exc}")
-    data["ref_dir"] = direction.to_json()
-    return LabeledQuadrangulation.from_json(data)
+    ref = {"ref_dir": direction.to_json()}
+    return _decode(lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data)
+
+
+def _decode(build, data):
+    """``build(data)``, where valid JSON of the wrong shape is a parse failure."""
+    try:
+        return build(data)
+    except TypeError as exc:
+        raise _ParseFailure(f"malformed JSON input: {exc}") from exc
 
 
 def _cmd_trace(args) -> int:
@@ -204,6 +214,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.random_samples < 0:
+        raise _ParseFailure("random sample count must be >= 0")
     sectors = [args.sector] if args.sector else range(1, 8)
     report = octagon.verify_theorem(args.samples, sectors)
     record = report.to_json()
@@ -287,7 +299,7 @@ def _cmd_render(args) -> int:
         show_labels=not args.no_labels,
         direction_overlay=overlay,
     )
-    states = render.trace_panels(data)
+    states = _decode(render.trace_panels, data)
     return _emit(args, render.render_states(states, spec))
 
 

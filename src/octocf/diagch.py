@@ -20,14 +20,16 @@ right-slanted replaces the right sides.  Both moves act linearly on the
 2k-tuple of wedge vectors by a unipotent nonnegative integer matrix.
 
 Horizontal saddle connections are legal; a parallel diagonal means the
-reference direction points at a singularity and is a terminal state, not an
-error.
+reference direction points at a singularity.  That is a terminal state, which
+:meth:`LabeledQuadrangulation.apply` reports by raising
+:class:`HitsSingularity` rather than a wrong-slant error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import intmat
 from .farey import Direction
@@ -43,12 +45,12 @@ __all__ = [
     "TrainTrackError",
     "QuadrangulationError",
     "MoveNotAvailableError",
+    "HitsSingularity",
     "elementary_matrix",
     "perm_cycles",
     "perm_compose",
     "perm_inverse",
     "perm_conjugate",
-    "perm_from_cycles",
 ]
 
 
@@ -62,6 +64,14 @@ class QuadrangulationError(ValueError):
 
 class MoveNotAvailableError(ValueError):
     """A staircase move executed while not well slanted (caller logic error)."""
+
+
+class HitsSingularity(MoveNotAvailableError):
+    """A diagonal parallel to the reference direction: a terminal state."""
+
+    def __init__(self, label: int):
+        super().__init__(f"parallel diagonal in quadrilateral {label}")
+        self.label = label
 
 
 # -- permutations as 1-indexed image tuples ---------------------------------
@@ -106,16 +116,6 @@ def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 def perm_conjugate(sigma: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     """sigma o p o sigma^{-1}, the relabeling action on gluing data."""
     return perm_compose(perm_compose(sigma, p), perm_inverse(sigma))
-
-
-def perm_from_cycles(k: int, cycles) -> tuple[int, ...]:
-    img = list(range(1, k + 1))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            img[a - 1] = b
-    pi = tuple(img)
-    perm_check(pi)
-    return pi
 
 
 class Side(Enum):
@@ -182,6 +182,7 @@ def _slot(i: int, eps: int) -> int:
     return 2 * (i - 1) + eps
 
 
+@lru_cache(maxsize=64)  # the octagon's sector words use 14 entries
 def elementary_matrix(
     comb: CombDatum, cycle: tuple[int, ...], side: Side
 ) -> intmat.IntMat:
@@ -189,7 +190,7 @@ def elementary_matrix(
 
     For a cycle of pi_r the row of (i,l) gains a one in column (pi_l(i),r)
     for every i in the cycle; for a cycle of pi_l the row of (i,r) gains a
-    one in column (pi_r(i),l).
+    one in column (pi_r(i),l).  Cached: it depends on the gluing data alone.
     """
     start = cycle.index(min(cycle))
     normalized = cycle[start:] + cycle[:start]
@@ -200,6 +201,11 @@ def elementary_matrix(
     else:
         entries = [(_slot(i, 1), _slot(comb.pi_r[i - 1], 0)) for i in cycle]
     return intmat.elementary(2 * comb.k, entries)
+
+
+def _doubled_area(w: Wedge, diagonal: Vec2) -> QuadNum:
+    """Twice the area of the quadrilateral with wedge ``w`` and ``diagonal``."""
+    return w.r.cross(diagonal) + diagonal.cross(w.l)
 
 
 @dataclass(frozen=True)
@@ -227,7 +233,7 @@ class LabeledQuadrangulation:
             raise QuadrangulationError("need one wedge per quadrilateral")
         for i in range(1, self.comb.k + 1):
             w = self.wedges[i - 1]
-            left_path = w.l + self.wedges[self.comb.pi_l[i - 1] - 1].r
+            left_path = self.diagonal(i)
             right_path = w.r + self.wedges[self.comb.pi_r[i - 1] - 1].l
             if left_path != right_path:
                 raise TrainTrackError(
@@ -236,7 +242,7 @@ class LabeledQuadrangulation:
                 )
             if w.r.cross(w.l).sign() <= 0:
                 raise QuadrangulationError(f"wedge {i} does not open a positive cone")
-            if self._area(i).sign() <= 0:
+            if _doubled_area(w, left_path).sign() <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
             if not w.cone_contains(self.ref_dir, strict=False):
                 raise QuadrangulationError(
@@ -246,25 +252,12 @@ class LabeledQuadrangulation:
     # -- basic geometry ------------------------------------------------------
 
     def diagonal(self, i: int) -> Vec2:
-        """The common value of the two train-track paths of quadrilateral i."""
-        w = self.wedges[i - 1]
-        left_path = w.l + self.wedges[self.comb.pi_l[i - 1] - 1].r
-        right_path = w.r + self.wedges[self.comb.pi_r[i - 1] - 1].l
-        if left_path != right_path:
-            raise TrainTrackError(f"corrupted state at quadrilateral {i}")
-        return left_path
-
-    def _area(self, i: int) -> QuadNum:
-        w = self.wedges[i - 1]
-        d = w.l + self.wedges[self.comb.pi_l[i - 1] - 1].r
-        two_area = w.r.cross(d) + d.cross(w.l)
-        return QuadNum(two_area.a / 2, two_area.b / 2)
+        """The left train-track path of quadrilateral i (checked at construction)."""
+        return self.wedges[i - 1].l + self.wedges[self.comb.pi_l[i - 1] - 1].r
 
     def total_area(self) -> QuadNum:
-        total = QuadNum(0)
-        for i in range(1, self.comb.k + 1):
-            total = total + self._area(i)
-        return total
+        doubled = (_doubled_area(w, self.diagonal(i)) for i, w in enumerate(self.wedges, 1))
+        return sum(doubled, QuadNum(0)) / 2
 
     def slant(self, i: int) -> Slant:
         return Slant(self.ref_dir.vector.cross(self.diagonal(i)).sign())
@@ -290,28 +283,34 @@ class LabeledQuadrangulation:
         return moves
 
     def apply(self, move: StaircaseMove) -> "LabeledQuadrangulation":
-        """Perform a staircase move, returning the new labeled quadrangulation."""
+        """Perform a staircase move, returning the new labeled quadrangulation.
+
+        A parallel diagonal in the cycle raises :class:`HitsSingularity`
+        before any wrong slant is reported.
+        """
         if elementary_matrix(self.comb, move.cycle, move.side) != move.matrix:
             raise MoveNotAvailableError(f"{move} does not match the current gluing data")
-        if not self.cycle_is_well_slanted(move.cycle, move.side):
-            raise MoveNotAvailableError(f"{move} is not well slanted")
         diagonals = {i: self.diagonal(i) for i in move.cycle}
-        new_wedges = list(self.wedges)
-        if move.side is Side.PI_R:
-            for i in move.cycle:
-                new_wedges[i - 1] = Wedge(diagonals[i], self.wedges[i - 1].r)
-            pi_l = list(self.comb.pi_l)
-            for i in move.cycle:
+        slants = {i: Slant(self.ref_dir.vector.cross(d).sign()) for i, d in diagonals.items()}
+        for i, slant in slants.items():
+            if slant is Slant.PARALLEL:
+                raise HitsSingularity(i)
+        left = move.side is Side.PI_R  # the move replaces left sides
+        want = Slant.LEFT if left else Slant.RIGHT
+        if any(slant is not want for slant in slants.values()):
+            raise MoveNotAvailableError(f"{move} is not well slanted")
+        wedges = list(self.wedges)
+        pi_l, pi_r = list(self.comb.pi_l), list(self.comb.pi_r)
+        for i in move.cycle:
+            w = self.wedges[i - 1]
+            if left:
+                wedges[i - 1] = Wedge(diagonals[i], w.r)
                 pi_l[i - 1] = self.comb.pi_l[self.comb.pi_r[i - 1] - 1]
-            comb = CombDatum(self.comb.k, tuple(pi_l), self.comb.pi_r)
-        else:
-            for i in move.cycle:
-                new_wedges[i - 1] = Wedge(self.wedges[i - 1].l, diagonals[i])
-            pi_r = list(self.comb.pi_r)
-            for i in move.cycle:
+            else:
+                wedges[i - 1] = Wedge(w.l, diagonals[i])
                 pi_r[i - 1] = self.comb.pi_r[self.comb.pi_l[i - 1] - 1]
-            comb = CombDatum(self.comb.k, self.comb.pi_l, tuple(pi_r))
-        return LabeledQuadrangulation(comb, tuple(new_wedges), self.ref_dir)
+        comb = CombDatum(self.comb.k, tuple(pi_l), tuple(pi_r))
+        return LabeledQuadrangulation(comb, tuple(wedges), self.ref_dir)
 
     # -- bookkeeping transformations -------------------------------------------
 
@@ -348,10 +347,6 @@ class LabeledQuadrangulation:
         for w in self.wedges:
             out.extend((w.l, w.r))
         return tuple(out)
-
-    def with_wedge_vectors(self, vecs) -> "LabeledQuadrangulation":
-        wedges = tuple(Wedge(vecs[2 * i], vecs[2 * i + 1]) for i in range(self.comb.k))
-        return LabeledQuadrangulation(self.comb, wedges, self.ref_dir)
 
     def to_json(self) -> dict:
         record = self.comb.to_json()

@@ -7,8 +7,6 @@ Bareiss elimination are all that is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
     "IntMat",
     "identity",
@@ -67,26 +65,26 @@ def _scale(x, c: int):
 
 
 def det(a: IntMat) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    After step k every remaining entry is a (k+1) x (k+1) minor of ``a``, so
+    the division by the previous pivot is exact and all work stays in ints.
+    """
     n = len(a)
-    m = [list(map(Fraction, row)) for row in a]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    assert result.denominator == 1
-    return int(result)
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 def elementary(n: int, entries) -> IntMat:

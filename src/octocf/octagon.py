@@ -32,10 +32,13 @@ from itertools import permutations as _all_permutations
 from . import intmat
 from .diagch import (
     CombDatum,
+    HitsSingularity,
     LabeledQuadrangulation,
+    MoveNotAvailableError,
+    QuadrangulationError,
     Side,
-    Slant,
     StaircaseMove,
+    TrainTrackError,
     Wedge,
     elementary_matrix,
     perm_conjugate,
@@ -88,6 +91,8 @@ __all__ = [
     "OctagonModel",
     "octagon_vertices",
     "is_saddle_connection",
+    "CrossingBudgetExhausted",
+    "MAX_CROSSINGS",
     "enumerate_saddle_connections",
 ]
 
@@ -210,14 +215,6 @@ class SectorWordError(ValueError):
     """A sector word that cannot be executed on the current state."""
 
 
-class HitsSingularity(Exception):
-    """The reference direction points at a singularity: a terminal state."""
-
-    def __init__(self, label: int):
-        super().__init__(f"parallel diagonal in quadrilateral {label}")
-        self.label = label
-
-
 def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
     """The unique relabeling returning the swapped gluing data to Q'."""
     solutions = [
@@ -248,16 +245,10 @@ class _WordRun:
     """Mutable bookkeeping while executing one sector word."""
 
     state: LabeledQuadrangulation
-    frame: Mat2  # original frame -> current frame
+    to_original: Mat2 = field(default_factory=Mat2.identity)  # current -> original frame
     parity: int = 0
     matrix: intmat.IntMat = field(default_factory=lambda: intmat.identity(6))
     records: list[MoveRecord] = field(default_factory=list)
-    _frame_inv: Mat2 | None = None
-
-    def frame_inverse(self) -> Mat2:
-        if self._frame_inv is None:
-            self._frame_inv = self.frame.inverse()
-        return self._frame_inv
 
     def execute_token(self, token) -> None:
         if isinstance(token, LetterToken):
@@ -268,8 +259,7 @@ class _WordRun:
         elif isinstance(token, SymmetryToken):
             sigma = _closure_relabel(self.state.comb)
             self.state = self.state.transformed(REFLECTION).relabeled(sigma)
-            self.frame = REFLECTION @ self.frame
-            self._frame_inv = None
+            self.to_original = self.to_original @ REFLECTION
             self.matrix = intmat.matmul(
                 intmat.block_perm_matrix(sigma, swap=True), self.matrix
             )
@@ -282,27 +272,21 @@ class _WordRun:
         self.matrix = intmat.matmul(intmat.block_perm_matrix(sigma), self.matrix)
 
     def _staircase(self, side: Side, cycle: tuple[int, ...]) -> None:
-        for i in cycle:
-            if self.state.slant(i) is Slant.PARALLEL:
-                raise HitsSingularity(i)
         move = StaircaseMove(side, cycle, elementary_matrix(self.state.comb, cycle, side))
-        if not self.state.cycle_is_well_slanted(cycle, side):
-            raise SectorWordError(f"{move} is not well slanted")
-        inverse_frame = self.frame_inverse()
-        new_state = self.state.apply(move)
+        self.state = self.state.apply(move)
         pick = (lambda w: w.l) if side is Side.PI_R else (lambda w: w.r)
         created = tuple(
-            (i, inverse_frame.apply(pick(new_state.wedges[i - 1]))) for i in cycle
+            (i, self.to_original.apply(pick(self.state.wedges[i - 1]))) for i in cycle
         )
-        self.state = new_state
         self.matrix = intmat.matmul(move.matrix, self.matrix)
         self.records.append(MoveRecord(side, cycle, created))
 
     def renormalize(self, sector: int) -> None:
-        m = GAMMA_NU[sector] @ REFLECTION if self.parity else GAMMA_NU[sector]
+        m, m_inv = GAMMA_NU[sector], GAMMA_NU_INV[sector]
+        if self.parity:
+            m, m_inv = m @ REFLECTION, REFLECTION @ m_inv
         self.state = self.state.transformed(m)
-        self.frame = m @ self.frame
-        self._frame_inv = None
+        self.to_original = self.to_original @ m_inv
         self.parity = 0
 
 
@@ -347,10 +331,8 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
         raise ValueError("sector index must be 1..7")
     if not _strictly_inside_sector(direction, i):
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
-    from .diagch import QuadrangulationError, TrainTrackError
-
     try:
-        run = _WordRun(state=qprime(direction), frame=Mat2.identity())
+        run = _WordRun(state=qprime(direction))
         area = run.state.total_area()
         if area != OCTAGON_AREA:
             return SectorReport(
@@ -359,7 +341,7 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
             )
         for token in sector_raw_plan(i):
             run.execute_token(token)
-    except (SectorWordError, HitsSingularity, TrainTrackError, QuadrangulationError) as exc:
+    except (SectorWordError, MoveNotAvailableError, TrainTrackError, QuadrangulationError) as exc:
         return SectorReport(i, direction, False, False, False, False, 0, str(exc))
     parity = run.parity
     matrix_equal = run.matrix == sector_matrix(i)
@@ -501,9 +483,8 @@ def run_expansion(
         raise ValueError("step count must be >= 0")
     expansion = expand(direction, n + 1, policy)
     s0 = expansion.entries[0]
-    frame0 = GAMMA_NU[s0]
-    ref = Direction(frame0.apply(direction.vector))
-    run = _WordRun(state=qprime(ref), frame=frame0)
+    ref = Direction(GAMMA_NU[s0].apply(direction.vector))
+    run = _WordRun(state=qprime(ref), to_original=GAMMA_NU_INV[s0])
     initial = run.state
     steps: list[TraceStep] = []
     halted = None
@@ -521,14 +502,13 @@ def run_expansion(
             halted = "hits_singularity"
             break
         run.renormalize(entry)
-        inverse_frame = run.frame_inverse()
         steps.append(
             TraceStep(
                 entry=entry,
                 records=tuple(run.records[before:]),
                 state=run.state,
                 original_wedges=tuple(
-                    inverse_frame.apply(v) for v in run.state.wedge_vector_tuple()
+                    run.to_original.apply(v) for v in run.state.wedge_vector_tuple()
                 ),
             )
         )
@@ -539,7 +519,7 @@ def sector_move_states(i: int, direction: Direction) -> list[LabeledQuadrangulat
     """States after each staircase move of sector i's word (for rendering)."""
     if not _strictly_inside_sector(direction, i):
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
-    run = _WordRun(state=qprime(direction), frame=Mat2.identity())
+    run = _WordRun(state=qprime(direction))
     states = []
     moves_seen = 0
     for token in sector_raw_plan(i):
@@ -728,25 +708,43 @@ def _segment_hits(p: Vec2, w: Vec2, a: Vec2, b: Vec2):
     return t, s
 
 
+#: Side crossings followed from each corner by :func:`is_saddle_connection`.
+MAX_CROSSINGS = 200
+
+
+class CrossingBudgetExhausted(RuntimeError):
+    """No corner proved a saddle connection and some ran out of crossings."""
+
+
 def is_saddle_connection(w: Vec2) -> bool:
     """Exact test that ``w`` is the holonomy of a saddle connection.
 
     Develops the segment from each corner of the octagon in turn, jumping
     copies across glued sides; the segment must end exactly at a corner and
-    meet no corner on the way.
+    meet no corner on the way.  When no corner proves one and some corner
+    is still undecided after ``MAX_CROSSINGS``, the answer is unknown and
+    :class:`CrossingBudgetExhausted` is raised.
     """
     if w.is_zero():
         return False
-    verts = octagon_vertices()
-    return any(_trace(verts[j], w) for j in range(8))
+    undecided = False
+    for corner in octagon_vertices():
+        found = _trace(corner, w)
+        if found:
+            return True
+        undecided |= found is None
+    if undecided:
+        raise CrossingBudgetExhausted(f"{w}: undecided after {MAX_CROSSINGS} crossings")
+    return False
 
 
-def _trace(p0: Vec2, w: Vec2, max_crossings: int = 200) -> bool:
+def _trace(p0: Vec2, w: Vec2) -> bool | None:
+    """True/False once the segment from ``p0`` is decided, None if undecided."""
     verts = octagon_vertices()
     one = QuadNum(1)
     tau = Vec2(0, 0)
     lam = QuadNum(0)
-    for _ in range(max_crossings):
+    for _ in range(MAX_CROSSINGS):
         # find the exit of the ray x(t) = p0 + t*w from the copy O + tau
         best_t = None
         exit_side = None
@@ -783,7 +781,7 @@ def _trace(p0: Vec2, w: Vec2, max_crossings: int = 200) -> bool:
             return False  # a cone point in the interior of the segment
         lam = best_t
         tau = tau - _side_translation(exit_side)
-    return False
+    return None
 
 
 def enumerate_saddle_connections(norm2_bound: QuadNum) -> list[Vec2]:

@@ -56,7 +56,7 @@ def test_criterion_1_acceleration_matrices():
     start = time.time()
     ok = True
     for i in range(1, 8):
-        run = _WordRun(state=qprime(sector_midpoint(i)), frame=Mat2.identity())
+        run = _WordRun(state=qprime(sector_midpoint(i)))
         for token in sector_raw_plan(i):
             run.execute_token(token)
         ok &= run.matrix == sector_matrix(i)
@@ -296,7 +296,7 @@ def test_criterion_8_determinant_audit():
         assert all(x >= 0 for row in m for x in row)
     seen = set()
     for i in range(1, 8):
-        run = _WordRun(state=qprime(sector_midpoint(i)), frame=Mat2.identity())
+        run = _WordRun(state=qprime(sector_midpoint(i)))
         for token in sector_raw_plan(i):
             comb = run.state.comb
             run.execute_token(token)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON output, exit-code contract."""
 
+import io
 import json
 
 from octocf.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
@@ -177,3 +178,35 @@ class TestDumpAndRender:
     def test_render_bad_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "render", "--input", "/nonexistent/trace.json")
         assert code == 3
+
+
+class TestMalformedInput:
+    """Valid JSON of the wrong shape and negative counts are parse failures."""
+
+    def _assert_parse_failure(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_render_stdin_panels_not_a_list(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"panels": 3}'))
+        self._assert_parse_failure(capsys, "render", "--input", "-")
+
+    def test_render_file_holding_a_list(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text("[]")
+        self._assert_parse_failure(capsys, "render", "--input", str(path))
+
+    def test_simulate_quad_file_holding_a_list(self, capsys, tmp_path):
+        path = tmp_path / "quad.json"
+        path.write_text("[]")
+        self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
+
+    def test_simulate_negative_steps(self, capsys):
+        self._assert_parse_failure(capsys, "simulate", "--u", "2", "--steps", "-1")
+
+    def test_verify_negative_random_samples(self, capsys):
+        self._assert_parse_failure(
+            capsys, "verify", "--sector", "1", "--samples", "1", "--random-samples", "-1"
+        )

@@ -8,6 +8,7 @@ from octocf import intmat
 from octocf.classical import geometric_convergents, intermediate_convergents
 from octocf.diagch import (
     CombDatum,
+    HitsSingularity,
     LabeledQuadrangulation,
     MoveNotAvailableError,
     QuadrangulationError,
@@ -72,6 +73,14 @@ class TestDiagonalAndSlant:
         with pytest.raises(QuadrangulationError):
             torus_state(Vec2(-1, 0), Vec2(1, 0))
 
+    def test_clockwise_wedge_rejected(self):
+        with pytest.raises(QuadrangulationError, match="positive cone"):
+            torus_state(Vec2(1, 1), Vec2(-1, 1))
+
+    def test_reference_outside_wedge_rejected(self):
+        with pytest.raises(QuadrangulationError, match="reference direction"):
+            torus_state(Vec2(-1, 2), Vec2(2, 1), Direction(Vec2(1, 0)))
+
 
 class TestElementaryMatrices:
     def test_torus(self):
@@ -103,6 +112,33 @@ class TestStaircaseMoves:
         with pytest.raises(MoveNotAvailableError):
             state.apply(bad)
 
+    def test_parallel_diagonal_hits_singularity(self):
+        state = torus_state(Vec2(-1, 1), Vec2(1, 1))  # the diagonal (0, 2) is vertical
+        for side in Side:
+            move = StaircaseMove(side, (1,), elementary_matrix(TORUS, (1,), side))
+            with pytest.raises(HitsSingularity) as caught:
+                state.apply(move)
+            assert isinstance(caught.value, MoveNotAvailableError)
+            assert caught.value.label == 1
+
+    def test_singularity_reported_before_wrong_slant(self):
+        from octocf.octagon import qprime
+
+        base = qprime(Direction(Vec2(0, 1)))
+        state = qprime(Direction(base.diagonal(2)))
+        assert [state.slant(i) for i in (3, 2)] == [Slant.RIGHT, Slant.PARALLEL]
+        # the rotated cycle lists the wrongly slanted diagonal first
+        move = StaircaseMove(Side.PI_R, (3, 2), elementary_matrix(state.comb, (2, 3), Side.PI_R))
+        with pytest.raises(HitsSingularity) as caught:
+            state.apply(move)
+        assert caught.value.label == 2
+
+    def test_move_not_matching_gluing_data_raises(self):
+        state = torus_state(Vec2(-1, 2), Vec2(2, 1))  # right-slanted: PI_L is available
+        wrong = StaircaseMove(Side.PI_L, (1,), elementary_matrix(TORUS, (1,), Side.PI_R))
+        with pytest.raises(MoveNotAvailableError, match="gluing data"):
+            state.apply(wrong)
+
     def test_area_and_train_track_preserved(self):
         ref = Direction(Vec2(QuadNum(0, 1), QuadNum(1)))
         state = torus_state(Vec2(0, 1), Vec2(1, 0), ref)
@@ -112,7 +148,8 @@ class TestStaircaseMoves:
             assert len(moves) == 1
             state = state.apply(moves[0])
             assert state.total_area() == area
-            state.diagonal(1)  # raises on any train-track corruption
+            w = state.wedges[0]
+            assert state.diagonal(1) == w.r + w.l  # the train-track relation
 
     def test_new_side_strictly_inside_old_cone(self):
         ref = Direction(Vec2(QuadNum(0, 1), QuadNum(1)))

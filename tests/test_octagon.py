@@ -14,7 +14,7 @@ from octocf.h2moves import (
     SymmetryToken,
     sector_raw_plan,
 )
-from octocf.numerics import Mat2, QuadNum, Vec2
+from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import (
     OCTAGON_AREA,
     Q0_VECTORS,
@@ -91,7 +91,7 @@ class TestVerifySector:
         # drop the final move of sector 7's plan: the closure must fail loudly
         from octocf.octagon import _WordRun
 
-        run = _WordRun(state=qprime(sector_midpoint(7)), frame=Mat2.identity())
+        run = _WordRun(state=qprime(sector_midpoint(7)))
         for token in sector_raw_plan(7)[:-1]:
             run.execute_token(token)
         run.renormalize(7)

@@ -13,7 +13,9 @@ import pytest
 from octocf.diagch import LabeledQuadrangulation, QuadrangulationError, Wedge
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import (
+    MAX_CROSSINGS,
     OCTAGON_AREA,
+    CrossingBudgetExhausted,
     QPRIME_COMB,
     QPRIME_VECTORS,
     derive_qprime_vectors_fixed_point,
@@ -54,6 +56,11 @@ class TestRayTracer:
 
     def test_generic_vector_is_not_a_saddle_connection(self):
         assert not is_saddle_connection(Vec2(QuadNum(Fraction(1, 3)), QuadNum(Fraction(1, 7))))
+
+    def test_exhausted_budget_is_unknown_not_false(self):
+        # long and nearly horizontal: no corner decides it within the budget
+        with pytest.raises(CrossingBudgetExhausted, match=str(MAX_CROSSINGS)):
+            is_saddle_connection(Vec2(1000, 1))
 
 
 def test_fixed_point_oracle_matches_frozen():
