@@ -34,6 +34,9 @@ EXIT_IO = 3
 
 _MAX_DENOMINATOR = 10**6
 
+#: Input that ``json.load`` rejects; deeply nested arrays exhaust its recursion.
+_BAD_JSON = (json.JSONDecodeError, RecursionError)
+
 
 class _ParseFailure(Exception):
     pass
@@ -190,7 +193,7 @@ def _initial_state(spec: str, direction: Direction):
     except OSError as exc:
         print(f"error: cannot read quadrangulation: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except json.JSONDecodeError as exc:
+    except _BAD_JSON as exc:
         raise _ParseFailure(f"invalid quadrangulation JSON: {exc}")
     ref = {"ref_dir": direction.to_json()}
     return _decode(lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data)
@@ -270,7 +273,7 @@ def _cmd_render(args) -> int:
     if args.input == "-":
         try:
             data = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
+        except _BAD_JSON as exc:
             raise _ParseFailure(f"invalid trace JSON: {exc}")
     elif args.input == "qprime" or args.input.startswith("sector:"):
         if args.input == "qprime":
@@ -288,7 +291,7 @@ def _cmd_render(args) -> int:
         except OSError as exc:
             print(f"error: cannot read trace: {exc}", file=sys.stderr)
             return EXIT_IO
-        except json.JSONDecodeError as exc:
+        except _BAD_JSON as exc:
             raise _ParseFailure(f"invalid trace JSON: {exc}")
     overlay = None
     if args.direction:

@@ -156,6 +156,20 @@ class CombDatum:
     def swapped(self) -> "CombDatum":
         return CombDatum(self.k, self.pi_r, self.pi_l)
 
+    def after_move(self, side: Side, cycle: tuple[int, ...]) -> "CombDatum":
+        """The gluing data after the staircase move along ``cycle``.
+
+        A pi_r move sets pi_l(i) to pi_l(pi_r(i)) on the cycle, a pi_l move
+        sets pi_r(i) to pi_r(pi_l(i)).
+        """
+        pi_l, pi_r = list(self.pi_l), list(self.pi_r)
+        for i in cycle:
+            if side is Side.PI_R:
+                pi_l[i - 1] = self.pi_l[self.pi_r[i - 1] - 1]
+            else:
+                pi_r[i - 1] = self.pi_r[self.pi_l[i - 1] - 1]
+        return CombDatum(self.k, tuple(pi_l), tuple(pi_r))
+
     def to_json(self) -> dict:
         return {"k": self.k, "pi_l": list(self.pi_l), "pi_r": list(self.pi_r)}
 
@@ -300,16 +314,10 @@ class LabeledQuadrangulation:
         if any(slant is not want for slant in slants.values()):
             raise MoveNotAvailableError(f"{move} is not well slanted")
         wedges = list(self.wedges)
-        pi_l, pi_r = list(self.comb.pi_l), list(self.comb.pi_r)
         for i in move.cycle:
             w = self.wedges[i - 1]
-            if left:
-                wedges[i - 1] = Wedge(diagonals[i], w.r)
-                pi_l[i - 1] = self.comb.pi_l[self.comb.pi_r[i - 1] - 1]
-            else:
-                wedges[i - 1] = Wedge(w.l, diagonals[i])
-                pi_r[i - 1] = self.comb.pi_r[self.comb.pi_l[i - 1] - 1]
-        comb = CombDatum(self.comb.k, tuple(pi_l), tuple(pi_r))
+            wedges[i - 1] = Wedge(diagonals[i], w.r) if left else Wedge(w.l, diagonals[i])
+        comb = self.comb.after_move(move.side, move.cycle)
         return LabeledQuadrangulation(comb, tuple(wedges), self.ref_dir)
 
     # -- bookkeeping transformations -------------------------------------------

@@ -18,29 +18,37 @@ matrices A1..A7: one octagon Farey step equals one such word of staircase
 moves.  Matrices compose with later moves on the left (column vectors);
 parity counts symmetry moves, matching the orientation behavior of the
 renormalizing element of each sector.
+
+The raw token plans of the seven sectors are resolved once over the base
+gluing data by :func:`resolved_word`: the cycles each letter token marks, the
+relabeling closing each symmetry token, the word's label matrix and its
+parity depend on the sector alone.  The octagon executor only runs the
+resolved steps on the geometry, where every staircase move is checked
+against the live gluing data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from itertools import permutations
 
 from . import intmat
-from .diagch import Side
-from .numerics import Mat2, Vec2
+from .diagch import CombDatum, Side, StaircaseMove, elementary_matrix, perm_conjugate
 
 __all__ = [
     "NodeId",
     "ReducedMove",
-    "ReducedState",
-    "apply_reduced",
     "MoveWord",
     "RawToken",
     "LetterToken",
     "SymmetryToken",
     "RelabelToken",
-    "move_matrix",
+    "ResolvedWord",
+    "SectorWordError",
     "compose_word",
+    "resolved_word",
     "sector_word",
     "sector_raw_word",
     "sector_raw_plan",
@@ -48,6 +56,7 @@ __all__ = [
     "SECTOR_MATRICES",
     "Q_PRIME_PI_L",
     "Q_PRIME_PI_R",
+    "QPRIME_COMB",
 ]
 
 #: Gluing data of the two reduced nodes (and of the octagon's base
@@ -55,6 +64,9 @@ __all__ = [
 Q_PRIME_PI_L = (2, 1, 3)  # (1,2)(3)
 Q_PRIME_PI_R = (1, 3, 2)  # (1)(2,3)
 _RIGHT_PI_L = (2, 3, 1)  # (1,2,3)
+
+#: Gluing data of Q', where every sector word starts and ends.
+QPRIME_COMB = CombDatum(3, Q_PRIME_PI_L, Q_PRIME_PI_R)
 
 
 class NodeId(Enum):
@@ -167,51 +179,6 @@ _TRANSITIONS = {
     ReducedMove.LLL_RELABEL: (NodeId.RIGHT, NodeId.RIGHT),
     ReducedMove.SYM_RELABEL: (NodeId.LEFT, NodeId.LEFT),
 }
-
-
-def move_matrix(m: ReducedMove) -> intmat.IntMat:
-    return m.matrix
-
-
-_REFLECTION = Mat2(-1, 0, 0, 1)
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """A reduced-graph position: node, six wedge vectors, reflection parity.
-
-    The vectors sit in basis order (1,l),(1,r),...,(3,r); after undoing the
-    parity reflection they satisfy the train-track relations of the node's
-    gluing data.
-    """
-
-    node: NodeId
-    vecs: tuple[Vec2, ...]
-    parity: int = 0
-
-    def __post_init__(self):
-        if len(self.vecs) != 6:
-            raise ValueError("a reduced state carries six wedge vectors")
-        if self.parity not in (0, 1):
-            raise ValueError("parity is a reflection count mod 2")
-
-
-def apply_reduced(state: ReducedState, move: ReducedMove) -> ReducedState:
-    """One reduced move: matrix entries weight whole vectors; symmetry reflects.
-
-    The move must be available from the state's node; the symmetry move
-    additionally applies the planar reflection to every vector and flips the
-    parity.
-    """
-    src = _TRANSITIONS[move][0]
-    if src is not None and src is not state.node:
-        raise ValueError(f"move {move.value} is not available from {state.node.value}")
-    vecs = intmat.matvec(move.matrix, state.vecs)
-    parity = state.parity
-    if move.flips_orientation:
-        vecs = tuple(_REFLECTION.apply(v) for v in vecs)
-        parity ^= 1
-    return ReducedState(_next_node(state.node, move), tuple(vecs), parity)
 
 
 @dataclass(frozen=True)
@@ -513,8 +480,86 @@ def has_reduced_word(i: int) -> bool:
 
 def sector_parity(i: int) -> int:
     """1 when the sector word reverses orientation (even sectors), else 0."""
-    _check_sector(i)
-    return sum(1 for t in _RAW_PLANS[i] if isinstance(t, SymmetryToken)) % 2
+    return resolved_word(i).parity
+
+
+# -- resolving raw plans over the base gluing data --------------------------------
+
+
+class SectorWordError(ValueError):
+    """A sector word that does not fit the gluing data it runs on."""
+
+
+#: A relabeling step: sigma, and whether left and right are exchanged first.
+Relabeling = tuple[tuple[int, ...], bool]
+
+
+@dataclass(frozen=True)
+class ResolvedWord:
+    """A sector word resolved over the base gluing data.
+
+    ``steps`` holds one :class:`StaircaseMove` per cycle of each letter token
+    and one :data:`Relabeling` per relabel or symmetry token.  ``matrix``
+    composes the steps' label matrices (later steps on the left); ``parity``
+    counts the left/right exchanges mod 2.
+    """
+
+    steps: tuple[StaircaseMove | Relabeling, ...]
+    matrix: intmat.IntMat
+    parity: int
+
+
+@cache
+def resolved_word(i: int) -> ResolvedWord:
+    """Sector i's token plan walked once over ``QPRIME_COMB``."""
+    comb = QPRIME_COMB
+    steps = []
+    matrix = intmat.identity(2 * comb.k)
+    parity = 0
+    for token in sector_raw_plan(i):
+        if isinstance(token, LetterToken):
+            for cycle in _partition_marked(comb, token.side, token.marked):
+                move = StaircaseMove(token.side, cycle, elementary_matrix(comb, cycle, token.side))
+                steps.append(move)
+                matrix = intmat.matmul(move.matrix, matrix)
+                comb = comb.after_move(token.side, cycle)
+            continue
+        if isinstance(token, SymmetryToken):
+            sigma, reflect = _closure_relabel(comb), True
+            comb = comb.swapped()
+            parity ^= 1
+        else:
+            sigma, reflect = token.sigma, False
+        steps.append((sigma, reflect))
+        matrix = intmat.matmul(intmat.block_perm_matrix(sigma, swap=reflect), matrix)
+        comb = comb.relabeled(sigma)
+    return ResolvedWord(tuple(steps), matrix, parity)
+
+
+def _partition_marked(comb: CombDatum, side: Side, marked) -> list[tuple[int, ...]]:
+    """The cycles of ``side`` whose union is the marked set of a letter token."""
+    chosen = [c for c in comb.cycles(side) if set(c) <= set(marked)]
+    covered = set()
+    for c in chosen:
+        covered |= set(c)
+    if covered != set(marked):
+        raise SectorWordError(
+            f"marked set {set(marked)} is not a union of {side.value} cycles of {comb}"
+        )
+    return chosen
+
+
+def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
+    """The unique relabeling returning the swapped gluing data to Q'."""
+    solutions = [
+        sigma
+        for sigma in permutations(range(1, comb.k + 1))
+        if perm_conjugate(sigma, comb.pi_r) == Q_PRIME_PI_L
+        and perm_conjugate(sigma, comb.pi_l) == Q_PRIME_PI_R
+    ]
+    if len(solutions) != 1:
+        raise SectorWordError(f"no unique symmetry relabeling from {comb}")
+    return solutions[0]
 
 
 def _check_sector(i: int) -> None:

@@ -26,9 +26,6 @@ __all__ = [
     "QuadNumParseError",
     "moebius",
     "to_decimal",
-    "ZERO",
-    "ONE",
-    "SQRT2",
 ]
 
 
@@ -321,11 +318,6 @@ def _coerce(x) -> QuadNum:
     if isinstance(x, (int, Fraction)):
         return QuadNum(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt(2))")
-
-
-ZERO = QuadNum(0)
-ONE = QuadNum(1)
-SQRT2 = QuadNum(0, 1)
 
 
 def to_decimal(q: QuadNum, digits: int) -> str:

@@ -15,23 +15,22 @@ connections of the octagon by exact ray tracing and searches for compatible
 quadrangulation data; see :func:`enumerate_saddle_connections`.
 
 For a direction theta strictly inside sector i, :func:`verify_sector` runs
-sector i's move word on Q' by actual staircase moves, checks every move is
-well slanted, that the accumulated label matrix is exactly A_i, and that
+sector i's move word (resolved once by :func:`h2moves.resolved_word`) on Q'
+by actual staircase moves, checks every move is well slanted and matches the
+live gluing data, that the word's label matrix is exactly A_i, and that
 applying ``gamma*nu_i`` (composed with the reflection when the word flipped
-orientation) carries the final wedge vectors back onto Q' on the nose.  That
-exact round trip, over all sectors, is the machine content of the
-acceleration theorem.
+orientation) carries the final gluing data and wedge vectors back onto Q' on
+the nose.  That exact round trip, over all sectors, is the machine content of
+the acceleration theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations as _all_permutations
 
 from . import intmat
 from .diagch import (
-    CombDatum,
     HitsSingularity,
     LabeledQuadrangulation,
     MoveNotAvailableError,
@@ -40,8 +39,6 @@ from .diagch import (
     StaircaseMove,
     TrainTrackError,
     Wedge,
-    elementary_matrix,
-    perm_conjugate,
 )
 from .farey import (
     GAMMA,
@@ -55,15 +52,7 @@ from .farey import (
     classify,
     expand,
 )
-from .h2moves import (
-    LetterToken,
-    Q_PRIME_PI_L,
-    Q_PRIME_PI_R,
-    RelabelToken,
-    SymmetryToken,
-    sector_matrix,
-    sector_raw_plan,
-)
+from .h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
 from .numerics import Mat2, QuadNum, Vec2
 
 __all__ = [
@@ -104,8 +93,6 @@ OCTAGON_AREA = QuadNum(2, 2)
 #: The vertical-axis reflection (x, y) -> (-x, y).
 REFLECTION = Mat2(-1, 0, 0, 1)
 
-QPRIME_COMB = CombDatum(3, Q_PRIME_PI_L, Q_PRIME_PI_R)
-
 #: Wedge vectors of Q' in basis order (1,l),(1,r),(2,l),(2,r),(3,l),(3,r).
 #: All three left sides are horizontal saddle connections (a unit side and
 #: twice the long horizontal diagonal); the right sides are the short
@@ -119,7 +106,7 @@ QPRIME_VECTORS: tuple[Vec2, ...] = (
     Vec2(QuadNum(1, 1), QuadNum(1)),
 )
 
-Q0_COMB = CombDatum(3, Q_PRIME_PI_R, Q_PRIME_PI_L)
+Q0_COMB = QPRIME_COMB.swapped()
 
 #: Wedge vectors of Q0 = gamma * Q', with left/right exchanged because gamma
 #: reverses orientation.
@@ -211,83 +198,39 @@ class MoveRecord:
     new_sides: tuple[tuple[int, Vec2], ...]  # (label, holonomy in the original frame)
 
 
-class SectorWordError(ValueError):
-    """A sector word that cannot be executed on the current state."""
-
-
-def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
-    """The unique relabeling returning the swapped gluing data to Q'."""
-    solutions = [
-        sigma
-        for sigma in map(tuple, _all_permutations(range(1, comb.k + 1)))
-        if perm_conjugate(sigma, comb.pi_r) == Q_PRIME_PI_L
-        and perm_conjugate(sigma, comb.pi_l) == Q_PRIME_PI_R
-    ]
-    if len(solutions) != 1:
-        raise SectorWordError(f"no unique symmetry relabeling from {comb}")
-    return solutions[0]
-
-
-def _partition_marked(comb: CombDatum, side: Side, marked) -> list[tuple[int, ...]]:
-    chosen = [c for c in comb.cycles(side) if set(c) <= set(marked)]
-    covered = set()
-    for c in chosen:
-        covered |= set(c)
-    if covered != set(marked):
-        raise SectorWordError(
-            f"marked set {set(marked)} is not a union of {side.value} cycles of {comb}"
-        )
-    return chosen
-
-
 @dataclass
 class _WordRun:
-    """Mutable bookkeeping while executing one sector word."""
+    """Runs the steps of a resolved sector word on the geometry."""
 
     state: LabeledQuadrangulation
     to_original: Mat2 = field(default_factory=Mat2.identity)  # current -> original frame
-    parity: int = 0
-    matrix: intmat.IntMat = field(default_factory=lambda: intmat.identity(6))
     records: list[MoveRecord] = field(default_factory=list)
 
-    def execute_token(self, token) -> None:
-        if isinstance(token, LetterToken):
-            for cycle in _partition_marked(self.state.comb, token.side, token.marked):
-                self._staircase(token.side, cycle)
-        elif isinstance(token, RelabelToken):
-            self._relabel(token.sigma)
-        elif isinstance(token, SymmetryToken):
-            sigma = _closure_relabel(self.state.comb)
-            self.state = self.state.transformed(REFLECTION).relabeled(sigma)
-            self.to_original = self.to_original @ REFLECTION
-            self.matrix = intmat.matmul(
-                intmat.block_perm_matrix(sigma, swap=True), self.matrix
+    def execute(self, step) -> None:
+        """One resolved step: a staircase move, or a relabeling ``(sigma, reflect)``."""
+        if isinstance(step, StaircaseMove):
+            self.state = self.state.apply(step)
+            pick = (lambda w: w.l) if step.side is Side.PI_R else (lambda w: w.r)
+            created = tuple(
+                (i, self.to_original.apply(pick(self.state.wedges[i - 1]))) for i in step.cycle
             )
-            self.parity ^= 1
-        else:
-            raise TypeError(f"unknown token {token!r}")
-
-    def _relabel(self, sigma: tuple[int, ...]) -> None:
+            self.records.append(MoveRecord(step.side, step.cycle, created))
+            return
+        sigma, reflect = step
+        if reflect:
+            self.state = self.state.transformed(REFLECTION)
+            self.to_original = self.to_original @ REFLECTION
         self.state = self.state.relabeled(sigma)
-        self.matrix = intmat.matmul(intmat.block_perm_matrix(sigma), self.matrix)
-
-    def _staircase(self, side: Side, cycle: tuple[int, ...]) -> None:
-        move = StaircaseMove(side, cycle, elementary_matrix(self.state.comb, cycle, side))
-        self.state = self.state.apply(move)
-        pick = (lambda w: w.l) if side is Side.PI_R else (lambda w: w.r)
-        created = tuple(
-            (i, self.to_original.apply(pick(self.state.wedges[i - 1]))) for i in cycle
-        )
-        self.matrix = intmat.matmul(move.matrix, self.matrix)
-        self.records.append(MoveRecord(side, cycle, created))
 
     def renormalize(self, sector: int) -> None:
+        """Map the state after sector ``sector``'s word back onto Q'."""
+        if self.state.comb != QPRIME_COMB:
+            raise SectorWordError(f"sector {sector} word ends at {self.state.comb}, not at Q'")
         m, m_inv = GAMMA_NU[sector], GAMMA_NU_INV[sector]
-        if self.parity:
+        if resolved_word(sector).parity:
             m, m_inv = m @ REFLECTION, REFLECTION @ m_inv
         self.state = self.state.transformed(m)
         self.to_original = self.to_original @ m_inv
-        self.parity = 0
 
 
 # -- the verifier ----------------------------------------------------------------
@@ -320,17 +263,18 @@ class SectorReport:
 def verify_sector(i: int, direction: Direction) -> SectorReport:
     """Machine-check one sector of the acceleration theorem at ``direction``.
 
-    Runs sector i's word on Q' with the given reference direction, asserting
-    that (1) every staircase move is well slanted when executed, (2) the
-    accumulated label matrix equals A_i, and (3) renormalizing by
+    Runs sector i's resolved word on Q' with the given reference direction,
+    asserting that (1) every staircase move is well slanted when executed,
+    (2) the word's label matrix equals A_i, and (3) renormalizing by
     ``gamma*nu_i`` (with the reflection when the parity is odd) returns the
-    wedge vectors exactly onto Q' with the new reference inside the image
-    sectors.  Boundary directions are rejected.
+    gluing data and the wedge vectors exactly onto Q' with the new reference
+    inside the image sectors.  Boundary directions are rejected.
     """
     if i not in range(1, 8):
         raise ValueError("sector index must be 1..7")
     if not _strictly_inside_sector(direction, i):
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
+    word = resolved_word(i)
     try:
         run = _WordRun(state=qprime(direction))
         area = run.state.total_area()
@@ -339,21 +283,20 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
                 i, direction, False, False, False, False, 0,
                 f"base quadrangulation area {area} != {OCTAGON_AREA}",
             )
-        for token in sector_raw_plan(i):
-            run.execute_token(token)
+        for step in word.steps:
+            run.execute(step)
+        run.renormalize(i)
     except (SectorWordError, MoveNotAvailableError, TrainTrackError, QuadrangulationError) as exc:
         return SectorReport(i, direction, False, False, False, False, 0, str(exc))
-    parity = run.parity
-    matrix_equal = run.matrix == sector_matrix(i)
-    run.renormalize(i)
+    matrix_equal = word.matrix == sector_matrix(i)
     closes_up, failure = _compare_vectors(run.state.wedge_vector_tuple(), QPRIME_VECTORS)
     image_ok = 0 not in classify(run.state.ref_dir)
     if not image_ok:
         failure = failure or "renormalized direction left the expanding sectors"
     passed = matrix_equal and closes_up and image_ok
     if not matrix_equal:
-        failure = failure or _first_matrix_mismatch(run.matrix, sector_matrix(i))
-    return SectorReport(i, direction, passed, True, matrix_equal, closes_up, parity, failure)
+        failure = failure or _first_matrix_mismatch(word.matrix, sector_matrix(i))
+    return SectorReport(i, direction, passed, True, matrix_equal, closes_up, word.parity, failure)
 
 
 def _strictly_inside_sector(d: Direction, i: int) -> bool:
@@ -496,8 +439,8 @@ def run_expansion(
             )
         before = len(run.records)
         try:
-            for token in sector_raw_plan(entry):
-                run.execute_token(token)
+            for step in resolved_word(entry).steps:
+                run.execute(step)
         except HitsSingularity:
             halted = "hits_singularity"
             break
@@ -521,11 +464,9 @@ def sector_move_states(i: int, direction: Direction) -> list[LabeledQuadrangulat
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
     run = _WordRun(state=qprime(direction))
     states = []
-    moves_seen = 0
-    for token in sector_raw_plan(i):
-        run.execute_token(token)
-        while moves_seen < len(run.records):
-            moves_seen += 1
+    for step in resolved_word(i).steps:
+        run.execute(step)
+        if isinstance(step, StaircaseMove):
             states.append(run.state)
     return states
 
@@ -662,6 +603,13 @@ def octagon_vertices() -> tuple[Vec2, ...]:
     )
 
 
+_VERTICES = octagon_vertices()
+
+#: Translation carrying side i onto side i+4 (mod 8); the octagon is
+#: centrally symmetric, so one formula serves all eight sides.
+_SIDE_TRANSLATIONS = tuple(_VERTICES[(i + 4) % 8] - _VERTICES[(i + 1) % 8] for i in range(8))
+
+
 @dataclass(frozen=True)
 class OctagonModel:
     """The unit-side regular octagon with its opposite-side identifications.
@@ -675,25 +623,14 @@ class OctagonModel:
 
     @staticmethod
     def unit() -> "OctagonModel":
-        return OctagonModel(octagon_vertices(), OCTAGON_AREA)
+        return OctagonModel(_VERTICES, OCTAGON_AREA)
 
     def side(self, i: int) -> tuple[Vec2, Vec2]:
         return self.vertices[i % 8], self.vertices[(i + 1) % 8]
 
     def gluing_translation(self, i: int) -> Vec2:
         """Translation identifying side i with side i+4."""
-        return _side_translation(i % 8)
-
-
-def _gluing_translations() -> tuple[Vec2, ...]:
-    """Translation carrying side i onto side i+4, for i = 0..3."""
-    verts = octagon_vertices()
-    return tuple(verts[(i + 4) % 8] - verts[(i + 1) % 8] for i in range(4))
-
-
-def _side_translation(i: int) -> Vec2:
-    ts = _gluing_translations()
-    return ts[i] if i < 4 else -ts[i - 4]
+        return _SIDE_TRANSLATIONS[i % 8]
 
 
 def _segment_hits(p: Vec2, w: Vec2, a: Vec2, b: Vec2):
@@ -728,7 +665,7 @@ def is_saddle_connection(w: Vec2) -> bool:
     if w.is_zero():
         return False
     undecided = False
-    for corner in octagon_vertices():
+    for corner in _VERTICES:
         found = _trace(corner, w)
         if found:
             return True
@@ -740,7 +677,7 @@ def is_saddle_connection(w: Vec2) -> bool:
 
 def _trace(p0: Vec2, w: Vec2) -> bool | None:
     """True/False once the segment from ``p0`` is decided, None if undecided."""
-    verts = octagon_vertices()
+    verts = _VERTICES
     one = QuadNum(1)
     tau = Vec2(0, 0)
     lam = QuadNum(0)
@@ -780,7 +717,7 @@ def _trace(p0: Vec2, w: Vec2) -> bool | None:
         if at_vertex:
             return False  # a cone point in the interior of the segment
         lam = best_t
-        tau = tau - _side_translation(exit_side)
+        tau = tau - _SIDE_TRANSLATIONS[exit_side]
     return None
 
 
@@ -791,8 +728,8 @@ def enumerate_saddle_connections(norm2_bound: QuadNum) -> list[Vec2]:
     gluing translations, then validated by exact ray tracing.  The bound
     must stay small (single digits) for the candidate ball to be exhaustive.
     """
-    verts = octagon_vertices()
-    ts = _gluing_translations()
+    verts = _VERTICES
+    ts = _SIDE_TRANSLATIONS
     seen = set()
     out = []
     span = range(-2, 3)

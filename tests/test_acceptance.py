@@ -30,8 +30,8 @@ from octocf.farey import (
 from octocf.h2moves import (
     ReducedMove,
     compose_word,
+    resolved_word,
     sector_matrix,
-    sector_raw_plan,
     sector_word,
 )
 from octocf.numerics import Mat2, ProjVal, QuadNum, Vec2, moebius
@@ -56,11 +56,12 @@ def test_criterion_1_acceleration_matrices():
     start = time.time()
     ok = True
     for i in range(1, 8):
+        word = resolved_word(i)
         run = _WordRun(state=qprime(sector_midpoint(i)))
-        for token in sector_raw_plan(i):
-            run.execute_token(token)
-        ok &= run.matrix == sector_matrix(i)
-        assert run.matrix == sector_matrix(i), f"sector {i} word does not compose to A{i}"
+        for step in word.steps:
+            run.execute(step)
+        ok &= word.matrix == sector_matrix(i)
+        assert word.matrix == sector_matrix(i), f"sector {i} word does not compose to A{i}"
     for i in (1, 4, 5, 6, 7):
         matrix, _, _ = compose_word(sector_word(i))
         ok &= matrix == sector_matrix(i)
@@ -297,9 +298,9 @@ def test_criterion_8_determinant_audit():
     seen = set()
     for i in range(1, 8):
         run = _WordRun(state=qprime(sector_midpoint(i)))
-        for token in sector_raw_plan(i):
+        for step in resolved_word(i).steps:
             comb = run.state.comb
-            run.execute_token(token)
+            run.execute(step)
             seen.add((comb.pi_l, comb.pi_r))
     for pi_l, pi_r in seen:
         comb = CombDatum(3, pi_l, pi_r)

@@ -2,6 +2,12 @@
 
 import io
 import json
+import sys
+import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octocf.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
 
@@ -203,6 +209,15 @@ class TestMalformedInput:
         path.write_text("[]")
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
 
+    def test_render_stdin_nested_too_deeply(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10**5 + "]" * 10**5))
+        self._assert_parse_failure(capsys, "render", "--input", "-")
+
+    def test_simulate_quad_file_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "quad.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
+
     def test_simulate_negative_steps(self, capsys):
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--steps", "-1")
 
@@ -210,3 +225,114 @@ class TestMalformedInput:
         self._assert_parse_failure(
             capsys, "verify", "--sector", "1", "--samples", "1", "--random-samples", "-1"
         )
+
+
+# -- fuzzing the whole command line ----------------------------------------------
+
+_INTS = st.integers(-(10**4), 10**4)
+_DENS = st.integers(0, 10**4)
+
+#: Number and direction literals.  Exponent forms are left out: ``1e400`` is
+#: a valid decimal whose convergents materialize about 10^400 intermediates.
+_LITERALS = st.one_of(
+    _INTS.map(str),
+    st.builds("{}/{}".format, _INTS, _DENS),
+    st.builds("{}/{}+{}/{}*sqrt2".format, _INTS, _DENS, _INTS, _DENS),
+    st.builds("{}.{}".format, _INTS, st.integers(0, 9999)),
+    st.sampled_from(["inf", "oo", "sqrt2", "golden", "-sqrt2", "1+sqrt2", "sqrt(2)"]),
+    st.text(alphabet="0123456789/+-*.sqrtinfo() ", max_size=4),
+)
+_COUNTS = st.integers(-3, 20)
+
+_STDIN_PAYLOADS = [
+    "",
+    "not json",
+    "[]",
+    "null",
+    '{"panels": 3}',
+    '{"panels": []}',
+    '{"panels": [{}]}',
+    '{"k": 1, "pi_l": [1], "pi_r": [1], "wedges": []}',
+]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with options drawn from small valid and invalid values."""
+    command = draw(
+        st.sampled_from(
+            ["expand", "reconstruct", "convergents", "simulate", "trace", "verify",
+             "dump-matrices", "render"]
+        )
+    )
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+
+    if command in ("expand", "simulate", "trace"):
+        argv.append(f"--u={draw(_LITERALS)}")
+        maybe("--side", st.sampled_from(["pos", "neg"]))
+    if command in ("expand", "trace"):
+        maybe("--policy", st.sampled_from(["low", "high", "mid"]))
+    if command == "expand":
+        maybe("--depth", _COUNTS)
+        if draw(st.booleans()):
+            argv.append("--dual")
+    elif command == "reconstruct":
+        entries = st.lists(st.integers(-1, 8).map(str), max_size=8).map(",".join)
+        argv.append(f"--entries={draw(entries | st.text(alphabet='0127, x-', max_size=6))}")
+    elif command == "convergents":
+        argv.append(f"--alpha={draw(_LITERALS)}")
+        maybe("--steps", _COUNTS)
+        maybe("--format", st.sampled_from(["json", "text"]))
+    elif command == "simulate":
+        maybe("--quad", st.sampled_from(["qprime", "q0", "torus", "no-such-quad.json"]))
+        maybe("--steps", _COUNTS)
+    elif command == "trace":
+        maybe("--steps", _COUNTS)
+    elif command == "verify":
+        maybe("--sector", st.integers(0, 8))
+        maybe("--samples", st.integers(-1, 2))
+        maybe("--random-samples", st.integers(-1, 2))
+    elif command == "render":
+        sectors = st.builds("sector:{}".format, st.integers(-1, 8) | st.just("x"))
+        inputs = st.sampled_from(["qprime", "-", "no-such-trace.json"]) | sectors
+        argv.append(f"--input={draw(inputs)}")
+        maybe("--scale", st.integers(-2, 200))
+        maybe("--direction", _LITERALS)
+        maybe("--side", st.sampled_from(["pos", "neg"]))
+        if draw(st.booleans()):
+            argv.append("--no-labels")
+    return argv
+
+
+def _run_in_process(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv(), stdin_text=st.sampled_from(_STDIN_PAYLOADS))
+def test_fuzzed_command_lines_keep_the_exit_code_contract(argv, stdin_text):
+    code, out, err = _run_in_process(argv, stdin_text)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        return
+    if argv[0] == "render":
+        assert ET.fromstring(out).tag.endswith("svg")
+    elif argv[0] == "convergents" and "--format=text" in argv:
+        assert out.startswith("step")
+    else:
+        json.loads(out)

@@ -73,6 +73,13 @@ class TestDiagonalAndSlant:
         with pytest.raises(QuadrangulationError):
             torus_state(Vec2(-1, 0), Vec2(1, 0))
 
+    def test_non_positive_area_rejected(self):
+        # train-track relations hold and both wedges open positive cones,
+        # but quadrilateral 1's diagonal (0, -3) gives it zero area
+        wedges = (Wedge(Vec2(-2, -2), Vec2(-2, -1)), Wedge(Vec2(2, -2), Vec2(2, -1)))
+        with pytest.raises(QuadrangulationError, match="quadrilateral 1 has non-positive area"):
+            LabeledQuadrangulation(CombDatum(2, (2, 1), (2, 1)), wedges, VERTICAL)
+
     def test_clockwise_wedge_rejected(self):
         with pytest.raises(QuadrangulationError, match="positive cone"):
             torus_state(Vec2(1, 1), Vec2(-1, 1))

@@ -4,6 +4,7 @@ import pytest
 
 from octocf import intmat
 from octocf.h2moves import (
+    QPRIME_COMB,
     LetterToken,
     MoveWord,
     NodeId,
@@ -11,7 +12,7 @@ from octocf.h2moves import (
     SymmetryToken,
     compose_word,
     has_reduced_word,
-    move_matrix,
+    resolved_word,
     sector_matrix,
     sector_parity,
     sector_raw_plan,
@@ -24,21 +25,21 @@ MD = "\N{MIDDLE DOT}"
 
 class TestMoveMatrices:
     def test_rr_left_to_right_rows(self):
-        m = move_matrix(ReducedMove.RR_L_TO_R)
+        m = ReducedMove.RR_L_TO_R.matrix
         assert m[2] == (0, 1, 1, 0, 0, 0)  # (2,l) += (1,r)
         assert m[4] == (0, 0, 0, 0, 1, 1)  # (3,l) += (3,r)
 
     def test_sym_is_antidiagonal_involution(self):
-        s = move_matrix(ReducedMove.SYM_RELABEL)
+        s = ReducedMove.SYM_RELABEL.matrix
         assert all(s[i][5 - i] == 1 for i in range(6))
         assert intmat.matmul(s, s) == intmat.identity(6)
 
     def test_rdot_same_at_both_nodes(self):
-        assert move_matrix(ReducedMove.RDOT)[0] == (1, 0, 0, 1, 0, 0)
+        assert ReducedMove.RDOT.matrix[0] == (1, 0, 0, 1, 0, 0)
 
     def test_determinants_and_nonnegativity(self):
         for move in ReducedMove:
-            m = move_matrix(move)
+            m = move.matrix
             assert intmat.det(m) in (-1, 1)
             assert all(x >= 0 for row in m for x in row)
 
@@ -143,17 +144,17 @@ class TestCrossModuleConsistency:
 
         left = CombDatum(3, NodeId.LEFT.pi_l, NodeId.LEFT.pi_r)
         right = CombDatum(3, NodeId.RIGHT.pi_l, NodeId.RIGHT.pi_r)
-        assert move_matrix(ReducedMove.RR_L_TO_R) == elementary_matrix(
+        assert ReducedMove.RR_L_TO_R.matrix == elementary_matrix(
             left, (2, 3), Side.PI_R
         )
-        assert move_matrix(ReducedMove.RR_R_TO_L) == elementary_matrix(
+        assert ReducedMove.RR_R_TO_L.matrix == elementary_matrix(
             right, (2, 3), Side.PI_R
         )
-        assert move_matrix(ReducedMove.RDOT) == elementary_matrix(left, (1,), Side.PI_R)
-        assert move_matrix(ReducedMove.RDOT) == elementary_matrix(right, (1,), Side.PI_R)
+        assert ReducedMove.RDOT.matrix == elementary_matrix(left, (1,), Side.PI_R)
+        assert ReducedMove.RDOT.matrix == elementary_matrix(right, (1,), Side.PI_R)
 
     def test_node_transitions_of_the_double_staircase_move(self):
-        from octocf.diagch import CombDatum, perm_cycles
+        from octocf.diagch import CombDatum, Side, perm_cycles
 
         left = CombDatum(3, NodeId.LEFT.pi_l, NodeId.LEFT.pi_r)
         # cycle (2,3) of pi_r: pi_l becomes the 3-cycle of the right node
@@ -161,6 +162,9 @@ class TestCrossModuleConsistency:
         for i in (2, 3):
             pi_l[i - 1] = left.pi_l[left.pi_r[i - 1] - 1]
         assert tuple(pi_l) == NodeId.RIGHT.pi_l
+        assert left.after_move(Side.PI_R, (2, 3)) == CombDatum(
+            3, NodeId.RIGHT.pi_l, NodeId.RIGHT.pi_r
+        )
         # the single-quadrilateral cycle is a self-loop on the gluing data
         pi_l2 = list(NodeId.RIGHT.pi_l)
         pi_l2[0] = NodeId.RIGHT.pi_l[NodeId.RIGHT.pi_r[0] - 1]
@@ -168,50 +172,27 @@ class TestCrossModuleConsistency:
         assert perm_cycles(NodeId.RIGHT.pi_l) == ((1, 2, 3),)
 
 
-class TestReducedState:
-    def _base(self):
-        from octocf.h2moves import ReducedState
-        from octocf.octagon import QPRIME_VECTORS
+class TestResolvedWords:
+    def test_parity_is_the_resolved_parity(self):
+        for i in range(1, 8):
+            assert sector_parity(i) == resolved_word(i).parity == (1 if i % 2 == 0 else 0)
 
-        return ReducedState(NodeId.LEFT, QPRIME_VECTORS)
+    def test_each_word_is_resolved_once(self):
+        assert resolved_word(4) is resolved_word(4)
 
-    def test_double_staircase_goes_left_to_right(self):
-        from octocf.h2moves import apply_reduced
+    def test_steps_walk_the_base_gluing_data_back_to_itself(self):
+        from octocf.diagch import StaircaseMove, elementary_matrix
 
-        after = apply_reduced(self._base(), ReducedMove.RR_L_TO_R)
-        assert after.node is NodeId.RIGHT
-        assert after.parity == 0
-
-    def test_rdot_self_loops(self):
-        from octocf.h2moves import apply_reduced
-
-        state = apply_reduced(self._base(), ReducedMove.RR_L_TO_R)
-        after = apply_reduced(state, ReducedMove.RDOT)
-        assert after.node is NodeId.RIGHT
-
-    def test_symmetry_self_loops_and_reflects(self):
-        from octocf.h2moves import apply_reduced
-
-        state = self._base()
-        after = apply_reduced(state, ReducedMove.SYM_RELABEL)
-        assert after.node is NodeId.LEFT
-        assert after.parity == 1
-        twice = apply_reduced(after, ReducedMove.SYM_RELABEL)
-        assert twice.parity == 0
-        assert twice.vecs == state.vecs
-
-    def test_invalid_move_rejected(self):
-        from octocf.h2moves import apply_reduced
-
-        with pytest.raises(ValueError):
-            apply_reduced(self._base(), ReducedMove.LLL_RELABEL)
-
-    def test_sector_word_applied_to_vectors_matches_matrix(self):
-        from octocf.h2moves import apply_reduced
-        from octocf import intmat
-
-        state = self._base()
-        for move in sector_word(1).moves:
-            state = apply_reduced(state, move)
-        expected = intmat.matvec(sector_matrix(1), self._base().vecs)
-        assert state.vecs == expected
+        for i in range(1, 8):
+            comb = QPRIME_COMB
+            reflections = 0
+            for step in resolved_word(i).steps:
+                if isinstance(step, StaircaseMove):
+                    assert step.matrix == elementary_matrix(comb, step.cycle, step.side)
+                    comb = comb.after_move(step.side, step.cycle)
+                else:
+                    sigma, reflect = step
+                    reflections += reflect
+                    comb = (comb.swapped() if reflect else comb).relabeled(sigma)
+            assert comb == QPRIME_COMB
+            assert reflections == resolved_word(i).parity

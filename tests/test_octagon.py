@@ -6,12 +6,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import cone_contains_cone, cones_of, random_clean_direction
-from octocf.diagch import Side, StaircaseMove, elementary_matrix
+from octocf import intmat
+from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, elementary_matrix
 from octocf.farey import GAMMA_NU, Direction
 from octocf.h2moves import (
     LetterToken,
     RelabelToken,
+    SectorWordError,
     SymmetryToken,
+    _closure_relabel,
+    resolved_word,
+    sector_matrix,
     sector_raw_plan,
 )
 from octocf.numerics import QuadNum, Vec2
@@ -20,7 +25,7 @@ from octocf.octagon import (
     Q0_VECTORS,
     QPRIME_COMB,
     QPRIME_VECTORS,
-    _closure_relabel,
+    _WordRun,
     derive_qprime_vectors_fixed_point,
     initial_quadrangulation,
     qprime,
@@ -88,14 +93,45 @@ class TestVerifySector:
             assert (report.parity == 1) == (det == QuadNum(-1))
 
     def test_corrupted_word_detected(self):
-        # drop the final move of sector 7's plan: the closure must fail loudly
-        from octocf.octagon import _WordRun
-
+        # drop the final move of sector 7's word: the closure must fail loudly
         run = _WordRun(state=qprime(sector_midpoint(7)))
-        for token in sector_raw_plan(7)[:-1]:
-            run.execute_token(token)
+        for step in resolved_word(7).steps[:-1]:
+            run.execute(step)
         run.renormalize(7)
         assert run.state.wedge_vector_tuple() != QPRIME_VECTORS
+
+
+class TestResolvedWords:
+    """Each sector word is resolved once; every move is checked on the live state."""
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_live_states_rebuild_the_resolved_matrix(self, i):
+        word = resolved_word(i)
+        for d in sector_sample_directions(i, 3):
+            run = _WordRun(state=qprime(d))
+            matrix = intmat.identity(6)
+            for step in word.steps:
+                if isinstance(step, StaircaseMove):
+                    m = elementary_matrix(run.state.comb, step.cycle, step.side)
+                else:
+                    sigma, reflect = step
+                    m = intmat.block_perm_matrix(sigma, swap=reflect)
+                matrix = intmat.matmul(m, matrix)
+                run.execute(step)
+            assert matrix == word.matrix == sector_matrix(i)
+            run.renormalize(i)
+            assert run.state.wedge_vector_tuple() == QPRIME_VECTORS
+
+    def test_renormalize_checks_the_gluing_data(self):
+        run = _WordRun(state=qprime(sector_midpoint(1)).relabeled((2, 1, 3)))
+        with pytest.raises(SectorWordError, match="not at Q'"):
+            run.renormalize(1)
+
+    def test_resolved_move_rejected_on_other_gluing_data(self):
+        # relabeling 2<->3 keeps the pi_r cycle (2,3) but changes pi_l on it
+        run = _WordRun(state=qprime(sector_midpoint(1)).relabeled((1, 3, 2)))
+        with pytest.raises(MoveNotAvailableError, match="does not match"):
+            run.execute(resolved_word(1).steps[0])
 
 
 class TestVerifyTheorem:
