@@ -12,7 +12,7 @@ branches on a decimal rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, isqrt
 import re
@@ -97,6 +97,8 @@ def quad_float(p: int, q: int, den: int, d: int) -> float:
 
 
 def _fraction(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise QuadNumParseError(f"expected a string coefficient, got {type(text).__name__}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -340,29 +342,55 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """A planar vector with exact Q(sqrt(2)) components."""
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    x: QuadNum
-    y: QuadNum
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Vec2:
+    """A planar vector with exact Q(sqrt(2)) components.
+
+    Immutable, with value equality and hashing over ``(x, y)``.
+    """
+
+    __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", _coerce(x))
-        object.__setattr__(self, "y", _coerce(y))
+        _set_x(self, _coerce(x))
+        _set_y(self, _coerce(y))
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Vec2:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Vec2(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return Vec2, (self.x, self.y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return _vec(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return _vec(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return _vec(-self.x, -self.y)
 
     def scale(self, c) -> "Vec2":
         c = _coerce(c)
-        return Vec2(self.x * c, self.y * c)
+        return _vec(self.x * c, self.y * c)
 
     def cross(self, other: "Vec2") -> QuadNum:
         return self.x * other.y - self.y * other.x
@@ -387,23 +415,47 @@ class Vec2:
         return Vec2(QuadNum.from_json(obj["x"]), QuadNum.from_json(obj["y"]))
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix over Q(sqrt(2)); group elements here have det +-1."""
+_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
 
-    a: QuadNum
-    b: QuadNum
-    c: QuadNum
-    d: QuadNum
+
+def _vec(x: QuadNum, y: QuadNum) -> Vec2:
+    """A Vec2 from components that are already QuadNums."""
+    v = _object_new(Vec2)
+    _set_x(v, x)
+    _set_y(v, y)
+    return v
+
+
+class Mat2:
+    """A 2x2 matrix over Q(sqrt(2)); group elements here have det +-1.
+
+    Immutable, with value equality and hashing over ``(a, b, c, d)``.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", _coerce(a))
-        object.__setattr__(self, "b", _coerce(b))
-        object.__setattr__(self, "c", _coerce(c))
-        object.__setattr__(self, "d", _coerce(d))
+        _set_entries(self, _coerce(a), _coerce(b), _coerce(c), _coerce(d))
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __reduce__(self):
+        return Mat2, (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return _mat(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -418,10 +470,10 @@ class Mat2:
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
         inv = det.inverse()
-        return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
+        return _mat(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
 
     def apply(self, v: Vec2) -> Vec2:
-        return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
+        return _vec(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     @staticmethod
     def identity() -> "Mat2":
@@ -432,6 +484,24 @@ class Mat2:
 
     def to_json(self) -> list:
         return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
+
+
+_MAT_SLOTS = tuple(getattr(Mat2, name).__set__ for name in Mat2.__slots__)
+
+
+def _set_entries(m: Mat2, a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> None:
+    set_a, set_b, set_c, set_d = _MAT_SLOTS
+    set_a(m, a)
+    set_b(m, b)
+    set_c(m, c)
+    set_d(m, d)
+
+
+def _mat(a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> Mat2:
+    """A Mat2 from entries that are already QuadNums."""
+    m = _object_new(Mat2)
+    _set_entries(m, a, b, c, d)
+    return m
 
 
 class ProjVal:

@@ -21,13 +21,16 @@ live gluing data, that the word's label matrix is exactly A_i, and that
 applying ``gamma*nu_i`` (composed with the reflection when the word flipped
 orientation) carries the final gluing data and wedge vectors back onto Q' on
 the nose.  That exact round trip, over all sectors, is the machine content of
-the acceleration theorem.
+the acceleration theorem.  Because of it, :func:`run_expansion` replays each
+sector's word from a table recorded once by the same executor, re-running
+at every step only the checks that read the reference direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import intmat
 from .diagch import (
@@ -36,6 +39,7 @@ from .diagch import (
     MoveNotAvailableError,
     QuadrangulationError,
     Side,
+    Slant,
     StaircaseMove,
     TrainTrackError,
     Wedge,
@@ -260,6 +264,10 @@ class SectorReport:
         }
 
 
+#: What a sector word that does not fit the live geometry raises.
+_WORD_ERRORS = (SectorWordError, MoveNotAvailableError, TrainTrackError, QuadrangulationError)
+
+
 def verify_sector(i: int, direction: Direction) -> SectorReport:
     """Machine-check one sector of the acceleration theorem at ``direction``.
 
@@ -268,26 +276,35 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
     (2) the word's label matrix equals A_i, and (3) renormalizing by
     ``gamma*nu_i`` (with the reflection when the parity is odd) returns the
     gluing data and the wedge vectors exactly onto Q' with the new reference
-    inside the image sectors.  Boundary directions are rejected.
+    inside the image sectors.  Boundary directions are rejected.  A failure
+    inside the word is reported as ``step k of sector i: ...``, where k
+    indexes ``resolved_word(i).steps``.
     """
     if i not in range(1, 8):
         raise ValueError("sector index must be 1..7")
     if not _strictly_inside_sector(direction, i):
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
     word = resolved_word(i)
+
+    def failed(text: str) -> SectorReport:
+        return SectorReport(i, direction, False, False, False, False, 0, text)
+
     try:
         run = _WordRun(state=qprime(direction))
-        area = run.state.total_area()
-        if area != OCTAGON_AREA:
-            return SectorReport(
-                i, direction, False, False, False, False, 0,
-                f"base quadrangulation area {area} != {OCTAGON_AREA}",
-            )
-        for step in word.steps:
+    except _WORD_ERRORS as exc:
+        return failed(str(exc))
+    area = run.state.total_area()
+    if area != OCTAGON_AREA:
+        return failed(f"base quadrangulation area {area} != {OCTAGON_AREA}")
+    for k, step in enumerate(word.steps):
+        try:
             run.execute(step)
+        except _WORD_ERRORS as exc:
+            return failed(f"step {k} of sector {i}: {exc}")
+    try:
         run.renormalize(i)
-    except (SectorWordError, MoveNotAvailableError, TrainTrackError, QuadrangulationError) as exc:
-        return SectorReport(i, direction, False, False, False, False, 0, str(exc))
+    except _WORD_ERRORS as exc:
+        return failed(str(exc))
     matrix_equal = word.matrix == sector_matrix(i)
     closes_up, failure = _compare_vectors(run.state.wedge_vector_tuple(), QPRIME_VECTORS)
     image_ok = 0 not in classify(run.state.ref_dir)
@@ -410,14 +427,109 @@ class ExpansionTrace:
         }
 
 
+@dataclass(frozen=True)
+class _TableMove:
+    """One staircase move of a sector table, in the frame of the step's start.
+
+    ``flip`` is the determinant (+1 or -1) of the reflections made before the
+    move: ``cross(R ref, R v) = -cross(ref, v)``, so the live slant of a
+    diagonal is ``flip`` times its slant against the step's reference.
+    """
+
+    move: StaircaseMove
+    diagonals: tuple[tuple[int, Vec2], ...]  # (label, cycle diagonal)
+    flip: int
+    cones: tuple[tuple[int, Wedge], ...]  # (label, wedge) not yet met in the word
+    created: tuple[tuple[int, Vec2], ...]  # (label, created holonomy)
+
+
+@dataclass(frozen=True)
+class _SectorTable:
+    """Sector i's word on Q', recorded by one run of the staircase executor.
+
+    After every renormalization the state is exactly Q', so in the frame of a
+    step's start everything the word computes is fixed; only the reference
+    direction and the accumulated frame change from step to step.
+    """
+
+    moves: tuple[_TableMove, ...]
+    frame: Mat2  # the next step's frame -> this step's frame (the word's to_original)
+    ref_map: Mat2  # the inverse of ``frame``: this step's reference -> the next one
+
+    def replay(self, ref: Direction, to_original: Mat2) -> tuple[MoveRecord, ...]:
+        """The word's move records at ``ref``, re-running every check that reads it.
+
+        Raises exactly what the staircase executor raises on ``qprime(ref)``:
+        for each move, :class:`HitsSingularity` for a parallel diagonal, then
+        :class:`MoveNotAvailableError` for a wrong slant, then
+        :class:`QuadrangulationError` when the reference leaves a wedge cone
+        of the state the move made.
+        """
+        v = ref.vector
+        records = []
+        for tm in self.moves:
+            move = tm.move
+            slants = [(i, tm.flip * v.cross(d).sign()) for i, d in tm.diagonals]
+            for i, slant in slants:
+                if slant == 0:
+                    raise HitsSingularity(i)
+            want = Slant.LEFT.value if move.side is Side.PI_R else Slant.RIGHT.value
+            if any(slant != want for _, slant in slants):
+                raise MoveNotAvailableError(f"{move} is not well slanted")
+            for i, w in tm.cones:
+                if not w.cone_contains(ref, strict=False):
+                    raise QuadrangulationError(
+                        f"reference direction leaves the wedge cone of quadrilateral {i}"
+                    )
+            created = tuple((i, to_original.apply(h)) for i, h in tm.created)
+            records.append(MoveRecord(move.side, move.cycle, created))
+        return tuple(records)
+
+
+@cache
+def _sector_table(i: int) -> _SectorTable:
+    """Sector i's table, from one checked run of its word at the sector midpoint.
+
+    The run checks everything that does not read the reference direction:
+    train-track relations, positive cones and areas of every state, each
+    move's matrix against the live gluing data, and the word ending on Q'.
+    """
+    run = _WordRun(state=qprime(sector_midpoint(i)))
+    seen = set(run.state.wedges)
+    moves = []
+    for step in resolved_word(i).steps:
+        if not isinstance(step, StaircaseMove):
+            run.execute(step)  # relabeling and reflecting meet no new wedge cone
+            continue
+        frame = run.to_original
+        flip = frame.det().sign()
+        diagonals = tuple((j, frame.apply(run.state.diagonal(j))) for j in step.cycle)
+        run.execute(step)
+        cones = []
+        for j, w in enumerate(run.state.wedges, 1):
+            l, r = frame.apply(w.l), frame.apply(w.r)
+            start_wedge = Wedge(l, r) if flip > 0 else Wedge(r, l)
+            if start_wedge not in seen:
+                seen.add(start_wedge)
+                cones.append((j, start_wedge))
+        created = run.records[-1].new_sides
+        moves.append(_TableMove(step, diagonals, flip, tuple(cones), created))
+    run.renormalize(i)
+    if run.state != qprime(run.state.ref_dir):
+        raise SectorWordError(f"sector {i} word does not renormalize onto Q'")
+    return _SectorTable(tuple(moves), run.to_original, run.to_original.inverse())
+
+
 def run_expansion(
     direction: Direction, n: int, policy: TiePolicy = TiePolicy.LOW
 ) -> ExpansionTrace:
     """Drive n renormalization steps of diagonal changes along an expansion.
 
     The first expansion entry selects the starting frame; each later entry
-    executes its sector word on Q' with the renormalized direction as
-    reference, then renormalizes back onto Q'.  Created wedge sides are
+    runs its sector word on Q' with the renormalized direction as reference,
+    then renormalizes back onto Q'.  The word is replayed from its sector
+    table (built once by the staircase executor), re-running at every step
+    each check that reads the reference direction.  Created wedge sides are
     reported in the original frame by accumulated inverse renormalizations;
     they are the octagon analogues of the convergents.  A parallel diagonal
     ends the trace with the ``hits_singularity`` marker.
@@ -427,32 +539,29 @@ def run_expansion(
     expansion = expand(direction, n + 1, policy)
     s0 = expansion.entries[0]
     ref = Direction(GAMMA_NU[s0].apply(direction.vector))
-    run = _WordRun(state=qprime(ref), to_original=GAMMA_NU_INV[s0])
-    initial = run.state
+    to_original = GAMMA_NU_INV[s0]
+    initial = qprime(ref)
     steps: list[TraceStep] = []
     halted = None
-    for k in range(1, n + 1):
-        entry = expansion.entries[k]
-        if entry not in classify(run.state.ref_dir):
+    for entry in expansion.entries[1:]:
+        if entry not in classify(ref):
             raise SectorWordError(
                 f"expansion entry {entry} disagrees with the renormalized direction"
             )
-        before = len(run.records)
+        table = _sector_table(entry)
         try:
-            for step in resolved_word(entry).steps:
-                run.execute(step)
+            records = table.replay(ref, to_original)
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        run.renormalize(entry)
+        ref = Direction(table.ref_map.apply(ref.vector))
+        to_original = to_original @ table.frame
         steps.append(
             TraceStep(
                 entry=entry,
-                records=tuple(run.records[before:]),
-                state=run.state,
-                original_wedges=tuple(
-                    run.to_original.apply(v) for v in run.state.wedge_vector_tuple()
-                ),
+                records=records,
+                state=qprime(ref),
+                original_wedges=tuple(to_original.apply(v) for v in QPRIME_VECTORS),
             )
         )
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)

@@ -1,4 +1,4 @@
-"""Shared test utilities: exact strategies and cone predicates."""
+"""Shared test utilities: exact strategies, cone predicates and reference drivers."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from octocf.farey import Direction, expand
+from octocf.diagch import HitsSingularity
+from octocf.farey import GAMMA_NU, GAMMA_NU_INV, Direction, TiePolicy, classify, expand
+from octocf.h2moves import SectorWordError, resolved_word
 from octocf.numerics import QuadNum, Vec2
+from octocf.octagon import ExpansionTrace, TraceStep, _WordRun, qprime
 
 
 def fractions(max_num=60, max_den=12):
@@ -61,3 +64,43 @@ def cone_contains_cone(outer, inner) -> bool:
 
 def cones_of(vectors) -> list[tuple[Vec2, Vec2]]:
     return [normalize_cone(vectors[2 * j], vectors[2 * j + 1]) for j in range(len(vectors) // 2)]
+
+
+def reference_run_expansion(
+    direction: Direction, n: int, policy: TiePolicy = TiePolicy.LOW
+) -> ExpansionTrace:
+    """``run_expansion`` by the staircase executor: every word re-run on the geometry."""
+    if n < 0:
+        raise ValueError("step count must be >= 0")
+    expansion = expand(direction, n + 1, policy)
+    s0 = expansion.entries[0]
+    ref = Direction(GAMMA_NU[s0].apply(direction.vector))
+    run = _WordRun(state=qprime(ref), to_original=GAMMA_NU_INV[s0])
+    initial = run.state
+    steps: list[TraceStep] = []
+    halted = None
+    for k in range(1, n + 1):
+        entry = expansion.entries[k]
+        if entry not in classify(run.state.ref_dir):
+            raise SectorWordError(
+                f"expansion entry {entry} disagrees with the renormalized direction"
+            )
+        before = len(run.records)
+        try:
+            for step in resolved_word(entry).steps:
+                run.execute(step)
+        except HitsSingularity:
+            halted = "hits_singularity"
+            break
+        run.renormalize(entry)
+        steps.append(
+            TraceStep(
+                entry=entry,
+                records=tuple(run.records[before:]),
+                state=run.state,
+                original_wedges=tuple(
+                    run.to_original.apply(v) for v in run.state.wedge_vector_tuple()
+                ),
+            )
+        )
+    return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)

@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,6 +208,26 @@ class TestMalformedInput:
     def test_simulate_quad_file_holding_a_list(self, capsys, tmp_path):
         path = tmp_path / "quad.json"
         path.write_text("[]")
+        self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
+
+    # each coefficient equals the "0" it replaces, so only the type is wrong
+    @pytest.mark.parametrize("coefficient", [0.0, False])
+    def test_render_stdin_non_string_coordinate(self, capsys, monkeypatch, coefficient):
+        from octocf.octagon import qprime, sector_midpoint
+
+        record = qprime(sector_midpoint(4)).to_json()
+        record["wedges"][0]["l"]["y"]["a"] = coefficient
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record)))
+        self._assert_parse_failure(capsys, "render", "--input", "-")
+
+    @pytest.mark.parametrize("coefficient", [0.0, False])
+    def test_simulate_quad_non_string_coordinate(self, capsys, tmp_path, coefficient):
+        from octocf.octagon import qprime, sector_midpoint
+
+        record = qprime(sector_midpoint(4)).to_json()
+        record["wedges"][0]["l"]["y"]["b"] = coefficient
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(record))
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
 
     def test_render_stdin_nested_too_deeply(self, capsys, monkeypatch):

@@ -106,6 +106,45 @@ class TestMat2:
             assert m @ m.inverse() == Mat2.identity()
 
 
+class TestValueObjects:
+    """Vec2 and Mat2 are immutable values: equality and hashing go by coordinates."""
+
+    @given(quadnums(9, 5), quadnums(9, 5), quadnums(9, 5), quadnums(9, 5))
+    def test_vec_equality_and_hash_follow_coordinates(self, x, y, z, w):
+        u, v = Vec2(x, y), Vec2(z, w)
+        assert (u == v) == ((x, y) == (z, w))
+        assert (u != v) == ((x, y) != (z, w))
+        assert hash(u) == hash((x, y))
+        assert u == Vec2(x, y) and hash(u) == hash(Vec2(x, y))
+        assert u != (x, y)
+
+    @given(_matrices(), _matrices())
+    def test_mat_equality_and_hash_follow_entries(self, m, n):
+        assert (m == n) == ((m.a, m.b, m.c, m.d) == (n.a, n.b, n.c, n.d))
+        assert hash(m) == hash((m.a, m.b, m.c, m.d))
+        assert m == Mat2(m.a, m.b, m.c, m.d)
+
+    def test_constructors_coerce_and_results_agree(self):
+        assert Vec2(1, Fraction(1, 2)) == Vec2(QuadNum(1), QuadNum(Fraction(1, 2)))
+        assert Mat2(1, 0, 0, 1) == Mat2.identity()
+        assert GAMMA.apply(Vec2(1, 0)) == Vec2(-1, 0)
+        assert repr(Vec2(1, 0)) == (
+            "Vec2(x=QuadNum(Fraction(1, 1), Fraction(0, 1)), "
+            "y=QuadNum(Fraction(0, 1), Fraction(0, 1)))"
+        )
+        with pytest.raises(TypeError):
+            Vec2(0.5, 1)
+
+    def test_assignment_raises(self):
+        v, m = Vec2(1, 2), Mat2.identity()
+        for obj, name in ((v, "x"), (v, "y"), (v, "z"), (m, "a"), (m, "d")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, QuadNum(5))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert v == Vec2(1, 2) and m == Mat2.identity()
+
+
 def _projvals():
     return st.one_of(st.just(INFINITY), quadnums(9, 5).map(ProjVal))
 
@@ -211,6 +250,13 @@ class TestParseAndJson:
     def test_vec_json_round_trip(self, x, y):
         v = Vec2(x, y)
         assert Vec2.from_json(v.to_json()) == v
+
+    @pytest.mark.parametrize("coefficient", [0.1, 1.0, True, False, 3, None, ["1"]])
+    def test_json_rejects_non_string_coefficients(self, coefficient):
+        with pytest.raises(QuadNumParseError, match="expected a string"):
+            QuadNum.from_json({"a": coefficient, "b": "0"})
+        with pytest.raises(QuadNumParseError, match="expected a string"):
+            QuadNum.from_json({"a": "0", "b": coefficient})
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import cone_contains_cone, cones_of, random_clean_direction
-from octocf import intmat
-from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, elementary_matrix
-from octocf.farey import GAMMA_NU, Direction
+from helpers import (
+    cone_contains_cone,
+    cones_of,
+    random_clean_direction,
+    reference_run_expansion,
+)
+from octocf import intmat, octagon
+from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
+from octocf.farey import GAMMA_NU, SECTOR_BOUNDS, Direction, TiePolicy, expand
 from octocf.h2moves import (
     LetterToken,
     RelabelToken,
+    ResolvedWord,
     SectorWordError,
     SymmetryToken,
     _closure_relabel,
@@ -19,12 +27,13 @@ from octocf.h2moves import (
     sector_matrix,
     sector_raw_plan,
 )
-from octocf.numerics import QuadNum, Vec2
+from octocf.numerics import Mat2, QuadNum, Vec2
 from octocf.octagon import (
     OCTAGON_AREA,
     Q0_VECTORS,
     QPRIME_COMB,
     QPRIME_VECTORS,
+    _sector_table,
     _WordRun,
     derive_qprime_vectors_fixed_point,
     initial_quadrangulation,
@@ -92,13 +101,22 @@ class TestVerifySector:
             det = GAMMA_NU[i].det()
             assert (report.parity == 1) == (det == QuadNum(-1))
 
-    def test_corrupted_word_detected(self):
+    def test_corrupted_word_detected(self, monkeypatch):
         # drop the final move of sector 7's word: the closure must fail loudly
         run = _WordRun(state=qprime(sector_midpoint(7)))
         for step in resolved_word(7).steps[:-1]:
             run.execute(step)
         run.renormalize(7)
         assert run.state.wedge_vector_tuple() != QPRIME_VECTORS
+        # drop its first move instead: the report names the first bad step
+        word = resolved_word(7)
+        corrupted = ResolvedWord(word.steps[1:], word.matrix, word.parity)
+        monkeypatch.setattr(octagon, "resolved_word", lambda i: corrupted)
+        report = verify_sector(7, sector_midpoint(7))
+        assert not report.passed and not report.moves_available
+        assert report.failure == (
+            "step 1 of sector 7: pi_l-cycle(1, 2) does not match the current gluing data"
+        )
 
 
 class TestResolvedWords:
@@ -205,6 +223,130 @@ class TestRunExpansion:
         assert hols, "expected created sides"
         for v in hols:
             assert v.y.sign() > 0 or (v.y.sign() == 0 and v.x.sign() != 0)
+
+
+class TestTableDrivenTraces:
+    """``run_expansion`` replays sector tables; the staircase executor is the reference."""
+
+    @staticmethod
+    def _assert_same(d, n, policy=TiePolicy.LOW):
+        got = run_expansion(d, n, policy)
+        want = reference_run_expansion(d, n, policy)
+        assert got == want
+        assert got.to_json() == want.to_json()
+        return got
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num=st.integers(-(10**6), 10**6),
+        den=st.integers(1, 10**4),
+        n=st.integers(0, 50),
+    )
+    def test_criterion_4_directions(self, num, den, n):
+        d = Direction(Vec2(QuadNum(Fraction(num, den)), QuadNum(1)))
+        probe = expand(d, n + 1)
+        assume(not probe.boundary_hit and not probe.terminating)
+        trace = self._assert_same(d, n)
+        assert trace.halted is None and len(trace.steps) == n
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("u", ["19/7", "2", "5/3+1/7*sqrt2", "1/3+sqrt2"])
+    def test_halting_directions(self, u, policy):
+        trace = self._assert_same(Direction(Vec2(QuadNum.parse(u), QuadNum(1))), 50, policy)
+        assert trace.halted == "hits_singularity"
+
+    def test_theta_pi(self):
+        self._assert_same(Direction(Vec2(-1, 0)), 50)
+
+    @pytest.mark.parametrize("s0", range(8))
+    def test_zero_steps(self, s0):
+        self._assert_same(sector_midpoint(s0), 0)
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_second_entry_in_each_sector(self, i):
+        d = Direction(GAMMA_NU[1].inverse().apply(sector_midpoint(i).vector))
+        trace = self._assert_same(d, 6)
+        assert trace.expansion.entries[:2] == (1, i)
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_replay_outside_its_sector_raises_like_the_executor(self, i):
+        refs = [d for j in range(1, 8) if j != i for d in sector_sample_directions(j, 2)]
+        refs += [Direction(Vec2(u, 1)) for u in SECTOR_BOUNDS[1:]]
+        raised = 0
+        for ref in refs:
+            got = _outcome(lambda: _sector_table(i).replay(ref, Mat2.identity()))
+            want = _outcome(lambda: _executor_records(resolved_word(i), ref))
+            assert got == want, str(ref)
+            raised += got[0] != "ok"
+        assert raised > 0
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_table_checks_every_wedge_the_word_meets(self, i):
+        run = _WordRun(state=qprime(sector_midpoint(i)))
+        start = set(run.state.wedges)
+        met = set(start)
+        for step in resolved_word(i).steps:
+            run.execute(step)
+            frame = run.to_original
+            for w in run.state.wedges:
+                l, r = frame.apply(w.l), frame.apply(w.r)
+                met.add(Wedge(l, r) if frame.det().sign() > 0 else Wedge(r, l))
+        cones = [w for move in _sector_table(i).moves for _, w in move.cones]
+        assert len(cones) == len(set(cones))
+        assert set(cones) | start == met
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_mirrored_word_replays_like_the_executor(self, i, monkeypatch):
+        # the same word run in the mirror frame: every move comes after a reflection
+        table = _sector_table(i)
+        mirrored = _mirrored_word(i)
+        monkeypatch.setattr(octagon, "resolved_word", lambda j: mirrored)
+        mirror_table = _sector_table.__wrapped__(i)
+        assert all(move.flip == -1 for move in mirror_table.moves)
+        assert (mirror_table.frame, mirror_table.ref_map) == (table.frame, table.ref_map)
+        for j in range(1, 8):
+            for ref in sector_sample_directions(j, 2):
+                got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2]))
+                want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
+                assert got == want, (j, str(ref))
+                if j == i:
+                    plain = table.replay(ref, GAMMA_NU[2])
+                    assert [r.new_sides for r in got[1]] == [r.new_sides for r in plain]
+
+
+def _outcome(run):
+    try:
+        return "ok", run()
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+def _executor_records(word, ref, to_original=None):
+    run = _WordRun(state=qprime(ref), to_original=to_original or Mat2.identity())
+    for step in word.steps:
+        run.execute(step)
+    return tuple(run.records)
+
+
+def _mirrored_word(i: int) -> ResolvedWord:
+    """Sector i's word conjugated by the reflection: reflect, mirrored moves, reflect back.
+
+    The matrix and parity are those of the plain word (renormalization reads
+    only the parity).
+    """
+    mirror = ((1, 2, 3), True)
+    run = _WordRun(state=qprime(sector_midpoint(i)))
+    run.execute(mirror)
+    steps = [mirror]
+    for step in resolved_word(i).steps:
+        if isinstance(step, StaircaseMove):
+            side = Side.PI_L if step.side is Side.PI_R else Side.PI_R
+            step = StaircaseMove(side, step.cycle, elementary_matrix(run.state.comb, step.cycle, side))
+        run.execute(step)
+        steps.append(step)
+    steps.append(mirror)
+    word = resolved_word(i)
+    return ResolvedWord(tuple(steps), word.matrix, word.parity)
 
 
 def test_sector_move_states_counts():
