@@ -263,6 +263,17 @@ class LabeledQuadrangulation:
                     f"reference direction leaves the wedge cone of quadrilateral {i}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, comb: CombDatum, wedges: tuple[Wedge, ...], ref_dir: Direction
+    ) -> "LabeledQuadrangulation":
+        """A state from data proved valid elsewhere, built without the checks above."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "comb", comb)
+        object.__setattr__(state, "wedges", wedges)
+        object.__setattr__(state, "ref_dir", ref_dir)
+        return state
+
     # -- basic geometry ------------------------------------------------------
 
     def diagonal(self, i: int) -> Vec2:

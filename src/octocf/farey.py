@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2
+from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2, quad_sign
 
 __all__ = [
     "NU",
@@ -165,20 +165,32 @@ def theta_cmp(d1: Direction, d2: Direction) -> int:
     return -d1.vector.cross(d2.vector).sign()
 
 
+#: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.
+_BOUND_INTS: tuple[tuple[int, int], ...] = tuple(b.ints[:2] for b in SECTOR_BOUNDS)
+
+
 def classify(d: Direction) -> tuple[int, ...]:
-    """All sector indices whose closed sector contains ``d`` (one or two)."""
+    """All sector indices whose closed sector contains ``d`` (one or two).
+
+    Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.
+    The bounds decrease, so the first bound not above u decides: u above it
+    is sector j, u on it is the tie (j, j+1).  Each sign is taken on
+    denominator-free ints, with no division.
+    """
     if d.is_theta_zero:
         return (0,)
     if d.is_theta_pi:
         return (7,)
-    u = d.vector.x / d.vector.y
-    sectors = []
-    for j in range(8):
-        above = j == 7 or u >= SECTOR_BOUNDS[j]  # u >= cot((j+1)pi/8)
-        below = j == 0 or u <= SECTOR_BOUNDS[j - 1]  # u <= cot(j pi/8)
-        if above and below:
-            sectors.append(j)
-    return tuple(sectors)
+    xp, xq, xd = d.vector.x.ints
+    yp, yq, yd = d.vector.y.ints
+    xp, xq, yp, yq = xp * yd, xq * yd, yp * xd, yq * xd  # both over xd*yd > 0
+    for j, (bp, bq) in enumerate(_BOUND_INTS):
+        s = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
+        if s > 0:
+            return (j,)
+        if s == 0:
+            return (j, j + 1)
+    return (7,)
 
 
 def _choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple[int, bool]:
@@ -255,27 +267,39 @@ class InadmissiblePrefixError(ValueError):
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
+    return _expand_orbit(d, depth, policy)[0]
+
+
+def _expand_orbit(
+    d: Direction, depth: int, policy: TiePolicy
+) -> tuple[FareyExpansion, list[tuple[int, bool, Direction]]]:
+    """:func:`expand` together with its orbit, from one pass of the Farey map.
+
+    The orbit holds ``(entry, tie, image)`` per step: the sector entry, whether
+    the iterate sat on a sector boundary, and the next iterate.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    entries: list[int] = []
+    orbit = []
     boundary_hit = False
     tail = None
     cur = d
     for k in range(depth):
         j, tie = _choose_sector(cur, k, policy)
         boundary_hit = boundary_hit or tie
-        entries.append(j)
         cur = Direction(GAMMA_NU[j].apply(cur.vector))
+        orbit.append((j, tie, cur))
         if cur.is_theta_pi:
             tail = 7
         elif cur.ray_eq(_FIXED_RAY_PI8):
             tail = 1
-    return FareyExpansion(
-        entries=tuple(entries),
+    expansion = FareyExpansion(
+        entries=tuple(j for j, _, _ in orbit),
         boundary_hit=boundary_hit,
         terminating=tail is not None,
         tail=tail,
     )
+    return expansion, orbit
 
 
 def _boundary_direction(j: int) -> Direction:

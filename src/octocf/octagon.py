@@ -21,9 +21,12 @@ live gluing data, that the word's label matrix is exactly A_i, and that
 applying ``gamma*nu_i`` (composed with the reflection when the word flipped
 orientation) carries the final gluing data and wedge vectors back onto Q' on
 the nose.  That exact round trip, over all sectors, is the machine content of
-the acceleration theorem.  Because of it, :func:`run_expansion` replays each
-sector's word from a table recorded once by the same executor, re-running
-at every step only the checks that read the reference direction.
+the acceleration theorem.  Each sector is also proved once for every direction
+of the open sector: every slant the word meets is linear in the reference, so
+checking it at the two sector endpoints decides it on the whole arc (see
+:meth:`_SectorTable.proved`).  Because of it, :func:`run_expansion` replays
+each sector's word from its proved table with no per-step checks; only a
+reference on a sector endpoint looks up whether the word halts there.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ from .farey import (
     Direction,
     FareyExpansion,
     TiePolicy,
+    _boundary_direction,
+    _expand_orbit,
     classify,
-    expand,
+    expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
 from .h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
 from .numerics import Mat2, QuadNum, Vec2
@@ -75,6 +80,7 @@ __all__ = [
     "TheoremReport",
     "verify_sector",
     "verify_theorem",
+    "prove_sector",
     "run_expansion",
     "sector_move_states",
     "ExpansionTrace",
@@ -278,7 +284,8 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
     gluing data and the wedge vectors exactly onto Q' with the new reference
     inside the image sectors.  Boundary directions are rejected.  A failure
     inside the word is reported as ``step k of sector i: ...``, where k
-    indexes ``resolved_word(i).steps``.
+    indexes ``resolved_word(i).steps``.  This sampled run cross-checks the
+    whole-sector proof of :func:`prove_sector`.
     """
     if i not in range(1, 8):
         raise ValueError("sector index must be 1..7")
@@ -342,6 +349,7 @@ def _first_matrix_mismatch(got: intmat.IntMat, want: intmat.IntMat) -> str:
 class TheoremReport:
     sector_reports: tuple[SectorReport, ...]
     word_identities: dict[int, bool]
+    proved: dict[int, bool]
     passed: bool
 
     def to_json(self) -> dict:
@@ -349,11 +357,28 @@ class TheoremReport:
             "passed": self.passed,
             "sectors": [r.to_json() for r in self.sector_reports],
             "reduced_word_identities": {str(k): v for k, v in self.word_identities.items()},
+            "proved": {str(k): v for k, v in self.proved.items()},
         }
 
 
+def prove_sector(i: int) -> bool:
+    """Whether sector i's word is proved for every direction of the open sector.
+
+    The proof (see :meth:`_SectorTable.proved`) runs once per sector, when
+    the table that :func:`run_expansion` replays is built.
+    """
+    if i not in range(1, 8):
+        raise ValueError("sector index must be 1..7")
+    try:
+        _sector_table(i)
+    except _WORD_ERRORS:
+        return False
+    return True
+
+
 def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremReport:
-    """Run :func:`verify_sector` on an exact grid, plus the reduced-word identities."""
+    """Prove each sector, cross-check it by :func:`verify_sector` on an exact
+    grid, and check the reduced-word identities."""
     from .h2moves import compose_word, has_reduced_word, sector_word
 
     reports = []
@@ -365,8 +390,11 @@ def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremR
         if has_reduced_word(i):
             matrix, _, end = compose_word(sector_word(i))
             identities[i] = matrix == sector_matrix(i) and end.value == "left"
-    passed = all(r.passed for r in reports) and all(identities.values())
-    return TheoremReport(tuple(reports), identities, passed)
+    proved = {i: prove_sector(i) for i in sectors}
+    passed = (
+        all(r.passed for r in reports) and all(identities.values()) and all(proved.values())
+    )
+    return TheoremReport(tuple(reports), identities, proved, passed)
 
 
 # -- running expansions ----------------------------------------------------------
@@ -429,23 +457,20 @@ class ExpansionTrace:
 
 @dataclass(frozen=True)
 class _TableMove:
-    """One staircase move of a sector table, in the frame of the step's start.
-
-    ``flip`` is the determinant (+1 or -1) of the reflections made before the
-    move: ``cross(R ref, R v) = -cross(ref, v)``, so the live slant of a
-    diagonal is ``flip`` times its slant against the step's reference.
-    """
+    """One staircase move of a sector table, in the frame of the step's start."""
 
     move: StaircaseMove
     diagonals: tuple[tuple[int, Vec2], ...]  # (label, cycle diagonal)
-    flip: int
-    cones: tuple[tuple[int, Wedge], ...]  # (label, wedge) not yet met in the word
     created: tuple[tuple[int, Vec2], ...]  # (label, created holonomy)
+
+
+#: The directions pi/8 and pi bounding the expanding sectors 1..7.
+_EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
 
 
 @dataclass(frozen=True)
 class _SectorTable:
-    """Sector i's word on Q', recorded by one run of the staircase executor.
+    """Sector i's word on Q', recorded by the staircase executor and proved once.
 
     After every renormalization the state is exactly Q', so in the frame of a
     step's start everything the word computes is fixed; only the reference
@@ -453,37 +478,73 @@ class _SectorTable:
     """
 
     moves: tuple[_TableMove, ...]
-    frame: Mat2  # the next step's frame -> this step's frame (the word's to_original)
-    ref_map: Mat2  # the inverse of ``frame``: this step's reference -> the next one
+    frame: Mat2  # the next step's frame -> this step's frame, proved to be GAMMA_NU_INV[i]
+    bounds: tuple[tuple[Vec2, int | None], ...]  # (sector endpoint, first parallel label)
 
-    def replay(self, ref: Direction, to_original: Mat2) -> tuple[MoveRecord, ...]:
-        """The word's move records at ``ref``, re-running every check that reads it.
+    @staticmethod
+    def proved(
+        i: int, moves: tuple[_TableMove, ...], flips: tuple[int, ...], frame: Mat2
+    ) -> "_SectorTable":
+        """The table, once its word is proved well slanted on the whole of sector i.
 
-        Raises exactly what the staircase executor raises on ``qprime(ref)``:
-        for each move, :class:`HitsSingularity` for a parallel diagonal, then
-        :class:`MoveNotAvailableError` for a wrong slant, then
-        :class:`QuadrangulationError` when the reference leaves a wedge cone
-        of the state the move made.
+        ``flips[k]`` is the determinant (+1 or -1) of the reflections made
+        before move k: ``cross(R ref, R v) = -cross(ref, v)``, so the live
+        slant of a diagonal d is ``flip * sign(cross(ref, d))``.  That sign
+        is linear in ``ref``, and every direction of the closed sector is a
+        nonnegative combination of its two endpoints (the arc is narrower
+        than pi).  So a slant that is the wanted one or 0 at both endpoints,
+        and not 0 at both, is the wanted one on the whole open sector and is
+        0 at most on one endpoint.  Well-slanted moves keep the reference
+        inside every wedge cone they make.  The word renormalizes by the
+        Farey branch ``gamma*nu_i``, which carries the sector onto
+        [pi/8, pi], and Q' straddles [pi/8, pi].  Raises
+        :class:`SectorWordError` for the first fact that fails.
         """
-        v = ref.vector
-        records = []
-        for tm in self.moves:
-            move = tm.move
-            slants = [(i, tm.flip * v.cross(d).sign()) for i, d in tm.diagonals]
-            for i, slant in slants:
-                if slant == 0:
-                    raise HitsSingularity(i)
-            want = Slant.LEFT.value if move.side is Side.PI_R else Slant.RIGHT.value
-            if any(slant != want for _, slant in slants):
-                raise MoveNotAvailableError(f"{move} is not well slanted")
-            for i, w in tm.cones:
-                if not w.cone_contains(ref, strict=False):
-                    raise QuadrangulationError(
-                        f"reference direction leaves the wedge cone of quadrilateral {i}"
+        if frame != GAMMA_NU_INV[i]:
+            raise SectorWordError(f"sector {i} word does not renormalize by gamma*nu_{i}")
+        lo, hi = _boundary_direction(i), _boundary_direction(i + 1)
+        images = [Direction(GAMMA_NU[i].apply(e.vector)) for e in (lo, hi)]
+        if not all(any(a.ray_eq(b) for b in images) for a in _EXPANDING_ARC):
+            raise SectorWordError(f"gamma*nu_{i} does not carry sector {i} onto [pi/8, pi]")
+        for w in _wedges(QPRIME_VECTORS):
+            if not all(w.cone_contains(e, strict=False) for e in _EXPANDING_ARC):
+                raise SectorWordError("Q' does not straddle [pi/8, pi]")
+        first_parallel: list[int | None] = [None, None]
+        for tm, flip in zip(moves, flips, strict=True):
+            want = Slant.LEFT.value if tm.move.side is Side.PI_R else Slant.RIGHT.value
+            for j, d in tm.diagonals:
+                signs = [flip * e.vector.cross(d).sign() for e in (lo, hi)]
+                if signs == [0, 0] or any(s not in (want, 0) for s in signs):
+                    raise SectorWordError(
+                        f"sector {i}: {tm.move} is not well slanted on the whole sector "
+                        f"(diagonal {j})"
                     )
-            created = tuple((i, to_original.apply(h)) for i, h in tm.created)
-            records.append(MoveRecord(move.side, move.cycle, created))
-        return tuple(records)
+                for end, s in enumerate(signs):
+                    if s == 0 and first_parallel[end] is None:
+                        first_parallel[end] = j
+        bounds = ((lo.vector, first_parallel[0]), (hi.vector, first_parallel[1]))
+        return _SectorTable(moves, frame, bounds)
+
+    def replay(self, ref: Direction, to_original: Mat2, on_bound: bool) -> tuple[MoveRecord, ...]:
+        """The word's move records at ``ref``, which must lie in the closed sector.
+
+        Inside the open sector the word is proved to run, so this only maps
+        the created holonomies to the original frame.  On a sector endpoint
+        (``on_bound``) it raises what the staircase executor raises there:
+        :class:`HitsSingularity` for the first parallel diagonal, if any.
+        """
+        if on_bound:
+            for end, label in self.bounds:
+                if label is not None and ref.vector.cross(end).sign() == 0:
+                    raise HitsSingularity(label)
+        return tuple(
+            MoveRecord(
+                tm.move.side,
+                tm.move.cycle,
+                tuple((j, to_original.apply(h)) for j, h in tm.created),
+            )
+            for tm in self.moves
+        )
 
 
 @cache
@@ -493,31 +554,23 @@ def _sector_table(i: int) -> _SectorTable:
     The run checks everything that does not read the reference direction:
     train-track relations, positive cones and areas of every state, each
     move's matrix against the live gluing data, and the word ending on Q'.
+    :meth:`_SectorTable.proved` then proves the slants on the whole sector.
     """
     run = _WordRun(state=qprime(sector_midpoint(i)))
-    seen = set(run.state.wedges)
-    moves = []
+    moves, flips = [], []
     for step in resolved_word(i).steps:
         if not isinstance(step, StaircaseMove):
-            run.execute(step)  # relabeling and reflecting meet no new wedge cone
+            run.execute(step)
             continue
         frame = run.to_original
-        flip = frame.det().sign()
         diagonals = tuple((j, frame.apply(run.state.diagonal(j))) for j in step.cycle)
         run.execute(step)
-        cones = []
-        for j, w in enumerate(run.state.wedges, 1):
-            l, r = frame.apply(w.l), frame.apply(w.r)
-            start_wedge = Wedge(l, r) if flip > 0 else Wedge(r, l)
-            if start_wedge not in seen:
-                seen.add(start_wedge)
-                cones.append((j, start_wedge))
-        created = run.records[-1].new_sides
-        moves.append(_TableMove(step, diagonals, flip, tuple(cones), created))
+        moves.append(_TableMove(step, diagonals, run.records[-1].new_sides))
+        flips.append(frame.det().sign())
     run.renormalize(i)
     if run.state != qprime(run.state.ref_dir):
         raise SectorWordError(f"sector {i} word does not renormalize onto Q'")
-    return _SectorTable(tuple(moves), run.to_original, run.to_original.inverse())
+    return _SectorTable.proved(i, tuple(moves), tuple(flips), run.to_original)
 
 
 def run_expansion(
@@ -528,47 +581,46 @@ def run_expansion(
     The first expansion entry selects the starting frame; each later entry
     runs its sector word on Q' with the renormalized direction as reference,
     then renormalizes back onto Q'.  The word is replayed from its sector
-    table (built once by the staircase executor), re-running at every step
-    each check that reads the reference direction.  Created wedge sides are
-    reported in the original frame by accumulated inverse renormalizations;
-    they are the octagon analogues of the convergents.  A parallel diagonal
-    ends the trace with the ``hits_singularity`` marker.
+    table, proved once for the whole sector, and the references are the
+    iterates of the same Farey pass that yields the expansion.  Created
+    wedge sides are reported in the original frame by accumulated inverse
+    renormalizations; they are the octagon analogues of the convergents.  A
+    parallel diagonal, possible only on a sector boundary, ends the trace
+    with the ``hits_singularity`` marker.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
-    expansion = expand(direction, n + 1, policy)
-    s0 = expansion.entries[0]
-    ref = Direction(GAMMA_NU[s0].apply(direction.vector))
-    to_original = GAMMA_NU_INV[s0]
+    expansion, orbit = _expand_orbit(direction, n + 1, policy)
+    _, _, ref = orbit[0]
+    to_original = GAMMA_NU_INV[expansion.entries[0]]
     initial = qprime(ref)
+    wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
-    for entry in expansion.entries[1:]:
-        if entry not in classify(ref):
-            raise SectorWordError(
-                f"expansion entry {entry} disagrees with the renormalized direction"
-            )
+    for entry, tie, image in orbit[1:]:
         table = _sector_table(entry)
         try:
-            records = table.replay(ref, to_original)
+            records = table.replay(ref, to_original, on_bound=tie or ref.is_theta_pi)
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        ref = Direction(table.ref_map.apply(ref.vector))
         to_original = to_original @ table.frame
         steps.append(
             TraceStep(
                 entry=entry,
                 records=records,
-                state=qprime(ref),
+                state=LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image),
                 original_wedges=tuple(to_original.apply(v) for v in QPRIME_VECTORS),
             )
         )
+        ref = image
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)
 
 
 def sector_move_states(i: int, direction: Direction) -> list[LabeledQuadrangulation]:
     """States after each staircase move of sector i's word (for rendering)."""
+    if i not in range(1, 8):
+        raise ValueError("sector index must be 1..7")
     if not _strictly_inside_sector(direction, i):
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
     run = _WordRun(state=qprime(direction))

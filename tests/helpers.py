@@ -8,7 +8,16 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from octocf.diagch import HitsSingularity
-from octocf.farey import GAMMA_NU, GAMMA_NU_INV, Direction, TiePolicy, classify, expand
+from octocf.farey import (
+    GAMMA_NU,
+    GAMMA_NU_INV,
+    SECTOR_BOUNDS,
+    Direction,
+    TiePolicy,
+    _boundary_direction,
+    _expand_orbit,
+    expand,
+)
 from octocf.h2moves import SectorWordError, resolved_word
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import ExpansionTrace, TraceStep, _WordRun, qprime
@@ -37,6 +46,48 @@ def interior_directions():
         .map(lambda u: Direction(Vec2(QuadNum(u), QuadNum(1))))
         .filter(lambda d: d.vector.x not in (QuadNum(1), QuadNum(0), QuadNum(-1)))
     )
+
+
+def _deep_iterate(u: Fraction, k: int, policy: TiePolicy) -> Direction:
+    _, orbit = _expand_orbit(Direction(Vec2(QuadNum(u), QuadNum(1))), k + 1, policy)
+    return orbit[-1][2]
+
+
+def classify_directions():
+    """Random, deep-orbit, sector-bound and horizontal directions."""
+    positive = nonzero_quadnums().map(abs)
+    random_dirs = st.builds(Vec2, quadnums(), quadnums()).filter(lambda v: not v.is_zero())
+    return st.one_of(
+        random_dirs.map(Direction),
+        st.builds(
+            _deep_iterate,
+            fractions(10**6, 10**4),
+            st.integers(0, 40),
+            st.sampled_from(list(TiePolicy)),
+        ),
+        st.builds(
+            lambda j, c: Direction(_boundary_direction(j).vector.scale(c)),
+            st.integers(0, 8),
+            positive,
+        ),
+        st.builds(lambda c: Direction(Vec2(c, 0)), nonzero_quadnums()),
+    )
+
+
+def reference_classify(d: Direction) -> tuple[int, ...]:
+    """``farey.classify`` by one division u = x/y and up to fourteen bound comparisons."""
+    if d.is_theta_zero:
+        return (0,)
+    if d.is_theta_pi:
+        return (7,)
+    u = d.vector.x / d.vector.y
+    sectors = []
+    for j in range(8):
+        above = j == 7 or u >= SECTOR_BOUNDS[j]  # u >= cot((j+1)pi/8)
+        below = j == 0 or u <= SECTOR_BOUNDS[j - 1]  # u <= cot(j pi/8)
+        if above and below:
+            sectors.append(j)
+    return tuple(sectors)
 
 
 def random_clean_direction(rng: random.Random, steps: int) -> Direction:
@@ -81,7 +132,7 @@ def reference_run_expansion(
     halted = None
     for k in range(1, n + 1):
         entry = expansion.entries[k]
-        if entry not in classify(run.state.ref_dir):
+        if entry not in reference_classify(run.state.ref_dir):
             raise SectorWordError(
                 f"expansion entry {entry} disagrees with the renormalized direction"
             )

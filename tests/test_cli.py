@@ -97,10 +97,12 @@ class TestVerify:
     def test_default_passes(self, capsys):
         record = run_json(capsys, "verify", "--samples", "1")
         assert record["passed"] is True
+        assert record["proved"] == {str(i): True for i in range(1, 8)}
 
     def test_sector_filter(self, capsys):
         record = run_json(capsys, "verify", "--sector", "1", "--samples", "2")
         assert [r["sector"] for r in record["sectors"]] == [1, 1]
+        assert record["proved"] == {"1": True}
 
     def test_random_samples_seeded(self, capsys, monkeypatch):
         monkeypatch.setenv("OCTOCF_SEED", "42")
@@ -195,6 +197,10 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_render_sector_zero_has_no_word(self, capsys):
+        code, out, err = run_cli(capsys, "render", "--input", "sector:0")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: sector index must be 1..7\n")
 
     def test_render_stdin_panels_not_a_list(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"panels": 3}'))

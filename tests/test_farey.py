@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interior_directions
+from helpers import classify_directions, interior_directions, reference_classify
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -18,6 +18,7 @@ from octocf.farey import (
     InadmissiblePrefixError,
     RP1Interval,
     TiePolicy,
+    _expand_orbit,
     classify,
     dual_expansion,
     expand,
@@ -90,6 +91,31 @@ class TestClassify:
         assert len(sectors) in (1, 2)
         if len(sectors) == 2:
             assert sectors[1] == sectors[0] + 1
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(classify_directions())
+    def test_matches_the_dividing_reference(self, d):
+        assert classify(d) == reference_classify(d)
+
+
+class TestOrbit:
+    """The one Farey pass behind ``expand`` and ``run_expansion``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(classify_directions(), st.integers(1, 30), st.sampled_from(list(TiePolicy)))
+    def test_orbit_matches_expand(self, d, depth, policy):
+        expansion, orbit = _expand_orbit(d, depth, policy)
+        assert expansion == expand(d, depth, policy)
+        assert tuple(j for j, _, _ in orbit) == expansion.entries
+        assert any(tie for _, tie, _ in orbit) == expansion.boundary_hit
+        cur = d
+        for j, tie, image in orbit:
+            sectors = reference_classify(cur)
+            assert j in sectors
+            assert tie == (len(sectors) > 1)
+            assert image == Direction(GAMMA_NU[j].apply(cur.vector))
+            cur = image
 
 
 class TestFoldAndStep:

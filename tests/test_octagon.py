@@ -1,6 +1,7 @@
 """Octagon base data and the acceleration verifier."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
 )
 from octocf import intmat, octagon
 from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
-from octocf.farey import GAMMA_NU, SECTOR_BOUNDS, Direction, TiePolicy, expand
+from octocf.farey import GAMMA_NU, GAMMA_NU_INV, Direction, TiePolicy, _boundary_direction, expand
 from octocf.h2moves import (
     LetterToken,
     RelabelToken,
@@ -34,6 +35,7 @@ from octocf.octagon import (
     QPRIME_COMB,
     QPRIME_VECTORS,
     _sector_table,
+    _SectorTable,
     _WordRun,
     derive_qprime_vectors_fixed_point,
     initial_quadrangulation,
@@ -268,13 +270,24 @@ class TestTableDrivenTraces:
         trace = self._assert_same(d, 6)
         assert trace.expansion.entries[:2] == (1, i)
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_sector_bounds(self, j, policy):
+        # the second iterate is the bound j*pi/8: with the LOW policy it is the
+        # upper end of sector j-1, with HIGH the lower end of sector j
+        bound = _boundary_direction(j).vector
+        trace = self._assert_same(Direction(GAMMA_NU_INV[1].apply(bound)), 6, policy)
+        if 1 < j < 8:
+            assert trace.expansion.entries[1] == (j - 1 if policy is TiePolicy.LOW else j)
+
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_outside_its_sector_raises_like_the_executor(self, i):
-        refs = [d for j in range(1, 8) if j != i for d in sector_sample_directions(j, 2)]
-        refs += [Direction(Vec2(u, 1)) for u in SECTOR_BOUNDS[1:]]
+        # A replay is defined on its closed sector only.  On the sector's own
+        # endpoints it raises, or not, exactly like the staircase executor.
+        ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         raised = 0
-        for ref in refs:
-            got = _outcome(lambda: _sector_table(i).replay(ref, Mat2.identity()))
+        for ref in ends + sector_sample_directions(i, 2):
+            got = _outcome(lambda: _sector_table(i).replay(ref, Mat2.identity(), ref in ends))
             want = _outcome(lambda: _executor_records(resolved_word(i), ref))
             assert got == want, str(ref)
             raised += got[0] != "ok"
@@ -282,18 +295,40 @@ class TestTableDrivenTraces:
 
     @pytest.mark.parametrize("i", range(1, 8))
     def test_table_checks_every_wedge_the_word_meets(self, i):
+        # what the proof implies, checked on the executor's states: every
+        # wedge the word meets holds both sector endpoints, so by linearity
+        # the whole closed sector, and no cone check is needed per step
         run = _WordRun(state=qprime(sector_midpoint(i)))
-        start = set(run.state.wedges)
-        met = set(start)
+        met = set(run.state.wedges)
         for step in resolved_word(i).steps:
             run.execute(step)
             frame = run.to_original
             for w in run.state.wedges:
                 l, r = frame.apply(w.l), frame.apply(w.r)
                 met.add(Wedge(l, r) if frame.det().sign() > 0 else Wedge(r, l))
-        cones = [w for move in _sector_table(i).moves for _, w in move.cones]
-        assert len(cones) == len(set(cones))
-        assert set(cones) | start == met
+        for end in (_boundary_direction(i), _boundary_direction(i + 1)):
+            assert all(w.cone_contains(end, strict=False) for w in met)
+
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_corrupted_diagonal_fails_the_proof(self, i, zero):
+        table = _sector_table(i)
+        plain = (1,) * len(table.moves)  # the plain words reflect before no move
+        assert _SectorTable.proved(i, table.moves, plain, table.frame) == table
+        first = table.moves[0]
+        (label, _), *rest = first.diagonals
+        # the midpoint direction is left of one endpoint and right of the other;
+        # the zero vector is parallel to both
+        wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
+        bad = replace(first, diagonals=((label, wrong), *rest))
+        with pytest.raises(SectorWordError, match=f"diagonal {label}"):
+            _SectorTable.proved(i, (bad, *table.moves[1:]), plain, table.frame)
+
+    def test_proof_checks_the_renormalizer(self):
+        table = _sector_table(3)
+        flips = (1,) * len(table.moves)
+        with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
+            _SectorTable.proved(3, table.moves, flips, _sector_table(4).frame)
 
     @pytest.mark.parametrize("i", range(1, 8))
     def test_mirrored_word_replays_like_the_executor(self, i, monkeypatch):
@@ -302,16 +337,22 @@ class TestTableDrivenTraces:
         mirrored = _mirrored_word(i)
         monkeypatch.setattr(octagon, "resolved_word", lambda j: mirrored)
         mirror_table = _sector_table.__wrapped__(i)
-        assert all(move.flip == -1 for move in mirror_table.moves)
-        assert (mirror_table.frame, mirror_table.ref_map) == (table.frame, table.ref_map)
-        for j in range(1, 8):
-            for ref in sector_sample_directions(j, 2):
-                got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2]))
-                want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
-                assert got == want, (j, str(ref))
-                if j == i:
-                    plain = table.replay(ref, GAMMA_NU[2])
-                    assert [r.new_sides for r in got[1]] == [r.new_sides for r in plain]
+        n = len(mirror_table.moves)
+        # the proof holds only with flip = -1 before every move
+        assert _SectorTable.proved(i, mirror_table.moves, (-1,) * n, mirror_table.frame) == (
+            mirror_table
+        )
+        with pytest.raises(SectorWordError, match="not well slanted"):
+            _SectorTable.proved(i, mirror_table.moves, (1,) * n, mirror_table.frame)
+        assert (mirror_table.frame, mirror_table.bounds) == (table.frame, table.bounds)
+        ends = [_boundary_direction(i), _boundary_direction(i + 1)]
+        for ref in ends + sector_sample_directions(i, 2):
+            got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2], ref in ends))
+            want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
+            assert got == want, str(ref)
+            if got[0] == "ok":
+                plain = table.replay(ref, GAMMA_NU[2], ref in ends)
+                assert [r.new_sides for r in got[1]] == [r.new_sides for r in plain]
 
 
 def _outcome(run):
