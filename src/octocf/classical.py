@@ -194,12 +194,6 @@ def gauss_step(x):
 
     The input type (Fraction, QuadNum, or QuadraticIrrational) is preserved.
     """
-    if isinstance(x, QuadNum):
-        if x.sign() <= 0 or (x - 1).sign() >= 0:
-            raise ValueError("gauss_step needs 0 < x < 1")
-        inv = x.inverse()
-        digit = inv.floor()
-        return digit, inv - QuadNum(digit)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         if not 0 < x < 1:
@@ -207,7 +201,7 @@ def gauss_step(x):
         inv = 1 / x
         digit = inv.numerator // inv.denominator
         return digit, inv - digit
-    if isinstance(x, QuadraticIrrational):
+    if isinstance(x, (QuadNum, QuadraticIrrational)):
         if x.sign() <= 0 or (x - 1).sign() >= 0:
             raise ValueError("gauss_step needs 0 < x < 1")
         inv = x.inverse()

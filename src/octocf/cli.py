@@ -151,7 +151,7 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise _ParseFailure("step count must be >= 0")
     direction, approximate = _parse_direction(args)
-    state = _initial_state(args.quad, direction)
+    initial = state = _initial_state(args.quad, direction)
     steps = []
     for _ in range(args.steps):
         moves = state.available_moves()
@@ -167,7 +167,7 @@ def _cmd_simulate(args) -> int:
             }
         )
     record = {
-        "initial": _initial_state(args.quad, direction).to_json(),
+        "initial": initial.to_json(),
         "steps": steps,
         "halted": len(steps) < args.steps,
     }
@@ -246,9 +246,7 @@ def _random_interior_direction(rng: random.Random, sector: int) -> Direction:
     from .farey import SECTOR_BOUNDS, classify
 
     while True:
-        if sector == 0:
-            u = SECTOR_BOUNDS[0] + QuadNum(Fraction(rng.randint(1, 10**6), 10**3))
-        elif sector == 7:
+        if sector == 7:
             u = SECTOR_BOUNDS[6] - QuadNum(Fraction(rng.randint(1, 10**6), 10**3))
         else:
             hi, lo = SECTOR_BOUNDS[sector - 1], SECTOR_BOUNDS[sector]

@@ -22,8 +22,9 @@ applying ``gamma*nu_i`` (composed with the reflection when the word flipped
 orientation) carries the final gluing data and wedge vectors back onto Q' on
 the nose.  That exact round trip, over all sectors, is the machine content of
 the acceleration theorem.  Each sector is also proved once for every direction
-of the open sector: every slant the word meets is linear in the reference, so
-checking it at the two sector endpoints decides it on the whole arc (see
+of the open sector: the checked run at the sector midpoint must pass, and
+every slant the word meets is linear in the reference, so checking it at the
+two sector endpoints decides it on the whole arc (see
 :meth:`_SectorTable.proved`).  Because of it, :func:`run_expansion` replays
 each sector's word from its proved table with no per-step checks; only a
 reference on a sector endpoint looks up whether the word halts there.
@@ -215,16 +216,20 @@ class _WordRun:
     state: LabeledQuadrangulation
     to_original: Mat2 = field(default_factory=Mat2.identity)  # current -> original frame
     records: list[MoveRecord] = field(default_factory=list)
+    flips: list[int] = field(default_factory=list)  # sign of det(to_original) before each move
+    states: list[LabeledQuadrangulation] = field(default_factory=list)  # after each move
 
     def execute(self, step) -> None:
         """One resolved step: a staircase move, or a relabeling ``(sigma, reflect)``."""
         if isinstance(step, StaircaseMove):
+            self.flips.append(self.to_original.det().sign())
             self.state = self.state.apply(step)
             pick = (lambda w: w.l) if step.side is Side.PI_R else (lambda w: w.r)
             created = tuple(
                 (i, self.to_original.apply(pick(self.state.wedges[i - 1]))) for i in step.cycle
             )
             self.records.append(MoveRecord(step.side, step.cycle, created))
+            self.states.append(self.state)
             return
         sigma, reflect = step
         if reflect:
@@ -284,17 +289,29 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
     gluing data and the wedge vectors exactly onto Q' with the new reference
     inside the image sectors.  Boundary directions are rejected.  A failure
     inside the word is reported as ``step k of sector i: ...``, where k
-    indexes ``resolved_word(i).steps``.  This sampled run cross-checks the
-    whole-sector proof of :func:`prove_sector`.
+    indexes ``resolved_word(i).steps``.  The same run at the sector midpoint
+    starts the whole-sector proof of :func:`prove_sector`.
+    """
+    return _checked_run(i, direction)[1]
+
+
+def _checked_run(i: int, direction: Direction) -> tuple[_WordRun | None, SectorReport]:
+    """Sector i's word run on Q' at ``direction``, with every check of :func:`verify_sector`.
+
+    The one driver of :class:`_WordRun` for a single word: the verifier, the
+    sector tables and rendering all take their run from here.  The run is
+    ``None`` when Q' itself fails, and is complete only when the report passed.
     """
     if i not in range(1, 8):
         raise ValueError("sector index must be 1..7")
-    if not _strictly_inside_sector(direction, i):
+    # theta = pi classifies as (7,) but is an endpoint
+    if classify(direction) != (i,) or direction.is_theta_pi:
         raise ValueError(f"direction {direction} is not strictly inside sector {i}")
     word = resolved_word(i)
+    run = None
 
-    def failed(text: str) -> SectorReport:
-        return SectorReport(i, direction, False, False, False, False, 0, text)
+    def failed(text: str) -> tuple[_WordRun | None, SectorReport]:
+        return run, SectorReport(i, direction, False, False, False, False, 0, text)
 
     try:
         run = _WordRun(state=qprime(direction))
@@ -320,13 +337,8 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
     passed = matrix_equal and closes_up and image_ok
     if not matrix_equal:
         failure = failure or _first_matrix_mismatch(word.matrix, sector_matrix(i))
-    return SectorReport(i, direction, passed, True, matrix_equal, closes_up, word.parity, failure)
-
-
-def _strictly_inside_sector(d: Direction, i: int) -> bool:
-    if classify(d) != (i,):
-        return False
-    return not d.is_theta_pi  # theta = pi classifies as (7,) but is an endpoint
+    report = SectorReport(i, direction, passed, True, matrix_equal, closes_up, word.parity, failure)
+    return run, report
 
 
 def _compare_vectors(got, want) -> tuple[bool, str | None]:
@@ -364,8 +376,10 @@ class TheoremReport:
 def prove_sector(i: int) -> bool:
     """Whether sector i's word is proved for every direction of the open sector.
 
-    The proof (see :meth:`_SectorTable.proved`) runs once per sector, when
-    the table that :func:`run_expansion` replays is built.
+    The proof runs once per sector, when the table that :func:`run_expansion`
+    replays is built: the run at the sector midpoint must pass every check of
+    :func:`verify_sector`, the label matrix A_i included, and then
+    :meth:`_SectorTable.proved` proves its slants on the whole sector.
     """
     if i not in range(1, 8):
         raise ValueError("sector index must be 1..7")
@@ -405,7 +419,12 @@ class TraceStep:
     entry: int
     records: tuple[MoveRecord, ...]
     state: LabeledQuadrangulation  # renormalized state (equal to Q' when intact)
-    original_wedges: tuple[Vec2, ...]  # current wedges in the original frame
+    to_original: Mat2  # the frame of ``state`` -> the original frame
+
+    @property
+    def original_wedges(self) -> tuple[Vec2, ...]:
+        """The wedges of ``state`` in the original frame."""
+        return tuple(self.to_original.apply(v) for v in self.state.wedge_vector_tuple())
 
     def to_json(self) -> dict:
         return {
@@ -455,15 +474,6 @@ class ExpansionTrace:
         }
 
 
-@dataclass(frozen=True)
-class _TableMove:
-    """One staircase move of a sector table, in the frame of the step's start."""
-
-    move: StaircaseMove
-    diagonals: tuple[tuple[int, Vec2], ...]  # (label, cycle diagonal)
-    created: tuple[tuple[int, Vec2], ...]  # (label, created holonomy)
-
-
 #: The directions pi/8 and pi bounding the expanding sectors 1..7.
 _EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
 
@@ -474,25 +484,26 @@ class _SectorTable:
 
     After every renormalization the state is exactly Q', so in the frame of a
     step's start everything the word computes is fixed; only the reference
-    direction and the accumulated frame change from step to step.
+    direction and the accumulated frame change from step to step.  The frame
+    of the next step is ``GAMMA_NU_INV[i]`` in this one; the proof checks it.
     """
 
-    moves: tuple[_TableMove, ...]
-    frame: Mat2  # the next step's frame -> this step's frame, proved to be GAMMA_NU_INV[i]
+    moves: tuple[MoveRecord, ...]  # the executor's records, in the frame of the step's start
     bounds: tuple[tuple[Vec2, int | None], ...]  # (sector endpoint, first parallel label)
 
     @staticmethod
     def proved(
-        i: int, moves: tuple[_TableMove, ...], flips: tuple[int, ...], frame: Mat2
+        i: int, moves: tuple[MoveRecord, ...], flips: tuple[int, ...], frame: Mat2
     ) -> "_SectorTable":
         """The table, once its word is proved well slanted on the whole of sector i.
 
-        ``flips[k]`` is the determinant (+1 or -1) of the reflections made
-        before move k: ``cross(R ref, R v) = -cross(ref, v)``, so the live
-        slant of a diagonal d is ``flip * sign(cross(ref, d))``.  That sign
-        is linear in ``ref``, and every direction of the closed sector is a
-        nonnegative combination of its two endpoints (the arc is narrower
-        than pi).  So a slant that is the wanted one or 0 at both endpoints,
+        A move's created sides are its cycle diagonals, so the proof reads
+        them from ``new_sides``.  ``flips[k]`` is the determinant (+1 or -1)
+        of the reflections made before move k: ``cross(R ref, R v) =
+        -cross(ref, v)``, so the live slant of a diagonal d is
+        ``flip * sign(cross(ref, d))``.  That sign is linear in ``ref``, and
+        every direction of the closed sector is a nonnegative combination of
+        its two endpoints (the arc is narrower than pi).  So a slant that is the wanted one or 0 at both endpoints,
         and not 0 at both, is the wanted one on the whole open sector and is
         0 at most on one endpoint.  Well-slanted moves keep the reference
         inside every wedge cone they make.  The word renormalizes by the
@@ -510,20 +521,20 @@ class _SectorTable:
             if not all(w.cone_contains(e, strict=False) for e in _EXPANDING_ARC):
                 raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
-        for tm, flip in zip(moves, flips, strict=True):
-            want = Slant.LEFT.value if tm.move.side is Side.PI_R else Slant.RIGHT.value
-            for j, d in tm.diagonals:
+        for rec, flip in zip(moves, flips, strict=True):
+            want = Slant.LEFT.value if rec.side is Side.PI_R else Slant.RIGHT.value
+            for j, d in rec.new_sides:
                 signs = [flip * e.vector.cross(d).sign() for e in (lo, hi)]
                 if signs == [0, 0] or any(s not in (want, 0) for s in signs):
                     raise SectorWordError(
-                        f"sector {i}: {tm.move} is not well slanted on the whole sector "
-                        f"(diagonal {j})"
+                        f"sector {i}: {rec.side.value}-cycle{rec.cycle} is not well slanted "
+                        f"on the whole sector (diagonal {j})"
                     )
                 for end, s in enumerate(signs):
                     if s == 0 and first_parallel[end] is None:
                         first_parallel[end] = j
         bounds = ((lo.vector, first_parallel[0]), (hi.vector, first_parallel[1]))
-        return _SectorTable(moves, frame, bounds)
+        return _SectorTable(moves, bounds)
 
     def replay(self, ref: Direction, to_original: Mat2, on_bound: bool) -> tuple[MoveRecord, ...]:
         """The word's move records at ``ref``, which must lie in the closed sector.
@@ -539,38 +550,25 @@ class _SectorTable:
                     raise HitsSingularity(label)
         return tuple(
             MoveRecord(
-                tm.move.side,
-                tm.move.cycle,
-                tuple((j, to_original.apply(h)) for j, h in tm.created),
+                rec.side, rec.cycle, tuple((j, to_original.apply(h)) for j, h in rec.new_sides)
             )
-            for tm in self.moves
+            for rec in self.moves
         )
 
 
 @cache
 def _sector_table(i: int) -> _SectorTable:
-    """Sector i's table, from one checked run of its word at the sector midpoint.
+    """Sector i's table, from the checked run of its word at the sector midpoint.
 
-    The run checks everything that does not read the reference direction:
-    train-track relations, positive cones and areas of every state, each
-    move's matrix against the live gluing data, and the word ending on Q'.
-    :meth:`_SectorTable.proved` then proves the slants on the whole sector.
+    The run must pass every check of :func:`verify_sector`: train-track
+    relations, positive cones and areas of every state, each move against
+    the live gluing data, the label matrix A_i, and the word closing onto
+    Q'.  :meth:`_SectorTable.proved` then proves the slants on the whole sector.
     """
-    run = _WordRun(state=qprime(sector_midpoint(i)))
-    moves, flips = [], []
-    for step in resolved_word(i).steps:
-        if not isinstance(step, StaircaseMove):
-            run.execute(step)
-            continue
-        frame = run.to_original
-        diagonals = tuple((j, frame.apply(run.state.diagonal(j))) for j in step.cycle)
-        run.execute(step)
-        moves.append(_TableMove(step, diagonals, run.records[-1].new_sides))
-        flips.append(frame.det().sign())
-    run.renormalize(i)
-    if run.state != qprime(run.state.ref_dir):
-        raise SectorWordError(f"sector {i} word does not renormalize onto Q'")
-    return _SectorTable.proved(i, tuple(moves), tuple(flips), run.to_original)
+    run, report = _checked_run(i, sector_midpoint(i))
+    if not report.passed:
+        raise SectorWordError(f"sector {i} word fails at its midpoint: {report.failure}")
+    return _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original)
 
 
 def run_expansion(
@@ -604,13 +602,13 @@ def run_expansion(
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        to_original = to_original @ table.frame
+        to_original = to_original @ GAMMA_NU_INV[entry]
         steps.append(
             TraceStep(
                 entry=entry,
                 records=records,
                 state=LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image),
-                original_wedges=tuple(to_original.apply(v) for v in QPRIME_VECTORS),
+                to_original=to_original,
             )
         )
         ref = image
@@ -619,17 +617,10 @@ def run_expansion(
 
 def sector_move_states(i: int, direction: Direction) -> list[LabeledQuadrangulation]:
     """States after each staircase move of sector i's word (for rendering)."""
-    if i not in range(1, 8):
-        raise ValueError("sector index must be 1..7")
-    if not _strictly_inside_sector(direction, i):
-        raise ValueError(f"direction {direction} is not strictly inside sector {i}")
-    run = _WordRun(state=qprime(direction))
-    states = []
-    for step in resolved_word(i).steps:
-        run.execute(step)
-        if isinstance(step, StaircaseMove):
-            states.append(run.state)
-    return states
+    run, report = _checked_run(i, direction)
+    if not report.passed:
+        raise SectorWordError(report.failure)
+    return run.states
 
 
 # -- derivation oracles ------------------------------------------------------------

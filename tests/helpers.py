@@ -149,9 +149,7 @@ def reference_run_expansion(
                 entry=entry,
                 records=tuple(run.records[before:]),
                 state=run.state,
-                original_wedges=tuple(
-                    run.to_original.apply(v) for v in run.state.wedge_vector_tuple()
-                ),
+                to_original=run.to_original,
             )
         )
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)

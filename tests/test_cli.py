@@ -151,6 +151,25 @@ class TestTraceAndSimulate:
         )
         assert len(record["steps"]) == 5
 
+    def test_simulate_reads_the_quad_file_once(self, capsys, tmp_path, monkeypatch):
+        import builtins
+
+        from octocf.octagon import qprime, sector_midpoint
+
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(qprime(sector_midpoint(4)).to_json()))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        record = run_json(capsys, "simulate", "--u", "1/3", "--quad", str(path), "--steps", "2")
+        assert opened.count(str(path)) == 1
+        assert record["initial"]["wedges"] == qprime(sector_midpoint(4)).to_json()["wedges"]
+
     def test_trace_json_round_trips(self, capsys):
         from octocf.diagch import LabeledQuadrangulation
 

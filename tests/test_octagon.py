@@ -314,21 +314,33 @@ class TestTableDrivenTraces:
     def test_corrupted_diagonal_fails_the_proof(self, i, zero):
         table = _sector_table(i)
         plain = (1,) * len(table.moves)  # the plain words reflect before no move
-        assert _SectorTable.proved(i, table.moves, plain, table.frame) == table
+        assert _SectorTable.proved(i, table.moves, plain, GAMMA_NU_INV[i]) == table
         first = table.moves[0]
-        (label, _), *rest = first.diagonals
+        (label, _), *rest = first.new_sides  # a move's created sides are its diagonals
         # the midpoint direction is left of one endpoint and right of the other;
         # the zero vector is parallel to both
         wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
-        bad = replace(first, diagonals=((label, wrong), *rest))
+        bad = replace(first, new_sides=((label, wrong), *rest))
         with pytest.raises(SectorWordError, match=f"diagonal {label}"):
-            _SectorTable.proved(i, (bad, *table.moves[1:]), plain, table.frame)
+            _SectorTable.proved(i, (bad, *table.moves[1:]), plain, GAMMA_NU_INV[i])
 
     def test_proof_checks_the_renormalizer(self):
         table = _sector_table(3)
         flips = (1,) * len(table.moves)
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
-            _SectorTable.proved(3, table.moves, flips, _sector_table(4).frame)
+            _SectorTable.proved(3, table.moves, flips, GAMMA_NU_INV[4])
+
+    def test_proof_checks_the_label_matrix(self, monkeypatch):
+        # sector 3's word with A4 as its wanted matrix: every slant still
+        # holds, so only the midpoint run's matrix check can refuse the proof
+        monkeypatch.setattr(octagon, "sector_matrix", lambda j: sector_matrix(4))
+        _sector_table.cache_clear()
+        try:
+            assert not verify_sector(3, sector_midpoint(3)).matrix_equal
+            assert not octagon.prove_sector(3)
+            assert not verify_theorem(1, sectors=[3]).proved[3]
+        finally:
+            _sector_table.cache_clear()
 
     @pytest.mark.parametrize("i", range(1, 8))
     def test_mirrored_word_replays_like_the_executor(self, i, monkeypatch):
@@ -339,12 +351,14 @@ class TestTableDrivenTraces:
         mirror_table = _sector_table.__wrapped__(i)
         n = len(mirror_table.moves)
         # the proof holds only with flip = -1 before every move
-        assert _SectorTable.proved(i, mirror_table.moves, (-1,) * n, mirror_table.frame) == (
+        run, _ = octagon._checked_run(i, sector_midpoint(i))
+        assert run.flips == [-1] * n
+        assert _SectorTable.proved(i, mirror_table.moves, (-1,) * n, run.to_original) == (
             mirror_table
         )
         with pytest.raises(SectorWordError, match="not well slanted"):
-            _SectorTable.proved(i, mirror_table.moves, (1,) * n, mirror_table.frame)
-        assert (mirror_table.frame, mirror_table.bounds) == (table.frame, table.bounds)
+            _SectorTable.proved(i, mirror_table.moves, (1,) * n, run.to_original)
+        assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
             got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2], ref in ends))
