@@ -38,7 +38,11 @@ _MAX_DENOMINATOR = 10**6
 _BAD_JSON = (json.JSONDecodeError, RecursionError)
 
 
-class _ParseFailure(Exception):
+class _ParseFailure(ValueError):
+    pass
+
+
+class _IOFailure(Exception):
     pass
 
 
@@ -80,9 +84,21 @@ def _emit(args, payload: str) -> int:
         else:
             sys.stdout.write(payload)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _IOFailure(f"cannot write output: {exc}") from exc
     return EXIT_OK
+
+
+def _read_json(path: str | None, what: str):
+    """The JSON document in file ``path``, or on stdin when ``path`` is None."""
+    try:
+        if path is None:
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _IOFailure(f"cannot read {what}: {exc}") from exc
+    except _BAD_JSON as exc:
+        raise _ParseFailure(f"invalid {what} JSON: {exc}") from exc
 
 
 def _emit_json(args, obj) -> int:
@@ -187,14 +203,7 @@ def _initial_state(spec: str, direction: Direction):
         return LabeledQuadrangulation(
             CombDatum(1, (1,), (1,)), (Wedge(Vec2(0, 1), Vec2(1, 0)),), direction
         )
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read quadrangulation: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except _BAD_JSON as exc:
-        raise _ParseFailure(f"invalid quadrangulation JSON: {exc}")
+    data = _read_json(spec, "quadrangulation")
     ref = {"ref_dir": direction.to_json()}
     return _decode(lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data)
 
@@ -236,9 +245,7 @@ def _cmd_verify(args) -> int:
         record["passed"] = passed
     else:
         passed = report.passed
-    code = _emit_json(args, record)
-    if code != EXIT_OK:
-        return code
+    _emit_json(args, record)
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -268,29 +275,14 @@ def _cmd_dump_matrices(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.input == "-":
-        try:
-            data = json.load(sys.stdin)
-        except _BAD_JSON as exc:
-            raise _ParseFailure(f"invalid trace JSON: {exc}")
-    elif args.input == "qprime" or args.input.startswith("sector:"):
-        if args.input == "qprime":
-            direction = octagon.sector_midpoint(4)
-            data = octagon.qprime(direction).to_json()
-        else:
-            sector = int(args.input.split(":", 1)[1])
-            direction = octagon.sector_midpoint(sector)
-            states = octagon.sector_move_states(sector, direction)
-            data = {"panels": [s.to_json() for s in states]}
+    if args.input == "qprime":
+        states = [octagon.qprime(octagon.sector_midpoint(4))]
+    elif args.input.startswith("sector:"):
+        sector = int(args.input.split(":", 1)[1])
+        states = octagon.sector_move_states(sector, octagon.sector_midpoint(sector))
     else:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read trace: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except _BAD_JSON as exc:
-            raise _ParseFailure(f"invalid trace JSON: {exc}")
+        data = _read_json(None if args.input == "-" else args.input, "trace")
+        states = _decode(render.trace_panels, data)
     overlay = None
     if args.direction:
         u, _ = _parse_u(args.direction)
@@ -300,7 +292,6 @@ def _cmd_render(args) -> int:
         show_labels=not args.no_labels,
         direction_overlay=overlay,
     )
-    states = _decode(render.trace_panels, data)
     return _emit(args, render.render_states(states, spec))
 
 
@@ -404,14 +395,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ParseFailure as exc:
+    except (_IOFailure, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+        return EXIT_IO if isinstance(exc, _IOFailure) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -375,7 +375,11 @@ class LabeledQuadrangulation:
 
     @staticmethod
     def from_json(obj: dict) -> "LabeledQuadrangulation":
-        comb = CombDatum(obj["k"], tuple(obj["pi_l"]), tuple(obj["pi_r"]))
+        k, pi_l, pi_r = obj["k"], tuple(obj["pi_l"]), tuple(obj["pi_r"])
+        # JSON true is a Python int, and 1.0 == 1: only exact ints are gluing data
+        if any(type(n) is not int for n in (k, *pi_l, *pi_r)):
+            raise ValueError("k, pi_l and pi_r must be JSON integers")
+        comb = CombDatum(k, pi_l, pi_r)
         wedges = tuple(
             Wedge(Vec2.from_json(w["l"]), Vec2.from_json(w["r"])) for w in obj["wedges"]
         )

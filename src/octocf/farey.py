@@ -153,16 +153,15 @@ class Direction:
 
 
 def theta_cmp(d1: Direction, d2: Direction) -> int:
-    """Exact three-way comparison of angles in [0, pi]."""
-    if d1.is_theta_zero or d2.is_theta_zero:
-        if d1.is_theta_zero and d2.is_theta_zero:
-            return 0
-        return -1 if d1.is_theta_zero else 1
-    if d1.is_theta_pi or d2.is_theta_pi:
-        if d1.is_theta_pi and d2.is_theta_pi:
-            return 0
-        return 1 if d1.is_theta_pi else -1
-    return -d1.vector.cross(d2.vector).sign()
+    """Exact three-way comparison of angles in [0, pi].
+
+    In the closed upper half plane the cross product orders any two rays
+    except the opposite horizontals, the only parallel pair that is not equal.
+    """
+    side = d1.vector.cross(d2.vector).sign()
+    if side or d1.vector.dot(d2.vector).sign() > 0:
+        return -side
+    return -1 if d1.is_theta_zero else 1
 
 
 #: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.

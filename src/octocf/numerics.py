@@ -202,9 +202,6 @@ class QuadNum:
             p, q, norm = -p, -q, -norm
         return _reduced(den * p, -den * q, norm)
 
-    def conjugate(self) -> "QuadNum":
-        return _new(self._p, -self._q, self._den)
-
     # -- order structure ---------------------------------------------------
 
     def sign(self) -> int:

@@ -61,18 +61,13 @@ def render_states(states, spec: RenderSpec = RenderSpec()) -> str:
         raise ValueError("nothing to render")
     pad = QuadNum(Fraction(1, 2))
     panels = []
-    widths, heights = [], []
-    for state in states:
-        lo_x, hi_x, lo_y, hi_y = _state_bounds(state)
-        widths.append(hi_x - lo_x + pad + pad)
-        heights.append(hi_y - lo_y + pad + pad)
-    cell_w = max(widths, key=lambda q: float(q))
-    cell_h = max(heights, key=lambda q: float(q))
+    bounds = [_state_bounds(state) for state in states]
+    cell_w = max(hi_x - lo_x for lo_x, hi_x, _, _ in bounds) + pad + pad
+    cell_h = max(hi_y - lo_y for _, _, lo_y, hi_y in bounds) + pad + pad
     rows = (len(states) + _PANELS_PER_ROW - 1) // _PANELS_PER_ROW
     cols = min(len(states), _PANELS_PER_ROW)
-    for idx, state in enumerate(states):
+    for idx, (state, (lo_x, _, _, hi_y)) in enumerate(zip(states, bounds)):
         row, col = divmod(idx, _PANELS_PER_ROW)
-        lo_x, _, lo_y, hi_y = _state_bounds(state)
         # SVG y axis points down: flip within the panel
         origin_x = cell_w * QuadNum(col) + pad - lo_x
         origin_y = cell_h * QuadNum(row) + pad + hi_y

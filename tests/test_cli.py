@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octocf.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
+from octocf.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +93,16 @@ class TestConvergents:
         assert record["halted"] is True
 
 
+@pytest.fixture
+def unproved_sectors():
+    """No sector table proved before a test patches the constants it is built from."""
+    from octocf.octagon import _sector_table
+
+    _sector_table.cache_clear()
+    yield
+    _sector_table.cache_clear()
+
+
 class TestVerify:
     def test_default_passes(self, capsys):
         record = run_json(capsys, "verify", "--samples", "1")
@@ -112,7 +122,9 @@ class TestVerify:
         assert first["seed"] == 42
         assert all(r["passed"] for r in first["random_samples"])
 
-    def test_corrupted_constant_fails_with_located_mismatch(self, capsys, monkeypatch):
+    def test_corrupted_constant_fails_with_located_mismatch(
+        self, capsys, monkeypatch, unproved_sectors
+    ):
         # scaled constants form a valid quadrangulation of the wrong surface
         import octocf.octagon as octagon_module
 
@@ -124,8 +136,11 @@ class TestVerify:
         assert record["passed"] is False
         failure = record["sectors"][0]["failure"]
         assert failure is not None and "area" in failure
+        assert record["proved"] == {"1": False}
 
-    def test_inconsistent_constant_reported_as_verification_failure(self, capsys, monkeypatch):
+    def test_inconsistent_constant_reported_as_verification_failure(
+        self, capsys, monkeypatch, unproved_sectors
+    ):
         import octocf.octagon as octagon_module
         from octocf.numerics import Vec2
 
@@ -137,6 +152,7 @@ class TestVerify:
         record = json.loads(out)
         failure = record["sectors"][0]["failure"]
         assert failure is not None and "quadrilateral" in failure
+        assert record["proved"] == {"1": False}
 
 
 class TestTraceAndSimulate:
@@ -208,6 +224,24 @@ class TestDumpAndRender:
         assert code == 3
 
 
+class TestIOFailure:
+    """Every unreadable input file and every unwritable --out exits 3."""
+
+    def _assert_io_failure(self, capsys, message, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith(f"error: cannot {message}: ") and err.count("\n") == 1
+
+    def test_simulate_missing_quad_file(self, capsys, tmp_path):
+        argv = ("simulate", "--u", "2", "--quad", str(tmp_path / "missing.json"))
+        self._assert_io_failure(capsys, "read quadrangulation", *argv)
+
+    @pytest.mark.parametrize("argv", [("trace", "--u", "19/7"), ("verify", "--sector", "1")])
+    def test_out_into_a_missing_directory(self, capsys, tmp_path, argv):
+        out = str(tmp_path / "no-such-dir" / "out.json")
+        self._assert_io_failure(capsys, "write output", *argv, "--out", out)
+
+
 class TestMalformedInput:
     """Valid JSON of the wrong shape and negative counts are parse failures."""
 
@@ -255,6 +289,21 @@ class TestMalformedInput:
         path.write_text(json.dumps(record))
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
 
+    # True == 1, so only the type tells these apart from valid gluing data
+    @pytest.mark.parametrize("field, value", [("k", True), ("pi_l", [True])])
+    def test_render_stdin_boolean_gluing_data(self, capsys, monkeypatch, field, value):
+        record = _torus_json()
+        record[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record)))
+        self._assert_parse_failure(capsys, "render", "--input", "-")
+
+    def test_simulate_quad_boolean_gluing_data(self, capsys, tmp_path):
+        record = _torus_json()
+        record.update(k=True, pi_l=[True])
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(record))
+        self._assert_parse_failure(capsys, "simulate", "--u", "1+sqrt2", "--quad", str(path))
+
     def test_render_stdin_nested_too_deeply(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10**5 + "]" * 10**5))
         self._assert_parse_failure(capsys, "render", "--input", "-")
@@ -271,6 +320,17 @@ class TestMalformedInput:
         self._assert_parse_failure(
             capsys, "verify", "--sector", "1", "--samples", "1", "--random-samples", "-1"
         )
+
+
+def _torus_json():
+    """The one-square torus state of ``simulate --quad torus --u 1+sqrt2``, as JSON."""
+    from octocf.diagch import CombDatum, LabeledQuadrangulation, Wedge
+    from octocf.farey import Direction
+    from octocf.numerics import QuadNum, Vec2
+
+    wedge = Wedge(Vec2(0, 1), Vec2(1, 0))
+    ref = Direction(Vec2(QuadNum(1, 1), 1))
+    return LabeledQuadrangulation(CombDatum(1, (1,), (1,)), (wedge,), ref).to_json()
 
 
 # -- fuzzing the whole command line ----------------------------------------------

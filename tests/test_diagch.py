@@ -221,3 +221,11 @@ class TestBookkeeping:
     def test_json_round_trip(self):
         state = torus_state(Vec2(-1, 2), Vec2(2, 1))
         assert LabeledQuadrangulation.from_json(state.to_json()) == state
+
+    @pytest.mark.parametrize("field, value", [("k", True), ("pi_l", [True]), ("pi_r", [1.0])])
+    def test_json_gluing_data_must_be_integers(self, field, value):
+        # True == 1 == 1.0, so only the type tells these apart from the torus data
+        record = torus_state(Vec2(-1, 2), Vec2(2, 1)).to_json()
+        record[field] = value
+        with pytest.raises(ValueError, match="JSON integers"):
+            LabeledQuadrangulation.from_json(record)

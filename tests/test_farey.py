@@ -287,6 +287,18 @@ class TestIntervalOrdering:
         assert theta_cmp(zero, pi) < 0
         assert theta_cmp(mid, mid) == 0
 
+    def test_theta_cmp_horizontals_and_antisymmetry(self):
+        zero, pi = Direction(Vec2(1, 0)), Direction(Vec2(-1, 0))
+        assert theta_cmp(pi, zero) > 0
+        assert theta_cmp(Direction(Vec2(QuadNum(3, 1), 0)), zero) == 0
+        assert theta_cmp(pi, Direction(Vec2(Fraction(-1, 7), 0))) == 0
+        rays = [zero, pi, Direction(Vec2(0, 1)), Direction(Vec2(QuadNum(1, 1), 1))]
+        rays += [Direction(Vec2(-2, 3)), Direction(Vec2(-4, 6)), Direction(Vec2(5, -1))]
+        for a in rays:
+            for b in rays:
+                assert theta_cmp(a, b) == -theta_cmp(b, a)
+        assert theta_cmp(rays[4], rays[5]) == 0
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             RP1Interval(Direction(Vec2(0, 1)), Direction(Vec2(1, 0)))

@@ -161,6 +161,23 @@ class TestVerifyTheorem:
         assert len(report.sector_reports) == 21
         assert report.word_identities == {1: True, 4: True, 5: True, 6: True, 7: True}
 
+    def test_each_sample_runs_its_word_once(self, monkeypatch):
+        # the midpoint sample reuses the run its sector's proof was recorded from
+        calls = []
+        real = octagon._checked_run
+
+        def counting(i, direction):
+            calls.append((i, direction))
+            return real(i, direction)
+
+        monkeypatch.setattr(octagon, "_checked_run", counting)
+        _sector_table.cache_clear()
+        report = verify_theorem()
+        assert report.passed and len(calls) == len(set(calls)) == 21
+        assert [(r.sector, r.direction) for r in report.sector_reports] == [
+            (i, d) for i in range(1, 8) for d in sector_sample_directions(i, 3)
+        ]
+
     def test_single_sector_filter(self):
         report = verify_theorem(samples_per_sector=2, sectors=[4])
         assert report.passed

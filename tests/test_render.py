@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from octocf.diagch import CombDatum, LabeledQuadrangulation, Wedge
 from octocf.farey import Direction
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import qprime, run_expansion, sector_midpoint, sector_move_states
@@ -82,3 +83,15 @@ def test_empty_trace_renders_single_panel():
     states = trace_panels(trace)
     assert len(states) == 1
     assert render_states(states).count("<g id=") == 1
+
+
+def test_cell_fits_the_widest_panel_in_either_order():
+    # the two panel widths round to the same float; only the exact max tells them apart
+    def torus(width):
+        wedge = Wedge(Vec2(0, 1), Vec2(width, 0))
+        return LabeledQuadrangulation(CombDatum(1, (1,), (1,)), (wedge,), Direction(Vec2(1, 1)))
+
+    narrow, wide = torus(10**20), torus(10**20 + 1)
+    for states in ([narrow, wide], [wide, narrow]):
+        # two cells of width 10**20 + 2 (panel plus padding) at scale 60
+        assert 'width="12000000000000000000240.000000000000"' in render_states(states)
