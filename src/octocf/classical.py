@@ -216,8 +216,16 @@ class GeometricConvergents:
 
     digits: tuple[int, ...]
     vectors: tuple[tuple[int, int], ...]
-    intermediates: tuple[tuple[tuple[int, int], ...], ...]
     halted: bool
+
+    @property
+    def intermediates(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The skipped multiples i*e_{n-1} + e_{n-2} (0 < i < a_n), grouped per step."""
+        basis = ((0, 1), (1, 0)) + self.vectors
+        return tuple(
+            tuple((prev[0] + i * cur[0], prev[1] + i * cur[1]) for i in range(1, digit))
+            for digit, prev, cur in zip(self.digits, basis, basis[1:])
+        )
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +253,6 @@ def geometric_convergents(alpha, n: int) -> GeometricConvergents:
     c_prev, c_cur = a, QuadraticIrrational.from_fraction(-1)
     digits: list[int] = []
     vectors: list[tuple[int, int]] = []
-    intermediates: list[tuple[tuple[int, int], ...]] = []
     halted = False
     for _ in range(n):
         ratio = -c_prev / c_cur
@@ -253,21 +260,13 @@ def geometric_convergents(alpha, n: int) -> GeometricConvergents:
         new_vec = (e_prev[0] + digit * e_cur[0], e_prev[1] + digit * e_cur[1])
         digits.append(digit)
         vectors.append(new_vec)
-        intermediates.append(
-            tuple(
-                (e_prev[0] + i * e_cur[0], e_prev[1] + i * e_cur[1])
-                for i in range(1, digit)
-            )
-        )
         c_new = c_prev + digit * c_cur
         if c_new.sign() == 0:
             halted = True
             break
         e_prev, e_cur = e_cur, new_vec
         c_prev, c_cur = c_cur, c_new
-    return GeometricConvergents(
-        tuple(digits), tuple(vectors), tuple(intermediates), halted
-    )
+    return GeometricConvergents(tuple(digits), tuple(vectors), halted)
 
 
 def intermediate_convergents(alpha, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -54,16 +54,20 @@ def _parse_u(text: str) -> tuple[ProjVal, bool]:
     try:
         return ProjVal(QuadNum.parse(text)), False
     except QuadNumParseError:
-        pass
+        return ProjVal(QuadNum(_decimal(text, "a direction"))), True
+
+
+def _decimal(text: str, what: str) -> Fraction:
+    """A decimal literal, replaced by a nearby rational with a warning on stderr."""
     try:
         approx = Fraction(text).limit_denominator(_MAX_DENOMINATOR)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _ParseFailure(f"cannot parse {text!r} as a direction") from exc
+        raise _ParseFailure(f"cannot parse {text!r} as {what}") from exc
     print(
         f"warning: decimal input {text!r} replaced by the nearby rational {approx}",
         file=sys.stderr,
     )
-    return ProjVal(QuadNum(approx)), True
+    return approx
 
 
 def _parse_direction(args) -> tuple[Direction, bool]:
@@ -133,34 +137,37 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha, approximate = _parse_alpha(args.alpha)
     result = classical.geometric_convergents(alpha, args.steps)
+    if sum(max(digit - 1, 0) for digit in result.digits) > _MAX_DENOMINATOR:
+        raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
     if args.format == "text":
         lines = ["step  digit  p/q" + " " * 12 + "intermediates"]
-        for idx, (digit, vec) in enumerate(zip(result.digits, result.vectors)):
-            inter = " ".join(f"{p}/{q}" for p, q in result.intermediates[idx])
+        rows = zip(result.digits, result.vectors, result.intermediates)
+        for idx, (digit, vec, group) in enumerate(rows):
+            inter = " ".join(f"{p}/{q}" for p, q in group)
             frac = f"{vec[0]}/{vec[1]}"
             lines.append(f"{idx:4d}  {digit:5d}  {frac:<14} {inter}")
         if result.halted:
             lines.append("halted: the direction is rational")
         return _emit(args, "\n".join(lines) + "\n")
-    return _emit_json(args, result.to_json())
+    record = result.to_json()
+    if approximate:
+        record["approximate"] = True
+    return _emit_json(args, record)
 
 
 def _parse_alpha(text: str):
+    """An exact or decimal positive number; returns (value, approximate)."""
     text = text.strip()
     if text.lower() in ("sqrt2", "sqrt(2)"):
-        return classical.QuadraticIrrational.sqrt_of(2)
+        return classical.QuadraticIrrational.sqrt_of(2), False
     if text.lower() in ("golden", "phi"):
-        return classical.QuadraticIrrational.golden_ratio()
+        return classical.QuadraticIrrational.golden_ratio(), False
     try:
-        return QuadNum.parse(text)
+        return QuadNum.parse(text), False
     except QuadNumParseError:
-        pass
-    try:
-        return Fraction(text).limit_denominator(_MAX_DENOMINATOR)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _ParseFailure(f"cannot parse {text!r} as a positive number") from exc
+        return _decimal(text, "a positive number"), True
 
 
 def _cmd_simulate(args) -> int:

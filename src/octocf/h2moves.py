@@ -10,8 +10,9 @@ Five moves connect them: the double right-staircase move toggling the nodes
 in both directions, the single right-staircase self-loop, the full left
 move combined with a cyclic relabeling (self-loop at RIGHT), and the
 left/right symmetry combined with the relabeling 1<->3 (self-loop at LEFT).
-Each carries a fixed 6x6 integer matrix acting on the wedge vectors in the
-basis (1,l),(1,r),(2,l),(2,r),(3,l),(3,r).
+Each move is a token plan from its source node; resolving it over the node's
+gluing data gives its target and its 6x6 integer matrix on the wedge vectors
+in the basis (1,l),(1,r),(2,l),(2,r),(3,l),(3,r).
 
 Composing the stored per-sector move words yields the seven acceleration
 matrices A1..A7: one octagon Farey step equals one such word of staircase
@@ -19,12 +20,11 @@ moves.  Matrices compose with later moves on the left (column vectors);
 parity counts symmetry moves, matching the orientation behavior of the
 renormalizing element of each sector.
 
-The raw token plans of the seven sectors are resolved once over the base
-gluing data by :func:`resolved_word`: the cycles each letter token marks, the
-relabeling closing each symmetry token, the word's label matrix and its
-parity depend on the sector alone.  The octagon executor only runs the
-resolved steps on the geometry, where every staircase move is checked
-against the live gluing data.
+One resolver walks every token plan over gluing data: :func:`resolved_word`
+resolves each sector's raw plan once from the base gluing data, and
+:func:`compose_word` a reduced word's concatenated move plans.  The octagon
+executor only runs the resolved steps on the geometry, where every staircase
+move is checked against the live gluing data.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ __all__ = [
 #: quadrangulation, which sits at LEFT).
 Q_PRIME_PI_L = (2, 1, 3)  # (1,2)(3)
 Q_PRIME_PI_R = (1, 3, 2)  # (1)(2,3)
-_RIGHT_PI_L = (2, 3, 1)  # (1,2,3)
 
 #: Gluing data of Q', where every sector word starts and ends.
 QPRIME_COMB = CombDatum(3, Q_PRIME_PI_L, Q_PRIME_PI_R)
+_RIGHT_COMB = CombDatum(3, (2, 3, 1), Q_PRIME_PI_R)  # pi_l = (1,2,3)
 
 
 class NodeId(Enum):
@@ -74,68 +74,24 @@ class NodeId(Enum):
     RIGHT = "right"
 
     @property
+    def comb(self) -> CombDatum:
+        return QPRIME_COMB if self is NodeId.LEFT else _RIGHT_COMB
+
+    @property
     def pi_l(self) -> tuple[int, ...]:
-        return Q_PRIME_PI_L if self is NodeId.LEFT else _RIGHT_PI_L
+        return self.comb.pi_l
 
     @property
     def pi_r(self) -> tuple[int, ...]:
-        return Q_PRIME_PI_R
+        return self.comb.pi_r
 
 
-_M_RR_L_TO_R = intmat.freeze(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 1, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0, 1],
-    ]
-)
-
-_M_RR_R_TO_L = intmat.freeze(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 1],
-        [0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ]
-)
-
-_M_RDOT = intmat.freeze(
-    [
-        [1, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ]
-)
-
-_M_LLL = intmat.freeze(
-    [
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 1, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 1],
-        [1, 0, 0, 0, 0, 0],
-        [1, 1, 0, 0, 0, 0],
-    ]
-)
-
-_M_SYM = intmat.freeze(
-    [
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-    ]
-)
+def _node(comb: CombDatum) -> NodeId:
+    """The reduced node with gluing data ``comb``."""
+    for node in NodeId:
+        if node.comb == comb:
+            return node
+    raise SectorWordError(f"{comb} is not a node of the reduced graph")
 
 
 class ReducedMove(Enum):
@@ -148,37 +104,19 @@ class ReducedMove(Enum):
     SYM_RELABEL = "sym_relabel"
 
     @property
+    def source(self) -> NodeId | None:
+        """The node the move leaves; None for the self-loop at either node."""
+        return _MOVE_PLANS[self][0]
+
+    @property
+    def target(self) -> NodeId | None:
+        source, plan = _MOVE_PLANS[self]
+        return None if source is None else _node(_resolve(plan, source.comb)[1])
+
+    @property
     def matrix(self) -> intmat.IntMat:
-        return _MOVE_MATRICES[self]
-
-    @property
-    def source(self) -> NodeId:
-        return _TRANSITIONS[self][0]
-
-    @property
-    def target(self) -> NodeId:
-        return _TRANSITIONS[self][1]
-
-    @property
-    def flips_orientation(self) -> bool:
-        return self is ReducedMove.SYM_RELABEL
-
-
-_MOVE_MATRICES = {
-    ReducedMove.RR_L_TO_R: _M_RR_L_TO_R,
-    ReducedMove.RR_R_TO_L: _M_RR_R_TO_L,
-    ReducedMove.RDOT: _M_RDOT,
-    ReducedMove.LLL_RELABEL: _M_LLL,
-    ReducedMove.SYM_RELABEL: _M_SYM,
-}
-
-_TRANSITIONS = {
-    ReducedMove.RR_L_TO_R: (NodeId.LEFT, NodeId.RIGHT),
-    ReducedMove.RR_R_TO_L: (NodeId.RIGHT, NodeId.LEFT),
-    ReducedMove.RDOT: (None, None),  # self-loop at either node
-    ReducedMove.LLL_RELABEL: (NodeId.RIGHT, NodeId.RIGHT),
-    ReducedMove.SYM_RELABEL: (NodeId.LEFT, NodeId.LEFT),
-}
+        source, plan = _MOVE_PLANS[self]
+        return _resolve(plan, (source or NodeId.LEFT).comb)[0].matrix
 
 
 @dataclass(frozen=True)
@@ -189,35 +127,25 @@ class MoveWord:
     moves: tuple[ReducedMove, ...]
 
     def __post_init__(self):
-        node = self.start
-        for m in self.moves:
-            src, _ = _TRANSITIONS[m]
-            if src is not None and src is not node:
-                raise ValueError(f"move {m.value} is not available from {node.value}")
-            node = _next_node(node, m)
+        self.end()
 
     def end(self) -> NodeId:
         node = self.start
         for m in self.moves:
-            node = _next_node(node, m)
+            if m.source not in (None, node):
+                raise ValueError(f"move {m.value} is not available from {node.value}")
+            node = m.target or node
         return node
-
-
-def _next_node(node: NodeId, m: ReducedMove) -> NodeId:
-    if m is ReducedMove.RDOT:
-        return node
-    return _TRANSITIONS[m][1]
 
 
 def compose_word(word: MoveWord) -> tuple[intmat.IntMat, int, NodeId]:
-    """Product of the word's matrices (later moves on the left), parity, end node."""
-    acc = intmat.identity(6)
-    parity = 0
-    for m in word.moves:
-        acc = intmat.matmul(m.matrix, acc)
-        if m.flips_orientation:
-            parity ^= 1
-    return acc, parity, word.end()
+    """The word's matrix (later moves on the left), parity and end node, from its move plans."""
+    resolved, end = _resolve(_word_plan(word), word.start.comb)
+    return resolved.matrix, resolved.parity, _node(end)
+
+
+def _word_plan(word: MoveWord) -> tuple[RawToken, ...]:
+    return tuple(token for m in word.moves for token in _MOVE_PLANS[m][1])
 
 
 # -- raw per-sector words ------------------------------------------------------
@@ -322,6 +250,16 @@ _RAW_PLANS: dict[int, tuple[RawToken, ...]] = {
         LetterToken(_L, (1, 2)),
         LetterToken(_L, (3,)),
     ),
+}
+
+#: Token plans of the five reduced moves, each from its source node (None:
+#: the same plan at either node).
+_MOVE_PLANS: dict[ReducedMove, tuple[NodeId | None, tuple[RawToken, ...]]] = {
+    ReducedMove.RR_L_TO_R: (NodeId.LEFT, (LetterToken(_R, (2, 3)),)),
+    ReducedMove.RR_R_TO_L: (NodeId.RIGHT, (LetterToken(_R, (2, 3)),)),
+    ReducedMove.RDOT: (None, (LetterToken(_R, (1,)),)),
+    ReducedMove.LLL_RELABEL: (NodeId.RIGHT, (LetterToken(_L, (1, 2, 3)), RelabelToken((3, 1, 2)))),
+    ReducedMove.SYM_RELABEL: (NodeId.LEFT, (SymmetryToken(),)),
 }
 
 _REDUCED_WORDS: dict[int, tuple[ReducedMove, ...]] = {
@@ -483,7 +421,7 @@ def sector_parity(i: int) -> int:
     return resolved_word(i).parity
 
 
-# -- resolving raw plans over the base gluing data --------------------------------
+# -- resolving token plans over gluing data ---------------------------------------
 
 
 class SectorWordError(ValueError):
@@ -496,7 +434,7 @@ Relabeling = tuple[tuple[int, ...], bool]
 
 @dataclass(frozen=True)
 class ResolvedWord:
-    """A sector word resolved over the base gluing data.
+    """A token plan resolved over gluing data.
 
     ``steps`` holds one :class:`StaircaseMove` per cycle of each letter token
     and one :data:`Relabeling` per relabel or symmetry token.  ``matrix``
@@ -509,14 +447,18 @@ class ResolvedWord:
     parity: int
 
 
-@cache
 def resolved_word(i: int) -> ResolvedWord:
     """Sector i's token plan walked once over ``QPRIME_COMB``."""
-    comb = QPRIME_COMB
+    return _resolve(sector_raw_plan(i), QPRIME_COMB)[0]
+
+
+@cache
+def _resolve(plan, comb: CombDatum) -> tuple[ResolvedWord, CombDatum]:
+    """A token plan walked once over gluing data ``comb``, and the gluing data it ends on."""
     steps = []
     matrix = intmat.identity(2 * comb.k)
     parity = 0
-    for token in sector_raw_plan(i):
+    for token in plan:
         if isinstance(token, LetterToken):
             for cycle in _partition_marked(comb, token.side, token.marked):
                 move = StaircaseMove(token.side, cycle, elementary_matrix(comb, cycle, token.side))
@@ -533,7 +475,7 @@ def resolved_word(i: int) -> ResolvedWord:
         steps.append((sigma, reflect))
         matrix = intmat.matmul(intmat.block_perm_matrix(sigma, swap=reflect), matrix)
         comb = comb.relabeled(sigma)
-    return ResolvedWord(tuple(steps), matrix, parity)
+    return ResolvedWord(tuple(steps), matrix, parity), comb
 
 
 def _partition_marked(comb: CombDatum, side: Side, marked) -> list[tuple[int, ...]]:

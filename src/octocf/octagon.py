@@ -62,7 +62,16 @@ from .farey import (
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
-from .h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
+from .h2moves import (
+    QPRIME_COMB,
+    NodeId,
+    SectorWordError,
+    compose_word,
+    has_reduced_word,
+    resolved_word,
+    sector_matrix,
+    sector_word,
+)
 from .numerics import Mat2, QuadNum, Vec2
 
 __all__ = [
@@ -393,8 +402,6 @@ def prove_sector(i: int) -> bool:
 def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremReport:
     """Prove each sector, cross-check it by :func:`verify_sector` on an exact
     grid, and check the reduced-word identities."""
-    from .h2moves import compose_word, has_reduced_word, sector_word
-
     reports, proved = [], {}
     for i in sectors:
         samples = sector_sample_directions(i, samples_per_sector)
@@ -407,7 +414,7 @@ def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremR
     for i in sectors:
         if has_reduced_word(i):
             matrix, _, end = compose_word(sector_word(i))
-            identities[i] = matrix == sector_matrix(i) and end.value == "left"
+            identities[i] = matrix == sector_matrix(i) and end is NodeId.LEFT
     passed = (
         all(r.passed for r in reports) and all(identities.values()) and all(proved.values())
     )

@@ -92,6 +92,29 @@ class TestConvergents:
         record = run_json(capsys, "convergents", "--alpha", "2", "--steps", "5")
         assert record["halted"] is True
 
+    @pytest.mark.parametrize("alpha", ["1e400", "1/10000000000"])
+    def test_huge_partial_quotient_exits_2(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "convergents", "--alpha", alpha)
+        assert code == EXIT_PARSE and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: more than 1000000 intermediate convergents to list"
+        ]
+
+    def test_decimal_alpha_is_approximate(self, capsys):
+        code, out, err = run_cli(capsys, "convergents", "--alpha", "1.5", "--steps", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["approximate"] is True
+        assert "replaced by the nearby rational 3/2" in err
+        assert "approximate" not in run_json(capsys, "convergents", "--alpha", "3/2")
+
+    def test_tiny_decimal_alpha_warns_before_the_error(self, capsys):
+        code, _, err = run_cli(capsys, "convergents", "--alpha", "1e-30")
+        assert code == EXIT_PARSE
+        assert err.splitlines() == [
+            "warning: decimal input '1e-30' replaced by the nearby rational 0",
+            "error: alpha must be positive",
+        ]
+
 
 @pytest.fixture
 def unproved_sectors():
@@ -338,13 +361,13 @@ def _torus_json():
 _INTS = st.integers(-(10**4), 10**4)
 _DENS = st.integers(0, 10**4)
 
-#: Number and direction literals.  Exponent forms are left out: ``1e400`` is
-#: a valid decimal whose convergents materialize about 10^400 intermediates.
+#: Number and direction literals, exponent forms such as ``1e400`` included.
 _LITERALS = st.one_of(
     _INTS.map(str),
     st.builds("{}/{}".format, _INTS, _DENS),
     st.builds("{}/{}+{}/{}*sqrt2".format, _INTS, _DENS, _INTS, _DENS),
     st.builds("{}.{}".format, _INTS, st.integers(0, 9999)),
+    st.builds("{}e{}".format, _INTS, st.integers(-400, 400)),
     st.sampled_from(["inf", "oo", "sqrt2", "golden", "-sqrt2", "1+sqrt2", "sqrt(2)"]),
     st.text(alphabet="0123456789/+-*.sqrtinfo() ", max_size=4),
 )

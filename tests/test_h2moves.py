@@ -37,6 +37,11 @@ class TestMoveMatrices:
     def test_rdot_same_at_both_nodes(self):
         assert ReducedMove.RDOT.matrix[0] == (1, 0, 0, 1, 0, 0)
 
+    def test_lll_relabel_rows(self):
+        m = ReducedMove.LLL_RELABEL.matrix
+        assert m[0] == (0, 0, 1, 0, 0, 0)  # (1,l)
+        assert m[5] == (1, 1, 0, 0, 0, 0)  # (3,r)
+
     def test_determinants_and_nonnegativity(self):
         for move in ReducedMove:
             m = move.matrix
@@ -48,6 +53,8 @@ class TestMoveMatrices:
         assert ReducedMove.RR_L_TO_R.target is NodeId.RIGHT
         assert ReducedMove.LLL_RELABEL.source is NodeId.RIGHT
         assert ReducedMove.SYM_RELABEL.source is NodeId.LEFT
+        assert ReducedMove.RDOT.source is None
+        assert ReducedMove.RDOT.target is None
 
 
 class TestMoveWords:

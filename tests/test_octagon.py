@@ -16,7 +16,15 @@ from helpers import (
 )
 from octocf import intmat, octagon
 from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
-from octocf.farey import GAMMA_NU, GAMMA_NU_INV, Direction, TiePolicy, _boundary_direction, expand
+from octocf.farey import (
+    GAMMA_NU,
+    GAMMA_NU_INV,
+    Direction,
+    TiePolicy,
+    _boundary_direction,
+    classify,
+    expand,
+)
 from octocf.h2moves import (
     LetterToken,
     RelabelToken,
@@ -24,9 +32,12 @@ from octocf.h2moves import (
     SectorWordError,
     SymmetryToken,
     _closure_relabel,
+    _resolve,
+    _word_plan,
     resolved_word,
     sector_matrix,
     sector_raw_plan,
+    sector_word,
 )
 from octocf.numerics import Mat2, QuadNum, Vec2
 from octocf.octagon import (
@@ -146,6 +157,19 @@ class TestResolvedWords:
         run = _WordRun(state=qprime(sector_midpoint(1)).relabeled((2, 1, 3)))
         with pytest.raises(SectorWordError, match="not at Q'"):
             run.renormalize(1)
+
+    @pytest.mark.parametrize("i", [1, 4, 5, 6, 7])
+    def test_reduced_words_run_on_the_geometry(self, i):
+        word, end = _resolve(_word_plan(sector_word(i)), QPRIME_COMB)
+        assert end == QPRIME_COMB
+        for d in sector_sample_directions(i, 3):
+            run = _WordRun(state=qprime(d))
+            for step in word.steps:
+                run.execute(step)
+            run.renormalize(i)
+            assert run.state.wedge_vector_tuple() == QPRIME_VECTORS
+            assert run.state.comb == QPRIME_COMB
+            assert 0 not in classify(run.state.ref_dir)
 
     def test_resolved_move_rejected_on_other_gluing_data(self):
         # relabeling 2<->3 keeps the pi_r cycle (2,3) but changes pi_l on it
