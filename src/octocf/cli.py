@@ -11,9 +11,11 @@ approximate in the output).  OCTOCF_SEED fixes the random sampling used by
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +35,12 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 
 _MAX_DENOMINATOR = 10**6
+
+#: Python's default limit on the digits of an int converted to a string.
+_MAX_INT_DIGITS = 4300
+
+#: An underscore not between two digits: Decimal reads it, Fraction refuses it.
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 #: Input that ``json.load`` rejects; deeply nested arrays exhaust its recursion.
 _BAD_JSON = (json.JSONDecodeError, RecursionError)
@@ -58,9 +66,29 @@ def _parse_u(text: str) -> tuple[ProjVal, bool]:
 
 
 def _decimal(text: str, what: str) -> Fraction:
-    """A decimal literal, replaced by a nearby rational with a warning on stderr."""
+    """A decimal literal, replaced by a nearby rational with a warning on stderr.
+
+    Fraction expands a literal's exponent into an exact integer, so Decimal
+    reads the exponent first: below 10**-7 the literal reads as 0, and more
+    integer digits than Python's default int-to-str limit are refused.  A ratio
+    ``a/b``, which Decimal cannot read, and a literal with stray underscores,
+    which only Decimal reads, go to Fraction as they are.
+    """
+    value = text
+    if "/" not in text and not _STRAY_UNDERSCORE.search(text):
+        try:
+            literal = decimal.Decimal(text)
+        except decimal.InvalidOperation:
+            raise _ParseFailure(f"cannot parse {text!r} as {what}") from None
+        if literal.is_finite():
+            if literal.is_zero() or literal.adjusted() < -7:
+                value = 0
+            elif literal.adjusted() >= _MAX_INT_DIGITS:
+                raise _ParseFailure(
+                    f"decimal input {text!r} has more than {_MAX_INT_DIGITS} integer digits"
+                )
     try:
-        approx = Fraction(text).limit_denominator(_MAX_DENOMINATOR)
+        approx = Fraction(value).limit_denominator(_MAX_DENOMINATOR)
     except (ValueError, ZeroDivisionError) as exc:
         raise _ParseFailure(f"cannot parse {text!r} as {what}") from exc
     print(

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 
 from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2, quad_sign
 
@@ -217,6 +218,9 @@ def farey_step(
 
 _FIXED_RAY_PI8 = Direction(Vec2(QuadNum(1, 1), QuadNum(1)))
 
+#: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
+_PARABOLIC = (1, 7)
+
 
 @dataclass(frozen=True)
 class FareyExpansion:
@@ -275,30 +279,77 @@ def _expand_orbit(
     """:func:`expand` together with its orbit, from one pass of the Farey map.
 
     The orbit holds ``(entry, tie, image)`` per step: the sector entry, whether
-    the iterate sat on a sector boundary, and the next iterate.
+    the iterate sat on a sector boundary, and the next iterate.  After a step
+    through a parabolic branch, the steps that stay in its sector are taken
+    all at once by :func:`_parabolic_run`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     orbit = []
-    boundary_hit = False
     tail = None
     cur = d
-    for k in range(depth):
-        j, tie = _choose_sector(cur, k, policy)
-        boundary_hit = boundary_hit or tie
-        cur = Direction(GAMMA_NU[j].apply(cur.vector))
-        orbit.append((j, tie, cur))
+    while len(orbit) < depth:
+        j, tie = _choose_sector(cur, len(orbit), policy)
+        image = Direction(GAMMA_NU[j].apply(cur.vector))
+        orbit.append((j, tie, image))
+        if j in _PARABOLIC:
+            orbit += _parabolic_run(j, tie, cur.vector, image, depth - len(orbit))
+        # only the last image of a run can be a fixed ray (see _parabolic_run)
+        cur = orbit[-1][2]
         if cur.is_theta_pi:
             tail = 7
         elif cur.ray_eq(_FIXED_RAY_PI8):
             tail = 1
     expansion = FareyExpansion(
         entries=tuple(j for j, _, _ in orbit),
-        boundary_hit=boundary_hit,
+        boundary_hit=any(tie for _, tie, _ in orbit),
         terminating=tail is not None,
         tail=tail,
     )
     return expansion, orbit
+
+
+def _parabolic_run(
+    j: int, tie: bool, v: Vec2, image: Direction, room: int
+) -> list[tuple[int, bool, Direction]]:
+    """The orbit steps after ``v -> image`` that repeat the parabolic entry j.
+
+    At most ``room`` steps are returned.  M = GAMMA_NU[j] is unipotent, so
+    with w = (M - I)v the iterates are M^t image = image + t*w.  If w = 0, v is
+    the fixed ray and every later step repeats this one.  Otherwise the orbit
+    moves away from the fixed ray, an end of sector j, so the iterates strictly
+    inside sector j are those with t below some n, found by doubling and
+    bisection; each takes entry j with no tie, and the iterate at t = n is left
+    to the ordinary step, which decides its ties.  On sector j, M keeps y >= 0,
+    so these are the exact vectors of single steps, and none is a fixed ray
+    (that would need w = 0) except possibly the last.
+    """
+    w = image.vector - v
+    if w.is_zero():
+        return [(j, tie, image)] * room
+
+    def inside(t: int) -> bool:
+        return classify(Direction(image.vector + w.scale(t))) == (j,)
+
+    lo, hi, span = 0, room, 1  # inside(t) for t < lo; hi == room or not inside(hi)
+    while lo < hi:
+        t = min(lo + span, hi) - 1
+        if not inside(t):
+            hi = t
+            break
+        lo, span = t + 1, 2 * span
+    while lo < hi:
+        t = (lo + hi) // 2
+        if inside(t):
+            lo = t + 1
+        else:
+            hi = t
+    steps = []
+    x = image.vector
+    for _ in range(lo):
+        x = x + w
+        steps.append((j, False, Direction(x)))
+    return steps
 
 
 def _boundary_direction(j: int) -> Direction:
@@ -355,7 +406,10 @@ def reconstruct(prefix) -> RP1Interval:
 
     The interval is the sector of the last entry pulled back through the
     inverse branches of the earlier entries; prefixes of growing length give
-    nested intervals shrinking to the coded direction.
+    nested intervals shrinking to the coded direction.  A run of n equal
+    parabolic entries j = 1, 7 is crossed at once: its inverse branch M is
+    unipotent, so M^n = I + n(M - I), and on [pi/8, pi] it keeps y >= 0, so
+    the endpoints are the exact vectors of n single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
@@ -364,12 +418,20 @@ def reconstruct(prefix) -> RP1Interval:
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
     last = entries[-1]
     ends = [_boundary_direction(last), _boundary_direction(last + 1)]
-    for s in reversed(entries[:-1]):
-        inv = GAMMA_NU_INV[s]
-        ends = [Direction(inv.apply(e.vector)) for e in ends]
+    for s, run in groupby(reversed(entries[:-1])):
+        inv, n = GAMMA_NU_INV[s], len(tuple(run))
+        if n > 1 and s in _PARABOLIC:
+            inv, n = _unipotent_power(inv, n), 1
+        for _ in range(n):
+            ends = [Direction(inv.apply(e.vector)) for e in ends]
     if theta_cmp(ends[0], ends[1]) <= 0:
         return RP1Interval(ends[0], ends[1])
     return RP1Interval(ends[1], ends[0])
+
+
+def _unipotent_power(m: Mat2, n: int) -> Mat2:
+    """m**n for a unipotent m, (m - I)^2 = 0, as I + n(m - I)."""
+    return Mat2(1 + n * (m.a - 1), n * m.b, n * m.c, 1 + n * (m.d - 1))
 
 
 def dual_expansion(e: FareyExpansion) -> FareyExpansion:

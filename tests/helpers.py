@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from octocf.diagch import HitsSingularity
 from octocf.farey import (
+    _FIXED_RAY_PI8,
     GAMMA_NU,
     GAMMA_NU_INV,
     SECTOR_BOUNDS,
     Direction,
+    FareyExpansion,
+    RP1Interval,
     TiePolicy,
     _boundary_direction,
+    _choose_sector,
     _expand_orbit,
     expand,
+    theta_cmp,
 )
 from octocf.h2moves import SectorWordError, resolved_word
 from octocf.numerics import QuadNum, Vec2
@@ -88,6 +93,46 @@ def reference_classify(d: Direction) -> tuple[int, ...]:
         if above and below:
             sectors.append(j)
     return tuple(sectors)
+
+
+def reference_expand_orbit(
+    d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW
+) -> tuple[FareyExpansion, list[tuple[int, bool, Direction]]]:
+    """``farey._expand_orbit`` by one matrix step of the Farey map per entry."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    orbit = []
+    boundary_hit = False
+    tail = None
+    cur = d
+    for k in range(depth):
+        j, tie = _choose_sector(cur, k, policy)
+        boundary_hit = boundary_hit or tie
+        cur = Direction(GAMMA_NU[j].apply(cur.vector))
+        orbit.append((j, tie, cur))
+        if cur.is_theta_pi:
+            tail = 7
+        elif cur.ray_eq(_FIXED_RAY_PI8):
+            tail = 1
+    expansion = FareyExpansion(
+        entries=tuple(j for j, _, _ in orbit),
+        boundary_hit=boundary_hit,
+        terminating=tail is not None,
+        tail=tail,
+    )
+    return expansion, orbit
+
+
+def reference_reconstruct(entries) -> RP1Interval:
+    """``farey.reconstruct`` by one inverse branch per entry (admissible entries only)."""
+    last = entries[-1]
+    ends = [_boundary_direction(last), _boundary_direction(last + 1)]
+    for s in reversed(entries[:-1]):
+        inv = GAMMA_NU_INV[s]
+        ends = [Direction(inv.apply(e.vector)) for e in ends]
+    if theta_cmp(ends[0], ends[1]) <= 0:
+        return RP1Interval(ends[0], ends[1])
+    return RP1Interval(ends[1], ends[0])
 
 
 def random_clean_direction(rng: random.Random, steps: int) -> Direction:

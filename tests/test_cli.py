@@ -116,6 +116,27 @@ class TestConvergents:
         ]
 
 
+class TestDecimalExponents:
+    """A decimal's exponent is read before any exact rational is built from it."""
+
+    @pytest.mark.parametrize("u", ["1e5000", "1e100000000"])
+    def test_huge_decimal_exits_2(self, capsys, u):
+        code, out, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
+        assert code == EXIT_PARSE and out == ""
+        assert err.splitlines() == [f"error: decimal input '{u}' has more than 4300 integer digits"]
+
+    def test_tiny_decimal_reads_as_zero(self, capsys):
+        code, _, err = run_cli(capsys, "convergents", "--alpha", "1e-100000000")
+        assert code == EXIT_PARSE
+        assert err.splitlines() == [
+            "warning: decimal input '1e-100000000' replaced by the nearby rational 0",
+            "error: alpha must be positive",
+        ]
+        code, out, _ = run_cli(capsys, "expand", "--u=-1e-100000000", "--depth", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["entries"] == run_json(capsys, "expand", "--u", "0", "--depth", "3")["entries"]
+
+
 @pytest.fixture
 def unproved_sectors():
     """No sector table proved before a test patches the constants it is built from."""

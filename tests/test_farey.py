@@ -1,12 +1,19 @@
 """Octagon Farey map: sectors, folding, expansions, reconstruction, duals."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import classify_directions, interior_directions, reference_classify
+from helpers import (
+    classify_directions,
+    interior_directions,
+    reference_classify,
+    reference_expand_orbit,
+    reference_reconstruct,
+)
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -45,6 +52,15 @@ class TestDihedralElements:
         for j, nu in enumerate(NU):
             expected = QuadNum(-1) if j % 2 else QuadNum(1)
             assert nu.det() == expected
+
+    @pytest.mark.parametrize("j, ray", [(1, Vec2(QuadNum(1, 1), QuadNum(1))), (7, Vec2(-1, 0))])
+    def test_parabolic_branches_are_unipotent(self, j, ray):
+        # the run formulas M^n = I + n(M - I) of expand and reconstruct rest on these
+        zero = Mat2(0, 0, 0, 0)
+        for m in (GAMMA_NU[j], GAMMA_NU_INV[j]):
+            n = Mat2(m.a - 1, m.b, m.c, m.d - 1)
+            assert n @ n == zero
+        assert GAMMA_NU[j].apply(ray) == ray
 
     def test_folding_maps_sector_onto_sector0(self):
         # endpoints of each sector land on the endpoints of sector 0
@@ -99,14 +115,38 @@ class TestClassify:
         assert classify(d) == reference_classify(d)
 
 
+def _pulled_back(v: Vec2, runs) -> Direction:
+    """``v`` pulled back through the inverse branches of the run-length word ``runs``."""
+    for j, n in reversed(runs):
+        for _ in range(n):
+            v = GAMMA_NU_INV[j].apply(v)
+    return Direction(v)
+
+
+def _assert_orbit_is_the_reference(d, depth, policy):
+    expansion, orbit = _expand_orbit(d, depth, policy)
+    reference, reference_orbit = reference_expand_orbit(d, depth, policy)
+    assert expansion == reference
+    assert orbit == reference_orbit
+    return expansion
+
+
+_HORIZONTALS_AND_PI8 = (Vec2(1, 0), Vec2(-1, 0), Vec2(QuadNum(1, 1), QuadNum(1)))
+
+
 class TestOrbit:
-    """The one Farey pass behind ``expand`` and ``run_expansion``."""
+    """The one Farey pass behind ``expand`` and ``run_expansion``.
+
+    Parabolic runs are crossed in one step; every entry, tie flag and image
+    must equal the step-by-step reference.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(classify_directions(), st.integers(1, 30), st.sampled_from(list(TiePolicy)))
     def test_orbit_matches_expand(self, d, depth, policy):
         expansion, orbit = _expand_orbit(d, depth, policy)
         assert expansion == expand(d, depth, policy)
+        _assert_orbit_is_the_reference(d, depth, policy)
         assert tuple(j for j, _, _ in orbit) == expansion.entries
         assert any(tie for _, tie, _ in orbit) == expansion.boundary_hit
         cur = d
@@ -116,6 +156,52 @@ class TestOrbit:
             assert tie == (len(sectors) > 1)
             assert image == Direction(GAMMA_NU[j].apply(cur.vector))
             cur = image
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])
+    @pytest.mark.parametrize("j", [1, 7])
+    def test_long_parabolic_runs(self, j, n, policy):
+        for v in (Vec2(-3, 1), Vec2(QuadNum(Fraction(-5, 7), 2), QuadNum(1, 1))):
+            e = _assert_orbit_is_the_reference(_pulled_back(v, [(j, n)]), n + 12, policy)
+            assert e.entries[:n] == (j,) * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        classify_directions(),
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 120)), max_size=4),
+        st.integers(1, 20),
+        st.sampled_from(list(TiePolicy)),
+    )
+    def test_run_length_words(self, base, runs, extra, policy):
+        d = _pulled_back(base.vector, runs)
+        _assert_orbit_is_the_reference(d, sum(n for _, n in runs) + extra, policy)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("n", [1, 4, 60])
+    @pytest.mark.parametrize("j", [1, 7])
+    def test_runs_exiting_on_a_sector_boundary(self, j, n, policy):
+        # each run of n entries j ends on the angle b*pi/8; there the policy decides
+        for b in range(1, 8):
+            d = _pulled_back(_grid_direction(b).vector, [(j, n)])
+            e = _assert_orbit_is_the_reference(d, n + 8, policy)
+            assert e.boundary_hit
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("depth", [1, 2, 50])
+    def test_horizontals_and_pi8_at_step_0(self, depth, policy):
+        for v in _HORIZONTALS_AND_PI8:
+            assert _assert_orbit_is_the_reference(Direction(v), depth, policy).terminating
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_terminating_far_past_the_lock(self, seed, policy):
+        rng = random.Random(seed)
+        prefix = [(rng.randint(1, 7), rng.choice((1, 1, 2, 40))) for _ in range(rng.randint(1, 8))]
+        for ray in _HORIZONTALS_AND_PI8[1:]:
+            d = _pulled_back(ray, prefix)
+            depth = sum(n for _, n in prefix) + 300
+            e = _assert_orbit_is_the_reference(d, depth, policy)
+            assert e.terminating and e.entries[-250:] == (e.tail,) * 250
 
 
 class TestFoldAndStep:
@@ -228,6 +314,33 @@ class TestReconstruct:
         intervals = [reconstruct(e.entries[:k]) for k in range(1, 7)]
         for outer, inner in zip(intervals, intervals[1:]):
             assert inner.proper_subset_of(outer)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1,) * 300 + (3, 2),
+            (7,) * 250 + (4,),
+            (2,) + (7,) * 250 + (5, 6),
+            (5, 6, 2) + (1,) * 200,
+            (3,) + (1,) * 120 + (7,) * 130 + (1,) * 2 + (7,),
+            (0,) + (7,) * 100 + (1,) * 100,
+            (0,) + (1,) * 150,
+            (0, 7),
+            (0,),
+            (4, 4, 4, 1, 1, 6, 6, 7, 7, 7),
+        ],
+    )
+    def test_runs_match_the_step_by_step_reference(self, entries):
+        assert reconstruct(entries) == reference_reconstruct(entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7]),
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 150)), min_size=1, max_size=5),
+    )
+    def test_run_length_prefixes_match_the_reference(self, first, runs):
+        entries = (first,) + tuple(j for j, n in runs for _ in range(n))
+        assert reconstruct(entries) == reference_reconstruct(entries)
 
     def test_inadmissible_prefix(self):
         with pytest.raises(InadmissiblePrefixError):
