@@ -39,6 +39,10 @@ _MAX_DENOMINATOR = 10**6
 #: Python's default limit on the digits of an int converted to a string.
 _MAX_INT_DIGITS = 4300
 
+#: Integer digits of a decimal literal whose nearby rational still prints: a
+#: denominator of at most 10**6 gives the numerator up to six more digits.
+_MAX_DECIMAL_DIGITS = _MAX_INT_DIGITS - 6
+
 #: An underscore not between two digits: Decimal reads it, Fraction refuses it.
 _STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
@@ -69,10 +73,11 @@ def _decimal(text: str, what: str) -> Fraction:
     """A decimal literal, replaced by a nearby rational with a warning on stderr.
 
     Fraction expands a literal's exponent into an exact integer, so Decimal
-    reads the exponent first: below 10**-7 the literal reads as 0, and more
-    integer digits than Python's default int-to-str limit are refused.  A ratio
-    ``a/b``, which Decimal cannot read, and a literal with stray underscores,
-    which only Decimal reads, go to Fraction as they are.
+    reads the exponent first: below 10**-7 the literal reads as 0, and a
+    literal whose nearby rational could pass Python's default int-to-str
+    limit is refused.  A ratio ``a/b``, which Decimal cannot read, and a
+    literal with stray underscores, which only Decimal reads, go to Fraction
+    as they are.
     """
     value = text
     if "/" not in text and not _STRAY_UNDERSCORE.search(text):
@@ -83,9 +88,9 @@ def _decimal(text: str, what: str) -> Fraction:
         if literal.is_finite():
             if literal.is_zero() or literal.adjusted() < -7:
                 value = 0
-            elif literal.adjusted() >= _MAX_INT_DIGITS:
+            elif literal.adjusted() >= _MAX_DECIMAL_DIGITS:
                 raise _ParseFailure(
-                    f"decimal input {text!r} has more than {_MAX_INT_DIGITS} integer digits"
+                    f"decimal input {text!r} has more than {_MAX_DECIMAL_DIGITS} integer digits"
                 )
     try:
         approx = Fraction(value).limit_denominator(_MAX_DENOMINATOR)

@@ -6,6 +6,12 @@ element ``a + b*sqrt(2)`` with rational ``a, b``, held as canonical ints
 equality is field equality), so they can be shared freely and used as dict
 keys.
 
+The bilinear 2x2 forms (``Mat2.apply``, ``Mat2 @``, ``det``, ``Vec2.cross``
+and ``dot``) build each output entry with one kernel that forms both
+products unreduced and divides by one gcd at the end, not one per field
+operation.  The canonical form is unique, so the result has the same ints,
+and so the same ``==`` and ``hash``, as the composed operators give.
+
 Decimal output is quarantined in :func:`to_decimal`; nothing in this package
 branches on a decimal rendering.
 """
@@ -311,6 +317,17 @@ def _reduced(p: int, q: int, den: int) -> QuadNum:
     return x
 
 
+def _dot2(x1: QuadNum, y1: QuadNum, x2: QuadNum, y2: QuadNum) -> QuadNum:
+    """x1*y1 + x2*y2 from the unreduced products, with one gcd reduction."""
+    p1, q1, p2, q2 = x1._p, x1._q, y1._p, y1._q
+    p3, q3, p4, q4 = x2._p, x2._q, y2._p, y2._q
+    pa, qa, da = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, x1._den * y1._den
+    pb, qb, db = p3 * p4 + 2 * q3 * q4, p3 * q4 + q3 * p4, x2._den * y2._den
+    if da == db:
+        return _reduced(pa + pb, qa + qb, da)
+    return _reduced(pa * db + pb * da, qa * db + qb * da, da * db)
+
+
 def _coerce(x) -> QuadNum:
     if x.__class__ is QuadNum:
         return x
@@ -390,10 +407,10 @@ class Vec2:
         return _vec(self.x * c, self.y * c)
 
     def cross(self, other: "Vec2") -> QuadNum:
-        return self.x * other.y - self.y * other.x
+        return _dot2(self.x, other.y, -self.y, other.x)
 
     def dot(self, other: "Vec2") -> QuadNum:
-        return self.x * other.x + self.y * other.y
+        return _dot2(self.x, other.x, self.y, other.y)
 
     def norm2(self) -> QuadNum:
         return self.dot(self)
@@ -453,14 +470,14 @@ class Mat2:
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return _mat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _dot2(self.a, other.a, self.b, other.c),
+            _dot2(self.a, other.b, self.b, other.d),
+            _dot2(self.c, other.a, self.d, other.c),
+            _dot2(self.c, other.b, self.d, other.d),
         )
 
     def det(self) -> QuadNum:
-        return self.a * self.d - self.b * self.c
+        return _dot2(self.a, self.d, -self.b, self.c)
 
     def inverse(self) -> "Mat2":
         det = self.det()
@@ -470,7 +487,7 @@ class Mat2:
         return _mat(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
 
     def apply(self, v: Vec2) -> Vec2:
-        return _vec(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
+        return _vec(_dot2(self.a, v.x, self.b, v.y), _dot2(self.c, v.x, self.d, v.y))
 
     @staticmethod
     def identity() -> "Mat2":

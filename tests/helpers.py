@@ -24,7 +24,7 @@ from octocf.farey import (
     theta_cmp,
 )
 from octocf.h2moves import SectorWordError, resolved_word
-from octocf.numerics import QuadNum, Vec2
+from octocf.numerics import Mat2, QuadNum, Vec2
 from octocf.octagon import ExpansionTrace, TraceStep, _WordRun, qprime
 
 
@@ -42,6 +42,35 @@ def quadnums(max_num=60, max_den=12):
 
 def nonzero_quadnums():
     return quadnums().filter(lambda q: not q.is_zero())
+
+
+# The bilinear 2x2 forms by the composed field operators, one reduction per
+# operator: the `==` oracles of the one-reduction kernel in `numerics`.
+
+
+def reference_apply(m: Mat2, v: Vec2) -> Vec2:
+    return Vec2(m.a * v.x + m.b * v.y, m.c * v.x + m.d * v.y)
+
+
+def reference_matmul(m: Mat2, n: Mat2) -> Mat2:
+    return Mat2(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def reference_det(m: Mat2) -> QuadNum:
+    return m.a * m.d - m.b * m.c
+
+
+def reference_cross(v: Vec2, w: Vec2) -> QuadNum:
+    return v.x * w.y - v.y * w.x
+
+
+def reference_dot(v: Vec2, w: Vec2) -> QuadNum:
+    return v.x * w.x + v.y * w.y
 
 
 def interior_directions():

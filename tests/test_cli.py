@@ -119,11 +119,35 @@ class TestConvergents:
 class TestDecimalExponents:
     """A decimal's exponent is read before any exact rational is built from it."""
 
-    @pytest.mark.parametrize("u", ["1e5000", "1e100000000"])
+    @pytest.mark.parametrize(
+        "u",
+        [
+            "1e5000",
+            "1e100000000",
+            # Refused whatever the fraction; at 4300 digits the rational of .3
+            # would have a 4301-digit numerator, past Python's int-to-str limit.
+            pytest.param("9" * 4299 + ".3", id="4299-digits.3"),
+            pytest.param("9" * 4300 + ".3", id="4300-digits.3"),
+        ],
+    )
     def test_huge_decimal_exits_2(self, capsys, u):
         code, out, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
         assert code == EXIT_PARSE and out == ""
-        assert err.splitlines() == [f"error: decimal input '{u}' has more than 4300 integer digits"]
+        assert err.splitlines() == [f"error: decimal input '{u}' has more than 4294 integer digits"]
+
+    @pytest.mark.parametrize("digits", [4299, 4300])
+    def test_long_integer_is_exact(self, capsys, digits):
+        code, out, err = run_cli(capsys, "expand", "--u", "9" * digits, "--depth", "2")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["entries"] == [0, 7]
+
+    def test_widest_decimal_prints_its_rational(self, capsys):
+        # The nearby rational of this literal has denominator 10**6 and a
+        # 4300-digit numerator.
+        u = "9" * 4294 + ".000001"
+        code, _, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
+        assert code == EXIT_OK
+        assert err.startswith(f"warning: decimal input '{u}' replaced by the nearby rational ")
 
     def test_tiny_decimal_reads_as_zero(self, capsys):
         code, _, err = run_cli(capsys, "convergents", "--alpha", "1e-100000000")

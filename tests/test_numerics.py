@@ -1,13 +1,22 @@
 """Exact arithmetic kernel: field axioms, ordering, Moebius action, decimals."""
 
 from fractions import Fraction
-from math import isclose, isqrt, lcm
+from math import gcd, isclose, isqrt, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fractions, nonzero_quadnums, quadnums
+from helpers import (
+    fractions,
+    nonzero_quadnums,
+    quadnums,
+    reference_apply,
+    reference_cross,
+    reference_det,
+    reference_dot,
+    reference_matmul,
+)
 from octocf.classical import QuadraticIrrational
 from octocf.numerics import (
     INFINITY,
@@ -104,6 +113,63 @@ class TestMat2:
                 m.inverse()
         else:
             assert m @ m.inverse() == Mat2.identity()
+
+
+_WIDE = st.integers(2**2000, 2**2100)
+_WIDE_COEFFICIENTS = st.one_of(st.integers(-3, 3), _WIDE, _WIDE.map(lambda n: -n))
+_DENOMINATORS = st.one_of(st.integers(1, 12), _WIDE)
+
+
+@st.composite
+def _wide_quadnum_lists(draw, count: int):
+    """Lists of `count` QuadNums with zero, small or 2000-bit-plus signed coefficients.
+
+    Half the lists share one denominator, so the two products of a bilinear
+    form mostly have equal denominators; the rest draw one per entry.
+    """
+    shared = draw(st.one_of(st.none(), _DENOMINATORS))
+    return [
+        QuadNum(Fraction(draw(_WIDE_COEFFICIENTS), den), Fraction(draw(_WIDE_COEFFICIENTS), den))
+        for den in (shared or draw(_DENOMINATORS) for _ in range(count))
+    ]
+
+
+def _same_canonical(got: QuadNum, want: QuadNum) -> None:
+    p, q, den = got.ints
+    assert den > 0 and gcd(p, q, den) == 1
+    assert got.ints == want.ints and got == want and hash(got) == hash(want)
+
+
+class TestOneReductionKernel:
+    """Each bilinear form reduces once, yet equals the composed field operators."""
+
+    @given(_wide_quadnum_lists(6))
+    def test_apply(self, xs):
+        m, v = Mat2(*xs[:4]), Vec2(*xs[4:])
+        got, want = m.apply(v), reference_apply(m, v)
+        _same_canonical(got.x, want.x)
+        _same_canonical(got.y, want.y)
+        assert hash(got) == hash(want)
+
+    @given(_wide_quadnum_lists(8))
+    def test_matmul(self, xs):
+        m, n = Mat2(*xs[:4]), Mat2(*xs[4:])
+        got, want = m @ n, reference_matmul(m, n)
+        for name in ("a", "b", "c", "d"):
+            _same_canonical(getattr(got, name), getattr(want, name))
+        assert hash(got) == hash(want)
+
+    @given(_wide_quadnum_lists(4))
+    def test_det(self, xs):
+        m = Mat2(*xs)
+        _same_canonical(m.det(), reference_det(m))
+
+    @given(_wide_quadnum_lists(4))
+    def test_cross_and_dot(self, xs):
+        v, w = Vec2(*xs[:2]), Vec2(*xs[2:])
+        _same_canonical(v.cross(w), reference_cross(v, w))
+        _same_canonical(v.dot(w), reference_dot(v, w))
+        _same_canonical(v.cross(v), QuadNum(0))
 
 
 class TestValueObjects:
