@@ -5,29 +5,27 @@ Exit codes are fixed for CI use: 0 success, 1 verification failure, 2 parse
 failure, 3 I/O failure.  Directions may be given exactly (``3/2+1/4*sqrt2``,
 ``inf``) or as decimals, which are converted to a nearby rational (marked
 approximate in the output).  OCTOCF_SEED fixes the random sampling used by
-``verify --random-samples``.
+``verify --random-samples``.  Each subcommand imports the modules it runs, so
+a command's start-up holds only its own part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 
-from . import classical, h2moves, octagon, render
-from .farey import (
-    Direction,
-    TiePolicy,
-    dual_expansion,
-    expand,
-    reconstruct,
-)
 from .numerics import INFINITY, ProjVal, QuadNum, QuadNumParseError, Vec2
+
+#: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
+#: checkers take any constant of this name as true.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+
+    from .farey import Direction, TiePolicy
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -45,9 +43,6 @@ _MAX_DECIMAL_DIGITS = _MAX_INT_DIGITS - 6
 
 #: An underscore not between two digits: Decimal reads it, Fraction refuses it.
 _STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
-
-#: Input that ``json.load`` rejects; deeply nested arrays exhaust its recursion.
-_BAD_JSON = (json.JSONDecodeError, RecursionError)
 
 
 class _ParseFailure(ValueError):
@@ -79,6 +74,8 @@ def _decimal(text: str, what: str) -> Fraction:
     literal with stray underscores, which only Decimal reads, go to Fraction
     as they are.
     """
+    import decimal
+
     value = text
     if "/" not in text and not _STRAY_UNDERSCORE.search(text):
         try:
@@ -104,22 +101,27 @@ def _decimal(text: str, what: str) -> Fraction:
 
 
 def _parse_direction(args) -> tuple[Direction, bool]:
+    from .farey import Direction
+
     u, approximate = _parse_u(args.u)
     return Direction.from_u(u, side=args.side), approximate
 
 
 def _policy(args) -> TiePolicy:
+    from .farey import TiePolicy
+
     return TiePolicy.HIGH if getattr(args, "policy", "low") == "high" else TiePolicy.LOW
 
 
-def _emit(args, payload: str) -> int:
+def _emit(args, chunks) -> int:
+    """Writes the strings ``chunks`` to the ``--out`` file or to stdout."""
     out = getattr(args, "out", None)
     try:
         if out:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(chunks)
     except OSError as exc:
         raise _IOFailure(f"cannot write output: {exc}") from exc
     return EXIT_OK
@@ -127,6 +129,8 @@ def _emit(args, payload: str) -> int:
 
 def _read_json(path: str | None, what: str):
     """The JSON document in file ``path``, or on stdin when ``path`` is None."""
+    import json
+
     try:
         if path is None:
             return json.load(sys.stdin)
@@ -134,18 +138,30 @@ def _read_json(path: str | None, what: str):
             return json.load(fh)
     except OSError as exc:
         raise _IOFailure(f"cannot read {what}: {exc}") from exc
-    except _BAD_JSON as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting exhausts recursion
         raise _ParseFailure(f"invalid {what} JSON: {exc}") from exc
 
 
 def _emit_json(args, obj) -> int:
-    return _emit(args, json.dumps(obj, indent=2) + "\n")
+    """``obj`` as indented JSON, written in batches of the encoder's chunks.
+
+    The whole document is never held as one string, and batching keeps the
+    writes few where stdout is unbuffered (one system call per write).
+    """
+    import json
+    from itertools import chain, islice
+
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    batches = iter(lambda: "".join(islice(chunks, 4096)), "")
+    return _emit(args, chain(batches, ["\n"]))
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _cmd_expand(args) -> int:
+    from .farey import dual_expansion, expand
+
     direction, approximate = _parse_direction(args)
     e = expand(direction, args.depth, _policy(args))
     record = e.to_json()
@@ -157,6 +173,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .farey import reconstruct
+
     try:
         entries = [int(tok) for tok in args.entries.replace(",", " ").split()]
     except ValueError:
@@ -170,10 +188,15 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
+    from . import classical
+
     alpha, approximate = _parse_alpha(args.alpha)
     result = classical.geometric_convergents(alpha, args.steps)
     if sum(max(digit - 1, 0) for digit in result.digits) > _MAX_DENOMINATOR:
         raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
+    # The last convergent is the largest int listed; refuse it before any output is written.
+    if result.vectors and max(result.vectors[-1]) >= 10**_MAX_INT_DIGITS:
+        raise _ParseFailure(f"convergents with more than {_MAX_INT_DIGITS} digits to list")
     if args.format == "text":
         lines = ["step  digit  p/q" + " " * 12 + "intermediates"]
         rows = zip(result.digits, result.vectors, result.intermediates)
@@ -183,7 +206,7 @@ def _cmd_convergents(args) -> int:
             lines.append(f"{idx:4d}  {digit:5d}  {frac:<14} {inter}")
         if result.halted:
             lines.append("halted: the direction is rational")
-        return _emit(args, "\n".join(lines) + "\n")
+        return _emit(args, ["\n".join(lines) + "\n"])
     record = result.to_json()
     if approximate:
         record["approximate"] = True
@@ -192,6 +215,8 @@ def _cmd_convergents(args) -> int:
 
 def _parse_alpha(text: str):
     """An exact or decimal positive number; returns (value, approximate)."""
+    from . import classical
+
     text = text.strip()
     if text.lower() in ("sqrt2", "sqrt(2)"):
         return classical.QuadraticIrrational.sqrt_of(2), False
@@ -233,6 +258,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _initial_state(spec: str, direction: Direction):
+    from . import octagon
     from .diagch import CombDatum, LabeledQuadrangulation, Wedge
 
     if spec == "qprime":
@@ -243,7 +269,7 @@ def _initial_state(spec: str, direction: Direction):
         return LabeledQuadrangulation(
             CombDatum(1, (1,), (1,)), (Wedge(Vec2(0, 1), Vec2(1, 0)),), direction
         )
-    data = _read_json(spec, "quadrangulation")
+    data = _read_json(None if spec == "-" else spec, "quadrangulation")
     ref = {"ref_dir": direction.to_json()}
     return _decode(lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data)
 
@@ -257,6 +283,8 @@ def _decode(build, data):
 
 
 def _cmd_trace(args) -> int:
+    from . import octagon
+
     direction, approximate = _parse_direction(args)
     trace = octagon.run_expansion(direction, args.steps, _policy(args))
     record = trace.to_json()
@@ -266,6 +294,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import random
+
+    from . import octagon
+
     if args.random_samples < 0:
         raise _ParseFailure("random sample count must be >= 0")
     sectors = [args.sector] if args.sector else range(1, 8)
@@ -290,7 +322,7 @@ def _cmd_verify(args) -> int:
 
 
 def _random_interior_direction(rng: random.Random, sector: int) -> Direction:
-    from .farey import SECTOR_BOUNDS, classify
+    from .farey import SECTOR_BOUNDS, Direction, classify
 
     while True:
         if sector == 7:
@@ -305,6 +337,8 @@ def _random_interior_direction(rng: random.Random, sector: int) -> Direction:
 
 
 def _cmd_dump_matrices(args) -> int:
+    from . import h2moves
+
     record = {
         "moves": {m.value: [list(r) for r in m.matrix] for m in h2moves.ReducedMove},
         "sectors": {
@@ -315,6 +349,9 @@ def _cmd_dump_matrices(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import octagon, render
+    from .farey import Direction
+
     if args.input == "qprime":
         states = [octagon.qprime(octagon.sector_midpoint(4))]
     elif args.input.startswith("sector:"):
@@ -332,7 +369,7 @@ def _cmd_render(args) -> int:
         show_labels=not args.no_labels,
         direction_overlay=overlay,
     )
-    return _emit(args, render.render_states(states, spec))
+    return _emit(args, [render.render_states(states, spec)])
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -385,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quad",
         default="qprime",
-        help="'qprime', 'q0', 'torus', or a quadrangulation JSON file",
+        help="'qprime', 'q0', 'torus', a quadrangulation JSON file, or '-' for stdin",
     )
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--out")

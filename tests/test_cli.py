@@ -100,6 +100,19 @@ class TestConvergents:
             "error: more than 1000000 intermediate convergents to list"
         ]
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_convergent_past_the_digit_limit_exits_2_before_any_output(
+        self, capsys, monkeypatch, fmt
+    ):
+        # Step 29 ends at 832040/514229, step 30 at 1346269/832040; the real
+        # limit of 4300 digits takes about 20600 steps of the golden ratio.
+        monkeypatch.setattr("octocf.cli._MAX_INT_DIGITS", 6)
+        argv = ("convergents", "--alpha", "golden", "--format", fmt, "--steps")
+        assert run_cli(capsys, *argv, "29")[0] == EXIT_OK
+        code, out, err = run_cli(capsys, *argv, "30")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: convergents with more than 6 digits to list\n"
+
     def test_decimal_alpha_is_approximate(self, capsys):
         code, out, err = run_cli(capsys, "convergents", "--alpha", "1.5", "--steps", "2")
         assert code == EXIT_OK
@@ -253,6 +266,16 @@ class TestTraceAndSimulate:
         record = run_json(capsys, "simulate", "--u", "1/3", "--quad", str(path), "--steps", "2")
         assert opened.count(str(path)) == 1
         assert record["initial"]["wedges"] == qprime(sector_midpoint(4)).to_json()["wedges"]
+
+    def test_simulate_reads_the_quad_from_stdin(self, capsys, monkeypatch):
+        from octocf.octagon import qprime, sector_midpoint
+
+        argv = ("simulate", "--u", "1/3", "--steps", "3", "--quad")
+        expected = run_cli(capsys, *argv, "qprime")
+        stdin = io.StringIO(json.dumps(qprime(sector_midpoint(4)).to_json()))
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run_cli(capsys, *argv, "-") == expected
+        assert expected[0] == EXIT_OK
 
     def test_trace_json_round_trips(self, capsys):
         from octocf.diagch import LabeledQuadrangulation
