@@ -221,6 +221,10 @@ _FIXED_RAY_PI8 = Direction(Vec2(QuadNum(1, 1), QuadNum(1)))
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
 _PARABOLIC = (1, 7)
 
+#: The end of sector j that a parabolic run leaves through, 2pi/8 for j = 1 and
+#: 7pi/8 for j = 7, oriented so that the sector's interior has positive cross.
+_RUN_EXIT = {1: Vec2(1, 1), 7: Vec2(QuadNum(1, 1), -1)}
+
 
 @dataclass(frozen=True)
 class FareyExpansion:
@@ -286,7 +290,6 @@ def _expand_orbit(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     orbit = []
-    tail = None
     cur = d
     while len(orbit) < depth:
         j, tie = _choose_sector(cur, len(orbit), policy)
@@ -294,12 +297,9 @@ def _expand_orbit(
         orbit.append((j, tie, image))
         if j in _PARABOLIC:
             orbit += _parabolic_run(j, tie, cur.vector, image, depth - len(orbit))
-        # only the last image of a run can be a fixed ray (see _parabolic_run)
         cur = orbit[-1][2]
-        if cur.is_theta_pi:
-            tail = 7
-        elif cur.ray_eq(_FIXED_RAY_PI8):
-            tail = 1
+    # a fixed ray is fixed by the step it takes, so the last image decides the tail
+    tail = 7 if cur.is_theta_pi else 1 if cur.ray_eq(_FIXED_RAY_PI8) else None
     expansion = FareyExpansion(
         entries=tuple(j for j, _, _ in orbit),
         boundary_hit=any(tie for _, tie, _ in orbit),
@@ -317,36 +317,24 @@ def _parabolic_run(
     At most ``room`` steps are returned.  M = GAMMA_NU[j] is unipotent, so
     with w = (M - I)v the iterates are M^t image = image + t*w.  If w = 0, v is
     the fixed ray and every later step repeats this one.  Otherwise the orbit
-    moves away from the fixed ray, an end of sector j, so the iterates strictly
-    inside sector j are those with t below some n, found by doubling and
-    bisection; each takes entry j with no tie, and the iterate at t = n is left
-    to the ordinary step, which decides its ties.  On sector j, M keeps y >= 0,
-    so these are the exact vectors of single steps, and none is a fixed ray
-    (that would need w = 0) except possibly the last.
+    moves away from the fixed ray, an end of sector j, towards the other end e.
+    The iterate is strictly inside sector j exactly while cross(image + t*w, e)
+    = c0 + t*c1 is positive, and c1 < 0 on the open sector, so the iterates
+    inside are those with t < n = ceil(-c0/c1) if c0 > 0, none otherwise; each
+    takes entry j with no tie, and the iterate at t = n is left to the ordinary
+    step, which decides its ties.
+    On sector j, M keeps y >= 0, so these are the exact vectors of single steps,
+    and none is a fixed ray (that would need w = 0) except possibly the last.
     """
     w = image.vector - v
     if w.is_zero():
         return [(j, tie, image)] * room
-
-    def inside(t: int) -> bool:
-        return classify(Direction(image.vector + w.scale(t))) == (j,)
-
-    lo, hi, span = 0, room, 1  # inside(t) for t < lo; hi == room or not inside(hi)
-    while lo < hi:
-        t = min(lo + span, hi) - 1
-        if not inside(t):
-            hi = t
-            break
-        lo, span = t + 1, 2 * span
-    while lo < hi:
-        t = (lo + hi) // 2
-        if inside(t):
-            lo = t + 1
-        else:
-            hi = t
+    e = _RUN_EXIT[j]
+    c0 = image.vector.cross(e)
+    n = min(room, -(c0 / w.cross(e)).floor()) if c0.sign() > 0 else 0
     steps = []
     x = image.vector
-    for _ in range(lo):
+    for _ in range(n):
         x = x + w
         steps.append((j, False, Direction(x)))
     return steps

@@ -102,9 +102,16 @@ def quad_float(p: int, q: int, den: int, d: int) -> float:
     return quad_floor(p * _FLOAT_SCALE, q * _FLOAT_SCALE, den, d) / _FLOAT_SCALE
 
 
+#: An exact rational literal, as ``QuadNum.to_json`` writes one: ``-3`` or ``7/2``.
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def _fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise QuadNumParseError(f"expected a string coefficient, got {type(text).__name__}")
+    if not _RATIONAL.fullmatch(text):
+        # Fraction would also take decimals and exponents, expanding 1e30000000 at length
+        raise QuadNumParseError(f"expected an exact rational like -3/2, got {text[:40]!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -281,8 +288,7 @@ class QuadNum:
         if not s:
             raise QuadNumParseError("empty literal")
         if "@" not in s:
-            m = re.fullmatch(r"[+-]?\d+(?:/\d+)?", s)
-            if not m:
+            if not _RATIONAL.fullmatch(s):
                 raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
             return QuadNum(_fraction(s))
         m = re.fullmatch(

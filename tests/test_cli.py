@@ -380,6 +380,20 @@ class TestMalformedInput:
         path.write_text(json.dumps(record))
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--quad", str(path))
 
+    # Fraction would expand the exponent, and the run would fail minutes later
+    @pytest.mark.parametrize(
+        "argv", [("render", "--input", "-"), ("simulate", "--u", "2", "--quad", "-")]
+    )
+    def test_stdin_exponent_coordinate(self, capsys, monkeypatch, argv):
+        from octocf.octagon import qprime, sector_midpoint
+
+        record = qprime(sector_midpoint(4)).to_json()
+        record["wedges"][0]["l"]["y"]["a"] = "1e30000000"
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: expected an exact rational like -3/2, got '1e30000000'\n"
+
     # True == 1, so only the type tells these apart from valid gluing data
     @pytest.mark.parametrize("field, value", [("k", True), ("pi_l", [True])])
     def test_render_stdin_boolean_gluing_data(self, capsys, monkeypatch, field, value):

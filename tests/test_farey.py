@@ -14,6 +14,7 @@ from helpers import (
     reference_expand_orbit,
     reference_reconstruct,
 )
+from octocf import farey
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -25,6 +26,7 @@ from octocf.farey import (
     InadmissiblePrefixError,
     RP1Interval,
     TiePolicy,
+    _RUN_EXIT,
     _expand_orbit,
     classify,
     dual_expansion,
@@ -61,6 +63,16 @@ class TestDihedralElements:
             n = Mat2(m.a - 1, m.b, m.c, m.d - 1)
             assert n @ n == zero
         assert GAMMA_NU[j].apply(ray) == ray
+        # the run length of _expand_orbit is a floor, as c1 = cross((M - I)v, exit) has
+        # one sign on the open sector: it is linear in v, zero only at the fixed ray
+        exit_end = _RUN_EXIT[j]
+        for k in (j, j + 1):
+            end = _grid_direction(k).vector
+            c1 = (GAMMA_NU[j].apply(end) - end).cross(exit_end).sign()
+            if Direction(end).ray_eq(Direction(ray)):
+                assert c1 == 0 and end.cross(exit_end).sign() > 0  # the interior sign
+            else:
+                assert c1 < 0 and end.cross(exit_end).sign() == 0
 
     def test_folding_maps_sector_onto_sector0(self):
         # endpoints of each sector land on the endpoints of sector 0
@@ -123,6 +135,18 @@ def _pulled_back(v: Vec2, runs) -> Direction:
     return Direction(v)
 
 
+def _height_direction(rng: random.Random, bits: int) -> Direction:
+    """A direction whose coordinates have coefficients of about ``bits`` bits."""
+
+    def coefficient():
+        return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+    def coordinate():
+        return QuadNum(Fraction(coefficient(), abs(coefficient())), coefficient())
+
+    return Direction(Vec2(coordinate(), coordinate()))
+
+
 def _assert_orbit_is_the_reference(d, depth, policy):
     expansion, orbit = _expand_orbit(d, depth, policy)
     reference, reference_orbit = reference_expand_orbit(d, depth, policy)
@@ -161,13 +185,26 @@ class TestOrbit:
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])
     @pytest.mark.parametrize("j", [1, 7])
     def test_long_parabolic_runs(self, j, n, policy):
-        for v in (Vec2(-3, 1), Vec2(QuadNum(Fraction(-5, 7), 2), QuadNum(1, 1))):
+        tall = _height_direction(random.Random(1024), 1024).vector
+        for v in (Vec2(-3, 1), Vec2(QuadNum(Fraction(-5, 7), 2), QuadNum(1, 1)), tall):
             e = _assert_orbit_is_the_reference(_pulled_back(v, [(j, n)]), n + 12, policy)
             assert e.entries[:n] == (j,) * n
 
+    @pytest.mark.parametrize("j", [1, 7])
+    def test_a_run_is_crossed_without_classifying(self, j, monkeypatch):
+        # only the step into the run and the step out of it classify an iterate
+        calls = []
+        monkeypatch.setattr(farey, "classify", lambda d: calls.append(d) or classify(d))
+        d = _pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), [(j, 500)])
+        assert expand(d, 501).entries == (j,) * 500 + (2,)
+        assert len(calls) == 2
+
     @settings(max_examples=40, deadline=None)
     @given(
-        classify_directions(),
+        st.one_of(
+            classify_directions(),
+            st.builds(_height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
+        ),
         st.lists(st.tuples(st.integers(1, 7), st.integers(1, 120)), max_size=4),
         st.integers(1, 20),
         st.sampled_from(list(TiePolicy)),

@@ -324,6 +324,14 @@ class TestParseAndJson:
         with pytest.raises(QuadNumParseError, match="expected a string"):
             QuadNum.from_json({"a": "0", "b": coefficient})
 
+    # Fraction takes each of these; only "p" and "p/q" are what to_json writes
+    @pytest.mark.parametrize("coefficient", ["1e5", "1.5", "1_0", " 1", "1e100000000"])
+    def test_json_rejects_inexact_literals(self, coefficient):
+        with pytest.raises(QuadNumParseError, match="exact rational"):
+            QuadNum.from_json({"a": coefficient, "b": "0"})
+        with pytest.raises(QuadNumParseError, match="exact rational"):
+            QuadNum.from_json({"a": "0", "b": coefficient})
+
 
 @pytest.mark.parametrize(
     "make",
