@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 
-from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2, quad_sign
+from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2, _reduced, quad_floor, quad_sign
 
 __all__ = [
     "NU",
@@ -168,22 +168,90 @@ def theta_cmp(d1: Direction, d2: Direction) -> int:
 #: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.
 _BOUND_INTS: tuple[tuple[int, int], ...] = tuple(b.ints[:2] for b in SECTOR_BOUNDS)
 
+# -- integral vectors ----------------------------------------------------------------
+#
+# The walks keep a vector as ints v = (xp, xq, yp, yq), x = xp + xq*sqrt2 and
+# y = yp + yq*sqrt2, with a positive denominator den and an exponent e: the exact
+# vector is (x, y)/(den*sqrt2^e).  sqrt2^k times each branch is integral, with
+# k = 1 for entries 1, 2, 5, 6 and 0 otherwise, so a step is int multiply-adds
+# and e += k, with no gcd.  GAMMA_NU[j] maps the closed sector j, and
+# GAMMA_NU_INV[j] maps [pi/8, pi], into y >= 0 (both are linear, and it holds at
+# both ends), so no step needs the negation that Direction applies to y < 0.
 
-def classify(d: Direction) -> tuple[int, ...]:
-    """All sector indices whose closed sector contains ``d`` (one or two).
+_IntVec = tuple[int, int, int, int]
 
-    Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.
-    The bounds decrease, so the first bound not above u decides: u above it
-    is sector j, u on it is the tie (j, j+1).  Each sign is taken on
-    denominator-free ints, with no division.
+
+def _integral(m: Mat2) -> tuple[int, tuple[int, ...]]:
+    """The least k in {0, 1} with sqrt2^k * m integral, and its entries' ints (p, q), row by row."""
+    k = int(any(c.ints[2] != 1 for c in (m.a, m.b, m.c, m.d)))
+    scale = QuadNum(0, 1) if k else QuadNum(1)
+    return k, tuple(i for c in (m.a, m.b, m.c, m.d) for i in (c * scale).ints[:2])
+
+
+_BRANCHES = tuple(_integral(m) for m in GAMMA_NU)
+_INVERSE_BRANCHES = tuple(_integral(m) for m in GAMMA_NU_INV)
+
+#: sqrt2^k * I for k = 0, 1, in the ints of _integral.
+_SCALARS = ((1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1))
+
+
+def _ints(v: Vec2) -> tuple[_IntVec, int]:
+    """The ints of ``v`` over a common denominator, and that denominator."""
+    xp, xq, xd = v.x.ints
+    yp, yq, yd = v.y.ints
+    return (xp * yd, xq * yd, yp * xd, yq * xd), xd * yd
+
+
+def _apply(m: tuple[int, ...], v: _IntVec) -> _IntVec:
+    """m*v for m in the ints of :func:`_integral`."""
+    ap, aq, bp, bq, cp, cq, dp, dq = m
+    xp, xq, yp, yq = v
+    return (
+        ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
+        ap * xq + aq * xp + bp * yq + bq * yp,
+        cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
+        cp * xq + cq * xp + dp * yq + dq * yp,
+    )
+
+
+def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
+    """The ints (p, q) of cross(v, w) = p + q*sqrt2."""
+    xp, xq, yp, yq = v
+    up, uq, wp, wq = w
+    return xp * wp + 2 * xq * wq - yp * up - 2 * yq * uq, xp * wq + xq * wp - yp * uq - yq * up
+
+
+def _strip(v: _IntVec, e: int) -> tuple[_IntVec, int]:
+    """``v`` divided by sqrt2 while both rational parts are even: p + q*sqrt2 =
+    sqrt2*(q + (p/2)*sqrt2).  The exponent follows, so the exact vector is kept."""
+    xp, xq, yp, yq = v
+    while not (xp & 1 or yp & 1):
+        xp, xq, yp, yq, e = xq, xp >> 1, yq, yp >> 1, e - 1
+    return (xp, xq, yp, yq), e
+
+
+def _direction(v: _IntVec, den: int, e: int) -> Direction:
+    """The Direction of the exact vector v/(den*sqrt2^e), one gcd per coordinate."""
+    xp, xq, yp, yq = v
+    if e % 2:  # v/sqrt2 = sqrt2*v/2
+        xp, xq, yp, yq, e = 2 * xq, xp, 2 * yq, yp, e + 1
+    h = e // 2
+    if h >= 0:
+        den <<= h
+    else:
+        xp, xq, yp, yq = xp << -h, xq << -h, yp << -h, yq << -h
+    return Direction(Vec2(_reduced(xp, xq, den), _reduced(yp, yq, den)))
+
+
+def _sectors(v: _IntVec) -> tuple[int, ...]:
+    """All sector indices whose closed sector contains the ray of ``v`` (y >= 0).
+
+    Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.  The
+    bounds decrease, so the first bound not above u decides: u above it is
+    sector j, u on it is the tie (j, j+1).  On the horizontals the sign of x
+    decides at once: theta = 0 is sector 0 and theta = pi sector 7.
     """
-    if d.is_theta_zero:
-        return (0,)
-    if d.is_theta_pi:
-        return (7,)
-    xp, xq, xd = d.vector.x.ints
-    yp, yq, yd = d.vector.y.ints
-    xp, xq, yp, yq = xp * yd, xq * yd, yp * xd, yq * xd  # both over xd*yd > 0
+    xp, xq, yp, yq = v
     for j, (bp, bq) in enumerate(_BOUND_INTS):
         s = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
         if s > 0:
@@ -193,8 +261,16 @@ def classify(d: Direction) -> tuple[int, ...]:
     return (7,)
 
 
-def _choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple[int, bool]:
-    sectors = classify(d)
+def classify(d: Direction) -> tuple[int, ...]:
+    """All sector indices whose closed sector contains ``d`` (one or two).
+
+    Each sign is taken on denominator-free ints, with no division.
+    """
+    return _sectors(_ints(d.vector)[0])
+
+
+def _choose_sector(v: _IntVec, step: int, policy: TiePolicy) -> tuple[int, bool]:
+    sectors = _sectors(v)
     tie = len(sectors) > 1
     admissible = [j for j in sectors if j != 0 or step == 0]
     if policy is TiePolicy.LOW:
@@ -204,7 +280,7 @@ def _choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple[int, boo
 
 def fold(d: Direction, policy: TiePolicy = TiePolicy.LOW) -> tuple[int, Direction]:
     """Fold ``d`` into sector 0 by the dihedral element of its sector."""
-    j, _ = _choose_sector(d, 0, policy)
+    j, _ = _choose_sector(_ints(d.vector)[0], 0, policy)
     return j, Direction(NU[j].apply(d.vector))
 
 
@@ -212,18 +288,16 @@ def farey_step(
     d: Direction, policy: TiePolicy = TiePolicy.LOW, step: int = 0
 ) -> tuple[int, Direction]:
     """One application of the Farey map; returns the sector entry and the image."""
-    j, _ = _choose_sector(d, step, policy)
+    j, _ = _choose_sector(_ints(d.vector)[0], step, policy)
     return j, Direction(GAMMA_NU[j].apply(d.vector))
 
-
-_FIXED_RAY_PI8 = Direction(Vec2(QuadNum(1, 1), QuadNum(1)))
 
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
 _PARABOLIC = (1, 7)
 
 #: The end of sector j that a parabolic run leaves through, 2pi/8 for j = 1 and
-#: 7pi/8 for j = 7, oriented so that the sector's interior has positive cross.
-_RUN_EXIT = {1: Vec2(1, 1), 7: Vec2(QuadNum(1, 1), -1)}
+#: 7pi/8 for j = 7, as ints, oriented so that the sector's interior has positive cross.
+_RUN_EXIT = {1: (1, 0, 1, 0), 7: (1, 1, -1, 0)}
 
 
 @dataclass(frozen=True)
@@ -274,7 +348,70 @@ class InadmissiblePrefixError(ValueError):
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
-    return _expand_orbit(d, depth, policy)[0]
+    return _walk(d, depth, policy)[0]
+
+
+def _walk(
+    d: Direction, depth: int, policy: TiePolicy
+) -> tuple[FareyExpansion, int, list[tuple[int, bool, _IntVec, int, _IntVec | None, int]]]:
+    """The Farey orbit of ``d`` on integral vectors, with its expansion.
+
+    Returns the expansion, the denominator ``den`` and one ``(j, tie, x, e, w,
+    n)`` per step into a sector: entry j, whether the iterate sat on a sector
+    boundary, the image x/(den*sqrt2^e), and the n further steps of a
+    parabolic run, whose images are x + t*w for t = 1..n.
+
+    M = GAMMA_NU[j] for j = 1, 7 is unipotent, so from the iterate v the images
+    are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray and
+    every later step repeats this one, tie included.  Otherwise the orbit
+    moves away from the fixed ray, an end of sector j, towards the other end
+    b.  The iterate is strictly inside sector j exactly while cross(x + t*w, b)
+    = c0 + t*c1 is positive, and c1 < 0 on the open sector, so the iterates
+    inside are those with t < ceil(-c0/c1) if c0 > 0, none otherwise; each
+    takes entry j with no tie, and the iterate after them is left to the
+    ordinary step, which decides its ties.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    v, den = _ints(d.vector)
+    e = 0
+    entries, steps = [], []
+    while len(entries) < depth:
+        j, tie = _choose_sector(v, len(entries), policy)
+        k, m = _BRANCHES[j]
+        x, e, w, n = _apply(m, v), e + k, None, 0
+        if j in _PARABOLIC:
+            w = tuple(a - b for a, b in zip(x, _apply(_SCALARS[k], v)))
+            n = _run_length(j, x, w, depth - len(entries) - 1)
+        steps.append((j, tie, x, e, w, n))
+        entries += [j] * (n + 1)
+        v, e = _strip(x if n == 0 else tuple(a + n * b for a, b in zip(x, w)), e)
+    # a fixed ray is fixed by the step it takes, so the last iterate decides the
+    # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
+    xp, xq, yp, yq = v
+    tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
+    expansion = FareyExpansion(
+        entries=tuple(entries),
+        boundary_hit=any(tie for _, tie, *_ in steps),
+        terminating=tail is not None,
+        tail=tail,
+    )
+    return expansion, den, steps
+
+
+def _run_length(j: int, x: _IntVec, w: _IntVec, room: int) -> int:
+    """How many steps of the parabolic entry j follow the step to x, at most ``room``."""
+    if not any(w):
+        return room
+    c0p, c0q = _cross(x, _RUN_EXIT[j])
+    if quad_sign(c0p, c0q, 2) <= 0:
+        return 0
+    c1p, c1q = _cross(w, _RUN_EXIT[j])
+    # c0/c1 = c0*conj(c1)/N(c1), over a positive denominator
+    p, q, norm = c0p * c1p - 2 * c0q * c1q, c0q * c1p - c0p * c1q, c1p * c1p - 2 * c1q * c1q
+    if norm < 0:
+        p, q, norm = -p, -q, -norm
+    return min(room, -quad_floor(p, q, norm, 2))
 
 
 def _expand_orbit(
@@ -283,61 +420,22 @@ def _expand_orbit(
     """:func:`expand` together with its orbit, from one pass of the Farey map.
 
     The orbit holds ``(entry, tie, image)`` per step: the sector entry, whether
-    the iterate sat on a sector boundary, and the next iterate.  After a step
-    through a parabolic branch, the steps that stay in its sector are taken
-    all at once by :func:`_parabolic_run`.
+    the iterate sat on a sector boundary, and the next iterate, built from the
+    walk's ints.  On sector j, M keeps y >= 0, so the run images are the exact
+    vectors of single steps.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    expansion, den, steps = _walk(d, depth, policy)
     orbit = []
-    cur = d
-    while len(orbit) < depth:
-        j, tie = _choose_sector(cur, len(orbit), policy)
-        image = Direction(GAMMA_NU[j].apply(cur.vector))
+    for j, tie, x, e, w, n in steps:
+        image = _direction(x, den, e)
         orbit.append((j, tie, image))
-        if j in _PARABOLIC:
-            orbit += _parabolic_run(j, tie, cur.vector, image, depth - len(orbit))
-        cur = orbit[-1][2]
-    # a fixed ray is fixed by the step it takes, so the last image decides the tail
-    tail = 7 if cur.is_theta_pi else 1 if cur.ray_eq(_FIXED_RAY_PI8) else None
-    expansion = FareyExpansion(
-        entries=tuple(j for j, _, _ in orbit),
-        boundary_hit=any(tie for _, tie, _ in orbit),
-        terminating=tail is not None,
-        tail=tail,
-    )
+        if n and not any(w):
+            orbit += [(j, tie, image)] * n
+            continue
+        for _ in range(n):
+            x = tuple(a + b for a, b in zip(x, w))
+            orbit.append((j, False, _direction(x, den, e)))
     return expansion, orbit
-
-
-def _parabolic_run(
-    j: int, tie: bool, v: Vec2, image: Direction, room: int
-) -> list[tuple[int, bool, Direction]]:
-    """The orbit steps after ``v -> image`` that repeat the parabolic entry j.
-
-    At most ``room`` steps are returned.  M = GAMMA_NU[j] is unipotent, so
-    with w = (M - I)v the iterates are M^t image = image + t*w.  If w = 0, v is
-    the fixed ray and every later step repeats this one.  Otherwise the orbit
-    moves away from the fixed ray, an end of sector j, towards the other end e.
-    The iterate is strictly inside sector j exactly while cross(image + t*w, e)
-    = c0 + t*c1 is positive, and c1 < 0 on the open sector, so the iterates
-    inside are those with t < n = ceil(-c0/c1) if c0 > 0, none otherwise; each
-    takes entry j with no tie, and the iterate at t = n is left to the ordinary
-    step, which decides its ties.
-    On sector j, M keeps y >= 0, so these are the exact vectors of single steps,
-    and none is a fixed ray (that would need w = 0) except possibly the last.
-    """
-    w = image.vector - v
-    if w.is_zero():
-        return [(j, tie, image)] * room
-    e = _RUN_EXIT[j]
-    c0 = image.vector.cross(e)
-    n = min(room, -(c0 / w.cross(e)).floor()) if c0.sign() > 0 else 0
-    steps = []
-    x = image.vector
-    for _ in range(n):
-        x = x + w
-        steps.append((j, False, Direction(x)))
-    return steps
 
 
 def _boundary_direction(j: int) -> Direction:
@@ -394,10 +492,11 @@ def reconstruct(prefix) -> RP1Interval:
 
     The interval is the sector of the last entry pulled back through the
     inverse branches of the earlier entries; prefixes of growing length give
-    nested intervals shrinking to the coded direction.  A run of n equal
-    parabolic entries j = 1, 7 is crossed at once: its inverse branch M is
-    unipotent, so M^n = I + n(M - I), and on [pi/8, pi] it keeps y >= 0, so
-    the endpoints are the exact vectors of n single steps.
+    nested intervals shrinking to the coded direction.  Both endpoints are
+    pulled back on integral vectors.  A run of n equal parabolic entries
+    j = 1, 7 is crossed at once: its inverse branch M is unipotent, so
+    M^n = I + n(M - I), and on [pi/8, pi] it keeps y >= 0, so the endpoints are
+    the exact vectors of n single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
@@ -405,21 +504,18 @@ def reconstruct(prefix) -> RP1Interval:
     if any(s == 0 for s in entries[1:]) or not all(0 <= s <= 7 for s in entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
     last = entries[-1]
-    ends = [_boundary_direction(last), _boundary_direction(last + 1)]
+    # the sector ends have denominator 1
+    ends = [(_ints(_boundary_direction(b).vector)[0], 0) for b in (last, last + 1)]
     for s, run in groupby(reversed(entries[:-1])):
-        inv, n = GAMMA_NU_INV[s], len(tuple(run))
+        (k, m), n = _INVERSE_BRANCHES[s], len(tuple(run))
         if n > 1 and s in _PARABOLIC:
-            inv, n = _unipotent_power(inv, n), 1
+            m, n = tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m)), 1
         for _ in range(n):
-            ends = [Direction(inv.apply(e.vector)) for e in ends]
-    if theta_cmp(ends[0], ends[1]) <= 0:
-        return RP1Interval(ends[0], ends[1])
-    return RP1Interval(ends[1], ends[0])
-
-
-def _unipotent_power(m: Mat2, n: int) -> Mat2:
-    """m**n for a unipotent m, (m - I)^2 = 0, as I + n(m - I)."""
-    return Mat2(1 + n * (m.a - 1), n * m.b, n * m.c, 1 + n * (m.d - 1))
+            ends = [_strip(_apply(m, v), e + k) for v, e in ends]
+    lo, hi = (_direction(v, 1, e) for v, e in ends)
+    if theta_cmp(lo, hi) <= 0:
+        return RP1Interval(lo, hi)
+    return RP1Interval(hi, lo)
 
 
 def dual_expansion(e: FareyExpansion) -> FareyExpansion:

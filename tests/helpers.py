@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from octocf.diagch import HitsSingularity
 from octocf.farey import (
-    _FIXED_RAY_PI8,
     GAMMA_NU,
     GAMMA_NU_INV,
     SECTOR_BOUNDS,
@@ -18,7 +17,6 @@ from octocf.farey import (
     RP1Interval,
     TiePolicy,
     _boundary_direction,
-    _choose_sector,
     _expand_orbit,
     expand,
     theta_cmp,
@@ -109,19 +107,31 @@ def classify_directions():
 
 
 def reference_classify(d: Direction) -> tuple[int, ...]:
-    """``farey.classify`` by one division u = x/y and up to fourteen bound comparisons."""
+    """``farey.classify`` by one division u = x/y and a comparison with each of the seven bounds."""
     if d.is_theta_zero:
         return (0,)
     if d.is_theta_pi:
         return (7,)
     u = d.vector.x / d.vector.y
+    side = [(u - b).sign() for b in SECTOR_BOUNDS]  # the sign of u - cot((j+1)pi/8)
     sectors = []
     for j in range(8):
-        above = j == 7 or u >= SECTOR_BOUNDS[j]  # u >= cot((j+1)pi/8)
-        below = j == 0 or u <= SECTOR_BOUNDS[j - 1]  # u <= cot(j pi/8)
+        above = j == 7 or side[j] >= 0  # u >= cot((j+1)pi/8)
+        below = j == 0 or side[j - 1] <= 0  # u <= cot(j pi/8)
         if above and below:
             sectors.append(j)
     return tuple(sectors)
+
+
+def reference_choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple[int, bool]:
+    """The tie policy on :func:`reference_classify`: entry 0 only at step 0."""
+    sectors = reference_classify(d)
+    admissible = [j for j in sectors if j != 0 or step == 0]
+    pick = min if policy is TiePolicy.LOW else max
+    return pick(admissible), len(sectors) > 1
+
+
+_FIXED_RAY_PI8 = Direction(Vec2(QuadNum(1, 1), QuadNum(1)))
 
 
 def reference_expand_orbit(
@@ -135,7 +145,7 @@ def reference_expand_orbit(
     tail = None
     cur = d
     for k in range(depth):
-        j, tie = _choose_sector(cur, k, policy)
+        j, tie = reference_choose_sector(cur, k, policy)
         boundary_hit = boundary_hit or tie
         cur = Direction(GAMMA_NU[j].apply(cur.vector))
         orbit.append((j, tie, cur))

@@ -1,6 +1,8 @@
 """Octagon Farey map: sectors, folding, expansions, reconstruction, duals."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 from helpers import (
     classify_directions,
     interior_directions,
+    nonzero_quadnums,
     reference_classify,
     reference_expand_orbit,
     reference_reconstruct,
 )
-from octocf import farey
+from octocf import farey, numerics
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -65,7 +68,8 @@ class TestDihedralElements:
         assert GAMMA_NU[j].apply(ray) == ray
         # the run length of _expand_orbit is a floor, as c1 = cross((M - I)v, exit) has
         # one sign on the open sector: it is linear in v, zero only at the fixed ray
-        exit_end = _RUN_EXIT[j]
+        xp, xq, yp, yq = _RUN_EXIT[j]
+        exit_end = Vec2(QuadNum(xp, xq), QuadNum(yp, yq))
         for k in (j, j + 1):
             end = _grid_direction(k).vector
             c1 = (GAMMA_NU[j].apply(end) - end).cross(exit_end).sign()
@@ -73,6 +77,27 @@ class TestDihedralElements:
                 assert c1 == 0 and end.cross(exit_end).sign() > 0  # the interior sign
             else:
                 assert c1 < 0 and end.cross(exit_end).sign() == 0
+
+    def test_integral_branches(self):
+        # the walks step with sqrt2^k * M, integral over Z[sqrt2]; k = 1 for j = 1, 2, 5, 6
+        vectors = [Vec2(3, 1), Vec2(QuadNum(Fraction(-5, 7), 2), QuadNum(1, 1)), Vec2(-1, 0)]
+        tables = ((GAMMA_NU, farey._BRANCHES), (GAMMA_NU_INV, farey._INVERSE_BRANCHES))
+        for branches, table in tables:
+            for j, (m, (k, ints)) in enumerate(zip(branches, table, strict=True)):
+                assert k == (j in (1, 2, 5, 6))
+                for v in vectors:
+                    v_ints, den = farey._ints(v)
+                    image = farey._direction(farey._apply(ints, v_ints), den, k)
+                    assert image == Direction(m.apply(v))
+
+    def test_branches_keep_the_upper_half_plane(self):
+        # so the integral walks never negate: GAMMA_NU[j] maps the closed sector j, and
+        # GAMMA_NU_INV[j] maps [pi/8, pi], into y >= 0, as both are linear
+        for j in range(8):
+            for end in (j, j + 1):
+                assert GAMMA_NU[j].apply(_grid_direction(end).vector).y.sign() >= 0
+            for end in (1, 8):
+                assert GAMMA_NU_INV[j].apply(_grid_direction(end).vector).y.sign() >= 0
 
     def test_folding_maps_sector_onto_sector0(self):
         # endpoints of each sector land on the endpoints of sector 0
@@ -147,6 +172,30 @@ def _height_direction(rng: random.Random, bits: int) -> Direction:
     return Direction(Vec2(coordinate(), coordinate()))
 
 
+def _power_of_root2(e: int) -> QuadNum:
+    """sqrt2^e by repeated products of sqrt2 or of 1/sqrt2 = sqrt2/2."""
+    factor = QuadNum(0, 1) if e > 0 else QuadNum(0, Fraction(1, 2))
+    power = QuadNum(1)
+    for _ in range(abs(e)):
+        power = power * factor
+    return power
+
+
+@pytest.mark.parametrize("e", [-5, -2, -1, 0, 1, 4])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(*[st.integers(-(10**40), 10**40)] * 4).filter(any),
+    st.integers(1, 10**30),
+)
+def test_direction_from_ints_is_the_fraction_built_one(e, v, den):
+    # the walks' vector v/(den*sqrt2^e), built once per coordinate, is the exact vector
+    xp, xq, yp, yq = v
+    scale = _power_of_root2(-e)
+    x = QuadNum(Fraction(xp, den), Fraction(xq, den)) * scale
+    y = QuadNum(Fraction(yp, den), Fraction(yq, den)) * scale
+    assert farey._direction(v, den, e) == Direction(Vec2(x, y))
+
+
 def _assert_orbit_is_the_reference(d, depth, policy):
     expansion, orbit = _expand_orbit(d, depth, policy)
     reference, reference_orbit = reference_expand_orbit(d, depth, policy)
@@ -192,12 +241,59 @@ class TestOrbit:
 
     @pytest.mark.parametrize("j", [1, 7])
     def test_a_run_is_crossed_without_classifying(self, j, monkeypatch):
-        # only the step into the run and the step out of it classify an iterate
+        # only the step into the run and the step out of it choose a sector
         calls = []
-        monkeypatch.setattr(farey, "classify", lambda d: calls.append(d) or classify(d))
+        choose = farey._choose_sector
+        monkeypatch.setattr(
+            farey, "_choose_sector", lambda *args: calls.append(args) or choose(*args)
+        )
         d = _pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), [(j, 500)])
         assert expand(d, 501).entries == (j,) * 500 + (2,)
         assert len(calls) == 2
+
+    def test_expand_builds_no_object_per_step(self, monkeypatch):
+        counts = Counter()
+        init = Direction.__init__
+
+        def counting_init(self, vector):
+            counts["Direction"] += 1
+            init(self, vector)
+
+        monkeypatch.setattr(Direction, "__init__", counting_init)
+        monkeypatch.setattr(numerics, "gcd", lambda *a: counts.update(["gcd"]) or math.gcd(*a))
+        d = _height_direction(random.Random(7), 256)
+        built = []
+        for depth in (10, 1000):
+            counts.clear()
+            assert len(expand(d, depth).entries) == depth
+            built.append(dict(counts))
+        assert built[0] == built[1]
+        assert "Direction" not in built[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            classify_directions(),
+            st.builds(_height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
+        ),
+        st.one_of(
+            st.sampled_from([QuadNum(0, 1), QuadNum(1, 1), QuadNum(0, 2), QuadNum(4)]),
+            st.builds(
+                lambda n, m: QuadNum(Fraction(n, m)), st.integers(1, 10**40), st.integers(1, 10**40)
+            ),
+            nonzero_quadnums().map(abs),
+        ),
+        st.integers(1, 60),
+        st.sampled_from(list(TiePolicy)),
+    )
+    def test_scaling_the_vector_keeps_the_expansion(self, d, c, depth, policy):
+        # a direction is a ray: c*v has the expansion of v, and, the branches being
+        # linear, the images c times those of v; this checks the sqrt2 content stripping
+        scaled = Direction(d.vector.scale(c))
+        expansion, orbit = _expand_orbit(scaled, depth, policy)
+        assert expand(scaled, depth, policy) == expansion == expand(d, depth, policy)
+        for (j, tie, image), (j0, tie0, image0) in zip(orbit, _expand_orbit(d, depth, policy)[1]):
+            assert (j, tie, image) == (j0, tie0, Direction(image0.vector.scale(c)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -373,11 +469,38 @@ class TestReconstruct:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7]),
-        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 150)), min_size=1, max_size=5),
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 7), st.integers(1, 150)),
+                st.tuples(st.sampled_from([1, 7]), st.integers(1, 500)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
     )
     def test_run_length_prefixes_match_the_reference(self, first, runs):
         entries = (first,) + tuple(j for j, n in runs for _ in range(n))
         assert reconstruct(entries) == reference_reconstruct(entries)
+
+    @pytest.mark.parametrize(
+        "entries, zero_end, pi_end",
+        [
+            ((0,), True, False),
+            ((7,), False, True),
+            ((7,) * 60, False, True),
+            ((0, 7), True, False),
+            ((0,) + (7,) * 60, True, False),
+            ((3,) + (7,) * 60, False, False),
+            ((5, 1) + (7,) * 9, False, False),
+            ((2,) + (7,) * 3 + (1,) * 5 + (7,), False, False),
+        ],
+    )
+    def test_endpoints_on_and_through_the_horizontals(self, entries, zero_end, pi_end):
+        # the ray pi is fixed by the 7s and goes to theta = 0 through entry 0 or to an
+        # interior ray through the others; theta = 0 and pi share the slope u = inf
+        interval = reconstruct(entries)
+        assert interval == reference_reconstruct(entries)
+        assert (interval.lo.is_theta_zero, interval.hi.is_theta_pi) == (zero_end, pi_end)
 
     def test_inadmissible_prefix(self):
         with pytest.raises(InadmissiblePrefixError):
