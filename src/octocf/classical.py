@@ -44,7 +44,8 @@ class QuadraticIrrational:
 
     The representative is canonical: c > 0, gcd(a, b, c) = 1, and d = 0
     whenever the value is rational (square d is folded into the rational
-    part).  Arithmetic stays inside Q(sqrt(d)).
+    part).  The class carries no arithmetic: the torus baseline reads its
+    ints and computes with the exact kernel in ``numerics``.
     """
 
     a: int
@@ -69,16 +70,10 @@ class QuadraticIrrational:
         object.__setattr__(self, "c", c // g)
         object.__setattr__(self, "d", d)
 
-    # -- constructors --------------------------------------------------------
-
     @staticmethod
     def from_fraction(x: Fraction | int) -> "QuadraticIrrational":
         x = Fraction(x)
         return QuadraticIrrational(x.numerator, 0, x.denominator, 0)
-
-    @staticmethod
-    def from_quadnum(q: QuadNum) -> "QuadraticIrrational":
-        return QuadraticIrrational(*q.ints, 2)
 
     @staticmethod
     def sqrt_of(n: int) -> "QuadraticIrrational":
@@ -88,81 +83,8 @@ class QuadraticIrrational:
     def golden_ratio() -> "QuadraticIrrational":
         return QuadraticIrrational(1, 1, 2, 5)
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def _compatible(self, other) -> "QuadraticIrrational":
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticIrrational.from_fraction(other)
-        if not isinstance(other, QuadraticIrrational):
-            raise TypeError(f"cannot combine with {type(other).__name__}")
-        if self.d and other.d and self.d != other.d:
-            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return other
-
-    def __add__(self, other) -> "QuadraticIrrational":
-        other = self._compatible(other)
-        d = self.d or other.d
-        return QuadraticIrrational(
-            self.a * other.c + other.a * self.c,
-            self.b * other.c + other.b * self.c,
-            self.c * other.c,
-            d,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(-self.a, -self.b, self.c, self.d)
-
-    def __sub__(self, other) -> "QuadraticIrrational":
-        return self + (-self._compatible(other))
-
-    def __rsub__(self, other) -> "QuadraticIrrational":
-        return (-self) + self._compatible(other)
-
-    def __mul__(self, other) -> "QuadraticIrrational":
-        other = self._compatible(other)
-        d = self.d or other.d
-        return QuadraticIrrational(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            self.c * other.c,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadraticIrrational":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        return QuadraticIrrational(self.a * self.c, -self.b * self.c, norm, self.d)
-
-    def __truediv__(self, other) -> "QuadraticIrrational":
-        return self * self._compatible(other).inverse()
-
-    def __rtruediv__(self, other) -> "QuadraticIrrational":
-        return self._compatible(other) * self.inverse()
-
-    # -- order -------------------------------------------------------------------
-
     def sign(self) -> int:
         return quad_sign(self.a, self.b, self.d)
-
-    def __abs__(self) -> "QuadraticIrrational":
-        return -self if self.sign() < 0 else self
-
-    def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
 
     def floor(self) -> int:
         """Exact floor; the irrational part is bracketed by integer square roots."""
@@ -177,15 +99,18 @@ class QuadraticIrrational:
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
-def _exact(alpha) -> QuadraticIrrational:
-    if isinstance(alpha, QuadraticIrrational):
-        return alpha
-    if isinstance(alpha, QuadNum):
-        return QuadraticIrrational.from_quadnum(alpha)
-    if isinstance(alpha, (int, Fraction)):
-        return QuadraticIrrational.from_fraction(alpha)
+def _ints(x) -> tuple[int, int, int, int]:
+    """The ints (a, b, c, d) with x = (a + b*sqrt(d))/c and c > 0."""
+    if isinstance(x, QuadraticIrrational):
+        return x.a, x.b, x.c, x.d
+    if isinstance(x, QuadNum):
+        return (*x.ints, 2)
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        return x.numerator, 0, x.denominator, 0
     raise TypeError(
-        "alpha must be exact: int, Fraction, QuadNum or QuadraticIrrational"
+        f"expected an exact number: int, Fraction, QuadNum or QuadraticIrrational, "
+        f"got {type(x).__name__}"
     )
 
 
@@ -194,20 +119,20 @@ def gauss_step(x):
 
     The input type (Fraction, QuadNum, or QuadraticIrrational) is preserved.
     """
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        if not 0 < x < 1:
-            raise ValueError("gauss_step needs 0 < x < 1")
-        inv = 1 / x
-        digit = inv.numerator // inv.denominator
-        return digit, inv - digit
-    if isinstance(x, (QuadNum, QuadraticIrrational)):
-        if x.sign() <= 0 or (x - 1).sign() >= 0:
-            raise ValueError("gauss_step needs 0 < x < 1")
-        inv = x.inverse()
-        digit = inv.floor()
-        return digit, inv - digit
-    raise TypeError("unsupported operand type for the Gauss map")
+    a, b, c, d = _ints(x)
+    if quad_sign(a, b, d) <= 0 or quad_sign(a - c, b, d) >= 0:
+        raise ValueError("gauss_step needs 0 < x < 1")
+    # 1/x = c*(a - b*sqrt(d))/norm by the conjugate; the norm is nonzero for x != 0
+    p, q, norm = c * a, -c * b, a * a - d * b * b
+    if norm < 0:
+        p, q, norm = -p, -q, -norm
+    digit = quad_floor(p, q, norm, d)
+    p -= digit * norm
+    if isinstance(x, QuadraticIrrational):
+        return digit, QuadraticIrrational(p, q, norm, d)
+    if isinstance(x, QuadNum):
+        return digit, QuadNum(Fraction(p, norm), Fraction(q, norm))
+    return digit, Fraction(p, norm)
 
 
 @dataclass(frozen=True)
@@ -221,19 +146,55 @@ class GeometricConvergents:
     @property
     def intermediates(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The skipped multiples i*e_{n-1} + e_{n-2} (0 < i < a_n), grouped per step."""
+        return tuple(self._groups(tuple))
+
+    def _groups(self, kind):
+        """Each step's skipped multiples, as ``kind`` of ``kind`` pairs."""
         basis = ((0, 1), (1, 0)) + self.vectors
-        return tuple(
-            tuple((prev[0] + i * cur[0], prev[1] + i * cur[1]) for i in range(1, digit))
-            for digit, prev, cur in zip(self.digits, basis, basis[1:])
-        )
+        for digit, prev, cur in zip(self.digits, basis, basis[1:]):
+            yield kind(kind((prev[0] + i * cur[0], prev[1] + i * cur[1])) for i in range(1, digit))
 
     def to_json(self) -> dict:
         return {
             "digits": list(self.digits),
             "vectors": [list(v) for v in self.vectors],
-            "intermediates": [[list(v) for v in group] for group in self.intermediates],
+            "intermediates": list(self._groups(list)),
             "halted": self.halted,
         }
+
+
+def _steps(alpha, n: int):
+    """Yield ``(digit, vector, landed)`` for the first n steps of the construction.
+
+    With alpha = (a + b*sqrt(d))/c, the lattice vector (p, q) is off the line
+    by C = c*(q*alpha - p) = (q*a - p*c) + q*b*sqrt(d).  Write
+    C_prev*conj(C_cur) = s - t*sqrt(d); each digit k is then one exact floor of
+    -C_prev/C_cur = (-s + t*sqrt(d))/N(C_cur).  For C_new = C_prev + k*C_cur,
+    N(C_new) = N(C_prev) + 2*k*s + k^2*N(C_cur), and the pair (C_cur, C_new)
+    has s + k*N(C_cur) and -t, so these four ints keep the size of alpha's
+    while the vectors grow.  A vector lands on the line when C = 0, that is
+    when N(C) = 0, as sqrt(d) is irrational whenever b != 0; the iterator
+    stops after that step.
+    """
+    a, b, c, d = _ints(alpha)
+    if quad_sign(a, b, d) <= 0:
+        raise ValueError("alpha must be positive")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    e_prev, e_cur = (0, 1), (1, 0)
+    # C = a + b*sqrt(d) for (0, 1) and C = -c for (1, 0)
+    n_prev, n_cur, s, t = a * a - d * b * b, c * c, -a * c, b * c
+    for _ in range(n):
+        if n_cur > 0:
+            digit = quad_floor(-s, t, n_cur, d)
+        else:
+            digit = quad_floor(s, -t, -n_cur, d)
+        e_prev, e_cur = e_cur, (e_prev[0] + digit * e_cur[0], e_prev[1] + digit * e_cur[1])
+        n_prev, n_cur, s, t = n_cur, n_prev + digit * (2 * s + digit * n_cur), s + digit * n_cur, -t
+        landed = n_cur == 0
+        yield digit, e_cur, landed
+        if landed:
+            return
 
 
 def geometric_convergents(alpha, n: int) -> GeometricConvergents:
@@ -244,28 +205,12 @@ def geometric_convergents(alpha, n: int) -> GeometricConvergents:
     the flag set) when a vector lands exactly on the line, which happens
     precisely for rational alpha.
     """
-    a = _exact(alpha)
-    if a.sign() <= 0:
-        raise ValueError("alpha must be positive")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    e_prev, e_cur = (0, 1), (1, 0)
-    c_prev, c_cur = a, QuadraticIrrational.from_fraction(-1)
     digits: list[int] = []
     vectors: list[tuple[int, int]] = []
     halted = False
-    for _ in range(n):
-        ratio = -c_prev / c_cur
-        digit = ratio.floor()
-        new_vec = (e_prev[0] + digit * e_cur[0], e_prev[1] + digit * e_cur[1])
+    for digit, vector, halted in _steps(alpha, n):
         digits.append(digit)
-        vectors.append(new_vec)
-        c_new = c_prev + digit * c_cur
-        if c_new.sign() == 0:
-            halted = True
-            break
-        e_prev, e_cur = e_cur, new_vec
-        c_prev, c_cur = c_cur, c_new
+        vectors.append(vector)
     return GeometricConvergents(tuple(digits), tuple(vectors), halted)
 
 

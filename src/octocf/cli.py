@@ -191,12 +191,19 @@ def _cmd_convergents(args) -> int:
     from . import classical
 
     alpha, approximate = _parse_alpha(args.alpha)
-    result = classical.geometric_convergents(alpha, args.steps)
-    if sum(max(digit - 1, 0) for digit in result.digits) > _MAX_DENOMINATOR:
-        raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
-    # The last convergent is the largest int listed; refuse it before any output is written.
-    if result.vectors and max(result.vectors[-1]) >= 10**_MAX_INT_DIGITS:
-        raise _ParseFailure(f"convergents with more than {_MAX_INT_DIGITS} digits to list")
+    digits, vectors, halted = [], [], False
+    listed, limit = 0, 10**_MAX_INT_DIGITS
+    # Refuse at the step that crosses a limit, before any output is written.
+    # Convergents grow, so each new vector holds the largest int listed so far.
+    for digit, vector, halted in classical._steps(alpha, args.steps):
+        listed += max(digit - 1, 0)
+        if listed > _MAX_DENOMINATOR:
+            raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
+        if max(vector) >= limit:
+            raise _ParseFailure(f"convergents with more than {_MAX_INT_DIGITS} digits to list")
+        digits.append(digit)
+        vectors.append(vector)
+    result = classical.GeometricConvergents(tuple(digits), tuple(vectors), halted)
     if args.format == "text":
         lines = ["step  digit  p/q" + " " * 12 + "intermediates"]
         rows = zip(result.digits, result.vectors, result.intermediates)

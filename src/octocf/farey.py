@@ -299,6 +299,10 @@ _PARABOLIC = (1, 7)
 #: 7pi/8 for j = 7, as ints, oriented so that the sector's interior has positive cross.
 _RUN_EXIT = {1: (1, 0, 1, 0), 7: (1, 1, -1, 0)}
 
+#: The admissible entries: the first may be any sector 0..7, the later ones lie in 1..7.
+_FIRST_ENTRIES = frozenset(range(8))
+_LATER_ENTRIES = frozenset(range(1, 8))
+
 
 @dataclass(frozen=True)
 class FareyExpansion:
@@ -318,8 +322,8 @@ class FareyExpansion:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("an expansion needs at least one entry")
-        if any(s == 0 for s in self.entries[1:]) or not all(
-            0 <= s <= 7 for s in self.entries
+        if self.entries[0] not in _FIRST_ENTRIES or not _LATER_ENTRIES.issuperset(
+            self.entries[1:]
         ):
             raise InadmissiblePrefixError(f"inadmissible entries {self.entries}")
         if self.terminating and self.tail not in (1, 7):
@@ -501,7 +505,7 @@ def reconstruct(prefix) -> RP1Interval:
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
-    if any(s == 0 for s in entries[1:]) or not all(0 <= s <= 7 for s in entries):
+    if entries[0] not in _FIRST_ENTRIES or not _LATER_ENTRIES.issuperset(entries[1:]):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
     last = entries[-1]
     # the sector ends have denominator 1

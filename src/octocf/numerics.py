@@ -49,8 +49,9 @@ def _as_fraction(x) -> Fraction:
 
 # -- the exact kernel over (p + q*sqrt(d))/den -------------------------------------
 #
-# Shared by QuadNum (d = 2) and classical.QuadraticIrrational.  Every function
-# assumes den > 0 and that d is not a perfect square whenever q != 0.
+# Shared by QuadNum (d = 2) and the torus baseline in classical, which computes
+# on the ints of (a + b*sqrt(d))/c for any d.  Every function assumes den > 0
+# and that d is not a perfect square whenever q != 0.
 
 
 def quad_sign(p: int, q: int, d: int) -> int:

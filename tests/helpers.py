@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from octocf.classical import GeometricConvergents, QuadraticIrrational
 from octocf.diagch import HitsSingularity
 from octocf.farey import (
     GAMMA_NU,
@@ -22,7 +23,7 @@ from octocf.farey import (
     theta_cmp,
 )
 from octocf.h2moves import SectorWordError, resolved_word
-from octocf.numerics import Mat2, QuadNum, Vec2
+from octocf.numerics import Mat2, QuadNum, Vec2, quad_sign
 from octocf.octagon import ExpansionTrace, TraceStep, _WordRun, qprime
 
 
@@ -69,6 +70,81 @@ def reference_cross(v: Vec2, w: Vec2) -> QuadNum:
 
 def reference_dot(v: Vec2, w: Vec2) -> QuadNum:
     return v.x * w.x + v.y * w.y
+
+
+# The torus baseline on the ints (a, b, c, d) of alpha = (a + b*sqrt(d))/c:
+# the lattice vector (p, q) is off the line by c*(q*alpha - p) = x + y*sqrt(d)
+# with x = q*a - p*c and y = q*b.
+
+
+def exact_ints(x) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with x = (a + b*sqrt(d))/c and c > 0."""
+    if isinstance(x, QuadraticIrrational):
+        return x.a, x.b, x.c, x.d
+    if isinstance(x, QuadNum):
+        p, q, den = x.ints
+        return p, q, den, 2
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator, 0
+
+
+def _offset(ints, v) -> tuple[int, int]:
+    a, b, c, _ = ints
+    p, q = v
+    return q * a - p * c, q * b
+
+
+def error_cmp(alpha, v1, v2) -> int:
+    """The sign of |q1*alpha - p1| - |q2*alpha - p2| for lattice vectors (p, q).
+
+    It is the sign of E1^2 - E2^2 in Z[sqrt(d)] for the offsets E = x + y*sqrt(d).
+    """
+    ints = exact_ints(alpha)
+    d = ints[3]
+    (x1, y1), (x2, y2) = _offset(ints, v1), _offset(ints, v2)
+    return quad_sign(x1 * x1 + d * y1 * y1 - x2 * x2 - d * y2 * y2, 2 * (x1 * y1 - x2 * y2), d)
+
+
+def reference_geometric_convergents(alpha, n: int) -> GeometricConvergents:
+    """``geometric_convergents`` by its definition, with sign tests only.
+
+    Each step adds the newer vector to the older one, one at a time, while the
+    sum stays on the older vector's side of the line; landing on the line ends
+    the step and the construction.
+    """
+    ints = exact_ints(alpha)
+
+    def side(v):
+        return quad_sign(*_offset(ints, v), ints[3])
+
+    older, newer = (0, 1), (1, 0)
+    digits, vectors = [], []
+    for _ in range(n):
+        keep = side(older)
+        digit, vec = 0, older
+        while side(vec) == keep:
+            nxt = (vec[0] + newer[0], vec[1] + newer[1])
+            if side(nxt) == -keep:
+                break
+            digit, vec = digit + 1, nxt
+        digits.append(digit)
+        vectors.append(vec)
+        if side(vec) == 0:
+            return GeometricConvergents(tuple(digits), tuple(vectors), True)
+        older, newer = newer, vec
+    return GeometricConvergents(tuple(digits), tuple(vectors), False)
+
+
+def reference_gauss_step(x):
+    """``gauss_step`` with the digit found by sign tests: the largest k with k*x <= 1."""
+    a, b, c, d = exact_ints(x)
+    digit = 1
+    while quad_sign(c - (digit + 1) * a, -(digit + 1) * b, d) >= 0:
+        digit += 1
+    if isinstance(x, QuadraticIrrational):
+        norm = a * a - d * b * b  # 1/x = c*(a - b*sqrt(d))/norm
+        return digit, QuadraticIrrational(c * a - digit * norm, -c * b, norm, d)
+    return digit, 1 / x - digit
 
 
 def interior_directions():

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import cone_contains_cone, cones_of
+from helpers import cone_contains_cone, cones_of, error_cmp
 from octocf import intmat
 from octocf.classical import (
     QuadraticIrrational,
@@ -34,7 +34,7 @@ from octocf.h2moves import (
     sector_matrix,
     sector_word,
 )
-from octocf.numerics import Mat2, ProjVal, QuadNum, Vec2, moebius
+from octocf.numerics import Mat2, ProjVal, QuadNum, Vec2, moebius, quad_floor
 from octocf.octagon import (
     OCTAGON_AREA,
     _WordRun,
@@ -241,17 +241,17 @@ def test_criterion_6_torus_baseline_oracle():
     for alpha, start_index in ((sqrt2, 0), (golden, 1)):
         vectors = geometric_convergents(alpha, 25).vectors[start_index:]
         convergents = {q: p for p, q in vectors if q <= 10**4}
-        best = None
+        best = None  # the (p, q) with the least |q*alpha - p| so far
         for q in range(1, 10**4 + 1):
-            scaled = alpha * q
-            p = scaled.floor()
-            err = min(abs(scaled - p), abs(scaled - (p + 1)))
+            p = quad_floor(q * alpha.a, q * alpha.b, alpha.c, alpha.d)
+            nearest = (p, q) if error_cmp(alpha, (p, q), (p + 1, q)) <= 0 else (p + 1, q)
             if q in convergents:
-                conv_err = abs(scaled - convergents[q])
-                assert conv_err == err, q  # the convergent numerator is optimal
-                assert best is None or conv_err <= best, q
-            if best is None or err < best:
-                best = err
+                conv = (convergents[q], q)
+                # the convergent numerator is optimal
+                assert error_cmp(alpha, conv, nearest) == 0, q
+                assert best is None or error_cmp(alpha, conv, best) <= 0, q
+            if best is None or error_cmp(alpha, nearest, best) < 0:
+                best = nearest
     got = geometric_convergents(sqrt2, 30)
     vecs = ((0, 1), (1, 0)) + got.vectors
     for prev, cur in zip(vecs, vecs[1:]):

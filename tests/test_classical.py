@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octocf.classical import (
     QuadraticIrrational,
@@ -10,7 +12,14 @@ from octocf.classical import (
     geometric_convergents,
     intermediate_convergents,
 )
-from octocf.numerics import QuadNum
+from octocf.numerics import QuadNum, quad_floor
+
+from helpers import (
+    error_cmp,
+    nonzero_quadnums,
+    reference_gauss_step,
+    reference_geometric_convergents,
+)
 
 SQRT2 = QuadraticIrrational.sqrt_of(2)
 GOLDEN = QuadraticIrrational.golden_ratio()
@@ -35,10 +44,11 @@ class TestGaussStep:
             gauss_step(Fraction(0))
 
     def test_quadratic_irrational_type_preserved(self):
-        digit, rest = gauss_step(GOLDEN - 1)
+        phi_minus_1 = QuadraticIrrational(-1, 1, 2, 5)
+        digit, rest = gauss_step(phi_minus_1)
         assert digit == 1
         assert isinstance(rest, QuadraticIrrational)
-        assert rest == GOLDEN - 1  # 1/phi = phi - 1 is the Gauss fixed point
+        assert rest == phi_minus_1  # 1/phi = phi - 1 is the Gauss fixed point
 
 
 class TestGeometricConvergents:
@@ -73,20 +83,19 @@ class TestGeometricConvergents:
 
     def test_crossing_signs_alternate(self):
         got = geometric_convergents(SQRT2, 12)
-        signs = [(SQRT2 * q - p).sign() for p, q in got.vectors]
+        signs = [QuadraticIrrational(-p, q, 1, 2).sign() for p, q in got.vectors]  # q*sqrt2 - p
         assert all(s != 0 for s in signs)
         assert all(a == -b for a, b in zip(signs, signs[1:]))
 
 
-def _best_error_below(alpha: QuadraticIrrational, q_max: int):
-    """Brute-force best |q*alpha - p| over 1 <= q <= q_max."""
+def _best_below(alpha: QuadraticIrrational, q_max: int) -> tuple[int, int]:
+    """Brute-force (p, q) with the least |q*alpha - p| over 1 <= q <= q_max."""
     best = None
     for q in range(1, q_max + 1):
-        p = (alpha * q).floor()
-        for cand in (p, p + 1):
-            err = abs(alpha * q - cand)
-            if best is None or err < best:
-                best = err
+        p = quad_floor(q * alpha.a, q * alpha.b, alpha.c, alpha.d)
+        for cand in ((p, q), (p + 1, q)):
+            if best is None or error_cmp(alpha, cand, best) < 0:
+                best = cand
     return best
 
 
@@ -98,8 +107,7 @@ def test_convergents_are_best_approximations(alpha, start):
     for p, q in got.vectors[start:]:
         if q > 10**4:
             break
-        err = abs(alpha * q - p)
-        assert err <= _best_error_below(alpha, q)
+        assert error_cmp(alpha, (p, q), _best_below(alpha, q)) <= 0
 
 
 class TestQuadraticIrrational:
@@ -109,17 +117,73 @@ class TestQuadraticIrrational:
 
     def test_floor(self):
         assert GOLDEN.floor() == 1
-        assert (GOLDEN * GOLDEN).floor() == 2
-        assert (-GOLDEN).floor() == -2
+        assert QuadraticIrrational(3, 1, 2, 5).floor() == 2  # phi^2
+        assert QuadraticIrrational(-1, -1, 2, 5).floor() == -2  # -phi
 
     def test_sign(self):
-        assert (GOLDEN - 1).sign() == 1
-        assert (GOLDEN - 2).sign() == -1
+        assert QuadraticIrrational(-1, 1, 2, 5).sign() == 1  # phi - 1
+        assert QuadraticIrrational(-3, 1, 2, 5).sign() == -1  # phi - 2
 
-    def test_mismatched_radicands(self):
-        with pytest.raises(ValueError):
-            SQRT2 + GOLDEN
 
-    def test_division(self):
-        assert (SQRT2 / SQRT2) == QuadraticIrrational.from_fraction(1)
-        assert SQRT2.inverse() * 2 == SQRT2
+def quadratic_irrationals(d: int):
+    ints = st.integers
+    return st.builds(QuadraticIrrational, ints(-50, 50), ints(-20, 20), ints(1, 30), st.just(d))
+
+
+def _from_partial_quotients(digits: list[int]) -> Fraction:
+    x = Fraction(digits[-1])
+    for digit in reversed(digits[:-1]):
+        x = digit + 1 / x
+    return x
+
+
+def small_quotient_fractions(first=st.integers(0, 5)):
+    """Positive rationals whose partial quotients are at most 5."""
+    rest = st.lists(st.integers(1, 5), max_size=30)
+    return st.builds(lambda a0, tail: _from_partial_quotients([a0, *tail]), first, rest).filter(
+        lambda x: x > 0
+    )
+
+
+def _fractional_part(x):
+    if isinstance(x, QuadraticIrrational):
+        return QuadraticIrrational(x.a - x.floor() * x.c, x.b, x.c, x.d)
+    return x - x.floor()
+
+
+RADICANDS = (2, 3, 5, 6, 7, 10, 13)
+
+#: Positive exact numbers of each input type, one entry per radicand.
+ALPHAS = {
+    **{f"sqrt{d}": quadratic_irrationals(d).filter(lambda x: x.sign() > 0) for d in RADICANDS},
+    "QuadNum": nonzero_quadnums().map(abs),
+    "Fraction": small_quotient_fractions(),
+}
+
+#: Exact numbers in (0, 1) of each input type of the Gauss map.
+UNIT_INTERVAL = {
+    **{
+        f"sqrt{d}": quadratic_irrationals(d).map(_fractional_part).filter(lambda x: x.sign())
+        for d in RADICANDS
+    },
+    "QuadNum": nonzero_quadnums().map(_fractional_part).filter(lambda x: x.sign()),
+    "Fraction": small_quotient_fractions(first=st.just(0)).filter(lambda x: x < 1),
+}
+
+
+@pytest.mark.parametrize("alphas", ALPHAS.values(), ids=ALPHAS.keys())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_geometric_convergents_match_the_definition(alphas, data):
+    alpha, n = data.draw(alphas), data.draw(st.integers(0, 40))
+    assert geometric_convergents(alpha, n) == reference_geometric_convergents(alpha, n)
+
+
+@pytest.mark.parametrize("xs", UNIT_INTERVAL.values(), ids=UNIT_INTERVAL.keys())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gauss_step_matches_the_sign_test_digit(xs, data):
+    x = data.draw(xs)
+    digit, rest = gauss_step(x)
+    assert (digit, rest) == reference_gauss_step(x)
+    assert type(rest) is type(x)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON output, exit-code contract."""
 
+import hashlib
 import io
 import json
 import sys
@@ -112,6 +113,44 @@ class TestConvergents:
         code, out, err = run_cli(capsys, *argv, "30")
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: convergents with more than 6 digits to list\n"
+
+    def test_refuses_at_the_step_past_the_digit_limit(self, capsys, monkeypatch):
+        # a billion steps would never finish; the limit is crossed at step 30
+        monkeypatch.setattr("octocf.cli._MAX_INT_DIGITS", 6)
+        argv = ("convergents", "--alpha", "golden", "--steps", "1000000000")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: convergents with more than 6 digits to list\n"
+
+    @pytest.mark.parametrize(
+        "alpha, fmt, digest",
+        [
+            ("sqrt2", "json", "75dd1ded506828586403c524087cc243342433b8d22af44268ca25698144befc"),
+            ("sqrt2", "text", "945b9a65467a70be47ed0e329457fcf63c147f4ed9ee8fc5257831f5adb66e30"),
+            ("golden", "json", "998e2926e215c71e21679fc3803e8b7443d50ab81c336ba03a3684bf3e7aff0d"),
+            ("golden", "text", "467cde800e00d93b3314a689e43537c0590a6c1118f20cf1dd0cf6eaa80a069f"),
+            ("1+sqrt2", "json", "23791d4b835033b539ee0b6745b1a3a917c721bd3741023a2385efbd0abd7eff"),
+            ("1+sqrt2", "text", "1e2a1e9741da3227b66da5c26528e504ea460182299f7573e2d9d9fb30773472"),
+            (
+                "3/7-1/5*sqrt2",
+                "json",
+                "e19a6baa48925236b6a6602f6b99fdfc062cc8cf54ffd30df7ff01d95aa0701f",
+            ),
+            (
+                "3/7-1/5*sqrt2",
+                "text",
+                "d3232039e32633271c50317498270bb26f53ff376f4cf607c432d4e07da82546",
+            ),
+            ("355/113", "json", "2323365c639ac328ab1ba423dffc78bda8f4893b3d5bd03af9a2cbee09de6cae"),
+            ("355/113", "text", "5b5e31c5dcf3924748f24afa5acc809bac57572f44446fc2a0647471f5f99895"),
+            ("1.5", "json", "3cedbf6b10e4541a68b696a9a79490c0a65b92b9325518cdcc88df51b32b75bd"),
+            ("1.5", "text", "7b945d039c92d5370b9f0f3a16d71b7e709ba08ae08c16688119a4d69b2a1514"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, alpha, fmt, digest):
+        code, out, _ = run_cli(capsys, "convergents", "--alpha", alpha, "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_decimal_alpha_is_approximate(self, capsys):
         code, out, err = run_cli(capsys, "convergents", "--alpha", "1.5", "--steps", "2")

@@ -506,6 +506,13 @@ class TestReconstruct:
         with pytest.raises(InadmissiblePrefixError):
             reconstruct([2, 0, 1])
 
+    @pytest.mark.parametrize("entries", [[1.5], ["1"], [2, 1.5], [2, "1"], [8], [3, -1]])
+    def test_non_sector_entries_are_inadmissible(self, entries):
+        with pytest.raises(InadmissiblePrefixError):
+            reconstruct(entries)
+        with pytest.raises(InadmissiblePrefixError):
+            FareyExpansion(tuple(entries))
+
     def test_even_dual_tails_squeeze_to_common_point(self):
         # the two representations across an even entry shrink onto one direction
         widths = []
