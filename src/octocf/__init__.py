@@ -20,6 +20,8 @@ h2moves
     The two-node reduced move system and its seven sector matrices.
 octagon
     Frozen base quadrangulations, the acceleration verifier, expansion traces.
+saddle
+    The exact saddle-connection ray tracer, a test oracle that no command loads.
 render
     Deterministic SVG rendering.
 cli

@@ -16,11 +16,10 @@ reported with a halt flag rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .numerics import QuadNum, quad_float, quad_floor, quad_sign
+from .numerics import QuadNum, _FrozenValue, quad_float, quad_floor, quad_sign
 
 __all__ = [
     "QuadraticIrrational",
@@ -38,20 +37,17 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(_FrozenValue):
     """The exact real number (a + b*sqrt(d))/c with integer a, b, c and d >= 0.
 
     The representative is canonical: c > 0, gcd(a, b, c) = 1, and d = 0
     whenever the value is rational (square d is folded into the rational
-    part).  The class carries no arithmetic: the torus baseline reads its
+    part), so value equality and hashing over ``(a, b, c, d)`` are numeric.
+    Immutable.  The class carries no arithmetic: the torus baseline reads its
     ints and computes with the exact kernel in ``numerics``.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if c == 0:
@@ -135,32 +131,48 @@ def gauss_step(x):
     return digit, Fraction(p, norm)
 
 
-@dataclass(frozen=True)
-class GeometricConvergents:
-    """Output of the geometric construction along the line (alpha, 1)."""
+class GeometricConvergents(_FrozenValue):
+    """Output of the geometric construction along the line (alpha, 1).
 
-    digits: tuple[int, ...]
-    vectors: tuple[tuple[int, int], ...]
-    halted: bool
+    Immutable, with value equality and hashing over ``(digits, vectors, halted)``.
+    """
+
+    __slots__ = ("digits", "vectors", "halted")
+
+    def __init__(
+        self, digits: tuple[int, ...], vectors: tuple[tuple[int, int], ...], halted: bool
+    ):
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "halted", halted)
 
     @property
     def intermediates(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The skipped multiples i*e_{n-1} + e_{n-2} (0 < i < a_n), grouped per step."""
-        return tuple(self._groups(tuple))
+        return tuple(map(tuple, self.iter_intermediates()))
 
-    def _groups(self, kind):
-        """Each step's skipped multiples, as ``kind`` of ``kind`` pairs."""
+    def iter_intermediates(self):
+        """Each step's skipped multiples, as an iterator of (p, q) pairs, formed as read.
+
+        Each step's iterator holds that step's vectors, so the iterators may be
+        kept and read in any order.
+        """
         basis = ((0, 1), (1, 0)) + self.vectors
-        for digit, prev, cur in zip(self.digits, basis, basis[1:]):
-            yield kind(kind((prev[0] + i * cur[0], prev[1] + i * cur[1])) for i in range(1, digit))
+        return map(_multiples, basis, basis[1:], self.digits)
 
     def to_json(self) -> dict:
         return {
             "digits": list(self.digits),
             "vectors": [list(v) for v in self.vectors],
-            "intermediates": list(self._groups(list)),
+            "intermediates": [[[p, q] for p, q in group] for group in self.iter_intermediates()],
             "halted": self.halted,
         }
+
+
+def _multiples(prev: tuple[int, int], cur: tuple[int, int], digit: int):
+    """The pairs prev + i*cur for 0 < i < digit."""
+    for i in range(1, digit):
+        yield prev[0] + i * cur[0], prev[1] + i * cur[1]
 
 
 def _steps(alpha, n: int):

@@ -5,8 +5,9 @@ Exit codes are fixed for CI use: 0 success, 1 verification failure, 2 parse
 failure, 3 I/O failure.  Directions may be given exactly (``3/2+1/4*sqrt2``,
 ``inf``) or as decimals, which are converted to a nearby rational (marked
 approximate in the output).  OCTOCF_SEED fixes the random sampling used by
-``verify --random-samples``.  Each subcommand imports the modules it runs, so
-a command's start-up holds only its own part of the package.
+``verify --random-samples``.  Each subcommand imports the modules it runs, and
+:func:`main` builds the parser of that subcommand alone, so a command's
+start-up holds only its own part of the package.
 """
 
 from __future__ import annotations
@@ -142,18 +143,24 @@ def _read_json(path: str | None, what: str):
         raise _ParseFailure(f"invalid {what} JSON: {exc}") from exc
 
 
-def _emit_json(args, obj) -> int:
-    """``obj`` as indented JSON, written in batches of the encoder's chunks.
+def _batched(chunks):
+    """The nonempty strings ``chunks`` joined in batches of 4096.
 
-    The whole document is never held as one string, and batching keeps the
+    The whole output is never held as one string, and batching keeps the
     writes few where stdout is unbuffered (one system call per write).
     """
+    from itertools import islice
+
+    return iter(lambda: "".join(islice(chunks, 4096)), "")
+
+
+def _emit_json(args, obj) -> int:
+    """``obj`` as indented JSON, written in batches of the encoder's chunks."""
     import json
-    from itertools import chain, islice
+    from itertools import chain
 
     chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    batches = iter(lambda: "".join(islice(chunks, 4096)), "")
-    return _emit(args, chain(batches, ["\n"]))
+    return _emit(args, chain(_batched(chunks), ["\n"]))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -205,19 +212,27 @@ def _cmd_convergents(args) -> int:
         vectors.append(vector)
     result = classical.GeometricConvergents(tuple(digits), tuple(vectors), halted)
     if args.format == "text":
-        lines = ["step  digit  p/q" + " " * 12 + "intermediates"]
-        rows = zip(result.digits, result.vectors, result.intermediates)
-        for idx, (digit, vec, group) in enumerate(rows):
-            inter = " ".join(f"{p}/{q}" for p, q in group)
-            frac = f"{vec[0]}/{vec[1]}"
-            lines.append(f"{idx:4d}  {digit:5d}  {frac:<14} {inter}")
-        if result.halted:
-            lines.append("halted: the direction is rational")
-        return _emit(args, ["\n".join(lines) + "\n"])
+        return _emit(args, _batched(_convergents_text(result)))
     record = result.to_json()
     if approximate:
         record["approximate"] = True
     return _emit_json(args, record)
+
+
+def _convergents_text(result):
+    """The text table of ``result``, one intermediate convergent per string."""
+    yield "step  digit  p/q" + " " * 12 + "intermediates"
+    rows = zip(result.digits, result.vectors, result.iter_intermediates())
+    for idx, (digit, vec, group) in enumerate(rows):
+        frac = f"{vec[0]}/{vec[1]}"
+        yield f"\n{idx:4d}  {digit:5d}  {frac:<14} "
+        sep = ""
+        for p, q in group:
+            yield f"{sep}{p}/{q}"
+            sep = " "
+    if result.halted:
+        yield "\nhalted: the direction is rational"
+    yield "\n"
 
 
 def _parse_alpha(text: str):
@@ -397,13 +412,7 @@ def _add_direction_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="octocf",
-        description="Exact octagon continued fractions and diagonal-changes renormalization",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_expand(sub) -> None:
     p = sub.add_parser("expand", help="octagon Farey expansion of a direction")
     _add_direction_args(p)
     p.add_argument("--depth", type=int, default=16)
@@ -412,11 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_expand)
 
+
+def _add_reconstruct(sub) -> None:
     p = sub.add_parser("reconstruct", help="exact direction interval of an expansion prefix")
     p.add_argument("--entries", required=True, help="comma separated, e.g. '2,1,1,7'")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reconstruct)
 
+
+def _add_convergents(sub) -> None:
     p = sub.add_parser("convergents", help="torus continued fraction convergents")
     p.add_argument("--alpha", required=True, help="'sqrt2', 'golden', exact literal, or decimal")
     p.add_argument("--steps", type=int, default=10)
@@ -424,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convergents)
 
+
+def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate", help="plain diagonal-changes run (first available move)")
     _add_direction_args(p)
     p.add_argument(
@@ -435,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
+
+def _add_trace(sub) -> None:
     p = sub.add_parser("trace", help="renormalized diagonal-changes trace of an expansion")
     _add_direction_args(p)
     p.add_argument("--steps", type=int, default=8)
@@ -442,6 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_trace)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="machine-check the acceleration theorem")
     p.add_argument("--sector", type=int, choices=range(1, 8))
     p.add_argument("--samples", type=int, default=3, help="exact grid samples per sector")
@@ -454,10 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
+
+def _add_dump_matrices(sub) -> None:
     p = sub.add_parser("dump-matrices", help="emit the move matrices and A1..A7 as JSON")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dump_matrices)
 
+
+def _add_render(sub) -> None:
     p = sub.add_parser("render", help="render a trace or quadrangulation to SVG")
     p.add_argument(
         "--input",
@@ -471,11 +494,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_render)
 
+
+#: Each subcommand's parser builder, in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "expand": _add_expand,
+    "reconstruct": _add_reconstruct,
+    "convergents": _add_convergents,
+    "simulate": _add_simulate,
+    "trace": _add_trace,
+    "verify": _add_verify,
+    "dump-matrices": _add_dump_matrices,
+    "render": _add_render,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one.
+
+    A parser of one subcommand still names all of them in its usage line, so
+    it prints exactly what the full parser prints for that subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="octocf",
+        description="Exact octagon continued fractions and diagonal-changes renormalization",
+    )
+    if command in _SUBCOMMANDS:
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -22,7 +22,17 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 
-from .numerics import INFINITY, Mat2, ProjVal, QuadNum, Vec2, _reduced, quad_floor, quad_sign
+from .numerics import (
+    INFINITY,
+    Mat2,
+    ProjVal,
+    QuadNum,
+    Vec2,
+    _FrozenValue,
+    _reduced,
+    quad_floor,
+    quad_sign,
+)
 
 __all__ = [
     "NU",
@@ -87,16 +97,16 @@ class TiePolicy(Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(_FrozenValue):
     """A direction of the flow, i.e. a nonzero vector up to positive scaling.
 
     Directions live in the closed upper half plane; the two horizontal rays
     (theta = 0 and theta = pi) are kept distinct even though both have
     inverse slope u = infinity.  Vectors handed in with y < 0 are negated.
+    Immutable, with value equality and hashing over the stored ``vector``.
     """
 
-    vector: Vec2
+    __slots__ = ("vector",)
 
     def __init__(self, vector: Vec2):
         if vector.is_zero():
@@ -104,7 +114,7 @@ class Direction:
         ys = vector.y.sign()
         if ys < 0:
             vector = -vector
-        object.__setattr__(self, "vector", vector)
+        _set_vector(self, vector)
 
     @staticmethod
     def from_u(u: ProjVal, side: str = "pos") -> "Direction":
@@ -151,6 +161,9 @@ class Direction:
     @staticmethod
     def from_json(obj: dict) -> "Direction":
         return Direction(Vec2.from_json(obj))
+
+
+_set_vector = Direction.vector.__set__
 
 
 def theta_cmp(d1: Direction, d2: Direction) -> int:
@@ -304,6 +317,19 @@ _FIRST_ENTRIES = frozenset(range(8))
 _LATER_ENTRIES = frozenset(range(1, 8))
 
 
+def _admissible(entries: tuple) -> bool:
+    """Whether ``entries`` are ints, the first in 0..7 and the later ones in 1..7.
+
+    The type test comes first: 1.0 and True are equal to 1, so the set tests
+    alone would pass them.
+    """
+    return (
+        {int}.issuperset(map(type, entries))
+        and entries[0] in _FIRST_ENTRIES
+        and _LATER_ENTRIES.issuperset(entries[1:])
+    )
+
+
 @dataclass(frozen=True)
 class FareyExpansion:
     """A finite window of an octagon Farey itinerary.
@@ -322,9 +348,7 @@ class FareyExpansion:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("an expansion needs at least one entry")
-        if self.entries[0] not in _FIRST_ENTRIES or not _LATER_ENTRIES.issuperset(
-            self.entries[1:]
-        ):
+        if not _admissible(self.entries):
             raise InadmissiblePrefixError(f"inadmissible entries {self.entries}")
         if self.terminating and self.tail not in (1, 7):
             raise ValueError("a terminating expansion must declare its tail")
@@ -451,16 +475,19 @@ def _boundary_direction(j: int) -> Direction:
     return Direction(Vec2(SECTOR_BOUNDS[j - 1], QuadNum(1)))
 
 
-@dataclass(frozen=True)
-class RP1Interval:
-    """A closed interval of directions, endpoints in increasing angle order."""
+class RP1Interval(_FrozenValue):
+    """A closed interval of directions, endpoints in increasing angle order.
 
-    lo: Direction
-    hi: Direction
+    Immutable, with value equality and hashing over ``(lo, hi)``.
+    """
 
-    def __post_init__(self):
-        if theta_cmp(self.lo, self.hi) > 0:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Direction, hi: Direction):
+        if theta_cmp(lo, hi) > 0:
             raise ValueError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, d: Direction) -> bool:
         return theta_cmp(self.lo, d) <= 0 <= theta_cmp(self.hi, d)
@@ -505,7 +532,7 @@ def reconstruct(prefix) -> RP1Interval:
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
-    if entries[0] not in _FIRST_ENTRIES or not _LATER_ENTRIES.issuperset(entries[1:]):
+    if not _admissible(entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
     last = entries[-1]
     # the sector ends have denominator 1

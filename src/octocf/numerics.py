@@ -18,7 +18,6 @@ branches on a decimal rendering.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, isqrt
 import re
@@ -364,11 +363,43 @@ def to_decimal(q: QuadNum, digits: int) -> str:
 
 
 def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _FrozenValue:
+    """Base of the slotted immutable value types of ``classical`` and ``farey``.
+
+    Equality, hash, repr and pickling are over the fields in ``__slots__``
+    order, as a frozen dataclass over the same fields has them, without the
+    code generation that a dataclass runs at import.  ``__init__`` writes each
+    field once, through ``object.__setattr__`` or the slot descriptor.
+    """
+
+    __slots__ = ()
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
 
 
 class Vec2:

@@ -8,11 +8,9 @@ every direction with angle strictly between pi/8 and pi.
 
 The six wedge vectors of Q' are pinned down (up to scale, fixed by the area)
 as the unique simultaneous fixed vector of the seven renormalization maps
-``gamma*nu_i . A_i``; :func:`derive_qprime_vectors_fixed_point` recomputes
-them from scratch and the frozen constants below are regeneration-tested
-against it.  A second, independent derivation enumerates short saddle
-connections of the octagon by exact ray tracing and searches for compatible
-quadrangulation data; see :func:`enumerate_saddle_connections`.
+``gamma*nu_i . A_i``.  The tests recompute them from scratch as that fixed
+point, and again from the short saddle connections that the exact ray tracer
+in :mod:`octocf.saddle` enumerates; this module imports neither derivation.
 
 For a direction theta strictly inside sector i, :func:`verify_sector` runs
 sector i's move word (resolved once by :func:`h2moves.resolved_word`) on Q'
@@ -96,13 +94,6 @@ __all__ = [
     "ExpansionTrace",
     "TraceStep",
     "MoveRecord",
-    "derive_qprime_vectors_fixed_point",
-    "OctagonModel",
-    "octagon_vertices",
-    "is_saddle_connection",
-    "CrossingBudgetExhausted",
-    "MAX_CROSSINGS",
-    "enumerate_saddle_connections",
 ]
 
 _H = Fraction(1, 2)
@@ -633,283 +624,3 @@ def sector_move_states(i: int, direction: Direction) -> list[LabeledQuadrangulat
     if not report.passed:
         raise SectorWordError(report.failure)
     return run.states
-
-
-# -- derivation oracles ------------------------------------------------------------
-
-
-def derive_qprime_vectors_fixed_point() -> tuple[Vec2, ...]:
-    """Recompute the Q' wedge vectors as the joint renormalization fixed point.
-
-    Stacks the twelve linear conditions ``gamma*nu_i . A_i . v = v`` for all
-    seven sectors and extracts the nullspace by exact Gaussian elimination
-    over Q(sqrt2); the solution space must be one-dimensional.  The scale is
-    fixed by the octagon area and the sign by left-slantedness of the first
-    wedge vector.
-    """
-    rows = []
-    for i in range(1, 8):
-        a = sector_matrix(i)
-        g = GAMMA_NU[i]
-        for s in range(6):
-            for coord in range(2):
-                row = [QuadNum(0)] * 12
-                for j in range(6):
-                    if a[s][j] == 0:
-                        continue
-                    coef = QuadNum(a[s][j])
-                    if coord == 0:
-                        row[2 * j] = row[2 * j] + g.a * coef
-                        row[2 * j + 1] = row[2 * j + 1] + g.b * coef
-                    else:
-                        row[2 * j] = row[2 * j] + g.c * coef
-                        row[2 * j + 1] = row[2 * j + 1] + g.d * coef
-                row[2 * s + coord] = row[2 * s + coord] - QuadNum(1)
-                rows.append(row)
-    basis = _nullspace(rows, 12)
-    if len(basis) != 1:
-        raise RuntimeError(f"fixed-point system has nullity {len(basis)}, expected 1")
-    vecs = [Vec2(basis[0][2 * j], basis[0][2 * j + 1]) for j in range(6)]
-    # normalize: area scales quadratically, orientation by the first left side
-    probe = LabeledQuadrangulation(QPRIME_COMB, _wedges(vecs), sector_midpoint(4))
-    ratio2 = OCTAGON_AREA / probe.total_area()
-    scale = _quad_sqrt(ratio2)
-    vecs = [v.scale(scale) for v in vecs]
-    if vecs[0].x.sign() > 0:
-        vecs = [-v for v in vecs]
-    return tuple(vecs)
-
-
-def _nullspace(rows, ncols):
-    m = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col].sign() != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col].sign() != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [QuadNum(0)] * ncols
-        v[fc] = QuadNum(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _quad_sqrt(q: QuadNum) -> QuadNum:
-    """Square root of a positive element, when it lies in Q(sqrt2)."""
-    # try candidates x = c or x = c*sqrt2 or general (a+b*sqrt2)^2 = q
-    # with a*b = q.b/2 and a^2+2b^2 = q.a; solve the quadratic in a^2.
-    if q.sign() <= 0:
-        raise ValueError("square root of a non-positive element")
-    if q.b == 0:
-        root = _frac_sqrt(q.a)
-        if root is not None:
-            return QuadNum(root)
-        half = _frac_sqrt(q.a / 2)
-        if half is not None:
-            return QuadNum(0, half)
-        raise ValueError(f"{q} has no square root in Q(sqrt2)")
-    disc = q.a * q.a - 2 * q.b * q.b
-    root_disc = _frac_sqrt(disc) if disc >= 0 else None
-    if root_disc is not None:
-        for sign in (1, -1):
-            a2 = (q.a + sign * root_disc) / 2
-            if a2 >= 0:
-                a = _frac_sqrt(a2)
-                if a is not None and a != 0:
-                    b = q.b / (2 * a)
-                    cand = QuadNum(a, b)
-                    if cand * cand == q:
-                        return abs(cand)
-    raise ValueError(f"{q} has no square root in Q(sqrt2)")
-
-
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    from math import isqrt
-
-    np, dp = isqrt(x.numerator), isqrt(x.denominator)
-    if np * np == x.numerator and dp * dp == x.denominator:
-        return Fraction(np, dp)
-    return None
-
-
-# -- exact octagon geometry (saddle-connection oracle) ------------------------------
-
-
-def octagon_vertices() -> tuple[Vec2, ...]:
-    """Vertices of the unit-side regular octagon, counterclockwise, flat bottom."""
-    h = QuadNum(_H)
-    g = QuadNum(_H, _H)  # (1+sqrt2)/2, the apothem
-    return (
-        Vec2(-h, -g),
-        Vec2(h, -g),
-        Vec2(g, -h),
-        Vec2(g, h),
-        Vec2(h, g),
-        Vec2(-h, g),
-        Vec2(-g, h),
-        Vec2(-g, -h),
-    )
-
-
-_VERTICES = octagon_vertices()
-
-#: Translation carrying side i onto side i+4 (mod 8); the octagon is
-#: centrally symmetric, so one formula serves all eight sides.
-_SIDE_TRANSLATIONS = tuple(_VERTICES[(i + 4) % 8] - _VERTICES[(i + 1) % 8] for i in range(8))
-
-
-@dataclass(frozen=True)
-class OctagonModel:
-    """The unit-side regular octagon with its opposite-side identifications.
-
-    Side i runs from vertex i to vertex i+1 (mod 8) and is glued to side
-    i+4 by the stored translation; all eight corners become one cone point.
-    """
-
-    vertices: tuple[Vec2, ...]
-    area: QuadNum
-
-    @staticmethod
-    def unit() -> "OctagonModel":
-        return OctagonModel(_VERTICES, OCTAGON_AREA)
-
-    def side(self, i: int) -> tuple[Vec2, Vec2]:
-        return self.vertices[i % 8], self.vertices[(i + 1) % 8]
-
-    def gluing_translation(self, i: int) -> Vec2:
-        """Translation identifying side i with side i+4."""
-        return _SIDE_TRANSLATIONS[i % 8]
-
-
-def _segment_hits(p: Vec2, w: Vec2, a: Vec2, b: Vec2):
-    """Parameters (t, s) with p + t*w = a + s*(b-a), or None if parallel."""
-    e = b - a
-    den = w.cross(e)
-    if den.sign() == 0:
-        return None
-    diff = a - p
-    t = diff.cross(e) / den
-    s = diff.cross(w) / den
-    return t, s
-
-
-#: Side crossings followed from each corner by :func:`is_saddle_connection`.
-MAX_CROSSINGS = 200
-
-
-class CrossingBudgetExhausted(RuntimeError):
-    """No corner proved a saddle connection and some ran out of crossings."""
-
-
-def is_saddle_connection(w: Vec2) -> bool:
-    """Exact test that ``w`` is the holonomy of a saddle connection.
-
-    Develops the segment from each corner of the octagon in turn, jumping
-    copies across glued sides; the segment must end exactly at a corner and
-    meet no corner on the way.  When no corner proves one and some corner
-    is still undecided after ``MAX_CROSSINGS``, the answer is unknown and
-    :class:`CrossingBudgetExhausted` is raised.
-    """
-    if w.is_zero():
-        return False
-    undecided = False
-    for corner in _VERTICES:
-        found = _trace(corner, w)
-        if found:
-            return True
-        undecided |= found is None
-    if undecided:
-        raise CrossingBudgetExhausted(f"{w}: undecided after {MAX_CROSSINGS} crossings")
-    return False
-
-
-def _trace(p0: Vec2, w: Vec2) -> bool | None:
-    """True/False once the segment from ``p0`` is decided, None if undecided."""
-    verts = _VERTICES
-    one = QuadNum(1)
-    tau = Vec2(0, 0)
-    lam = QuadNum(0)
-    for _ in range(MAX_CROSSINGS):
-        # find the exit of the ray x(t) = p0 + t*w from the copy O + tau
-        best_t = None
-        exit_side = None
-        exit_point = None
-        base = Vec2(p0.x - tau.x, p0.y - tau.y)
-        for i in range(8):
-            a, b = verts[i], verts[(i + 1) % 8]
-            hit = _segment_hits(base, w, a, b)
-            if hit is None:
-                # the ray is parallel to side i; collinear means it runs along it
-                if (a - base).cross(w).sign() == 0:
-                    for endpoint in (a, b):
-                        delta = endpoint - base
-                        t = (delta.x / w.x) if w.x.sign() != 0 else (delta.y / w.y)
-                        if t.sign() > 0 and (lam - t).sign() < 0:
-                            if best_t is None or t < best_t:
-                                best_t, exit_side, exit_point = t, None, endpoint
-                continue
-            t, s = hit
-            if (t - lam).sign() <= 0:
-                continue
-            if s.sign() < 0 or (s - one).sign() > 0:
-                continue
-            if best_t is None or t < best_t:
-                best_t, exit_side, exit_point = t, i, base + w.scale(t)
-        if best_t is None:
-            return False
-        if (best_t - one).sign() > 0:
-            return False  # the endpoint would be interior to this copy
-        at_vertex = any(exit_point == v for v in verts)
-        if (best_t - one).sign() == 0:
-            return at_vertex
-        if at_vertex:
-            return False  # a cone point in the interior of the segment
-        lam = best_t
-        tau = tau - _SIDE_TRANSLATIONS[exit_side]
-    return None
-
-
-def enumerate_saddle_connections(norm2_bound: QuadNum) -> list[Vec2]:
-    """All saddle-connection holonomies with squared length at most the bound.
-
-    Candidate vectors are differences of developed corners over a ball of
-    gluing translations, then validated by exact ray tracing.  The bound
-    must stay small (single digits) for the candidate ball to be exhaustive.
-    """
-    verts = _VERTICES
-    ts = _SIDE_TRANSLATIONS
-    seen = set()
-    out = []
-    span = range(-2, 3)
-    for n0 in span:
-        for n1 in span:
-            for n2 in span:
-                for n3 in span:
-                    shift = (
-                        ts[0].scale(n0) + ts[1].scale(n1) + ts[2].scale(n2) + ts[3].scale(n3)
-                    )
-                    for va in verts:
-                        for vb in verts:
-                            w = vb + shift - va
-                            if w.is_zero() or w in seen:
-                                continue
-                            seen.add(w)
-                            if (w.norm2() - norm2_bound).sign() <= 0 and is_saddle_connection(w):
-                                out.append(w)
-    return out

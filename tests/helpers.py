@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import isqrt
 
+import pytest
 from hypothesis import strategies as st
 
 from octocf.classical import GeometricConvergents, QuadraticIrrational
-from octocf.diagch import HitsSingularity
+from octocf.diagch import HitsSingularity, LabeledQuadrangulation
 from octocf.farey import (
     GAMMA_NU,
     GAMMA_NU_INV,
@@ -22,9 +26,17 @@ from octocf.farey import (
     expand,
     theta_cmp,
 )
-from octocf.h2moves import SectorWordError, resolved_word
+from octocf.h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
 from octocf.numerics import Mat2, QuadNum, Vec2, quad_sign
-from octocf.octagon import ExpansionTrace, TraceStep, _WordRun, qprime
+from octocf.octagon import (
+    OCTAGON_AREA,
+    ExpansionTrace,
+    TraceStep,
+    _wedges,
+    _WordRun,
+    qprime,
+    sector_midpoint,
+)
 
 
 def fractions(max_num=60, max_den=12):
@@ -41,6 +53,32 @@ def quadnums(max_num=60, max_den=12):
 
 def nonzero_quadnums():
     return quadnums().filter(lambda q: not q.is_zero())
+
+
+def check_value_type(values, fields: tuple[str, ...]) -> None:
+    """``values`` behave as instances of a frozen dataclass over ``fields``.
+
+    ``==`` and the hash are those of the field tuples, the fields and any
+    other attribute refuse assignment and deletion with AttributeError, and
+    copies and pickles compare equal.
+    """
+
+    def key(x):
+        return tuple(getattr(x, name) for name in fields)
+
+    for x in values:
+        assert hash(x) == hash(key(x))
+        assert x != key(x)
+        assert copy.copy(x) == x and copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        for y in values:
+            assert (x == y) == (key(x) == key(y))
+            assert (x != y) == (key(x) != key(y))
 
 
 # The bilinear 2x2 forms by the composed field operators, one reduction per
@@ -313,3 +351,115 @@ def reference_run_expansion(
             )
         )
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)
+
+
+# The Q' wedge vectors derived from scratch: the `==` oracle of the frozen
+# `octagon.QPRIME_VECTORS`.
+
+
+def derive_qprime_vectors_fixed_point() -> tuple[Vec2, ...]:
+    """Recompute the Q' wedge vectors as the joint renormalization fixed point.
+
+    Stacks the twelve linear conditions ``gamma*nu_i . A_i . v = v`` for all
+    seven sectors and extracts the nullspace by exact Gaussian elimination
+    over Q(sqrt2); the solution space must be one-dimensional.  The scale is
+    fixed by the octagon area and the sign by left-slantedness of the first
+    wedge vector.
+    """
+    rows = []
+    for i in range(1, 8):
+        a = sector_matrix(i)
+        g = GAMMA_NU[i]
+        for s in range(6):
+            for coord in range(2):
+                row = [QuadNum(0)] * 12
+                for j in range(6):
+                    if a[s][j] == 0:
+                        continue
+                    coef = QuadNum(a[s][j])
+                    if coord == 0:
+                        row[2 * j] = row[2 * j] + g.a * coef
+                        row[2 * j + 1] = row[2 * j + 1] + g.b * coef
+                    else:
+                        row[2 * j] = row[2 * j] + g.c * coef
+                        row[2 * j + 1] = row[2 * j + 1] + g.d * coef
+                row[2 * s + coord] = row[2 * s + coord] - QuadNum(1)
+                rows.append(row)
+    basis = _nullspace(rows, 12)
+    if len(basis) != 1:
+        raise RuntimeError(f"fixed-point system has nullity {len(basis)}, expected 1")
+    vecs = [Vec2(basis[0][2 * j], basis[0][2 * j + 1]) for j in range(6)]
+    # normalize: area scales quadratically, orientation by the first left side
+    probe = LabeledQuadrangulation(QPRIME_COMB, _wedges(vecs), sector_midpoint(4))
+    ratio2 = OCTAGON_AREA / probe.total_area()
+    scale = _quad_sqrt(ratio2)
+    vecs = [v.scale(scale) for v in vecs]
+    if vecs[0].x.sign() > 0:
+        vecs = [-v for v in vecs]
+    return tuple(vecs)
+
+
+def _nullspace(rows, ncols):
+    m = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col].sign() != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][col].inverse()
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col].sign() != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [QuadNum(0)] * ncols
+        v[fc] = QuadNum(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _quad_sqrt(q: QuadNum) -> QuadNum:
+    """Square root of a positive element, when it lies in Q(sqrt2)."""
+    # try candidates x = c or x = c*sqrt2 or general (a+b*sqrt2)^2 = q
+    # with a*b = q.b/2 and a^2+2b^2 = q.a; solve the quadratic in a^2.
+    if q.sign() <= 0:
+        raise ValueError("square root of a non-positive element")
+    if q.b == 0:
+        root = _frac_sqrt(q.a)
+        if root is not None:
+            return QuadNum(root)
+        half = _frac_sqrt(q.a / 2)
+        if half is not None:
+            return QuadNum(0, half)
+        raise ValueError(f"{q} has no square root in Q(sqrt2)")
+    disc = q.a * q.a - 2 * q.b * q.b
+    root_disc = _frac_sqrt(disc) if disc >= 0 else None
+    if root_disc is not None:
+        for sign in (1, -1):
+            a2 = (q.a + sign * root_disc) / 2
+            if a2 >= 0:
+                a = _frac_sqrt(a2)
+                if a is not None and a != 0:
+                    b = q.b / (2 * a)
+                    cand = QuadNum(a, b)
+                    if cand * cand == q:
+                        return abs(cand)
+    raise ValueError(f"{q} has no square root in Q(sqrt2)")
+
+
+def _frac_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    np, dp = isqrt(x.numerator), isqrt(x.denominator)
+    if np * np == x.numerator and dp * dp == x.denominator:
+        return Fraction(np, dp)
+    return None

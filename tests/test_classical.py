@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octocf.classical import (
+    GeometricConvergents,
     QuadraticIrrational,
     gauss_step,
     geometric_convergents,
@@ -15,6 +16,7 @@ from octocf.classical import (
 from octocf.numerics import QuadNum, quad_floor
 
 from helpers import (
+    check_value_type,
     error_cmp,
     nonzero_quadnums,
     reference_gauss_step,
@@ -75,6 +77,13 @@ class TestGeometricConvergents:
         groups = intermediate_convergents(SQRT2, 4)
         assert groups == ((), ((2, 1),), ((4, 3),), ((10, 7),))
 
+    def test_kept_intermediate_iterators_read_their_own_step(self):
+        # every iterator is taken before any is read, last to first
+        got = geometric_convergents(QuadraticIrrational(1, 1, 1, 13), 8)
+        kept = list(got.iter_intermediates())
+        assert tuple(tuple(g) for g in reversed(kept))[::-1] == got.intermediates
+        assert any(len(g) > 1 for g in got.intermediates)
+
     def test_unimodularity_30_steps(self):
         got = geometric_convergents(SQRT2, 30)
         vecs = ((0, 1), (1, 0)) + got.vectors
@@ -123,6 +132,54 @@ class TestQuadraticIrrational:
     def test_sign(self):
         assert QuadraticIrrational(-1, 1, 2, 5).sign() == 1  # phi - 1
         assert QuadraticIrrational(-3, 1, 2, 5).sign() == -1  # phi - 2
+
+
+class TestValueTypes:
+    def test_quadratic_irrationals_are_frozen_values(self):
+        values = [
+            QuadraticIrrational(2, 2, 4, 5),
+            QuadraticIrrational(1, 1, 2, 5),
+            QuadraticIrrational(3, 1, 2, 5),
+            QuadraticIrrational(-1, 1, 2, 3),
+            QuadraticIrrational(6, 0, 4, 9),
+            QuadraticIrrational(3, 0, 2, 0),
+        ]
+        check_value_type(values, ("a", "b", "c", "d"))
+
+    def test_equality_is_canonical(self):
+        assert QuadraticIrrational(2, 2, 4, 5) == QuadraticIrrational(1, 1, 2, 5) == GOLDEN
+        assert hash(QuadraticIrrational(2, 2, 4, 5)) == hash(GOLDEN)
+        assert QuadraticIrrational(6, 0, 4, 9) == QuadraticIrrational.from_fraction(Fraction(3, 2))
+        assert QuadraticIrrational(1, 1, 2, 5) != QuadraticIrrational(1, 1, 2, 3)
+
+    def test_repr_names_the_canonical_fields(self):
+        assert repr(QuadraticIrrational(2, 2, 4, 5)) == "QuadraticIrrational(a=1, b=1, c=2, d=5)"
+        assert repr(QuadraticIrrational(6, 0, 4, 9)) == "QuadraticIrrational(a=3, b=0, c=2, d=0)"
+
+    def test_constructor_validation(self):
+        with pytest.raises(ZeroDivisionError):
+            QuadraticIrrational(1, 1, 0, 5)
+        with pytest.raises(ValueError):
+            QuadraticIrrational(1, 1, 2, -5)
+
+    def test_geometric_convergents_are_frozen_values(self):
+        values = [
+            geometric_convergents(GOLDEN, 3),
+            geometric_convergents(QuadraticIrrational(2, 2, 4, 5), 3),
+            geometric_convergents(GOLDEN, 4),
+            geometric_convergents(SQRT2, 3),
+            geometric_convergents(Fraction(3, 2), 5),
+            GeometricConvergents(digits=(1, 2), vectors=((1, 1), (3, 2)), halted=False),
+        ]
+        check_value_type(values, ("digits", "vectors", "halted"))
+        assert values[0] == values[1]
+        assert repr(values[0]) == (
+            "GeometricConvergents(digits=(1, 1, 1), vectors=((1, 1), (2, 1), (3, 2)), "
+            "halted=False)"
+        )
+        assert repr(values[4]) == (
+            "GeometricConvergents(digits=(1, 2), vectors=((1, 1), (3, 2)), halted=True)"
+        )
 
 
 def quadratic_irrationals(d: int):

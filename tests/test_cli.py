@@ -152,6 +152,33 @@ class TestConvergents:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "alpha, steps, digest",
+        [
+            ("golden", "27", "17d5711a5fc56a83520bd685febc6f1a100ed6b4fccbeeb93e7efaf6a182ed99"),
+            ("1/1000000", "3", "5ec474261ee09644a94d7602e77ff4602250fb4498d8b16cf1392d54c1760b9d"),
+        ],
+    )
+    def test_text_table_is_pinned(self, capsys, alpha, steps, digest):
+        argv = ("convergents", "--alpha", alpha, "--steps", steps, "--format", "text")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_text_table_is_written_as_it_is_formed(self, monkeypatch):
+        # 10**6 intermediate convergents on one line, 8.9 MB in all
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["convergents", "--alpha", "1/1000000", "--format", "text"]) == EXIT_OK
+        assert sum(writes) > 8_800_000
+        assert max(writes) < 100_000
+
     def test_decimal_alpha_is_approximate(self, capsys):
         code, out, err = run_cli(capsys, "convergents", "--alpha", "1.5", "--steps", "2")
         assert code == EXIT_OK

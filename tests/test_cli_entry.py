@@ -5,9 +5,15 @@ print exactly what ``cli.main`` prints in process, and exactly the bytes whose
 SHA-256 is pinned below, so a change in how output is written cannot drift it.
 Each command must also load only the ``octocf`` modules it runs: a stray
 top-level import in ``cli`` would make every command pay for the whole
-package at start-up.
+package at start-up.  The standard-library modules a command loads are
+counted from what the interpreter had already loaded, so what ``site``
+loads does not move them.
+
+``cli.main`` builds the parser of the one subcommand that argv names; its
+usage line, help and error messages must be those of the parser of all eight.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -76,14 +82,28 @@ each_command = pytest.mark.parametrize(
     "argv, env, digest, modules", COMMANDS, ids=[argv[0] for argv, *_ in COMMANDS]
 )
 
-#: Runs ``cli.main`` on argv and prints the loaded octocf modules on stderr.
+#: Imports ``octocf.cli``, runs ``cli.main`` on argv if there is one, and
+#: prints on stderr the modules that this loaded: those of octocf, the others
+#: (the standard library's), and the octocf modules holding the ray tracer.
 _MODULES_CHILD = """
 import sys
+before = set(sys.modules)
 from octocf import cli
-code = cli.main(sys.argv[1:])
-print(sorted(m for m in sys.modules if m.startswith("octocf")), file=sys.stderr)
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = sorted(set(sys.modules) - before)
+print({
+    "octocf": [m for m in loaded if m.split(".")[0] == "octocf"],
+    "stdlib": [m for m in loaded if m.split(".")[0] != "octocf"],
+    "ray_tracer": [
+        m for m in loaded
+        if m.startswith("octocf") and hasattr(sys.modules[m], "enumerate_saddle_connections")
+    ],
+}, file=sys.stderr)
 sys.exit(code)
 """
+
+#: What defining a dataclass imports; ``inspect`` alone is about 8 ms of start-up.
+_DATACLASS_IMPORTS = {"dataclasses", "inspect"}
 
 
 def _child(args, env_extra):
@@ -112,9 +132,82 @@ def test_entry_point_prints_the_in_process_output(argv, env, digest, modules, mo
     assert _in_process(argv, env, monkeypatch) == (cli.EXIT_OK, result.stdout.decode())
 
 
-@each_command
-def test_command_imports_only_what_it_runs(argv, env, digest, modules):
+def _loaded(argv, env):
     result = _child(["-c", _MODULES_CHILD, *argv], env)
     assert result.returncode == cli.EXIT_OK, result.stderr.decode()
-    assert hashlib.sha256(result.stdout).hexdigest() == digest
-    assert result.stderr.decode().strip() == str(sorted(modules))
+    return result.stdout, ast.literal_eval(result.stderr.decode())
+
+
+@each_command
+def test_command_imports_only_what_it_runs(argv, env, digest, modules):
+    stdout, loaded = _loaded(argv, env)
+    assert hashlib.sha256(stdout).hexdigest() == digest
+    assert loaded["octocf"] == sorted(modules)
+    # the saddle-connection ray tracer is a test oracle: no command compiles it
+    assert loaded["ray_tracer"] == []
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["convergents", "--alpha", "golden", "--steps", "27"]], ids=["import", "convergents"]
+)
+def test_start_up_builds_no_dataclass(argv):
+    _, loaded = _loaded(argv, {})
+    assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: (argv, exit code, SHA-256 of stdout, SHA-256 of stderr) at 80 columns, taken
+#: when every command built the parser of all eight subcommands (Python 3.11).
+PARSER_MESSAGES = [
+    ([], 2, _EMPTY, "900abd8d6a059d0e000db21471ffdbdcd0c825554c77d6b779cba32bf56d49e9"),
+    (["--help"], 0, "fb85402ac2d71c1b2d9dce470c6496c4dcec29269381e56d5c487c98c2bfd756", _EMPTY),
+    (["nope"], 2, _EMPTY, "d5698fa75655aace26e16ec16536c49879cc777b32b2631090fb8528371fc9ab"),
+    (
+        ["expand", "--help"],
+        0,
+        "ba992f915d69d6fd2eab66e9cea05a407838c92f584b24b71335cdd5bcb83163",
+        _EMPTY,
+    ),
+    (["expand"], 2, _EMPTY, "e53a75e1cd61680a4e8b626bf24ee55ad1fbb77a3f52ee12e15061b2f91b07fd"),
+    (
+        ["verify", "--sector", "9"],
+        2,
+        _EMPTY,
+        "81b5ffbf65407d375ee6f777f1df46c6f5592249c500f4e8b875377b63e7bb5b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", PARSER_MESSAGES, ids=[" ".join(c[0]) or "-" for c in PARSER_MESSAGES]
+)
+def test_parser_messages_are_pinned(argv, code, out, err):
+    result = _child(["-m", "octocf.cli", *argv], {"COLUMNS": "80"})
+    assert result.returncode == code
+    assert hashlib.sha256(result.stdout).hexdigest() == out, result.stdout.decode()
+    assert hashlib.sha256(result.stderr).hexdigest() == err, result.stderr.decode()
+
+
+def _parse(parser, argv):
+    """What ``parser`` prints on argv, its exit code, and the parsed arguments."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, parsed = 0, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code, parsed = exc.code, None
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, *rest] for name in cli._SUBCOMMANDS for rest in ([], ["--help"], ["--zzz"], ["x"])]
+    + [["expand", "--u"], ["expand", "--u=1", "--policy", "mid"], ["expand", "--u=1", "--dual"]]
+    + [["verify", "--sector", "9"], ["render", "--input", "qprime", "--scale", "x"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser(argv[0])._subparsers._group_actions[0].choices.keys() == {argv[0]}
+    assert _parse(cli.build_parser(argv[0]), argv) == _parse(cli.build_parser(), argv)

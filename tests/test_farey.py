@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    check_value_type,
     classify_directions,
     interior_directions,
     nonzero_quadnums,
@@ -513,6 +514,16 @@ class TestReconstruct:
         with pytest.raises(InadmissiblePrefixError):
             FareyExpansion(tuple(entries))
 
+    @pytest.mark.parametrize(
+        "entries", [[1.0], [True], [2.0], [2, 1.0], [2, True], [True, 1], [3, 1, 2.0, 1]]
+    )
+    def test_entries_must_be_ints(self, entries):
+        # each entry equals a sector index, so only the type refuses it
+        with pytest.raises(InadmissiblePrefixError, match="inadmissible prefix"):
+            reconstruct(entries)
+        with pytest.raises(InadmissiblePrefixError, match="inadmissible entries"):
+            FareyExpansion(tuple(entries))
+
     def test_even_dual_tails_squeeze_to_common_point(self):
         # the two representations across an even entry shrink onto one direction
         widths = []
@@ -522,6 +533,52 @@ class TestReconstruct:
             assert a.intersects(b)
             widths.append(a.hull(b).theta_width())
         assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
+
+
+class TestValueTypes:
+    def test_directions_are_frozen_values(self):
+        values = [
+            Direction(Vec2(1, 2)),
+            Direction(Vec2(-1, -2)),
+            Direction(Vec2(2, 4)),
+            Direction(Vec2(-1, QuadNum(Fraction(-1, 2), 1))),
+            Direction(Vec2(1, 0)),
+            Direction(vector=Vec2(-1, 0)),
+        ]
+        check_value_type(values, ("vector",))
+        assert values[1] == values[0] and values[1].vector == Vec2(1, 2)  # y < 0 is negated
+        assert values[2] != values[0]  # the same ray, another vector
+        assert repr(values[3]) == (
+            "Direction(vector=Vec2(x=QuadNum(Fraction(-1, 1), Fraction(0, 1)), "
+            "y=QuadNum(Fraction(-1, 2), Fraction(1, 1))))"
+        )
+        with pytest.raises(ValueError, match="zero vector"):
+            Direction(Vec2(0, 0))
+
+    def test_intervals_are_frozen_values(self):
+        lo, hi = Direction(Vec2(1, 1)), Direction(Vec2(-1, 1))
+        values = [
+            reconstruct([2, 1]),
+            reconstruct([2, 1, 3]),
+            RP1Interval(lo, hi),
+            RP1Interval(lo=lo, hi=lo),
+            RP1Interval(Direction(Vec2(2, 2)), hi),
+        ]
+        check_value_type(values, ("lo", "hi"))
+        assert values[0] == reconstruct((2, 1))
+        assert repr(values[0]) == (
+            "RP1Interval(lo=Direction(vector=Vec2(x=QuadNum(Fraction(2, 1), Fraction(0, 1)), "
+            "y=QuadNum(Fraction(2, 1), Fraction(1, 1)))), "
+            "hi=Direction(vector=Vec2(x=QuadNum(Fraction(1, 1), Fraction(0, 1)), "
+            "y=QuadNum(Fraction(1, 1), Fraction(1, 1)))))"
+        )
+
+    def test_reversed_endpoints_are_refused(self):
+        lo, hi = Direction(Vec2(1, 1)), Direction(Vec2(-1, 1))
+        with pytest.raises(ValueError, match="out of order"):
+            RP1Interval(hi, lo)
+        with pytest.raises(ValueError, match="out of order"):
+            RP1Interval(Direction(Vec2(-1, 0)), Direction(Vec2(1, 0)))
 
 
 class TestDualExpansion:

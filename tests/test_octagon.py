@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     cone_contains_cone,
     cones_of,
+    derive_qprime_vectors_fixed_point,
     random_clean_direction,
     reference_run_expansion,
 )
@@ -48,7 +49,6 @@ from octocf.octagon import (
     _sector_table,
     _SectorTable,
     _WordRun,
-    derive_qprime_vectors_fixed_point,
     initial_quadrangulation,
     qprime,
     run_expansion,
@@ -544,7 +544,7 @@ def test_trace_holonomies_are_saddle_connections_of_the_octagon():
     # cross-module check: wedge sides created by renormalized staircase runs,
     # transported back to the original frame, are validated by the exact
     # ray tracer as saddle connections of the surface
-    from octocf.octagon import is_saddle_connection
+    from octocf.saddle import is_saddle_connection
 
     d = Direction(Vec2(QuadNum(Fraction(5, 2)), QuadNum(1)))
     trace = run_expansion(d, 4)

@@ -1,29 +1,32 @@
 """Dual derivation oracles for the frozen base-quadrangulation vectors.
 
-Oracle (a) enumerates short saddle connections of the octagon by exact ray
-tracing and searches for wedge data with the right gluing pattern, straddle
+Oracle (a) enumerates short saddle connections of the octagon with the exact
+ray tracer of ``octocf.saddle`` and searches for wedge data with the right gluing pattern, straddle
 windows, and area; oracle (b) solves the joint renormalization fixed-point
-system.  Both must land on the frozen constants.
+system (``helpers.derive_qprime_vectors_fixed_point``).  Both must land on
+the frozen constants.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from helpers import derive_qprime_vectors_fixed_point
 from octocf.diagch import LabeledQuadrangulation, QuadrangulationError, Wedge
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import (
-    MAX_CROSSINGS,
     OCTAGON_AREA,
-    CrossingBudgetExhausted,
     QPRIME_COMB,
     QPRIME_VECTORS,
-    derive_qprime_vectors_fixed_point,
+    sector_midpoint,
+    verify_sector,
+)
+from octocf.saddle import (
+    MAX_CROSSINGS,
+    CrossingBudgetExhausted,
     enumerate_saddle_connections,
     is_saddle_connection,
     octagon_vertices,
-    sector_midpoint,
-    verify_sector,
 )
 
 _D_PI8 = Vec2(QuadNum(1, 1), QuadNum(1))  # boundary ray of the straddle windows
@@ -119,7 +122,7 @@ def _passes_all_sectors(vecs) -> bool:
 
 
 def test_octagon_model_identifications():
-    from octocf.octagon import OctagonModel
+    from octocf.saddle import OctagonModel
 
     model = OctagonModel.unit()
     assert model.area == OCTAGON_AREA
