@@ -31,15 +31,16 @@ print(f"\nu = 7/3 expands as {e}")
 for depth in (2, 4, 6, 8, 10):
     interval = reconstruct(e.entries[:depth])
     width = interval.theta_width()
-    lo, hi = interval.lo.u(), interval.hi.u()
+    lo, hi = interval.lo.u_text(), interval.hi.u_text()
     assert interval.contains(d)
     print(f"  depth {depth:2d}: u in [{hi}, {lo}]  angle width ~ {width:.2e}")
 
 # Endpoints are exact elements of Q(sqrt2); decimals are display only.
 interval = reconstruct(e.entries[:6])
+hi = interval.hi.vector
 print(
     "\nexact lower endpoint u =",
-    interval.hi.u(),
+    interval.hi.u_text(),
     "=",
-    to_decimal(interval.hi.u().value, 12),
+    to_decimal(hi.x / hi.y, 12),
 )

@@ -9,7 +9,7 @@ are checked over Q(sqrt(2)).
 Modules
 -------
 numerics
-    Exact arithmetic in Q(sqrt2), vectors, 2x2 matrices, Moebius action.
+    Exact arithmetic in Q(sqrt2), vectors, 2x2 matrices.
 classical
     Torus baseline: Gauss map and geometric continued fraction convergents.
 farey

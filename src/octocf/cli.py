@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .numerics import INFINITY, ProjVal, QuadNum, QuadNumParseError, Vec2
+from .numerics import QuadNum, QuadNumParseError, Vec2
 
 #: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
 #: checkers take any constant of this name as true.
@@ -54,15 +54,21 @@ class _IOFailure(Exception):
     pass
 
 
-def _parse_u(text: str) -> tuple[ProjVal, bool]:
-    """An exact or decimal inverse-slope literal; returns (value, approximate)."""
+def _parse_direction(text: str, side: str) -> tuple[Direction, bool]:
+    """An exact or decimal inverse-slope literal; returns (direction, approximate).
+
+    ``inf`` is the angle-0 ray when ``side`` is ``pos``, the angle-pi ray when ``neg``.
+    """
+    from .farey import Direction
+
     text = text.strip()
     if text.lower() in ("inf", "infinity", "oo"):
-        return INFINITY, False
+        return Direction(Vec2(1 if side == "pos" else -1, 0)), False
     try:
-        return ProjVal(QuadNum.parse(text)), False
+        u, approximate = QuadNum.parse(text), False
     except QuadNumParseError:
-        return ProjVal(QuadNum(_decimal(text, "a direction"))), True
+        u, approximate = _decimal(text, "a direction"), True
+    return Direction(Vec2(u, 1)), approximate
 
 
 def _decimal(text: str, what: str) -> Fraction:
@@ -101,25 +107,17 @@ def _decimal(text: str, what: str) -> Fraction:
     return approx
 
 
-def _parse_direction(args) -> tuple[Direction, bool]:
-    from .farey import Direction
-
-    u, approximate = _parse_u(args.u)
-    return Direction.from_u(u, side=args.side), approximate
-
-
 def _policy(args) -> TiePolicy:
     from .farey import TiePolicy
 
-    return TiePolicy.HIGH if getattr(args, "policy", "low") == "high" else TiePolicy.LOW
+    return TiePolicy.HIGH if args.policy == "high" else TiePolicy.LOW
 
 
 def _emit(args, chunks) -> int:
     """Writes the strings ``chunks`` to the ``--out`` file or to stdout."""
-    out = getattr(args, "out", None)
     try:
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
@@ -169,7 +167,7 @@ def _emit_json(args, obj) -> int:
 def _cmd_expand(args) -> int:
     from .farey import dual_expansion, expand
 
-    direction, approximate = _parse_direction(args)
+    direction, approximate = _parse_direction(args.u, args.side)
     e = expand(direction, args.depth, _policy(args))
     record = e.to_json()
     if approximate:
@@ -188,8 +186,8 @@ def _cmd_reconstruct(args) -> int:
         raise _ParseFailure(f"cannot parse entries {args.entries!r}")
     interval = reconstruct(entries)
     record = interval.to_json()
-    record["lo_u"] = str(interval.lo.u())
-    record["hi_u"] = str(interval.hi.u())
+    record["lo_u"] = interval.lo.u_text()
+    record["hi_u"] = interval.hi.u_text()
     record["theta_width"] = interval.theta_width()
     return _emit_json(args, record)
 
@@ -253,7 +251,7 @@ def _parse_alpha(text: str):
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise _ParseFailure("step count must be >= 0")
-    direction, approximate = _parse_direction(args)
+    direction, approximate = _parse_direction(args.u, args.side)
     initial = state = _initial_state(args.quad, direction)
     steps = []
     for _ in range(args.steps):
@@ -307,7 +305,7 @@ def _decode(build, data):
 def _cmd_trace(args) -> int:
     from . import octagon
 
-    direction, approximate = _parse_direction(args)
+    direction, approximate = _parse_direction(args.u, args.side)
     trace = octagon.run_expansion(direction, args.steps, _policy(args))
     record = trace.to_json()
     if approximate:
@@ -372,7 +370,6 @@ def _cmd_dump_matrices(args) -> int:
 
 def _cmd_render(args) -> int:
     from . import octagon, render
-    from .farey import Direction
 
     if args.input == "qprime":
         states = [octagon.qprime(octagon.sector_midpoint(4))]
@@ -384,8 +381,7 @@ def _cmd_render(args) -> int:
         states = _decode(render.trace_panels, data)
     overlay = None
     if args.direction:
-        u, _ = _parse_u(args.direction)
-        overlay = Direction.from_u(u, side="pos" if args.side == "pos" else "neg")
+        overlay, _ = _parse_direction(args.direction, args.side)
     spec = render.RenderSpec(
         scale=Fraction(args.scale),
         show_labels=not args.no_labels,

@@ -23,9 +23,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .numerics import (
-    INFINITY,
     Mat2,
-    ProjVal,
     QuadNum,
     Vec2,
     _FrozenValue,
@@ -116,21 +114,10 @@ class Direction(_FrozenValue):
             vector = -vector
         _set_vector(self, vector)
 
-    @staticmethod
-    def from_u(u: ProjVal, side: str = "pos") -> "Direction":
-        """Direction with inverse slope ``u``; ``side`` picks theta=0 vs theta=pi at infinity."""
-        if u.is_infinite:
-            if side == "pos":
-                return Direction(Vec2(1, 0))
-            if side == "neg":
-                return Direction(Vec2(-1, 0))
-            raise ValueError("side must be 'pos' or 'neg'")
-        return Direction(Vec2(u.value, 1))
-
-    def u(self) -> ProjVal:
-        if self.vector.y.is_zero():
-            return INFINITY
-        return ProjVal(self.vector.x / self.vector.y)
+    def u_text(self) -> str:
+        """The inverse slope u = x/y as exact text, ``inf`` on both horizontal rays."""
+        x, y = self.vector.x, self.vector.y
+        return "inf" if y.is_zero() else str(x / y)
 
     @property
     def is_theta_zero(self) -> bool:

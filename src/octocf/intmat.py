@@ -11,7 +11,6 @@ __all__ = [
     "IntMat",
     "identity",
     "matmul",
-    "matvec",
     "det",
     "elementary",
     "block_perm_matrix",
@@ -36,32 +35,6 @@ def matmul(a: IntMat, b: IntMat) -> IntMat:
         tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m))
         for i in range(n)
     )
-
-
-def matvec(a: IntMat, v):
-    """Apply ``a`` to a sequence whose entries support + and integer scaling."""
-    n = len(a)
-    assert len(v) == n
-    out = []
-    for i in range(n):
-        acc = None
-        for j, c in enumerate(a[i]):
-            if c == 0:
-                continue
-            term = v[j] if c == 1 else _scale(v[j], c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("matrix has a zero row")
-        out.append(acc)
-    return tuple(out)
-
-
-def _scale(x, c: int):
-    if isinstance(x, int):
-        return x * c
-    if hasattr(x, "scale"):
-        return x.scale(c)
-    return x * c
 
 
 def det(a: IntMat) -> int:

@@ -26,10 +26,7 @@ __all__ = [
     "QuadNum",
     "Vec2",
     "Mat2",
-    "ProjVal",
-    "INFINITY",
     "QuadNumParseError",
-    "moebius",
     "to_decimal",
 ]
 
@@ -362,16 +359,9 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
 class _FrozenValue:
-    """Base of the slotted immutable value types of ``classical`` and ``farey``.
+    """Base of the slotted immutable value types: ``Vec2``, ``Mat2`` and those of
+    ``classical`` and ``farey``.
 
     Equality, hash, repr and pickling are over the fields in ``__slots__``
     order, as a frozen dataclass over the same fields has them, without the
@@ -380,8 +370,12 @@ class _FrozenValue:
     """
 
     __slots__ = ()
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -402,10 +396,11 @@ class _FrozenValue:
         return self.__class__, self._fields()
 
 
-class Vec2:
+class Vec2(_FrozenValue):
     """A planar vector with exact Q(sqrt(2)) components.
 
-    Immutable, with value equality and hashing over ``(x, y)``.
+    Immutable, with value equality and hashing over ``(x, y)``, written out
+    because they run on hot paths.
     """
 
     __slots__ = ("x", "y")
@@ -414,9 +409,6 @@ class Vec2:
         _set_x(self, _coerce(x))
         _set_y(self, _coerce(y))
 
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not Vec2:
             return NotImplemented
@@ -424,12 +416,6 @@ class Vec2:
 
     def __hash__(self) -> int:
         return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"Vec2(x={self.x!r}, y={self.y!r})"
-
-    def __reduce__(self):
-        return Vec2, (self.x, self.y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return _vec(self.x + other.x, self.y + other.y)
@@ -478,19 +464,17 @@ def _vec(x: QuadNum, y: QuadNum) -> Vec2:
     return v
 
 
-class Mat2:
+class Mat2(_FrozenValue):
     """A 2x2 matrix over Q(sqrt(2)); group elements here have det +-1.
 
-    Immutable, with value equality and hashing over ``(a, b, c, d)``.
+    Immutable, with value equality and hashing over ``(a, b, c, d)``, written
+    out because they run on hot paths.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         _set_entries(self, _coerce(a), _coerce(b), _coerce(c), _coerce(d))
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Mat2:
@@ -499,12 +483,6 @@ class Mat2:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self) -> str:
-        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-    def __reduce__(self):
-        return Mat2, (self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return _mat(
@@ -554,49 +532,3 @@ def _mat(a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> Mat2:
     m = _object_new(Mat2)
     _set_entries(m, a, b, c, d)
     return m
-
-
-class ProjVal:
-    """A point of the projective line over Q(sqrt(2)): a field value or infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: QuadNum | None):
-        self.value = value
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjVal):
-            if self.value is None:
-                return NotImplemented
-            return self.value == _coerce(other)
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("ProjVal", self.value))
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"ProjVal({self.value!r})"
-
-
-INFINITY = ProjVal(None)
-
-
-def moebius(m: Mat2, u: ProjVal) -> ProjVal:
-    """The Moebius action (a*u+b)/(c*u+d) on the projective line, total on RP^1."""
-    if m.det().is_zero():
-        raise ValueError("Moebius action requires an invertible matrix")
-    if u.is_infinite:
-        if m.c.is_zero():
-            return INFINITY
-        return ProjVal(m.a / m.c)
-    den = m.c * u.value + m.d
-    if den.is_zero():
-        return INFINITY
-    return ProjVal((m.a * u.value + m.b) / den)

@@ -265,7 +265,7 @@ class SectorReport:
     def to_json(self) -> dict:
         return {
             "sector": self.sector,
-            "u": str(self.direction.u()),
+            "u": self.direction.u_text(),
             "passed": self.passed,
             "moves_available": self.moves_available,
             "matrix_equal": self.matrix_equal,

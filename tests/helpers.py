@@ -27,6 +27,7 @@ from octocf.farey import (
     theta_cmp,
 )
 from octocf.h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
+from octocf.intmat import IntMat
 from octocf.numerics import Mat2, QuadNum, Vec2, quad_sign
 from octocf.octagon import (
     OCTAGON_AREA,
@@ -108,6 +109,56 @@ def reference_cross(v: Vec2, w: Vec2) -> QuadNum:
 
 def reference_dot(v: Vec2, w: Vec2) -> QuadNum:
     return v.x * w.x + v.y * w.y
+
+
+# The projective line over Q(sqrt(2)) for the Moebius oracle: a point is a
+# QuadNum, or None for infinity.
+
+
+def inverse_slope(d: Direction) -> QuadNum | None:
+    """The inverse slope u = x/y of ``d``, None on both horizontal rays."""
+    x, y = d.vector.x, d.vector.y
+    return None if y.is_zero() else x / y
+
+
+def moebius(m: Mat2, u: QuadNum | None) -> QuadNum | None:
+    """The Moebius action (a*u+b)/(c*u+d) on the projective line, total on RP^1."""
+    if m.det().is_zero():
+        raise ValueError("Moebius action requires an invertible matrix")
+    if u is None:
+        if m.c.is_zero():
+            return None
+        return m.a / m.c
+    den = m.c * u + m.d
+    if den.is_zero():
+        return None
+    return (m.a * u + m.b) / den
+
+
+def matvec(a: IntMat, v):
+    """Apply ``a`` to a sequence whose entries support + and integer scaling."""
+    n = len(a)
+    assert len(v) == n
+    out = []
+    for i in range(n):
+        acc = None
+        for j, c in enumerate(a[i]):
+            if c == 0:
+                continue
+            term = v[j] if c == 1 else _scale(v[j], c)
+            acc = term if acc is None else acc + term
+        if acc is None:
+            raise ValueError("matrix has a zero row")
+        out.append(acc)
+    return tuple(out)
+
+
+def _scale(x, c: int):
+    if isinstance(x, int):
+        return x * c
+    if hasattr(x, "scale"):
+        return x.scale(c)
+    return x * c
 
 
 # The torus baseline on the ints (a, b, c, d) of alpha = (a + b*sqrt(d))/c:

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import cone_contains_cone, cones_of, error_cmp
+from helpers import cone_contains_cone, cones_of, error_cmp, moebius
 from octocf import intmat
 from octocf.classical import (
     QuadraticIrrational,
@@ -34,7 +34,7 @@ from octocf.h2moves import (
     sector_matrix,
     sector_word,
 )
-from octocf.numerics import Mat2, ProjVal, QuadNum, Vec2, moebius, quad_floor
+from octocf.numerics import Mat2, QuadNum, Vec2, quad_floor
 from octocf.octagon import (
     OCTAGON_AREA,
     _WordRun,
@@ -76,7 +76,7 @@ def test_criterion_2_farey_structure():
     start = time.time()
     assert GAMMA @ GAMMA == Mat2.identity()
     for j in range(7):
-        shared = ProjVal(SECTOR_BOUNDS[j])
+        shared = SECTOR_BOUNDS[j]
         assert moebius(GAMMA_NU[j], shared) == moebius(GAMMA_NU[j + 1], shared)
     # each branch maps its sector endpoints onto the endpoints of the union
     grid = [Direction(Vec2(1, 0))] + [
@@ -90,7 +90,7 @@ def test_criterion_2_farey_structure():
         }
         assert images == {"pi8", "pi"}, j
     # fixed point of the first branch and the 0 -> pi -> pi chain
-    silver = ProjVal(QuadNum(1, 1))
+    silver = QuadNum(1, 1)
     assert moebius(GAMMA_NU[1], silver) == silver
     e0 = expand(Direction(Vec2(1, 0)), 6)
     epi = expand(Direction(Vec2(-1, 0)), 6)

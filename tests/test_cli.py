@@ -62,6 +62,80 @@ class TestExpand:
         assert record["dual"]["entries"] == [1, 1, 1, 1]
 
 
+class TestDirectionLiterals:
+    """Literals of --u and --direction, pinned by their output before they
+    were parsed straight to a direction."""
+
+    @pytest.mark.parametrize("literal", ["inf", "INF", "infinity", "oo"])
+    @pytest.mark.parametrize("side, entries", [("pos", [0, 7, 7]), ("neg", [7, 7, 7])])
+    def test_infinity_is_the_horizontal_ray_of_the_side(self, capsys, literal, side, entries):
+        code, out, err = run_cli(capsys, "expand", "--u", literal, "--side", side, "--depth", "3")
+        assert (code, err) == (EXIT_OK, "")
+        record = json.loads(out)
+        assert record["entries"] == entries and "approximate" not in record
+
+    @pytest.mark.parametrize("literal, entries", [(" 3/2 ", [1, 4, 5]), ("1+sqrt2", [0, 1, 1])])
+    def test_exact_literals(self, capsys, literal, entries):
+        code, out, err = run_cli(capsys, "expand", "--u", literal, "--depth", "3")
+        assert (code, err) == (EXIT_OK, "")
+        record = json.loads(out)
+        assert record["entries"] == entries and "approximate" not in record
+
+    def test_decimal_is_approximate_with_a_warning(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--u", "0.3", "--depth", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["approximate"] is True
+        assert err == "warning: decimal input '0.3' replaced by the nearby rational 3/10\n"
+
+    def test_negative_infinity_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--u=-inf", "--depth", "3")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: cannot parse '-inf' as a direction\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--u", "-inf"])
+        assert exc.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("render", "--input", "qprime", "--direction", "inf", "--side", "neg"),
+                "ae130436563777271fa533f20bbc907bbbbb5f381c659d3fbcb66b710649f331",
+            ),
+            (
+                ("render", "--input", "qprime", "--direction", "inf"),
+                "8f2d46bf47c03adf45e59511c200980849fa9ec08100298f8e815d5e031b8a1c",
+            ),
+            (
+                ("trace", "--u", "inf", "--side", "neg", "--steps", "2"),
+                "1888c1578d6cb2a6a49fb2bb7c8c5497905a109ade932671322e053fd0e58c1c",
+            ),
+            (
+                ("simulate", "--u", "inf", "--quad", "torus", "--steps", "2"),
+                "e3389e107d4c388112870d1da41e3b548a55ce37bf0207e919e475bb011b4d32",
+            ),
+        ],
+        ids=["render-neg", "render-pos", "trace", "simulate"],
+    )
+    def test_output_at_infinity_is_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "entries, lo_u, hi_u",
+        [
+            ("0", "inf", "1+sqrt(2)"),
+            ("0,7", "inf", "3+3*sqrt(2)"),
+            ("7,7", "-3-3*sqrt(2)", "inf"),
+            ("1", "1+sqrt(2)", "1"),
+        ],
+    )
+    def test_interval_ends_at_infinity_print_inf(self, capsys, entries, lo_u, hi_u):
+        record = run_json(capsys, "reconstruct", "--entries", entries)
+        assert (record["lo_u"], record["hi_u"]) == (lo_u, hi_u)
+
+
 class TestReconstruct:
     def test_sector_interval(self, capsys):
         record = run_json(capsys, "reconstruct", "--entries", "7")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import matvec
 from octocf import intmat
 from octocf.classical import geometric_convergents, intermediate_convergents
 from octocf.diagch import (
@@ -174,7 +175,7 @@ class TestStaircaseMoves:
         state = torus_state(Vec2(0, 1), Vec2(1, 0), ref)
         for _ in range(8):
             move = state.available_moves()[0]
-            expected = intmat.matvec(move.matrix, state.wedge_vector_tuple())
+            expected = matvec(move.matrix, state.wedge_vector_tuple())
             state = state.apply(move)
             assert state.wedge_vector_tuple() == expected
 

@@ -13,6 +13,8 @@ from helpers import (
     check_value_type,
     classify_directions,
     interior_directions,
+    inverse_slope,
+    moebius,
     nonzero_quadnums,
     reference_classify,
     reference_expand_orbit,
@@ -40,7 +42,7 @@ from octocf.farey import (
     reconstruct,
     theta_cmp,
 )
-from octocf.numerics import Mat2, ProjVal, QuadNum, Vec2, moebius
+from octocf.numerics import Mat2, QuadNum, Vec2
 
 
 class TestDihedralElements:
@@ -363,12 +365,12 @@ class TestFoldAndStep:
         assert j == 0 and image.is_theta_pi
 
     def test_parabolic_fixed_point_of_first_branch(self):
-        u = ProjVal(QuadNum(1, 1))
+        u = QuadNum(1, 1)
         assert moebius(GAMMA_NU[1], u) == u
 
     def test_continuity_at_interior_boundaries(self):
         for j in range(7):
-            shared = ProjVal(SECTOR_BOUNDS[j])
+            shared = SECTOR_BOUNDS[j]
             assert moebius(GAMMA_NU[j], shared) == moebius(GAMMA_NU[j + 1], shared)
 
     def test_branches_map_onto_expanding_union(self):
@@ -418,7 +420,7 @@ class TestExpand:
     @settings(max_examples=60)
     def test_vector_and_moebius_actions_commute(self, d):
         j, image = farey_step(d)
-        assert moebius(GAMMA_NU[j], d.u()) == image.u()
+        assert moebius(GAMMA_NU[j], inverse_slope(d)) == inverse_slope(image)
 
     def test_only_first_entry_may_be_zero(self):
         with pytest.raises(InadmissiblePrefixError):

@@ -1,4 +1,5 @@
-"""Exact arithmetic kernel: field axioms, ordering, Moebius action, decimals."""
+"""Exact arithmetic kernel: field axioms, ordering, value types, decimals, and the
+Moebius oracle that the Farey tests use."""
 
 from fractions import Fraction
 from math import gcd, isclose, isqrt, lcm
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    check_value_type,
     fractions,
+    moebius,
     nonzero_quadnums,
     quadnums,
     reference_apply,
@@ -18,16 +21,7 @@ from helpers import (
     reference_matmul,
 )
 from octocf.classical import QuadraticIrrational
-from octocf.numerics import (
-    INFINITY,
-    Mat2,
-    ProjVal,
-    QuadNum,
-    QuadNumParseError,
-    Vec2,
-    moebius,
-    to_decimal,
-)
+from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, to_decimal
 
 GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
@@ -210,26 +204,43 @@ class TestValueObjects:
                 delattr(obj, name)
         assert v == Vec2(1, 2) and m == Mat2.identity()
 
+    def test_vectors_and_matrices_are_frozen_values(self):
+        half = Fraction(1, 2)
+        vectors = [Vec2(1, 2), Vec2(x=1, y=2), Vec2(2, 1), Vec2(QuadNum(-1, half), 0)]
+        check_value_type(vectors, ("x", "y"))
+        matrices = [Mat2.identity(), Mat2(1, 0, 0, 1), GAMMA, Mat2(0, 1, -1, QuadNum(0, half))]
+        check_value_type(matrices, ("a", "b", "c", "d"))
+        assert vectors[3].__reduce__() == (Vec2, (QuadNum(-1, half), QuadNum(0)))
+        entries = (QuadNum(-1), QuadNum(2, 2), QuadNum(0), QuadNum(1))
+        assert matrices[2].__reduce__() == (Mat2, entries)
+        assert repr(matrices[3]) == (
+            "Mat2(a=QuadNum(Fraction(0, 1), Fraction(0, 1)), "
+            "b=QuadNum(Fraction(1, 1), Fraction(0, 1)), "
+            "c=QuadNum(Fraction(-1, 1), Fraction(0, 1)), "
+            "d=QuadNum(Fraction(0, 1), Fraction(1, 2)))"
+        )
+
 
 def _projvals():
-    return st.one_of(st.just(INFINITY), quadnums(9, 5).map(ProjVal))
+    """Points of the projective line: None is infinity."""
+    return st.one_of(st.just(None), quadnums(9, 5))
 
 
 class TestMoebius:
     def test_identity(self):
-        for u in (INFINITY, ProjVal(QuadNum(3, -2))):
+        for u in (None, QuadNum(3, -2)):
             assert moebius(Mat2.identity(), u) == u
 
     def test_gamma_fixes_infinity(self):
-        assert moebius(GAMMA, INFINITY) == INFINITY
+        assert moebius(GAMMA, None) is None
 
     def test_parabolic_translation(self):
         gn7 = Mat2(1, QuadNum(2, 2), 0, 1)
-        assert moebius(gn7, ProjVal(QuadNum(-1, -1))) == ProjVal(QuadNum(1, 1))
+        assert moebius(gn7, QuadNum(-1, -1)) == QuadNum(1, 1)
 
     def test_pole_goes_to_infinity(self):
         m = Mat2(0, 1, 1, 0)  # u -> 1/u
-        assert moebius(m, ProjVal(QuadNum(0))) == INFINITY
+        assert moebius(m, QuadNum(0)) is None
 
     @given(_matrices(), _matrices(), _projvals())
     def test_composition(self, m, n, u):
