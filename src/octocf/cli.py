@@ -211,10 +211,32 @@ def _cmd_convergents(args) -> int:
     result = classical.GeometricConvergents(tuple(digits), tuple(vectors), halted)
     if args.format == "text":
         return _emit(args, _batched(_convergents_text(result)))
-    record = result.to_json()
+    return _emit(args, _batched(_convergents_json(result, approximate)))
+
+
+def _convergents_json(result, approximate: bool):
+    """The indented JSON of ``result.to_json()`` and a newline, with the
+    intermediate convergents written one per string as they are formed."""
+    import json
+
+    record = {
+        "digits": list(result.digits),
+        "vectors": [list(v) for v in result.vectors],
+        "intermediates": None,
+        "halted": result.halted,
+    }
     if approximate:
         record["approximate"] = True
-    return _emit_json(args, record)
+    head, tail = json.dumps(record, indent=2).split('"intermediates": null')
+    yield head + '"intermediates": ['
+    for idx, (digit, group) in enumerate(zip(result.digits, result.iter_intermediates())):
+        yield ",\n    [" if idx else "\n    ["
+        sep = "\n"
+        for p, q in group:
+            yield f"{sep}      [\n        {p},\n        {q}\n      ]"
+            sep = ",\n"
+        yield "\n    ]" if digit > 1 else "]"
+    yield ("\n  ]" if result.digits else "]") + tail + "\n"
 
 
 def _convergents_text(result):
@@ -380,7 +402,7 @@ def _cmd_render(args) -> int:
         data = _read_json(None if args.input == "-" else args.input, "trace")
         states = _decode(render.trace_panels, data)
     overlay = None
-    if args.direction:
+    if args.direction is not None:
         overlay, _ = _parse_direction(args.direction, args.side)
     spec = render.RenderSpec(
         scale=Fraction(args.scale),

@@ -214,6 +214,22 @@ def _apply(m: tuple[int, ...], v: _IntVec) -> _IntVec:
     )
 
 
+def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
+    """m*n for m, n in the ints of :func:`_integral`."""
+    ap, aq, bp, bq, cp, cq, dp, dq = m
+    ep, eq, fp, fq, gp, gq, hp, hq = n
+    return (
+        ap * ep + bp * gp + 2 * (aq * eq + bq * gq),
+        ap * eq + aq * ep + bp * gq + bq * gp,
+        ap * fp + bp * hp + 2 * (aq * fq + bq * hq),
+        ap * fq + aq * fp + bp * hq + bq * hp,
+        cp * ep + dp * gp + 2 * (cq * eq + dq * gq),
+        cp * eq + cq * ep + dp * gq + dq * gp,
+        cp * fp + dp * hp + 2 * (cq * fq + dq * hq),
+        cp * fq + cq * fp + dp * hq + dq * hp,
+    )
+
+
 def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
     """The ints (p, q) of cross(v, w) = p + q*sqrt2."""
     xp, xq, yp, yq = v
@@ -510,26 +526,31 @@ def reconstruct(prefix) -> RP1Interval:
 
     The interval is the sector of the last entry pulled back through the
     inverse branches of the earlier entries; prefixes of growing length give
-    nested intervals shrinking to the coded direction.  Both endpoints are
-    pulled back on integral vectors.  A run of n equal parabolic entries
-    j = 1, 7 is crossed at once: its inverse branch M is unipotent, so
-    M^n = I + n(M - I), and on [pi/8, pi] it keeps y >= 0, so the endpoints are
-    the exact vectors of n single steps.
+    nested intervals shrinking to the coded direction.  The inverse branches
+    are composed into one integral matrix P/sqrt2^e, which pulls both
+    endpoints back at once.  A run of n equal parabolic entries j = 1, 7 is
+    one factor: its inverse branch M is unipotent, so M^n = I + n(M - I).
+    Each branch keeps y >= 0 on [pi/8, pi], so the endpoints are the exact
+    vectors of single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
     if not _admissible(entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
-    last = entries[-1]
-    # the sector ends have denominator 1
-    ends = [(_ints(_boundary_direction(b).vector)[0], 0) for b in (last, last + 1)]
-    for s, run in groupby(reversed(entries[:-1])):
+    p, e = _SCALARS[0], 0
+    for s, run in groupby(entries[:-1]):
         (k, m), n = _INVERSE_BRANCHES[s], len(tuple(run))
         if n > 1 and s in _PARABOLIC:
             m, n = tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m)), 1
         for _ in range(n):
-            ends = [_strip(_apply(m, v), e + k) for v, e in ends]
+            p, e = _matmul(p, m), e + k
+            # P/sqrt2 while it stays integral, as _strip divides a vector
+            while not (p[0] & 1 or p[2] & 1 or p[4] & 1 or p[6] & 1):
+                p, e = (p[1], p[0] >> 1, p[3], p[2] >> 1, p[5], p[4] >> 1, p[7], p[6] >> 1), e - 1
+    # the sector ends have denominator 1
+    last = entries[-1]
+    ends = (_strip(_apply(p, _ints(_boundary_direction(b).vector)[0]), e) for b in (last, last + 1))
     lo, hi = (_direction(v, 1, e) for v, e in ends)
     if theta_cmp(lo, hi) <= 0:
         return RP1Interval(lo, hi)

@@ -464,11 +464,18 @@ def _vec(x: QuadNum, y: QuadNum) -> Vec2:
     return v
 
 
-class Mat2(_FrozenValue):
+class _Invertible(_FrozenValue):
+    """Holds a matrix's inverse once it is taken, in a slot outside its fields."""
+
+    __slots__ = ("_inverse",)
+
+
+class Mat2(_Invertible):
     """A 2x2 matrix over Q(sqrt(2)); group elements here have det +-1.
 
     Immutable, with value equality and hashing over ``(a, b, c, d)``, written
-    out because they run on hot paths.
+    out because they run on hot paths.  The inverse is computed on the first
+    call and kept; the inverse keeps no link back, so no cycle is made.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -496,11 +503,17 @@ class Mat2(_FrozenValue):
         return _dot2(self.a, self.d, -self.b, self.c)
 
     def inverse(self) -> "Mat2":
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
         det = self.det()
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
         inv = det.inverse()
-        return _mat(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
+        m = _mat(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
+        _set_inverse(self, m)
+        return m
 
     def apply(self, v: Vec2) -> Vec2:
         return _vec(_dot2(self.a, v.x, self.b, v.y), _dot2(self.c, v.x, self.d, v.y))
@@ -517,6 +530,7 @@ class Mat2(_FrozenValue):
 
 
 _MAT_SLOTS = tuple(getattr(Mat2, name).__set__ for name in Mat2.__slots__)
+_set_inverse = _Invertible._inverse.__set__
 
 
 def _set_entries(m: Mat2, a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> None:

@@ -87,6 +87,16 @@ class TestDirectionLiterals:
         assert json.loads(out)["approximate"] is True
         assert err == "warning: decimal input '0.3' replaced by the nearby rational 3/10\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("expand", "--u"), ("render", "--input", "qprime", "--direction")],
+        ids=["expand", "render"],
+    )
+    def test_empty_literal_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: cannot parse '' as a direction\n"
+
     def test_negative_infinity_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "expand", "--u=-inf", "--depth", "3")
         assert (code, out) == (EXIT_PARSE, "")
@@ -252,6 +262,55 @@ class TestConvergents:
         assert main(["convergents", "--alpha", "1/1000000", "--format", "text"]) == EXIT_OK
         assert sum(writes) > 8_800_000
         assert max(writes) < 100_000
+
+    @pytest.mark.parametrize(
+        "alpha, steps",
+        [
+            ("sqrt2", "6"),
+            ("golden", "12"),
+            ("3/7-1/5*sqrt2", "8"),
+            ("355/113", "10"),
+            ("2", "5"),
+            ("1/1000", "3"),
+            ("1.5", "4"),
+        ],
+    )
+    def test_json_equals_the_indented_record(self, capsys, alpha, steps):
+        from octocf.classical import geometric_convergents
+        from octocf.cli import _parse_alpha
+
+        value, approximate = _parse_alpha(alpha)
+        record = geometric_convergents(value, int(steps)).to_json()
+        if approximate:
+            record["approximate"] = True
+        code, out, _ = run_cli(capsys, "convergents", "--alpha", alpha, "--steps", steps)
+        assert code == EXIT_OK
+        assert out == json.dumps(record, indent=2) + "\n"
+
+    def test_json_is_written_as_it_is_formed(self, monkeypatch):
+        # 10**6 intermediate convergents in one group, 42.9 MB in all: each
+        # write follows at most one batch of 4096 newly formed convergents,
+        # where building the record first would form them all before any write
+        from octocf import classical
+
+        multiples, formed, writes = classical._multiples, [0], []
+
+        def counted(*args):
+            for pair in multiples(*args):
+                formed[0] += 1
+                yield pair
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append((len(text), formed[0]))
+                return len(text)
+
+        monkeypatch.setattr(classical, "_multiples", counted)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["convergents", "--alpha", "1/1000000"]) == EXIT_OK
+        assert sum(n for n, _ in writes) > 42_800_000 and formed[0] == 999_999
+        counts = [0] + [f for _, f in writes]
+        assert max(b - a for a, b in zip(counts, counts[1:])) <= 4096
 
     def test_decimal_alpha_is_approximate(self, capsys):
         code, out, err = run_cli(capsys, "convergents", "--alpha", "1.5", "--steps", "2")

@@ -56,6 +56,10 @@ class TestDihedralElements:
         for g, inv in zip(GAMMA_NU, GAMMA_NU_INV, strict=True):
             assert inv @ g == Mat2.identity()
 
+    def test_branch_inverse_is_the_stored_one(self):
+        for g, inv in zip(GAMMA_NU, GAMMA_NU_INV, strict=True):
+            assert g.inverse() is inv
+
     def test_determinants_alternate(self):
         for j, nu in enumerate(NU):
             expected = QuadNum(-1) if j % 2 else QuadNum(1)
@@ -464,6 +468,16 @@ class TestReconstruct:
             (0, 7),
             (0,),
             (4, 4, 4, 1, 1, 6, 6, 7, 7, 7),
+            # the shape of a criterion-3 pair: a prefix, a junction, a 200-entry tail
+            (3, 7, 1, 1, 5, 2, 6, 4, 7, 3, 3, 2, 1, 6, 5, 7, 2, 4, 1, 3, 6) + (2,) + (1,) * 200,
+            (5, 2, 7, 7, 1, 4, 3, 6, 2, 5, 1, 1, 1, 4, 7, 6, 3, 2, 5, 4, 6) + (3,) + (1,) * 200,
+            (0, 4, 6, 2, 7, 1, 3, 5, 5, 2, 4, 7, 6, 1, 3, 2, 7, 4, 4, 6, 1, 5, 3, 2, 6, 7, 2)
+            + (3, 1, 4, 6, 5, 2, 7, 1, 3)
+            + (1,)
+            + (7,) * 200,
+            (6, 1, 2, 3, 4, 5, 6, 7, 7, 1, 2, 4, 3, 5, 6, 2, 2, 7, 1, 6, 4, 3, 5, 1, 7, 2, 6, 3)
+            + (2,)
+            + (7,) * 200,
         ],
     )
     def test_runs_match_the_step_by_step_reference(self, entries):

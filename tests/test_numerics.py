@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: field axioms, ordering, value types, decimals, and the
 Moebius oracle that the Farey tests use."""
 
+import gc
+import pickle
 from fractions import Fraction
 from math import gcd, isclose, isqrt, lcm
 
@@ -107,6 +109,34 @@ class TestMat2:
                 m.inverse()
         else:
             assert m @ m.inverse() == Mat2.identity()
+
+    def test_inverse_is_kept_outside_the_fields(self):
+        def matrices():
+            half = Fraction(1, 2)
+            return [
+                Mat2.identity(),
+                Mat2(-1, QuadNum(2, 2), 0, 1),
+                Mat2(0, 1, -1, QuadNum(0, half)),
+                Mat2(QuadNum(3, 2), 1, QuadNum(1, 1), QuadNum(0, half)),
+            ]
+
+        inverted = matrices()
+        for m in inverted:
+            inv = m.inverse()
+            assert m.inverse() is inv
+            # only the link to the inverse is kept, so no cycle is made
+            assert not any(r is m for r in gc.get_referents(inv))
+        check_value_type(inverted, ("a", "b", "c", "d"))
+        for m, fresh in zip(inverted, matrices()):
+            assert pickle.dumps(m) == pickle.dumps(fresh)
+            assert repr(m) == repr(fresh)
+        assert Mat2.__slots__ == ("a", "b", "c", "d")
+
+    def test_singular_inverse_raises_on_every_call(self):
+        m = Mat2(1, QuadNum(1, 1), QuadNum(1, -1), -1)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
 
 
 _WIDE = st.integers(2**2000, 2**2100)
