@@ -161,10 +161,14 @@ class GeometricConvergents(_FrozenValue):
         return map(_multiples, basis, basis[1:], self.digits)
 
     def to_json(self) -> dict:
+        return self._record([[[p, q] for p, q in group] for group in self.iter_intermediates()])
+
+    def _record(self, intermediates) -> dict:
+        """The record of :meth:`to_json` with ``intermediates`` in its place."""
         return {
             "digits": list(self.digits),
             "vectors": [list(v) for v in self.vectors],
-            "intermediates": [[[p, q] for p, q in group] for group in self.iter_intermediates()],
+            "intermediates": intermediates,
             "halted": self.halted,
         }
 
@@ -209,18 +213,21 @@ def _steps(alpha, n: int):
             return
 
 
-def geometric_convergents(alpha, n: int) -> GeometricConvergents:
+def geometric_convergents(alpha, n: int, check=None) -> GeometricConvergents:
     """Run n steps of the geometric convergent construction for alpha > 0.
 
     Each step adds the newer basis vector to the older one as many times as
     possible without crossing the line; the construction halts early (with
     the flag set) when a vector lands exactly on the line, which happens
-    precisely for rational alpha.
+    precisely for rational alpha.  ``check(digit, vector)``, if given, sees
+    each step as it is made and may raise to stop the construction there.
     """
     digits: list[int] = []
     vectors: list[tuple[int, int]] = []
     halted = False
     for digit, vector, halted in _steps(alpha, n):
+        if check is not None:
+            check(digit, vector)
         digits.append(digit)
         vectors.append(vector)
     return GeometricConvergents(tuple(digits), tuple(vectors), halted)

@@ -196,35 +196,31 @@ def _cmd_convergents(args) -> int:
     from . import classical
 
     alpha, approximate = _parse_alpha(args.alpha)
-    digits, vectors, halted = [], [], False
     listed, limit = 0, 10**_MAX_INT_DIGITS
-    # Refuse at the step that crosses a limit, before any output is written.
-    # Convergents grow, so each new vector holds the largest int listed so far.
-    for digit, vector, halted in classical._steps(alpha, args.steps):
+
+    def check(digit, vector):
+        # Refuse at the step that crosses a limit, before any output is written.
+        # Convergents grow, so each new vector holds the largest int listed so far.
+        nonlocal listed
         listed += max(digit - 1, 0)
         if listed > _MAX_DENOMINATOR:
             raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
         if max(vector) >= limit:
             raise _ParseFailure(f"convergents with more than {_MAX_INT_DIGITS} digits to list")
-        digits.append(digit)
-        vectors.append(vector)
-    result = classical.GeometricConvergents(tuple(digits), tuple(vectors), halted)
+
+    result = classical.geometric_convergents(alpha, args.steps, check)
     if args.format == "text":
         return _emit(args, _batched(_convergents_text(result)))
     return _emit(args, _batched(_convergents_json(result, approximate)))
 
 
 def _convergents_json(result, approximate: bool):
-    """The indented JSON of ``result.to_json()`` and a newline, with the
-    intermediate convergents written one per string as they are formed."""
+    """The indented JSON of ``result.to_json()`` and a newline, in the layout of
+    the record it builds, with the intermediate convergents written one per
+    string as they are formed."""
     import json
 
-    record = {
-        "digits": list(result.digits),
-        "vectors": [list(v) for v in result.vectors],
-        "intermediates": None,
-        "halted": result.halted,
-    }
+    record = result._record(None)
     if approximate:
         record["approximate"] = True
     head, tail = json.dumps(record, indent=2).split('"intermediates": null')

@@ -27,7 +27,9 @@ from .numerics import (
     QuadNum,
     Vec2,
     _FrozenValue,
+    _mat,
     _reduced,
+    _vec,
     quad_floor,
     quad_sign,
 )
@@ -180,9 +182,12 @@ _BOUND_INTS: tuple[tuple[int, int], ...] = tuple(b.ints[:2] for b in SECTOR_BOUN
 
 _IntVec = tuple[int, int, int, int]
 
+#: A matrix P/sqrt2^e held as ``(e, P)``, P the ints (p, q) of its entries, row by row.
+_Frame = tuple[int, tuple[int, ...]]
 
-def _integral(m: Mat2) -> tuple[int, tuple[int, ...]]:
-    """The least k in {0, 1} with sqrt2^k * m integral, and its entries' ints (p, q), row by row."""
+
+def _integral(m: Mat2) -> _Frame:
+    """``m`` as ``(k, P)`` with the least k in {0, 1} that makes P = sqrt2^k * m integral."""
     k = int(any(c.ints[2] != 1 for c in (m.a, m.b, m.c, m.d)))
     scale = QuadNum(0, 1) if k else QuadNum(1)
     return k, tuple(i for c in (m.a, m.b, m.c, m.d) for i in (c * scale).ints[:2])
@@ -246,17 +251,39 @@ def _strip(v: _IntVec, e: int) -> tuple[_IntVec, int]:
     return (xp, xq, yp, yq), e
 
 
-def _direction(v: _IntVec, den: int, e: int) -> Direction:
-    """The Direction of the exact vector v/(den*sqrt2^e), one gcd per coordinate."""
-    xp, xq, yp, yq = v
-    if e % 2:  # v/sqrt2 = sqrt2*v/2
-        xp, xq, yp, yq, e = 2 * xq, xp, 2 * yq, yp, e + 1
-    h = e // 2
+def _compose(frame: _Frame, branch: _Frame) -> _Frame:
+    """frame*branch, divided by sqrt2 while P stays integral, as :func:`_strip`
+    divides a vector: without it P gains a sqrt2 factor at almost every branch
+    with k = 1."""
+    (e, p), (k, m) = frame, branch
+    p, e = _matmul(p, m), e + k
+    while not (p[0] & 1 or p[2] & 1 or p[4] & 1 or p[6] & 1):
+        p, e = (p[1], p[0] >> 1, p[3], p[2] >> 1, p[5], p[4] >> 1, p[7], p[6] >> 1), e - 1
+    return e, p
+
+
+def _quad(p: int, q: int, den: int, e: int) -> QuadNum:
+    """The QuadNum (p + q*sqrt2)/(den*sqrt2^e), with one gcd."""
+    if e & 1:  # x/sqrt2 = sqrt2*x/2
+        p, q, e = 2 * q, p, e + 1
+    h = e >> 1
     if h >= 0:
         den <<= h
     else:
-        xp, xq, yp, yq = xp << -h, xq << -h, yp << -h, yq << -h
-    return Direction(Vec2(_reduced(xp, xq, den), _reduced(yp, yq, den)))
+        p, q = p << -h, q << -h
+    return _reduced(p, q, den)
+
+
+def _matrix(frame: _Frame) -> Mat2:
+    """The Mat2 P/sqrt2^e of ``frame``."""
+    e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
+    return _mat(_quad(ap, aq, 1, e), _quad(bp, bq, 1, e), _quad(cp, cq, 1, e), _quad(dp, dq, 1, e))
+
+
+def _direction(v: _IntVec, den: int, e: int) -> Direction:
+    """The Direction of the exact vector v/(den*sqrt2^e)."""
+    xp, xq, yp, yq = v
+    return Direction(_vec(_quad(xp, xq, den, e), _quad(yp, yq, den, e)))
 
 
 def _sectors(v: _IntVec) -> tuple[int, ...]:
@@ -356,6 +383,19 @@ class FareyExpansion:
         if self.terminating and self.tail not in (1, 7):
             raise ValueError("a terminating expansion must declare its tail")
 
+    @classmethod
+    def _trusted(
+        cls, entries: tuple[int, ...], boundary_hit: bool, terminating: bool, tail: int | None
+    ) -> "FareyExpansion":
+        """An expansion whose entries are admissible ints by construction, built
+        without the checks above."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "entries", entries)
+        object.__setattr__(e, "boundary_hit", boundary_hit)
+        object.__setattr__(e, "terminating", terminating)
+        object.__setattr__(e, "tail", tail)
+        return e
+
     def __str__(self) -> str:
         head = str(self.entries[0])
         rest = ",".join(str(s) for s in self.entries[1:])
@@ -421,11 +461,8 @@ def _walk(
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
     xp, xq, yp, yq = v
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    expansion = FareyExpansion(
-        entries=tuple(entries),
-        boundary_hit=any(tie for _, tie, *_ in steps),
-        terminating=tail is not None,
-        tail=tail,
+    expansion = FareyExpansion._trusted(
+        tuple(entries), any(tie for _, tie, *_ in steps), tail is not None, tail
     )
     return expansion, den, steps
 
@@ -538,17 +575,15 @@ def reconstruct(prefix) -> RP1Interval:
         raise InadmissiblePrefixError("empty prefix")
     if not _admissible(entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
-    p, e = _SCALARS[0], 0
+    frame = (0, _SCALARS[0])
     for s, run in groupby(entries[:-1]):
         (k, m), n = _INVERSE_BRANCHES[s], len(tuple(run))
         if n > 1 and s in _PARABOLIC:
             m, n = tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m)), 1
         for _ in range(n):
-            p, e = _matmul(p, m), e + k
-            # P/sqrt2 while it stays integral, as _strip divides a vector
-            while not (p[0] & 1 or p[2] & 1 or p[4] & 1 or p[6] & 1):
-                p, e = (p[1], p[0] >> 1, p[3], p[2] >> 1, p[5], p[4] >> 1, p[7], p[6] >> 1), e - 1
+            frame = _compose(frame, (k, m))
     # the sector ends have denominator 1
+    e, p = frame
     last = entries[-1]
     ends = (_strip(_apply(p, _ints(_boundary_direction(b).vector)[0]), e) for b in (last, last + 1))
     lo, hi = (_direction(v, 1, e) for v, e in ends)
@@ -574,7 +609,7 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         # all shown entries equal the tail
         if e.tail == 1:
             entries[0] = 0
-            return FareyExpansion(tuple(entries), e.boundary_hit, True, 1)
+            return FareyExpansion._trusted(tuple(entries), e.boundary_hit, True, 1)
         return e  # the ray theta = pi is self-dual
     s = entries[k]
     if e.tail == 1:
@@ -583,5 +618,5 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         partner = s + 1 if s % 2 == 1 else s - 1
     if partner < 0 or (partner == 0 and k != 0):
         return e  # the ray theta = 0 is self-dual
-    entries[k] = partner
-    return FareyExpansion(tuple(entries), e.boundary_hit, True, e.tail)
+    entries[k] = partner  # in 1..7, or 0 as the first entry: still admissible
+    return FareyExpansion._trusted(tuple(entries), e.boundary_hit, True, e.tail)

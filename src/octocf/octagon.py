@@ -55,8 +55,15 @@ from .farey import (
     Direction,
     FareyExpansion,
     TiePolicy,
+    _INVERSE_BRANCHES,
+    _apply,
     _boundary_direction,
+    _compose,
     _expand_orbit,
+    _Frame,
+    _ints,
+    _matrix,
+    _quad,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
@@ -70,7 +77,7 @@ from .h2moves import (
     sector_matrix,
     sector_word,
 )
-from .numerics import Mat2, QuadNum, Vec2
+from .numerics import Mat2, QuadNum, Vec2, _vec
 
 __all__ = [
     "OCTAGON_AREA",
@@ -491,6 +498,9 @@ class _SectorTable:
 
     moves: tuple[MoveRecord, ...]  # the executor's records, in the frame of the step's start
     bounds: tuple[tuple[Vec2, int | None], ...]  # (sector endpoint, first parallel label)
+    holonomies: tuple[tuple[tuple[int, ...], int], ...]  # the distinct created sides, as _ints
+    # per move: (side, cycle, ((label, index into holonomies), ...))
+    layout: tuple[tuple[Side, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
     midpoint: SectorReport | None = field(default=None, compare=False)  # the recorded run's report
 
     @staticmethod
@@ -536,13 +546,24 @@ class _SectorTable:
                     if s == 0 and first_parallel[end] is None:
                         first_parallel[end] = j
         bounds = ((lo.vector, first_parallel[0]), (hi.vector, first_parallel[1]))
-        return _SectorTable(moves, bounds)
+        index: dict[Vec2, int] = {}  # each distinct created side, in order of creation
+        layout = tuple(
+            (
+                rec.side,
+                rec.cycle,
+                tuple((j, index.setdefault(h, len(index))) for j, h in rec.new_sides),
+            )
+            for rec in moves
+        )
+        return _SectorTable(moves, bounds, tuple(_ints(h) for h in index), layout)
 
-    def replay(self, ref: Direction, to_original: Mat2, on_bound: bool) -> tuple[MoveRecord, ...]:
+    def replay(self, ref: Direction, to_original: _Frame, on_bound: bool) -> tuple[MoveRecord, ...]:
         """The word's move records at ``ref``, which must lie in the closed sector.
 
         Inside the open sector the word is proved to run, so this only maps
-        the created holonomies to the original frame.  On a sector endpoint
+        the created holonomies to the original frame ``to_original``, held
+        as the ints of :func:`farey._integral`: each distinct holonomy once,
+        and the records share the equal vectors.  On a sector endpoint
         (``on_bound``) it raises what the staircase executor raises there:
         :class:`HitsSingularity` for the first parallel diagonal, if any.
         """
@@ -550,11 +571,16 @@ class _SectorTable:
             for end, label in self.bounds:
                 if label is not None and ref.vector.cross(end).sign() == 0:
                     raise HitsSingularity(label)
+        e, p = to_original
+        made = []
+        for v, den in self.holonomies:
+            xp, xq, yp, yq = _apply(p, v)
+            made.append(_vec(_quad(xp, xq, den, e), _quad(yp, yq, den, e)))
         return tuple(
-            MoveRecord(
-                rec.side, rec.cycle, tuple((j, to_original.apply(h)) for j, h in rec.new_sides)
-            )
-            for rec in self.moves
+            [
+                MoveRecord(side, cycle, tuple([(j, made[k]) for j, k in sides]))
+                for side, cycle, sides in self.layout
+            ]
         )
 
 
@@ -585,7 +611,9 @@ def run_expansion(
     table, proved once for the whole sector, and the references are the
     iterates of the same Farey pass that yields the expansion.  Created
     wedge sides are reported in the original frame by accumulated inverse
-    renormalizations; they are the octagon analogues of the convergents.  A
+    renormalizations; they are the octagon analogues of the convergents.
+    The accumulated frame is one integral matrix P/sqrt2^e, the product of
+    the inverse branches as :func:`farey.reconstruct` composes it.  A
     parallel diagonal, possible only on a sector boundary, ends the trace
     with the ``hits_singularity`` marker.
     """
@@ -593,7 +621,7 @@ def run_expansion(
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
-    to_original = GAMMA_NU_INV[expansion.entries[0]]
+    to_original = _INVERSE_BRANCHES[expansion.entries[0]]
     initial = qprime(ref)
     wedges = initial.wedges
     steps: list[TraceStep] = []
@@ -605,13 +633,13 @@ def run_expansion(
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        to_original = to_original @ GAMMA_NU_INV[entry]
+        to_original = _compose(to_original, _INVERSE_BRANCHES[entry])
         steps.append(
             TraceStep(
                 entry=entry,
                 records=records,
                 state=LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image),
-                to_original=to_original,
+                to_original=_matrix(to_original),
             )
         )
         ref = image

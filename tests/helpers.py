@@ -339,6 +339,26 @@ def reference_reconstruct(entries) -> RP1Interval:
     return RP1Interval(ends[1], ends[0])
 
 
+def pulled_back(v: Vec2, runs) -> Direction:
+    """``v`` pulled back through the inverse branches of the run-length word ``runs``."""
+    for j, n in reversed(runs):
+        for _ in range(n):
+            v = GAMMA_NU_INV[j].apply(v)
+    return Direction(v)
+
+
+def height_direction(rng: random.Random, bits: int) -> Direction:
+    """A direction whose coordinates have coefficients of about ``bits`` bits."""
+
+    def coefficient():
+        return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+    def coordinate():
+        return QuadNum(Fraction(coefficient(), abs(coefficient())), coefficient())
+
+    return Direction(Vec2(coordinate(), coordinate()))
+
+
 def random_clean_direction(rng: random.Random, steps: int) -> Direction:
     """A rational-u direction whose orbit avoids boundaries for `steps` steps."""
     while True:

@@ -96,6 +96,19 @@ class TestGeometricConvergents:
         assert all(s != 0 for s in signs)
         assert all(a == -b for a, b in zip(signs, signs[1:]))
 
+    def test_check_sees_each_step_and_may_stop_the_construction(self):
+        seen = []
+        got = geometric_convergents(GOLDEN, 8, lambda digit, v: seen.append((digit, v)))
+        assert got == geometric_convergents(GOLDEN, 8)
+        assert seen == list(zip(got.digits, got.vectors))
+
+        def refuse_past_10(digit, v):
+            if max(v) > 10:
+                raise OverflowError(v)
+
+        with pytest.raises(OverflowError, match=r"\(13, 8\)"):
+            geometric_convergents(GOLDEN, 8, refuse_past_10)
+
 
 def _best_below(alpha: QuadraticIrrational, q_max: int) -> tuple[int, int]:
     """Brute-force (p, q) with the least |q*alpha - p| over 1 <= q <= q_max."""

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from helpers import (
     check_value_type,
     classify_directions,
+    height_direction,
     interior_directions,
     inverse_slope,
     moebius,
     nonzero_quadnums,
+    pulled_back,
     reference_classify,
     reference_expand_orbit,
     reference_reconstruct,
@@ -159,26 +162,6 @@ class TestClassify:
         assert classify(d) == reference_classify(d)
 
 
-def _pulled_back(v: Vec2, runs) -> Direction:
-    """``v`` pulled back through the inverse branches of the run-length word ``runs``."""
-    for j, n in reversed(runs):
-        for _ in range(n):
-            v = GAMMA_NU_INV[j].apply(v)
-    return Direction(v)
-
-
-def _height_direction(rng: random.Random, bits: int) -> Direction:
-    """A direction whose coordinates have coefficients of about ``bits`` bits."""
-
-    def coefficient():
-        return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
-
-    def coordinate():
-        return QuadNum(Fraction(coefficient(), abs(coefficient())), coefficient())
-
-    return Direction(Vec2(coordinate(), coordinate()))
-
-
 def _power_of_root2(e: int) -> QuadNum:
     """sqrt2^e by repeated products of sqrt2 or of 1/sqrt2 = sqrt2/2."""
     factor = QuadNum(0, 1) if e > 0 else QuadNum(0, Fraction(1, 2))
@@ -241,9 +224,9 @@ class TestOrbit:
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])
     @pytest.mark.parametrize("j", [1, 7])
     def test_long_parabolic_runs(self, j, n, policy):
-        tall = _height_direction(random.Random(1024), 1024).vector
+        tall = height_direction(random.Random(1024), 1024).vector
         for v in (Vec2(-3, 1), Vec2(QuadNum(Fraction(-5, 7), 2), QuadNum(1, 1)), tall):
-            e = _assert_orbit_is_the_reference(_pulled_back(v, [(j, n)]), n + 12, policy)
+            e = _assert_orbit_is_the_reference(pulled_back(v, [(j, n)]), n + 12, policy)
             assert e.entries[:n] == (j,) * n
 
     @pytest.mark.parametrize("j", [1, 7])
@@ -254,7 +237,7 @@ class TestOrbit:
         monkeypatch.setattr(
             farey, "_choose_sector", lambda *args: calls.append(args) or choose(*args)
         )
-        d = _pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), [(j, 500)])
+        d = pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), [(j, 500)])
         assert expand(d, 501).entries == (j,) * 500 + (2,)
         assert len(calls) == 2
 
@@ -268,7 +251,7 @@ class TestOrbit:
 
         monkeypatch.setattr(Direction, "__init__", counting_init)
         monkeypatch.setattr(numerics, "gcd", lambda *a: counts.update(["gcd"]) or math.gcd(*a))
-        d = _height_direction(random.Random(7), 256)
+        d = height_direction(random.Random(7), 256)
         built = []
         for depth in (10, 1000):
             counts.clear()
@@ -281,7 +264,7 @@ class TestOrbit:
     @given(
         st.one_of(
             classify_directions(),
-            st.builds(_height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
+            st.builds(height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
         ),
         st.one_of(
             st.sampled_from([QuadNum(0, 1), QuadNum(1, 1), QuadNum(0, 2), QuadNum(4)]),
@@ -306,14 +289,14 @@ class TestOrbit:
     @given(
         st.one_of(
             classify_directions(),
-            st.builds(_height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
+            st.builds(height_direction, st.randoms(use_true_random=False), st.integers(256, 1024)),
         ),
         st.lists(st.tuples(st.integers(1, 7), st.integers(1, 120)), max_size=4),
         st.integers(1, 20),
         st.sampled_from(list(TiePolicy)),
     )
     def test_run_length_words(self, base, runs, extra, policy):
-        d = _pulled_back(base.vector, runs)
+        d = pulled_back(base.vector, runs)
         _assert_orbit_is_the_reference(d, sum(n for _, n in runs) + extra, policy)
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
@@ -322,7 +305,7 @@ class TestOrbit:
     def test_runs_exiting_on_a_sector_boundary(self, j, n, policy):
         # each run of n entries j ends on the angle b*pi/8; there the policy decides
         for b in range(1, 8):
-            d = _pulled_back(_grid_direction(b).vector, [(j, n)])
+            d = pulled_back(_grid_direction(b).vector, [(j, n)])
             e = _assert_orbit_is_the_reference(d, n + 8, policy)
             assert e.boundary_hit
 
@@ -338,7 +321,7 @@ class TestOrbit:
         rng = random.Random(seed)
         prefix = [(rng.randint(1, 7), rng.choice((1, 1, 2, 40))) for _ in range(rng.randint(1, 8))]
         for ray in _HORIZONTALS_AND_PI8[1:]:
-            d = _pulled_back(ray, prefix)
+            d = pulled_back(ray, prefix)
             depth = sum(n for _, n in prefix) + 300
             e = _assert_orbit_is_the_reference(d, depth, policy)
             assert e.terminating and e.entries[-250:] == (e.tail,) * 250
@@ -429,6 +412,19 @@ class TestExpand:
     def test_only_first_entry_may_be_zero(self):
         with pytest.raises(InadmissiblePrefixError):
             FareyExpansion((1, 0, 2))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_trusted_builds_equal_the_checked_ones(self, policy):
+        # expand and dual_expansion build without the entry checks; what they
+        # build passes the public constructor, which keeps the checks
+        for u in ("2", "19/7", "1/2", "0", "-3", "1+sqrt2", "5/3+1/7*sqrt2"):
+            e = expand(Direction(Vec2(QuadNum.parse(u), QuadNum(1))), 40, policy)
+            for got in [e, dual_expansion(e)] if e.terminating else [e]:
+                checked = FareyExpansion(got.entries, got.boundary_hit, got.terminating, got.tail)
+                assert got == checked and type(got.entries) is tuple
+        for entries in [(1.0,) + e.entries[1:], e.entries[:1] + (True,), (2, 0)]:
+            with pytest.raises(InadmissiblePrefixError):
+                replace(e, entries=entries)
 
 
 class TestReconstruct:

@@ -1,21 +1,24 @@
 """Octagon base data and the acceleration verifier."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     cone_contains_cone,
     cones_of,
     derive_qprime_vectors_fixed_point,
+    height_direction,
+    pulled_back,
     random_clean_direction,
     reference_run_expansion,
 )
-from octocf import intmat, octagon
+from octocf import intmat, numerics, octagon
 from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
 from octocf.farey import (
     GAMMA_NU,
@@ -23,6 +26,7 @@ from octocf.farey import (
     Direction,
     TiePolicy,
     _boundary_direction,
+    _integral,
     classify,
     expand,
 )
@@ -321,6 +325,64 @@ class TestTableDrivenTraces:
         if 1 < j < 8:
             assert trace.expansion.entries[1] == (j - 1 if policy is TiePolicy.LOW else j)
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_tall_directions(self, bits, policy):
+        rng = random.Random(bits)
+        for _ in range(3):
+            self._assert_same(height_direction(rng, bits), 40, policy)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 7), st.integers(1, 3)),
+                st.tuples(st.sampled_from([1, 7]), st.integers(1, 200)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(
+            st.integers(1, 7).map(sector_midpoint),
+            st.integers(1, 8).map(_boundary_direction),  # the word ends on a sector bound
+        ),
+        st.sampled_from(list(TiePolicy)),
+    )
+    @example(3, [(1, 200)], _boundary_direction(4), TiePolicy.LOW)
+    @example(0, [(2, 1), (7, 200)], _boundary_direction(6), TiePolicy.HIGH)
+    @example(5, [(7, 120), (4, 2), (1, 200)], sector_midpoint(2), TiePolicy.LOW)
+    def test_pulled_back_run_words(self, first, runs, end, policy):
+        # long parabolic runs, whose frames are the unipotent powers of one branch
+        runs = [(first, 1), *runs]
+        self._assert_same(pulled_back(end.vector, runs), sum(n for _, n in runs) + 4, policy)
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_replay_at_the_identity_frame_is_the_table(self, i):
+        table = _sector_table(i)
+        records = table.replay(sector_midpoint(i), _integral(Mat2.identity()), False)
+        assert records == table.moves
+        # equal created sides are one vector, formed once
+        made = {id(v) for rec in records for _, v in rec.new_sides}
+        assert len(made) == len(table.holonomies) < sum(len(r.new_sides) for r in records)
+
+    def test_frame_arithmetic_does_not_grow_with_the_steps(self, monkeypatch):
+        # the frames and the created sides are formed on ints, so no field
+        # product (numerics._dot2) and no Mat2.apply runs per step
+        for i in range(1, 8):
+            _sector_table(i)
+        d = random_clean_direction(random.Random(11), 40)
+        counts = Counter()
+        dot2, apply = numerics._dot2, Mat2.apply
+        monkeypatch.setattr(numerics, "_dot2", lambda *a: counts.update(["_dot2"]) or dot2(*a))
+        monkeypatch.setattr(Mat2, "apply", lambda m, v: counts.update(["apply"]) or apply(m, v))
+        seen = []
+        for n in (5, 40):
+            counts.clear()
+            assert len(run_expansion(d, n).steps) == n
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_outside_its_sector_raises_like_the_executor(self, i):
         # A replay is defined on its closed sector only.  On the sector's own
@@ -328,7 +390,9 @@ class TestTableDrivenTraces:
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         raised = 0
         for ref in ends + sector_sample_directions(i, 2):
-            got = _outcome(lambda: _sector_table(i).replay(ref, Mat2.identity(), ref in ends))
+            got = _outcome(
+                lambda: _sector_table(i).replay(ref, _integral(Mat2.identity()), ref in ends)
+            )
             want = _outcome(lambda: _executor_records(resolved_word(i), ref))
             assert got == want, str(ref)
             raised += got[0] != "ok"
@@ -402,11 +466,12 @@ class TestTableDrivenTraces:
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
-            got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2], ref in ends))
+            frame = _integral(GAMMA_NU[2])
+            got = _outcome(lambda: mirror_table.replay(ref, frame, ref in ends))
             want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
             assert got == want, str(ref)
             if got[0] == "ok":
-                plain = table.replay(ref, GAMMA_NU[2], ref in ends)
+                plain = table.replay(ref, frame, ref in ends)
                 assert [r.new_sides for r in got[1]] == [r.new_sides for r in plain]
 
 
