@@ -383,19 +383,6 @@ class FareyExpansion:
         if self.terminating and self.tail not in (1, 7):
             raise ValueError("a terminating expansion must declare its tail")
 
-    @classmethod
-    def _trusted(
-        cls, entries: tuple[int, ...], boundary_hit: bool, terminating: bool, tail: int | None
-    ) -> "FareyExpansion":
-        """An expansion whose entries are admissible ints by construction, built
-        without the checks above."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "entries", entries)
-        object.__setattr__(e, "boundary_hit", boundary_hit)
-        object.__setattr__(e, "terminating", terminating)
-        object.__setattr__(e, "tail", tail)
-        return e
-
     def __str__(self) -> str:
         head = str(self.entries[0])
         rest = ",".join(str(s) for s in self.entries[1:])
@@ -461,8 +448,11 @@ def _walk(
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
     xp, xq, yp, yq = v
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    expansion = FareyExpansion._trusted(
-        tuple(entries), any(tie for _, tie, *_ in steps), tail is not None, tail
+    expansion = FareyExpansion(
+        entries=tuple(entries),
+        boundary_hit=any(tie for _, tie, *_ in steps),
+        terminating=tail is not None,
+        tail=tail,
     )
     return expansion, den, steps
 
@@ -609,7 +599,7 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         # all shown entries equal the tail
         if e.tail == 1:
             entries[0] = 0
-            return FareyExpansion._trusted(tuple(entries), e.boundary_hit, True, 1)
+            return FareyExpansion(tuple(entries), e.boundary_hit, True, 1)
         return e  # the ray theta = pi is self-dual
     s = entries[k]
     if e.tail == 1:
@@ -618,5 +608,5 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         partner = s + 1 if s % 2 == 1 else s - 1
     if partner < 0 or (partner == 0 and k != 0):
         return e  # the ray theta = 0 is self-dual
-    entries[k] = partner  # in 1..7, or 0 as the first entry: still admissible
-    return FareyExpansion._trusted(tuple(entries), e.boundary_hit, True, e.tail)
+    entries[k] = partner
+    return FareyExpansion(tuple(entries), e.boundary_hit, True, e.tail)

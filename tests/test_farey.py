@@ -413,15 +413,8 @@ class TestExpand:
         with pytest.raises(InadmissiblePrefixError):
             FareyExpansion((1, 0, 2))
 
-    @pytest.mark.parametrize("policy", list(TiePolicy))
-    def test_trusted_builds_equal_the_checked_ones(self, policy):
-        # expand and dual_expansion build without the entry checks; what they
-        # build passes the public constructor, which keeps the checks
-        for u in ("2", "19/7", "1/2", "0", "-3", "1+sqrt2", "5/3+1/7*sqrt2"):
-            e = expand(Direction(Vec2(QuadNum.parse(u), QuadNum(1))), 40, policy)
-            for got in [e, dual_expansion(e)] if e.terminating else [e]:
-                checked = FareyExpansion(got.entries, got.boundary_hit, got.terminating, got.tail)
-                assert got == checked and type(got.entries) is tuple
+    def test_replace_keeps_the_entry_checks(self):
+        e = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
         for entries in [(1.0,) + e.entries[1:], e.entries[:1] + (True,), (2, 0)]:
             with pytest.raises(InadmissiblePrefixError):
                 replace(e, entries=entries)
