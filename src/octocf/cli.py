@@ -386,13 +386,21 @@ def _cmd_dump_matrices(args) -> int:
     return _emit_json(args, record)
 
 
+#: The sectors that have a move word, as ``render --input sector:<i>`` names them.
+_WORD_SECTORS = tuple(str(i) for i in range(1, 8))
+
+
 def _cmd_render(args) -> int:
     from . import octagon, render
 
     if args.input == "qprime":
         states = [octagon.qprime(octagon.sector_midpoint(4))]
     elif args.input.startswith("sector:"):
-        sector = int(args.input.split(":", 1)[1])
+        # only the seven words exist; int() would also take "08", " 3" or "+3"
+        text = args.input.split(":", 1)[1]
+        if text not in _WORD_SECTORS:
+            raise _ParseFailure("sector index must be 1..7")
+        sector = int(text)
         states = octagon.sector_move_states(sector, octagon.sector_midpoint(sector))
     else:
         data = _read_json(None if args.input == "-" else args.input, "trace")

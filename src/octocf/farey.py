@@ -262,28 +262,45 @@ def _compose(frame: _Frame, branch: _Frame) -> _Frame:
     return e, p
 
 
-def _quad(p: int, q: int, den: int, e: int) -> QuadNum:
-    """The QuadNum (p + q*sqrt2)/(den*sqrt2^e), with one gcd."""
-    if e & 1:  # x/sqrt2 = sqrt2*x/2
-        p, q, e = 2 * q, p, e + 1
+def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
+    """The Vec2 (xp + xq*sqrt2, yp + yq*sqrt2)/(den*sqrt2^e), with one gcd per coordinate.
+
+    Both coordinates share den and e, so sqrt2^e becomes a plain denominator
+    once for the two: an odd e takes x/sqrt2 = sqrt2*x/2, and then
+    sqrt2^e = 2^(e/2) joins den, or the numerators for e < 0.
+    """
+    if e & 1:
+        xp, xq, yp, yq, e = 2 * xq, xp, 2 * yq, yp, e + 1
     h = e >> 1
     if h >= 0:
         den <<= h
     else:
-        p, q = p << -h, q << -h
-    return _reduced(p, q, den)
+        xp, xq, yp, yq = xp << -h, xq << -h, yp << -h, yq << -h
+    return _vec(_reduced(xp, xq, den), _reduced(yp, yq, den))
 
 
 def _matrix(frame: _Frame) -> Mat2:
-    """The Mat2 P/sqrt2^e of ``frame``."""
+    """The Mat2 P/sqrt2^e of ``frame``, its four entries over one denominator as in
+    :func:`_vector`."""
     e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
-    return _mat(_quad(ap, aq, 1, e), _quad(bp, bq, 1, e), _quad(cp, cq, 1, e), _quad(dp, dq, 1, e))
+    if e & 1:
+        ap, aq, bp, bq, e = 2 * aq, ap, 2 * bq, bp, e + 1
+        cp, cq, dp, dq = 2 * cq, cp, 2 * dq, dp
+    h = e >> 1
+    den = 1
+    if h >= 0:
+        den <<= h
+    else:
+        ap, aq, bp, bq = ap << -h, aq << -h, bp << -h, bq << -h
+        cp, cq, dp, dq = cp << -h, cq << -h, dp << -h, dq << -h
+    return _mat(
+        _reduced(ap, aq, den), _reduced(bp, bq, den), _reduced(cp, cq, den), _reduced(dp, dq, den)
+    )
 
 
 def _direction(v: _IntVec, den: int, e: int) -> Direction:
     """The Direction of the exact vector v/(den*sqrt2^e)."""
-    xp, xq, yp, yq = v
-    return Direction(_vec(_quad(xp, xq, den, e), _quad(yp, yq, den, e)))
+    return Direction(_vector(*v, den, e))
 
 
 def _sectors(v: _IntVec) -> tuple[int, ...]:

@@ -313,10 +313,13 @@ def _new(p: int, q: int, den: int) -> QuadNum:
 
 
 def _reduced(p: int, q: int, den: int) -> QuadNum:
-    """A QuadNum from ints with den > 0, divided by their gcd."""
+    """A QuadNum from ints with den > 0, divided by their gcd unless it is 1."""
     g = gcd(p, q, den)
     x = _object_new(QuadNum)
-    x._p, x._q, x._den = p // g, q // g, den // g
+    if g == 1:
+        x._p, x._q, x._den = p, q, den
+    else:
+        x._p, x._q, x._den = p // g, q // g, den // g
     return x
 
 
@@ -361,7 +364,8 @@ def to_decimal(q: QuadNum, digits: int) -> str:
 
 class _FrozenValue:
     """Base of the slotted immutable value types: ``Vec2``, ``Mat2`` and those of
-    ``classical`` and ``farey``.
+    ``classical`` and ``farey``; the slotted frozen dataclasses of ``octagon``
+    take only its pickling from it.
 
     Equality, hash, repr and pickling are over the fields in ``__slots__``
     order, as a frozen dataclass over the same fields has them, without the

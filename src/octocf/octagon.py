@@ -56,14 +56,13 @@ from .farey import (
     FareyExpansion,
     TiePolicy,
     _INVERSE_BRANCHES,
-    _apply,
     _boundary_direction,
     _compose,
     _expand_orbit,
     _Frame,
     _ints,
     _matrix,
-    _quad,
+    _vector,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
@@ -77,7 +76,7 @@ from .h2moves import (
     sector_matrix,
     sector_word,
 )
-from .numerics import Mat2, QuadNum, Vec2, _vec
+from .numerics import Mat2, QuadNum, Vec2, _FrozenValue, _object_new
 
 __all__ = [
     "OCTAGON_AREA",
@@ -207,13 +206,29 @@ def initial_quadrangulation(s0: int, ref_dir: Direction | None = None) -> Labele
 # -- executing sector words ----------------------------------------------------
 
 
+# MoveRecord and TraceStep declare their slots by hand: dataclass(slots=True)
+# rebuilds the class, and on Python 3.11 the rebuilt class's frozen __setattr__
+# raises TypeError, not FrozenInstanceError, for a name that is not a field.
+# The frozen __setattr__ also refuses pickle's slot-by-slot restore, so they
+# pickle and copy through the constructor, by _FrozenValue.__reduce__; the
+# dataclass makes their __init__, ==, hash and repr.
+
+
 @dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(_FrozenValue):
     """One executed staircase move with the diagonals it created."""
+
+    __slots__ = ("side", "cycle", "new_sides")
 
     side: Side
     cycle: tuple[int, ...]
     new_sides: tuple[tuple[int, Vec2], ...]  # (label, holonomy in the original frame)
+
+
+#: The slot setters of MoveRecord's fields, in order: the replay fills its
+#: records through them, past the dataclass ``__init__``, as
+#: :func:`numerics._vec` fills a Vec2.
+_RECORD_SLOTS = tuple(getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
 
 
 @dataclass
@@ -423,7 +438,9 @@ def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremR
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_FrozenValue):
+    __slots__ = ("entry", "records", "state", "to_original")
+
     entry: int
     records: tuple[MoveRecord, ...]
     state: LabeledQuadrangulation  # renormalized state (equal to Q' when intact)
@@ -449,6 +466,10 @@ class TraceStep:
             ],
             "state": self.state.to_json(),
         }
+
+
+#: The slot setters of TraceStep's fields, in order, as for MoveRecord.
+_STEP_SLOTS = tuple(getattr(TraceStep, name).__set__ for name in TraceStep.__slots__)
 
 
 @dataclass(frozen=True)
@@ -562,8 +583,10 @@ class _SectorTable:
 
         Inside the open sector the word is proved to run, so this only maps
         the created holonomies to the original frame ``to_original``, held
-        as the ints of :func:`farey._integral`: each distinct holonomy once,
-        and the records share the equal vectors.  On a sector endpoint
+        as the ints of :func:`farey._integral`: P is unpacked once, each
+        distinct holonomy is multiplied by it inline and built by
+        :func:`farey._vector`, and the records share the equal vectors.  The
+        records are filled through their slots.  On a sector endpoint
         (``on_bound``) it raises what the staircase executor raises there:
         :class:`HitsSingularity` for the first parallel diagonal, if any.
         """
@@ -571,17 +594,27 @@ class _SectorTable:
             for end, label in self.bounds:
                 if label is not None and ref.vector.cross(end).sign() == 0:
                     raise HitsSingularity(label)
-        e, p = to_original
-        made = []
-        for v, den in self.holonomies:
-            xp, xq, yp, yq = _apply(p, v)
-            made.append(_vec(_quad(xp, xq, den, e), _quad(yp, yq, den, e)))
-        return tuple(
-            [
-                MoveRecord(side, cycle, tuple([(j, made[k]) for j, k in sides]))
-                for side, cycle, sides in self.layout
-            ]
-        )
+        e, (ap, aq, bp, bq, cp, cq, dp, dq) = to_original
+        made = [  # P*v, as farey._apply forms it
+            _vector(
+                ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
+                ap * xq + aq * xp + bp * yq + bq * yp,
+                cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
+                cp * xq + cq * xp + dp * yq + dq * yp,
+                den,
+                e,
+            )
+            for (xp, xq, yp, yq), den in self.holonomies
+        ]
+        set_side, set_cycle, set_new_sides = _RECORD_SLOTS
+        records = []
+        for side, cycle, sides in self.layout:
+            rec = _object_new(MoveRecord)
+            set_side(rec, side)
+            set_cycle(rec, cycle)
+            set_new_sides(rec, tuple([(j, made[k]) for j, k in sides]))
+            records.append(rec)
+        return tuple(records)
 
 
 @cache
@@ -613,7 +646,8 @@ def run_expansion(
     wedge sides are reported in the original frame by accumulated inverse
     renormalizations; they are the octagon analogues of the convergents.
     The accumulated frame is one integral matrix P/sqrt2^e, the product of
-    the inverse branches as :func:`farey.reconstruct` composes it.  A
+    the inverse branches as :func:`farey.reconstruct` composes it.  Each
+    step is filled through its slots, as the replay fills its records.  A
     parallel diagonal, possible only on a sector boundary, ends the trace
     with the ``hits_singularity`` marker.
     """
@@ -626,6 +660,7 @@ def run_expansion(
     wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
+    set_entry, set_records, set_state, set_to_original = _STEP_SLOTS
     for entry, tie, image in orbit[1:]:
         table = _sector_table(entry)
         try:
@@ -634,14 +669,12 @@ def run_expansion(
             halted = "hits_singularity"
             break
         to_original = _compose(to_original, _INVERSE_BRANCHES[entry])
-        steps.append(
-            TraceStep(
-                entry=entry,
-                records=records,
-                state=LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image),
-                to_original=_matrix(to_original),
-            )
-        )
+        step = _object_new(TraceStep)
+        set_entry(step, entry)
+        set_records(step, records)
+        set_state(step, LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image))
+        set_to_original(step, _matrix(to_original))
+        steps.append(step)
         ref = image
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)
 

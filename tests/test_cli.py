@@ -545,6 +545,11 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "render", "--input", "sector:0")
         assert (code, out, err) == (EXIT_PARSE, "", "error: sector index must be 1..7\n")
 
+    @pytest.mark.parametrize("index", ["9", "-1", "08", "+3", " 3", "abc", ""])
+    def test_render_sector_index_outside_the_words(self, capsys, index):
+        code, out, err = run_cli(capsys, "render", "--input", f"sector:{index}")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: sector index must be 1..7\n")
+
     def test_render_stdin_panels_not_a_list(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"panels": 3}'))
         self._assert_parse_failure(capsys, "render", "--input", "-")

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -21,6 +21,7 @@ from helpers import (
     pulled_back,
     reference_classify,
     reference_expand_orbit,
+    reference_quad,
     reference_reconstruct,
 )
 from octocf import farey, numerics
@@ -99,6 +100,27 @@ class TestDihedralElements:
                     v_ints, den = farey._ints(v)
                     image = farey._direction(farey._apply(ints, v_ints), den, k)
                     assert image == Direction(m.apply(v))
+
+    @given(
+        st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=8, max_size=8),
+        st.integers(1, 12) | st.sampled_from([2**40, 6 * 2**33]),
+        st.integers(-7, 7),
+    )
+    @example([0, 0, 6, -4, 5, 3, 0, 0], 1, -3)
+    @example([-4, 2, 0, 0, 8, -6, 1, 1], 6, 5)
+    @example([2, 0, 0, 2, -2, 4, 4, 8], 4, 0)
+    def test_shared_exponent_builders_equal_each_coordinate(self, ints, den, e):
+        # odd, even and negative e; den > 1; zero, negative and common-factor
+        # coordinates: one shift for all coordinates is each coordinate's own value
+        xp, xq, yp, yq = ints[:4]
+        want = [reference_quad(ints[k], ints[k + 1], den, e) for k in (0, 2)]
+        got = farey._vector(xp, xq, yp, yq, den, e)
+        assert (got.x.ints, got.y.ints) == tuple(w.ints for w in want)
+        assert got == Vec2(*want) and hash(got) == hash(Vec2(*want))
+        m = farey._matrix((e, tuple(ints)))
+        want = [reference_quad(ints[k], ints[k + 1], 1, e) for k in range(0, 8, 2)]
+        assert [c.ints for c in (m.a, m.b, m.c, m.d)] == [w.ints for w in want]
+        assert m == Mat2(*want) and hash(m) == hash(Mat2(*want))
 
     def test_branches_keep_the_upper_half_plane(self):
         # so the integral walks never negate: GAMMA_NU[j] maps the closed sector j, and

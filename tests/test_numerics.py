@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, isclose, isqrt, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,7 +23,7 @@ from helpers import (
     reference_matmul,
 )
 from octocf.classical import QuadraticIrrational
-from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, to_decimal
+from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, _reduced, to_decimal
 
 GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
@@ -187,6 +187,21 @@ class TestOneReductionKernel:
     def test_det(self, xs):
         m = Mat2(*xs)
         _same_canonical(m.det(), reference_det(m))
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**30),
+        st.integers(1, 10**6),
+    )
+    @example(3, 2, 5, 1)  # gcd 1: the ints are kept as they are
+    @example(3, 2, 1, 2)
+    @example(0, 0, 7, 1)
+    @example(0, -5, 10, 3)
+    def test_reduced_with_and_without_a_common_factor(self, p, q, den, g):
+        want = QuadNum(Fraction(p, den), Fraction(q, den))
+        _same_canonical(_reduced(p, q, den), want)
+        _same_canonical(_reduced(p * g, q * g, den * g), want)
 
     @given(_wide_quadnum_lists(4))
     def test_cross_and_dot(self, xs):

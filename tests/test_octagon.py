@@ -1,5 +1,8 @@
 """Octagon base data and the acceleration verifier."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    check_value_type,
     cone_contains_cone,
     cones_of,
     derive_qprime_vectors_fixed_point,
@@ -18,7 +22,7 @@ from helpers import (
     random_clean_direction,
     reference_run_expansion,
 )
-from octocf import intmat, numerics, octagon
+from octocf import farey, intmat, numerics, octagon
 from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
 from octocf.farey import (
     GAMMA_NU,
@@ -50,6 +54,8 @@ from octocf.octagon import (
     Q0_VECTORS,
     QPRIME_COMB,
     QPRIME_VECTORS,
+    MoveRecord,
+    TraceStep,
     _sector_table,
     _SectorTable,
     _WordRun,
@@ -382,6 +388,57 @@ class TestTableDrivenTraces:
             assert len(run_expansion(d, n).steps) == n
             seen.append(dict(counts))
         assert seen[0] == seen[1]
+
+    def test_each_step_reduces_each_coordinate_once(self, monkeypatch):
+        # per step: two gcds per distinct created holonomy, four for the frame's
+        # entries and two for the renormalized direction, whatever the step's index
+        for i in range(1, 8):
+            _sector_table(i)
+        d = random_clean_direction(random.Random(12), 40)
+        calls = []
+        reduced = numerics._reduced
+
+        def counted(p, q, den):
+            calls.append(den)
+            return reduced(p, q, den)
+
+        monkeypatch.setattr(numerics, "_reduced", counted)
+        monkeypatch.setattr(farey, "_reduced", counted)
+
+        def reductions(n):
+            calls.clear()
+            trace = run_expansion(d, n)
+            assert len(trace.steps) == n
+            return len(calls), trace
+
+        base, _ = reductions(0)
+        for n in (5, 40):
+            total, trace = reductions(n)
+            per_step = [2 * len(_sector_table(s.entry).holonomies) + 4 + 2 for s in trace.steps]
+            assert total - base == sum(per_step)
+
+    def test_slot_built_records_equal_constructor_built_ones(self):
+        trace = run_expansion(random_clean_direction(random.Random(13), 6), 6)
+        steps = trace.steps
+        records = [rec for step in steps for rec in step.records]
+        rebuilt = [MoveRecord(rec.side, rec.cycle, rec.new_sides) for rec in records]
+        rebuilt_steps = [
+            TraceStep(step.entry, step.records, step.state, step.to_original) for step in steps
+        ]
+        for got, want in zip([*records, *steps], [*rebuilt, *rebuilt_steps], strict=True):
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert pickle.loads(pickle.dumps(got)) == want
+            assert copy.copy(got) == want and copy.deepcopy(got) == want
+            assert replace(got) == want
+        check_value_type(records, ("side", "cycle", "new_sides"))
+        check_value_type(steps, ("entry", "records", "state", "to_original"))
+        # replace still builds through the constructor, so a changed field shows
+        first = records[0]
+        label, v = first.new_sides[0]
+        bumped = replace(first, new_sides=((label, -v), *first.new_sides[1:]))
+        assert bumped != first and bumped.new_sides[0] == (label, -v)
+        assert replace(steps[0], entry=0).entry == 0 != steps[0].entry
+        assert dataclasses.is_dataclass(MoveRecord) and dataclasses.is_dataclass(TraceStep)
 
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_outside_its_sector_raises_like_the_executor(self, i):
