@@ -67,11 +67,6 @@ class QuadraticIrrational(_FrozenValue):
         object.__setattr__(self, "d", d)
 
     @staticmethod
-    def from_fraction(x: Fraction | int) -> "QuadraticIrrational":
-        x = Fraction(x)
-        return QuadraticIrrational(x.numerator, 0, x.denominator, 0)
-
-    @staticmethod
     def sqrt_of(n: int) -> "QuadraticIrrational":
         return QuadraticIrrational(0, 1, 1, n)
 

@@ -42,6 +42,10 @@ _MAX_INT_DIGITS = 4300
 #: denominator of at most 10**6 gives the numerator up to six more digits.
 _MAX_DECIMAL_DIGITS = _MAX_INT_DIGITS - 6
 
+#: The largest value of a count flag (``--depth``, ``--steps``, ``--samples``,
+#: ``--random-samples``), the same bound as a ``convergents`` listing.
+_MAX_COUNT = 10**6
+
 #: An underscore not between two digits: Decimal reads it, Fraction refuses it.
 _STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
@@ -107,6 +111,12 @@ def _decimal(text: str, what: str) -> Fraction:
     return approx
 
 
+def _check_count(value: int, flag: str, least: int) -> None:
+    """A parse failure naming ``flag`` unless ``value`` lies in least..10**6."""
+    if not least <= value <= _MAX_COUNT:
+        raise _ParseFailure(f"{flag} must be between {least} and {_MAX_COUNT}")
+
+
 def _policy(args) -> TiePolicy:
     from .farey import TiePolicy
 
@@ -167,6 +177,7 @@ def _emit_json(args, obj) -> int:
 def _cmd_expand(args) -> int:
     from .farey import dual_expansion, expand
 
+    _check_count(args.depth, "--depth", 1)
     direction, approximate = _parse_direction(args.u, args.side)
     e = expand(direction, args.depth, _policy(args))
     record = e.to_json()
@@ -267,8 +278,7 @@ def _parse_alpha(text: str):
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps < 0:
-        raise _ParseFailure("step count must be >= 0")
+    _check_count(args.steps, "--steps", 0)
     direction, approximate = _parse_direction(args.u, args.side)
     initial = state = _initial_state(args.quad, direction)
     steps = []
@@ -323,6 +333,7 @@ def _decode(build, data):
 def _cmd_trace(args) -> int:
     from . import octagon
 
+    _check_count(args.steps, "--steps", 0)
     direction, approximate = _parse_direction(args.u, args.side)
     trace = octagon.run_expansion(direction, args.steps, _policy(args))
     record = trace.to_json()
@@ -336,13 +347,18 @@ def _cmd_verify(args) -> int:
 
     from . import octagon
 
-    if args.random_samples < 0:
-        raise _ParseFailure("random sample count must be >= 0")
+    _check_count(args.samples, "--samples", 1)
+    _check_count(args.random_samples, "--random-samples", 0)
+    if args.random_samples:
+        text = os.environ.get("OCTOCF_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise _ParseFailure(f"OCTOCF_SEED must be an integer, got {text!r}") from None
     sectors = [args.sector] if args.sector else range(1, 8)
     report = octagon.verify_theorem(args.samples, sectors)
     record = report.to_json()
     if args.random_samples:
-        seed = int(os.environ.get("OCTOCF_SEED", "0"))
         rng = random.Random(seed)
         extra = []
         for i in sectors:

@@ -181,12 +181,9 @@ class Wedge:
     l: Vec2
     r: Vec2
 
-    def cone_contains(self, d: Direction, strict: bool = True) -> bool:
-        sl = d.vector.cross(self.l).sign()
-        sr = d.vector.cross(self.r).sign()
-        if strict:
-            return sl > 0 > sr
-        return sl >= 0 >= sr
+    def cone_contains(self, d: Direction) -> bool:
+        """Whether ``d`` lies in the closed cone from ``r`` counterclockwise to ``l``."""
+        return d.vector.cross(self.l).sign() >= 0 >= d.vector.cross(self.r).sign()
 
     def to_json(self) -> dict:
         return {"l": self.l.to_json(), "r": self.r.to_json()}
@@ -258,7 +255,7 @@ class LabeledQuadrangulation:
                 raise QuadrangulationError(f"wedge {i} does not open a positive cone")
             if _doubled_area(w, left_path).sign() <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
-            if not w.cone_contains(self.ref_dir, strict=False):
+            if not w.cone_contains(self.ref_dir):
                 raise QuadrangulationError(
                     f"reference direction leaves the wedge cone of quadrilateral {i}"
                 )
@@ -286,9 +283,6 @@ class LabeledQuadrangulation:
 
     def slant(self, i: int) -> Slant:
         return Slant(self.ref_dir.vector.cross(self.diagonal(i)).sign())
-
-    def strictly_straddled(self) -> bool:
-        return all(w.cone_contains(self.ref_dir, strict=True) for w in self.wedges)
 
     # -- moves ----------------------------------------------------------------
 

@@ -46,8 +46,6 @@ __all__ = [
     "RP1Interval",
     "InadmissiblePrefixError",
     "classify",
-    "fold",
-    "farey_step",
     "expand",
     "reconstruct",
     "dual_expansion",
@@ -338,20 +336,6 @@ def _choose_sector(v: _IntVec, step: int, policy: TiePolicy) -> tuple[int, bool]
     return max(admissible), tie
 
 
-def fold(d: Direction, policy: TiePolicy = TiePolicy.LOW) -> tuple[int, Direction]:
-    """Fold ``d`` into sector 0 by the dihedral element of its sector."""
-    j, _ = _choose_sector(_ints(d.vector)[0], 0, policy)
-    return j, Direction(NU[j].apply(d.vector))
-
-
-def farey_step(
-    d: Direction, policy: TiePolicy = TiePolicy.LOW, step: int = 0
-) -> tuple[int, Direction]:
-    """One application of the Farey map; returns the sector entry and the image."""
-    j, _ = _choose_sector(_ints(d.vector)[0], step, policy)
-    return j, Direction(GAMMA_NU[j].apply(d.vector))
-
-
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
 _PARABOLIC = (1, 7)
 
@@ -389,7 +373,6 @@ class FareyExpansion:
 
     entries: tuple[int, ...]
     boundary_hit: bool = False
-    terminating: bool = False
     tail: int | None = None
 
     def __post_init__(self):
@@ -397,8 +380,14 @@ class FareyExpansion:
             raise ValueError("an expansion needs at least one entry")
         if not _admissible(self.entries):
             raise InadmissiblePrefixError(f"inadmissible entries {self.entries}")
-        if self.terminating and self.tail not in (1, 7):
-            raise ValueError("a terminating expansion must declare its tail")
+        # True == 1, so the type is tested as for the entries
+        if self.tail is not None and (type(self.tail) is not int or self.tail not in _PARABOLIC):
+            raise ValueError(f"a tail must be the int 1 or 7, got {self.tail!r}")
+
+    @property
+    def terminating(self) -> bool:
+        """Whether the window ends on a fixed ray, that is, has a tail."""
+        return self.tail is not None
 
     def __str__(self) -> str:
         head = str(self.entries[0])
@@ -468,7 +457,6 @@ def _walk(
     expansion = FareyExpansion(
         entries=tuple(entries),
         boundary_hit=any(tie for _, tie, *_ in steps),
-        terminating=tail is not None,
         tail=tail,
     )
     return expansion, den, steps
@@ -539,22 +527,6 @@ class RP1Interval(_FrozenValue):
     def contains(self, d: Direction) -> bool:
         return theta_cmp(self.lo, d) <= 0 <= theta_cmp(self.hi, d)
 
-    def subset_of(self, other: "RP1Interval") -> bool:
-        return theta_cmp(other.lo, self.lo) <= 0 and theta_cmp(self.hi, other.hi) <= 0
-
-    def proper_subset_of(self, other: "RP1Interval") -> bool:
-        return self.subset_of(other) and (
-            theta_cmp(other.lo, self.lo) < 0 or theta_cmp(self.hi, other.hi) < 0
-        )
-
-    def intersects(self, other: "RP1Interval") -> bool:
-        return theta_cmp(self.lo, other.hi) <= 0 and theta_cmp(other.lo, self.hi) <= 0
-
-    def hull(self, other: "RP1Interval") -> "RP1Interval":
-        lo = self.lo if theta_cmp(self.lo, other.lo) <= 0 else other.lo
-        hi = self.hi if theta_cmp(self.hi, other.hi) >= 0 else other.hi
-        return RP1Interval(lo, hi)
-
     def theta_width(self) -> float:
         return self.hi.theta_float() - self.lo.theta_float()
 
@@ -606,7 +578,7 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
     tails of 7 across an odd one; the two horizontal rays (entry sequences
     [0;7,7,...] and [7;7,7,...]) have no partner and map to themselves.
     """
-    if not e.terminating or e.tail is None:
+    if e.tail is None:
         raise ValueError("dual expansions exist only for terminating directions")
     entries = list(e.entries)
     k = len(entries) - 1
@@ -616,7 +588,7 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         # all shown entries equal the tail
         if e.tail == 1:
             entries[0] = 0
-            return FareyExpansion(tuple(entries), e.boundary_hit, True, 1)
+            return FareyExpansion(tuple(entries), e.boundary_hit, 1)
         return e  # the ray theta = pi is self-dual
     s = entries[k]
     if e.tail == 1:
@@ -626,4 +598,4 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
     if partner < 0 or (partner == 0 and k != 0):
         return e  # the ray theta = 0 is self-dual
     entries[k] = partner
-    return FareyExpansion(tuple(entries), e.boundary_hit, True, e.tail)
+    return FareyExpansion(tuple(entries), e.boundary_hit, e.tail)

@@ -77,14 +77,6 @@ class NodeId(Enum):
     def comb(self) -> CombDatum:
         return QPRIME_COMB if self is NodeId.LEFT else _RIGHT_COMB
 
-    @property
-    def pi_l(self) -> tuple[int, ...]:
-        return self.comb.pi_l
-
-    @property
-    def pi_r(self) -> tuple[int, ...]:
-        return self.comb.pi_r
-
 
 def _node(comb: CombDatum) -> NodeId:
     """The reduced node with gluing data ``comb``."""
@@ -414,11 +406,6 @@ def sector_word(i: int) -> MoveWord:
 def has_reduced_word(i: int) -> bool:
     _check_sector(i)
     return i in _REDUCED_WORDS
-
-
-def sector_parity(i: int) -> int:
-    """1 when the sector word reverses orientation (even sectors), else 0."""
-    return resolved_word(i).parity
 
 
 # -- resolving token plans over gluing data ---------------------------------------

@@ -369,8 +369,9 @@ class _FrozenValue:
 
     Equality, hash, repr and pickling are over the fields in ``__slots__``
     order, as a frozen dataclass over the same fields has them, without the
-    code generation that a dataclass runs at import.  ``__init__`` writes each
-    field once, through ``object.__setattr__`` or the slot descriptor.
+    code generation that a dataclass runs at import.  No subclass writes its
+    own.  ``__init__`` writes each field once, through ``object.__setattr__``
+    or the slot descriptor.
     """
 
     __slots__ = ()
@@ -403,8 +404,7 @@ class _FrozenValue:
 class Vec2(_FrozenValue):
     """A planar vector with exact Q(sqrt(2)) components.
 
-    Immutable, with value equality and hashing over ``(x, y)``, written out
-    because they run on hot paths.
+    Immutable, with value equality and hashing over ``(x, y)``.
     """
 
     __slots__ = ("x", "y")
@@ -412,14 +412,6 @@ class Vec2(_FrozenValue):
     def __init__(self, x, y):
         _set_x(self, _coerce(x))
         _set_y(self, _coerce(y))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Vec2:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return _vec(self.x + other.x, self.y + other.y)
@@ -439,9 +431,6 @@ class Vec2(_FrozenValue):
 
     def dot(self, other: "Vec2") -> QuadNum:
         return _dot2(self.x, other.x, self.y, other.y)
-
-    def norm2(self) -> QuadNum:
-        return self.dot(self)
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
@@ -477,23 +466,15 @@ class _Invertible(_FrozenValue):
 class Mat2(_Invertible):
     """A 2x2 matrix over Q(sqrt(2)); group elements here have det +-1.
 
-    Immutable, with value equality and hashing over ``(a, b, c, d)``, written
-    out because they run on hot paths.  The inverse is computed on the first
-    call and kept; the inverse keeps no link back, so no cycle is made.
+    Immutable, with value equality and hashing over ``(a, b, c, d)``.  The
+    inverse is computed on the first call and kept outside those fields; the
+    inverse keeps no link back, so no cycle is made.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         _set_entries(self, _coerce(a), _coerce(b), _coerce(c), _coerce(d))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Mat2:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return _mat(

@@ -517,7 +517,6 @@ class _SectorTable:
     of the next step is ``GAMMA_NU_INV[i]`` in this one; the proof checks it.
     """
 
-    moves: tuple[MoveRecord, ...]  # the executor's records, in the frame of the step's start
     bounds: tuple[tuple[Vec2, int | None], ...]  # (sector endpoint, first parallel label)
     holonomies: tuple[tuple[tuple[int, ...], int], ...]  # the distinct created sides, as _ints
     # per move: (side, cycle, ((label, index into holonomies), ...))
@@ -530,6 +529,7 @@ class _SectorTable:
     ) -> "_SectorTable":
         """The table, once its word is proved well slanted on the whole of sector i.
 
+        ``moves`` are the executor's records, in the frame of the step's start.
         A move's created sides are its cycle diagonals, so the proof reads
         them from ``new_sides``.  ``flips[k]`` is the determinant (+1 or -1)
         of the reflections made before move k: ``cross(R ref, R v) =
@@ -551,7 +551,7 @@ class _SectorTable:
         if not all(any(a.ray_eq(b) for b in images) for a in _EXPANDING_ARC):
             raise SectorWordError(f"gamma*nu_{i} does not carry sector {i} onto [pi/8, pi]")
         for w in _wedges(QPRIME_VECTORS):
-            if not all(w.cone_contains(e, strict=False) for e in _EXPANDING_ARC):
+            if not all(w.cone_contains(e) for e in _EXPANDING_ARC):
                 raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
         for rec, flip in zip(moves, flips, strict=True):
@@ -576,7 +576,7 @@ class _SectorTable:
             )
             for rec in moves
         )
-        return _SectorTable(moves, bounds, tuple(_ints(h) for h in index), layout)
+        return _SectorTable(bounds, tuple(_ints(h) for h in index), layout)
 
     def replay(self, ref: Direction, to_original: _Frame, on_bound: bool) -> tuple[MoveRecord, ...]:
         """The word's move records at ``ref``, which must lie in the closed sector.

@@ -188,6 +188,6 @@ def enumerate_saddle_connections(norm2_bound: QuadNum) -> list[Vec2]:
                             if w.is_zero() or w in seen:
                                 continue
                             seen.add(w)
-                            if (w.norm2() - norm2_bound).sign() <= 0 and is_saddle_connection(w):
+                            if (w.dot(w) - norm2_bound).sign() <= 0 and is_saddle_connection(w):
                                 out.append(w)
     return out

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from octocf.classical import GeometricConvergents, QuadraticIrrational
 from octocf.diagch import HitsSingularity, LabeledQuadrangulation
 from octocf.farey import (
+    GAMMA,
     GAMMA_NU,
     GAMMA_NU_INV,
+    NU,
     SECTOR_BOUNDS,
     Direction,
     FareyExpansion,
@@ -306,6 +308,21 @@ def reference_choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple
     return pick(admissible), len(sectors) > 1
 
 
+def fold(d: Direction, policy: TiePolicy = TiePolicy.LOW, step: int = 0) -> tuple[int, Direction]:
+    """Fold ``d`` into sector 0 by the dihedral element nu_j of its sector j."""
+    j, _ = reference_choose_sector(d, step, policy)
+    return j, Direction(NU[j].apply(d.vector))
+
+
+def farey_step(
+    d: Direction, policy: TiePolicy = TiePolicy.LOW, step: int = 0
+) -> tuple[int, Direction]:
+    """One step of the Farey map F = gamma . fold, as the paper defines it: the
+    sector entry and the image."""
+    j, folded = fold(d, policy, step)
+    return j, Direction(GAMMA.apply(folded.vector))
+
+
 _FIXED_RAY_PI8 = Direction(Vec2(QuadNum(1, 1), QuadNum(1)))
 
 
@@ -331,7 +348,6 @@ def reference_expand_orbit(
     expansion = FareyExpansion(
         entries=tuple(j for j, _, _ in orbit),
         boundary_hit=boundary_hit,
-        terminating=tail is not None,
         tail=tail,
     )
     return expansion, orbit
@@ -382,6 +398,12 @@ def random_clean_direction(rng: random.Random, steps: int) -> Direction:
 def normalize_cone(a: Vec2, b: Vec2) -> tuple[Vec2, Vec2]:
     """Order two cone rays as (left, right) with a positive opening."""
     return (a, b) if b.cross(a).sign() > 0 else (b, a)
+
+
+def strictly_straddled(state: LabeledQuadrangulation) -> bool:
+    """Whether the reference direction lies strictly inside every wedge cone of ``state``."""
+    d = state.ref_dir.vector
+    return all(d.cross(w.l).sign() > 0 > d.cross(w.r).sign() for w in state.wedges)
 
 
 def cone_contains_cone(outer, inner) -> bool:

@@ -162,7 +162,7 @@ class TestValueTypes:
     def test_equality_is_canonical(self):
         assert QuadraticIrrational(2, 2, 4, 5) == QuadraticIrrational(1, 1, 2, 5) == GOLDEN
         assert hash(QuadraticIrrational(2, 2, 4, 5)) == hash(GOLDEN)
-        assert QuadraticIrrational(6, 0, 4, 9) == QuadraticIrrational.from_fraction(Fraction(3, 2))
+        assert QuadraticIrrational(6, 0, 4, 9) == QuadraticIrrational(3, 0, 2, 0)  # 3/2
         assert QuadraticIrrational(1, 1, 2, 5) != QuadraticIrrational(1, 1, 2, 3)
 
     def test_repr_names_the_canonical_fields(self):

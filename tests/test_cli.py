@@ -402,6 +402,13 @@ class TestVerify:
         assert first["seed"] == 42
         assert all(r["passed"] for r in first["random_samples"])
 
+    def test_unparsable_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("OCTOCF_SEED", "abc")
+        code, out, err = run_cli(capsys, "verify", "--sector", "1", "--random-samples", "1")
+        assert (code, out, err) == (
+            EXIT_PARSE, "", "error: OCTOCF_SEED must be an integer, got 'abc'\n"
+        )
+
     def test_corrupted_constant_fails_with_located_mismatch(
         self, capsys, monkeypatch, unproved_sectors
     ):
@@ -624,6 +631,32 @@ class TestMalformedInput:
 
     def test_simulate_negative_steps(self, capsys):
         self._assert_parse_failure(capsys, "simulate", "--u", "2", "--steps", "-1")
+
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (("expand", "--u", "1", "--depth", "100000000000000000000"), 1),
+            (("expand", "--u", "1", "--depth", "0"), 1),
+            (("trace", "--u", "19/7", "--steps", "100000000000000000000"), 0),
+            (("simulate", "--u", "2", "--steps", "1000001"), 0),
+            (("verify", "--sector", "1", "--samples", "0"), 1),
+            (("verify", "--sector", "1", "--samples", "1000001"), 1),
+            (("verify", "--sector", "1", "--random-samples", "100000000000000000000"), 0),
+        ],
+    )
+    def test_count_flags_are_capped(self, capsys, argv, least):
+        # a depth of 10**20 once ended in an OverflowError traceback and exit code 1
+        code, out, err = run_cli(capsys, *argv)
+        flag = argv[-2]
+        assert (code, out, err) == (
+            EXIT_PARSE, "", f"error: {flag} must be between {least} and 1000000\n"
+        )
+
+    def test_the_count_cap_is_inclusive(self, capsys, tmp_path):
+        path = tmp_path / "expansion.json"
+        code, _, _ = run_cli(capsys, "expand", "--u", "1", "--depth", "1000000", "--out", str(path))
+        assert code == EXIT_OK
+        assert len(json.loads(path.read_text())["entries"]) == 10**6
 
     def test_verify_negative_random_samples(self, capsys):
         self._assert_parse_failure(

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from helpers import (
     check_value_type,
     classify_directions,
+    farey_step,
+    fold,
     height_direction,
     interior_directions,
     inverse_slope,
@@ -41,8 +43,6 @@ from octocf.farey import (
     classify,
     dual_expansion,
     expand,
-    farey_step,
-    fold,
     reconstruct,
     theta_cmp,
 )
@@ -435,6 +435,25 @@ class TestExpand:
         with pytest.raises(InadmissiblePrefixError):
             FareyExpansion((1, 0, 2))
 
+    def test_terminating_is_having_a_tail(self):
+        e = FareyExpansion((2, 1, 1), tail=1)
+        assert e.terminating and not FareyExpansion((2, 1, 1)).terminating
+        assert e.to_json() == {
+            "entries": [2, 1, 1], "boundary_hit": False, "terminating": True, "tail": 1
+        }
+        assert str(e) == "[2;1,1,1,1,...]"
+        assert repr(e) == "FareyExpansion(entries=(2, 1, 1), boundary_hit=False, tail=1)"
+        with pytest.raises(TypeError):
+            FareyExpansion((2, 1, 1), terminating=True)
+
+    @pytest.mark.parametrize("tail", [5, 0, 2, True, 1.0, "7"])
+    def test_tail_is_the_int_1_or_7(self, tail):
+        # True == 1 and 1.0 == 1, so only the type refuses them
+        with pytest.raises(ValueError, match="tail must be the int 1 or 7"):
+            FareyExpansion((1, 2), tail=tail)
+        with pytest.raises(ValueError, match="tail must be the int 1 or 7"):
+            replace(FareyExpansion((1, 1), tail=1), tail=tail)
+
     def test_replace_keeps_the_entry_checks(self):
         e = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
         for entries in [(1.0,) + e.entries[1:], e.entries[:1] + (True,), (2, 0)]:
@@ -457,14 +476,15 @@ class TestReconstruct:
             interval = reconstruct(e.entries[:k])
             assert interval.contains(d)
             if previous is not None:
-                assert interval.subset_of(previous)
+                assert previous.contains(interval.lo) and previous.contains(interval.hi)
             previous = interval
 
     def test_nesting_is_strict(self):
         e = expand(Direction(Vec2(QuadNum(Fraction(7, 3)), QuadNum(1))), 6)
         intervals = [reconstruct(e.entries[:k]) for k in range(1, 7)]
         for outer, inner in zip(intervals, intervals[1:]):
-            assert inner.proper_subset_of(outer)
+            assert outer.contains(inner.lo) and outer.contains(inner.hi)
+            assert theta_cmp(outer.lo, inner.lo) < 0 or theta_cmp(inner.hi, outer.hi) < 0
 
     @pytest.mark.parametrize(
         "entries",
@@ -557,8 +577,10 @@ class TestReconstruct:
         for depth in (6, 12, 25, 50):
             a = reconstruct([2] + [1] * (depth - 1))
             b = reconstruct([3] + [1] * (depth - 1))
-            assert a.intersects(b)
-            widths.append(a.hull(b).theta_width())
+            assert a.contains(b.lo) or b.contains(a.lo)  # they intersect
+            lo = a.lo if theta_cmp(a.lo, b.lo) <= 0 else b.lo
+            hi = a.hi if theta_cmp(a.hi, b.hi) >= 0 else b.hi
+            widths.append(RP1Interval(lo, hi).theta_width())  # the width of their hull
         assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
 
 
@@ -610,19 +632,19 @@ class TestValueTypes:
 
 class TestDualExpansion:
     def test_even_rule(self):
-        e = FareyExpansion((2, 1, 1, 1), terminating=True, tail=1)
+        e = FareyExpansion((2, 1, 1, 1), tail=1)
         assert dual_expansion(e).entries == (3, 1, 1, 1)
 
     def test_odd_rule(self):
-        e = FareyExpansion((1, 7, 7), terminating=True, tail=7)
+        e = FareyExpansion((1, 7, 7), tail=7)
         assert dual_expansion(e).entries == (2, 7, 7)
 
     def test_zero_ray_is_self_dual(self):
-        e = FareyExpansion((0, 7, 7), terminating=True, tail=7)
+        e = FareyExpansion((0, 7, 7), tail=7)
         assert dual_expansion(e).entries == (0, 7, 7)
 
     def test_pi_ray_is_self_dual(self):
-        e = FareyExpansion((7, 7), terminating=True, tail=7)
+        e = FareyExpansion((7, 7), tail=7)
         assert dual_expansion(e).entries == (7, 7)
 
     def test_requires_terminating(self):
@@ -631,14 +653,14 @@ class TestDualExpansion:
 
     def test_involution(self):
         for entries, tail in [((2, 1, 1), 1), ((5, 4, 7, 7), 7), ((1, 3, 1, 1), 1)]:
-            e = FareyExpansion(entries, terminating=True, tail=tail)
+            e = FareyExpansion(entries, tail=tail)
             assert dual_expansion(dual_expansion(e)).entries == e.entries
 
     def test_dual_pair_reconstructs_to_touching_intervals(self):
-        e = FareyExpansion((4, 2, 1, 1, 1, 1), terminating=True, tail=1)
+        e = FareyExpansion((4, 2, 1, 1, 1, 1), tail=1)
         d = dual_expansion(e)
         a, b = reconstruct(e.entries), reconstruct(d.entries)
-        assert a.intersects(b)
+        assert a.contains(b.lo) or b.contains(a.lo)  # they intersect
         assert theta_cmp(a.hi, b.lo) == 0 or theta_cmp(b.hi, a.lo) == 0
 
 

@@ -14,7 +14,6 @@ from octocf.h2moves import (
     has_reduced_word,
     resolved_word,
     sector_matrix,
-    sector_parity,
     sector_raw_plan,
     sector_raw_word,
     sector_word,
@@ -73,7 +72,7 @@ class TestMoveWords:
     def test_reduced_words_compose_to_sector_matrices(self, i):
         matrix, parity, end = compose_word(sector_word(i))
         assert matrix == sector_matrix(i)
-        assert parity == sector_parity(i)
+        assert parity == resolved_word(i).parity
         assert end is NodeId.LEFT
 
     def test_sectors_without_reduced_words(self):
@@ -109,7 +108,7 @@ class TestRawWords:
         for i in range(1, 8):
             syms = [t for t in sector_raw_plan(i) if isinstance(t, SymmetryToken)]
             assert len(syms) == (1 if i % 2 == 0 else 0)
-            assert sector_parity(i) == (1 if i % 2 == 0 else 0)
+            assert resolved_word(i).parity == (1 if i % 2 == 0 else 0)
 
     def test_sector_six_symmetry_is_implicit(self):
         assert "symmetry" not in sector_raw_word(6)
@@ -147,10 +146,9 @@ class TestSectorMatrices:
 
 class TestCrossModuleConsistency:
     def test_reduced_matrices_equal_elementary_matrices_at_their_nodes(self):
-        from octocf.diagch import CombDatum, Side, elementary_matrix
+        from octocf.diagch import Side, elementary_matrix
 
-        left = CombDatum(3, NodeId.LEFT.pi_l, NodeId.LEFT.pi_r)
-        right = CombDatum(3, NodeId.RIGHT.pi_l, NodeId.RIGHT.pi_r)
+        left, right = NodeId.LEFT.comb, NodeId.RIGHT.comb
         assert ReducedMove.RR_L_TO_R.matrix == elementary_matrix(
             left, (2, 3), Side.PI_R
         )
@@ -161,28 +159,26 @@ class TestCrossModuleConsistency:
         assert ReducedMove.RDOT.matrix == elementary_matrix(right, (1,), Side.PI_R)
 
     def test_node_transitions_of_the_double_staircase_move(self):
-        from octocf.diagch import CombDatum, Side, perm_cycles
+        from octocf.diagch import Side, perm_cycles
 
-        left = CombDatum(3, NodeId.LEFT.pi_l, NodeId.LEFT.pi_r)
+        left, right = NodeId.LEFT.comb, NodeId.RIGHT.comb
         # cycle (2,3) of pi_r: pi_l becomes the 3-cycle of the right node
         pi_l = list(left.pi_l)
         for i in (2, 3):
             pi_l[i - 1] = left.pi_l[left.pi_r[i - 1] - 1]
-        assert tuple(pi_l) == NodeId.RIGHT.pi_l
-        assert left.after_move(Side.PI_R, (2, 3)) == CombDatum(
-            3, NodeId.RIGHT.pi_l, NodeId.RIGHT.pi_r
-        )
+        assert tuple(pi_l) == right.pi_l
+        assert left.after_move(Side.PI_R, (2, 3)) == right
         # the single-quadrilateral cycle is a self-loop on the gluing data
-        pi_l2 = list(NodeId.RIGHT.pi_l)
-        pi_l2[0] = NodeId.RIGHT.pi_l[NodeId.RIGHT.pi_r[0] - 1]
-        assert tuple(pi_l2) == NodeId.RIGHT.pi_l
-        assert perm_cycles(NodeId.RIGHT.pi_l) == ((1, 2, 3),)
+        pi_l2 = list(right.pi_l)
+        pi_l2[0] = right.pi_l[right.pi_r[0] - 1]
+        assert tuple(pi_l2) == right.pi_l
+        assert perm_cycles(right.pi_l) == ((1, 2, 3),)
 
 
 class TestResolvedWords:
     def test_parity_is_the_resolved_parity(self):
         for i in range(1, 8):
-            assert sector_parity(i) == resolved_word(i).parity == (1 if i % 2 == 0 else 0)
+            assert resolved_word(i).parity == (1 if i % 2 == 0 else 0)
 
     def test_each_word_is_resolved_once(self):
         assert resolved_word(4) is resolved_word(4)

@@ -21,6 +21,7 @@ from helpers import (
     pulled_back,
     random_clean_direction,
     reference_run_expansion,
+    strictly_straddled,
 )
 from octocf import farey, intmat, numerics, octagon
 from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
@@ -84,13 +85,13 @@ class TestFrozenData:
     def test_straddles_every_expanding_sector(self):
         for j in range(1, 8):
             for d in sector_sample_directions(j, 3):
-                assert qprime(d).strictly_straddled()
+                assert strictly_straddled(qprime(d))
 
     def test_initial_quadrangulations(self):
         for s0 in range(8):
             state = initial_quadrangulation(s0)
             assert state.total_area() == OCTAGON_AREA
-            assert state.strictly_straddled()
+            assert strictly_straddled(state)
 
     def test_initial_for_wrong_sector_rejected(self):
         with pytest.raises(ValueError):
@@ -367,7 +368,8 @@ class TestTableDrivenTraces:
     def test_replay_at_the_identity_frame_is_the_table(self, i):
         table = _sector_table(i)
         records = table.replay(sector_midpoint(i), _integral(Mat2.identity()), False)
-        assert records == table.moves
+        run, _ = octagon._checked_run(i, sector_midpoint(i))
+        assert records == tuple(run.records)
         # equal created sides are one vector, formed once
         made = {id(v) for rec in records for _, v in rec.new_sides}
         assert len(made) == len(table.holonomies) < sum(len(r.new_sides) for r in records)
@@ -469,28 +471,29 @@ class TestTableDrivenTraces:
                 l, r = frame.apply(w.l), frame.apply(w.r)
                 met.add(Wedge(l, r) if frame.det().sign() > 0 else Wedge(r, l))
         for end in (_boundary_direction(i), _boundary_direction(i + 1)):
-            assert all(w.cone_contains(end, strict=False) for w in met)
+            assert all(w.cone_contains(end) for w in met)
 
     @pytest.mark.parametrize("zero", [False, True])
     @pytest.mark.parametrize("i", range(1, 8))
     def test_corrupted_diagonal_fails_the_proof(self, i, zero):
         table = _sector_table(i)
-        plain = (1,) * len(table.moves)  # the plain words reflect before no move
-        assert _SectorTable.proved(i, table.moves, plain, GAMMA_NU_INV[i]) == table
-        first = table.moves[0]
+        moves = tuple(octagon._checked_run(i, sector_midpoint(i))[0].records)
+        plain = (1,) * len(moves)  # the plain words reflect before no move
+        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i]) == table
+        first = moves[0]
         (label, _), *rest = first.new_sides  # a move's created sides are its diagonals
         # the midpoint direction is left of one endpoint and right of the other;
         # the zero vector is parallel to both
         wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
         bad = replace(first, new_sides=((label, wrong), *rest))
         with pytest.raises(SectorWordError, match=f"diagonal {label}"):
-            _SectorTable.proved(i, (bad, *table.moves[1:]), plain, GAMMA_NU_INV[i])
+            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i])
 
     def test_proof_checks_the_renormalizer(self):
-        table = _sector_table(3)
-        flips = (1,) * len(table.moves)
+        moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
+        flips = (1,) * len(moves)
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
-            _SectorTable.proved(3, table.moves, flips, GAMMA_NU_INV[4])
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4])
 
     def test_proof_checks_the_label_matrix(self, monkeypatch):
         # sector 3's word with A4 as its wanted matrix: every slant still
@@ -511,15 +514,13 @@ class TestTableDrivenTraces:
         mirrored = _mirrored_word(i)
         monkeypatch.setattr(octagon, "resolved_word", lambda j: mirrored)
         mirror_table = _sector_table.__wrapped__(i)
-        n = len(mirror_table.moves)
         # the proof holds only with flip = -1 before every move
         run, _ = octagon._checked_run(i, sector_midpoint(i))
+        moves, n = tuple(run.records), len(run.records)
         assert run.flips == [-1] * n
-        assert _SectorTable.proved(i, mirror_table.moves, (-1,) * n, run.to_original) == (
-            mirror_table
-        )
+        assert _SectorTable.proved(i, moves, (-1,) * n, run.to_original) == mirror_table
         with pytest.raises(SectorWordError, match="not well slanted"):
-            _SectorTable.proved(i, mirror_table.moves, (1,) * n, run.to_original)
+            _SectorTable.proved(i, moves, (1,) * n, run.to_original)
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
