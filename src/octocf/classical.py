@@ -134,13 +134,6 @@ class GeometricConvergents(_FrozenValue):
 
     __slots__ = ("digits", "vectors", "halted")
 
-    def __init__(
-        self, digits: tuple[int, ...], vectors: tuple[tuple[int, int], ...], halted: bool
-    ):
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "halted", halted)
-
     @property
     def intermediates(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The skipped multiples i*e_{n-1} + e_{n-2} (0 < i < a_n), grouped per step."""

@@ -206,6 +206,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_convergents(args) -> int:
     from . import classical
 
+    if args.steps < 0:
+        raise _ParseFailure("--steps must be >= 0")
     alpha, approximate = _parse_alpha(args.alpha)
     listed, limit = 0, 10**_MAX_INT_DIGITS
 
@@ -280,29 +282,41 @@ def _parse_alpha(text: str):
 def _cmd_simulate(args) -> int:
     _check_count(args.steps, "--steps", 0)
     direction, approximate = _parse_direction(args.u, args.side)
-    initial = state = _initial_state(args.quad, direction)
-    steps = []
-    for _ in range(args.steps):
-        moves = state.available_moves()
-        if not moves:
-            break
-        move = moves[0]
-        state = state.apply(move)
-        steps.append(
-            {
-                "side": move.side.value,
-                "cycle": list(move.cycle),
-                "state": state.to_json(),
-            }
-        )
-    record = {
-        "initial": initial.to_json(),
-        "steps": steps,
-        "halted": len(steps) < args.steps,
-    }
+    state = _initial_state(args.quad, direction)
+    record = {"initial": state.to_json(), "steps": None, "halted": None}
     if approximate:
         record["approximate"] = True
-    return _emit_json(args, record)
+    steps = _first_moves(state, args.steps)
+    return _emit(args, _batched(_simulate_json(record, steps, args.steps)))
+
+
+def _first_moves(state, n: int):
+    """Up to ``n`` steps of the first available move from ``state``, as JSON."""
+    for _ in range(n):
+        moves = state.available_moves()
+        if not moves:
+            return
+        move = moves[0]
+        state = state.apply(move)
+        yield {"side": move.side.value, "cycle": list(move.cycle), "state": state.to_json()}
+
+
+def _simulate_json(record, steps, n: int):
+    """The indented JSON of ``record`` and a newline, with each of ``steps``
+    encoded as it is made, and ``halted`` true when fewer than ``n`` came."""
+    import json
+
+    encode = json.JSONEncoder(indent=2).iterencode
+    head, tail = json.dumps(record, indent=2).split('"steps": null')
+    yield head + '"steps": ['
+    made = 0
+    for step in steps:
+        yield ",\n    " if made else "\n    "
+        # a JSON string holds no raw newline, so this only indents the step
+        yield from (chunk.replace("\n", "\n    ") for chunk in encode(step))
+        made += 1
+    halted = json.dumps(made < n)
+    yield ("\n  ]" if made else "]") + tail.replace('"halted": null', f'"halted": {halted}') + "\n"
 
 
 def _initial_state(spec: str, direction: Direction):

@@ -27,13 +27,17 @@ reference direction points at a singularity.  That is a terminal state, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 from . import intmat
-from .farey import Direction
-from .numerics import Mat2, QuadNum, Vec2
+from .numerics import Mat2, QuadNum, Vec2, _FrozenValue
+
+#: ``typing.TYPE_CHECKING`` without importing ``typing``; ``farey`` is imported
+#: where a ``Direction`` is built, so ``dump-matrices`` does not load it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .farey import Direction
 
 __all__ = [
     "Side",
@@ -131,13 +135,10 @@ class Slant(Enum):
     PARALLEL = 0
 
 
-@dataclass(frozen=True)
-class CombDatum:
-    """The gluing permutations of a labeled quadrangulation."""
+class CombDatum(_FrozenValue):
+    """The gluing permutations ``pi_l`` and ``pi_r`` of the labels 1..``k``."""
 
-    k: int
-    pi_l: tuple[int, ...]
-    pi_r: tuple[int, ...]
+    __slots__ = ("k", "pi_l", "pi_r")
 
     def __post_init__(self):
         if self.k < 1 or len(self.pi_l) != self.k or len(self.pi_r) != self.k:
@@ -174,12 +175,10 @@ class CombDatum:
         return {"k": self.k, "pi_l": list(self.pi_l), "pi_r": list(self.pi_r)}
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """A pair of saddle connections straddling the reference direction."""
+class Wedge(_FrozenValue):
+    """A pair of saddle connections ``l`` and ``r`` straddling the reference direction."""
 
-    l: Vec2
-    r: Vec2
+    __slots__ = ("l", "r")
 
     def cone_contains(self, d: Direction) -> bool:
         """Whether ``d`` lies in the closed cone from ``r`` counterclockwise to ``l``."""
@@ -219,25 +218,20 @@ def _doubled_area(w: Wedge, diagonal: Vec2) -> QuadNum:
     return w.r.cross(diagonal) + diagonal.cross(w.l)
 
 
-@dataclass(frozen=True)
-class StaircaseMove:
-    """A well-slanted staircase move candidate: a cycle with its matrix."""
+class StaircaseMove(_FrozenValue):
+    """A well-slanted staircase move candidate: a ``side``'s ``cycle`` with its ``matrix``."""
 
-    side: Side
-    cycle: tuple[int, ...]
-    matrix: intmat.IntMat
+    __slots__ = ("side", "cycle", "matrix")
 
     def __str__(self) -> str:
         return f"{self.side.value}-cycle{self.cycle}"
 
 
-@dataclass(frozen=True)
-class LabeledQuadrangulation:
-    """Immutable diagonal-changes state: gluing data, wedges, reference ray."""
+class LabeledQuadrangulation(_FrozenValue):
+    """Immutable diagonal-changes state: gluing data ``comb``, one of the
+    ``wedges`` per quadrilateral, and the reference ray ``ref_dir``."""
 
-    comb: CombDatum
-    wedges: tuple[Wedge, ...]
-    ref_dir: Direction
+    __slots__ = ("comb", "wedges", "ref_dir")
 
     def __post_init__(self):
         if len(self.wedges) != self.comb.k:
@@ -344,6 +338,8 @@ class LabeledQuadrangulation:
         slots and the two gluing permutations are swapped to keep the data
         well formed.
         """
+        from .farey import Direction
+
         reversing = m.det().sign() < 0
         wedges = []
         for w in self.wedges:
@@ -369,6 +365,8 @@ class LabeledQuadrangulation:
 
     @staticmethod
     def from_json(obj: dict) -> "LabeledQuadrangulation":
+        from .farey import Direction
+
         k, pi_l, pi_r = obj["k"], tuple(obj["pi_l"]), tuple(obj["pi_r"])
         # JSON true is a Python int, and 1.0 == 1: only exact ints are gluing data
         if any(type(n) is not int for n in (k, *pi_l, *pi_r)):

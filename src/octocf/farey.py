@@ -518,11 +518,9 @@ class RP1Interval(_FrozenValue):
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Direction, hi: Direction):
-        if theta_cmp(lo, hi) > 0:
+    def __post_init__(self):
+        if theta_cmp(self.lo, self.hi) > 0:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     def contains(self, d: Direction) -> bool:
         return theta_cmp(self.lo, d) <= 0 <= theta_cmp(self.hi, d)

@@ -29,13 +29,13 @@ move is checked against the live gluing data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import permutations
 
 from . import intmat
 from .diagch import CombDatum, Side, StaircaseMove, elementary_matrix, perm_conjugate
+from .numerics import _FrozenValue
 
 __all__ = [
     "NodeId",
@@ -111,12 +111,10 @@ class ReducedMove(Enum):
         return _resolve(plan, (source or NodeId.LEFT).comb)[0].matrix
 
 
-@dataclass(frozen=True)
-class MoveWord:
-    """A path in the reduced graph, starting node plus move sequence."""
+class MoveWord(_FrozenValue):
+    """A path in the reduced graph: the ``start`` node and the sequence of ``moves``."""
 
-    start: NodeId
-    moves: tuple[ReducedMove, ...]
+    __slots__ = ("start", "moves")
 
     def __post_init__(self):
         self.end()
@@ -143,25 +141,22 @@ def _word_plan(word: MoveWord) -> tuple[RawToken, ...]:
 # -- raw per-sector words ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LetterToken:
+class LetterToken(_FrozenValue):
     """One simultaneous batch of staircase moves, marked by quadrilateral label.
 
     ``side`` PI_R batches run along cycles of pi_r (left vectors updated),
-    side PI_L along cycles of pi_l (right vectors updated); the marked set
-    must split exactly into cycles of the current permutation.
+    side PI_L along cycles of pi_l (right vectors updated); the ``marked``
+    set must split exactly into cycles of the current permutation.
     """
 
-    side: Side
-    marked: tuple[int, ...]
+    __slots__ = ("side", "marked")
 
     def as_string(self) -> str:
         letter = "r" if self.side is Side.PI_R else "l"
         return "".join(letter if i in self.marked else "\N{MIDDLE DOT}" for i in (1, 2, 3))
 
 
-@dataclass(frozen=True)
-class SymmetryToken:
+class SymmetryToken(_FrozenValue):
     """Left/right exchange plus the unique relabeling closing up the gluing data.
 
     ``printed`` records whether the sector listing spells the symmetry out;
@@ -169,17 +164,17 @@ class SymmetryToken:
     sector must flip orientation once).
     """
 
-    printed: bool = True
+    __slots__ = ("printed",)
+    _defaults = (True,)
 
     def as_string(self) -> str:
         return "symmetry"
 
 
-@dataclass(frozen=True)
-class RelabelToken:
-    """A pure relabeling of quadrilateral labels between staircase moves."""
+class RelabelToken(_FrozenValue):
+    """A pure relabeling ``sigma`` of quadrilateral labels between staircase moves."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ("sigma",)
 
 
 RawToken = LetterToken | SymmetryToken | RelabelToken
@@ -419,8 +414,7 @@ class SectorWordError(ValueError):
 Relabeling = tuple[tuple[int, ...], bool]
 
 
-@dataclass(frozen=True)
-class ResolvedWord:
+class ResolvedWord(_FrozenValue):
     """A token plan resolved over gluing data.
 
     ``steps`` holds one :class:`StaircaseMove` per cycle of each letter token
@@ -429,9 +423,7 @@ class ResolvedWord:
     counts the left/right exchanges mod 2.
     """
 
-    steps: tuple[StaircaseMove | Relabeling, ...]
-    matrix: intmat.IntMat
-    parity: int
+    __slots__ = ("steps", "matrix", "parity")
 
 
 def resolved_word(i: int) -> ResolvedWord:

@@ -363,18 +363,38 @@ def to_decimal(q: QuadNum, digits: int) -> str:
 
 
 class _FrozenValue:
-    """Base of the slotted immutable value types: ``Vec2``, ``Mat2`` and those of
-    ``classical`` and ``farey``; the slotted frozen dataclasses of ``octagon``
-    take only its pickling from it.
+    """Base of the slotted immutable value types; the slotted frozen dataclasses
+    ``MoveRecord`` and ``TraceStep`` take only its pickling from it.
 
-    Equality, hash, repr and pickling are over the fields in ``__slots__``
-    order, as a frozen dataclass over the same fields has them, without the
-    code generation that a dataclass runs at import.  No subclass writes its
-    own.  ``__init__`` writes each field once, through ``object.__setattr__``
-    or the slot descriptor.
+    Equality, hash, repr and pickling (through the constructor) are over the
+    fields in ``__slots__`` order, as a frozen dataclass over the same fields
+    has them, without the code generation that a dataclass runs at import.
+    ``__init__`` takes the fields positionally or by keyword, the last ones
+    defaulting to ``_defaults`` as a function's to its ``__defaults__``, and
+    runs ``__post_init__``, a subclass's checks, once they are written; so a
+    type with no checks and no defaults declares only its ``__slots__``.
+    ``Vec2``, ``Mat2`` and a few others write their fields in their own
+    ``__init__``, through ``object.__setattr__`` or the slot descriptor.
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            positional = names[: len(args)]
+            given = dict(zip(names[len(names) - len(self._defaults) :], self._defaults))
+            given.update(zip(positional, args), **kwargs)
+            if len(args) > len(names) or kwargs.keys() & positional or given.keys() != set(names):
+                raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks the fields once they are written; a type with checks overrides it."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

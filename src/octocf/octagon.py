@@ -30,7 +30,7 @@ reference on a sector endpoint looks up whether the word halts there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -231,15 +231,17 @@ class MoveRecord(_FrozenValue):
 _RECORD_SLOTS = tuple(getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
 
 
-@dataclass
 class _WordRun:
     """Runs the steps of a resolved sector word on the geometry."""
 
-    state: LabeledQuadrangulation
-    to_original: Mat2 = field(default_factory=Mat2.identity)  # current -> original frame
-    records: list[MoveRecord] = field(default_factory=list)
-    flips: list[int] = field(default_factory=list)  # sign of det(to_original) before each move
-    states: list[LabeledQuadrangulation] = field(default_factory=list)  # after each move
+    __slots__ = ("state", "to_original", "records", "flips", "states")
+
+    def __init__(self, state: LabeledQuadrangulation, to_original: Mat2 = Mat2.identity()):
+        self.state = state
+        self.to_original = to_original  # current -> original frame
+        self.records: list[MoveRecord] = []
+        self.flips: list[int] = []  # sign of det(to_original) before each move
+        self.states: list[LabeledQuadrangulation] = []  # after each move
 
     def execute(self, step) -> None:
         """One resolved step: a staircase move, or a relabeling ``(sigma, reflect)``."""
@@ -273,16 +275,10 @@ class _WordRun:
 # -- the verifier ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectorReport:
-    sector: int
-    direction: Direction
-    passed: bool
-    moves_available: bool
-    matrix_equal: bool
-    closes_up: bool
-    parity: int
-    failure: str | None = None
+class SectorReport(_FrozenValue):
+    __slots__ = ("sector", "direction", "passed", "moves_available", "matrix_equal", "closes_up",
+                 "parity", "failure")
+    _defaults = (None,)  # no failure
 
     def to_json(self) -> dict:
         return {
@@ -379,12 +375,8 @@ def _first_matrix_mismatch(got: intmat.IntMat, want: intmat.IntMat) -> str:
     return "matrices equal"
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    sector_reports: tuple[SectorReport, ...]
-    word_identities: dict[int, bool]
-    proved: dict[int, bool]
-    passed: bool
+class TheoremReport(_FrozenValue):
+    __slots__ = ("sector_reports", "word_identities", "proved", "passed")
 
     def to_json(self) -> dict:
         return {
@@ -420,7 +412,7 @@ def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremR
         samples = sector_sample_directions(i, samples_per_sector)
         proved[i] = prove_sector(i)
         if proved[i]:  # the proof's own run checked the first sample, the midpoint
-            reports.append(_sector_table(i).midpoint)
+            reports.append(_sector_table(i)[1])
             samples = samples[1:]
         reports.extend(verify_sector(i, d) for d in samples)
     identities = {}
@@ -507,8 +499,7 @@ class ExpansionTrace:
 _EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
 
 
-@dataclass(frozen=True)
-class _SectorTable:
+class _SectorTable(_FrozenValue):
     """Sector i's word on Q', recorded by the staircase executor and proved once.
 
     After every renormalization the state is exactly Q', so in the frame of a
@@ -517,11 +508,11 @@ class _SectorTable:
     of the next step is ``GAMMA_NU_INV[i]`` in this one; the proof checks it.
     """
 
-    bounds: tuple[tuple[Vec2, int | None], ...]  # (sector endpoint, first parallel label)
-    holonomies: tuple[tuple[tuple[int, ...], int], ...]  # the distinct created sides, as _ints
-    # per move: (side, cycle, ((label, index into holonomies), ...))
-    layout: tuple[tuple[Side, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
-    midpoint: SectorReport | None = field(default=None, compare=False)  # the recorded run's report
+    __slots__ = (
+        "bounds",  # ((sector endpoint, first parallel label), ...)
+        "holonomies",  # the distinct created sides, as _ints
+        "layout",  # per move: (side, cycle, ((label, index into holonomies), ...))
+    )
 
     @staticmethod
     def proved(
@@ -618,8 +609,9 @@ class _SectorTable:
 
 
 @cache
-def _sector_table(i: int) -> _SectorTable:
-    """Sector i's table, from the checked run of its word at the sector midpoint.
+def _sector_table(i: int) -> tuple[_SectorTable, SectorReport]:
+    """Sector i's table, from the checked run of its word at the sector midpoint,
+    and that run's report.
 
     The run must pass every check of :func:`verify_sector`: train-track
     relations, positive cones and areas of every state, each move against
@@ -629,8 +621,7 @@ def _sector_table(i: int) -> _SectorTable:
     run, report = _checked_run(i, sector_midpoint(i))
     if not report.passed:
         raise SectorWordError(f"sector {i} word fails at its midpoint: {report.failure}")
-    table = _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original)
-    return replace(table, midpoint=report)
+    return _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original), report
 
 
 def run_expansion(
@@ -662,7 +653,7 @@ def run_expansion(
     halted = None
     set_entry, set_records, set_state, set_to_original = _STEP_SLOTS
     for entry, tie, image in orbit[1:]:
-        table = _sector_table(entry)
+        table = _sector_table(entry)[0]
         try:
             records = table.replay(ref, to_original, on_bound=tie or ref.is_theta_pi)
         except HitsSingularity:

@@ -10,12 +10,11 @@ identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagch import LabeledQuadrangulation
 from .farey import Direction
-from .numerics import QuadNum, Vec2, to_decimal
+from .numerics import QuadNum, Vec2, _FrozenValue, to_decimal
 
 __all__ = ["RenderSpec", "render_states", "render_state", "trace_panels"]
 
@@ -23,13 +22,12 @@ _DIGITS = 12
 _PANELS_PER_ROW = 4
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Rendering options: scale factor, labels, optional direction overlay."""
+class RenderSpec(_FrozenValue):
+    """Rendering options: ``scale`` factor, ``show_labels``, and an optional
+    ``direction_overlay``."""
 
-    scale: Fraction = Fraction(60)
-    show_labels: bool = True
-    direction_overlay: Direction | None = None
+    __slots__ = ("scale", "show_labels", "direction_overlay")
+    _defaults = (Fraction(60), True, None)
 
     def __post_init__(self):
         if self.scale <= 0:

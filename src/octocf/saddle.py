@@ -10,10 +10,9 @@ import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import QuadNum, Vec2
+from .numerics import QuadNum, Vec2, _FrozenValue
 
 __all__ = [
     "OctagonModel",
@@ -50,16 +49,15 @@ _VERTICES = octagon_vertices()
 _SIDE_TRANSLATIONS = tuple(_VERTICES[(i + 4) % 8] - _VERTICES[(i + 1) % 8] for i in range(8))
 
 
-@dataclass(frozen=True)
-class OctagonModel:
+class OctagonModel(_FrozenValue):
     """The unit-side regular octagon with its opposite-side identifications.
 
-    Side i runs from vertex i to vertex i+1 (mod 8) and is glued to side
-    i+4 by the stored translation; all eight corners become one cone point.
+    Side i runs from vertex i to vertex i+1 (mod 8) of ``vertices`` and is
+    glued to side i+4 by the stored translation; all eight corners become one
+    cone point.  ``area`` is the octagon's area.
     """
 
-    vertices: tuple[Vec2, ...]
-    area: QuadNum
+    __slots__ = ("vertices", "area")
 
     @staticmethod
     def unit() -> "OctagonModel":

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -197,6 +199,11 @@ class TestConvergents:
         code, out, err = run_cli(capsys, *argv, "30")
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: convergents with more than 6 digits to list\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_negative_steps_name_the_flag(self, capsys, fmt):
+        argv = ("convergents", "--alpha", "sqrt2", "--format", fmt, "--steps", "-1")
+        assert run_cli(capsys, *argv) == (EXIT_PARSE, "", "error: --steps must be >= 0\n")
 
     def test_refuses_at_the_step_past_the_digit_limit(self, capsys, monkeypatch):
         # a billion steps would never finish; the limit is crossed at step 30
@@ -453,6 +460,66 @@ class TestTraceAndSimulate:
             capsys, "simulate", "--u", "1+sqrt2", "--quad", "torus", "--steps", "5"
         )
         assert len(record["steps"]) == 5
+
+    #: SHA-256 of ``simulate --quad torus --u 1+sqrt2 --steps 200``, taken when
+    #: the whole record was built before it was written.
+    SIMULATE_200 = "eebc5196f7df029ee8d6ffe90c8762a2fba093ea61468ab87cff05d8c0f0fb9c"
+
+    def test_simulate_output_is_pinned(self, capsys, tmp_path):
+        argv = ("simulate", "--quad", "torus", "--u", "1+sqrt2", "--steps", "200")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SIMULATE_200
+        path = tmp_path / "steps.json"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--u", "1/2", "--steps", "0"), ("--u", "0.3", "--quad", "torus", "--steps", "50")],
+    )
+    def test_simulate_writes_the_indented_record(self, capsys, argv):
+        # no steps at all, and a run that halts after 5 of its 50 steps
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["halted"] is (argv[-1] != "0")
+
+    def test_simulate_streams_its_steps(self):
+        # Peak RSS of the command, measured from a bare interpreter that starts
+        # it: a child's peak counts the memory of the process it was forked from.
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'octocf.cli', *sys.argv[1:]],"
+            " stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def peak(steps):
+            argv = ["simulate", "--quad", "torus", "--u", "1+sqrt2", "--steps", str(steps)]
+            result = subprocess.run(
+                [sys.executable, "-c", launcher, *argv], capture_output=True, env=env, check=True
+            )
+            return int(result.stdout)
+
+        # 0.5 MB of JSON at 500 steps, 9.5 MB at 4000
+        assert peak(4000) <= 1.1 * peak(500)
+
+    def test_simulate_past_the_digit_limit_exits_2_after_the_steps_before(self, capsys, tmp_path):
+        # 4290-digit sides pass Python's 4300-digit int-to-string limit after
+        # a few dozen steps; the steps made before it are already written
+        side, zero = {"a": str(10**4290), "b": "0"}, {"a": "0", "b": "0"}
+        wedge = {"l": {"x": zero, "y": side}, "r": {"x": side, "y": zero}}
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps({"k": 1, "pi_l": [1], "pi_r": [1], "wedges": [wedge]}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--quad", str(path), "--u", "1+sqrt2", "--steps", "1000"
+        )
+        assert code == EXIT_PARSE
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+        assert out.startswith('{\n  "initial": {')
 
     def test_simulate_reads_the_quad_file_once(self, capsys, tmp_path, monkeypatch):
         import builtins

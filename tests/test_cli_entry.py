@@ -29,8 +29,11 @@ from octocf import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPAND = {"octocf", "octocf.cli", "octocf.farey", "octocf.numerics"}
-MOVES = EXPAND | {"octocf.diagch", "octocf.h2moves", "octocf.intmat"}
-OCTAGON = MOVES | {"octocf.octagon"}
+#: ``dump-matrices`` runs the label matrices alone, without the Farey map.
+MOVES = {
+    "octocf", "octocf.cli", "octocf.numerics", "octocf.diagch", "octocf.h2moves", "octocf.intmat"
+}
+OCTAGON = EXPAND | MOVES | {"octocf.octagon"}
 
 #: (argv, environment, SHA-256 of stdout, the octocf modules the command loads)
 COMMANDS = [
@@ -148,7 +151,9 @@ def test_command_imports_only_what_it_runs(argv, env, digest, modules):
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["convergents", "--alpha", "golden", "--steps", "27"]], ids=["import", "convergents"]
+    "argv",
+    [[], ["convergents", "--alpha", "golden", "--steps", "27"], ["dump-matrices"]],
+    ids=["import", "convergents", "dump-matrices"],
 )
 def test_start_up_builds_no_dataclass(argv):
     _, loaded = _loaded(argv, {})

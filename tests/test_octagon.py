@@ -366,7 +366,7 @@ class TestTableDrivenTraces:
 
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_at_the_identity_frame_is_the_table(self, i):
-        table = _sector_table(i)
+        table, _ = _sector_table(i)
         records = table.replay(sector_midpoint(i), _integral(Mat2.identity()), False)
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         assert records == tuple(run.records)
@@ -416,7 +416,8 @@ class TestTableDrivenTraces:
         base, _ = reductions(0)
         for n in (5, 40):
             total, trace = reductions(n)
-            per_step = [2 * len(_sector_table(s.entry).holonomies) + 4 + 2 for s in trace.steps]
+            tables = [_sector_table(s.entry)[0] for s in trace.steps]
+            per_step = [2 * len(table.holonomies) + 4 + 2 for table in tables]
             assert total - base == sum(per_step)
 
     def test_slot_built_records_equal_constructor_built_ones(self):
@@ -450,7 +451,7 @@ class TestTableDrivenTraces:
         raised = 0
         for ref in ends + sector_sample_directions(i, 2):
             got = _outcome(
-                lambda: _sector_table(i).replay(ref, _integral(Mat2.identity()), ref in ends)
+                lambda: _sector_table(i)[0].replay(ref, _integral(Mat2.identity()), ref in ends)
             )
             want = _outcome(lambda: _executor_records(resolved_word(i), ref))
             assert got == want, str(ref)
@@ -476,7 +477,7 @@ class TestTableDrivenTraces:
     @pytest.mark.parametrize("zero", [False, True])
     @pytest.mark.parametrize("i", range(1, 8))
     def test_corrupted_diagonal_fails_the_proof(self, i, zero):
-        table = _sector_table(i)
+        table, _ = _sector_table(i)
         moves = tuple(octagon._checked_run(i, sector_midpoint(i))[0].records)
         plain = (1,) * len(moves)  # the plain words reflect before no move
         assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i]) == table
@@ -510,10 +511,10 @@ class TestTableDrivenTraces:
     @pytest.mark.parametrize("i", range(1, 8))
     def test_mirrored_word_replays_like_the_executor(self, i, monkeypatch):
         # the same word run in the mirror frame: every move comes after a reflection
-        table = _sector_table(i)
+        table, _ = _sector_table(i)
         mirrored = _mirrored_word(i)
         monkeypatch.setattr(octagon, "resolved_word", lambda j: mirrored)
-        mirror_table = _sector_table.__wrapped__(i)
+        mirror_table, _ = _sector_table.__wrapped__(i)
         # the proof holds only with flip = -1 before every move
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         moves, n = tuple(run.records), len(run.records)
