@@ -61,10 +61,7 @@ class QuadraticIrrational(_FrozenValue):
         if c < 0:
             a, b, c = -a, -b, -c
         g = gcd(gcd(abs(a), abs(b)), c)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "c", c // g)
-        object.__setattr__(self, "d", d)
+        super().__init__(a // g, b // g, c // g, d)
 
     @staticmethod
     def sqrt_of(n: int) -> "QuadraticIrrational":

@@ -298,7 +298,14 @@ def _first_moves(state, n: int):
             return
         move = moves[0]
         state = state.apply(move)
-        yield {"side": move.side.value, "cycle": list(move.cycle), "state": state.to_json()}
+        try:
+            state_json = state.to_json()
+        except ValueError:  # str() of an int past the digit limit; Python's wording varies
+            raise _ParseFailure(
+                f"a coordinate has more than {_MAX_INT_DIGITS} digits, past Python's "
+                "int-to-string limit"
+            ) from None
+        yield {"side": move.side.value, "cycle": list(move.cycle), "state": state_json}
 
 
 def _simulate_json(record, steps, n: int):
@@ -377,7 +384,7 @@ def _cmd_verify(args) -> int:
         extra = []
         for i in sectors:
             for _ in range(args.random_samples):
-                d = _random_interior_direction(rng, i)
+                d = octagon.sector_direction(i, _random_parameter(rng, i))
                 extra.append(octagon.verify_sector(i, d))
         record["random_samples"] = [r.to_json() for r in extra]
         record["seed"] = seed
@@ -389,19 +396,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
-def _random_interior_direction(rng: random.Random, sector: int) -> Direction:
-    from .farey import SECTOR_BOUNDS, Direction, classify
-
-    while True:
-        if sector == 7:
-            u = SECTOR_BOUNDS[6] - QuadNum(Fraction(rng.randint(1, 10**6), 10**3))
-        else:
-            hi, lo = SECTOR_BOUNDS[sector - 1], SECTOR_BOUNDS[sector]
-            t = QuadNum(Fraction(rng.randint(1, 10**6 - 1), 10**6))
-            u = lo + (hi - lo) * t
-        d = Direction(Vec2(u, QuadNum(1)))
-        if classify(d) == (sector,):
-            return d
+def _random_parameter(rng: random.Random, sector: int) -> Fraction:
+    """A random :func:`octagon.sector_direction` parameter of a sector 1..7."""
+    if sector == 7:
+        return Fraction(rng.randint(1, 10**6), 10**3)
+    return Fraction(rng.randint(1, 10**6 - 1), 10**6)
 
 
 def _cmd_dump_matrices(args) -> int:

@@ -259,10 +259,11 @@ class LabeledQuadrangulation(_FrozenValue):
         cls, comb: CombDatum, wedges: tuple[Wedge, ...], ref_dir: Direction
     ) -> "LabeledQuadrangulation":
         """A state from data proved valid elsewhere, built without the checks above."""
+        set_comb, set_wedges, set_ref_dir = cls._setters
         state = object.__new__(cls)
-        object.__setattr__(state, "comb", comb)
-        object.__setattr__(state, "wedges", wedges)
-        object.__setattr__(state, "ref_dir", ref_dir)
+        set_comb(state, comb)
+        set_wedges(state, wedges)
+        set_ref_dir(state, ref_dir)
         return state
 
     # -- basic geometry ------------------------------------------------------

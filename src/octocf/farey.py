@@ -112,7 +112,7 @@ class Direction(_FrozenValue):
         ys = vector.y.sign()
         if ys < 0:
             vector = -vector
-        _set_vector(self, vector)
+        self._setters[0](self, vector)
 
     def u_text(self) -> str:
         """The inverse slope u = x/y as exact text, ``inf`` on both horizontal rays."""
@@ -148,9 +148,6 @@ class Direction(_FrozenValue):
     @staticmethod
     def from_json(obj: dict) -> "Direction":
         return Direction(Vec2.from_json(obj))
-
-
-_set_vector = Direction.vector.__set__
 
 
 def theta_cmp(d1: Direction, d2: Direction) -> int:

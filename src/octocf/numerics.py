@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 import re
 
 __all__ = [
@@ -364,21 +365,37 @@ def to_decimal(q: QuadNum, digits: int) -> str:
 
 class _FrozenValue:
     """Base of the slotted immutable value types; the slotted frozen dataclasses
-    ``MoveRecord`` and ``TraceStep`` take only its pickling from it.
+    ``MoveRecord`` and ``TraceStep`` take only its field protocol and pickling
+    from it.
 
-    Equality, hash, repr and pickling (through the constructor) are over the
-    fields in ``__slots__`` order, as a frozen dataclass over the same fields
-    has them, without the code generation that a dataclass runs at import.
-    ``__init__`` takes the fields positionally or by keyword, the last ones
-    defaulting to ``_defaults`` as a function's to its ``__defaults__``, and
-    runs ``__post_init__``, a subclass's checks, once they are written; so a
-    type with no checks and no defaults declares only its ``__slots__``.
-    ``Vec2``, ``Mat2`` and a few others write their fields in their own
-    ``__init__``, through ``object.__setattr__`` or the slot descriptor.
+    The fields are the names in a class's own ``__slots__``; a subclass with
+    no new slots keeps its base's.  Once per class, ``_fields`` is set to a
+    getter of their values as a tuple and ``_setters`` to their slot setters,
+    both in ``__slots__`` order.  Equality, hash, repr and pickling (through
+    the constructor) are over that tuple, as a frozen dataclass over the same
+    fields has them, without the code generation that a dataclass runs at
+    import.  ``__init__`` takes the fields positionally or by keyword, the
+    last ones defaulting to ``_defaults`` as a function's to its
+    ``__defaults__``, writes them through the setters and runs
+    ``__post_init__``, a subclass's checks; so a type with no checks and no
+    defaults declares only its ``__slots__``.  A type that builds its fields
+    itself, or a trusted constructor, writes them through ``_setters`` too.
     """
 
     __slots__ = ()
     _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls.__dict__.get("__slots__")
+        if not names:
+            return
+        if len(names) == 1:
+            get = attrgetter(names[0])
+            cls._fields = staticmethod(lambda value: (get(value),))
+        else:
+            cls._fields = staticmethod(attrgetter(*names))
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in names)
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -389,8 +406,8 @@ class _FrozenValue:
             if len(args) > len(names) or kwargs.keys() & positional or given.keys() != set(names):
                 raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
             args = [given[name] for name in names]
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -402,23 +419,20 @@ class _FrozenValue:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
 
 class Vec2(_FrozenValue):
@@ -430,8 +444,7 @@ class Vec2(_FrozenValue):
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        _set_x(self, _coerce(x))
-        _set_y(self, _coerce(y))
+        super().__init__(_coerce(x), _coerce(y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return _vec(self.x + other.x, self.y + other.y)
@@ -466,14 +479,12 @@ class Vec2(_FrozenValue):
         return Vec2(QuadNum.from_json(obj["x"]), QuadNum.from_json(obj["y"]))
 
 
-_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
-
-
-def _vec(x: QuadNum, y: QuadNum) -> Vec2:
+def _vec(x: QuadNum, y: QuadNum, _setters=Vec2._setters) -> Vec2:
     """A Vec2 from components that are already QuadNums."""
+    set_x, set_y = _setters
     v = _object_new(Vec2)
-    _set_x(v, x)
-    _set_y(v, y)
+    set_x(v, x)
+    set_y(v, y)
     return v
 
 
@@ -494,7 +505,7 @@ class Mat2(_Invertible):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        _set_entries(self, _coerce(a), _coerce(b), _coerce(c), _coerce(d))
+        super().__init__(_coerce(a), _coerce(b), _coerce(c), _coerce(d))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return _mat(
@@ -517,7 +528,7 @@ class Mat2(_Invertible):
             raise ZeroDivisionError("singular matrix")
         inv = det.inverse()
         m = _mat(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-        _set_inverse(self, m)
+        _Invertible._setters[0](self, m)
         return m
 
     def apply(self, v: Vec2) -> Vec2:
@@ -534,20 +545,12 @@ class Mat2(_Invertible):
         return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
 
 
-_MAT_SLOTS = tuple(getattr(Mat2, name).__set__ for name in Mat2.__slots__)
-_set_inverse = _Invertible._inverse.__set__
-
-
-def _set_entries(m: Mat2, a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> None:
-    set_a, set_b, set_c, set_d = _MAT_SLOTS
+def _mat(a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum, _setters=Mat2._setters) -> Mat2:
+    """A Mat2 from entries that are already QuadNums."""
+    set_a, set_b, set_c, set_d = _setters
+    m = _object_new(Mat2)
     set_a(m, a)
     set_b(m, b)
     set_c(m, c)
     set_d(m, d)
-
-
-def _mat(a: QuadNum, b: QuadNum, c: QuadNum, d: QuadNum) -> Mat2:
-    """A Mat2 from entries that are already QuadNums."""
-    m = _object_new(Mat2)
-    _set_entries(m, a, b, c, d)
     return m

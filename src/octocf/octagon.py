@@ -90,6 +90,7 @@ __all__ = [
     "initial_quadrangulation",
     "sector_midpoint",
     "sector_sample_directions",
+    "sector_direction",
     "SectorReport",
     "TheoremReport",
     "verify_sector",
@@ -162,15 +163,25 @@ def sector_sample_directions(j: int, count: int = 3) -> list[Direction]:
         raise ValueError("sector index must be 0..7")
     if count < 1:
         raise ValueError("count must be >= 1")
-    fracs = _midpoint_first_fractions(count)
+    params = _steps(count) if j in (0, 7) else _midpoint_first_fractions(count)
+    return [sector_direction(j, f) for f in params]
+
+
+def sector_direction(j: int, f: Fraction) -> Direction:
+    """The direction of sector j at the parameter f, strictly inside the sector.
+
+    Sectors 1..6 take u = lo + (hi - lo)*f between their ends lo and hi of u,
+    for 0 < f < 1; sectors 0 and 7, which reach u = infinity, take u at the
+    distance f > 0 from their finite end.
+    """
     if j == 0:
-        base = SECTOR_BOUNDS[0]
-        return [Direction(Vec2(base + QuadNum(f), QuadNum(1))) for f in _steps(count)]
-    if j == 7:
-        base = SECTOR_BOUNDS[6]
-        return [Direction(Vec2(base - QuadNum(f), QuadNum(1))) for f in _steps(count)]
-    hi, lo = SECTOR_BOUNDS[j - 1], SECTOR_BOUNDS[j]
-    return [Direction(Vec2(lo + (hi - lo) * QuadNum(f), QuadNum(1))) for f in fracs]
+        u = SECTOR_BOUNDS[0] + QuadNum(f)
+    elif j == 7:
+        u = SECTOR_BOUNDS[6] - QuadNum(f)
+    else:
+        hi, lo = SECTOR_BOUNDS[j - 1], SECTOR_BOUNDS[j]
+        u = lo + (hi - lo) * QuadNum(f)
+    return Direction(Vec2(u, QuadNum(1)))
 
 
 def _midpoint_first_fractions(count: int) -> list[Fraction]:
@@ -211,7 +222,8 @@ def initial_quadrangulation(s0: int, ref_dir: Direction | None = None) -> Labele
 # raises TypeError, not FrozenInstanceError, for a name that is not a field.
 # The frozen __setattr__ also refuses pickle's slot-by-slot restore, so they
 # pickle and copy through the constructor, by _FrozenValue.__reduce__; the
-# dataclass makes their __init__, ==, hash and repr.
+# dataclass makes their __init__, ==, hash and repr, and the replay and
+# run_expansion fill them through _FrozenValue._setters.
 
 
 @dataclass(frozen=True)
@@ -223,12 +235,6 @@ class MoveRecord(_FrozenValue):
     side: Side
     cycle: tuple[int, ...]
     new_sides: tuple[tuple[int, Vec2], ...]  # (label, holonomy in the original frame)
-
-
-#: The slot setters of MoveRecord's fields, in order: the replay fills its
-#: records through them, past the dataclass ``__init__``, as
-#: :func:`numerics._vec` fills a Vec2.
-_RECORD_SLOTS = tuple(getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
 
 
 class _WordRun:
@@ -460,10 +466,6 @@ class TraceStep(_FrozenValue):
         }
 
 
-#: The slot setters of TraceStep's fields, in order, as for MoveRecord.
-_STEP_SLOTS = tuple(getattr(TraceStep, name).__set__ for name in TraceStep.__slots__)
-
-
 @dataclass(frozen=True)
 class ExpansionTrace:
     direction: Direction
@@ -597,7 +599,7 @@ class _SectorTable(_FrozenValue):
             )
             for (xp, xq, yp, yq), den in self.holonomies
         ]
-        set_side, set_cycle, set_new_sides = _RECORD_SLOTS
+        set_side, set_cycle, set_new_sides = MoveRecord._setters
         records = []
         for side, cycle, sides in self.layout:
             rec = _object_new(MoveRecord)
@@ -651,7 +653,7 @@ def run_expansion(
     wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
-    set_entry, set_records, set_state, set_to_original = _STEP_SLOTS
+    set_entry, set_records, set_state, set_to_original = TraceStep._setters
     for entry, tie, image in orbit[1:]:
         table = _sector_table(entry)[0]
         try:

@@ -141,8 +141,6 @@ def _normalized_ray(d: Direction) -> Vec2:
 
 def trace_panels(trace_json: dict) -> list[LabeledQuadrangulation]:
     """Extract the drawable state sequence from trace or quadrangulation JSON."""
-    if "panels" in trace_json:
-        return [LabeledQuadrangulation.from_json(p) for p in trace_json["panels"]]
     if "steps" in trace_json:
         states = [LabeledQuadrangulation.from_json(trace_json["initial"])]
         states.extend(LabeledQuadrangulation.from_json(s["state"]) for s in trace_json["steps"])

@@ -518,7 +518,9 @@ class TestTraceAndSimulate:
             capsys, "simulate", "--quad", str(path), "--u", "1+sqrt2", "--steps", "1000"
         )
         assert code == EXIT_PARSE
-        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+        assert err == (
+            "error: a coordinate has more than 4300 digits, past Python's int-to-string limit\n"
+        )
         assert out.startswith('{\n  "initial": {')
 
     def test_simulate_reads_the_quad_file_once(self, capsys, tmp_path, monkeypatch):

@@ -135,6 +135,15 @@ def test_entry_point_prints_the_in_process_output(argv, env, digest, modules, mo
     assert _in_process(argv, env, monkeypatch) == (cli.EXIT_OK, result.stdout.decode())
 
 
+def test_random_verify_samples_are_pinned():
+    # each sample is octagon.sector_direction at a seeded parameter; the digest
+    # was taken when the CLI drew its directions with a sampler of its own
+    result = _child(["-m", "octocf.cli", "verify", "--random-samples", "2"], {"OCTOCF_SEED": "7"})
+    assert result.returncode == cli.EXIT_OK, result.stderr.decode()
+    digest = "57f2c431f088edfe7628da2e2adb6ba3393058cf2eac13647c6a7a8e06ac106a"
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 def _loaded(argv, env):
     result = _child(["-c", _MODULES_CHILD, *argv], env)
     assert result.returncode == cli.EXIT_OK, result.stderr.decode()

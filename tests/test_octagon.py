@@ -63,6 +63,7 @@ from octocf.octagon import (
     initial_quadrangulation,
     qprime,
     run_expansion,
+    sector_direction,
     sector_midpoint,
     sector_move_states,
     sector_sample_directions,
@@ -86,6 +87,19 @@ class TestFrozenData:
         for j in range(1, 8):
             for d in sector_sample_directions(j, 3):
                 assert strictly_straddled(qprime(d))
+
+    @given(
+        st.integers(0, 7),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.fractions(min_value=0, max_value=10**3, max_denominator=10**3),
+    )
+    @example(1, Fraction(1, 10**6), Fraction(1, 10**3))
+    @example(6, Fraction(10**6 - 1, 10**6), Fraction(10**3))
+    def test_sector_direction_is_strictly_inside_its_sector(self, j, t, f):
+        # the parameters verify --random-samples draws, and those of the samples
+        f = f if j in (0, 7) else t
+        assume(0 < f < 1 or (j in (0, 7) and f > 0))
+        assert classify(sector_direction(j, f)) == (j,)
 
     def test_initial_quadrangulations(self):
         for s0 in range(8):

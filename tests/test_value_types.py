@@ -9,14 +9,18 @@ stay dataclasses, so that no command builds a dataclass it does not need.
 
 import ast
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import check_value_type
+import octocf
 from octocf import octagon
+from octocf.classical import QuadraticIrrational, geometric_convergents
 from octocf.diagch import (
     CombDatum,
     LabeledQuadrangulation,
@@ -25,7 +29,7 @@ from octocf.diagch import (
     StaircaseMove,
     Wedge,
 )
-from octocf.farey import GAMMA_NU_INV, Direction
+from octocf.farey import GAMMA_NU_INV, Direction, reconstruct
 from octocf.h2moves import (
     QPRIME_COMB,
     LetterToken,
@@ -38,7 +42,7 @@ from octocf.h2moves import (
     resolved_word,
     sector_word,
 )
-from octocf.numerics import Mat2, QuadNum, Vec2
+from octocf.numerics import Mat2, QuadNum, Vec2, _FrozenValue
 from octocf.octagon import (
     Q0_COMB,
     SectorReport,
@@ -143,6 +147,46 @@ def test_value_semantics(cls, values, fields):
     assert cls.__slots__ == fields
     assert all(type(v) is cls for v in values)
     check_value_type(values, fields)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _instances():
+    """The first value of each table above, and one value of each other type."""
+    inverted = Mat2(1, 1, 0, 1)
+    inverted.inverse()  # fills _Invertible's slot too
+    step = run_expansion(Direction(Vec2(Fraction(-16489, 1091), 1)), 1).steps[0]
+    return [values[0] for _, values, _ in VALUES] + [
+        Vec2(1, QuadNum(0, 1)),
+        inverted,
+        Direction(Vec2(1, 2)),
+        reconstruct((2, 1)),
+        QuadraticIrrational(1, 1, 2, 5),
+        geometric_convergents(Fraction(3, 2), 5),
+        step.records[0],
+        step,
+        TheoremReport((), {3: True}, {3: True}, True),
+    ]
+
+
+def test_every_value_type_reads_and_writes_its_slots_in_order():
+    for module in pkgutil.iter_modules(octocf.__path__, "octocf."):
+        importlib.import_module(module.name)
+    types = [cls for cls in _subclasses(_FrozenValue) if cls.__module__.startswith("octocf.")]
+    assert {Vec2, Mat2, CombDatum, octagon.MoveRecord, octagon.TraceStep} < set(types)
+    instances = _instances()
+    for cls in types:
+        value = next(v for v in instances if isinstance(v, cls))
+        names = cls.__slots__
+        assert cls._fields(value) == tuple(getattr(value, name) for name in names), cls
+        blank, marks = object.__new__(cls), [object() for _ in names]
+        for setter, mark in zip(cls._setters, marks, strict=True):
+            setter(blank, mark)
+        assert all(getattr(blank, name) is mark for name, mark in zip(names, marks)), cls
 
 
 def test_theorem_report_holds_dicts_so_it_has_no_hash():
