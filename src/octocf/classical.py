@@ -60,7 +60,7 @@ class QuadraticIrrational(_FrozenValue):
             d = 0
         if c < 0:
             a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
+        g = gcd(c, a, b)
         super().__init__(a // g, b // g, c // g, d)
 
     @staticmethod

@@ -340,15 +340,20 @@ def _initial_state(spec: str, direction: Direction):
         )
     data = _read_json(None if spec == "-" else spec, "quadrangulation")
     ref = {"ref_dir": direction.to_json()}
-    return _decode(lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data)
+    return _decode(
+        lambda obj: LabeledQuadrangulation.from_json({**obj, **ref}), data, "quadrangulation"
+    )
 
 
-def _decode(build, data):
-    """``build(data)``, where valid JSON of the wrong shape is a parse failure."""
+def _decode(build, data, what: str):
+    """``build(data)``, where valid JSON of the wrong shape is a parse failure
+    naming ``what`` is read and, for a missing key, the field."""
     try:
         return build(data)
+    except KeyError as exc:  # str() of a KeyError is the key's repr
+        raise _ParseFailure(f"malformed {what} JSON: missing field {exc}") from exc
     except TypeError as exc:
-        raise _ParseFailure(f"malformed JSON input: {exc}") from exc
+        raise _ParseFailure(f"malformed {what} JSON: {exc}") from exc
 
 
 def _cmd_trace(args) -> int:
@@ -433,7 +438,7 @@ def _cmd_render(args) -> int:
         states = octagon.sector_move_states(sector, octagon.sector_midpoint(sector))
     else:
         data = _read_json(None if args.input == "-" else args.input, "trace")
-        states = _decode(render.trace_panels, data)
+        states = _decode(render.trace_panels, data, "trace")
     overlay = None
     if args.direction is not None:
         overlay, _ = _parse_direction(args.direction, args.side)
@@ -586,7 +591,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_IOFailure, ValueError, KeyError) as exc:
+    except (_IOFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, _IOFailure) else EXIT_PARSE
 

@@ -27,6 +27,7 @@ from .numerics import (
     QuadNum,
     Vec2,
     _FrozenValue,
+    _cross_sign,
     _mat,
     _reduced,
     _vec,
@@ -128,10 +129,7 @@ class Direction(_FrozenValue):
         return self.vector.y.is_zero() and self.vector.x.sign() < 0
 
     def ray_eq(self, other: "Direction") -> bool:
-        if self.vector.cross(other.vector).sign() != 0:
-            return False
-        # parallel in the closed upper half plane: distinguish 0 from pi
-        return self.vector.dot(other.vector).sign() > 0
+        return theta_cmp(self, other) == 0
 
     def theta_float(self) -> float:
         """Approximate angle in [0, pi]; diagnostics and widths only."""
@@ -153,13 +151,16 @@ class Direction(_FrozenValue):
 def theta_cmp(d1: Direction, d2: Direction) -> int:
     """Exact three-way comparison of angles in [0, pi].
 
-    In the closed upper half plane the cross product orders any two rays
-    except the opposite horizontals, the only parallel pair that is not equal.
+    In the closed upper half plane the sign of the cross product orders any
+    two rays except the opposite horizontals, the only parallel pair that is
+    not equal: parallel rays off the horizontals have y > 0 and are equal,
+    and on them theta = pi (x < 0) comes last.
     """
-    side = d1.vector.cross(d2.vector).sign()
-    if side or d1.vector.dot(d2.vector).sign() > 0:
+    v1, v2 = d1.vector, d2.vector
+    side = _cross_sign(v1, v2)
+    if side or not v1.y.is_zero():
         return -side
-    return -1 if d1.is_theta_zero else 1
+    return (v1.x.sign() < 0) - (v2.x.sign() < 0)
 
 
 #: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.
@@ -257,6 +258,16 @@ def _compose(frame: _Frame, branch: _Frame) -> _Frame:
     return e, p
 
 
+#: ``_INVERSE_PAIRS[s][t]`` is the product of the inverse branches of the entries
+#: s, t as :func:`_compose` builds it, so a frame composed with it is the frame
+#: composed with the two branches in turn: both strip the largest power of sqrt2
+#: from the same exact matrix.
+_INVERSE_PAIRS = tuple(
+    tuple(_compose(_INVERSE_BRANCHES[s], branch) for branch in _INVERSE_BRANCHES)
+    for s in range(8)
+)
+
+
 def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
     """The Vec2 (xp + xq*sqrt2, yp + yq*sqrt2)/(den*sqrt2^e), with one gcd per coordinate.
 
@@ -303,17 +314,22 @@ def _sectors(v: _IntVec) -> tuple[int, ...]:
 
     Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.  The
     bounds decrease, so the first bound not above u decides: u above it is
-    sector j, u on it is the tie (j, j+1).  On the horizontals the sign of x
-    decides at once: theta = 0 is sector 0 and theta = pi sector 7.
+    sector j, u on it is the tie (j, j+1), and u below every bound is sector
+    7.  The signs rise with j, so a binary search finds that bound.  On the
+    horizontals every sign is that of x: theta = 0 is sector 0 and theta =
+    pi sector 7.
     """
     xp, xq, yp, yq = v
-    for j, (bp, bq) in enumerate(_BOUND_INTS):
-        s = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
-        if s > 0:
-            return (j,)
-        if s == 0:
-            return (j, j + 1)
-    return (7,)
+    lo, hi, s = 0, 7, 1
+    while lo < hi:  # three sign tests find the first bound j with u >= b_j, or 7
+        j = (lo + hi) >> 1
+        bp, bq = _BOUND_INTS[j]
+        t = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
+        if t < 0:
+            lo = j + 1
+        else:
+            hi, s = j, t
+    return (hi,) if s else (hi, hi + 1)
 
 
 def classify(d: Direction) -> tuple[int, ...]:
@@ -498,13 +514,18 @@ def _expand_orbit(
     return expansion, orbit
 
 
+#: The ray at angle j*pi/8 for j = 0..8, as ints: (1, 0), (SECTOR_BOUNDS[j-1], 1)
+#: for j = 1..7, and (-1, 0).
+_END_INTS: tuple[_IntVec, ...] = (
+    (1, 0, 0, 0),
+    *((bp, bq, 1, 0) for bp, bq in _BOUND_INTS),
+    (-1, 0, 0, 0),
+)
+
+
 def _boundary_direction(j: int) -> Direction:
     """The direction with angle j*pi/8, for j = 0..8."""
-    if j == 0:
-        return Direction(Vec2(1, 0))
-    if j == 8:
-        return Direction(Vec2(-1, 0))
-    return Direction(Vec2(SECTOR_BOUNDS[j - 1], QuadNum(1)))
+    return _direction(_END_INTS[j], 1, 0)
 
 
 class RP1Interval(_FrozenValue):
@@ -539,27 +560,39 @@ def reconstruct(prefix) -> RP1Interval:
     inverse branches of the earlier entries; prefixes of growing length give
     nested intervals shrinking to the coded direction.  The inverse branches
     are composed into one integral matrix P/sqrt2^e, which pulls both
-    endpoints back at once.  A run of n equal parabolic entries j = 1, 7 is
-    one factor: its inverse branch M is unipotent, so M^n = I + n(M - I).
-    Each branch keeps y >= 0 on [pi/8, pi], so the endpoints are the exact
-    vectors of single steps.
+    endpoints back at once.  Consecutive entries are composed two at a time
+    through :data:`_INVERSE_PAIRS`.  A run of n equal parabolic entries j =
+    1, 7 is one factor: its inverse branch M is unipotent, so M^n = I + n(M -
+    I); an entry waiting for its pair is composed alone before it, and so is
+    one left at the end.  Each branch keeps y >= 0 on [pi/8, pi], so the
+    endpoints are the exact vectors of single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
     if not _admissible(entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
-    frame = (0, _SCALARS[0])
+    frame, single = (0, _SCALARS[0]), None
     for s, run in groupby(entries[:-1]):
-        (k, m), n = _INVERSE_BRANCHES[s], len(tuple(run))
+        n = len(tuple(run))
         if n > 1 and s in _PARABOLIC:
-            m, n = tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m)), 1
-        for _ in range(n):
-            frame = _compose(frame, (k, m))
+            if single is not None:
+                frame, single = _compose(frame, _INVERSE_BRANCHES[single]), None
+            k, m = _INVERSE_BRANCHES[s]
+            frame = _compose(frame, (k, tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m))))
+            continue
+        if single is not None:
+            frame, single, n = _compose(frame, _INVERSE_PAIRS[single][s]), None, n - 1
+        for _ in range(n >> 1):
+            frame = _compose(frame, _INVERSE_PAIRS[s][s])
+        if n & 1:
+            single = s
+    if single is not None:
+        frame = _compose(frame, _INVERSE_BRANCHES[single])
     # the sector ends have denominator 1
     e, p = frame
     last = entries[-1]
-    ends = (_strip(_apply(p, _ints(_boundary_direction(b).vector)[0]), e) for b in (last, last + 1))
+    ends = (_strip(_apply(p, _END_INTS[b]), e) for b in (last, last + 1))
     lo, hi = (_direction(v, 1, e) for v, e in ends)
     if theta_cmp(lo, hi) <= 0:
         return RP1Interval(lo, hi)

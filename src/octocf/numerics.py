@@ -137,7 +137,7 @@ class QuadNum:
         a, b = _as_fraction(a), _as_fraction(b)
         p, q = a.numerator * b.denominator, b.numerator * a.denominator
         den = a.denominator * b.denominator
-        g = gcd(p, q, den)
+        g = gcd(den, p, q)
         self._p, self._q, self._den = p // g, q // g, den // g
 
     @property
@@ -314,8 +314,12 @@ def _new(p: int, q: int, den: int) -> QuadNum:
 
 
 def _reduced(p: int, q: int, den: int) -> QuadNum:
-    """A QuadNum from ints with den > 0, divided by their gcd unless it is 1."""
-    g = gcd(p, q, den)
+    """A QuadNum from ints with den > 0, divided by their gcd unless it is 1.
+
+    den goes first: math.gcd stops once the running gcd is 1, so a small or
+    unit den spares Euclid on two big numerators.
+    """
+    g = gcd(den, p, q)
     x = _object_new(QuadNum)
     if g == 1:
         x._p, x._q, x._den = p, q, den
@@ -333,6 +337,19 @@ def _dot2(x1: QuadNum, y1: QuadNum, x2: QuadNum, y2: QuadNum) -> QuadNum:
     if da == db:
         return _reduced(pa + pb, qa + qb, da)
     return _reduced(pa * db + pb * da, qa * db + qb * da, da * db)
+
+
+def _cross_sign(v: Vec2, w: Vec2) -> int:
+    """The sign of cross(v, w) = v.x*w.y - v.y*w.x from the unreduced products,
+    with no gcd: the denominators are positive."""
+    x1, y1, x2, y2 = v.x, v.y, w.x, w.y
+    p1, q1, p2, q2 = x1._p, x1._q, y2._p, y2._q
+    p3, q3, p4, q4 = y1._p, y1._q, x2._p, x2._q
+    pa, qa, da = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, x1._den * y2._den
+    pb, qb, db = p3 * p4 + 2 * q3 * q4, p3 * q4 + q3 * p4, y1._den * x2._den
+    if da == db:
+        return quad_sign(pa - pb, qa - qb, 2)
+    return quad_sign(pa * db - pb * da, qa * db - qb * da, 2)
 
 
 def _coerce(x) -> QuadNum:

@@ -300,6 +300,28 @@ def reference_classify(d: Direction) -> tuple[int, ...]:
     return tuple(sectors)
 
 
+def reference_sectors(v) -> tuple[int, ...]:
+    """``farey._sectors`` on the ints (xp, xq, yp, yq) of a vector with y >= 0, by a
+    linear scan of the seven decreasing bounds: the first with u >= b decides."""
+    xp, xq, yp, yq = v
+    for j, bound in enumerate(SECTOR_BOUNDS):
+        bp, bq, _ = bound.ints
+        s = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
+        if s > 0:
+            return (j,)
+        if s == 0:
+            return (j, j + 1)
+    return (7,)
+
+
+def reference_theta_cmp(d1: Direction, d2: Direction) -> int:
+    """``farey.theta_cmp`` by the canonical cross and dot products."""
+    side = d1.vector.cross(d2.vector).sign()
+    if side or d1.vector.dot(d2.vector).sign() > 0:
+        return -side
+    return -1 if d1.is_theta_zero else 1
+
+
 def reference_choose_sector(d: Direction, step: int, policy: TiePolicy) -> tuple[int, bool]:
     """The tie policy on :func:`reference_classify`: entry 0 only at step 0."""
     sectors = reference_classify(d)

@@ -674,6 +674,28 @@ class TestMalformedInput:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: expected an exact rational like -3/2, got '1e30000000'\n"
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("render", "--input", "-"), "trace"),
+            (("simulate", "--u", "2", "--quad", "-"), "quadrangulation"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({}, "k"),
+            ({"panels": [{}]}, "k"),
+            ({"k": 1, "pi_l": [1], "pi_r": [1]}, "wedges"),
+            ({"k": 1, "pi_l": [1], "pi_r": [1], "wedges": [{"l": {"x": {"a": "0"}}}]}, "b"),
+        ],
+    )
+    def test_missing_field_is_named(self, capsys, monkeypatch, argv, what, record, field):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: malformed {what} JSON: missing field {field!r}\n"
+
     # True == 1, so only the type tells these apart from valid gluing data
     @pytest.mark.parametrize("field, value", [("k", True), ("pi_l", [True])])
     def test_render_stdin_boolean_gluing_data(self, capsys, monkeypatch, field, value):

@@ -25,6 +25,8 @@ from helpers import (
     reference_expand_orbit,
     reference_quad,
     reference_reconstruct,
+    reference_sectors,
+    reference_theta_cmp,
 )
 from octocf import farey, numerics
 from octocf.farey import (
@@ -100,6 +102,38 @@ class TestDihedralElements:
                     v_ints, den = farey._ints(v)
                     image = farey._direction(farey._apply(ints, v_ints), den, k)
                     assert image == Direction(m.apply(v))
+
+    def test_pair_table_is_the_composed_branches(self):
+        branches = farey._INVERSE_BRANCHES
+        assert len(farey._INVERSE_PAIRS) == 8
+        for s, row in enumerate(farey._INVERSE_PAIRS):
+            assert len(row) == 8
+            for t, pair in enumerate(row):
+                assert pair == farey._compose(branches[s], branches[t])
+                assert farey._matrix(pair) == GAMMA_NU_INV[s] @ GAMMA_NU_INV[t]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 7), min_size=0, max_size=6),
+        st.integers(0, 7),
+        st.integers(1, 7),
+    )
+    def test_a_pair_composes_as_its_two_branches(self, head, s, t):
+        # from any frame, the stripped product with the pair is the stripped
+        # product with one branch and then the other, ints and exponent alike
+        frame = (0, farey._SCALARS[0])
+        for j in head:
+            frame = farey._compose(frame, farey._INVERSE_BRANCHES[j])
+        one_by_one = farey._compose(
+            farey._compose(frame, farey._INVERSE_BRANCHES[s]), farey._INVERSE_BRANCHES[t]
+        )
+        assert farey._compose(frame, farey._INVERSE_PAIRS[s][t]) == one_by_one
+
+    def test_sector_ends_are_the_grid_rays(self):
+        assert len(farey._END_INTS) == 9
+        for j, ints in enumerate(farey._END_INTS):
+            assert farey._boundary_direction(j) == _grid_direction(j)
+            assert farey._ints(_grid_direction(j).vector) == (ints, 1)
 
     @given(
         st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), min_size=8, max_size=8),
@@ -182,6 +216,31 @@ class TestClassify:
     @given(classify_directions())
     def test_matches_the_dividing_reference(self, d):
         assert classify(d) == reference_classify(d)
+
+    @pytest.mark.parametrize("scale", [(1, 0), (3, 0), (0, 1), (5, -3), (2**80 + 1, 2**79)])
+    def test_search_matches_the_linear_scan_on_every_bound(self, scale):
+        # (p + q*sqrt2) * end for a positive p + q*sqrt2: each bound is a tie
+        cp, cq = scale
+        assert numerics.quad_sign(cp, cq, 2) > 0
+        for j, (xp, xq, yp, yq) in enumerate(farey._END_INTS):
+            v = (cp * xp + 2 * cq * xq, cp * xq + cq * xp, cp * yp + 2 * cq * yq, cp * yq + cq * yp)
+            want = (0,) if j == 0 else (7,) if j == 8 else (j - 1, j)
+            assert farey._sectors(v) == reference_sectors(v) == want
+
+    @pytest.mark.parametrize("xp, xq", [(1, 0), (-1, 0), (7, -4), (-7, 5), (0, 3), (0, -1)])
+    def test_search_matches_the_linear_scan_on_the_horizontals(self, xp, xq):
+        v = (xp, xq, 0, 0)
+        want = (0,) if numerics.quad_sign(xp, xq, 2) > 0 else (7,)
+        assert farey._sectors(v) == reference_sectors(v) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(*[st.integers(-(2**64), 2**64) | st.integers(-9, 9)] * 4))
+    def test_search_matches_the_linear_scan(self, v):
+        xp, xq, yp, yq = v
+        if numerics.quad_sign(yp, yq, 2) < 0:
+            v = (-xp, -xq, -yp, -yq)
+        if any(v):
+            assert farey._sectors(v) == reference_sectors(v)
 
 
 def _power_of_root2(e: int) -> QuadNum:
@@ -550,6 +609,44 @@ class TestReconstruct:
         assert interval == reference_reconstruct(entries)
         assert (interval.lo.is_theta_zero, interval.hi.is_theta_pi) == (zero_end, pi_end)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (3, 5, 2, 6),  # pairs only
+            (3, 5, 2, 6, 4),  # a single left at the end
+            (0, 2, 4, 6, 5, 3, 1),
+            (4, 4, 4, 4, 6),  # a run of a plain entry: pairs of equal entries
+            (4, 4, 4, 6),
+            (2, 1, 1, 3),  # a single waiting before a parabolic run
+            (2, 6, 1, 1, 3),  # pairs, then a run
+            (5, 7, 7, 7, 2),  # a single before the run, none after
+            (5, 7, 7, 7, 2, 4, 6),  # a single before the run and after it
+            (1, 7, 1, 7, 1, 7),  # single parabolic entries pair up
+            (7, 7, 1, 1, 7, 7, 3),  # runs next to runs
+            (0, 1, 2, 2, 2, 7, 7, 3, 3, 1),
+        ],
+    )
+    def test_pairs_and_singles_around_runs_match_the_reference(self, entries):
+        for k in range(1, len(entries) + 1):
+            assert reconstruct(entries[:k]) == reference_reconstruct(entries[:k])
+
+    def test_every_prefix_up_to_three_entries_matches_the_reference(self):
+        prefixes = [(a,) for a in range(8)]
+        prefixes += [(a, b) for a in range(8) for b in range(1, 8)]
+        prefixes += [(a, b, c) for a in range(8) for b in range(1, 8) for c in range(1, 8)]
+        for entries in prefixes:
+            assert reconstruct(entries) == reference_reconstruct(entries), entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), max_size=12),
+    )
+    def test_short_runs_match_the_reference(self, first, runs):
+        # runs of one to four equal entries, odd and even lengths of each
+        entries = (first,) + tuple(j for j, n in runs for _ in range(n))
+        assert reconstruct(entries) == reference_reconstruct(entries)
+
     def test_inadmissible_prefix(self):
         with pytest.raises(InadmissiblePrefixError):
             reconstruct([2, 0, 1])
@@ -684,6 +781,28 @@ class TestIntervalOrdering:
             for b in rays:
                 assert theta_cmp(a, b) == -theta_cmp(b, a)
         assert theta_cmp(rays[4], rays[5]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(Vec2, nonzero_quadnums(), nonzero_quadnums() | st.just(QuadNum(0))),
+        st.builds(Vec2, nonzero_quadnums() | st.just(QuadNum(0)), nonzero_quadnums()),
+        st.integers(-3, 3),
+    )
+    def test_sign_kernel_is_the_sign_of_the_cross_product(self, v, w, c):
+        # unequal and equal denominators, parallel vectors included
+        assert numerics._cross_sign(v, w) == v.cross(w).sign()
+        assert numerics._cross_sign(w, v) == w.cross(v).sign()
+        assert numerics._cross_sign(v, v.scale(c)) == 0
+        assert numerics._cross_sign(v, v.scale(Fraction(c, 7))) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(classify_directions(), classify_directions())
+    def test_theta_cmp_and_ray_eq_match_the_reference(self, a, b):
+        zero, pi = Direction(Vec2(1, 0)), Direction(Vec2(-1, 0))
+        for d1 in (a, b, zero, pi):
+            for d2 in (a, b, zero, pi):
+                assert theta_cmp(d1, d2) == reference_theta_cmp(d1, d2)
+                assert d1.ray_eq(d2) == (reference_theta_cmp(d1, d2) == 0)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
