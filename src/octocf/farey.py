@@ -17,10 +17,11 @@ are decided exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from functools import cache
 
 from .numerics import (
     Mat2,
@@ -215,22 +216,6 @@ def _apply(m: tuple[int, ...], v: _IntVec) -> _IntVec:
     )
 
 
-def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
-    """m*n for m, n in the ints of :func:`_integral`."""
-    ap, aq, bp, bq, cp, cq, dp, dq = m
-    ep, eq, fp, fq, gp, gq, hp, hq = n
-    return (
-        ap * ep + bp * gp + 2 * (aq * eq + bq * gq),
-        ap * eq + aq * ep + bp * gq + bq * gp,
-        ap * fp + bp * hp + 2 * (aq * fq + bq * hq),
-        ap * fq + aq * fp + bp * hq + bq * hp,
-        cp * ep + dp * gp + 2 * (cq * eq + dq * gq),
-        cp * eq + cq * ep + dp * gq + dq * gp,
-        cp * fp + dp * hp + 2 * (cq * fq + dq * hq),
-        cp * fq + cq * fp + dp * hq + dq * hp,
-    )
-
-
 def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
     """The ints (p, q) of cross(v, w) = p + q*sqrt2."""
     xp, xq, yp, yq = v
@@ -251,8 +236,17 @@ def _compose(frame: _Frame, branch: _Frame) -> _Frame:
     """frame*branch, divided by sqrt2 while P stays integral, as :func:`_strip`
     divides a vector: without it P gains a sqrt2 factor at almost every branch
     with k = 1."""
-    (e, p), (k, m) = frame, branch
-    p, e = _matmul(p, m), e + k
+    (e, (ap, aq, bp, bq, cp, cq, dp, dq)), (k, (ep, eq, fp, fq, gp, gq, hp, hq)) = frame, branch
+    p, e = (
+        ap * ep + bp * gp + 2 * (aq * eq + bq * gq),
+        ap * eq + aq * ep + bp * gq + bq * gp,
+        ap * fp + bp * hp + 2 * (aq * fq + bq * hq),
+        ap * fq + aq * fp + bp * hq + bq * hp,
+        cp * ep + dp * gp + 2 * (cq * eq + dq * gq),
+        cp * eq + cq * ep + dp * gq + dq * gp,
+        cp * fp + dp * hp + 2 * (cq * fq + dq * hq),
+        cp * fq + cq * fp + dp * hq + dq * hp,
+    ), e + k
     while not (p[0] & 1 or p[2] & 1 or p[4] & 1 or p[6] & 1):
         p, e = (p[1], p[0] >> 1, p[3], p[2] >> 1, p[5], p[4] >> 1, p[7], p[6] >> 1), e - 1
     return e, p
@@ -266,6 +260,17 @@ _INVERSE_PAIRS = tuple(
     tuple(_compose(_INVERSE_BRANCHES[s], branch) for branch in _INVERSE_BRANCHES)
     for s in range(8)
 )
+
+
+@cache
+def _inverse_triples() -> tuple:
+    """``_inverse_triples()[s][t][u]``, the product of three inverse branches, built
+    the same way from :data:`_INVERSE_PAIRS`.  Only ``reconstruct`` reads the 512
+    products, so they are built on its first call, not by every command's import."""
+    return tuple(
+        tuple(tuple(_compose(pair, branch) for branch in _INVERSE_BRANCHES) for pair in row)
+        for row in _INVERSE_PAIRS
+    )
 
 
 def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
@@ -309,8 +314,9 @@ def _direction(v: _IntVec, den: int, e: int) -> Direction:
     return Direction(_vector(*v, den, e))
 
 
-def _sectors(v: _IntVec) -> tuple[int, ...]:
-    """All sector indices whose closed sector contains the ray of ``v`` (y >= 0).
+def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
+    """All sector indices whose closed sector contains the ray of (xp + xq*sqrt2,
+    yp + yq*sqrt2), y >= 0.
 
     Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.  The
     bounds decrease, so the first bound not above u decides: u above it is
@@ -319,12 +325,13 @@ def _sectors(v: _IntVec) -> tuple[int, ...]:
     horizontals every sign is that of x: theta = 0 is sector 0 and theta =
     pi sector 7.
     """
-    xp, xq, yp, yq = v
     lo, hi, s = 0, 7, 1
     while lo < hi:  # three sign tests find the first bound j with u >= b_j, or 7
         j = (lo + hi) >> 1
         bp, bq = _BOUND_INTS[j]
-        t = quad_sign(xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp, 2)
+        p, q = xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp
+        # t has the sign of p + q*sqrt2, as in numerics.quad_sign
+        t = (p or q) if (p >= 0) == (q >= 0) else p if p * p > 2 * q * q else q
         if t < 0:
             lo = j + 1
         else:
@@ -337,16 +344,7 @@ def classify(d: Direction) -> tuple[int, ...]:
 
     Each sign is taken on denominator-free ints, with no division.
     """
-    return _sectors(_ints(d.vector)[0])
-
-
-def _choose_sector(v: _IntVec, step: int, policy: TiePolicy) -> tuple[int, bool]:
-    sectors = _sectors(v)
-    tie = len(sectors) > 1
-    admissible = [j for j in sectors if j != 0 or step == 0]
-    if policy is TiePolicy.LOW:
-        return min(admissible), tie
-    return max(admissible), tie
+    return _sectors(*_ints(d.vector)[0])
 
 
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
@@ -438,6 +436,10 @@ def _walk(
     boundary, the image x/(den*sqrt2^e), and the n further steps of a
     parabolic run, whose images are x + t*w for t = 1..n.
 
+    The iterate is four local ints.  A step takes one :func:`_sectors` on
+    them, resolves a tie by the policy, and applies the integral branch and
+    strips sqrt2 in place, as :func:`_apply` and :func:`_strip` would.
+
     M = GAMMA_NU[j] for j = 1, 7 is unipotent, so from the iterate v the images
     are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray and
     every later step repeats this one, tie included.  Otherwise the orbit
@@ -450,29 +452,42 @@ def _walk(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    v, den = _ints(d.vector)
-    e = 0
+    (xp, xq, yp, yq), den = _ints(d.vector)
+    e, high, hit = 0, policy is TiePolicy.HIGH, False
     entries, steps = [], []
     while len(entries) < depth:
-        j, tie = _choose_sector(v, len(entries), policy)
-        k, m = _BRANCHES[j]
-        x, e, w, n = _apply(m, v), e + k, None, 0
-        if j in _PARABOLIC:
-            w = tuple(a - b for a, b in zip(x, _apply(_SCALARS[k], v)))
+        sectors = _sectors(xp, xq, yp, yq)
+        j, tie = sectors[0], len(sectors) > 1
+        # on the tie (j, j+1) HIGH takes j+1, and so does LOW after step 0 on (0, 1)
+        if tie and (high or not j and entries):
+            j += 1
+        hit = hit or tie
+        k, (ap, aq, bp, bq, cp, cq, dp, dq) = _BRANCHES[j]
+        e += k
+        x = (
+            ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
+            ap * xq + aq * xp + bp * yq + bq * yp,
+            cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
+            cp * xq + cq * xp + dp * yq + dq * yp,
+        )
+        w, n = None, 0
+        if j in _PARABOLIC:  # w = x - sqrt2^k * v
+            v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
+            w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])
             n = _run_length(j, x, w, depth - len(entries) - 1)
         steps.append((j, tie, x, e, w, n))
-        entries += [j] * (n + 1)
-        v, e = _strip(x if n == 0 else tuple(a + n * b for a, b in zip(x, w)), e)
+        if n:
+            entries += [j] * (n + 1)
+            xp, xq, yp, yq = x[0] + n * w[0], x[1] + n * w[1], x[2] + n * w[2], x[3] + n * w[3]
+        else:
+            entries.append(j)
+            xp, xq, yp, yq = x
+        while not (xp & 1 or yp & 1):  # strip sqrt2 as _strip does
+            xp, xq, yp, yq, e = xq, xp >> 1, yq, yp >> 1, e - 1
     # a fixed ray is fixed by the step it takes, so the last iterate decides the
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
-    xp, xq, yp, yq = v
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    expansion = FareyExpansion(
-        entries=tuple(entries),
-        boundary_hit=any(tie for _, tie, *_ in steps),
-        tail=tail,
-    )
-    return expansion, den, steps
+    return FareyExpansion(tuple(entries), hit, tail), den, steps
 
 
 def _run_length(j: int, x: _IntVec, w: _IntVec, room: int) -> int:
@@ -553,6 +568,22 @@ class RP1Interval(_FrozenValue):
         return f"[{self.lo}, {self.hi}]"
 
 
+#: The parabolic runs of a prefix's bytes: two or more equal entries 1 or 7.
+_RUNS = re.compile(rb"\x01{2,}|\x07{2,}")
+
+
+def _compose_plain(frame: _Frame, plain: bytes) -> _Frame:
+    """``frame`` composed with the inverse branches of the entries ``plain``:
+    three at a time through :func:`_inverse_triples`, then a pair or a single."""
+    it, triples = iter(plain), _inverse_triples()
+    for s, t, u in zip(it, it, it):
+        frame = _compose(frame, triples[s][t][u])
+    r = len(plain) % 3
+    if r == 2:
+        return _compose(frame, _INVERSE_PAIRS[plain[-2]][plain[-1]])
+    return _compose(frame, _INVERSE_BRANCHES[plain[-1]]) if r else frame
+
+
 def reconstruct(prefix) -> RP1Interval:
     """The exact direction interval of all expansions starting with ``prefix``.
 
@@ -560,35 +591,28 @@ def reconstruct(prefix) -> RP1Interval:
     inverse branches of the earlier entries; prefixes of growing length give
     nested intervals shrinking to the coded direction.  The inverse branches
     are composed into one integral matrix P/sqrt2^e, which pulls both
-    endpoints back at once.  Consecutive entries are composed two at a time
-    through :data:`_INVERSE_PAIRS`.  A run of n equal parabolic entries j =
-    1, 7 is one factor: its inverse branch M is unipotent, so M^n = I + n(M -
-    I); an entry waiting for its pair is composed alone before it, and so is
-    one left at the end.  Each branch keeps y >= 0 on [pi/8, pi], so the
-    endpoints are the exact vectors of single steps.
+    endpoints back at once.  A run of n equal parabolic entries j = 1, 7 is
+    one factor: its inverse branch M is unipotent, so M^n = I + n(M - I).
+    One regular expression finds the runs in the bytes of the earlier
+    entries, which are ints in 0..7 once the prefix is admissible, and the
+    plain stretches between them are composed three entries at a time through
+    :func:`_inverse_triples`, with a pair or a single for the remainder.
+    Each branch keeps y >= 0 on [pi/8, pi], so the endpoints are the exact
+    vectors of single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
     if not _admissible(entries):
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
-    frame, single = (0, _SCALARS[0]), None
-    for s, run in groupby(entries[:-1]):
-        n = len(tuple(run))
-        if n > 1 and s in _PARABOLIC:
-            if single is not None:
-                frame, single = _compose(frame, _INVERSE_BRANCHES[single]), None
-            k, m = _INVERSE_BRANCHES[s]
-            frame = _compose(frame, (k, tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m))))
-            continue
-        if single is not None:
-            frame, single, n = _compose(frame, _INVERSE_PAIRS[single][s]), None, n - 1
-        for _ in range(n >> 1):
-            frame = _compose(frame, _INVERSE_PAIRS[s][s])
-        if n & 1:
-            single = s
-    if single is not None:
-        frame = _compose(frame, _INVERSE_BRANCHES[single])
+    body = bytes(entries[:-1])
+    frame, start = (0, _SCALARS[0]), 0
+    for run in _RUNS.finditer(body):
+        frame = _compose_plain(frame, body[start : run.start()])
+        n, start = run.end() - run.start(), run.end()
+        k, m = _INVERSE_BRANCHES[body[start - 1]]
+        frame = _compose(frame, (k, tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m))))
+    frame = _compose_plain(frame, body[start:])
     # the sector ends have denominator 1
     e, p = frame
     last = entries[-1]
@@ -604,19 +628,18 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
 
     Eventually-constant tails of 1 pair across an even last non-tail entry,
     tails of 7 across an odd one; the two horizontal rays (entry sequences
-    [0;7,7,...] and [7;7,7,...]) have no partner and map to themselves.
+    [0;7,7,...] and [7;7,7,...]) have no partner and map to themselves.  The
+    last non-tail entry is found by stripping the tail from the bytes of the
+    entries, which are ints in 0..7.
     """
     if e.tail is None:
         raise ValueError("dual expansions exist only for terminating directions")
-    entries = list(e.entries)
-    k = len(entries) - 1
-    while k >= 0 and entries[k] == e.tail:
-        k -= 1
+    entries = tuple(e.entries)
+    k = len(bytes(entries).rstrip(bytes((e.tail,)))) - 1
     if k < 0:
         # all shown entries equal the tail
         if e.tail == 1:
-            entries[0] = 0
-            return FareyExpansion(tuple(entries), e.boundary_hit, 1)
+            return FareyExpansion((0,) + entries[1:], e.boundary_hit, 1)
         return e  # the ray theta = pi is self-dual
     s = entries[k]
     if e.tail == 1:
@@ -625,5 +648,5 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
         partner = s + 1 if s % 2 == 1 else s - 1
     if partner < 0 or (partner == 0 and k != 0):
         return e  # the ray theta = 0 is self-dual
-    entries[k] = partner
-    return FareyExpansion(tuple(entries), e.boundary_hit, e.tail)
+    entries = entries[:k] + (partner,) + entries[k + 1 :]
+    return FareyExpansion(entries, e.boundary_hit, e.tail)

@@ -387,6 +387,31 @@ def reference_reconstruct(entries) -> RP1Interval:
     return RP1Interval(ends[1], ends[0])
 
 
+def reference_dual_expansion(e: FareyExpansion) -> FareyExpansion:
+    """``farey.dual_expansion`` with the last non-tail entry found by a loop over the entries."""
+    if e.tail is None:
+        raise ValueError("dual expansions exist only for terminating directions")
+    entries = list(e.entries)
+    k = len(entries) - 1
+    while k >= 0 and entries[k] == e.tail:
+        k -= 1
+    if k < 0:
+        # all shown entries equal the tail
+        if e.tail == 1:
+            entries[0] = 0
+            return FareyExpansion(tuple(entries), e.boundary_hit, 1)
+        return e  # the ray theta = pi is self-dual
+    s = entries[k]
+    if e.tail == 1:
+        partner = s + 1 if s % 2 == 0 else s - 1
+    else:
+        partner = s + 1 if s % 2 == 1 else s - 1
+    if partner < 0 or (partner == 0 and k != 0):
+        return e  # the ray theta = 0 is self-dual
+    entries[k] = partner
+    return FareyExpansion(tuple(entries), e.boundary_hit, e.tail)
+
+
 def pulled_back(v: Vec2, runs) -> Direction:
     """``v`` pulled back through the inverse branches of the run-length word ``runs``."""
     for j, n in reversed(runs):

@@ -169,40 +169,6 @@ def test_start_up_builds_no_dataclass(argv):
     assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
 
 
-_EMPTY = hashlib.sha256(b"").hexdigest()
-
-#: (argv, exit code, SHA-256 of stdout, SHA-256 of stderr) at 80 columns, taken
-#: when every command built the parser of all eight subcommands (Python 3.11).
-PARSER_MESSAGES = [
-    ([], 2, _EMPTY, "900abd8d6a059d0e000db21471ffdbdcd0c825554c77d6b779cba32bf56d49e9"),
-    (["--help"], 0, "fb85402ac2d71c1b2d9dce470c6496c4dcec29269381e56d5c487c98c2bfd756", _EMPTY),
-    (["nope"], 2, _EMPTY, "d5698fa75655aace26e16ec16536c49879cc777b32b2631090fb8528371fc9ab"),
-    (
-        ["expand", "--help"],
-        0,
-        "ba992f915d69d6fd2eab66e9cea05a407838c92f584b24b71335cdd5bcb83163",
-        _EMPTY,
-    ),
-    (["expand"], 2, _EMPTY, "e53a75e1cd61680a4e8b626bf24ee55ad1fbb77a3f52ee12e15061b2f91b07fd"),
-    (
-        ["verify", "--sector", "9"],
-        2,
-        _EMPTY,
-        "81b5ffbf65407d375ee6f777f1df46c6f5592249c500f4e8b875377b63e7bb5b",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, code, out, err", PARSER_MESSAGES, ids=[" ".join(c[0]) or "-" for c in PARSER_MESSAGES]
-)
-def test_parser_messages_are_pinned(argv, code, out, err):
-    result = _child(["-m", "octocf.cli", *argv], {"COLUMNS": "80"})
-    assert result.returncode == code
-    assert hashlib.sha256(result.stdout).hexdigest() == out, result.stdout.decode()
-    assert hashlib.sha256(result.stderr).hexdigest() == err, result.stderr.decode()
-
-
 def _parse(parser, argv):
     """What ``parser`` prints on argv, its exit code, and the parsed arguments."""
     out, err = io.StringIO(), io.StringIO()
@@ -212,6 +178,34 @@ def _parse(parser, argv):
         except SystemExit as exc:
             code, parsed = exc.code, None
     return code, out.getvalue(), err.getvalue(), parsed
+
+
+#: Parser messages of the entry point at 80 columns, with their exit codes.
+#: argparse words them differently from one Python version to the next, so
+#: each is compared with what the parser of all eight subcommands prints in
+#: process.
+PARSER_MESSAGES = [
+    ([], 2),
+    (["--help"], 0),
+    (["nope"], 2),
+    (["expand", "--help"], 0),
+    (["expand"], 2),
+    (["verify", "--sector", "9"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", PARSER_MESSAGES, ids=[" ".join(c[0]) or "-" for c in PARSER_MESSAGES]
+)
+def test_parser_messages_are_pinned(argv, code, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = _parse(cli.build_parser(), argv)
+    result = _child(["-m", "octocf.cli", *argv], {"COLUMNS": "80"})
+    assert result.returncode == in_process[0] == code
+    assert result.stdout.decode() == in_process[1]
+    assert result.stderr.decode() == in_process[2]
+    # help goes to stdout alone, an error message to stderr alone
+    assert (result.stdout == b"") == (result.stderr != b"") == (code != 0)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from helpers import (
     nonzero_quadnums,
     pulled_back,
     reference_classify,
+    reference_dual_expansion,
     reference_expand_orbit,
     reference_quad,
     reference_reconstruct,
@@ -129,6 +130,35 @@ class TestDihedralElements:
         )
         assert farey._compose(frame, farey._INVERSE_PAIRS[s][t]) == one_by_one
 
+    def test_triple_table_is_the_composed_branches(self):
+        branches = farey._INVERSE_BRANCHES
+        assert len(farey._inverse_triples()) == 8
+        for s, plane in enumerate(farey._inverse_triples()):
+            assert len(plane) == 8
+            for t, row in enumerate(plane):
+                assert len(row) == 8
+                for u, triple in enumerate(row):
+                    in_turn = farey._compose(farey._compose(branches[s], branches[t]), branches[u])
+                    assert triple == in_turn
+                    product = GAMMA_NU_INV[s] @ GAMMA_NU_INV[t] @ GAMMA_NU_INV[u]
+                    assert farey._matrix(triple) == product
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 7), min_size=0, max_size=6),
+        st.integers(0, 7),
+        st.integers(1, 7),
+        st.integers(1, 7),
+    )
+    def test_a_triple_composes_as_its_three_branches(self, head, s, t, u):
+        frame = (0, farey._SCALARS[0])
+        for j in head:
+            frame = farey._compose(frame, farey._INVERSE_BRANCHES[j])
+        one_by_one = frame
+        for j in (s, t, u):
+            one_by_one = farey._compose(one_by_one, farey._INVERSE_BRANCHES[j])
+        assert farey._compose(frame, farey._inverse_triples()[s][t][u]) == one_by_one
+
     def test_sector_ends_are_the_grid_rays(self):
         assert len(farey._END_INTS) == 9
         for j, ints in enumerate(farey._END_INTS):
@@ -225,13 +255,13 @@ class TestClassify:
         for j, (xp, xq, yp, yq) in enumerate(farey._END_INTS):
             v = (cp * xp + 2 * cq * xq, cp * xq + cq * xp, cp * yp + 2 * cq * yq, cp * yq + cq * yp)
             want = (0,) if j == 0 else (7,) if j == 8 else (j - 1, j)
-            assert farey._sectors(v) == reference_sectors(v) == want
+            assert farey._sectors(*v) == reference_sectors(v) == want
 
     @pytest.mark.parametrize("xp, xq", [(1, 0), (-1, 0), (7, -4), (-7, 5), (0, 3), (0, -1)])
     def test_search_matches_the_linear_scan_on_the_horizontals(self, xp, xq):
         v = (xp, xq, 0, 0)
         want = (0,) if numerics.quad_sign(xp, xq, 2) > 0 else (7,)
-        assert farey._sectors(v) == reference_sectors(v) == want
+        assert farey._sectors(*v) == reference_sectors(v) == want
 
     @settings(max_examples=400, deadline=None)
     @given(st.tuples(*[st.integers(-(2**64), 2**64) | st.integers(-9, 9)] * 4))
@@ -240,7 +270,7 @@ class TestClassify:
         if numerics.quad_sign(yp, yq, 2) < 0:
             v = (-xp, -xq, -yp, -yq)
         if any(v):
-            assert farey._sectors(v) == reference_sectors(v)
+            assert farey._sectors(*v) == reference_sectors(v)
 
 
 def _power_of_root2(e: int) -> QuadNum:
@@ -314,10 +344,8 @@ class TestOrbit:
     def test_a_run_is_crossed_without_classifying(self, j, monkeypatch):
         # only the step into the run and the step out of it choose a sector
         calls = []
-        choose = farey._choose_sector
-        monkeypatch.setattr(
-            farey, "_choose_sector", lambda *args: calls.append(args) or choose(*args)
-        )
+        sectors = farey._sectors
+        monkeypatch.setattr(farey, "_sectors", lambda *args: calls.append(args) or sectors(*args))
         d = pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), [(j, 500)])
         assert expand(d, 501).entries == (j,) * 500 + (2,)
         assert len(calls) == 2
@@ -520,6 +548,19 @@ class TestExpand:
                 replace(e, entries=entries)
 
 
+    def test_checked_builds_refuse_true_floats_and_a_later_0(self):
+        # on the caller's input and on expansions that expand and dual_expansion built
+        walked = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
+        dual = dual_expansion(expand(pulled_back(Vec2(-1, 0), [(3, 1), (5, 2)]), 30))
+        assert dual.terminating
+        for entries in [(True,), (1.0,), (2, True), (2, 1.0), (True, 1), (2, 0), (3, 1, 2, 0)]:
+            with pytest.raises(InadmissiblePrefixError):
+                FareyExpansion(entries)
+            for e in (walked, dual):
+                with pytest.raises(InadmissiblePrefixError):
+                    replace(e, entries=entries)
+
+
 class TestReconstruct:
     def test_depth_one_is_the_sector(self):
         interval = reconstruct([7])
@@ -647,6 +688,69 @@ class TestReconstruct:
         entries = (first,) + tuple(j for j, n in runs for _ in range(n))
         assert reconstruct(entries) == reference_reconstruct(entries)
 
+    @pytest.mark.parametrize("j", [1, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("length", range(8))
+    def test_plain_stretches_between_runs_match_the_reference(self, length, n, j):
+        # stretches of every length mod 3 between runs of both parabolic entries;
+        # the prefixes end inside and right after each run as well
+        rng = random.Random(100 * length + 10 * n + j)
+        plain = tuple(rng.randint(2, 6) for _ in range(length))
+        entries = (4,) + (j,) * n + plain + (8 - j,) * n + plain + (j,) * (n + 1) + (3,)
+        for k in range(1, len(entries) + 1):
+            assert reconstruct(entries[:k]) == reference_reconstruct(entries[:k]), entries[:k]
+
+    @pytest.mark.parametrize("j", [1, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40])
+    def test_runs_at_the_start_and_at_the_end_match_the_reference(self, j, n):
+        plain = (2, 5, 3, 6, 4)
+        for entries in [
+            (j,) * n + plain,  # the first entry opens a run
+            (j,) * n + (3,),
+            (j,) * n + plain + (8 - j,) * n,
+            (j,) * (n + 1),  # one run, the last entry included
+            plain + (j,) * n,  # the earlier entries end on a run of n - 1
+            plain + (j,) * (n + 1),
+            plain + (j,) * n + (2,),
+            (6,) + (j,) * n,
+        ]:
+            assert reconstruct(entries) == reference_reconstruct(entries), entries
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (2, 1, 7, 7, 7, 3),
+            (2, 7, 7, 7, 1, 3),
+            (1, 7, 7, 4),
+            (5, 7, 7, 1, 7, 7, 1, 6),
+            (3, 7, 1, 7, 7, 7, 1, 7),
+            (4, 1, 1, 7, 1, 1, 7, 7, 2),
+            (6, 7, 1, 1, 1, 7, 5),
+        ],
+    )
+    def test_a_lone_parabolic_entry_next_to_a_run_of_the_other(self, entries):
+        for k in range(1, len(entries) + 1):
+            assert reconstruct(entries[:k]) == reference_reconstruct(entries[:k])
+
+    @pytest.mark.parametrize(
+        "rest",
+        [(), (1,), (1, 1), (1, 1, 1, 4), (7, 7, 2), (2,), (2, 3), (2, 3, 4), (2, 3, 4, 5),
+         (4, 1, 1, 1, 5, 6, 7, 7), (3, 6, 2, 7, 7, 7, 7)],
+    )
+    def test_entry_0_first_matches_the_reference(self, rest):
+        # 0 opens the first plain stretch and enters the tables as their first index
+        entries = (0,) + rest
+        assert reconstruct(entries) == reference_reconstruct(entries)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_3000_entry_prefixes_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        entries = [rng.randint(0, 7)]
+        while len(entries) < 3000:
+            entries += [rng.randint(1, 7)] * rng.choice((1, 1, 1, 2, 3, rng.randint(2, 40)))
+        entries = tuple(entries[:3000])
+        assert reconstruct(entries) == reference_reconstruct(entries)
+
     def test_inadmissible_prefix(self):
         with pytest.raises(InadmissiblePrefixError):
             reconstruct([2, 0, 1])
@@ -759,6 +863,59 @@ class TestDualExpansion:
         a, b = reconstruct(e.entries), reconstruct(d.entries)
         assert a.contains(b.lo) or b.contains(a.lo)  # they intersect
         assert theta_cmp(a.hi, b.lo) == 0 or theta_cmp(b.hi, a.lo) == 0
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    def test_all_tail_windows(self, n):
+        # tail 1 gives [0;1,1,...]; the ray pi, all 7s, is self-dual
+        ones, sevens = FareyExpansion((1,) * n, tail=1), FareyExpansion((7,) * n, True, 7)
+        want = FareyExpansion((0,) + (1,) * (n - 1), tail=1)
+        assert dual_expansion(ones) == reference_dual_expansion(ones) == want
+        assert dual_expansion(sevens) == reference_dual_expansion(sevens) == sevens
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_the_theta_0_ray_is_self_dual(self, n, policy):
+        e = expand(Direction(Vec2(1, 0)), n, policy)
+        assert e == FareyExpansion((0,) + (7,) * (n - 1), tail=7)
+        assert dual_expansion(e) == reference_dual_expansion(e) == e
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.lists(st.integers(1, 7), max_size=40),
+        st.sampled_from([1, 7]),
+        st.integers(0, 200),
+        st.booleans(),
+    )
+    def test_terminating_windows_match_the_reference(self, first, later, tail, n, hit):
+        e = FareyExpansion((first, *later) + (tail,) * n, hit, tail)
+        assert dual_expansion(e) == reference_dual_expansion(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        classify_directions(),
+        st.builds(
+            pulled_back,
+            st.sampled_from(_HORIZONTALS_AND_PI8),
+            st.lists(st.tuples(st.integers(1, 7), st.integers(1, 5)), max_size=8),
+        ),
+    ),
+    st.integers(1, 60),
+    st.sampled_from(list(TiePolicy)),
+)
+def test_walk_and_dual_results_equal_their_checked_rebuild(d, depth, policy):
+    expansion = farey._walk(d, depth, policy)[0]
+    results = [expansion]
+    if expansion.terminating:
+        results.append(dual_expansion(expansion))
+        assert results[1] == reference_dual_expansion(expansion)
+    for e in results:
+        rebuilt = FareyExpansion(e.entries, e.boundary_hit, e.tail)
+        assert e == rebuilt and hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt)
+        assert type(e.entries) is tuple and {type(s) for s in e.entries} == {int}
 
 
 class TestIntervalOrdering:
