@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from .numerics import (
     Mat2,
@@ -204,18 +205,6 @@ def _ints(v: Vec2) -> tuple[_IntVec, int]:
     return (xp * yd, xq * yd, yp * xd, yq * xd), xd * yd
 
 
-def _apply(m: tuple[int, ...], v: _IntVec) -> _IntVec:
-    """m*v for m in the ints of :func:`_integral`."""
-    ap, aq, bp, bq, cp, cq, dp, dq = m
-    xp, xq, yp, yq = v
-    return (
-        ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
-        ap * xq + aq * xp + bp * yq + bq * yp,
-        cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
-        cp * xq + cq * xp + dp * yq + dq * yp,
-    )
-
-
 def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
     """The ints (p, q) of cross(v, w) = p + q*sqrt2."""
     xp, xq, yp, yq = v
@@ -223,19 +212,10 @@ def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
     return xp * wp + 2 * xq * wq - yp * up - 2 * yq * uq, xp * wq + xq * wp - yp * uq - yq * up
 
 
-def _strip(v: _IntVec, e: int) -> tuple[_IntVec, int]:
-    """``v`` divided by sqrt2 while both rational parts are even: p + q*sqrt2 =
-    sqrt2*(q + (p/2)*sqrt2).  The exponent follows, so the exact vector is kept."""
-    xp, xq, yp, yq = v
-    while not (xp & 1 or yp & 1):
-        xp, xq, yp, yq, e = xq, xp >> 1, yq, yp >> 1, e - 1
-    return (xp, xq, yp, yq), e
-
-
 def _compose(frame: _Frame, branch: _Frame) -> _Frame:
-    """frame*branch, divided by sqrt2 while P stays integral, as :func:`_strip`
-    divides a vector: without it P gains a sqrt2 factor at almost every branch
-    with k = 1."""
+    """frame*branch, divided by sqrt2 while P stays integral: p + q*sqrt2 =
+    sqrt2*(q + (p/2)*sqrt2) when p is even.  Without it P gains a sqrt2 factor at
+    almost every branch with k = 1."""
     (e, (ap, aq, bp, bq, cp, cq, dp, dq)), (k, (ep, eq, fp, fq, gp, gq, hp, hq)) = frame, branch
     p, e = (
         ap * ep + bp * gp + 2 * (aq * eq + bq * gq),
@@ -252,25 +232,22 @@ def _compose(frame: _Frame, branch: _Frame) -> _Frame:
     return e, p
 
 
-#: ``_INVERSE_PAIRS[s][t]`` is the product of the inverse branches of the entries
-#: s, t as :func:`_compose` builds it, so a frame composed with it is the frame
-#: composed with the two branches in turn: both strip the largest power of sqrt2
-#: from the same exact matrix.
-_INVERSE_PAIRS = tuple(
-    tuple(_compose(_INVERSE_BRANCHES[s], branch) for branch in _INVERSE_BRANCHES)
-    for s in range(8)
-)
-
-
 @cache
-def _inverse_triples() -> tuple:
-    """``_inverse_triples()[s][t][u]``, the product of three inverse branches, built
-    the same way from :data:`_INVERSE_PAIRS`.  Only ``reconstruct`` reads the 512
-    products, so they are built on its first call, not by every command's import."""
-    return tuple(
-        tuple(tuple(_compose(pair, branch) for branch in _INVERSE_BRANCHES) for pair in row)
-        for row in _INVERSE_PAIRS
-    )
+def _blocks() -> dict[bytes, _Frame]:
+    """The product of the inverse branches of every block of 0 to 3 entries, keyed
+    by the block's bytes, ``b""`` for the identity.
+
+    Each product is :func:`_compose` of the block one entry shorter with the last
+    branch, so a frame composed with a block is the frame composed with its
+    branches in turn: both strip the largest power of sqrt2 from the same exact
+    matrix.  Only ``reconstruct`` reads the 585 products, so the whole table is
+    built on its first call, not by every command's import.
+    """
+    table = {b"": (0, _SCALARS[0])}
+    for size in (1, 2, 3):
+        for block in map(bytes, product(range(8), repeat=size)):
+            table[block] = _compose(table[block[:-1]], _INVERSE_BRANCHES[block[-1]])
+    return table
 
 
 def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
@@ -288,6 +265,24 @@ def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
     else:
         xp, xq, yp, yq = xp << -h, xq << -h, yp << -h, yq << -h
     return _vec(_reduced(xp, xq, den), _reduced(yp, yq, den))
+
+
+def _images(frame: _Frame, vectors: tuple[tuple[_IntVec, int], ...]) -> list[Vec2]:
+    """The Vec2 P*v/(den*sqrt2^e) for each ``(v, den)`` of ``vectors``, v as ints,
+    under the frame P/sqrt2^e; P is unpacked once, and :func:`_vector` reduces
+    each coordinate, so no sqrt2 is stripped first."""
+    e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
+    return [
+        _vector(
+            ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
+            ap * xq + aq * xp + bp * yq + bq * yp,
+            cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
+            cp * xq + cq * xp + dp * yq + dq * yp,
+            den,
+            e,
+        )
+        for (xp, xq, yp, yq), den in vectors
+    ]
 
 
 def _matrix(frame: _Frame) -> Mat2:
@@ -349,10 +344,6 @@ def classify(d: Direction) -> tuple[int, ...]:
 
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
 _PARABOLIC = (1, 7)
-
-#: The end of sector j that a parabolic run leaves through, 2pi/8 for j = 1 and
-#: 7pi/8 for j = 7, as ints, oriented so that the sector's interior has positive cross.
-_RUN_EXIT = {1: (1, 0, 1, 0), 7: (1, 1, -1, 0)}
 
 #: The admissible entries: the first may be any sector 0..7, the later ones lie in 1..7.
 _FIRST_ENTRIES = frozenset(range(8))
@@ -437,8 +428,8 @@ def _walk(
     parabolic run, whose images are x + t*w for t = 1..n.
 
     The iterate is four local ints.  A step takes one :func:`_sectors` on
-    them, resolves a tie by the policy, and applies the integral branch and
-    strips sqrt2 in place, as :func:`_apply` and :func:`_strip` would.
+    them, resolves a tie by the policy, applies the integral branch as
+    :func:`_images` does and strips sqrt2 as :func:`_compose` does, in place.
 
     M = GAMMA_NU[j] for j = 1, 7 is unipotent, so from the iterate v the images
     are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray and
@@ -482,7 +473,7 @@ def _walk(
         else:
             entries.append(j)
             xp, xq, yp, yq = x
-        while not (xp & 1 or yp & 1):  # strip sqrt2 as _strip does
+        while not (xp & 1 or yp & 1):  # strip sqrt2 as _compose does
             xp, xq, yp, yq, e = xq, xp >> 1, yq, yp >> 1, e - 1
     # a fixed ray is fixed by the step it takes, so the last iterate decides the
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
@@ -537,6 +528,10 @@ _END_INTS: tuple[_IntVec, ...] = (
     (-1, 0, 0, 0),
 )
 
+#: The end of sector j that a parabolic run leaves through, 2pi/8 for j = 1 and
+#: 7pi/8 for j = 7, oriented so that the sector's interior has positive cross.
+_RUN_EXIT = {1: _END_INTS[2], 7: tuple(-i for i in _END_INTS[7])}
+
 
 def _boundary_direction(j: int) -> Direction:
     """The direction with angle j*pi/8, for j = 0..8."""
@@ -573,15 +568,12 @@ _RUNS = re.compile(rb"\x01{2,}|\x07{2,}")
 
 
 def _compose_plain(frame: _Frame, plain: bytes) -> _Frame:
-    """``frame`` composed with the inverse branches of the entries ``plain``:
-    three at a time through :func:`_inverse_triples`, then a pair or a single."""
-    it, triples = iter(plain), _inverse_triples()
-    for s, t, u in zip(it, it, it):
-        frame = _compose(frame, triples[s][t][u])
-    r = len(plain) % 3
-    if r == 2:
-        return _compose(frame, _INVERSE_PAIRS[plain[-2]][plain[-1]])
-    return _compose(frame, _INVERSE_BRANCHES[plain[-1]]) if r else frame
+    """``frame`` composed with the inverse branches of the entries ``plain``, three
+    at a time through :func:`_blocks`; the last block may be shorter."""
+    blocks = _blocks()
+    for i in range(0, len(plain), 3):
+        frame = _compose(frame, blocks[plain[i : i + 3]])
+    return frame
 
 
 def reconstruct(prefix) -> RP1Interval:
@@ -596,9 +588,9 @@ def reconstruct(prefix) -> RP1Interval:
     One regular expression finds the runs in the bytes of the earlier
     entries, which are ints in 0..7 once the prefix is admissible, and the
     plain stretches between them are composed three entries at a time through
-    :func:`_inverse_triples`, with a pair or a single for the remainder.
-    Each branch keeps y >= 0 on [pi/8, pi], so the endpoints are the exact
-    vectors of single steps.
+    :func:`_blocks`, with a shorter block for the remainder.  :func:`_images`
+    applies the frame to both sector ends.  Each branch keeps y >= 0 on
+    [pi/8, pi], so the endpoints are the exact vectors of single steps.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
@@ -614,10 +606,8 @@ def reconstruct(prefix) -> RP1Interval:
         frame = _compose(frame, (k, tuple(i + n * (a - i) for i, a in zip(_SCALARS[k], m))))
     frame = _compose_plain(frame, body[start:])
     # the sector ends have denominator 1
-    e, p = frame
     last = entries[-1]
-    ends = (_strip(_apply(p, _END_INTS[b]), e) for b in (last, last + 1))
-    lo, hi = (_direction(v, 1, e) for v, e in ends)
+    lo, hi = map(Direction, _images(frame, ((_END_INTS[last], 1), (_END_INTS[last + 1], 1))))
     if theta_cmp(lo, hi) <= 0:
         return RP1Interval(lo, hi)
     return RP1Interval(hi, lo)

@@ -60,9 +60,9 @@ from .farey import (
     _compose,
     _expand_orbit,
     _Frame,
+    _images,
     _ints,
     _matrix,
-    _vector,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
@@ -576,10 +576,9 @@ class _SectorTable(_FrozenValue):
 
         Inside the open sector the word is proved to run, so this only maps
         the created holonomies to the original frame ``to_original``, held
-        as the ints of :func:`farey._integral`: P is unpacked once, each
-        distinct holonomy is multiplied by it inline and built by
-        :func:`farey._vector`, and the records share the equal vectors.  The
-        records are filled through their slots.  On a sector endpoint
+        as the ints of :func:`farey._integral`: :func:`farey._images` builds
+        the image of each distinct holonomy once, and the records share the
+        equal vectors, filled through their slots.  On a sector endpoint
         (``on_bound``) it raises what the staircase executor raises there:
         :class:`HitsSingularity` for the first parallel diagonal, if any.
         """
@@ -587,18 +586,7 @@ class _SectorTable(_FrozenValue):
             for end, label in self.bounds:
                 if label is not None and ref.vector.cross(end).sign() == 0:
                     raise HitsSingularity(label)
-        e, (ap, aq, bp, bq, cp, cq, dp, dq) = to_original
-        made = [  # P*v, as farey._apply forms it
-            _vector(
-                ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
-                ap * xq + aq * xp + bp * yq + bq * yp,
-                cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
-                cp * xq + cq * xp + dp * yq + dq * yp,
-                den,
-                e,
-            )
-            for (xp, xq, yp, yq), den in self.holonomies
-        ]
+        made = _images(to_original, self.holonomies)
         set_side, set_cycle, set_new_sides = MoveRecord._setters
         records = []
         for side, cycle, sides in self.layout:

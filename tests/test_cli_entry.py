@@ -169,6 +169,31 @@ def test_start_up_builds_no_dataclass(argv):
     assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
 
 
+#: Imports ``octocf.cli`` and ``octocf.farey``, runs ``cli.main`` on each argv
+#: of the list literal in argv[1], and prints how many block tables
+#: ``farey._blocks`` holds after the import and after each command.
+_BLOCKS_CHILD = """
+import ast, contextlib, io, sys
+from octocf import cli, farey
+built = [farey._blocks.cache_info().currsize]
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    built.append(farey._blocks.cache_info().currsize)
+print(built)
+"""
+
+
+def test_start_up_builds_no_block_table():
+    # only reconstruct reads the table, so no other command builds it
+    runs = {argv[0]: (argv, env) for argv, env, *_ in COMMANDS}
+    names = ["expand", "trace", "verify", "render", "dump-matrices", "reconstruct"]
+    env = {k: v for name in names for k, v in runs[name][1].items()}
+    result = _child(["-c", _BLOCKS_CHILD, repr([runs[name][0] for name in names])], env)
+    assert result.returncode == 0, result.stderr.decode()
+    assert ast.literal_eval(result.stdout.decode()) == [0, 0, 0, 0, 0, 0, 1]
+
+
 def _parse(parser, argv):
     """What ``parser`` prints on argv, its exit code, and the parsed arguments."""
     out, err = io.StringIO(), io.StringIO()

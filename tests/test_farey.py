@@ -1,5 +1,6 @@
 """Octagon Farey map: sectors, folding, expansions, reconstruction, duals."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -101,17 +102,24 @@ class TestDihedralElements:
                 assert k == (j in (1, 2, 5, 6))
                 for v in vectors:
                     v_ints, den = farey._ints(v)
-                    image = farey._direction(farey._apply(ints, v_ints), den, k)
-                    assert image == Direction(m.apply(v))
+                    (image,) = farey._images((k, ints), [(v_ints, den)])
+                    assert image == m.apply(v)
 
-    def test_pair_table_is_the_composed_branches(self):
-        branches = farey._INVERSE_BRANCHES
-        assert len(farey._INVERSE_PAIRS) == 8
-        for s, row in enumerate(farey._INVERSE_PAIRS):
-            assert len(row) == 8
-            for t, pair in enumerate(row):
-                assert pair == farey._compose(branches[s], branches[t])
-                assert farey._matrix(pair) == GAMMA_NU_INV[s] @ GAMMA_NU_INV[t]
+    def test_block_table_is_the_composed_branches(self):
+        # every block of 0 to 3 entries, 1 + 8 + 64 + 512 keys, b"" the identity
+        branches, blocks = farey._INVERSE_BRANCHES, farey._blocks()
+        assert len(blocks) == 585
+        keys = {bytes(b) for n in range(4) for b in itertools.product(range(8), repeat=n)}
+        assert set(blocks) == keys
+        for block, value in blocks.items():
+            in_turn = branches[block[0]] if block else (0, farey._SCALARS[0])
+            for j in block[1:]:
+                in_turn = farey._compose(in_turn, branches[j])
+            product = Mat2.identity()
+            for j in block:
+                product = product @ GAMMA_NU_INV[j]
+            assert value == in_turn
+            assert farey._matrix(value) == product
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -128,20 +136,7 @@ class TestDihedralElements:
         one_by_one = farey._compose(
             farey._compose(frame, farey._INVERSE_BRANCHES[s]), farey._INVERSE_BRANCHES[t]
         )
-        assert farey._compose(frame, farey._INVERSE_PAIRS[s][t]) == one_by_one
-
-    def test_triple_table_is_the_composed_branches(self):
-        branches = farey._INVERSE_BRANCHES
-        assert len(farey._inverse_triples()) == 8
-        for s, plane in enumerate(farey._inverse_triples()):
-            assert len(plane) == 8
-            for t, row in enumerate(plane):
-                assert len(row) == 8
-                for u, triple in enumerate(row):
-                    in_turn = farey._compose(farey._compose(branches[s], branches[t]), branches[u])
-                    assert triple == in_turn
-                    product = GAMMA_NU_INV[s] @ GAMMA_NU_INV[t] @ GAMMA_NU_INV[u]
-                    assert farey._matrix(triple) == product
+        assert farey._compose(frame, farey._blocks()[bytes((s, t))]) == one_by_one
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -157,7 +152,7 @@ class TestDihedralElements:
         one_by_one = frame
         for j in (s, t, u):
             one_by_one = farey._compose(one_by_one, farey._INVERSE_BRANCHES[j])
-        assert farey._compose(frame, farey._inverse_triples()[s][t][u]) == one_by_one
+        assert farey._compose(frame, farey._blocks()[bytes((s, t, u))]) == one_by_one
 
     def test_sector_ends_are_the_grid_rays(self):
         assert len(farey._END_INTS) == 9
