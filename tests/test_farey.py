@@ -105,13 +105,14 @@ class TestDihedralElements:
                     (image,) = farey._images((k, ints), [(v_ints, den)])
                     assert image == m.apply(v)
 
-    def test_block_table_is_the_composed_branches(self):
-        # every block of 0 to 3 entries, 1 + 8 + 64 + 512 keys, b"" the identity
+    @staticmethod
+    def _check_blocks_of(n):
+        # each block of n entries is its branches composed in turn, as stripped
+        # ints and exponent and as the matrix product
         branches, blocks = farey._INVERSE_BRANCHES, farey._blocks()
-        assert len(blocks) == 585
-        keys = {bytes(b) for n in range(4) for b in itertools.product(range(8), repeat=n)}
-        assert set(blocks) == keys
-        for block, value in blocks.items():
+        keys = [bytes(b) for b in itertools.product(range(8), repeat=n)]
+        for block in keys:
+            value = blocks[block]
             in_turn = branches[block[0]] if block else (0, farey._SCALARS[0])
             for j in block[1:]:
                 in_turn = farey._compose(in_turn, branches[j])
@@ -120,6 +121,22 @@ class TestDihedralElements:
                 product = product @ GAMMA_NU_INV[j]
             assert value == in_turn
             assert farey._matrix(value) == product
+        return len(keys)
+
+    def test_block_table_is_the_composed_branches(self):
+        # every block of 0 to 3 entries, 1 + 8 + 64 + 512 keys, b"" the identity
+        blocks = farey._blocks()
+        assert len(blocks) == 585
+        keys = {bytes(b) for n in range(4) for b in itertools.product(range(8), repeat=n)}
+        assert set(blocks) == keys
+        assert self._check_blocks_of(0) == 1
+        assert self._check_blocks_of(1) == 8
+
+    def test_pair_table_is_the_composed_branches(self):
+        assert self._check_blocks_of(2) == 64
+
+    def test_triple_table_is_the_composed_branches(self):
+        assert self._check_blocks_of(3) == 512
 
     @settings(max_examples=60, deadline=None)
     @given(
