@@ -255,7 +255,8 @@ def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
 
     Both coordinates share den and e, so sqrt2^e becomes a plain denominator
     once for the two: an odd e takes x/sqrt2 = sqrt2*x/2, and then
-    sqrt2^e = 2^(e/2) joins den, or the numerators for e < 0.
+    sqrt2^e = 2^(e/2) joins den, or the numerators for e < 0.  Every vector
+    and matrix leaving the integral kernels is built here.
     """
     if e & 1:
         xp, xq, yp, yq, e = 2 * xq, xp, 2 * yq, yp, e + 1
@@ -286,27 +287,10 @@ def _images(frame: _Frame, vectors: tuple[tuple[_IntVec, int], ...]) -> list[Vec
 
 
 def _matrix(frame: _Frame) -> Mat2:
-    """The Mat2 P/sqrt2^e of ``frame``, its four entries over one denominator as in
-    :func:`_vector`."""
+    """The Mat2 P/sqrt2^e of ``frame``, its two columns built by :func:`_vector`."""
     e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
-    if e & 1:
-        ap, aq, bp, bq, e = 2 * aq, ap, 2 * bq, bp, e + 1
-        cp, cq, dp, dq = 2 * cq, cp, 2 * dq, dp
-    h = e >> 1
-    den = 1
-    if h >= 0:
-        den <<= h
-    else:
-        ap, aq, bp, bq = ap << -h, aq << -h, bp << -h, bq << -h
-        cp, cq, dp, dq = cp << -h, cq << -h, dp << -h, dq << -h
-    return _mat(
-        _reduced(ap, aq, den), _reduced(bp, bq, den), _reduced(cp, cq, den), _reduced(dp, dq, den)
-    )
-
-
-def _direction(v: _IntVec, den: int, e: int) -> Direction:
-    """The Direction of the exact vector v/(den*sqrt2^e)."""
-    return Direction(_vector(*v, den, e))
+    left, right = _vector(ap, aq, cp, cq, 1, e), _vector(bp, bq, dp, dq, 1, e)
+    return _mat(left.x, right.x, left.y, right.y)
 
 
 def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
@@ -439,7 +423,8 @@ def _walk(
     = c0 + t*c1 is positive, and c1 < 0 on the open sector, so the iterates
     inside are those with t < ceil(-c0/c1) if c0 > 0, none otherwise; each
     takes entry j with no tie, and the iterate after them is left to the
-    ordinary step, which decides its ties.
+    ordinary step, which decides its ties.  The fixed ray has c0 > 0 too
+    (sqrt2 for j = 1, 1 for j = 7), so c0 is tested before w is built.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -462,10 +447,12 @@ def _walk(
             cp * xq + cq * xp + dp * yq + dq * yp,
         )
         w, n = None, 0
-        if j in _PARABOLIC:  # w = x - sqrt2^k * v
-            v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
-            w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])
-            n = _run_length(j, x, w, depth - len(entries) - 1)
+        if j in _PARABOLIC:
+            c0p, c0q = _cross(x, _RUN_EXIT[j])
+            if quad_sign(c0p, c0q, 2) > 0:
+                v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
+                w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])  # x - sqrt2^k * v
+                n = _run_length(j, c0p, c0q, w, depth - len(entries) - 1)
         steps.append((j, tie, x, e, w, n))
         if n:
             entries += [j] * (n + 1)
@@ -481,13 +468,11 @@ def _walk(
     return FareyExpansion(tuple(entries), hit, tail), den, steps
 
 
-def _run_length(j: int, x: _IntVec, w: _IntVec, room: int) -> int:
-    """How many steps of the parabolic entry j follow the step to x, at most ``room``."""
+def _run_length(j: int, c0p: int, c0q: int, w: _IntVec, room: int) -> int:
+    """How many steps of the parabolic entry j follow the step to x, at most ``room``,
+    given c0 = cross(x, _RUN_EXIT[j]) = c0p + c0q*sqrt2 > 0."""
     if not any(w):
         return room
-    c0p, c0q = _cross(x, _RUN_EXIT[j])
-    if quad_sign(c0p, c0q, 2) <= 0:
-        return 0
     c1p, c1q = _cross(w, _RUN_EXIT[j])
     # c0/c1 = c0*conj(c1)/N(c1), over a positive denominator
     p, q, norm = c0p * c1p - 2 * c0q * c1q, c0q * c1p - c0p * c1q, c1p * c1p - 2 * c1q * c1q
@@ -509,14 +494,14 @@ def _expand_orbit(
     expansion, den, steps = _walk(d, depth, policy)
     orbit = []
     for j, tie, x, e, w, n in steps:
-        image = _direction(x, den, e)
+        image = Direction(_vector(*x, den, e))
         orbit.append((j, tie, image))
         if n and not any(w):
             orbit += [(j, tie, image)] * n
             continue
         for _ in range(n):
             x = tuple(a + b for a, b in zip(x, w))
-            orbit.append((j, False, _direction(x, den, e)))
+            orbit.append((j, False, Direction(_vector(*x, den, e))))
     return expansion, orbit
 
 
@@ -535,7 +520,7 @@ _RUN_EXIT = {1: _END_INTS[2], 7: tuple(-i for i in _END_INTS[7])}
 
 def _boundary_direction(j: int) -> Direction:
     """The direction with angle j*pi/8, for j = 0..8."""
-    return _direction(_END_INTS[j], 1, 0)
+    return Direction(_vector(*_END_INTS[j], 1, 0))
 
 
 class RP1Interval(_FrozenValue):
@@ -590,7 +575,9 @@ def reconstruct(prefix) -> RP1Interval:
     plain stretches between them are composed three entries at a time through
     :func:`_blocks`, with a shorter block for the remainder.  :func:`_images`
     applies the frame to both sector ends.  Each branch keeps y >= 0 on
-    [pi/8, pi], so the endpoints are the exact vectors of single steps.
+    [pi/8, pi], so the endpoints are the exact vectors of single steps.  det
+    GAMMA_NU_INV[j] is -1 exactly for even j, so the ends come out reversed
+    exactly when the earlier entries hold an odd number of even entries.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
@@ -607,10 +594,10 @@ def reconstruct(prefix) -> RP1Interval:
     frame = _compose_plain(frame, body[start:])
     # the sector ends have denominator 1
     last = entries[-1]
-    lo, hi = map(Direction, _images(frame, ((_END_INTS[last], 1), (_END_INTS[last + 1], 1))))
-    if theta_cmp(lo, hi) <= 0:
-        return RP1Interval(lo, hi)
-    return RP1Interval(hi, lo)
+    ends = _images(frame, ((_END_INTS[last], 1), (_END_INTS[last + 1], 1)))
+    if sum(map(body.count, b"\0\2\4\6")) & 1:
+        ends.reverse()
+    return RP1Interval(*map(Direction, ends))
 
 
 def dual_expansion(e: FareyExpansion) -> FareyExpansion:

@@ -1,8 +1,8 @@
 """Small dense integer matrices as tuples of tuples.
 
 These track how staircase moves recombine labeled wedge vectors; sizes stay
-tiny (2k x 2k with k = 3 for the octagon), so plain Python integers and
-Bareiss elimination are all that is needed.
+tiny (2k x 2k with k = 3 for the octagon), so plain Python integers are all
+that is needed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ __all__ = [
     "IntMat",
     "identity",
     "matmul",
-    "det",
     "elementary",
     "block_perm_matrix",
 ]
@@ -35,29 +34,6 @@ def matmul(a: IntMat, b: IntMat) -> IntMat:
         tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m))
         for i in range(n)
     )
-
-
-def det(a: IntMat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    After step k every remaining entry is a (k+1) x (k+1) minor of ``a``, so
-    the division by the previous pivot is exact and all work stays in ints.
-    """
-    n = len(a)
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-        prev = m[k][k]
-    return sign * prev
 
 
 def elementary(n: int, entries) -> IntMat:

@@ -50,7 +50,6 @@ from .farey import (
     GAMMA,
     GAMMA_NU,
     GAMMA_NU_INV,
-    NU,
     SECTOR_BOUNDS,
     Direction,
     FareyExpansion,
@@ -87,7 +86,6 @@ __all__ = [
     "REFLECTION",
     "qprime",
     "q_zero",
-    "initial_quadrangulation",
     "sector_midpoint",
     "sector_sample_directions",
     "sector_direction",
@@ -200,18 +198,6 @@ def _steps(count: int) -> list[Fraction]:
         pool.append(Fraction(n))
         n += 1
     return pool[:count]
-
-
-def initial_quadrangulation(s0: int, ref_dir: Direction | None = None) -> LabeledQuadrangulation:
-    """The starting quadrangulation ``nu_{s0}^{-1} Q0`` for directions in sector s0."""
-    if s0 not in range(8):
-        raise ValueError("sector index must be 0..7")
-    if ref_dir is None:
-        ref_dir = sector_midpoint(s0)
-    if s0 not in classify(ref_dir):
-        raise ValueError(f"reference direction {ref_dir} is not in sector {s0}")
-    base_ref = Direction(NU[s0].apply(ref_dir.vector))
-    return q_zero(base_ref).transformed(NU[s0].inverse())
 
 
 # -- executing sector words ----------------------------------------------------

@@ -25,6 +25,7 @@ from octocf.farey import (
     TiePolicy,
     _boundary_direction,
     _expand_orbit,
+    classify,
     expand,
     theta_cmp,
 )
@@ -37,6 +38,7 @@ from octocf.octagon import (
     TraceStep,
     _wedges,
     _WordRun,
+    q_zero,
     qprime,
     sector_midpoint,
 )
@@ -163,6 +165,29 @@ def matvec(a: IntMat, v):
             raise ValueError("matrix has a zero row")
         out.append(acc)
     return tuple(out)
+
+
+def int_det(a: IntMat) -> int:
+    """Exact determinant of an int matrix by fraction-free (Bareiss) elimination.
+
+    After step k every remaining entry is a (k+1) x (k+1) minor of ``a``, so
+    the division by the previous pivot is exact and all work stays in ints.
+    """
+    n = len(a)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 def _scale(x, c: int):
@@ -463,6 +488,19 @@ def cone_contains_cone(outer, inner) -> bool:
 
 def cones_of(vectors) -> list[tuple[Vec2, Vec2]]:
     return [normalize_cone(vectors[2 * j], vectors[2 * j + 1]) for j in range(len(vectors) // 2)]
+
+
+def initial_quadrangulation(s0: int, ref_dir: Direction | None = None) -> LabeledQuadrangulation:
+    """The start state ``nu_{s0}^{-1} Q0`` for directions in sector s0: the oracle that
+    a trace's initial wedges, taken back to the original frame, are compared with."""
+    if s0 not in range(8):
+        raise ValueError("sector index must be 0..7")
+    if ref_dir is None:
+        ref_dir = sector_midpoint(s0)
+    if s0 not in classify(ref_dir):
+        raise ValueError(f"reference direction {ref_dir} is not in sector {s0}")
+    base_ref = Direction(NU[s0].apply(ref_dir.vector))
+    return q_zero(base_ref).transformed(NU[s0].inverse())
 
 
 def reference_run_expansion(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matvec
+from helpers import int_det, matvec
 from octocf import intmat
 from octocf.classical import geometric_convergents, intermediate_convergents
 from octocf.diagch import (
@@ -109,7 +109,7 @@ class TestElementaryMatrices:
         for side in Side:
             for cycle in comb.cycles(side):
                 m = elementary_matrix(comb, cycle, side)
-                assert intmat.det(m) == 1
+                assert int_det(m) == 1
                 assert all(x >= 0 for row in m for x in row)
 
 

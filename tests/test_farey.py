@@ -92,6 +92,16 @@ class TestDihedralElements:
                 assert c1 == 0 and end.cross(exit_end).sign() > 0  # the interior sign
             else:
                 assert c1 < 0 and end.cross(exit_end).sign() == 0
+        # the walk tests cross(x, exit) > 0 before it builds w, which is zero on the
+        # fixed ray, so the ray must pass the test to reach its whole-window run
+        assert ray.cross(exit_end) == {1: QuadNum(0, 1), 7: QuadNum(1)}[j]
+        walked = expand(Direction(ray), 50, TiePolicy.HIGH)
+        assert (walked.entries, walked.tail) == ((j,) * 50, j)
+
+    def test_inverse_branches_reverse_orientation_exactly_for_even_entries(self):
+        # the rule by which reconstruct orders the pulled-back sector ends
+        signs = [GAMMA_NU_INV[j].det().sign() for j in range(8)]
+        assert signs == [-1, 1, -1, 1, -1, 1, -1, 1]
 
     def test_integral_branches(self):
         # the walks step with sqrt2^k * M, integral over Z[sqrt2]; k = 1 for j = 1, 2, 5, 6
@@ -306,7 +316,7 @@ def test_direction_from_ints_is_the_fraction_built_one(e, v, den):
     scale = _power_of_root2(-e)
     x = QuadNum(Fraction(xp, den), Fraction(xq, den)) * scale
     y = QuadNum(Fraction(yp, den), Fraction(yq, den)) * scale
-    assert farey._direction(v, den, e) == Direction(Vec2(x, y))
+    assert Direction(farey._vector(*v, den, e)) == Direction(Vec2(x, y))
 
 
 def _assert_orbit_is_the_reference(d, depth, policy):
@@ -578,6 +588,32 @@ class TestReconstruct:
         interval = reconstruct([7])
         assert interval.lo.ray_eq(_grid_direction(7))
         assert interval.hi.is_theta_pi
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 7), st.integers(1, 3)),
+                st.tuples(st.sampled_from([1, 7]), st.integers(1, 40)),
+            ),
+            max_size=10,
+        ),
+    )
+    @example(2, [])
+    @example(0, [(3, 1)])
+    @example(3, [(5, 1)])
+    @example(4, [(4, 3), (7, 5)])
+    def test_end_order_is_the_parity_of_even_entries(self, first, runs):
+        # lo is the pull-back of the sector's lower end exactly when the earlier
+        # entries hold an even number of even entries
+        entries = (first,) + tuple(j for j, n in runs for _ in range(n))
+        body = entries[:-1]
+        lower = pulled_back(_grid_direction(entries[-1]).vector, [(j, 1) for j in body])
+        even = sum(j % 2 == 0 for j in body) % 2 == 0
+        interval = reconstruct(entries)
+        assert (interval.lo == lower) == even
+        assert (interval.hi == lower) != even
 
     @given(interior_directions(), st.integers(min_value=1, max_value=8))
     @settings(max_examples=40)

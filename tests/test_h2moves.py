@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import int_det
 from octocf import intmat
 from octocf.h2moves import (
     QPRIME_COMB,
@@ -44,7 +45,7 @@ class TestMoveMatrices:
     def test_determinants_and_nonnegativity(self):
         for move in ReducedMove:
             m = move.matrix
-            assert intmat.det(m) in (-1, 1)
+            assert int_det(m) in (-1, 1)
             assert all(x >= 0 for row in m for x in row)
 
     def test_transitions(self):
@@ -130,12 +131,12 @@ class TestSectorMatrices:
 
     def test_unimodular(self):
         for i in range(1, 8):
-            assert abs(intmat.det(sector_matrix(i))) == 1
+            assert abs(int_det(sector_matrix(i))) == 1
 
     def test_determinant_sign_matches_parity(self):
         for i in range(1, 8):
             expected = -1 if i % 2 == 0 else 1
-            assert intmat.det(sector_matrix(i)) == expected
+            assert int_det(sector_matrix(i)) == expected
 
     def test_bad_sector_index(self):
         with pytest.raises(ValueError):

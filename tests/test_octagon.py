@@ -18,6 +18,7 @@ from helpers import (
     cones_of,
     derive_qprime_vectors_fixed_point,
     height_direction,
+    initial_quadrangulation,
     pulled_back,
     random_clean_direction,
     reference_run_expansion,
@@ -60,7 +61,6 @@ from octocf.octagon import (
     _sector_table,
     _SectorTable,
     _WordRun,
-    initial_quadrangulation,
     qprime,
     run_expansion,
     sector_direction,
