@@ -9,13 +9,13 @@ are checked over Q(sqrt(2)).
 Modules
 -------
 numerics
-    Exact arithmetic in Q(sqrt2), vectors, 2x2 matrices.
+    Exact Q(sqrt2) arithmetic, vectors, 2x2 matrices, directions, side of a ray.
 classical
     Torus baseline: Gauss map and geometric continued fraction convergents.
 farey
     Octagon Farey map, expansions, inverse-branch reconstruction.
 diagch
-    Labeled quadrangulations and staircase moves for arbitrary k.
+    Labeled quadrangulations and staircase moves for any k, on numerics and intmat.
 h2moves
     The two-node reduced move system and its seven sector matrices.
 octagon

@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .numerics import QuadNum, QuadNumParseError, Vec2
+from .numerics import Direction, QuadNum, QuadNumParseError, Vec2
 
 #: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
 #: checkers take any constant of this name as true.
@@ -26,7 +26,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
 
-    from .farey import Direction, TiePolicy
+    from .farey import TiePolicy
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,8 +63,6 @@ def _parse_direction(text: str, side: str) -> tuple[Direction, bool]:
 
     ``inf`` is the angle-0 ray when ``side`` is ``pos``, the angle-pi ray when ``neg``.
     """
-    from .farey import Direction
-
     text = text.strip()
     if text.lower() in ("inf", "infinity", "oo"):
         return Direction(Vec2(1 if side == "pos" else -1, 0)), False

@@ -22,7 +22,8 @@ right-slanted replaces the right sides.  Both moves act linearly on the
 Horizontal saddle connections are legal; a parallel diagonal means the
 reference direction points at a singularity.  That is a terminal state, which
 :meth:`LabeledQuadrangulation.apply` reports by raising
-:class:`HitsSingularity` rather than a wrong-slant error.
+:class:`HitsSingularity` rather than a wrong-slant error.  The module needs
+only :mod:`octocf.numerics` and :mod:`octocf.intmat`, not the Farey map.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import intmat
-from .numerics import Mat2, QuadNum, Vec2, _FrozenValue
-
-#: ``typing.TYPE_CHECKING`` without importing ``typing``; ``farey`` is imported
-#: where a ``Direction`` is built, so ``dump-matrices`` does not load it.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .farey import Direction
+from .numerics import Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign
 
 __all__ = [
     "Side",
@@ -182,7 +177,7 @@ class Wedge(_FrozenValue):
 
     def cone_contains(self, d: Direction) -> bool:
         """Whether ``d`` lies in the closed cone from ``r`` counterclockwise to ``l``."""
-        return d.vector.cross(self.l).sign() >= 0 >= d.vector.cross(self.r).sign()
+        return _cross_sign(d.vector, self.l) >= 0 >= _cross_sign(d.vector, self.r)
 
     def to_json(self) -> dict:
         return {"l": self.l.to_json(), "r": self.r.to_json()}
@@ -245,7 +240,7 @@ class LabeledQuadrangulation(_FrozenValue):
                     f"train-track relation fails at quadrilateral {i}: "
                     f"{left_path} != {right_path}"
                 )
-            if w.r.cross(w.l).sign() <= 0:
+            if _cross_sign(w.r, w.l) <= 0:
                 raise QuadrangulationError(f"wedge {i} does not open a positive cone")
             if _doubled_area(w, left_path).sign() <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
@@ -277,7 +272,7 @@ class LabeledQuadrangulation(_FrozenValue):
         return sum(doubled, QuadNum(0)) / 2
 
     def slant(self, i: int) -> Slant:
-        return Slant(self.ref_dir.vector.cross(self.diagonal(i)).sign())
+        return Slant(_cross_sign(self.ref_dir.vector, self.diagonal(i)))
 
     # -- moves ----------------------------------------------------------------
 
@@ -305,7 +300,7 @@ class LabeledQuadrangulation(_FrozenValue):
         if elementary_matrix(self.comb, move.cycle, move.side) != move.matrix:
             raise MoveNotAvailableError(f"{move} does not match the current gluing data")
         diagonals = {i: self.diagonal(i) for i in move.cycle}
-        slants = {i: Slant(self.ref_dir.vector.cross(d).sign()) for i, d in diagonals.items()}
+        slants = {i: Slant(_cross_sign(self.ref_dir.vector, d)) for i, d in diagonals.items()}
         for i, slant in slants.items():
             if slant is Slant.PARALLEL:
                 raise HitsSingularity(i)
@@ -339,8 +334,6 @@ class LabeledQuadrangulation(_FrozenValue):
         slots and the two gluing permutations are swapped to keep the data
         well formed.
         """
-        from .farey import Direction
-
         reversing = m.det().sign() < 0
         wedges = []
         for w in self.wedges:
@@ -366,8 +359,6 @@ class LabeledQuadrangulation(_FrozenValue):
 
     @staticmethod
     def from_json(obj: dict) -> "LabeledQuadrangulation":
-        from .farey import Direction
-
         k, pi_l, pi_r = obj["k"], tuple(obj["pi_l"]), tuple(obj["pi_r"])
         # JSON true is a Python int, and 1.0 == 1: only exact ints are gluing data
         if any(type(n) is not int for n in (k, *pi_l, *pi_r)):

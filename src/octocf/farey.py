@@ -11,12 +11,12 @@ expansion prefix as a nested intersection of intervals.
 
 All sector boundaries are exact elements of Q(sqrt(2)) (cot(pi/8) = 1+sqrt2,
 cot(pi/4) = 1, cot(3pi/8) = sqrt2-1), so membership, folding and expansion
-are decided exactly.
+are decided exactly.  ``Direction`` and ``theta_cmp`` are re-exported from
+:mod:`octocf.numerics`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -25,16 +25,17 @@ from functools import cache
 from itertools import product
 
 from .numerics import (
+    Direction,
     Mat2,
     QuadNum,
     Vec2,
     _FrozenValue,
-    _cross_sign,
     _mat,
     _reduced,
     _vec,
     quad_floor,
     quad_sign,
+    theta_cmp,
 )
 
 __all__ = [
@@ -96,73 +97,6 @@ class TiePolicy(Enum):
 
     LOW = "low"
     HIGH = "high"
-
-
-class Direction(_FrozenValue):
-    """A direction of the flow, i.e. a nonzero vector up to positive scaling.
-
-    Directions live in the closed upper half plane; the two horizontal rays
-    (theta = 0 and theta = pi) are kept distinct even though both have
-    inverse slope u = infinity.  Vectors handed in with y < 0 are negated.
-    Immutable, with value equality and hashing over the stored ``vector``.
-    """
-
-    __slots__ = ("vector",)
-
-    def __init__(self, vector: Vec2):
-        if vector.is_zero():
-            raise ValueError("the zero vector has no direction")
-        ys = vector.y.sign()
-        if ys < 0:
-            vector = -vector
-        self._setters[0](self, vector)
-
-    def u_text(self) -> str:
-        """The inverse slope u = x/y as exact text, ``inf`` on both horizontal rays."""
-        x, y = self.vector.x, self.vector.y
-        return "inf" if y.is_zero() else str(x / y)
-
-    @property
-    def is_theta_zero(self) -> bool:
-        return self.vector.y.is_zero() and self.vector.x.sign() > 0
-
-    @property
-    def is_theta_pi(self) -> bool:
-        return self.vector.y.is_zero() and self.vector.x.sign() < 0
-
-    def ray_eq(self, other: "Direction") -> bool:
-        return theta_cmp(self, other) == 0
-
-    def theta_float(self) -> float:
-        """Approximate angle in [0, pi]; diagnostics and widths only."""
-        if self.vector.y.is_zero():
-            return 0.0 if self.vector.x.sign() > 0 else math.pi
-        return math.atan2(1.0, float(self.vector.x / self.vector.y))
-
-    def __str__(self) -> str:
-        return f"dir{self.vector}"
-
-    def to_json(self) -> dict:
-        return self.vector.to_json()
-
-    @staticmethod
-    def from_json(obj: dict) -> "Direction":
-        return Direction(Vec2.from_json(obj))
-
-
-def theta_cmp(d1: Direction, d2: Direction) -> int:
-    """Exact three-way comparison of angles in [0, pi].
-
-    In the closed upper half plane the sign of the cross product orders any
-    two rays except the opposite horizontals, the only parallel pair that is
-    not equal: parallel rays off the horizontals have y > 0 and are equal,
-    and on them theta = pi (x < 0) comes last.
-    """
-    v1, v2 = d1.vector, d2.vector
-    side = _cross_sign(v1, v2)
-    if side or not v1.y.is_zero():
-        return -side
-    return (v1.x.sign() < 0) - (v2.x.sign() < 0)
 
 
 #: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.

@@ -1,10 +1,14 @@
-"""Exact arithmetic in the quadratic field Q(sqrt(2)) and 2x2 linear algebra over it.
+"""Exact arithmetic in Q(sqrt(2)), 2x2 linear algebra over it, and directions.
 
 Every geometric predicate in this package reduces to the exact sign of an
 element ``a + b*sqrt(2)`` with rational ``a, b``, held as canonical ints
 ``(p + q*sqrt(2))/den``.  Values are immutable and canonical (component-wise
 equality is field equality), so they can be shared freely and used as dict
 keys.
+
+The side of a ray that a vector lies on is the one orientation predicate of
+the Farey map and of diagonal changes: ``_cross_sign`` reads it with no gcd,
+and :func:`theta_cmp` orders :class:`Direction` rays by angle with it.
 
 The bilinear 2x2 forms (``Mat2.apply``, ``Mat2 @``, ``det``, ``Vec2.cross``
 and ``dot``) build each output entry with one kernel that forms both
@@ -19,7 +23,7 @@ branches on a decimal rendering.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import atan2, gcd, isqrt, pi
 from operator import attrgetter
 import re
 
@@ -27,6 +31,8 @@ __all__ = [
     "QuadNum",
     "Vec2",
     "Mat2",
+    "Direction",
+    "theta_cmp",
     "QuadNumParseError",
     "to_decimal",
 ]
@@ -503,6 +509,73 @@ def _vec(x: QuadNum, y: QuadNum, _setters=Vec2._setters) -> Vec2:
     set_x(v, x)
     set_y(v, y)
     return v
+
+
+class Direction(_FrozenValue):
+    """A direction of the flow, i.e. a nonzero vector up to positive scaling.
+
+    Directions live in the closed upper half plane; the two horizontal rays
+    (theta = 0 and theta = pi) are kept distinct even though both have
+    inverse slope u = infinity.  Vectors handed in with y < 0 are negated.
+    Immutable, with value equality and hashing over the stored ``vector``.
+    """
+
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: Vec2):
+        if vector.is_zero():
+            raise ValueError("the zero vector has no direction")
+        ys = vector.y.sign()
+        if ys < 0:
+            vector = -vector
+        self._setters[0](self, vector)
+
+    def u_text(self) -> str:
+        """The inverse slope u = x/y as exact text, ``inf`` on both horizontal rays."""
+        x, y = self.vector.x, self.vector.y
+        return "inf" if y.is_zero() else str(x / y)
+
+    @property
+    def is_theta_zero(self) -> bool:
+        return self.vector.y.is_zero() and self.vector.x.sign() > 0
+
+    @property
+    def is_theta_pi(self) -> bool:
+        return self.vector.y.is_zero() and self.vector.x.sign() < 0
+
+    def ray_eq(self, other: "Direction") -> bool:
+        return theta_cmp(self, other) == 0
+
+    def theta_float(self) -> float:
+        """Approximate angle in [0, pi]; diagnostics and widths only."""
+        if self.vector.y.is_zero():
+            return 0.0 if self.vector.x.sign() > 0 else pi
+        return atan2(1.0, float(self.vector.x / self.vector.y))
+
+    def __str__(self) -> str:
+        return f"dir{self.vector}"
+
+    def to_json(self) -> dict:
+        return self.vector.to_json()
+
+    @staticmethod
+    def from_json(obj: dict) -> "Direction":
+        return Direction(Vec2.from_json(obj))
+
+
+def theta_cmp(d1: Direction, d2: Direction) -> int:
+    """Exact three-way comparison of angles in [0, pi].
+
+    In the closed upper half plane the sign of the cross product orders any
+    two rays except the opposite horizontals, the only parallel pair that is
+    not equal: parallel rays off the horizontals have y > 0 and are equal,
+    and on them theta = pi (x < 0) comes last.
+    """
+    v1, v2 = d1.vector, d2.vector
+    side = _cross_sign(v1, v2)
+    if side or not v1.y.is_zero():
+        return -side
+    return (v1.x.sign() < 0) - (v2.x.sign() < 0)
 
 
 class _Invertible(_FrozenValue):

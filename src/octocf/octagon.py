@@ -75,7 +75,7 @@ from .h2moves import (
     sector_matrix,
     sector_word,
 )
-from .numerics import Mat2, QuadNum, Vec2, _FrozenValue, _object_new
+from .numerics import Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _object_new
 
 __all__ = [
     "OCTAGON_AREA",
@@ -186,7 +186,7 @@ def _midpoint_first_fractions(count: int) -> list[Fraction]:
     pool = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
     d = 8
     while len(pool) < count:
-        pool.extend(Fraction(n, d) for n in range(1, d, 2) if Fraction(n, d) not in pool)
+        pool.extend(Fraction(n, d) for n in range(1, d, 2))
         d *= 2
     return pool[:count]
 
@@ -536,7 +536,7 @@ class _SectorTable(_FrozenValue):
         for rec, flip in zip(moves, flips, strict=True):
             want = Slant.LEFT.value if rec.side is Side.PI_R else Slant.RIGHT.value
             for j, d in rec.new_sides:
-                signs = [flip * e.vector.cross(d).sign() for e in (lo, hi)]
+                signs = [flip * _cross_sign(e.vector, d) for e in (lo, hi)]
                 if signs == [0, 0] or any(s not in (want, 0) for s in signs):
                     raise SectorWordError(
                         f"sector {i}: {rec.side.value}-cycle{rec.cycle} is not well slanted "
@@ -570,7 +570,7 @@ class _SectorTable(_FrozenValue):
         """
         if on_bound:
             for end, label in self.bounds:
-                if label is not None and ref.vector.cross(end).sign() == 0:
+                if label is not None and _cross_sign(ref.vector, end) == 0:
                     raise HitsSingularity(label)
         made = _images(to_original, self.holonomies)
         set_side, set_cycle, set_new_sides = MoveRecord._setters

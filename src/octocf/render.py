@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagch import LabeledQuadrangulation
-from .farey import Direction
-from .numerics import QuadNum, Vec2, _FrozenValue, to_decimal
+from .numerics import Direction, QuadNum, Vec2, _FrozenValue, to_decimal
 
 __all__ = ["RenderSpec", "render_states", "render_state", "trace_panels"]
 

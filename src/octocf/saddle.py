@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numerics import QuadNum, Vec2, _FrozenValue
+from .numerics import QuadNum, Vec2, _FrozenValue, _cross_sign
 
 __all__ = [
     "OctagonModel",
@@ -132,7 +132,7 @@ def _trace(p0: Vec2, w: Vec2) -> bool | None:
             hit = _segment_hits(base, w, a, b)
             if hit is None:
                 # the ray is parallel to side i; collinear means it runs along it
-                if (a - base).cross(w).sign() == 0:
+                if _cross_sign(a - base, w) == 0:
                     for endpoint in (a, b):
                         delta = endpoint - base
                         t = (delta.x / w.x) if w.x.sign() != 0 else (delta.y / w.y)

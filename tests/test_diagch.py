@@ -1,6 +1,10 @@
 """Diagonal-changes engine: wedges, staircase moves, matrices, invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +28,7 @@ from octocf.diagch import (
     perm_cycles,
     perm_inverse,
 )
-from octocf.farey import Direction
-from octocf.numerics import Mat2, QuadNum, Vec2
+from octocf.numerics import Direction, Mat2, QuadNum, Vec2
 
 VERTICAL = Direction(Vec2(0, 1))
 TORUS = CombDatum(1, (1,), (1,))
@@ -230,3 +233,15 @@ class TestBookkeeping:
         record[field] = value
         with pytest.raises(ValueError, match="JSON integers"):
             LabeledQuadrangulation.from_json(record)
+
+
+def test_staircase_layer_loads_no_farey_map():
+    # directions and the side-of-ray sign come from numerics
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, octocf.diagch, octocf.h2moves, octocf.render; print(*sys.modules)"
+    argv = [sys.executable, "-c", code]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, check=True)
+    loaded = set(result.stdout.split())
+    assert {"octocf.diagch", "octocf.h2moves", "octocf.render"} <= loaded
+    assert "octocf.farey" not in loaded

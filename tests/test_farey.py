@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -852,6 +853,16 @@ class TestValueTypes:
         )
         with pytest.raises(ValueError, match="zero vector"):
             Direction(Vec2(0, 0))
+
+    def test_direction_and_angle_order_are_those_of_numerics(self):
+        assert farey.Direction is numerics.Direction
+        assert farey.theta_cmp is numerics.theta_cmp
+        d = Direction(Vec2(QuadNum(1, 1), 1))
+        data = pickle.dumps(d, protocol=2)  # names the class as module and name text
+        assert pickle.loads(data) == d and b"coctocf.numerics\nDirection\n" in data
+        # farey re-exports the class, so a pickle that names it there still loads
+        legacy = data.replace(b"coctocf.numerics\nDirection\n", b"coctocf.farey\nDirection\n")
+        assert legacy != data and pickle.loads(legacy) == d
 
     def test_intervals_are_frozen_values(self):
         lo, hi = Direction(Vec2(1, 1)), Direction(Vec2(-1, 1))

@@ -23,7 +23,15 @@ from helpers import (
     reference_matmul,
 )
 from octocf.classical import QuadraticIrrational
-from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, _reduced, to_decimal
+from octocf.numerics import (
+    Mat2,
+    QuadNum,
+    QuadNumParseError,
+    Vec2,
+    _cross_sign,
+    _reduced,
+    to_decimal,
+)
 
 GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
@@ -209,6 +217,15 @@ class TestOneReductionKernel:
         _same_canonical(v.cross(w), reference_cross(v, w))
         _same_canonical(v.dot(w), reference_dot(v, w))
         _same_canonical(v.cross(v), QuadNum(0))
+
+    @given(_wide_quadnum_lists(5))
+    def test_cross_sign_is_the_sign_of_the_reduced_cross(self, xs):
+        # the side-of-ray test every slant, cone and angle order reads
+        v, w, c = Vec2(*xs[:2]), Vec2(*xs[2:4]), xs[4]
+        zero = Vec2(0, 0)
+        for a, b in ((v, w), (w, v), (v, v.scale(c)), (v.scale(c), w), (zero, w), (v, zero)):
+            assert _cross_sign(a, b) == a.cross(b).sign()
+        assert _cross_sign(v, v.scale(c)) == 0 == _cross_sign(zero, w)
 
 
 class TestValueObjects:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -100,6 +101,25 @@ class TestFrozenData:
         f = f if j in (0, 7) else t
         assume(0 < f < 1 or (j in (0, 7) and f > 0))
         assert classify(sector_direction(j, f)) == (j,)
+
+    def test_sample_grid_is_enumerated_level_by_level(self):
+        # sectors 1..6: 1/2, then the odd numerators over 4, 8, 16, ... level by
+        # level; sectors 0 and 7: the distances 1, 1/2, 2, 3, 4, ...
+        dyadic = [Fraction(n, 2**k) for k in range(1, 14) for n in range(1, 2**k, 2)]
+        steps = [Fraction(1), Fraction(1, 2)] + [Fraction(n) for n in range(2, 5000)]
+        for j in range(8):
+            grid = [sector_direction(j, f) for f in (steps if j in (0, 7) else dyadic)[:5000]]
+            assert sector_sample_directions(j, 5000) == grid
+            for count in (1, 2, 3, 4, 7, 8, 15, 16, 17):
+                assert sector_sample_directions(j, count) == grid[:count]
+
+    def test_sample_grid_budget(self):
+        # verify --samples admits 10**6 samples per sector
+        start = time.time()
+        grid = sector_sample_directions(3, 50_000)
+        elapsed = time.time() - start
+        assert len(set(grid)) == 50_000
+        assert elapsed < 5.0
 
     def test_initial_quadrangulations(self):
         for s0 in range(8):
