@@ -249,18 +249,6 @@ class LabeledQuadrangulation(_FrozenValue):
                     f"reference direction leaves the wedge cone of quadrilateral {i}"
                 )
 
-    @classmethod
-    def _trusted(
-        cls, comb: CombDatum, wedges: tuple[Wedge, ...], ref_dir: Direction
-    ) -> "LabeledQuadrangulation":
-        """A state from data proved valid elsewhere, built without the checks above."""
-        set_comb, set_wedges, set_ref_dir = cls._setters
-        state = object.__new__(cls)
-        set_comb(state, comb)
-        set_wedges(state, wedges)
-        set_ref_dir(state, ref_dir)
-        return state
-
     # -- basic geometry ------------------------------------------------------
 
     def diagonal(self, i: int) -> Vec2:

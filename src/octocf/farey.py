@@ -18,11 +18,13 @@ are decided exactly.  ``Direction`` and ``theta_cmp`` are re-exported from
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import gcd
 
 from .numerics import (
     Direction,
@@ -30,9 +32,10 @@ from .numerics import (
     QuadNum,
     Vec2,
     _FrozenValue,
+    _direction,
     _mat,
+    _object_new,
     _reduced,
-    _vec,
     quad_floor,
     quad_sign,
     theta_cmp,
@@ -184,47 +187,68 @@ def _blocks() -> dict[bytes, _Frame]:
     return table
 
 
-def _vector(xp: int, xq: int, yp: int, yq: int, den: int, e: int) -> Vec2:
-    """The Vec2 (xp + xq*sqrt2, yp + yq*sqrt2)/(den*sqrt2^e), with one gcd per coordinate.
+#: A matrix P'/den over Q(sqrt2) held as ``(den, P')``, P' the ints of _Frame.
+_Rational = tuple[int, tuple[int, ...]]
 
-    Both coordinates share den and e, so sqrt2^e becomes a plain denominator
-    once for the two: an odd e takes x/sqrt2 = sqrt2*x/2, and then
-    sqrt2^e = 2^(e/2) joins den, or the numerators for e < 0.  Every vector
-    and matrix leaving the integral kernels is built here.
+
+def _rational(frame: _Frame) -> _Rational:
+    """The frame P/sqrt2^e as ``(den, P')`` with P'/den = P/sqrt2^e and den a power of 2.
+
+    An odd e folds one sqrt2 into P, P/sqrt2 = sqrt2*P/2 with sqrt2*(p +
+    q*sqrt2) = 2q + p*sqrt2; then sqrt2^e = 2^h is den, or multiplies P for
+    h < 0.  This is the one place where sqrt2^e is made rational: every
+    vector and matrix leaving the integral kernels is built from its result.
     """
+    e, p = frame
     if e & 1:
-        xp, xq, yp, yq, e = 2 * xq, xp, 2 * yq, yp, e + 1
+        ap, aq, bp, bq, cp, cq, dp, dq = p
+        p, e = (2 * aq, ap, 2 * bq, bp, 2 * cq, cp, 2 * dq, dp), e + 1
     h = e >> 1
     if h >= 0:
-        den <<= h
-    else:
-        xp, xq, yp, yq = xp << -h, xq << -h, yp << -h, yq << -h
-    return _vec(_reduced(xp, xq, den), _reduced(yp, yq, den))
+        return 1 << h, p
+    return 1, tuple(i << -h for i in p)
 
 
-def _images(frame: _Frame, vectors: tuple[tuple[_IntVec, int], ...]) -> list[Vec2]:
-    """The Vec2 P*v/(den*sqrt2^e) for each ``(v, den)`` of ``vectors``, v as ints,
-    under the frame P/sqrt2^e; P is unpacked once, and :func:`_vector` reduces
-    each coordinate, so no sqrt2 is stripped first."""
-    e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
-    return [
-        _vector(
-            ap * xp + bp * yp + 2 * (aq * xq + bq * yq),
-            ap * xq + aq * xp + bp * yq + bq * yp,
-            cp * xp + dp * yp + 2 * (cq * xq + dq * yq),
-            cp * xq + cq * xp + dp * yq + dq * yp,
-            den,
-            e,
-        )
-        for (xp, xq, yp, yq), den in vectors
-    ]
+def _images(rational: _Rational, vectors: Sequence[tuple[_IntVec, int]]) -> list[Vec2]:
+    """The Vec2 P'*v/(scale*den) for each ``(v, den)`` of ``vectors``, v as ints,
+    under the matrix P'/scale of :func:`_rational`.
+
+    P' is unpacked once, and each coordinate is formed and divided by its gcd
+    in one pass, as :func:`numerics._reduced` divides, with no sqrt2 to strip
+    first and no call per coordinate.
+    """
+    scale, (ap, aq, bp, bq, cp, cq, dp, dq) = rational
+    set_x, set_y = Vec2._setters
+    made = []
+    for (xp, xq, yp, yq), den in vectors:
+        den *= scale
+        p, q = ap * xp + bp * yp + 2 * (aq * xq + bq * yq), ap * xq + aq * xp + bp * yq + bq * yp
+        g = gcd(den, p, q)
+        x = _object_new(QuadNum)
+        if g == 1:
+            x._p, x._q, x._den = p, q, den
+        else:
+            x._p, x._q, x._den = p // g, q // g, den // g
+        p, q = cp * xp + dp * yp + 2 * (cq * xq + dq * yq), cp * xq + cq * xp + dp * yq + dq * yp
+        g = gcd(den, p, q)
+        y = _object_new(QuadNum)
+        if g == 1:
+            y._p, y._q, y._den = p, q, den
+        else:
+            y._p, y._q, y._den = p // g, q // g, den // g
+        v = _object_new(Vec2)
+        set_x(v, x)
+        set_y(v, y)
+        made.append(v)
+    return made
 
 
-def _matrix(frame: _Frame) -> Mat2:
-    """The Mat2 P/sqrt2^e of ``frame``, its two columns built by :func:`_vector`."""
-    e, (ap, aq, bp, bq, cp, cq, dp, dq) = frame
-    left, right = _vector(ap, aq, cp, cq, 1, e), _vector(bp, bq, dp, dq, 1, e)
-    return _mat(left.x, right.x, left.y, right.y)
+def _matrix(rational: _Rational) -> Mat2:
+    """The Mat2 P'/den of :func:`_rational`, one gcd per entry."""
+    den, (ap, aq, bp, bq, cp, cq, dp, dq) = rational
+    return _mat(
+        _reduced(ap, aq, den), _reduced(bp, bq, den), _reduced(cp, cq, den), _reduced(dp, dq, den)
+    )
 
 
 def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
@@ -423,19 +447,24 @@ def _expand_orbit(
     The orbit holds ``(entry, tie, image)`` per step: the sector entry, whether
     the iterate sat on a sector boundary, and the next iterate, built from the
     walk's ints.  On sector j, M keeps y >= 0, so the run images are the exact
-    vectors of single steps.
+    vectors of single steps, and each image is a Direction as it stands, built
+    by :func:`numerics._direction` with no zero or sign test.
     """
     expansion, den, steps = _walk(d, depth, policy)
     orbit = []
     for j, tie, x, e, w, n in steps:
-        image = Direction(_vector(*x, den, e))
+        vectors = [(x, den)]
+        if n and any(w):
+            xp, xq, yp, yq = x
+            wxp, wxq, wyp, wyq = w
+            for _ in range(n):
+                xp, xq, yp, yq = xp + wxp, xq + wxq, yp + wyp, yq + wyq
+                vectors.append(((xp, xq, yp, yq), den))
+        # the images share den and e, so 1/sqrt2^e is made rational once for them
+        image, *run = map(_direction, _images(_rational((e, _SCALARS[0])), vectors))
         orbit.append((j, tie, image))
-        if n and not any(w):
-            orbit += [(j, tie, image)] * n
-            continue
-        for _ in range(n):
-            x = tuple(a + b for a, b in zip(x, w))
-            orbit.append((j, False, Direction(_vector(*x, den, e))))
+        # on the fixed ray (w = 0) each further step of the run repeats this one
+        orbit += [(j, False, i) for i in run] if run else [(j, tie, image)] * n
     return expansion, orbit
 
 
@@ -454,7 +483,7 @@ _RUN_EXIT = {1: _END_INTS[2], 7: tuple(-i for i in _END_INTS[7])}
 
 def _boundary_direction(j: int) -> Direction:
     """The direction with angle j*pi/8, for j = 0..8."""
-    return Direction(_vector(*_END_INTS[j], 1, 0))
+    return _direction(_images(_rational((0, _SCALARS[0])), ((_END_INTS[j], 1),))[0])
 
 
 class RP1Interval(_FrozenValue):
@@ -528,10 +557,10 @@ def reconstruct(prefix) -> RP1Interval:
     frame = _compose_plain(frame, body[start:])
     # the sector ends have denominator 1
     last = entries[-1]
-    ends = _images(frame, ((_END_INTS[last], 1), (_END_INTS[last + 1], 1)))
+    ends = _images(_rational(frame), ((_END_INTS[last], 1), (_END_INTS[last + 1], 1)))
     if sum(map(body.count, b"\0\2\4\6")) & 1:
         ends.reverse()
-    return RP1Interval(*map(Direction, ends))
+    return RP1Interval(*map(_direction, ends))
 
 
 def dual_expansion(e: FareyExpansion) -> FareyExpansion:

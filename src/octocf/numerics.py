@@ -563,6 +563,13 @@ class Direction(_FrozenValue):
         return Direction(Vec2.from_json(obj))
 
 
+def _direction(vector: Vec2, _set=Direction._setters[0]) -> Direction:
+    """A Direction from a vector proved nonzero with y >= 0, with no zero or sign test."""
+    d = _object_new(Direction)
+    _set(d, vector)
+    return d
+
+
 def theta_cmp(d1: Direction, d2: Direction) -> int:
     """Exact three-way comparison of angles in [0, pi].
 

@@ -58,10 +58,11 @@ from .farey import (
     _boundary_direction,
     _compose,
     _expand_orbit,
-    _Frame,
     _images,
     _ints,
     _matrix,
+    _rational,
+    _Rational,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
@@ -557,16 +558,19 @@ class _SectorTable(_FrozenValue):
         )
         return _SectorTable(bounds, tuple(_ints(h) for h in index), layout)
 
-    def replay(self, ref: Direction, to_original: _Frame, on_bound: bool) -> tuple[MoveRecord, ...]:
+    def replay(
+        self, ref: Direction, to_original: _Rational, on_bound: bool
+    ) -> tuple[MoveRecord, ...]:
         """The word's move records at ``ref``, which must lie in the closed sector.
 
         Inside the open sector the word is proved to run, so this only maps
-        the created holonomies to the original frame ``to_original``, held
-        as the ints of :func:`farey._integral`: :func:`farey._images` builds
-        the image of each distinct holonomy once, and the records share the
-        equal vectors, filled through their slots.  On a sector endpoint
-        (``on_bound``) it raises what the staircase executor raises there:
-        :class:`HitsSingularity` for the first parallel diagonal, if any.
+        the created holonomies to the original frame ``to_original``, the
+        rational form P'/den of :func:`farey._rational`: one pass of
+        :func:`farey._images` forms P'*v and the canonical Vec2 of each
+        distinct holonomy, and the records share the equal vectors, filled
+        through their slots.  On a sector endpoint (``on_bound``) it raises
+        what the staircase executor raises there: :class:`HitsSingularity`
+        for the first parallel diagonal, if any.
         """
         if on_bound:
             for end, label in self.bounds:
@@ -614,20 +618,26 @@ def run_expansion(
     renormalizations; they are the octagon analogues of the convergents.
     The accumulated frame is one integral matrix P/sqrt2^e, the product of
     the inverse branches as :func:`farey.reconstruct` composes it.  Each
-    step is filled through its slots, as the replay fills its records.  A
-    parallel diagonal, possible only on a sector boundary, ends the trace
-    with the ``hits_singularity`` marker.
+    frame is made rational once, as P'/2^h by :func:`farey._rational`, and
+    that one result gives both the step's ``to_original`` and the created
+    holonomies of the next step's replay.  Each step and its state (Q' at
+    the renormalized direction, which the sector table proves) are filled
+    through their slots, as the replay fills its records.  A parallel
+    diagonal, possible only on a sector boundary, ends the trace with the
+    ``hits_singularity`` marker.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
-    to_original = _INVERSE_BRANCHES[expansion.entries[0]]
+    frame = _INVERSE_BRANCHES[expansion.entries[0]]
+    to_original = _rational(frame)
     initial = qprime(ref)
     wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
     set_entry, set_records, set_state, set_to_original = TraceStep._setters
+    set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
     for entry, tie, image in orbit[1:]:
         table = _sector_table(entry)[0]
         try:
@@ -635,11 +645,16 @@ def run_expansion(
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        to_original = _compose(to_original, _INVERSE_BRANCHES[entry])
+        frame = _compose(frame, _INVERSE_BRANCHES[entry])
+        to_original = _rational(frame)
+        state = _object_new(LabeledQuadrangulation)
+        set_comb(state, QPRIME_COMB)
+        set_wedges(state, wedges)
+        set_ref_dir(state, image)
         step = _object_new(TraceStep)
         set_entry(step, entry)
         set_records(step, records)
-        set_state(step, LabeledQuadrangulation._trusted(QPRIME_COMB, wedges, image))
+        set_state(step, state)
         set_to_original(step, _matrix(to_original))
         steps.append(step)
         ref = image

@@ -56,6 +56,20 @@ COMMANDS = [
         OCTAGON,
     ),
     (
+        # halts with hits_singularity after 2 steps
+        ["trace", "--u=2", "--steps", "8"],
+        {},
+        "a6255c1cf1d3ae9022eea6324c8c4d496eec7ae450cf28b0e3d2e0e67ec89e7d",
+        OCTAGON,
+    ),
+    (
+        # a tie, taken high, and then a tail of 7s
+        ["trace", "--u=1", "--steps", "6", "--policy", "high"],
+        {},
+        "273463972aa009bf433fda284bb38b1bab0306e2afb169c9b5092984f2d00246",
+        OCTAGON,
+    ),
+    (
         ["verify", "--random-samples", "1"],
         {"OCTOCF_SEED": "756589"},
         "9c1370cfb234dc7d2e0fc9501d0be06bf0531db512fd621091779826c965e4b8",
@@ -81,8 +95,17 @@ COMMANDS = [
     ),
 ]
 
+#: Each run's id is its command's name, or its whole command line for a later run
+#: of the same command.
+_NAMES = [argv[0] for argv, *_ in COMMANDS]
+
 each_command = pytest.mark.parametrize(
-    "argv, env, digest, modules", COMMANDS, ids=[argv[0] for argv, *_ in COMMANDS]
+    "argv, env, digest, modules",
+    COMMANDS,
+    ids=[
+        name if _NAMES.index(name) == k else " ".join(argv)
+        for k, (name, (argv, *_)) in enumerate(zip(_NAMES, COMMANDS))
+    ],
 )
 
 #: Imports ``octocf.cli``, runs ``cli.main`` on argv if there is one, and
@@ -186,7 +209,7 @@ print(built)
 
 def test_start_up_builds_no_block_table():
     # only reconstruct reads the table, so no other command builds it
-    runs = {argv[0]: (argv, env) for argv, env, *_ in COMMANDS}
+    runs = {argv[0]: (argv, env) for argv, env, *_ in reversed(COMMANDS)}  # each first run
     names = ["expand", "trace", "verify", "render", "dump-matrices", "reconstruct"]
     env = {k: v for name in names for k, v in runs[name][1].items()}
     result = _child(["-c", _BLOCKS_CHILD, repr([runs[name][0] for name in names])], env)

@@ -113,7 +113,7 @@ class TestDihedralElements:
                 assert k == (j in (1, 2, 5, 6))
                 for v in vectors:
                     v_ints, den = farey._ints(v)
-                    (image,) = farey._images((k, ints), [(v_ints, den)])
+                    (image,) = farey._images(farey._rational((k, ints)), [(v_ints, den)])
                     assert image == m.apply(v)
 
     @staticmethod
@@ -131,7 +131,7 @@ class TestDihedralElements:
             for j in block:
                 product = product @ GAMMA_NU_INV[j]
             assert value == in_turn
-            assert farey._matrix(value) == product
+            assert farey._matrix(farey._rational(value)) == product
         return len(keys)
 
     def test_block_table_is_the_composed_branches(self):
@@ -199,12 +199,12 @@ class TestDihedralElements:
     def test_shared_exponent_builders_equal_each_coordinate(self, ints, den, e):
         # odd, even and negative e; den > 1; zero, negative and common-factor
         # coordinates: one shift for all coordinates is each coordinate's own value
-        xp, xq, yp, yq = ints[:4]
         want = [reference_quad(ints[k], ints[k + 1], den, e) for k in (0, 2)]
-        got = farey._vector(xp, xq, yp, yq, den, e)
+        scalar = farey._rational((e, farey._SCALARS[0]))  # 1/sqrt2^e
+        (got,) = farey._images(scalar, [(tuple(ints[:4]), den)])
         assert (got.x.ints, got.y.ints) == tuple(w.ints for w in want)
         assert got == Vec2(*want) and hash(got) == hash(Vec2(*want))
-        m = farey._matrix((e, tuple(ints)))
+        m = farey._matrix(farey._rational((e, tuple(ints))))
         want = [reference_quad(ints[k], ints[k + 1], 1, e) for k in range(0, 8, 2)]
         assert [c.ints for c in (m.a, m.b, m.c, m.d)] == [w.ints for w in want]
         assert m == Mat2(*want) and hash(m) == hash(Mat2(*want))
@@ -317,7 +317,8 @@ def test_direction_from_ints_is_the_fraction_built_one(e, v, den):
     scale = _power_of_root2(-e)
     x = QuadNum(Fraction(xp, den), Fraction(xq, den)) * scale
     y = QuadNum(Fraction(yp, den), Fraction(yq, den)) * scale
-    assert Direction(farey._vector(*v, den, e)) == Direction(Vec2(x, y))
+    (image,) = farey._images(farey._rational((e, farey._SCALARS[0])), [(v, den)])
+    assert Direction(image) == Direction(Vec2(x, y))
 
 
 def _assert_orbit_is_the_reference(d, depth, policy):
@@ -457,6 +458,38 @@ class TestOrbit:
             depth = sum(n for _, n in prefix) + 300
             e = _assert_orbit_is_the_reference(d, depth, policy)
             assert e.terminating and e.entries[-250:] == (e.tail,) * 250
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            # the criterion-4 directions: 50 steps with no sector bound and no tail
+            st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+            .map(lambda u: Direction(Vec2(QuadNum(u), QuadNum(1))))
+            .filter(lambda d: not (e := expand(d, 51)).boundary_hit and not e.terminating),
+            st.builds(
+                lambda ray, first, runs: pulled_back(ray, [(first, 1), *runs]),
+                st.sampled_from(_HORIZONTALS_AND_PI8[1:]),  # tails of 7 and of 1
+                st.integers(0, 7),
+                st.lists(st.tuples(st.integers(1, 7), st.integers(1, 3)), max_size=3),
+            ),
+            st.integers(0, 8).map(farey._boundary_direction),  # the rays j*pi/8
+        ),
+        st.integers(1, 60),
+        st.sampled_from(list(TiePolicy)),
+    )
+    @example(pulled_back(_HORIZONTALS_AND_PI8[1], [(4, 1), (2, 2)]), 20, TiePolicy.HIGH)
+    @example(pulled_back(_HORIZONTALS_AND_PI8[2], [(6, 1), (3, 1)]), 20, TiePolicy.LOW)
+    def test_images_are_the_validated_directions(self, d, depth, policy):
+        # the orbit builds its images with no zero or sign test; each must be the
+        # Direction that the validating constructor makes of the same vector
+        _, orbit = _expand_orbit(d, depth, policy)
+        _, reference = reference_expand_orbit(d, depth, policy)
+        for (j, tie, image), (j0, tie0, want) in zip(orbit, reference, strict=True):
+            assert (j, tie) == (j0, tie0)
+            assert type(image) is Direction and Direction(image.vector) == image
+            assert image == want and hash(image) == hash(want)
+            copy = pickle.loads(pickle.dumps(image))
+            assert copy == want and hash(copy) == hash(want)
 
 
 class TestFoldAndStep:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import time
@@ -34,6 +35,7 @@ from octocf.farey import (
     TiePolicy,
     _boundary_direction,
     _integral,
+    _rational,
     classify,
     expand,
 )
@@ -401,7 +403,7 @@ class TestTableDrivenTraces:
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_at_the_identity_frame_is_the_table(self, i):
         table, _ = _sector_table(i)
-        records = table.replay(sector_midpoint(i), _integral(Mat2.identity()), False)
+        records = table.replay(sector_midpoint(i), _rational(_integral(Mat2.identity())), False)
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         assert records == tuple(run.records)
         # equal created sides are one vector, formed once
@@ -432,14 +434,14 @@ class TestTableDrivenTraces:
             _sector_table(i)
         d = random_clean_direction(random.Random(12), 40)
         calls = []
-        reduced = numerics._reduced
 
-        def counted(p, q, den):
+        def counted(den, p, q):
             calls.append(den)
-            return reduced(p, q, den)
+            return math.gcd(den, p, q)
 
-        monkeypatch.setattr(numerics, "_reduced", counted)
-        monkeypatch.setattr(farey, "_reduced", counted)
+        # farey._images reduces inline, numerics._reduced for everything else
+        monkeypatch.setattr(numerics, "gcd", counted)
+        monkeypatch.setattr(farey, "gcd", counted)
 
         def reductions(n):
             calls.clear()
@@ -482,11 +484,10 @@ class TestTableDrivenTraces:
         # A replay is defined on its closed sector only.  On the sector's own
         # endpoints it raises, or not, exactly like the staircase executor.
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
+        identity = _rational(_integral(Mat2.identity()))
         raised = 0
         for ref in ends + sector_sample_directions(i, 2):
-            got = _outcome(
-                lambda: _sector_table(i)[0].replay(ref, _integral(Mat2.identity()), ref in ends)
-            )
+            got = _outcome(lambda: _sector_table(i)[0].replay(ref, identity, ref in ends))
             want = _outcome(lambda: _executor_records(resolved_word(i), ref))
             assert got == want, str(ref)
             raised += got[0] != "ok"
@@ -559,7 +560,7 @@ class TestTableDrivenTraces:
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
-            frame = _integral(GAMMA_NU[2])
+            frame = _rational(_integral(GAMMA_NU[2]))
             got = _outcome(lambda: mirror_table.replay(ref, frame, ref in ends))
             want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
             assert got == want, str(ref)

@@ -1,8 +1,9 @@
 """The README's performance trajectory is the ``BENCH_<n>.json`` series.
 
 Each row of the "Performance trajectory" table that names a record must show
-that record's change medians of ``total_ref``, rounded, and every record at
-the root of the repository must back exactly one row.
+that record's change medians of ``total_ref``, ``trace`` and ``farey`` to one
+decimal and ``cli`` to an integer, and every record at the root of the
+repository must back exactly one row.
 """
 
 import json
@@ -11,8 +12,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Table column -> the (workload, seed) whose total_ref it shows.
-COLUMNS = {"trace": ("trace", 99), "farey": ("farey", 20260811), "cli": ("cli", 1)}
+#: Table column -> the (workload, seed) whose total_ref it shows, and its format.
+COLUMNS = {
+    "trace": ("trace", 99, "{:.1f}"),
+    "farey": ("farey", 20260811, "{:.1f}"),
+    "cli": ("cli", 1, "{:.0f}"),
+}
 
 
 def _trajectory_rows() -> list[dict[str, str]]:
@@ -33,8 +38,8 @@ def test_rows_equal_their_bench_records():
     assert rows
     for row in rows:
         record = json.loads((ROOT / row["record"].strip("`")).read_text(encoding="utf-8"))
-        for column, (workload, seed) in COLUMNS.items():
-            assert row[column] == str(round(_change_median(record, workload, seed))), (row, column)
+        for column, (workload, seed, form) in COLUMNS.items():
+            assert row[column] == form.format(_change_median(record, workload, seed)), (row, column)
 
 
 def test_every_bench_record_backs_one_row():
