@@ -134,6 +134,14 @@ _INVERSE_BRANCHES = tuple(_integral(m) for m in GAMMA_NU_INV)
 #: sqrt2^k * I for k = 0, 1, in the ints of _integral.
 _SCALARS = ((1, 0, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1))
 
+#: The entries whose inverse branch fixes (1, 0): its first column is that of
+#: sqrt2^k * I, so a frame composed with it keeps its own first column.
+_KEEPS_FIRST_COLUMN = frozenset(
+    j
+    for j, (k, p) in enumerate(_INVERSE_BRANCHES)
+    if (p[0], p[1], p[4], p[5]) == (_SCALARS[k][0], _SCALARS[k][1], 0, 0)
+)
+
 
 def _ints(v: Vec2) -> tuple[_IntVec, int]:
     """The ints of ``v`` over a common denominator, and that denominator."""
@@ -236,6 +244,38 @@ def _images(rational: _Rational, vectors: Sequence[tuple[_IntVec, int]]) -> list
             y._p, y._q, y._den = p, q, den
         else:
             y._p, y._q, y._den = p // g, q // g, den // g
+        v = _object_new(Vec2)
+        set_x(v, x)
+        set_y(v, y)
+        made.append(v)
+    return made
+
+
+def _images_keeping_y(
+    rational: _Rational, v: _IntVec, w: _IntVec, n: int, den: int
+) -> list[Vec2]:
+    """The Vec2s of :func:`_images` for v + t*w, t = 0..n, each over ``den``, under
+    a scalar frame P' = (ap + aq*sqrt2)*I, when w has zero y ints.
+
+    Every vector then has the y of v, so the images share one reduced y, and
+    each forms and reduces only its x, as :func:`_images` does.
+    """
+    first = _images(rational, ((v, den),))[0]
+    y = first.y
+    scale, (ap, aq, *_) = rational
+    den *= scale
+    xp, xq, wxp, wxq = v[0], v[1], w[0], w[1]
+    set_x, set_y = Vec2._setters
+    made = [first]
+    for _ in range(n):
+        xp, xq = xp + wxp, xq + wxq
+        p, q = ap * xp + 2 * aq * xq, ap * xq + aq * xp
+        g = gcd(den, p, q)
+        x = _object_new(QuadNum)
+        if g == 1:
+            x._p, x._q, x._den = p, q, den
+        else:
+            x._p, x._q, x._den = p // g, q // g, den // g
         v = _object_new(Vec2)
         set_x(v, x)
         set_y(v, y)
@@ -448,20 +488,29 @@ def _expand_orbit(
     the iterate sat on a sector boundary, and the next iterate, built from the
     walk's ints.  On sector j, M keeps y >= 0, so the run images are the exact
     vectors of single steps, and each image is a Direction as it stands, built
-    by :func:`numerics._direction` with no zero or sign test.
+    by :func:`numerics._direction` with no zero or sign test.  A run whose w
+    has zero y ints, as every run of 7s has (w = ((2+2sqrt2)*y, 0)), keeps the
+    y of its first image: :func:`_images_keeping_y` reduces that y once and
+    only the x of each further image.
     """
     expansion, den, steps = _walk(d, depth, policy)
     orbit = []
     for j, tie, x, e, w, n in steps:
-        vectors = [(x, den)]
-        if n and any(w):
+        # the images share den and e, so 1/sqrt2^e is made rational once for them
+        rational = _rational((e, _SCALARS[0]))
+        if not (n and any(w)):
+            images = _images(rational, ((x, den),))
+        elif w[2] or w[3]:
+            vectors = [(x, den)]
             xp, xq, yp, yq = x
             wxp, wxq, wyp, wyq = w
             for _ in range(n):
                 xp, xq, yp, yq = xp + wxp, xq + wxq, yp + wyp, yq + wyq
                 vectors.append(((xp, xq, yp, yq), den))
-        # the images share den and e, so 1/sqrt2^e is made rational once for them
-        image, *run = map(_direction, _images(_rational((e, _SCALARS[0])), vectors))
+            images = _images(rational, vectors)
+        else:
+            images = _images_keeping_y(rational, x, w, n, den)
+        image, *run = map(_direction, images)
         orbit.append((j, tie, image))
         # on the fixed ray (w = 0) each further step of the run repeats this one
         orbit += [(j, False, i) for i in run] if run else [(j, tie, image)] * n

@@ -55,6 +55,7 @@ from .farey import (
     FareyExpansion,
     TiePolicy,
     _INVERSE_BRANCHES,
+    _KEEPS_FIRST_COLUMN,
     _boundary_direction,
     _compose,
     _expand_orbit,
@@ -76,7 +77,17 @@ from .h2moves import (
     sector_matrix,
     sector_word,
 )
-from .numerics import Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _object_new
+from .numerics import (
+    Mat2,
+    QuadNum,
+    Vec2,
+    _FrozenValue,
+    _cross_sign,
+    _mat,
+    _object_new,
+    _reduced,
+    _vec,
+)
 
 __all__ = [
     "OCTAGON_AREA",
@@ -487,6 +498,9 @@ class ExpansionTrace:
 #: The directions pi/8 and pi bounding the expanding sectors 1..7.
 _EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
 
+#: The created side that every sector word makes; a frame maps it to its second column.
+_COLUMN_SIDE = Vec2(0, 1)
+
 
 class _SectorTable(_FrozenValue):
     """Sector i's word on Q', recorded by the staircase executor and proved once.
@@ -499,7 +513,7 @@ class _SectorTable(_FrozenValue):
 
     __slots__ = (
         "bounds",  # ((sector endpoint, first parallel label), ...)
-        "holonomies",  # the distinct created sides, as _ints
+        "holonomies",  # the distinct created sides, as _ints, with _COLUMN_SIDE last
         "layout",  # per move: (side, cycle, ((label, index into holonomies), ...))
     )
 
@@ -521,8 +535,9 @@ class _SectorTable(_FrozenValue):
         0 at most on one endpoint.  Well-slanted moves keep the reference
         inside every wedge cone they make.  The word renormalizes by the
         Farey branch ``gamma*nu_i``, which carries the sector onto
-        [pi/8, pi], and Q' straddles [pi/8, pi].  Raises
-        :class:`SectorWordError` for the first fact that fails.
+        [pi/8, pi], and Q' straddles [pi/8, pi].  The replay takes the side
+        (0, 1) from its frame's second column, so the word must create it.
+        Raises :class:`SectorWordError` for the first fact that fails.
         """
         if frame != GAMMA_NU_INV[i]:
             raise SectorWordError(f"sector {i} word does not renormalize by gamma*nu_{i}")
@@ -547,36 +562,41 @@ class _SectorTable(_FrozenValue):
                     if s == 0 and first_parallel[end] is None:
                         first_parallel[end] = j
         bounds = ((lo.vector, first_parallel[0]), (hi.vector, first_parallel[1]))
-        index: dict[Vec2, int] = {}  # each distinct created side, in order of creation
+        # each distinct created side, in order of creation, the column side moved last
+        sides = list(dict.fromkeys(h for rec in moves for _, h in rec.new_sides))
+        if _COLUMN_SIDE not in sides:
+            raise SectorWordError(f"sector {i} word creates no side (0, 1)")
+        sides.remove(_COLUMN_SIDE)
+        sides.append(_COLUMN_SIDE)
+        index = {h: k for k, h in enumerate(sides)}
         layout = tuple(
-            (
-                rec.side,
-                rec.cycle,
-                tuple((j, index.setdefault(h, len(index))) for j, h in rec.new_sides),
-            )
+            (rec.side, rec.cycle, tuple((j, index[h]) for j, h in rec.new_sides))
             for rec in moves
         )
-        return _SectorTable(bounds, tuple(_ints(h) for h in index), layout)
+        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout)
 
     def replay(
-        self, ref: Direction, to_original: _Rational, on_bound: bool
+        self, ref: Direction, frame: Mat2, to_original: _Rational, on_bound: bool
     ) -> tuple[MoveRecord, ...]:
         """The word's move records at ``ref``, which must lie in the closed sector.
 
         Inside the open sector the word is proved to run, so this only maps
-        the created holonomies to the original frame ``to_original``, the
-        rational form P'/den of :func:`farey._rational`: one pass of
-        :func:`farey._images` forms P'*v and the canonical Vec2 of each
-        distinct holonomy, and the records share the equal vectors, filled
-        through their slots.  On a sector endpoint (``on_bound``) it raises
-        what the staircase executor raises there: :class:`HitsSingularity`
-        for the first parallel diagonal, if any.
+        the created holonomies to the original frame, given both as the Mat2
+        ``frame`` and as ``to_original``, its rational form P'/den of
+        :func:`farey._rational`.  The side (0, 1), last of the holonomies, maps
+        to the frame's second column, the Vec2 of ``frame.b`` and ``frame.d``;
+        one pass of :func:`farey._images` forms P'*v and the canonical Vec2 of
+        each other distinct holonomy.  The records share the equal vectors,
+        filled through their slots.  On a sector endpoint (``on_bound``) it
+        raises what the staircase executor raises there:
+        :class:`HitsSingularity` for the first parallel diagonal, if any.
         """
         if on_bound:
             for end, label in self.bounds:
                 if label is not None and _cross_sign(ref.vector, end) == 0:
                     raise HitsSingularity(label)
-        made = _images(to_original, self.holonomies)
+        made = _images(to_original, self.holonomies[:-1])
+        made.append(_vec(frame.b, frame.d))
         set_side, set_cycle, set_new_sides = MoveRecord._setters
         records = []
         for side, cycle, sides in self.layout:
@@ -620,17 +640,22 @@ def run_expansion(
     the inverse branches as :func:`farey.reconstruct` composes it.  Each
     frame is made rational once, as P'/2^h by :func:`farey._rational`, and
     that one result gives both the step's ``to_original`` and the created
-    holonomies of the next step's replay.  Each step and its state (Q' at
-    the renormalized direction, which the sector table proves) are filled
-    through their slots, as the replay fills its records.  A parallel
-    diagonal, possible only on a sector boundary, ends the trace with the
-    ``hits_singularity`` marker.
+    holonomies of the next step's replay, which takes the side (0, 1) from
+    the Mat2 ``to_original`` itself (``GAMMA_NU_INV`` of the first entry on
+    the first step).  After a branch that fixes (1, 0), entry 7 only, the
+    new ``to_original`` keeps the first column of the last one and reduces
+    only ``b`` and ``d``.  Each step and its state (Q' at the renormalized
+    direction, which the sector table proves) are filled through their
+    slots, as the replay fills its records.  A parallel diagonal, possible
+    only on a sector boundary, ends the trace with the ``hits_singularity``
+    marker.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
-    frame = _INVERSE_BRANCHES[expansion.entries[0]]
+    first = expansion.entries[0]
+    frame, matrix = _INVERSE_BRANCHES[first], GAMMA_NU_INV[first]
     to_original = _rational(frame)
     initial = qprime(ref)
     wedges = initial.wedges
@@ -641,12 +666,17 @@ def run_expansion(
     for entry, tie, image in orbit[1:]:
         table = _sector_table(entry)[0]
         try:
-            records = table.replay(ref, to_original, on_bound=tie or ref.is_theta_pi)
+            records = table.replay(ref, matrix, to_original, on_bound=tie or ref.is_theta_pi)
         except HitsSingularity:
             halted = "hits_singularity"
             break
         frame = _compose(frame, _INVERSE_BRANCHES[entry])
         to_original = _rational(frame)
+        if entry in _KEEPS_FIRST_COLUMN:  # the branch fixes (1, 0)
+            den, (_, _, bp, bq, _, _, dp, dq) = to_original
+            matrix = _mat(matrix.a, _reduced(bp, bq, den), matrix.c, _reduced(dp, dq, den))
+        else:
+            matrix = _matrix(to_original)
         state = _object_new(LabeledQuadrangulation)
         set_comb(state, QPRIME_COMB)
         set_wedges(state, wedges)
@@ -655,7 +685,7 @@ def run_expansion(
         set_entry(step, entry)
         set_records(step, records)
         set_state(step, state)
-        set_to_original(step, _matrix(to_original))
+        set_to_original(step, matrix)
         steps.append(step)
         ref = image
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -403,7 +404,8 @@ class TestTableDrivenTraces:
     @pytest.mark.parametrize("i", range(1, 8))
     def test_replay_at_the_identity_frame_is_the_table(self, i):
         table, _ = _sector_table(i)
-        records = table.replay(sector_midpoint(i), _rational(_integral(Mat2.identity())), False)
+        identity = Mat2.identity()
+        records = table.replay(sector_midpoint(i), identity, _rational(_integral(identity)), False)
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         assert records == tuple(run.records)
         # equal created sides are one vector, formed once
@@ -428,8 +430,10 @@ class TestTableDrivenTraces:
         assert seen[0] == seen[1]
 
     def test_each_step_reduces_each_coordinate_once(self, monkeypatch):
-        # per step: two gcds per distinct created holonomy, four for the frame's
-        # entries and two for the renormalized direction, whatever the step's index
+        # per step, whatever its index: two gcds per distinct created holonomy but
+        # the side (0, 1), which is the frame's second column; four for the frame's
+        # entries, or two when the branch keeps the first column; and two for the
+        # renormalized direction, or one inside a run that keeps y
         for i in range(1, 8):
             _sector_table(i)
         d = random_clean_direction(random.Random(12), 40)
@@ -452,9 +456,16 @@ class TestTableDrivenTraces:
         base, _ = reductions(0)
         for n in (5, 40):
             total, trace = reductions(n)
-            tables = [_sector_table(s.entry)[0] for s in trace.steps]
-            per_step = [2 * len(table.holonomies) + 4 + 2 for table in tables]
+            entries = trace.expansion.entries  # step k takes entries[k + 1]
+            per_step = [
+                2 * (len(_sector_table(j)[0].holonomies) - 1)
+                + (2 if j in farey._KEEPS_FIRST_COLUMN else 4)
+                # the direction has no tie, so equal entries 7 are one run of the walk
+                + (1 if j == 7 == before else 2)
+                for before, j in zip(entries, entries[1:])
+            ]
             assert total - base == sum(per_step)
+        assert (7, 7) in zip(entries, entries[1:])  # the count covers a run that keeps y
 
     def test_slot_built_records_equal_constructor_built_ones(self):
         trace = run_expansion(random_clean_direction(random.Random(13), 6), 6)
@@ -484,10 +495,11 @@ class TestTableDrivenTraces:
         # A replay is defined on its closed sector only.  On the sector's own
         # endpoints it raises, or not, exactly like the staircase executor.
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
-        identity = _rational(_integral(Mat2.identity()))
+        identity = Mat2.identity()
+        rational = _rational(_integral(identity))
         raised = 0
         for ref in ends + sector_sample_directions(i, 2):
-            got = _outcome(lambda: _sector_table(i)[0].replay(ref, identity, ref in ends))
+            got = _outcome(lambda: _sector_table(i)[0].replay(ref, identity, rational, ref in ends))
             want = _outcome(lambda: _executor_records(resolved_word(i), ref))
             assert got == want, str(ref)
             raised += got[0] != "ok"
@@ -561,12 +573,99 @@ class TestTableDrivenTraces:
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
             frame = _rational(_integral(GAMMA_NU[2]))
-            got = _outcome(lambda: mirror_table.replay(ref, frame, ref in ends))
+            got = _outcome(lambda: mirror_table.replay(ref, GAMMA_NU[2], frame, ref in ends))
             want = _outcome(lambda: _executor_records(mirrored, ref, GAMMA_NU[2]))
             assert got == want, str(ref)
             if got[0] == "ok":
-                plain = table.replay(ref, frame, ref in ends)
+                plain = table.replay(ref, GAMMA_NU[2], frame, ref in ends)
                 assert [r.new_sides for r in got[1]] == [r.new_sides for r in plain]
+
+
+class TestReusedValues:
+    """A trace step reuses exact values it already holds: the frame's second column
+    is the image of the created side (0, 1), a branch that fixes (1, 0) keeps the
+    frame's first column, and a run whose step vector has no y keeps its y."""
+
+    @staticmethod
+    def _assert_same(d, n, policy):
+        got = run_expansion(d, n, policy)
+        want = reference_run_expansion(d, n, policy)
+        assert got == want
+        assert [s.to_original for s in got.steps] == [s.to_original for s in want.steps]
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        # the reused values are shared objects, which a round trip must keep equal
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert copied == got and json.dumps(copied.to_json()) == json.dumps(want.to_json())
+        return got
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        num=st.integers(10**5, 10**8),
+        den=st.integers(1, 100),
+        sign=st.sampled_from([1, -1]),
+        policy=st.sampled_from(list(TiePolicy)),
+    )
+    def test_runs_of_7(self, num, den, sign, policy):
+        u = sign * max(Fraction(num, den), Fraction(10**5))
+        trace = self._assert_same(Direction(Vec2(QuadNum(u), QuadNum(1))), 30, policy)
+        assert trace.expansion.entries[1:] == (7,) * 30
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        den=st.integers(20, 10**6),
+        policy=st.sampled_from(list(TiePolicy)),
+    )
+    def test_runs_of_1(self, den, policy):
+        # just past pi/8, the fixed ray of the branch of entry 1
+        u = QuadNum(1, 1) - QuadNum(Fraction(1, den))
+        trace = self._assert_same(Direction(Vec2(u, QuadNum(1))), 30, policy)
+        assert trace.expansion.entries[:3] == (1, 1, 1)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize(
+        "runs", [[(0, 1)], [(3, 1), (7, 3)], [(5, 1), (1, 4), (2, 1)], [(7, 2), (6, 1), (1, 2)]]
+    )
+    @pytest.mark.parametrize("ray", [1, 8])
+    def test_terminating_directions(self, ray, runs, policy):
+        # pulled back from pi/8 the tail is 1, from pi it is 7
+        d = pulled_back(_boundary_direction(ray).vector, runs)
+        trace = self._assert_same(d, 12, policy)
+        assert trace.expansion.tail == (1 if ray == 1 else 7)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("j", range(9))
+    def test_rays_j_pi_over_8(self, j, policy):
+        self._assert_same(_boundary_direction(j), 12, policy)
+
+    def test_the_facts_behind_the_reuse(self):
+        # every sector word creates the side (0, 1), kept last of the table's sides
+        column = farey._ints(Vec2(0, 1))
+        for i in range(1, 8):
+            table, _ = _sector_table(i)
+            run, _ = octagon._checked_run(i, sector_midpoint(i))
+            assert Vec2(0, 1) in {v for rec in run.records for _, v in rec.new_sides}
+            assert table.holonomies[-1] == column and column not in table.holonomies[:-1]
+            # a word that made no (0, 1) would have no table to replay
+            moves = tuple(
+                replace(rec, new_sides=tuple((j, v) for j, v in rec.new_sides if v != Vec2(0, 1)))
+                for rec in run.records
+            )
+            with pytest.raises(SectorWordError, match="creates no side"):
+                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original)
+        # exactly the branch of entry 7 fixes (1, 0)
+        fixing = {j for j in range(8) if GAMMA_NU_INV[j].apply(Vec2(1, 0)) == Vec2(1, 0)}
+        assert farey._KEEPS_FIRST_COLUMN == fixing == {7}
+        # the walk's step vector w has no y on a run of 7s, and has one on a run of 1s
+        seen = Counter()
+        rng = random.Random(32)
+        directions = [random_clean_direction(rng, 50) for _ in range(10)]
+        directions += [pulled_back(Vec2(1, 2), [(s, 1), (j, 40)]) for s in (0, 3) for j in (1, 7)]
+        for d in directions:
+            for j, _, _, _, w, n in farey._walk(d, 60, TiePolicy.LOW)[2]:
+                if n and any(w):
+                    seen[j] += 1
+                    assert (w[2] == w[3] == 0) == (j == 7), (j, w)
+        assert seen[1] and seen[7]
 
 
 def _outcome(run):
