@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .numerics import Direction, QuadNum, QuadNumParseError, Vec2
+from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _MAX_INT_DIGITS
 
 #: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
 #: checkers take any constant of this name as true.
@@ -34,9 +34,6 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 
 _MAX_DENOMINATOR = 10**6
-
-#: Python's default limit on the digits of an int converted to a string.
-_MAX_INT_DIGITS = 4300
 
 #: Integer digits of a decimal literal whose nearby rational still prints: a
 #: denominator of at most 10**6 gives the numerator up to six more digits.
@@ -160,6 +157,18 @@ def _batched(chunks):
     return iter(lambda: "".join(islice(chunks, 4096)), "")
 
 
+def _printed(build):
+    """``build()``, a parse failure naming the digit limit when it converts an int
+    past it to a string."""
+    try:
+        return build()
+    except ValueError:  # str() of an int past the digit limit; Python's wording varies
+        raise _ParseFailure(
+            f"a coordinate has more than {_MAX_INT_DIGITS} digits, past Python's "
+            "int-to-string limit"
+        ) from None
+
+
 def _emit_json(args, obj) -> int:
     """``obj`` as indented JSON, written in batches of the encoder's chunks."""
     import json
@@ -194,9 +203,8 @@ def _cmd_reconstruct(args) -> int:
     except ValueError:
         raise _ParseFailure(f"cannot parse entries {args.entries!r}")
     interval = reconstruct(entries)
-    record = interval.to_json()
-    record["lo_u"] = interval.lo.u_text()
-    record["hi_u"] = interval.hi.u_text()
+    lo, hi = interval.lo, interval.hi
+    record = _printed(lambda: {**interval.to_json(), "lo_u": lo.u_text(), "hi_u": hi.u_text()})
     record["theta_width"] = interval.theta_width()
     return _emit_json(args, record)
 
@@ -296,13 +304,7 @@ def _first_moves(state, n: int):
             return
         move = moves[0]
         state = state.apply(move)
-        try:
-            state_json = state.to_json()
-        except ValueError:  # str() of an int past the digit limit; Python's wording varies
-            raise _ParseFailure(
-                f"a coordinate has more than {_MAX_INT_DIGITS} digits, past Python's "
-                "int-to-string limit"
-            ) from None
+        state_json = _printed(state.to_json)
         yield {"side": move.side.value, "cycle": list(move.cycle), "state": state_json}
 
 
@@ -360,7 +362,7 @@ def _cmd_trace(args) -> int:
     _check_count(args.steps, "--steps", 0)
     direction, approximate = _parse_direction(args.u, args.side)
     trace = octagon.run_expansion(direction, args.steps, _policy(args))
-    record = trace.to_json()
+    record = _printed(trace.to_json)
     if approximate:
         record["approximate"] = True
     return _emit_json(args, record)

@@ -36,6 +36,7 @@ from .numerics import (
     _mat,
     _object_new,
     _reduced,
+    _vec,
     quad_floor,
     quad_sign,
     theta_cmp,
@@ -223,7 +224,8 @@ def _images(rational: _Rational, vectors: Sequence[tuple[_IntVec, int]]) -> list
 
     P' is unpacked once, and each coordinate is formed and divided by its gcd
     in one pass, as :func:`numerics._reduced` divides, with no sqrt2 to strip
-    first and no call per coordinate.
+    first and no call per coordinate.  It serves the frames that are not
+    scalars: the trace replay's holonomies and :func:`reconstruct`'s ends.
     """
     scale, (ap, aq, bp, bq, cp, cq, dp, dq) = rational
     set_x, set_y = Vec2._setters
@@ -251,35 +253,37 @@ def _images(rational: _Rational, vectors: Sequence[tuple[_IntVec, int]]) -> list
     return made
 
 
-def _images_keeping_y(
-    rational: _Rational, v: _IntVec, w: _IntVec, n: int, den: int
-) -> list[Vec2]:
-    """The Vec2s of :func:`_images` for v + t*w, t = 0..n, each over ``den``, under
-    a scalar frame P' = (ap + aq*sqrt2)*I, when w has zero y ints.
+def _directions(x: _IntVec, w: _IntVec | None, n: int, den: int, e: int) -> list[Direction]:
+    """The Directions of (x + t*w)/(den*sqrt2^e), t = 0..n, each nonzero with y >= 0;
+    x and w are ints, and w is read only when n > 0.
 
-    Every vector then has the y of v, so the images share one reduced y, and
-    each forms and reduces only its x, as :func:`_images` does.
+    1/sqrt2^e is made rational once, by :func:`_rational`, and each coordinate
+    is reduced with one inline gcd, as in :func:`_images`.  When w has no y ints,
+    as on every run of 7s (w = ((2+2sqrt2)*y, 0)), the vectors share one y.
     """
-    first = _images(rational, ((v, den),))[0]
-    y = first.y
-    scale, (ap, aq, *_) = rational
+    scale, (sp, sq, *_) = _rational((e, _SCALARS[0]))
     den *= scale
-    xp, xq, wxp, wxq = v[0], v[1], w[0], w[1]
-    set_x, set_y = Vec2._setters
-    made = [first]
-    for _ in range(n):
-        xp, xq = xp + wxp, xq + wxq
-        p, q = ap * xp + 2 * aq * xq, ap * xq + aq * xp
+    xp, xq, yp, yq = x
+    wxp, wxq, wyp, wyq = w if n else (0, 0, 0, 0)
+    made, y = [], None
+    for _ in range(n + 1):
+        p, q = sp * xp + 2 * sq * xq, sp * xq + sq * xp
         g = gcd(den, p, q)
-        x = _object_new(QuadNum)
+        xs = _object_new(QuadNum)
         if g == 1:
-            x._p, x._q, x._den = p, q, den
+            xs._p, xs._q, xs._den = p, q, den
         else:
-            x._p, x._q, x._den = p // g, q // g, den // g
-        v = _object_new(Vec2)
-        set_x(v, x)
-        set_y(v, y)
-        made.append(v)
+            xs._p, xs._q, xs._den = p // g, q // g, den // g
+        if y is None or wyp or wyq:
+            p, q = sp * yp + 2 * sq * yq, sp * yq + sq * yp
+            g = gcd(den, p, q)
+            y = _object_new(QuadNum)
+            if g == 1:
+                y._p, y._q, y._den = p, q, den
+            else:
+                y._p, y._q, y._den = p // g, q // g, den // g
+        made.append(_direction(_vec(xs, y)))
+        xp, xq, yp, yq = xp + wxp, xq + wxq, yp + wyp, yq + wyq
     return made
 
 
@@ -289,6 +293,28 @@ def _matrix(rational: _Rational) -> Mat2:
     return _mat(
         _reduced(ap, aq, den), _reduced(bp, bq, den), _reduced(cp, cq, den), _reduced(dp, dq, den)
     )
+
+
+def _frames(entries: Sequence[int]) -> list[tuple[Mat2, _Rational]]:
+    """The product of the inverse branches of each nonempty prefix of ``entries``,
+    as its Mat2 and its :func:`_rational` form, composed by :func:`_compose`.
+
+    The first Mat2 is ``GAMMA_NU_INV[entries[0]]`` itself.  After a branch that
+    fixes (1, 0), entry 7 only, the Mat2 keeps the last one's first column and
+    reduces only ``b`` and ``d``.  A list, not a generator: resuming a generator
+    once per trace step cost ``trace`` about 1% of ``total_ref``.
+    """
+    frame, matrix = _INVERSE_BRANCHES[entries[0]], GAMMA_NU_INV[entries[0]]
+    frames = [(matrix, _rational(frame))]
+    for j in entries[1:]:
+        frame = _compose(frame, _INVERSE_BRANCHES[j])
+        den, p = rational = _rational(frame)
+        if j in _KEEPS_FIRST_COLUMN:
+            matrix = _mat(matrix.a, _reduced(p[2], p[3], den), matrix.c, _reduced(p[6], p[7], den))
+        else:
+            matrix = _matrix(rational)
+        frames.append((matrix, rational))
+    return frames
 
 
 def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
@@ -486,33 +512,15 @@ def _expand_orbit(
 
     The orbit holds ``(entry, tie, image)`` per step: the sector entry, whether
     the iterate sat on a sector boundary, and the next iterate, built from the
-    walk's ints.  On sector j, M keeps y >= 0, so the run images are the exact
-    vectors of single steps, and each image is a Direction as it stands, built
-    by :func:`numerics._direction` with no zero or sign test.  A run whose w
-    has zero y ints, as every run of 7s has (w = ((2+2sqrt2)*y, 0)), keeps the
-    y of its first image: :func:`_images_keeping_y` reduces that y once and
-    only the x of each further image.
+    walk's ints by :func:`_directions`, one call per walk step.  On sector j,
+    M keeps y >= 0, so the run images are the exact vectors of single steps.
     """
     expansion, den, steps = _walk(d, depth, policy)
     orbit = []
     for j, tie, x, e, w, n in steps:
-        # the images share den and e, so 1/sqrt2^e is made rational once for them
-        rational = _rational((e, _SCALARS[0]))
-        if not (n and any(w)):
-            images = _images(rational, ((x, den),))
-        elif w[2] or w[3]:
-            vectors = [(x, den)]
-            xp, xq, yp, yq = x
-            wxp, wxq, wyp, wyq = w
-            for _ in range(n):
-                xp, xq, yp, yq = xp + wxp, xq + wxq, yp + wyp, yq + wyq
-                vectors.append(((xp, xq, yp, yq), den))
-            images = _images(rational, vectors)
-        else:
-            images = _images_keeping_y(rational, x, w, n, den)
-        image, *run = map(_direction, images)
-        orbit.append((j, tie, image))
         # on the fixed ray (w = 0) each further step of the run repeats this one
+        image, *run = _directions(x, w, n if n and any(w) else 0, den, e)
+        orbit.append((j, tie, image))
         orbit += [(j, False, i) for i in run] if run else [(j, tie, image)] * n
     return expansion, orbit
 
@@ -532,7 +540,7 @@ _RUN_EXIT = {1: _END_INTS[2], 7: tuple(-i for i in _END_INTS[7])}
 
 def _boundary_direction(j: int) -> Direction:
     """The direction with angle j*pi/8, for j = 0..8."""
-    return _direction(_images(_rational((0, _SCALARS[0])), ((_END_INTS[j], 1),))[0])
+    return _directions(_END_INTS[j], None, 0, 1, 0)[0]
 
 
 class RP1Interval(_FrozenValue):

@@ -109,6 +109,9 @@ def quad_float(p: int, q: int, den: int, d: int) -> float:
 #: An exact rational literal, as ``QuadNum.to_json`` writes one: ``-3`` or ``7/2``.
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 
+#: Python's default limit on the digits of an int converted to or from a string.
+_MAX_INT_DIGITS = 4300
+
 
 def _fraction(text: str) -> Fraction:
     if not isinstance(text, str):
@@ -120,6 +123,11 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise QuadNumParseError(f"zero denominator in {text!r}") from None
+    except ValueError:  # the literal is well formed, so its ints pass the digit limit
+        raise ValueError(
+            f"an exact literal has more than {_MAX_INT_DIGITS} digits, past Python's "
+            "int-to-string limit"
+        ) from None
 
 
 class QuadNum:

@@ -54,15 +54,11 @@ from .farey import (
     Direction,
     FareyExpansion,
     TiePolicy,
-    _INVERSE_BRANCHES,
-    _KEEPS_FIRST_COLUMN,
     _boundary_direction,
-    _compose,
     _expand_orbit,
+    _frames,
     _images,
     _ints,
-    _matrix,
-    _rational,
     _Rational,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
@@ -83,9 +79,7 @@ from .numerics import (
     Vec2,
     _FrozenValue,
     _cross_sign,
-    _mat,
     _object_new,
-    _reduced,
     _vec,
 )
 
@@ -581,15 +575,15 @@ class _SectorTable(_FrozenValue):
         """The word's move records at ``ref``, which must lie in the closed sector.
 
         Inside the open sector the word is proved to run, so this only maps
-        the created holonomies to the original frame, given both as the Mat2
-        ``frame`` and as ``to_original``, its rational form P'/den of
-        :func:`farey._rational`.  The side (0, 1), last of the holonomies, maps
-        to the frame's second column, the Vec2 of ``frame.b`` and ``frame.d``;
-        one pass of :func:`farey._images` forms P'*v and the canonical Vec2 of
-        each other distinct holonomy.  The records share the equal vectors,
-        filled through their slots.  On a sector endpoint (``on_bound``) it
-        raises what the staircase executor raises there:
-        :class:`HitsSingularity` for the first parallel diagonal, if any.
+        the created holonomies to the original frame, given as the Mat2
+        ``frame`` and its rational form ``to_original``, a pair of
+        :func:`farey._frames`.  The side (0, 1), last of the holonomies, maps
+        to the frame's second column (``frame.b``, ``frame.d``); one pass of
+        :func:`farey._images` builds the image of each other distinct
+        holonomy.  The records share the equal vectors, filled through their
+        slots.  On a sector endpoint (``on_bound``) it raises what the
+        staircase executor raises there: :class:`HitsSingularity` for the
+        first parallel diagonal, if any.
         """
         if on_bound:
             for end, label in self.bounds:
@@ -636,47 +630,33 @@ def run_expansion(
     iterates of the same Farey pass that yields the expansion.  Created
     wedge sides are reported in the original frame by accumulated inverse
     renormalizations; they are the octagon analogues of the convergents.
-    The accumulated frame is one integral matrix P/sqrt2^e, the product of
-    the inverse branches as :func:`farey.reconstruct` composes it.  Each
-    frame is made rational once, as P'/2^h by :func:`farey._rational`, and
-    that one result gives both the step's ``to_original`` and the created
-    holonomies of the next step's replay, which takes the side (0, 1) from
-    the Mat2 ``to_original`` itself (``GAMMA_NU_INV`` of the first entry on
-    the first step).  After a branch that fixes (1, 0), entry 7 only, the
-    new ``to_original`` keeps the first column of the last one and reduces
-    only ``b`` and ``d``.  Each step and its state (Q' at the renormalized
-    direction, which the sector table proves) are filled through their
-    slots, as the replay fills its records.  A parallel diagonal, possible
-    only on a sector boundary, ends the trace with the ``hits_singularity``
-    marker.
+    :func:`farey._frames` gives each accumulated frame, as the Mat2
+    ``to_original`` of a step and as the rational form that the next step's
+    replay applies to its created holonomies.  Each step and its state (Q'
+    at the renormalized direction, which the sector table proves) are filled
+    through their slots, as the replay fills its records.  A parallel
+    diagonal, possible only on a sector boundary, ends the trace with the
+    ``hits_singularity`` marker.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
-    first = expansion.entries[0]
-    frame, matrix = _INVERSE_BRANCHES[first], GAMMA_NU_INV[first]
-    to_original = _rational(frame)
+    frames = _frames(expansion.entries)
+    matrix, to_original = frames[0]
     initial = qprime(ref)
     wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
     set_entry, set_records, set_state, set_to_original = TraceStep._setters
     set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
-    for entry, tie, image in orbit[1:]:
+    for (entry, tie, image), (next_matrix, next_original) in zip(orbit[1:], frames[1:]):
         table = _sector_table(entry)[0]
         try:
             records = table.replay(ref, matrix, to_original, on_bound=tie or ref.is_theta_pi)
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        frame = _compose(frame, _INVERSE_BRANCHES[entry])
-        to_original = _rational(frame)
-        if entry in _KEEPS_FIRST_COLUMN:  # the branch fixes (1, 0)
-            den, (_, _, bp, bq, _, _, dp, dq) = to_original
-            matrix = _mat(matrix.a, _reduced(bp, bq, den), matrix.c, _reduced(dp, dq, den))
-        else:
-            matrix = _matrix(to_original)
         state = _object_new(LabeledQuadrangulation)
         set_comb(state, QPRIME_COMB)
         set_wedges(state, wedges)
@@ -685,9 +665,9 @@ def run_expansion(
         set_entry(step, entry)
         set_records(step, records)
         set_state(step, state)
-        set_to_original(step, matrix)
+        set_to_original(step, next_matrix)
         steps.append(step)
-        ref = image
+        matrix, to_original, ref = next_matrix, next_original, image
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)
 
 

@@ -105,7 +105,8 @@ def reference_matmul(m: Mat2, n: Mat2) -> Mat2:
 
 def reference_quad(p: int, q: int, den: int, e: int) -> QuadNum:
     """(p + q*sqrt2)/(den*sqrt2^e) by the field operators, one coordinate at a time:
-    the `==` oracle of `farey._images` and `farey._matrix` under `farey._rational`."""
+    the `==` oracle of `farey._images` and `farey._matrix` under `farey._rational`, and
+    of `farey._directions`."""
     x = QuadNum(Fraction(p, den), Fraction(q, den))
     step = QuadNum(0, Fraction(1, 2)) if e > 0 else QuadNum(0, 1)  # 1/sqrt2 or sqrt2
     for _ in range(abs(e)):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -333,6 +334,40 @@ class TestConvergents:
             "warning: decimal input '1e-30' replaced by the nearby rational 0",
             "error: alpha must be positive",
         ]
+
+
+class TestDigitLimit:
+    """An int past Python's 4300-digit conversion limit, read or written, is a
+    parse failure that names the limit, not Python's own hint."""
+
+    LITERAL = "error: an exact literal has more than 4300 digits, past Python's int-to-string limit"
+    OUTPUT = "error: a coordinate has more than 4300 digits, past Python's int-to-string limit"
+
+    def test_direction_literal(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--u", "1" * 5000)
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [self.LITERAL])
+
+    def test_quadrangulation_coefficient(self, capsys, monkeypatch):
+        side, zero = {"a": "1" * 5000, "b": "0"}, {"a": "0", "b": "0"}
+        wedge = {"l": {"x": zero, "y": side}, "r": {"x": side, "y": zero}}
+        doc = json.dumps({"k": 1, "pi_l": [1], "pi_r": [1], "wedges": [wedge]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run_cli(capsys, "simulate", "--quad", "-", "--u", "1+sqrt2")
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [self.LITERAL])
+
+    def test_reconstructed_interval(self, capsys):
+        rng = random.Random(33)
+        entries = ",".join(str(rng.randint(2, 6)) for _ in range(12000))
+        code, out, err = run_cli(capsys, "reconstruct", "--entries", entries)
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [self.OUTPUT])
+
+    def test_renormalized_directions(self, capsys):
+        rng = random.Random(33)
+        p, q = (rng.randint(10**4289, 10**4290 - 1) for _ in range(2))
+        code, out, _ = run_cli(capsys, "trace", "--u", f"{p}/{q}", "--steps", "100")
+        assert code == EXIT_OK and out
+        code, out, err = run_cli(capsys, "trace", "--u", f"{p}/{q}", "--steps", "400")
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [self.OUTPUT])
 
 
 class TestDecimalExponents:

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -26,6 +26,7 @@ from helpers import (
     reference_classify,
     reference_dual_expansion,
     reference_expand_orbit,
+    reference_matmul,
     reference_quad,
     reference_reconstruct,
     reference_sectors,
@@ -319,6 +320,105 @@ def test_direction_from_ints_is_the_fraction_built_one(e, v, den):
     y = QuadNum(Fraction(yp, den), Fraction(yq, den)) * scale
     (image,) = farey._images(farey._rational((e, farey._SCALARS[0])), [(v, den)])
     assert Direction(image) == Direction(Vec2(x, y))
+
+
+def _reference_directions(x, w, n, den, e):
+    """Each (x + t*w)/(den*sqrt2^e), t = 0..n, by the field operators and the
+    validating constructor."""
+    vectors = [[c + t * dc for c, dc in zip(x, w)] if t else x for t in range(n + 1)]
+    return [
+        Direction(Vec2(reference_quad(xp, xq, den, e), reference_quad(yp, yq, den, e)))
+        for xp, xq, yp, yq in vectors
+    ]
+
+
+def _upper(p, q):
+    """(p, q) or (-p, -q), whichever has p + q*sqrt2 >= 0."""
+    return (p, q) if numerics.quad_sign(p, q, 2) >= 0 else (-p, -q)
+
+
+class TestBuilders:
+    """The builders of the walk's vectors and of a trace's frames, against the
+    field operators and the validating constructors."""
+
+    @staticmethod
+    def _assert_directions(x, w, n, den, e):
+        got = farey._directions(x, w, n, den, e)
+        want = _reference_directions(x, w, n, den, e)
+        assert len(got) == len(want) == n + 1
+        for g, v in zip(got, want):
+            assert type(g) is Direction and g == v and hash(g) == hash(v)
+            assert (g.vector.x.ints, g.vector.y.ints) == (v.vector.x.ints, v.vector.y.ints)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**40), 2**40) | st.integers(-3, 3), min_size=4, max_size=4),
+        st.lists(st.integers(-(2**20), 2**20) | st.integers(-2, 2), min_size=4, max_size=4),
+        st.booleans(),
+        st.integers(0, 5),
+        st.integers(1, 12) | st.sampled_from([2**40, 6 * 2**33]),
+        st.integers(-7, 7),
+    )
+    @example([3, 1, 1, 0], [2, 2, 5, 7], False, 4, 1, 3)
+    @example([3, 1, 1, 0], [2, 2, 5, 7], True, 4, 6, -2)
+    @example([-4, 2, 6, -4], [0, 0, 0, 0], True, 0, 4, 0)
+    def test_directions_are_the_validated_directions(self, x, w, y_step, n, den, e):
+        # even, odd and negative e; n = 0; runs with a y step, as runs of 1s
+        # have, and without one, as runs of 7s have; y >= 0 all along the run
+        x = (x[0], x[1], *_upper(x[2], x[3]))
+        w = (w[0], w[1], *_upper(w[2], w[3])) if y_step else (w[0], w[1], 0, 0)
+        assume(all(any(c + t * dc for c, dc in zip(x, w)) for t in range(n + 1)))
+        self._assert_directions(x, w, n, den, e)
+        if not n:
+            assert farey._directions(x, None, 0, den, e) == farey._directions(x, w, 0, den, e)
+
+    @pytest.mark.parametrize("e", [-3, -2, -1, 0, 1, 2, 3])
+    def test_directions_of_the_rays_j_pi_over_8(self, e):
+        for ints in farey._END_INTS:
+            self._assert_directions(ints, None, 0, 1, e)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_directions_of_the_walk_steps(self, policy):
+        # runs of 1s and of 7s, and the fixed rays, whose run is one image
+        directions = [pulled_back(Vec2(1, 2), [(s, 1), (j, 40)]) for s in (0, 3) for j in (1, 7)]
+        directions += [farey._boundary_direction(j) for j in range(9)]
+        runs = Counter()
+        for d in directions:
+            _, den, steps = farey._walk(d, 60, policy)
+            for j, _, x, e, w, n in steps:
+                n = n if n and any(w) else 0
+                self._assert_directions(x, w, n, den, e)
+                runs[j] += n > 0
+        assert runs[1] and runs[7]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.lists(
+            st.tuples(st.sampled_from([1, 7]) | st.integers(1, 7), st.integers(1, 6)),
+            max_size=8,
+        ),
+    )
+    @example(0, [(1, 5), (7, 6), (3, 1), (1, 2)])
+    @example(0, [])
+    def test_frames_are_the_running_products(self, first, runs):
+        entries = [first] + [j for j, n in runs for _ in range(n)]
+        frames = farey._frames(entries)
+        assert len(frames) == len(entries)
+        assert frames[0][0] is GAMMA_NU_INV[first]
+        want = GAMMA_NU_INV[first]
+        for k, (matrix, (den, ints)) in enumerate(frames):
+            if k:
+                want = reference_matmul(want, GAMMA_NU_INV[entries[k]])
+            cells = [want.a, want.b, want.c, want.d]
+            assert matrix == want and hash(matrix) == hash(want)
+            assert [c.ints for c in (matrix.a, matrix.b, matrix.c, matrix.d)] == [
+                c.ints for c in cells
+            ]
+            # the rational form P'/den, den a power of 2, is the same matrix
+            assert den > 0 and den & (den - 1) == 0
+            pairs = zip(ints[0::2], ints[1::2])
+            assert [QuadNum(Fraction(p, den), Fraction(q, den)) for p, q in pairs] == cells
 
 
 def _assert_orbit_is_the_reference(d, depth, policy):

@@ -668,6 +668,17 @@ class TestReusedValues:
         assert seen[1] and seen[7]
 
 
+def test_the_frames_are_composed_in_farey():
+    # run_expansion takes its frames from farey._frames: octagon composes no
+    # frame, makes none rational and reduces no entry of one
+    kernel = {
+        "_compose", "_INVERSE_BRANCHES", "_rational", "_matrix", "_KEEPS_FIRST_COLUMN", "_mat",
+        "_reduced",
+    }
+    assert kernel.isdisjoint(vars(octagon))
+    assert all(hasattr(farey, name) or hasattr(numerics, name) for name in kernel)
+
+
 def _outcome(run):
     try:
         return "ok", run()
