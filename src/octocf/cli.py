@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _MAX_INT_DIGITS
+from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _max_int_digits
 
 #: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
 #: checkers take any constant of this name as true.
@@ -34,10 +34,6 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 
 _MAX_DENOMINATOR = 10**6
-
-#: Integer digits of a decimal literal whose nearby rational still prints: a
-#: denominator of at most 10**6 gives the numerator up to six more digits.
-_MAX_DECIMAL_DIGITS = _MAX_INT_DIGITS - 6
 
 #: The largest value of a count flag (``--depth``, ``--steps``, ``--samples``,
 #: ``--random-samples``), the same bound as a ``convergents`` listing.
@@ -75,10 +71,10 @@ def _decimal(text: str, what: str) -> Fraction:
 
     Fraction expands a literal's exponent into an exact integer, so Decimal
     reads the exponent first: below 10**-7 the literal reads as 0, and a
-    literal whose nearby rational could pass Python's default int-to-str
-    limit is refused.  A ratio ``a/b``, which Decimal cannot read, and a
-    literal with stray underscores, which only Decimal reads, go to Fraction
-    as they are.
+    literal whose nearby rational could pass the int-to-str limit that
+    :func:`numerics._max_int_digits` reads is refused.  A ratio ``a/b``,
+    which Decimal cannot read, and a literal with stray underscores, which
+    only Decimal reads, go to Fraction as they are.
     """
     import decimal
 
@@ -91,9 +87,11 @@ def _decimal(text: str, what: str) -> Fraction:
         if literal.is_finite():
             if literal.is_zero() or literal.adjusted() < -7:
                 value = 0
-            elif literal.adjusted() >= _MAX_DECIMAL_DIGITS:
+            # A denominator of at most 10**6 gives the nearby rational's
+            # numerator up to six more digits than the literal's integer part.
+            elif literal.adjusted() >= (digits := _max_int_digits() - 6):
                 raise _ParseFailure(
-                    f"decimal input {text!r} has more than {_MAX_DECIMAL_DIGITS} integer digits"
+                    f"decimal input {text!r} has more than {digits} integer digits"
                 )
     try:
         approx = Fraction(value).limit_denominator(_MAX_DENOMINATOR)
@@ -164,7 +162,7 @@ def _printed(build):
         return build()
     except ValueError:  # str() of an int past the digit limit; Python's wording varies
         raise _ParseFailure(
-            f"a coordinate has more than {_MAX_INT_DIGITS} digits, past Python's "
+            f"a coordinate has more than {_max_int_digits()} digits, past Python's "
             "int-to-string limit"
         ) from None
 
@@ -215,7 +213,8 @@ def _cmd_convergents(args) -> int:
     if args.steps < 0:
         raise _ParseFailure("--steps must be >= 0")
     alpha, approximate = _parse_alpha(args.alpha)
-    listed, limit = 0, 10**_MAX_INT_DIGITS
+    digits = _max_int_digits()
+    listed, limit = 0, 10**digits
 
     def check(digit, vector):
         # Refuse at the step that crosses a limit, before any output is written.
@@ -225,7 +224,7 @@ def _cmd_convergents(args) -> int:
         if listed > _MAX_DENOMINATOR:
             raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
         if max(vector) >= limit:
-            raise _ParseFailure(f"convergents with more than {_MAX_INT_DIGITS} digits to list")
+            raise _ParseFailure(f"convergents with more than {digits} digits to list")
 
     result = classical.geometric_convergents(alpha, args.steps, check)
     if args.format == "text":

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import atan2, gcd, isqrt, pi
 from operator import attrgetter
 import re
+import sys
 
 __all__ = [
     "QuadNum",
@@ -109,8 +110,14 @@ def quad_float(p: int, q: int, den: int, d: int) -> float:
 #: An exact rational literal, as ``QuadNum.to_json`` writes one: ``-3`` or ``7/2``.
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 
-#: Python's default limit on the digits of an int converted to or from a string.
-_MAX_INT_DIGITS = 4300
+
+def _max_int_digits() -> int:
+    """The digits an int may have when converted to or from a string: the limit
+    Python runs with (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits`` or
+    ``sys.set_int_max_str_digits``), or its default 4300 where there is none,
+    so the CLI still refuses a literal such as ``1e30000000`` before Fraction
+    expands it.  Pythons before 3.10.7 have no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _fraction(text: str) -> Fraction:
@@ -125,7 +132,7 @@ def _fraction(text: str) -> Fraction:
         raise QuadNumParseError(f"zero denominator in {text!r}") from None
     except ValueError:  # the literal is well formed, so its ints pass the digit limit
         raise ValueError(
-            f"an exact literal has more than {_MAX_INT_DIGITS} digits, past Python's "
+            f"an exact literal has more than {_max_int_digits()} digits, past Python's "
             "int-to-string limit"
         ) from None
 

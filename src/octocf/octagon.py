@@ -25,7 +25,9 @@ every slant the word meets is linear in the reference, so checking it at the
 two sector endpoints decides it on the whole arc (see
 :meth:`_SectorTable.proved`).  Because of it, :func:`run_expansion` replays
 each sector's word from its proved table with no per-step checks; only a
-reference on a sector endpoint looks up whether the word halts there.
+reference on a sector endpoint looks up whether the word halts there.  Each
+table also keeps the checked Q' it was recorded from, so a trace checks only
+that its first reference lies in the cones of Q'.
 """
 
 from __future__ import annotations
@@ -232,10 +234,10 @@ class MoveRecord(_FrozenValue):
 class _WordRun:
     """Runs the steps of a resolved sector word on the geometry."""
 
-    __slots__ = ("state", "to_original", "records", "flips", "states")
+    __slots__ = ("start", "state", "to_original", "records", "flips", "states")
 
     def __init__(self, state: LabeledQuadrangulation, to_original: Mat2 = Mat2.identity()):
-        self.state = state
+        self.start = self.state = state  # the state the run began from, and the current one
         self.to_original = to_original  # current -> original frame
         self.records: list[MoveRecord] = []
         self.flips: list[int] = []  # sign of det(to_original) before each move
@@ -509,14 +511,23 @@ class _SectorTable(_FrozenValue):
         "bounds",  # ((sector endpoint, first parallel label), ...)
         "holonomies",  # the distinct created sides, as _ints, with _COLUMN_SIDE last
         "layout",  # per move: (side, cycle, ((label, index into holonomies), ...))
+        "wedges",  # the wedges of the checked Q' that the word was recorded from
     )
 
     @staticmethod
     def proved(
-        i: int, moves: tuple[MoveRecord, ...], flips: tuple[int, ...], frame: Mat2
+        i: int,
+        moves: tuple[MoveRecord, ...],
+        flips: tuple[int, ...],
+        frame: Mat2,
+        wedges: tuple[Wedge, ...],
     ) -> "_SectorTable":
         """The table, once its word is proved well slanted on the whole of sector i.
 
+        ``wedges`` are those of the checked Q' that the run started from, so
+        their train-track relations, positive cones and areas hold; the table
+        keeps them for :func:`run_expansion`, which then checks only that its
+        reference lies in every cone.
         ``moves`` are the executor's records, in the frame of the step's start.
         A move's created sides are its cycle diagonals, so the proof reads
         them from ``new_sides``.  ``flips[k]`` is the determinant (+1 or -1)
@@ -539,7 +550,7 @@ class _SectorTable(_FrozenValue):
         images = [Direction(GAMMA_NU[i].apply(e.vector)) for e in (lo, hi)]
         if not all(any(a.ray_eq(b) for b in images) for a in _EXPANDING_ARC):
             raise SectorWordError(f"gamma*nu_{i} does not carry sector {i} onto [pi/8, pi]")
-        for w in _wedges(QPRIME_VECTORS):
+        for w in wedges:
             if not all(w.cone_contains(e) for e in _EXPANDING_ARC):
                 raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
@@ -567,7 +578,7 @@ class _SectorTable(_FrozenValue):
             (rec.side, rec.cycle, tuple((j, index[h]) for j, h in rec.new_sides))
             for rec in moves
         )
-        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout)
+        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout, wedges)
 
     def replay(
         self, ref: Direction, frame: Mat2, to_original: _Rational, on_bound: bool
@@ -615,7 +626,10 @@ def _sector_table(i: int) -> tuple[_SectorTable, SectorReport]:
     run, report = _checked_run(i, sector_midpoint(i))
     if not report.passed:
         raise SectorWordError(f"sector {i} word fails at its midpoint: {report.failure}")
-    return _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original), report
+    table = _SectorTable.proved(
+        i, tuple(run.records), tuple(run.flips), run.to_original, run.start.wedges
+    )
+    return table, report
 
 
 def run_expansion(
@@ -632,24 +646,44 @@ def run_expansion(
     renormalizations; they are the octagon analogues of the convergents.
     :func:`farey._frames` gives each accumulated frame, as the Mat2
     ``to_original`` of a step and as the rational form that the next step's
-    replay applies to its created holonomies.  Each step and its state (Q'
-    at the renormalized direction, which the sector table proves) are filled
-    through their slots, as the replay fills its records.  A parallel
-    diagonal, possible only on a sector boundary, ends the trace with the
-    ``hits_singularity`` marker.
+    replay applies to its created holonomies.  A parallel diagonal, possible
+    only on a sector boundary, ends the trace with the ``hits_singularity``
+    marker.
+
+    Q' is checked where the tables are proved: each table keeps the wedges
+    of the checked Q' its word was recorded from, so their train-track
+    relations, cones and areas are checked once per proved table set.  A
+    call checks only that its first reference lies in every cone of Q'.
+    The initial state, each step and each step's state (Q' at the
+    renormalized direction) are then filled through their slots, as the
+    replay fills its records.  Where the cone test or the first table's
+    proof fails, the checked :func:`qprime` runs first, so Q' fails as the
+    checked constructor reports it.  With ``n = 0`` no table is read, and
+    the initial state is ``qprime(ref)``.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
+    if not n:
+        return ExpansionTrace(direction, expansion, qprime(ref), (), None)
+    try:
+        wedges = _sector_table(orbit[1][0])[0].wedges
+    except SectorWordError:
+        qprime(ref)  # a Q' that fails its own checks raises their error first
+        raise
+    if not all(w.cone_contains(ref) for w in wedges):
+        qprime(ref)  # raises QuadrangulationError for the first cone that misses ref
+    set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
+    initial = _object_new(LabeledQuadrangulation)
+    set_comb(initial, QPRIME_COMB)
+    set_wedges(initial, wedges)
+    set_ref_dir(initial, ref)
     frames = _frames(expansion.entries)
     matrix, to_original = frames[0]
-    initial = qprime(ref)
-    wedges = initial.wedges
     steps: list[TraceStep] = []
     halted = None
     set_entry, set_records, set_state, set_to_original = TraceStep._setters
-    set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
     for (entry, tie, image), (next_matrix, next_original) in zip(orbit[1:], frames[1:]):
         table = _sector_table(entry)[0]
         try:

@@ -194,7 +194,7 @@ class TestConvergents:
     ):
         # Step 29 ends at 832040/514229, step 30 at 1346269/832040; the real
         # limit of 4300 digits takes about 20600 steps of the golden ratio.
-        monkeypatch.setattr("octocf.cli._MAX_INT_DIGITS", 6)
+        monkeypatch.setattr("octocf.cli._max_int_digits", lambda: 6)
         argv = ("convergents", "--alpha", "golden", "--format", fmt, "--steps")
         assert run_cli(capsys, *argv, "29")[0] == EXIT_OK
         code, out, err = run_cli(capsys, *argv, "30")
@@ -208,7 +208,7 @@ class TestConvergents:
 
     def test_refuses_at_the_step_past_the_digit_limit(self, capsys, monkeypatch):
         # a billion steps would never finish; the limit is crossed at step 30
-        monkeypatch.setattr("octocf.cli._MAX_INT_DIGITS", 6)
+        monkeypatch.setattr("octocf.cli._max_int_digits", lambda: 6)
         argv = ("convergents", "--alpha", "golden", "--steps", "1000000000")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
@@ -370,6 +370,60 @@ class TestDigitLimit:
         assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [self.OUTPUT])
 
 
+@pytest.fixture
+def digit_limit():
+    """Sets Python's int-to-string limit for one test, and restores it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-string limit")
+    previous = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(previous)
+
+
+class TestLiveDigitLimit:
+    """The digit limit named and enforced is the one Python runs with.
+
+    CI runs these once more under ``PYTHONINTMAXSTRDIGITS=640``, so that the
+    limit also comes from interpreter start-up.
+    """
+
+    def test_direction_literal(self, capsys, digit_limit):
+        digit_limit(640)
+        code, out, err = run_cli(capsys, "expand", "--u", "1" * 700, "--depth", "2")
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [
+            "error: an exact literal has more than 640 digits, past Python's int-to-string limit"
+        ])
+
+    def test_reconstructed_interval(self, capsys, digit_limit):
+        digit_limit(640)
+        rng = random.Random(33)
+        entries = ",".join(str(rng.randint(2, 6)) for _ in range(3000))
+        code, out, err = run_cli(capsys, "reconstruct", "--entries", entries)
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [
+            "error: a coordinate has more than 640 digits, past Python's int-to-string limit"
+        ])
+
+    def test_decimal_literal(self, capsys, digit_limit):
+        digit_limit(640)
+        u = "9" * 635 + ".5"
+        code, out, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [
+            f"error: decimal input '{u}' has more than 634 integer digits"
+        ])
+        # the widest decimal still prints its rational, with a 640-digit numerator
+        u = "9" * 634 + ".000001"
+        code, _, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
+        assert code == EXIT_OK
+        assert err.startswith(f"warning: decimal input '{u}' replaced by the nearby rational ")
+
+    def test_no_limit_keeps_the_default_bounds(self, capsys, digit_limit):
+        digit_limit(0)
+        code, out, err = run_cli(capsys, "expand", "--u", "1e30000000", "--depth", "2")
+        assert (code, out, err.splitlines()) == (EXIT_PARSE, "", [
+            "error: decimal input '1e30000000' has more than 4294 integer digits"
+        ])
+
+
 class TestDecimalExponents:
     """A decimal's exponent is read before any exact rational is built from it."""
 
@@ -413,16 +467,6 @@ class TestDecimalExponents:
         code, out, _ = run_cli(capsys, "expand", "--u=-1e-100000000", "--depth", "3")
         assert code == EXIT_OK
         assert json.loads(out)["entries"] == run_json(capsys, "expand", "--u", "0", "--depth", "3")["entries"]
-
-
-@pytest.fixture
-def unproved_sectors():
-    """No sector table proved before a test patches the constants it is built from."""
-    from octocf.octagon import _sector_table
-
-    _sector_table.cache_clear()
-    yield
-    _sector_table.cache_clear()
 
 
 class TestVerify:

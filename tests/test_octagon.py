@@ -28,7 +28,15 @@ from helpers import (
     strictly_straddled,
 )
 from octocf import farey, intmat, numerics, octagon
-from octocf.diagch import MoveNotAvailableError, Side, StaircaseMove, Wedge, elementary_matrix
+from octocf.diagch import (
+    MoveNotAvailableError,
+    QuadrangulationError,
+    Side,
+    StaircaseMove,
+    TrainTrackError,
+    Wedge,
+    elementary_matrix,
+)
 from octocf.farey import (
     GAMMA_NU,
     GAMMA_NU_INV,
@@ -453,7 +461,11 @@ class TestTableDrivenTraces:
             assert len(trace.steps) == n
             return len(calls), trace
 
-        base, _ = reductions(0)
+        base, start = reductions(0)
+        # only n = 0 builds a checked Q'; a longer trace takes it from the proved tables
+        calls.clear()
+        qprime(start.initial.ref_dir)
+        base -= len(calls)
         for n in (5, 40):
             total, trace = reductions(n)
             entries = trace.expansion.entries  # step k takes entries[k + 1]
@@ -527,7 +539,7 @@ class TestTableDrivenTraces:
         table, _ = _sector_table(i)
         moves = tuple(octagon._checked_run(i, sector_midpoint(i))[0].records)
         plain = (1,) * len(moves)  # the plain words reflect before no move
-        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i]) == table
+        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i], table.wedges) == table
         first = moves[0]
         (label, _), *rest = first.new_sides  # a move's created sides are its diagonals
         # the midpoint direction is left of one endpoint and right of the other;
@@ -535,13 +547,20 @@ class TestTableDrivenTraces:
         wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
         bad = replace(first, new_sides=((label, wrong), *rest))
         with pytest.raises(SectorWordError, match=f"diagonal {label}"):
-            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i])
+            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i], table.wedges)
 
     def test_proof_checks_the_renormalizer(self):
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         flips = (1,) * len(moves)
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
-            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4])
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4], _sector_table(3)[0].wedges)
+
+    def test_proof_checks_that_its_wedges_straddle_the_expanding_arc(self):
+        # the wedges of Q0 straddle the near-horizontal sector 0, not [pi/8, pi]
+        moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
+        flips = (1,) * len(moves)
+        with pytest.raises(SectorWordError, match="does not straddle"):
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[3], octagon._wedges(Q0_VECTORS))
 
     def test_proof_checks_the_label_matrix(self, monkeypatch):
         # sector 3's word with A4 as its wanted matrix: every slant still
@@ -566,9 +585,10 @@ class TestTableDrivenTraces:
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         moves, n = tuple(run.records), len(run.records)
         assert run.flips == [-1] * n
-        assert _SectorTable.proved(i, moves, (-1,) * n, run.to_original) == mirror_table
+        mirrored_proof = _SectorTable.proved(i, moves, (-1,) * n, run.to_original, run.start.wedges)
+        assert mirrored_proof == mirror_table
         with pytest.raises(SectorWordError, match="not well slanted"):
-            _SectorTable.proved(i, moves, (1,) * n, run.to_original)
+            _SectorTable.proved(i, moves, (1,) * n, run.to_original, run.start.wedges)
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
@@ -651,7 +671,7 @@ class TestReusedValues:
                 for rec in run.records
             )
             with pytest.raises(SectorWordError, match="creates no side"):
-                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original)
+                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original, run.start.wedges)
         # exactly the branch of entry 7 fixes (1, 0)
         fixing = {j for j in range(8) if GAMMA_NU_INV[j].apply(Vec2(1, 0)) == Vec2(1, 0)}
         assert farey._KEEPS_FIRST_COLUMN == fixing == {7}
@@ -691,6 +711,94 @@ def _executor_records(word, ref, to_original=None):
     for step in word.steps:
         run.execute(step)
     return tuple(run.records)
+
+
+#: (direction, steps) of the inputs that take each path of the first step:
+#: the rays j*pi/8, iterates on a sector bound (a tie for the policy), long
+#: tails of 1s and 7s, and zero steps, which read no table.
+_FIRST_STEP_INPUTS = [
+    *((_boundary_direction(j), 12) for j in range(9)),
+    *((Direction(GAMMA_NU_INV[1].apply(_boundary_direction(j).vector)), 6) for j in range(1, 9)),
+    *((pulled_back(sector_midpoint(3).vector, [(s, 1), (t, 150)]), 154)
+      for s in (2, 6) for t in (1, 7)),
+    *((sector_midpoint(s), 0) for s in range(8)),
+]
+
+
+class TestQPrimeCheckedOncePerTableSet:
+    """The constant facts of Q' are checked when the sector tables are proved;
+    each ``run_expansion`` call checks only that its first reference lies in
+    every cone of Q'."""
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("d, n", _FIRST_STEP_INPUTS)
+    def test_initial_is_the_checked_qprime(self, d, n, policy):
+        trace = run_expansion(d, n, policy)
+        first = qprime(Direction(GAMMA_NU[trace.expansion.entries[0]].apply(d.vector)))
+        assert trace.initial == first
+        assert json.dumps(trace.initial.to_json()) == json.dumps(first.to_json())
+        want = reference_run_expansion(d, n, policy)
+        assert trace == want and json.dumps(trace.to_json()) == json.dumps(want.to_json())
+
+    def test_initial_shares_the_wedges_of_the_first_table(self):
+        trace = run_expansion(sector_midpoint(4), 3)
+        table, _ = _sector_table(trace.expansion.entries[1])
+        assert trace.initial.wedges is table.wedges
+        assert all(step.state.wedges is table.wedges for step in trace.steps)
+        assert table.wedges == qprime(sector_midpoint(1)).wedges
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_broken_constant_fails_as_the_checked_constructor(
+        self, n, monkeypatch, unproved_sectors
+    ):
+        # proved once with the true Q', then proved again from the broken one
+        d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
+        run_expansion(d, 5)
+        broken = list(QPRIME_VECTORS)
+        broken[3] = Vec2(1, 1)  # violates the train-track relations
+        monkeypatch.setattr(octagon, "QPRIME_VECTORS", tuple(broken))
+        _sector_table.cache_clear()
+        with pytest.raises(TrainTrackError) as want:
+            qprime(Direction(GAMMA_NU[1].apply(d.vector)))
+        assert str(want.value).startswith("train-track relation fails at quadrilateral 1")
+        with pytest.raises(TrainTrackError) as got:
+            run_expansion(d, n)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_scaled_constant_fails_the_proof(self, n, monkeypatch, unproved_sectors):
+        # scaled constants form a valid quadrangulation of the wrong surface
+        d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
+        run_expansion(d, 5)
+        monkeypatch.setattr(octagon, "QPRIME_VECTORS", tuple(v.scale(2) for v in QPRIME_VECTORS))
+        _sector_table.cache_clear()
+        with pytest.raises(SectorWordError) as got:
+            run_expansion(d, n)
+        assert str(got.value) == (
+            "sector 1 word fails at its midpoint: base quadrangulation area "
+            f"{OCTAGON_AREA * 4} != {OCTAGON_AREA}"
+        )
+        assert run_expansion(d, 0).initial.wedge_vector_tuple() == octagon.QPRIME_VECTORS
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_reference_outside_a_cone_fails_as_the_checked_constructor(self, n, monkeypatch):
+        # no Farey image leaves [pi/8, pi], so the first reference is replaced
+        outside = Direction(Vec2(4, 1))  # below pi/8
+        real = octagon._expand_orbit
+
+        def moved(direction, depth, policy):
+            expansion, orbit = real(direction, depth, policy)
+            entry, tie, _ = orbit[0]
+            return expansion, [(entry, tie, outside), *orbit[1:]]
+
+        monkeypatch.setattr(octagon, "_expand_orbit", moved)
+        with pytest.raises(QuadrangulationError) as want:
+            qprime(outside)
+        assert "leaves the wedge cone" in str(want.value)
+        d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
+        with pytest.raises(QuadrangulationError) as got:
+            run_expansion(d, n)
+        assert type(got.value) is QuadrangulationError and str(got.value) == str(want.value)
 
 
 def _mirrored_word(i: int) -> ResolvedWord:
