@@ -38,7 +38,6 @@ from .numerics import (
     _reduced,
     _vec,
     quad_floor,
-    quad_sign,
     theta_cmp,
 )
 
@@ -102,9 +101,6 @@ class TiePolicy(Enum):
     LOW = "low"
     HIGH = "high"
 
-
-#: SECTOR_BOUNDS as ints (p, q) for p + q*sqrt2; every bound has denominator 1.
-_BOUND_INTS: tuple[tuple[int, int], ...] = tuple(b.ints[:2] for b in SECTOR_BOUNDS)
 
 # -- integral vectors ----------------------------------------------------------------
 #
@@ -317,29 +313,44 @@ def _frames(entries: Sequence[int]) -> list[tuple[Mat2, _Rational]]:
     return frames
 
 
+def _sign(p: int, q: int) -> int:
+    """An int with the sign of p + q*sqrt2, as in numerics.quad_sign: p or q when
+    they agree in sign, else the one of larger magnitude, p^2 against 2q^2."""
+    return (p or q) if (p >= 0) == (q >= 0) else p if p * p > 2 * q * q else q
+
+
 def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
     """All sector indices whose closed sector contains the ray of (xp + xq*sqrt2,
     yp + yq*sqrt2), y >= 0.
 
-    Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.  The
-    bounds decrease, so the first bound not above u decides: u above it is
-    sector j, u on it is the tie (j, j+1), and u below every bound is sector
-    7.  The signs rise with j, so a binary search finds that bound.  On the
-    horizontals every sign is that of x: theta = 0 is sector 0 and theta =
-    pi sector 7.
+    Off the horizontals y > 0, so u = x/y >= b exactly when x - b*y >= 0.  A
+    fixed tree of three sign tests places u among the decreasing bounds: b = 0
+    first, then b = 1 or -1, then 1 + sqrt2, sqrt2 - 1, 1 - sqrt2 or -1 - sqrt2,
+    each x - b*y written out for its own b.  u above the bound b_j of its leaf
+    is sector j, u below it sector j + 1, and u on any tested bound b_j is the
+    tie (j, j+1).  On the horizontals every sign is that of x: theta = 0 is
+    sector 0 and theta = pi sector 7.
     """
-    lo, hi, s = 0, 7, 1
-    while lo < hi:  # three sign tests find the first bound j with u >= b_j, or 7
-        j = (lo + hi) >> 1
-        bp, bq = _BOUND_INTS[j]
-        p, q = xp - bp * yp - 2 * bq * yq, xq - bp * yq - bq * yp
-        # t has the sign of p + q*sqrt2, as in numerics.quad_sign
-        t = (p or q) if (p >= 0) == (q >= 0) else p if p * p > 2 * q * q else q
-        if t < 0:
-            lo = j + 1
-        else:
-            hi, s = j, t
-    return (hi,) if s else (hi, hi + 1)
+    s = _sign(xp, xq)  # b_3 = 0
+    if s > 0:
+        s = _sign(xp - yp, xq - yq)  # b_1 = 1
+        if s > 0:
+            s = _sign(xp - yp - 2 * yq, xq - yq - yp)  # b_0 = 1 + sqrt2
+            return (0,) if s > 0 else (1,) if s else (0, 1)
+        if s:
+            s = _sign(xp + yp - 2 * yq, xq + yq - yp)  # b_2 = sqrt2 - 1
+            return (2,) if s > 0 else (3,) if s else (2, 3)
+        return (1, 2)
+    if s:
+        s = _sign(xp + yp, xq + yq)  # b_5 = -1
+        if s > 0:
+            s = _sign(xp - yp + 2 * yq, xq - yq + yp)  # b_4 = 1 - sqrt2
+            return (4,) if s > 0 else (5,) if s else (4, 5)
+        if s:
+            s = _sign(xp + yp + 2 * yq, xq + yq + yp)  # b_6 = -1 - sqrt2
+            return (6,) if s > 0 else (7,) if s else (6, 7)
+        return (5, 6)
+    return (3, 4)
 
 
 def classify(d: Direction) -> tuple[int, ...]:
@@ -353,22 +364,26 @@ def classify(d: Direction) -> tuple[int, ...]:
 #: The entries whose branches are parabolic, fixing pi/8 (1) and pi (7).
 _PARABOLIC = (1, 7)
 
-#: The admissible entries: the first may be any sector 0..7, the later ones lie in 1..7.
-_FIRST_ENTRIES = frozenset(range(8))
-_LATER_ENTRIES = frozenset(range(1, 8))
+#: The admissible entry bytes: the first may be any sector 0..7, the later ones lie in 1..7.
+_ADMISSIBLE = re.compile(rb"[\0-\7][\1-\7]*")
 
 
-def _admissible(entries: tuple) -> bool:
-    """Whether ``entries`` are ints, the first in 0..7 and the later ones in 1..7.
+def _entry_bytes(entries: Sequence[int]) -> bytes | None:
+    """The bytes of ``entries`` if they are ints, the first in 0..7 and the later
+    ones in 1..7, else None.
 
-    The type test comes first: 1.0 and True are equal to 1, so the set tests
-    alone would pass them.
+    The type test comes first: bytes() takes True, and 1.0 and True are equal
+    to 1.  bytes() then refuses ints outside 0..255, and one match checks the
+    ranges.  The slice raises TypeError for entries that are not a sequence,
+    such as a set, which bytes() would take.
     """
-    return (
-        {int}.issuperset(map(type, entries))
-        and entries[0] in _FIRST_ENTRIES
-        and _LATER_ENTRIES.issuperset(entries[1:])
-    )
+    if not {int}.issuperset(map(type, entries)):
+        return None
+    try:
+        data = bytes(entries[:])
+    except ValueError:
+        return None
+    return data if _ADMISSIBLE.fullmatch(data) else None
 
 
 @dataclass(frozen=True)
@@ -388,7 +403,7 @@ class FareyExpansion:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("an expansion needs at least one entry")
-        if not _admissible(self.entries):
+        if _entry_bytes(self.entries) is None:
             raise InadmissiblePrefixError(f"inadmissible entries {self.entries}")
         # True == 1, so the type is tested as for the entries
         if self.tail is not None and (type(self.tail) is not int or self.tail not in _PARABOLIC):
@@ -473,7 +488,7 @@ def _walk(
         w, n = None, 0
         if j in _PARABOLIC:
             c0p, c0q = _cross(x, _RUN_EXIT[j])
-            if quad_sign(c0p, c0q, 2) > 0:
+            if _sign(c0p, c0q) > 0:
                 v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
                 w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])  # x - sqrt2^k * v
                 n = _run_length(j, c0p, c0q, w, depth - len(entries) - 1)
@@ -526,10 +541,10 @@ def _expand_orbit(
 
 
 #: The ray at angle j*pi/8 for j = 0..8, as ints: (1, 0), (SECTOR_BOUNDS[j-1], 1)
-#: for j = 1..7, and (-1, 0).
+#: for j = 1..7, and (-1, 0); every bound has denominator 1.
 _END_INTS: tuple[_IntVec, ...] = (
     (1, 0, 0, 0),
-    *((bp, bq, 1, 0) for bp, bq in _BOUND_INTS),
+    *((*b.ints[:2], 1, 0) for b in SECTOR_BOUNDS),
     (-1, 0, 0, 0),
 )
 
@@ -591,20 +606,21 @@ def reconstruct(prefix) -> RP1Interval:
     endpoints back at once.  A run of n equal parabolic entries j = 1, 7 is
     one factor: its inverse branch M is unipotent, so M^n = I + n(M - I).
     One regular expression finds the runs in the bytes of the earlier
-    entries, which are ints in 0..7 once the prefix is admissible, and the
-    plain stretches between them are composed three entries at a time through
-    :func:`_blocks`, with a shorter block for the remainder.  :func:`_images`
-    applies the frame to both sector ends.  Each branch keeps y >= 0 on
-    [pi/8, pi], so the endpoints are the exact vectors of single steps.  det
-    GAMMA_NU_INV[j] is -1 exactly for even j, so the ends come out reversed
-    exactly when the earlier entries hold an odd number of even entries.
+    entries, which the admissibility check returns, and the plain stretches
+    between them are composed three entries at a time through :func:`_blocks`,
+    with a shorter block for the remainder.  :func:`_images` applies the frame
+    to both sector ends.  Each branch keeps y >= 0 on [pi/8, pi], so the
+    endpoints are the exact vectors of single steps.  det GAMMA_NU_INV[j] is -1
+    exactly for even j, so the ends come out reversed exactly when the earlier
+    entries hold an odd number of even entries.
     """
     entries = tuple(prefix.entries) if isinstance(prefix, FareyExpansion) else tuple(prefix)
     if not entries:
         raise InadmissiblePrefixError("empty prefix")
-    if not _admissible(entries):
+    data = _entry_bytes(entries)
+    if data is None:
         raise InadmissiblePrefixError(f"inadmissible prefix {entries}")
-    body = bytes(entries[:-1])
+    body = data[:-1]
     frame, start = (0, _SCALARS[0]), 0
     for run in _RUNS.finditer(body):
         frame = _compose_plain(frame, body[start : run.start()])

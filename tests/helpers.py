@@ -43,6 +43,10 @@ from octocf.octagon import (
     sector_midpoint,
 )
 
+#: Python's default int-to-string limit, assumed by the tests that pin
+#: 4300-digit messages or print longer ints (fixture ``default_digit_limit``).
+DEFAULT_MAX_STR_DIGITS = 4300
+
 
 def fractions(max_num=60, max_den=12):
     return st.builds(

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import DEFAULT_MAX_STR_DIGITS
 from octocf.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
 
 
@@ -336,6 +337,7 @@ class TestConvergents:
         ]
 
 
+@pytest.mark.usefixtures("default_digit_limit")
 class TestDigitLimit:
     """An int past Python's 4300-digit conversion limit, read or written, is a
     parse failure that names the limit, not Python's own hint."""
@@ -424,8 +426,10 @@ class TestLiveDigitLimit:
         ])
 
 
+@pytest.mark.usefixtures("default_digit_limit")
 class TestDecimalExponents:
-    """A decimal's exponent is read before any exact rational is built from it."""
+    """A decimal's exponent is read before any exact rational is built from it,
+    under Python's default 4300-digit limit."""
 
     @pytest.mark.parametrize(
         "u",
@@ -574,7 +578,9 @@ class TestTraceAndSimulate:
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        # 4000 steps print ints of more than 640 digits: the child runs with
+        # Python's default limit, whatever limit this interpreter has
+        env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=str(DEFAULT_MAX_STR_DIGITS))
 
         def peak(steps):
             argv = ["simulate", "--quad", "torus", "--u", "1+sqrt2", "--steps", str(steps)]
@@ -586,6 +592,7 @@ class TestTraceAndSimulate:
         # 0.5 MB of JSON at 500 steps, 9.5 MB at 4000
         assert peak(4000) <= 1.1 * peak(500)
 
+    @pytest.mark.usefixtures("default_digit_limit")
     def test_simulate_past_the_digit_limit_exits_2_after_the_steps_before(self, capsys, tmp_path):
         # 4290-digit sides pass Python's 4300-digit int-to-string limit after
         # a few dozen steps; the steps made before it are already written

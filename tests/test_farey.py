@@ -1,5 +1,6 @@
 """Octagon Farey map: sectors, folding, expansions, reconstruction, duals."""
 
+import enum
 import itertools
 import math
 import pickle
@@ -295,6 +296,55 @@ class TestClassify:
             v = (-xp, -xq, -yp, -yq)
         if any(v):
             assert farey._sectors(*v) == reference_sectors(v)
+
+
+def _times(c, v):
+    """(cp + cq*sqrt2) * v on the ints (p, q, ...) of a number or a vector."""
+    cp, cq = c
+    return tuple(
+        i for p, q in zip(v[::2], v[1::2]) for i in (cp * p + 2 * cq * q, cp * q + cq * p)
+    )
+
+
+def _leaf_cases():
+    """One vector per leaf of ``_sectors``' tree, with the sectors it must give."""
+    ends = farey._END_INTS
+    for j in range(8):  # the sum of a sector's two ends lies strictly inside it
+        inside = tuple(a + b for a, b in zip(ends[j], ends[j + 1]))
+        yield pytest.param(inside, (j,), id=f"inside-{j}")
+    for j in range(1, 8):
+        yield pytest.param(ends[j], (j - 1, j), id=f"tie-{j - 1}-{j}")
+    yield pytest.param(ends[0], (0,), id="theta-0")
+    yield pytest.param(ends[8], (7,), id="theta-pi")
+
+
+class TestSectorTree:
+    """``_sectors``' fixed tree of three sign tests, leaf by leaf and just off each bound."""
+
+    @pytest.mark.parametrize("v, want", _leaf_cases())
+    def test_leaf(self, v, want):
+        # at positive scales p + q*sqrt2, as the walk's iterates come
+        for c in [(1, 0), (3, 0), (0, 1), (5, -3), (2**80 + 1, 2**79), (2**64 - 1, -(2**63))]:
+            assert numerics.quad_sign(*c, 2) > 0
+            w = _times(c, v)
+            assert farey._sectors(*w) == reference_sectors(w) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.tuples(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64)).filter(any),
+        st.integers(1, 2**64),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @example(1, (1, 0), 2**64, (1, 0))
+    @example(7, (2**64, -(2**63)), 2**64, (0, -1))
+    def test_just_off_each_bound(self, j, y, n, r):
+        # x = (n*b_j + r)*y and the vector (x, n*y): u = b_j + r/n, the bound for r = 0
+        if numerics.quad_sign(*y, 2) < 0:
+            y = (-y[0], -y[1])
+        bp, bq = farey._END_INTS[j][:2]
+        v = (*_times((n * bp + r[0], n * bq + r[1]), y), n * y[0], n * y[1])
+        assert farey._sectors(*v) == reference_sectors(v)
 
 
 def _power_of_root2(e: int) -> QuadNum:
@@ -965,6 +1015,82 @@ class TestReconstruct:
             hi = a.hi if theta_cmp(a.hi, b.hi) >= 0 else b.hi
             widths.append(RP1Interval(lo, hi).theta_width())  # the width of their hull
         assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
+
+
+class _Entry(enum.IntEnum):
+    ONE = 1
+
+
+class _Index:
+    """Not an int, though bytes() and range checks take it as 1."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "_Index()"
+
+
+#: Refused entries: past a byte, an int subclass or an __index__ object, a bool
+#: or a float equal to a sector, a later 0; each first and later.
+_REFUSED = [
+    pytest.param(entries, id=name)
+    for name, entries in [
+        ("256", (256,)), ("later-256", (2, 256)), ("2**70", (2**70,)), ("later-2**70", (3, 2**70)),
+        ("-1", (-1,)), ("later--1", (3, -1)),
+        ("intenum", (_Entry.ONE,)), ("later-intenum", (2, _Entry.ONE)),
+        ("index", (_Index(),)), ("later-index", (2, _Index())),
+        ("True", (True,)), ("later-True", (2, True)), ("1.0", (1.0,)), ("later-1.0", (2, 1.0)),
+        ("later-0", (2, 0)), ("0-0", (0, 0)), ("later-0-late", (3, 1, 2, 0)),
+    ]
+]
+
+
+class TestAdmissibility:
+    """What ``reconstruct`` and ``FareyExpansion`` refuse, with each exception's
+    type and message, and what ``reconstruct`` takes alike."""
+
+    @pytest.mark.parametrize("entries", _REFUSED)
+    def test_reconstruct_refuses(self, entries):
+        for prefix in (entries, list(entries)):
+            with pytest.raises(InadmissiblePrefixError) as raised:
+                reconstruct(prefix)
+            assert type(raised.value) is InadmissiblePrefixError
+            assert str(raised.value) == f"inadmissible prefix {entries}"
+
+    @pytest.mark.parametrize("entries", _REFUSED)
+    def test_expansion_refuses(self, entries):
+        with pytest.raises(InadmissiblePrefixError) as raised:
+            FareyExpansion(entries)
+        assert type(raised.value) is InadmissiblePrefixError
+        assert str(raised.value) == f"inadmissible entries {entries}"
+
+    @pytest.mark.parametrize(
+        "entries, name",
+        [({1, 3}, "set"), (frozenset({2}), "frozenset"), (iter((1, 2)), "tuple_iterator")],
+    )
+    def test_expansion_entries_must_be_a_sequence(self, entries, name):
+        with pytest.raises(TypeError) as raised:
+            FareyExpansion(entries)
+        assert str(raised.value) == f"'{name}' object is not subscriptable"
+
+    def test_empty_entries(self):
+        with pytest.raises(InadmissiblePrefixError) as raised:
+            reconstruct([])
+        assert (type(raised.value), str(raised.value)) == (InadmissiblePrefixError, "empty prefix")
+        with pytest.raises(ValueError) as raised:
+            FareyExpansion(())
+        assert (type(raised.value), str(raised.value)) == (
+            ValueError, "an expansion needs at least one entry"
+        )
+
+    @pytest.mark.parametrize(
+        "entries", [(0,), (7,), (0, 1, 7), (5, 1, 1, 1, 2, 7, 7, 3), (2,) + (1,) * 40 + (6,)]
+    )
+    def test_every_container_reconstructs_alike(self, entries):
+        want = reconstruct(entries)
+        for prefix in (list(entries), bytes(entries), FareyExpansion(entries)):
+            assert reconstruct(prefix) == want
 
 
 class TestValueTypes:

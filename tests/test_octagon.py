@@ -377,6 +377,7 @@ class TestTableDrivenTraces:
         if 1 < j < 8:
             assert trace.expansion.entries[1] == (j - 1 if policy is TiePolicy.LOW else j)
 
+    @pytest.mark.usefixtures("default_digit_limit")  # to_json of 1024-bit states
     @pytest.mark.parametrize("policy", list(TiePolicy))
     @pytest.mark.parametrize("bits", [256, 1024])
     def test_tall_directions(self, bits, policy):
