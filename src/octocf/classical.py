@@ -16,10 +16,18 @@ reported with a halt flag rather than an error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
-from .numerics import QuadNum, _FrozenValue, quad_float, quad_floor, quad_sign
+from .numerics import (
+    QuadNum,
+    _FrozenValue,
+    _is_fraction,
+    _rational_text,
+    _reduced,
+    quad_float,
+    quad_floor,
+    quad_sign,
+)
 
 __all__ = [
     "QuadraticIrrational",
@@ -83,7 +91,7 @@ class QuadraticIrrational(_FrozenValue):
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(Fraction(self.a, self.c))
+            return _rational_text(self.a, self.c)
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
@@ -93,8 +101,7 @@ def _ints(x) -> tuple[int, int, int, int]:
         return x.a, x.b, x.c, x.d
     if isinstance(x, QuadNum):
         return (*x.ints, 2)
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    if isinstance(x, int) or _is_fraction(x):
         return x.numerator, 0, x.denominator, 0
     raise TypeError(
         f"expected an exact number: int, Fraction, QuadNum or QuadraticIrrational, "
@@ -119,7 +126,9 @@ def gauss_step(x):
     if isinstance(x, QuadraticIrrational):
         return digit, QuadraticIrrational(p, q, norm, d)
     if isinstance(x, QuadNum):
-        return digit, QuadNum(Fraction(p, norm), Fraction(q, norm))
+        return digit, _reduced(p, q, norm)
+    from fractions import Fraction
+
     return digit, Fraction(p, norm)
 
 

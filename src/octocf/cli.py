@@ -16,7 +16,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _max_int_digits
 
@@ -25,6 +24,7 @@ from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _max_int_digi
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
+    from fractions import Fraction
 
     from .farey import TiePolicy
 
@@ -77,6 +77,7 @@ def _decimal(text: str, what: str) -> Fraction:
     only Decimal reads, go to Fraction as they are.
     """
     import decimal
+    from fractions import Fraction
 
     value = text
     if "/" not in text and not _STRAY_UNDERSCORE.search(text):
@@ -388,7 +389,7 @@ def _cmd_verify(args) -> int:
         extra = []
         for i in sectors:
             for _ in range(args.random_samples):
-                d = octagon.sector_direction(i, _random_parameter(rng, i))
+                d = octagon._sector_direction(i, _random_parameter(rng, i))
                 extra.append(octagon.verify_sector(i, d))
         record["random_samples"] = [r.to_json() for r in extra]
         record["seed"] = seed
@@ -400,11 +401,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
-def _random_parameter(rng: random.Random, sector: int) -> Fraction:
+def _random_parameter(rng: random.Random, sector: int) -> QuadNum:
     """A random :func:`octagon.sector_direction` parameter of a sector 1..7."""
     if sector == 7:
-        return Fraction(rng.randint(1, 10**6), 10**3)
-    return Fraction(rng.randint(1, 10**6 - 1), 10**6)
+        return QuadNum(rng.randint(1, 10**6)) / 10**3
+    return QuadNum(rng.randint(1, 10**6 - 1)) / 10**6
 
 
 def _cmd_dump_matrices(args) -> int:
@@ -424,6 +425,8 @@ _WORD_SECTORS = tuple(str(i) for i in range(1, 8))
 
 
 def _cmd_render(args) -> int:
+    from fractions import Fraction
+
     from . import octagon, render
 
     if args.input == "qprime":

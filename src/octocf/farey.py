@@ -21,7 +21,6 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
@@ -52,6 +51,7 @@ __all__ = [
     "FareyExpansion",
     "RP1Interval",
     "InadmissiblePrefixError",
+    "WalkInvariantError",
     "classify",
     "expand",
     "reconstruct",
@@ -59,8 +59,7 @@ __all__ = [
     "theta_cmp",
 ]
 
-_H = Fraction(1, 2)
-_RH = QuadNum(0, _H)  # 1/sqrt(2)
+_RH = QuadNum(0, 1) / 2  # 1/sqrt(2)
 
 #: The dihedral elements mapping each closed sector onto sector 0.
 NU: tuple[Mat2, ...] = (
@@ -393,7 +392,8 @@ class FareyExpansion:
     ``entries[0]`` may be 0; all later entries lie in 1..7.  ``tail`` is set
     (to 1 or 7) when the orbit has provably locked onto one of the two fixed
     rays within the window, in which case all later entries equal ``tail``
-    and the underlying direction is terminating.
+    and the underlying direction is terminating.  Entries given in another
+    sequence are kept as a tuple, so the value is hashable.
     """
 
     entries: tuple[int, ...]
@@ -408,6 +408,8 @@ class FareyExpansion:
         # True == 1, so the type is tested as for the entries
         if self.tail is not None and (type(self.tail) is not int or self.tail not in _PARABOLIC):
             raise ValueError(f"a tail must be the int 1 or 7, got {self.tail!r}")
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def terminating(self) -> bool:
@@ -433,6 +435,11 @@ class FareyExpansion:
 
 class InadmissiblePrefixError(ValueError):
     """An entry sequence violating "only the first entry may be 0"."""
+
+
+class WalkInvariantError(RuntimeError):
+    """The Farey walk broke an invariant of the exact kernel; a wrong sector
+    decision, not the input, is at fault."""
 
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
@@ -492,6 +499,10 @@ def _walk(
                 v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
                 w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])  # x - sqrt2^k * v
                 n = _run_length(j, c0p, c0q, w, depth - len(entries) - 1)
+                if n < 0:  # the iterate is outside sector j, and the walk would stall
+                    raise WalkInvariantError(
+                        f"negative parabolic run length {n} at entry {j}, step {len(entries)}"
+                    )
         steps.append((j, tie, x, e, w, n))
         if n:
             entries += [j] * (n + 1)

@@ -22,11 +22,14 @@ branches on a decimal rendering.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import atan2, gcd, isqrt, pi
 from operator import attrgetter
 import re
 import sys
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QuadNum",
@@ -43,12 +46,22 @@ class QuadNumParseError(ValueError):
     """Raised when a string does not denote an exact element of Q(sqrt(2))."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _is_fraction(x) -> bool:
+    """isinstance(x, Fraction) without importing fractions, before which no Fraction exists."""
+    return "fractions" in sys.modules and isinstance(x, sys.modules["fractions"].Fraction)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """The numerator and positive denominator of an int or a Fraction."""
+    if isinstance(x, int) or _is_fraction(x):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _rational_text(n: int, den: int) -> str:
+    """n/den, den > 0, as ``str(Fraction(n, den))`` writes it: ``-3`` or ``7/2``."""
+    g = gcd(n, den)
+    return str(n // g) if den == g else f"{n // g}/{den // g}"
 
 
 # -- the exact kernel over (p + q*sqrt(d))/den -------------------------------------
@@ -115,26 +128,36 @@ def _max_int_digits() -> int:
     """The digits an int may have when converted to or from a string: the limit
     Python runs with (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits`` or
     ``sys.set_int_max_str_digits``), or its default 4300 where there is none,
-    so the CLI still refuses a literal such as ``1e30000000`` before Fraction
-    expands it.  Pythons before 3.10.7 have no limit."""
+    so the CLI refuses a decimal literal such as ``1e30000000`` before its
+    exponent is expanded into an exact integer.  Pythons before 3.10.7 have
+    no limit."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> tuple[int, int]:
+    """The ints (n, d) of an exact rational literal ``n`` or ``n/d``, d > 0, not reduced."""
     if not isinstance(text, str):
         raise QuadNumParseError(f"expected a string coefficient, got {type(text).__name__}")
     if not _RATIONAL.fullmatch(text):
-        # Fraction would also take decimals and exponents, expanding 1e30000000 at length
+        # no decimal or exponent: 1e30000000 would expand at length
         raise QuadNumParseError(f"expected an exact rational like -3/2, got {text[:40]!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise QuadNumParseError(f"zero denominator in {text!r}") from None
+        n, d = int(num), int(den or 1)
     except ValueError:  # the literal is well formed, so its ints pass the digit limit
         raise ValueError(
             f"an exact literal has more than {_max_int_digits()} digits, past Python's "
             "int-to-string limit"
         ) from None
+    if d == 0:
+        raise QuadNumParseError(f"zero denominator in {text!r}")
+    return n, d
+
+
+def _from_ratios(a: tuple[int, int], b: tuple[int, int]) -> QuadNum:
+    """The QuadNum a + b*sqrt(2) from the ints (n, d) of a and of b, d > 0."""
+    (an, ad), (bn, bd) = a, b
+    return _reduced(an * bd, bn * ad, ad * bd)
 
 
 class QuadNum:
@@ -155,20 +178,23 @@ class QuadNum:
         if type(a) is int and type(b) is int:
             self._p, self._q, self._den = a, b, 1
             return
-        a, b = _as_fraction(a), _as_fraction(b)
-        p, q = a.numerator * b.denominator, b.numerator * a.denominator
-        den = a.denominator * b.denominator
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+        p, q, den = an * bd, bn * ad, ad * bd
         g = gcd(den, p, q)
         self._p, self._q, self._den = p // g, q // g, den // g
 
     @property
     def a(self) -> Fraction:
         """The rational part."""
+        from fractions import Fraction
+
         return Fraction(self._p, self._den)
 
     @property
     def b(self) -> Fraction:
         """The coefficient of sqrt(2)."""
+        from fractions import Fraction
+
         return Fraction(self._q, self._den)
 
     @property
@@ -274,26 +300,26 @@ class QuadNum:
         return quad_float(self._p, self._q, self._den, 2)
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if abs(b) == 1:
+        p, q, den = self._p, self._q, self._den
+        if q == 0:
+            return _rational_text(p, den)
+        if abs(q) == den:
             tail = "sqrt(2)"
         else:
-            tail = f"{abs(b)}*sqrt(2)"
-        sign = "-" if b < 0 else ("+" if a != 0 else "")
-        head = "" if a == 0 else str(a)
+            tail = f"{_rational_text(abs(q), den)}*sqrt(2)"
+        sign = "-" if q < 0 else ("+" if p else "")
+        head = _rational_text(p, den) if p else ""
         return f"{head}{sign}{tail}"
 
     def __repr__(self) -> str:
         return f"QuadNum({self.a!r}, {self.b!r})"
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
+        return {"a": _rational_text(self._p, self._den), "b": _rational_text(self._q, self._den)}
 
     @staticmethod
     def from_json(obj: dict) -> "QuadNum":
-        return QuadNum(_fraction(obj["a"]), _fraction(obj["b"]))
+        return _from_ratios(_fraction(obj["a"]), _fraction(obj["b"]))
 
     @staticmethod
     def parse(text: str) -> "QuadNum":
@@ -309,7 +335,7 @@ class QuadNum:
         if "@" not in s:
             if not _RATIONAL.fullmatch(s):
                 raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
-            return QuadNum(_fraction(s))
+            return _from_ratios(_fraction(s), (0, 1))
         m = re.fullmatch(
             r"(?:(?P<ra>[+-]?\d+(?:/\d+)?)(?=[+-]))?"
             r"(?P<sb>[+-])?(?P<rb>\d+(?:/\d+)?)?@",
@@ -317,11 +343,9 @@ class QuadNum:
         )
         if not m:
             raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
-        a = _fraction(m.group("ra")) if m.group("ra") else Fraction(0)
-        b = _fraction(m.group("rb")) if m.group("rb") else Fraction(1)
-        if m.group("sb") == "-":
-            b = -b
-        return QuadNum(a, b)
+        a = _fraction(m.group("ra")) if m.group("ra") else (0, 1)
+        bn, bd = _fraction(m.group("rb")) if m.group("rb") else (1, 1)
+        return _from_ratios(a, (-bn if m.group("sb") == "-" else bn, bd))
 
 
 _object_new = object.__new__
@@ -376,7 +400,7 @@ def _cross_sign(v: Vec2, w: Vec2) -> int:
 def _coerce(x) -> QuadNum:
     if x.__class__ is QuadNum:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return QuadNum(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt(2))")
 
@@ -387,6 +411,8 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     The output is exact round-half-even of the true real value.  For
     irrational q no tie is possible; rational ties round half to even.
     """
+    from fractions import Fraction
+
     if digits < 1:
         raise ValueError("digits must be >= 1")
     scaled = q * 10**digits

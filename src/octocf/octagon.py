@@ -33,7 +33,6 @@ that its first reference lies in the cones of Q'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from . import intmat
@@ -62,6 +61,7 @@ from .farey import (
     _images,
     _ints,
     _Rational,
+    _RH,
     classify,
     expand,  # kept as octagon.expand, which perfbench's layer tracer patches
 )
@@ -84,6 +84,10 @@ from .numerics import (
     _object_new,
     _vec,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "OCTAGON_AREA",
@@ -109,8 +113,6 @@ __all__ = [
     "MoveRecord",
 ]
 
-_H = Fraction(1, 2)
-
 #: Area of the unit-side regular octagon.
 OCTAGON_AREA = QuadNum(2, 2)
 
@@ -123,9 +125,9 @@ REFLECTION = Mat2(-1, 0, 0, 1)
 #: diagonal and the long diagonal through the center.
 QPRIME_VECTORS: tuple[Vec2, ...] = (
     Vec2(-1, 0),
-    Vec2(QuadNum(1, _H), QuadNum(0, _H)),
+    Vec2(1 + _RH, _RH),
     Vec2(QuadNum(-1, -1), 0),
-    Vec2(QuadNum(1, _H), QuadNum(0, _H)),
+    Vec2(1 + _RH, _RH),
     Vec2(QuadNum(-1, -1), 0),
     Vec2(QuadNum(1, 1), QuadNum(1)),
 )
@@ -169,8 +171,8 @@ def sector_sample_directions(j: int, count: int = 3) -> list[Direction]:
         raise ValueError("sector index must be 0..7")
     if count < 1:
         raise ValueError("count must be >= 1")
-    params = _steps(count) if j in (0, 7) else _midpoint_first_fractions(count)
-    return [sector_direction(j, f) for f in params]
+    params = _steps(count) if j in (0, 7) else _midpoint_first_parameters(count)
+    return [_sector_direction(j, f) for f in params]
 
 
 def sector_direction(j: int, f: Fraction) -> Direction:
@@ -180,30 +182,35 @@ def sector_direction(j: int, f: Fraction) -> Direction:
     for 0 < f < 1; sectors 0 and 7, which reach u = infinity, take u at the
     distance f > 0 from their finite end.
     """
+    return _sector_direction(j, QuadNum(f))
+
+
+def _sector_direction(j: int, f: QuadNum) -> Direction:
+    """:func:`sector_direction` at a rational parameter held as a QuadNum."""
     if j == 0:
-        u = SECTOR_BOUNDS[0] + QuadNum(f)
+        u = SECTOR_BOUNDS[0] + f
     elif j == 7:
-        u = SECTOR_BOUNDS[6] - QuadNum(f)
+        u = SECTOR_BOUNDS[6] - f
     else:
         hi, lo = SECTOR_BOUNDS[j - 1], SECTOR_BOUNDS[j]
-        u = lo + (hi - lo) * QuadNum(f)
+        u = lo + (hi - lo) * f
     return Direction(Vec2(u, QuadNum(1)))
 
 
-def _midpoint_first_fractions(count: int) -> list[Fraction]:
-    pool = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+def _midpoint_first_parameters(count: int) -> list[QuadNum]:
+    pool = [QuadNum(1) / 2, QuadNum(1) / 4, QuadNum(3) / 4]
     d = 8
     while len(pool) < count:
-        pool.extend(Fraction(n, d) for n in range(1, d, 2))
+        pool.extend(QuadNum(n) / d for n in range(1, d, 2))
         d *= 2
     return pool[:count]
 
 
-def _steps(count: int) -> list[Fraction]:
-    pool = [Fraction(1), Fraction(1, 2), Fraction(2)]
+def _steps(count: int) -> list[QuadNum]:
+    pool = [QuadNum(1), QuadNum(1) / 2, QuadNum(2)]
     n = 3
     while len(pool) < count:
-        pool.append(Fraction(n))
+        pool.append(QuadNum(n))
         n += 1
     return pool[:count]
 

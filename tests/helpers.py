@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -31,7 +33,7 @@ from octocf.farey import (
 )
 from octocf.h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
 from octocf.intmat import IntMat
-from octocf.numerics import Mat2, QuadNum, Vec2, quad_sign
+from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, quad_sign
 from octocf.octagon import (
     OCTAGON_AREA,
     ExpansionTrace,
@@ -62,6 +64,130 @@ def quadnums(max_num=60, max_den=12):
 
 def nonzero_quadnums():
     return quadnums().filter(lambda q: not q.is_zero())
+
+
+# -- exact literals as Fraction reads and writes them ---------------------------------
+#
+# The oracle of QuadNum's text boundary: each coefficient goes through Fraction,
+# with the refusals QuadNum makes, so the int-backed reader and writer can be
+# compared with it on any literal.
+
+_RATIONAL_LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def reference_coefficient(text) -> Fraction:
+    """One rational coefficient literal, ``-3`` or ``7/2``, read by Fraction."""
+    if not isinstance(text, str):
+        raise QuadNumParseError(f"expected a string coefficient, got {type(text).__name__}")
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        raise QuadNumParseError(f"expected an exact rational like -3/2, got {text[:40]!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise QuadNumParseError(f"zero denominator in {text!r}") from None
+    except ValueError:  # past the digit limit, which only Pythons that have one apply
+        raise ValueError(
+            f"an exact literal has more than {sys.get_int_max_str_digits()} digits, past "
+            "Python's int-to-string limit"
+        ) from None
+
+
+def reference_parse(text: str) -> QuadNum:
+    """``QuadNum.parse`` with each coefficient read by :func:`reference_coefficient`."""
+    s = text.strip().replace(" ", "")
+    s = s.replace("√2", "@").replace("sqrt(2)", "@").replace("sqrt2", "@").replace("*@", "@")
+    if not s:
+        raise QuadNumParseError("empty literal")
+    if "@" not in s:
+        if not _RATIONAL_LITERAL.fullmatch(s):
+            raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
+        return QuadNum(reference_coefficient(s))
+    m = re.fullmatch(
+        r"(?:(?P<ra>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<sb>[+-])?(?P<rb>\d+(?:/\d+)?)?@", s
+    )
+    if not m:
+        raise QuadNumParseError(f"cannot parse {text!r} as an element of Q(sqrt(2))")
+    a = reference_coefficient(m.group("ra")) if m.group("ra") else Fraction(0)
+    b = reference_coefficient(m.group("rb")) if m.group("rb") else Fraction(1)
+    return QuadNum(a, -b if m.group("sb") == "-" else b)
+
+
+def reference_from_json(obj: dict) -> QuadNum:
+    return QuadNum(reference_coefficient(obj["a"]), reference_coefficient(obj["b"]))
+
+
+def reference_parts(q: QuadNum) -> tuple[Fraction, Fraction]:
+    """The rational part and the coefficient of sqrt(2), from the canonical ints."""
+    p, r, den = q.ints
+    return Fraction(p, den), Fraction(r, den)
+
+
+def reference_to_json(q: QuadNum) -> dict:
+    a, b = reference_parts(q)
+    return {"a": str(a), "b": str(b)}
+
+
+def reference_str(q: QuadNum) -> str:
+    a, b = reference_parts(q)
+    if b == 0:
+        return str(a)
+    tail = "sqrt(2)" if abs(b) == 1 else f"{abs(b)}*sqrt(2)"
+    sign = "-" if b < 0 else ("+" if a != 0 else "")
+    return f"{'' if a == 0 else a}{sign}{tail}"
+
+
+def reference_repr(q: QuadNum) -> str:
+    a, b = reference_parts(q)
+    return f"QuadNum({a!r}, {b!r})"
+
+
+def reference_u_text(d: Direction) -> str:
+    x, y = d.vector.x, d.vector.y
+    return "inf" if y.is_zero() else reference_str(x / y)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def rational_literals():
+    """Coefficient literals as a user or a file writes them: signs, ``+3``, zero,
+    leading zeros, unit and non-unit denominators, unreduced (``4/6``, ``-0/3``)."""
+    digits = st.one_of(
+        st.integers(min_value=0, max_value=10**30).map(str),
+        st.integers(min_value=0, max_value=99).map(lambda n: f"0{n}"),
+    )
+    denominators = st.one_of(
+        st.just(""), st.integers(min_value=1, max_value=10**20).map(lambda n: f"/{n}")
+    )
+    return st.builds(
+        lambda sign, n, d: f"{sign}{n}{d}", st.sampled_from(["", "+", "-"]), digits, denominators
+    )
+
+
+def quadnum_literals():
+    """Literals ``QuadNum.parse`` reads: a rational, or a rational part and a
+    coefficient of sqrt(2) in either spelling, with or without ``*`` and spaces."""
+    radicals = st.sampled_from(["sqrt(2)", "sqrt2", "√2", "*sqrt(2)", "*√2", "*sqrt2"])
+    unsigned = rational_literals().map(lambda t: t.lstrip("+-"))
+
+    def join(head, sign, coefficient, radical, spaced):
+        text = f"{head}{sign}{coefficient}{radical}"
+        return f" {head} {sign} {coefficient}{radical} " if spaced else text
+
+    irrational = st.builds(
+        join,
+        st.one_of(st.just(""), rational_literals()),
+        st.sampled_from(["+", "-"]),
+        st.one_of(st.just(""), unsigned),
+        radicals,
+        st.booleans(),
+    )
+    return st.one_of(rational_literals(), irrational)
 
 
 def check_value_type(values, fields: tuple[str, ...]) -> None:

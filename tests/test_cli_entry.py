@@ -131,6 +131,9 @@ sys.exit(code)
 #: What defining a dataclass imports; ``inspect`` alone is about 8 ms of start-up.
 _DATACLASS_IMPORTS = {"dataclasses", "inspect"}
 
+#: What ``fractions`` loads; exact literals are read and written on ints.
+_FRACTION_IMPORTS = {"fractions", "decimal", "numbers"}
+
 
 def _child(args, env_extra):
     env = dict(os.environ, **env_extra)
@@ -170,7 +173,8 @@ def test_random_verify_samples_are_pinned():
 def _loaded(argv, env):
     result = _child(["-c", _MODULES_CHILD, *argv], env)
     assert result.returncode == cli.EXIT_OK, result.stderr.decode()
-    return result.stdout, ast.literal_eval(result.stderr.decode())
+    # a warning, as for a decimal literal, comes before the modules' line
+    return result.stdout, ast.literal_eval(result.stderr.decode().splitlines()[-1])
 
 
 @each_command
@@ -190,6 +194,24 @@ def test_command_imports_only_what_it_runs(argv, env, digest, modules):
 def test_start_up_builds_no_dataclass(argv):
     _, loaded = _loaded(argv, {})
     assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
+
+
+#: ``import octocf.cli`` alone, then each command that takes no Fraction.
+_EXACT_RUNS = [([], {})] + [(argv, env) for argv, env, *_ in COMMANDS if argv[0] != "render"]
+
+
+@pytest.mark.parametrize(
+    "argv, env", _EXACT_RUNS, ids=[" ".join(argv) or "import" for argv, _ in _EXACT_RUNS]
+)
+def test_exact_literals_load_no_fractions(argv, env):
+    # only render computes with Fraction
+    _, loaded = _loaded(argv, env)
+    assert not _FRACTION_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
+
+
+def test_a_decimal_literal_loads_fractions_and_decimal():
+    _, loaded = _loaded(["expand", "--u", "0.5"], {})
+    assert {"fractions", "decimal"} <= set(loaded["stdlib"])
 
 
 #: Imports ``octocf.cli`` and ``octocf.farey``, runs ``cli.main`` on each argv

@@ -1,5 +1,6 @@
 """Octagon Farey map: sectors, folding, expansions, reconstruction, duals."""
 
+import array
 import enum
 import itertools
 import math
@@ -45,6 +46,7 @@ from octocf.farey import (
     InadmissiblePrefixError,
     RP1Interval,
     TiePolicy,
+    WalkInvariantError,
     _RUN_EXIT,
     _expand_orbit,
     classify,
@@ -642,6 +644,64 @@ class TestOrbit:
             assert copy == want and hash(copy) == hash(want)
 
 
+#: A direction on which a wrong b_0 = 1 + sqrt2 test in ``_sectors`` (its 2*yq
+#: term written with a plus) made the walk run away: its first iterate went to
+#: sector 0 instead of 1, the next to sector 1 instead of 0, with run length -7,
+#: and the one after that, below the horizontal, into sector 7 with run length
+#: -1, which steps back onto the same iterate for ever.
+_RUNAWAY = Direction(Vec2(QuadNum.parse("62/3-40/3*sqrt2"), QuadNum.parse("-10+23/3*sqrt2")))
+
+#: That last iterate, (-102 + 72*sqrt2, 483 - 342*sqrt2); only the trusted
+#: constructor holds it, as Direction would negate it.
+_STALLED = numerics._direction(Vec2(QuadNum(-102, 72), QuadNum(483, -342)))
+
+
+def _wrong_b0(xp, xq, yp, yq, _sectors=farey._sectors):
+    """``farey._sectors`` with the wrong b_0 test."""
+    if farey._sign(xp, xq) > 0 and farey._sign(xp - yp, xq - yq) > 0:
+        s = farey._sign(xp - yp + 2 * yq, xq - yq - yp)
+        return (0,) if s > 0 else (1,) if s else (0, 1)
+    return _sectors(xp, xq, yp, yq)
+
+
+class TestWalkInvariant:
+    """A wrong sector decision stops the walk with a named error at the first
+    negative run length, where the walk would stall; each patched decision
+    fails the test after 100 calls instead of hanging."""
+
+    @pytest.fixture
+    def decide(self, monkeypatch):
+        def patch(sectors):
+            calls = itertools.count(1)
+
+            def capped(*v):
+                assert next(calls) <= 100, "the walk makes no progress"
+                return sectors(*v)
+
+            monkeypatch.setattr(farey, "_sectors", capped)
+
+        return patch
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_a_wrong_b0_test_stops_the_walk(self, decide, policy):
+        decide(_wrong_b0)
+        with pytest.raises(WalkInvariantError) as raised:
+            expand(_RUNAWAY, 27, policy)
+        assert str(raised.value) == "negative parabolic run length -7 at entry 1, step 1"
+
+    def test_stalled_iterate_sent_into_sector_7(self, decide):
+        real = farey._sectors
+        decide(lambda *v: (7,) if v == (-102, 72, 483, -342) else real(*v))
+        with pytest.raises(WalkInvariantError) as raised:
+            _expand_orbit(_STALLED, 27, TiePolicy.HIGH)
+        assert str(raised.value) == "negative parabolic run length -1 at entry 7, step 0"
+
+    def test_the_true_kernel_walks_on(self):
+        assert expand(_RUNAWAY, 27, TiePolicy.HIGH).entries == (
+            (1,) * 5 + (6, 1) + (7,) * 4 + (4, 6) + (7,) * 14
+        )
+
+
 class TestFoldAndStep:
     def test_identity_on_sector0(self):
         d = Direction(Vec2(3, 1))
@@ -1060,10 +1120,20 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("entries", _REFUSED)
     def test_expansion_refuses(self, entries):
-        with pytest.raises(InadmissiblePrefixError) as raised:
-            FareyExpansion(entries)
-        assert type(raised.value) is InadmissiblePrefixError
-        assert str(raised.value) == f"inadmissible entries {entries}"
+        for given in (entries, list(entries)):
+            with pytest.raises(InadmissiblePrefixError) as raised:
+                FareyExpansion(given)
+            assert type(raised.value) is InadmissiblePrefixError
+            assert str(raised.value) == f"inadmissible entries {given}"
+
+    @pytest.mark.parametrize("entries", [(0,), (1, 2), (5, 1, 1, 7), (2,) + (1,) * 40])
+    def test_expansion_keeps_a_tuple(self, entries):
+        for given in (entries, list(entries), bytes(entries), array.array("b", entries)):
+            e = FareyExpansion(given, tail=1 if entries[-1] == 1 else None)
+            assert type(e.entries) is tuple and e.entries == entries
+            assert e == FareyExpansion(entries, tail=e.tail)
+            assert hash(e) == hash(FareyExpansion(entries, tail=e.tail))
+        assert replace(FareyExpansion(entries), entries=list(entries)).entries == entries
 
     @pytest.mark.parametrize(
         "entries, name",

@@ -3,6 +3,7 @@ Moebius oracle that the Farey tests use."""
 
 import gc
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd, isclose, isqrt, lcm
 
@@ -15,15 +16,25 @@ from helpers import (
     fractions,
     moebius,
     nonzero_quadnums,
+    outcome,
+    quadnum_literals,
     quadnums,
+    rational_literals,
     reference_apply,
     reference_cross,
     reference_det,
     reference_dot,
+    reference_from_json,
     reference_matmul,
+    reference_parse,
+    reference_repr,
+    reference_str,
+    reference_to_json,
+    reference_u_text,
 )
 from octocf.classical import QuadraticIrrational
 from octocf.numerics import (
+    Direction,
     Mat2,
     QuadNum,
     QuadNumParseError,
@@ -32,6 +43,7 @@ from octocf.numerics import (
     _reduced,
     to_decimal,
 )
+from octocf.octagon import sector_direction
 
 GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
@@ -404,6 +416,105 @@ class TestParseAndJson:
             QuadNum.from_json({"a": coefficient, "b": "0"})
         with pytest.raises(QuadNumParseError, match="exact rational"):
             QuadNum.from_json({"a": "0", "b": coefficient})
+
+
+class _Half(Fraction):
+    """A Fraction subclass, which every exact constructor takes as a Fraction."""
+
+
+class TestLiteralBoundary:
+    """Literals read and written on ints, against the Fraction oracle in helpers:
+    the same values, the same text and the same refusals."""
+
+    @given(quadnum_literals())
+    @example("4/6")
+    @example("-0/3")
+    @example("+3")
+    @example("-0/3+4/6*sqrt(2)")
+    @example("1/2√2")
+    @example("-sqrt2")
+    def test_parse(self, text):
+        q = QuadNum.parse(text)
+        assert q.ints == reference_parse(text).ints
+        assert str(q) == reference_str(q) and repr(q) == reference_repr(q)
+        assert q.to_json() == reference_to_json(q)
+
+    @given(rational_literals(), rational_literals())
+    @example("4/6", "-0/3")
+    @example("+3", "0")
+    def test_from_json(self, a, b):
+        assert outcome(QuadNum.from_json, {"a": a, "b": b}) == outcome(
+            reference_from_json, {"a": a, "b": b}
+        )
+
+    @given(st.text(alphabet="0123456789+-/*. e√sqrt()", max_size=16))
+    def test_any_text_parses_or_fails_alike(self, text):
+        assert outcome(QuadNum.parse, text) == outcome(reference_parse, text)
+
+    @given(quadnums(max_num=10**20, max_den=10**12))
+    @example(QuadNum(0))
+    @example(QuadNum(0, 1))
+    @example(QuadNum(0, -1))
+    @example(QuadNum(Fraction(-1, 2), -1))
+    @example(QuadNum(3, Fraction(-7, 2)))
+    def test_written_text(self, q):
+        assert str(q) == reference_str(q)
+        assert repr(q) == reference_repr(q)
+        assert q.to_json() == reference_to_json(q)
+        assert (type(q.a), type(q.b)) == (Fraction, Fraction)
+        assert (q.a, q.b) == (Fraction(q.ints[0], q.ints[2]), Fraction(q.ints[1], q.ints[2]))
+        assert QuadNum.from_json(q.to_json()) == q == QuadNum.parse(str(q))
+
+    @given(quadnums(), nonzero_quadnums())
+    def test_u_text(self, x, y):
+        for d in (Direction(Vec2(x, y)), Direction(Vec2(y, 0)), Direction(Vec2(y, y * y))):
+            assert d.u_text() == reference_u_text(d)
+
+    @pytest.mark.parametrize("coefficient", [3, None, 1.5, True, ["1"], "1e3", "1.5", "1/0", "0/0"])
+    def test_refusals(self, coefficient):
+        obj = {"a": "1", "b": coefficient}
+        assert outcome(QuadNum.from_json, obj) == outcome(reference_from_json, obj)
+        assert outcome(QuadNum.from_json, obj)[0] is QuadNumParseError
+        if isinstance(coefficient, str):
+            for text in (coefficient, f"2+{coefficient}*sqrt(2)"):
+                assert outcome(QuadNum.parse, text) == outcome(reference_parse, text)
+                assert outcome(QuadNum.parse, text)[0] is QuadNumParseError
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
+    )
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "-{}/7"])
+    def test_one_digit_past_the_live_limit(self, form):
+        text = form.format("7" * (sys.get_int_max_str_digits() + 1))
+        refused = outcome(QuadNum.parse, text)
+        assert refused == outcome(reference_parse, text)
+        assert refused[0] is ValueError and "int-to-string limit" in refused[1]
+        assert outcome(QuadNum.from_json, {"a": text, "b": "0"}) == refused
+        # at the limit itself the literal is read
+        text = form.format("7" * sys.get_int_max_str_digits())
+        assert QuadNum.parse(text) == reference_parse(text)
+
+    def test_exact_arguments(self):
+        half = QuadNum(Fraction(1, 2))
+        assert half.ints == (1, 0, 2) and QuadNum(_Half(1, 2)) == half
+        assert QuadNum(True).ints == (1, 0, 1) and QuadNum(False, True).ints == (0, 1, 1)
+        assert QuadNum(1) + _Half(1, 2) == half * 3 and Vec2(_Half(1, 2), True) == Vec2(half, 1)
+        assert Mat2(Fraction(1, 2), 0, 0, True) == Mat2(half, 0, 0, 1)
+        assert sector_direction(3, _Half(1, 2)) == sector_direction(3, Fraction(1, 2))
+        assert sector_direction(7, True) == sector_direction(7, 1)
+
+    @pytest.mark.parametrize("value", [1.5, "1/2", None, QuadNum(1)])
+    def test_inexact_arguments(self, value):
+        name = type(value).__name__
+        for build in (lambda: QuadNum(value), lambda: QuadNum(1, value)):
+            assert outcome(build) == (TypeError, f"expected int or Fraction, got {name}")
+        assert outcome(sector_direction, 3, value) == (
+            TypeError, f"expected int or Fraction, got {name}"
+        )
+        if not isinstance(value, QuadNum):
+            coerced = (TypeError, f"cannot coerce {name} into Q(sqrt(2))")
+            assert outcome(lambda: QuadNum(1) * value) == coerced
+            assert outcome(Vec2, value, 0) == outcome(Mat2, 1, 0, 0, value) == coerced
 
 
 @pytest.mark.parametrize(
