@@ -24,6 +24,8 @@ saddle
     The exact saddle-connection ray tracer, a test oracle that no command loads.
 render
     Deterministic SVG rendering.
+jsonout
+    Indented JSON text as ``json.dumps(obj, indent=2)`` writes it, without ``json``.
 cli
     The ``octocf`` command-line tool.
 """

@@ -1,6 +1,8 @@
 """Command-line front end: expansions, convergents, traces, verification, SVG.
 
-All subcommands print JSON on stdout unless ``--out`` redirects to a file.
+All subcommands print JSON on stdout unless ``--out`` redirects to a file,
+byte for byte as ``json.dumps(obj, indent=2)`` writes it, through
+:func:`jsonout.json_text`, which needs no ``json`` import.
 Exit codes are fixed for CI use: 0 success, 1 verification failure, 2 parse
 failure, 3 I/O failure.  Directions may be given exactly (``3/2+1/4*sqrt2``,
 ``inf``) or as decimals, which are converted to a nearby rational (marked
@@ -39,10 +41,6 @@ _MAX_DENOMINATOR = 10**6
 #: ``--random-samples``), the same bound as a ``convergents`` listing.
 _MAX_COUNT = 10**6
 
-#: An underscore not between two digits: Decimal reads it, Fraction refuses it.
-_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
-
-
 class _ParseFailure(ValueError):
     pass
 
@@ -80,7 +78,8 @@ def _decimal(text: str, what: str) -> Fraction:
     from fractions import Fraction
 
     value = text
-    if "/" not in text and not _STRAY_UNDERSCORE.search(text):
+    # an underscore not between two digits: Decimal reads it, Fraction refuses it
+    if "/" not in text and not re.search(r"(?<!\d)_|_(?!\d)", text):
         try:
             literal = decimal.Decimal(text)
         except decimal.InvalidOperation:
@@ -169,12 +168,10 @@ def _printed(build):
 
 
 def _emit_json(args, obj) -> int:
-    """``obj`` as indented JSON, written in batches of the encoder's chunks."""
-    import json
-    from itertools import chain
+    """``obj`` as indented JSON and a newline."""
+    from .jsonout import json_text
 
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    return _emit(args, chain(_batched(chunks), ["\n"]))
+    return _emit(args, (json_text(obj), "\n"))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -237,12 +234,12 @@ def _convergents_json(result, approximate: bool):
     """The indented JSON of ``result.to_json()`` and a newline, in the layout of
     the record it builds, with the intermediate convergents written one per
     string as they are formed."""
-    import json
+    from .jsonout import json_text
 
     record = result._record(None)
     if approximate:
         record["approximate"] = True
-    head, tail = json.dumps(record, indent=2).split('"intermediates": null')
+    head, tail = json_text(record).split('"intermediates": null')
     yield head + '"intermediates": ['
     for idx, (digit, group) in enumerate(zip(result.digits, result.iter_intermediates())):
         yield ",\n    [" if idx else "\n    ["
@@ -293,7 +290,7 @@ def _cmd_simulate(args) -> int:
     if approximate:
         record["approximate"] = True
     steps = _first_moves(state, args.steps)
-    return _emit(args, _batched(_simulate_json(record, steps, args.steps)))
+    return _emit(args, _simulate_json(record, steps, args.steps))
 
 
 def _first_moves(state, n: int):
@@ -310,19 +307,17 @@ def _first_moves(state, n: int):
 
 def _simulate_json(record, steps, n: int):
     """The indented JSON of ``record`` and a newline, with each of ``steps``
-    encoded as it is made, and ``halted`` true when fewer than ``n`` came."""
-    import json
+    written as one string as it is made, and ``halted`` true when fewer than
+    ``n`` came."""
+    from .jsonout import json_text
 
-    encode = json.JSONEncoder(indent=2).iterencode
-    head, tail = json.dumps(record, indent=2).split('"steps": null')
+    head, tail = json_text(record).split('"steps": null')
     yield head + '"steps": ['
     made = 0
     for step in steps:
-        yield ",\n    " if made else "\n    "
-        # a JSON string holds no raw newline, so this only indents the step
-        yield from (chunk.replace("\n", "\n    ") for chunk in encode(step))
+        yield (",\n    " if made else "\n    ") + json_text(step, "\n    ")
         made += 1
-    halted = json.dumps(made < n)
+    halted = json_text(made < n)
     yield ("\n  ]" if made else "]") + tail.replace('"halted": null', f'"halted": {halted}') + "\n"
 
 
@@ -425,8 +420,6 @@ _WORD_SECTORS = tuple(str(i) for i in range(1, 8))
 
 
 def _cmd_render(args) -> int:
-    from fractions import Fraction
-
     from . import octagon, render
 
     if args.input == "qprime":
@@ -445,7 +438,7 @@ def _cmd_render(args) -> int:
     if args.direction is not None:
         overlay, _ = _parse_direction(args.direction, args.side)
     spec = render.RenderSpec(
-        scale=Fraction(args.scale),
+        scale=args.scale,
         show_labels=not args.no_labels,
         direction_overlay=overlay,
     )

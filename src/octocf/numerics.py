@@ -411,19 +411,19 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     The output is exact round-half-even of the true real value.  For
     irrational q no tie is possible; rational ties round half to even.
     """
-    from fractions import Fraction
-
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    scaled = q * 10**digits
-    if scaled._q == 0:
-        n = round(scaled.a)  # Fraction rounds half to even
+    p, s, den = q._p, q._q, q._den
+    unit = 10**digits
+    if s == 0:
+        n, rest = divmod(p * unit, den)
+        if 2 * rest > den or (2 * rest == den and n & 1):
+            n += 1
     else:
-        # No tie: scaled is irrational, so floor(scaled + 1/2) is its rounding.
-        n = (scaled + Fraction(1, 2)).floor()
+        # No tie: the value is irrational, so floor(value*unit + 1/2) is its rounding.
+        n = quad_floor(2 * p * unit + den, 2 * s * unit, 2 * den, 2)
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    intpart, fracpart = divmod(n, 10**digits)
+    intpart, fracpart = divmod(abs(n), unit)
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
 
 

@@ -10,10 +10,12 @@ identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagch import LabeledQuadrangulation
 from .numerics import Direction, QuadNum, Vec2, _FrozenValue, to_decimal
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["RenderSpec", "render_states", "render_state", "trace_panels"]
 
@@ -26,14 +28,14 @@ class RenderSpec(_FrozenValue):
     ``direction_overlay``."""
 
     __slots__ = ("scale", "show_labels", "direction_overlay")
-    _defaults = (Fraction(60), True, None)
+    _defaults = (60, True, None)
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
 
-def _fmt(q: QuadNum, scale: Fraction) -> str:
+def _fmt(q: QuadNum, scale: int | Fraction) -> str:
     return to_decimal(q * scale, _DIGITS)
 
 
@@ -56,7 +58,7 @@ def render_states(states, spec: RenderSpec = RenderSpec()) -> str:
     states = list(states)
     if not states:
         raise ValueError("nothing to render")
-    pad = QuadNum(Fraction(1, 2))
+    pad = QuadNum(1) / 2
     panels = []
     bounds = [_state_bounds(state) for state in states]
     cell_w = max(hi_x - lo_x for lo_x, hi_x, _, _ in bounds) + pad + pad
@@ -84,7 +86,7 @@ def render_state(state: LabeledQuadrangulation, spec: RenderSpec = RenderSpec())
     return render_states([state], spec)
 
 
-def _point(origin_x: QuadNum, origin_y: QuadNum, v: Vec2, scale: Fraction) -> str:
+def _point(origin_x: QuadNum, origin_y: QuadNum, v: Vec2, scale: int | Fraction) -> str:
     return f"{_fmt(origin_x + v.x, scale)},{_fmt(origin_y - v.y, scale)}"
 
 
@@ -112,8 +114,8 @@ def _render_panel(
             f'stroke="#a04040" stroke-width="1" stroke-dasharray="4,3"/>'
         )
         if spec.show_labels:
-            center_x = (base.x + right.x + top.x + left.x) * QuadNum(Fraction(1, 4))
-            center_y = (base.y + right.y + top.y + left.y) * QuadNum(Fraction(1, 4))
+            center_x = (base.x + right.x + top.x + left.x) / 4
+            center_y = (base.y + right.y + top.y + left.y) / 4
             parts.append(
                 f'<text x="{_fmt(origin_x + center_x, spec.scale)}" '
                 f'y="{_fmt(origin_y - center_y, spec.scale)}" '

@@ -146,6 +146,21 @@ def reference_u_text(d: Direction) -> str:
     return "inf" if y.is_zero() else reference_str(x / y)
 
 
+def reference_to_decimal(q: QuadNum, digits: int) -> str:
+    """``numerics.to_decimal`` as it was written on Fraction: the rational
+    value's round-half-even, or floor(value + 1/2) of an irrational one."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    scaled = q * 10**digits
+    if scaled.b == 0:
+        n = round(scaled.a)  # Fraction rounds half to even
+    else:
+        n = (scaled + Fraction(1, 2)).floor()
+    sign = "-" if n < 0 else ""
+    intpart, fracpart = divmod(abs(n), 10**digits)
+    return f"{sign}{intpart}.{fracpart:0{digits}d}"
+
+
 def outcome(f, *args):
     """``f(*args)``, or the type and message of the exception it raises."""
     try:

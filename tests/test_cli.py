@@ -11,11 +11,13 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import DEFAULT_MAX_STR_DIGITS
 from octocf.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
+from octocf.jsonout import json_text
+from octocf.numerics import _max_int_digits
 
 
 def run_cli(capsys, *argv):
@@ -644,6 +646,54 @@ class TestTraceAndSimulate:
         record = run_json(capsys, "trace", "--u", "19/7", "--steps", "2")
         state = LabeledQuadrangulation.from_json(record["steps"][0]["state"])
         assert state.to_json() == record["steps"][0]["state"]
+
+
+#: Text with the characters JSON escapes: quote, backslash, controls, DEL
+#: (written as \u007f) and non-BMP characters (written as surrogate pairs).
+_JSON_TEXTS = st.text(
+    st.sampled_from('"\\\x00\x08\t\n\x0c\r\x1f\x7f\x80é€\U0001f600') | st.characters()
+)
+
+
+def _json_values():
+    """Nested values of the types octocf writes as JSON, ints up to the digit limit."""
+    bound = 10 ** _max_int_digits() - 1
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers(-bound, bound)
+        | st.integers()
+        | st.floats()
+        | _JSON_TEXTS
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXTS, inner, max_size=4),
+        max_leaves=24,
+    )
+
+
+class TestJsonWriter:
+    @given(_json_values())
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324])
+    @example({"": [[], {}, ()], "\x7f": [[[]]], "\U0001f600": None})
+    def test_writes_what_json_dumps_writes(self, value):
+        text = json.dumps(value, indent=2)
+        assert json_text(value) == text
+        # a JSON string holds no raw newline, so the pad indents every line but the first
+        assert json_text(value, "\n    ") == text.replace("\n", "\n    ")
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: 2}, {None: 1}, {("a",): 1}, [{"a": {2.5: 0}}], object(), {1, 2}, b"x", [bytearray()]],
+        ids=["int key", "None key", "tuple key", "nested float key", "object", "set", "bytes",
+             "nested bytearray"],
+    )
+    def test_refuses_other_keys_and_values(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 class TestDumpAndRender:

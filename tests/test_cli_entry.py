@@ -17,6 +17,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +35,8 @@ MOVES = {
     "octocf", "octocf.cli", "octocf.numerics", "octocf.diagch", "octocf.h2moves", "octocf.intmat"
 }
 OCTAGON = EXPAND | MOVES | {"octocf.octagon"}
+#: Every command but ``render`` writes JSON.
+JSON = {"octocf.jsonout"}
 
 #: (argv, environment, SHA-256 of stdout, the octocf modules the command loads)
 COMMANDS = [
@@ -41,45 +44,45 @@ COMMANDS = [
         ["expand", "--u=-5/14+13/28*sqrt(2)", "--depth", "7", "--dual"],
         {},
         "e69646ead9551f81191a998f30981645338664c7669ac7d5aeb949e1397e4367",
-        EXPAND,
+        EXPAND | JSON,
     ),
     (
         ["reconstruct", "--entries", "6,4,7,2,1,4,1,7,4,4,5,7,7,1,6"],
         {},
         "31c5208147885c4dee939e7529654793b60e6a0d1399067a48dc43fedbf3ebf4",
-        EXPAND,
+        EXPAND | JSON,
     ),
     (
         ["trace", "--u=-16489/1091", "--steps", "20"],
         {},
         "5f00a213c83215b88a8f7a1034b79c46a13e67a13ef5517ceb9a102397531268",
-        OCTAGON,
+        OCTAGON | JSON,
     ),
     (
         # halts with hits_singularity after 2 steps
         ["trace", "--u=2", "--steps", "8"],
         {},
         "a6255c1cf1d3ae9022eea6324c8c4d496eec7ae450cf28b0e3d2e0e67ec89e7d",
-        OCTAGON,
+        OCTAGON | JSON,
     ),
     (
         # a tie, taken high, and then a tail of 7s
         ["trace", "--u=1", "--steps", "6", "--policy", "high"],
         {},
         "273463972aa009bf433fda284bb38b1bab0306e2afb169c9b5092984f2d00246",
-        OCTAGON,
+        OCTAGON | JSON,
     ),
     (
         ["verify", "--random-samples", "1"],
         {"OCTOCF_SEED": "756589"},
         "9c1370cfb234dc7d2e0fc9501d0be06bf0531db512fd621091779826c965e4b8",
-        OCTAGON,
+        OCTAGON | JSON,
     ),
     (
         ["convergents", "--alpha", "golden", "--steps", "27"],
         {},
         "06a636a533057ca2b556dd39b8e4f8506399d5a52580f39884d1cbd21f4594a1",
-        {"octocf", "octocf.cli", "octocf.classical", "octocf.numerics"},
+        {"octocf", "octocf.cli", "octocf.classical", "octocf.numerics"} | JSON,
     ),
     (
         ["render", "--input", "sector:3"],
@@ -91,7 +94,7 @@ COMMANDS = [
         ["dump-matrices"],
         {},
         "74ff7f0db5a88aade7c556b81c8fe836d5592a89958ba19c92090cdfcbe6e795",
-        MOVES,
+        MOVES | JSON,
     ),
 ]
 
@@ -184,6 +187,8 @@ def test_command_imports_only_what_it_runs(argv, env, digest, modules):
     assert loaded["octocf"] == sorted(modules)
     # the saddle-connection ray tracer is a test oracle: no command compiles it
     assert loaded["ray_tracer"] == []
+    # output is written by octocf.jsonout; only the JSON file readers load json
+    assert [m for m in loaded["stdlib"] if m.split(".")[0] == "json"] == []
 
 
 @pytest.mark.parametrize(
@@ -196,15 +201,15 @@ def test_start_up_builds_no_dataclass(argv):
     assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
 
 
-#: ``import octocf.cli`` alone, then each command that takes no Fraction.
-_EXACT_RUNS = [([], {})] + [(argv, env) for argv, env, *_ in COMMANDS if argv[0] != "render"]
+#: ``import octocf.cli`` alone, then each command.
+_EXACT_RUNS = [([], {})] + [(argv, env) for argv, env, *_ in COMMANDS]
 
 
 @pytest.mark.parametrize(
     "argv, env", _EXACT_RUNS, ids=[" ".join(argv) or "import" for argv, _ in _EXACT_RUNS]
 )
 def test_exact_literals_load_no_fractions(argv, env):
-    # only render computes with Fraction
+    # render's coordinates are rounded to decimals on ints too
     _, loaded = _loaded(argv, env)
     assert not _FRACTION_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
 
@@ -212,6 +217,20 @@ def test_exact_literals_load_no_fractions(argv, env):
 def test_a_decimal_literal_loads_fractions_and_decimal():
     _, loaded = _loaded(["expand", "--u", "0.5"], {})
     assert {"fractions", "decimal"} <= set(loaded["stdlib"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["render", "--input"], ["simulate", "--u", "1+sqrt2", "--steps", "1", "--quad"]],
+    ids=["render --input FILE", "simulate --quad FILE"],
+)
+def test_a_json_file_reader_loads_json(argv, tmp_path):
+    from octocf.octagon import qprime, sector_midpoint
+
+    path = tmp_path / "qprime.json"
+    path.write_text(json.dumps(qprime(sector_midpoint(4)).to_json()))
+    _, loaded = _loaded([*argv, str(path)], {})
+    assert "json" in loaded["stdlib"]
 
 
 #: Imports ``octocf.cli`` and ``octocf.farey``, runs ``cli.main`` on each argv

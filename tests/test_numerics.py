@@ -29,6 +29,7 @@ from helpers import (
     reference_parse,
     reference_repr,
     reference_str,
+    reference_to_decimal,
     reference_to_json,
     reference_u_text,
 )
@@ -361,6 +362,32 @@ class TestDecimal:
     @given(quadnums(), st.integers(min_value=1, max_value=12))
     def test_against_enclosure_oracle(self, q, digits):
         assert to_decimal(q, digits) == _decimal_oracle(q, digits)
+
+    @given(quadnums(10**9, 10**6) | quadnums(), st.integers(min_value=1, max_value=14))
+    def test_ints_round_as_fractions_do(self, q, digits):
+        assert to_decimal(q, digits) == reference_to_decimal(q, digits)
+        assert to_decimal(-q, digits) == reference_to_decimal(-q, digits)
+
+    @given(st.integers(min_value=-(10**16), max_value=10**16), st.integers(1, 14))
+    def test_rational_ties_round_half_to_even(self, k, digits):
+        tie = QuadNum(Fraction(2 * k + 1, 2 * 10**digits))  # halfway between k and k + 1
+        even = k + (k & 1)
+        assert to_decimal(tie, digits) == reference_to_decimal(tie, digits)
+        assert to_decimal(tie, digits) == to_decimal(QuadNum(Fraction(even, 10**digits)), digits)
+
+    @given(
+        st.integers(min_value=-(10**16), max_value=10**16),
+        st.integers(1, 14),
+        st.sampled_from([(99, 70), (1393, 985), (8119, 5741), (47321, 33461), (275807, 195025)]),
+        st.sampled_from([1, -1]),
+    )
+    def test_irrational_values_next_to_a_tie(self, k, digits, convergent, side):
+        # sqrt(2) - p/q lies within 1/(2q^2) of 0, so each value is a tie moved
+        # by less than 10^-4 of the last place
+        p, q = convergent
+        offset = (QuadNum(Fraction(-p, q), 1) / 10**digits) * side
+        value = QuadNum(Fraction(2 * k + 1, 2 * 10**digits)) + offset
+        assert to_decimal(value, digits) == reference_to_decimal(value, digits)
 
 
 class TestParseAndJson:

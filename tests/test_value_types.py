@@ -270,7 +270,7 @@ REPRS = [
     ),
     (
         lambda: RenderSpec(),
-        "RenderSpec(scale=Fraction(60, 1), show_labels=True, direction_overlay=None)",
+        "RenderSpec(scale=60, show_labels=True, direction_overlay=None)",
     ),
     (
         lambda: OctagonModel((Vec2(1, 0),), QuadNum(1, 1)),
