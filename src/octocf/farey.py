@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -385,8 +384,7 @@ def _entry_bytes(entries: Sequence[int]) -> bytes | None:
     return data if _ADMISSIBLE.fullmatch(data) else None
 
 
-@dataclass(frozen=True)
-class FareyExpansion:
+class FareyExpansion(_FrozenValue):
     """A finite window of an octagon Farey itinerary.
 
     ``entries[0]`` may be 0; all later entries lie in 1..7.  ``tail`` is set
@@ -396,9 +394,8 @@ class FareyExpansion:
     sequence are kept as a tuple, so the value is hashable.
     """
 
-    entries: tuple[int, ...]
-    boundary_hit: bool = False
-    tail: int | None = None
+    __slots__ = ("entries", "boundary_hit", "tail")
+    _defaults = (False, None)
 
     def __post_init__(self):
         if not self.entries:
@@ -409,7 +406,7 @@ class FareyExpansion:
         if self.tail is not None and (type(self.tail) is not int or self.tail not in _PARABOLIC):
             raise ValueError(f"a tail must be the int 1 or 7, got {self.tail!r}")
         if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
+            self._setters[0](self, tuple(self.entries))
 
     @property
     def terminating(self) -> bool:

@@ -22,6 +22,7 @@ branches on a decimal rendering.
 
 from __future__ import annotations
 
+from functools import cache
 from math import atan2, gcd, isqrt, pi
 from operator import attrgetter
 import re
@@ -427,27 +428,52 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
 
 
+class _DataclassView:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a value type,
+    read from a frozen dataclass over its fields and defaults that is made on
+    the first read, so no value type loads ``dataclasses`` at import."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        return getattr(_as_dataclass(owner), self.name)
+
+
+@cache  # per class, not stored on it: a subclass would inherit its base's fields
+def _as_dataclass(cls):
+    from dataclasses import make_dataclass
+
+    names, defaults = cls.__slots__, cls._defaults
+    # the defaults are class attributes of the made class, as in a class body
+    given = dict(zip(names[len(names) - len(defaults) :], defaults))
+    return make_dataclass(cls.__name__, names, namespace=given, frozen=True)
+
+
 class _FrozenValue:
-    """Base of the slotted immutable value types; the slotted frozen dataclasses
-    ``MoveRecord`` and ``TraceStep`` take only its field protocol and pickling
-    from it.
+    """Base of the slotted immutable value types.
 
     The fields are the names in a class's own ``__slots__``; a subclass with
     no new slots keeps its base's.  Once per class, ``_fields`` is set to a
-    getter of their values as a tuple and ``_setters`` to their slot setters,
-    both in ``__slots__`` order.  Equality, hash, repr and pickling (through
-    the constructor) are over that tuple, as a frozen dataclass over the same
-    fields has them, without the code generation that a dataclass runs at
-    import.  ``__init__`` takes the fields positionally or by keyword, the
-    last ones defaulting to ``_defaults`` as a function's to its
-    ``__defaults__``, writes them through the setters and runs
-    ``__post_init__``, a subclass's checks; so a type with no checks and no
-    defaults declares only its ``__slots__``.  A type that builds its fields
-    itself, or a trusted constructor, writes them through ``_setters`` too.
+    getter of their values as a tuple, ``_setters`` to their slot setters,
+    both in ``__slots__`` order, and ``__match_args__`` to their names.
+    Equality, hash, repr and pickling (through the constructor) are over that
+    tuple, as a frozen dataclass over the same fields has them, without the
+    code generation that a dataclass runs at import.  ``__init__`` takes the
+    fields positionally or by keyword, the last ones defaulting to
+    ``_defaults`` as a function's to its ``__defaults__``, writes them through
+    the setters and runs ``__post_init__``, a subclass's checks; so a type
+    with no checks and no defaults declares only its ``__slots__``.  A type
+    that builds its fields itself, or a trusted constructor, writes them
+    through ``_setters`` too.  The dataclass field table is built on first
+    read (:class:`_DataclassView`), so ``dataclasses.replace``, ``fields``
+    and ``asdict`` take every value type.
     """
 
     __slots__ = ()
     _defaults: tuple = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -460,6 +486,7 @@ class _FrozenValue:
         else:
             cls._fields = staticmethod(attrgetter(*names))
         cls._setters = tuple(cls.__dict__[name].__set__ for name in names)
+        cls.__match_args__ = names
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -497,6 +524,17 @@ class _FrozenValue:
 
     def __reduce__(self):
         return self.__class__, self._fields(self)
+
+    def __setstate__(self, state: dict) -> None:
+        """Loads a pickle holding the fields as a ``__dict__``, as one of an
+        unslotted dataclass does; the checks run as in ``__init__``."""
+        for setter, name in zip(self._setters, self.__slots__):
+            setter(self, state[name])
+        self.__post_init__()
+
+    def __replace__(self, **changes):
+        """``copy.replace``: a copy with ``changes``, built by the constructor."""
+        return self.__class__(**dict(zip(self.__slots__, self._fields(self)), **changes))
 
 
 class Vec2(_FrozenValue):

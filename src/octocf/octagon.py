@@ -32,7 +32,6 @@ that its first reference lies in the cones of Q'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from . import intmat
@@ -53,7 +52,6 @@ from .farey import (
     GAMMA_NU_INV,
     SECTOR_BOUNDS,
     Direction,
-    FareyExpansion,
     TiePolicy,
     _boundary_direction,
     _expand_orbit,
@@ -218,24 +216,12 @@ def _steps(count: int) -> list[QuadNum]:
 # -- executing sector words ----------------------------------------------------
 
 
-# MoveRecord and TraceStep declare their slots by hand: dataclass(slots=True)
-# rebuilds the class, and on Python 3.11 the rebuilt class's frozen __setattr__
-# raises TypeError, not FrozenInstanceError, for a name that is not a field.
-# The frozen __setattr__ also refuses pickle's slot-by-slot restore, so they
-# pickle and copy through the constructor, by _FrozenValue.__reduce__; the
-# dataclass makes their __init__, ==, hash and repr, and the replay and
-# run_expansion fill them through _FrozenValue._setters.
-
-
-@dataclass(frozen=True)
 class MoveRecord(_FrozenValue):
-    """One executed staircase move with the diagonals it created."""
+    """One executed staircase move with the diagonals it created: ``side``,
+    ``cycle`` and ``new_sides``, the (label, holonomy in the original frame)
+    pairs."""
 
     __slots__ = ("side", "cycle", "new_sides")
-
-    side: Side
-    cycle: tuple[int, ...]
-    new_sides: tuple[tuple[int, Vec2], ...]  # (label, holonomy in the original frame)
 
 
 class _WordRun:
@@ -436,14 +422,12 @@ def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremR
 # -- running expansions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TraceStep(_FrozenValue):
-    __slots__ = ("entry", "records", "state", "to_original")
+    """One Farey step of a trace: its ``entry``, the ``records`` of its moves,
+    the renormalized ``state`` (equal to Q' when intact) and ``to_original``,
+    the frame of ``state`` -> the original frame."""
 
-    entry: int
-    records: tuple[MoveRecord, ...]
-    state: LabeledQuadrangulation  # renormalized state (equal to Q' when intact)
-    to_original: Mat2  # the frame of ``state`` -> the original frame
+    __slots__ = ("entry", "records", "state", "to_original")
 
     @property
     def original_wedges(self) -> tuple[Vec2, ...]:
@@ -467,13 +451,12 @@ class TraceStep(_FrozenValue):
         }
 
 
-@dataclass(frozen=True)
-class ExpansionTrace:
-    direction: Direction
-    expansion: FareyExpansion
-    initial: LabeledQuadrangulation
-    steps: tuple[TraceStep, ...]
-    halted: str | None  # "hits_singularity" when a parallel diagonal appeared
+class ExpansionTrace(_FrozenValue):
+    """A run of :func:`run_expansion`: the ``direction``, its ``expansion``,
+    the ``initial`` state, the ``steps`` and ``halted``, "hits_singularity"
+    when a parallel diagonal appeared and None otherwise."""
+
+    __slots__ = ("direction", "expansion", "initial", "steps", "halted")
 
     def initial_original_wedges(self) -> tuple[Vec2, ...]:
         """The starting wedge vectors transported to the original frame."""

@@ -1,4 +1,5 @@
-"""Fixtures shared by the test modules, and a CPU budget for each test."""
+"""Fixtures shared by the test modules, a CPU budget for each test and a
+memory cap on the test process."""
 
 import contextlib
 import signal
@@ -56,6 +57,33 @@ def cpu_budget(seconds: float):
         signal.signal(signal.SIGPROF, previous)
     if fired:
         raise CPUBudgetExceeded(message)
+
+
+#: The address space the test process may map: 2 GiB, more than ten times the
+#: whole suite's peak in one process (``VmPeak`` about 160 MB, Python 3.11).
+#: Code that runs away allocating then fails with MemoryError instead of
+#: growing until something outside the tests stops it.
+TEST_ADDRESS_SPACE = 2 * 1024**3
+
+
+def cap_address_space(limit: int) -> None:
+    """Lowers this process's soft ``RLIMIT_AS`` to ``limit`` bytes (POSIX
+    only), never above the hard limit and never raising a lower soft one.
+    The processes it starts afterwards inherit the cap."""
+    try:
+        import resource
+    except ImportError:
+        return  # not POSIX
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    if soft == resource.RLIM_INFINITY or soft > limit:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def pytest_configure(config):
+    """Caps the test process's address space at TEST_ADDRESS_SPACE, once per session."""
+    cap_address_space(TEST_ADDRESS_SPACE)
 
 
 @pytest.hookimpl(wrapper=True)

@@ -131,7 +131,8 @@ print({
 sys.exit(code)
 """
 
-#: What defining a dataclass imports; ``inspect`` alone is about 8 ms of start-up.
+#: What defining a dataclass imports: ``import dataclasses`` is about 4 ms of
+#: start-up, 3.6 ms of it ``inspect`` (``python -X importtime``, Python 3.11).
 _DATACLASS_IMPORTS = {"dataclasses", "inspect"}
 
 #: What ``fractions`` loads; exact literals are read and written on ints.
@@ -191,23 +192,22 @@ def test_command_imports_only_what_it_runs(argv, env, digest, modules):
     assert [m for m in loaded["stdlib"] if m.split(".")[0] == "json"] == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["convergents", "--alpha", "golden", "--steps", "27"], ["dump-matrices"]],
-    ids=["import", "convergents", "dump-matrices"],
-)
-def test_start_up_builds_no_dataclass(argv):
-    _, loaded = _loaded(argv, {})
-    assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
-
-
 #: ``import octocf.cli`` alone, then each command.
 _EXACT_RUNS = [([], {})] + [(argv, env) for argv, env, *_ in COMMANDS]
 
-
-@pytest.mark.parametrize(
+each_run = pytest.mark.parametrize(
     "argv, env", _EXACT_RUNS, ids=[" ".join(argv) or "import" for argv, _ in _EXACT_RUNS]
 )
+
+
+@each_run
+def test_start_up_builds_no_dataclass(argv, env):
+    # no value type is a dataclass; the field table is made only when read
+    _, loaded = _loaded(argv, env)
+    assert not _DATACLASS_IMPORTS & set(loaded["stdlib"]), loaded["stdlib"]
+
+
+@each_run
 def test_exact_literals_load_no_fractions(argv, env):
     # render's coordinates are rounded to decimals on ints too
     _, loaded = _loaded(argv, env)

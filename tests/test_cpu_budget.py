@@ -1,17 +1,28 @@
-"""The per-test CPU budget that ``conftest.py`` sets: code that runs away
-fails with a message naming the budget, and hypothesis stops at once.
+"""The per-test CPU budget and the memory cap that ``conftest.py`` sets: code
+that runs away fails with a message naming the budget, and hypothesis stops
+at once; an allocation past the cap raises MemoryError.
 
 Each test runs a short budget of its own inside the one the hook set; the
 hook's timer and handler come back after it.
 """
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_CPU_BUDGET, CPUBudgetExceeded, cpu_budget
+from conftest import (
+    TEST_ADDRESS_SPACE,
+    TEST_CPU_BUDGET,
+    CPUBudgetExceeded,
+    cap_address_space,
+    cpu_budget,
+)
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="POSIX timers only")
 
@@ -75,3 +86,36 @@ def test_the_budget_stops_hypothesis_shrinking():
         with cpu_budget(0.05):
             runaway()
     assert len(calls) == 2
+
+
+#: Caps its own address space at 256 MiB by ``cap_address_space``, then asks
+#: for 512 MiB of zero bytes.  ``bytes(n)`` takes them from calloc, which does
+#: not touch fresh pages (``bytearray(n)`` writes every byte), so without the
+#: cap the request costs no memory.
+_OVER_THE_CAP = """
+from conftest import cap_address_space
+cap_address_space(256 * 1024**2)
+try:
+    bytes(512 * 1024**2)
+except MemoryError:
+    print("MemoryError")
+"""
+
+
+def test_an_allocation_past_the_cap_raises_memory_error():
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    assert soft != resource.RLIM_INFINITY and soft <= TEST_ADDRESS_SPACE
+    cap_address_space(2 * soft)  # never raises the cap
+    assert resource.getrlimit(resource.RLIMIT_AS) == (soft, hard)
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", _OVER_THE_CAP],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "MemoryError\n", "")

@@ -1,17 +1,21 @@
-"""The slotted value types of the staircase layer, which were frozen dataclasses.
+"""The slotted value types, which were frozen dataclasses.
 
 Each keeps its constructor (positional and keyword fields, the same
 defaults), its checks, ``==``, hash and the dataclass ``repr``; pickling and
 ``copy`` go through the constructor, and assignment raises AttributeError.
-Only the four types that are edited with ``dataclasses.replace`` elsewhere
-stay dataclasses, so that no command builds a dataclass it does not need.
+No class in ``src/`` is a dataclass, so that no command builds one; the
+dataclass protocol (``dataclasses.replace``, ``fields``, ``asdict``,
+``copy.replace`` and positional ``match`` patterns) still takes every type.
 """
 
 import ast
 import copy
+import dataclasses
 import importlib
 import pickle
 import pkgutil
+import pprint
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +33,7 @@ from octocf.diagch import (
     StaircaseMove,
     Wedge,
 )
-from octocf.farey import GAMMA_NU_INV, Direction, reconstruct
+from octocf.farey import GAMMA_NU_INV, Direction, FareyExpansion, reconstruct
 from octocf.h2moves import (
     QPRIME_COMB,
     LetterToken,
@@ -45,8 +49,11 @@ from octocf.h2moves import (
 from octocf.numerics import Mat2, QuadNum, Vec2, _FrozenValue
 from octocf.octagon import (
     Q0_COMB,
+    ExpansionTrace,
+    MoveRecord,
     SectorReport,
     TheoremReport,
+    TraceStep,
     _SectorTable,
     _sector_table,
     _WordRun,
@@ -60,14 +67,6 @@ from octocf.saddle import OctagonModel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "octocf"
 
-#: The dataclasses left in ``src/``: ``perfbench`` rebuilds them with ``dataclasses.replace``.
-DATACLASSES = {
-    ("farey", "FareyExpansion"),
-    ("octagon", "MoveRecord"),
-    ("octagon", "TraceStep"),
-    ("octagon", "ExpansionTrace"),
-}
-
 
 def _is_dataclass_decorator(node) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
@@ -75,7 +74,7 @@ def _is_dataclass_decorator(node) -> bool:
     return name == "dataclass"
 
 
-def test_only_the_replaced_types_are_dataclasses():
+def test_no_class_in_src_is_a_dataclass():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -83,7 +82,7 @@ def test_only_the_replaced_types_are_dataclasses():
                 _is_dataclass_decorator(d) for d in node.decorator_list
             ):
                 found.add((path.stem, node.name))
-    assert found == DATACLASSES
+    assert found == set()
 
 
 def _torus(ref=Vec2(1, 2)) -> LabeledQuadrangulation:
@@ -159,7 +158,8 @@ def _instances():
     """The first value of each table above, and one value of each other type."""
     inverted = Mat2(1, 1, 0, 1)
     inverted.inverse()  # fills _Invertible's slot too
-    step = run_expansion(Direction(Vec2(Fraction(-16489, 1091), 1)), 1).steps[0]
+    trace = run_expansion(Direction(Vec2(Fraction(-16489, 1091), 1)), 1)
+    step = trace.steps[0]
     return [values[0] for _, values, _ in VALUES] + [
         Vec2(1, QuadNum(0, 1)),
         inverted,
@@ -169,6 +169,8 @@ def _instances():
         geometric_convergents(Fraction(3, 2), 5),
         step.records[0],
         step,
+        trace.expansion,
+        trace,
         TheoremReport((), {3: True}, {3: True}, True),
     ]
 
@@ -177,7 +179,9 @@ def test_every_value_type_reads_and_writes_its_slots_in_order():
     for module in pkgutil.iter_modules(octocf.__path__, "octocf."):
         importlib.import_module(module.name)
     types = [cls for cls in _subclasses(_FrozenValue) if cls.__module__.startswith("octocf.")]
-    assert {Vec2, Mat2, CombDatum, octagon.MoveRecord, octagon.TraceStep} < set(types)
+    assert {Vec2, Mat2, CombDatum, MoveRecord, TraceStep, ExpansionTrace, FareyExpansion} < set(
+        types
+    )
     instances = _instances()
     for cls in types:
         value = next(v for v in instances if isinstance(v, cls))
@@ -370,3 +374,118 @@ def test_a_checked_state_runs_its_checks_once(monkeypatch):
     # the initial state and the replayed steps are built unchecked: Q' was
     # checked when the tables were proved, and its cones are tested per call
     assert calls == []
+
+
+# -- the dataclass protocol ------------------------------------------------------
+
+#: The four types that were dataclasses last, with their fields and defaults.
+PROTOCOL = [
+    (FareyExpansion, ("entries", "boundary_hit", "tail"), {"boundary_hit": False, "tail": None}),
+    (MoveRecord, ("side", "cycle", "new_sides"), {}),
+    (TraceStep, ("entry", "records", "state", "to_original"), {}),
+    (ExpansionTrace, ("direction", "expansion", "initial", "steps", "halted"), {}),
+]
+
+
+def _pairs() -> dict:
+    """Two unequal values of each type in PROTOCOL, from two traces."""
+    trace = run_expansion(Direction(Vec2(Fraction(-16489, 1091), 1)), 2)
+    other = run_expansion(Direction(Vec2(QuadNum(1, 1), 1)), 2)
+    first, second = trace.steps
+    return {
+        FareyExpansion: (trace.expansion, FareyExpansion((2, 1), True)),
+        MoveRecord: (first.records[0], second.records[0]),
+        TraceStep: (first, second),
+        ExpansionTrace: (trace, other),
+    }
+
+
+@pytest.mark.parametrize("cls, names, defaults", PROTOCOL, ids=[c.__name__ for c, *_ in PROTOCOL])
+def test_the_dataclass_protocol_takes_the_former_dataclasses(cls, names, defaults):
+    value, other = _pairs()[cls]
+    assert value != other
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert tuple(f.name for f in dataclasses.fields(value)) == names
+    assert dataclasses.fields(cls) == dataclasses.fields(value)
+    given = {f.name: f.default for f in dataclasses.fields(cls)}
+    assert {k: v for k, v in given.items() if v is not dataclasses.MISSING} == defaults
+    assert tuple(dataclasses.asdict(value)) == names
+    assert dataclasses.replace(value) == value
+    for name in names:
+        changed = dataclasses.replace(value, **{name: getattr(other, name)})
+        assert changed == cls(**{n: getattr(other if n == name else value, n) for n in names})
+    with pytest.raises(TypeError):
+        dataclasses.replace(value, extra=0)
+    # pprint reads the dataclass parameters of a value whose repr is too wide
+    assert pprint.pformat(value, width=20) == repr(value)
+
+
+def test_the_dataclass_fields_are_built_per_class():
+    assert dataclasses.fields(_FrozenValue) == ()
+    assert [f.name for f in dataclasses.fields(Mat2)] == ["a", "b", "c", "d"]
+    spec = RenderSpec()
+    assert dataclasses.asdict(spec) == {"scale": 60, "show_labels": True, "direction_overlay": None}
+    assert dataclasses.replace(spec, scale=30) == RenderSpec(30)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        dataclasses.replace(spec, scale=0)
+
+
+def test_replace_runs_the_checks():
+    expansion = FareyExpansion((2, 1, 7))
+    with pytest.raises(ValueError, match="a tail must be the int 1 or 7"):
+        dataclasses.replace(expansion, tail=2)
+    with pytest.raises(ValueError, match="a tail must be the int 1 or 7"):
+        expansion.__replace__(tail=2)
+    # the checked constructor keeps the entries as a tuple
+    assert expansion.__replace__(entries=[2, 1]) == FareyExpansion((2, 1))
+    assert expansion.__replace__() == expansion
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_builds_through_the_constructor():
+    expansion = FareyExpansion((2, 1, 7))
+    assert copy.replace(expansion, tail=7) == FareyExpansion((2, 1, 7), tail=7)
+    with pytest.raises(ValueError, match="a tail must be the int 1 or 7"):
+        copy.replace(expansion, tail=2)
+    assert copy.replace(Vec2(1, 2), y=3) == Vec2(1, 3)
+
+
+def test_positional_match_patterns_take_the_fields():
+    match FareyExpansion((2, 1), True):
+        case FareyExpansion(entries, hit, tail):
+            assert (entries, hit, tail) == ((2, 1), True, None)
+        case _:
+            pytest.fail("no match")
+    record = _pairs()[MoveRecord][0]
+    match record:
+        case MoveRecord(side, cycle, new_sides):
+            assert (side, cycle, new_sides) == (record.side, record.cycle, record.new_sides)
+        case _:
+            pytest.fail("no match")
+    match Vec2(1, 2):
+        case Vec2(x, y):
+            assert (x, y) == (QuadNum(1), QuadNum(2))
+        case _:
+            pytest.fail("no match")
+    assert Mat2.__match_args__ == ("a", "b", "c", "d")
+
+
+#: Pickles written when ``FareyExpansion`` and ``ExpansionTrace`` were
+#: unslotted dataclasses, whose state is a ``__dict__`` of the fields: each
+#: holds ``(FareyExpansion((2, 1, 7, 7), True, 7), run_expansion(d, 2))`` for
+#: d = (1 + sqrt2, 1), at pickle protocols 2 and 4.
+DATACLASS_PICKLES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("protocol", [2, 4])
+def test_pickles_of_the_dataclasses_still_load(protocol):
+    data = (DATACLASS_PICKLES / f"dataclass_values.protocol{protocol}.pickle").read_bytes()
+    expansion, trace = pickle.loads(data)
+    assert expansion == FareyExpansion((2, 1, 7, 7), True, 7)
+    want = run_expansion(Direction(Vec2(QuadNum(1, 1), 1)), 2)
+    assert len(want.steps) == 2
+    assert trace == want and hash(trace) == hash(want) and repr(trace) == repr(want)
+    assert type(trace.expansion.entries) is tuple
+    # a new pickle goes through the constructor, with no state dict
+    assert pickle.loads(pickle.dumps(trace, protocol)) == want
+    assert b"boundary_hit" not in pickle.dumps(expansion, protocol)
