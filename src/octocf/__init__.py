@@ -21,7 +21,7 @@ h2moves
 octagon
     Frozen base quadrangulations, the acceleration verifier, expansion traces.
 saddle
-    The exact saddle-connection ray tracer, a test oracle that no command loads.
+    The exact saddle-connection test through the Farey walk; no command loads it.
 render
     Deterministic SVG rendering.
 jsonout

@@ -9,8 +9,8 @@ every direction with angle strictly between pi/8 and pi.
 The six wedge vectors of Q' are pinned down (up to scale, fixed by the area)
 as the unique simultaneous fixed vector of the seven renormalization maps
 ``gamma*nu_i . A_i``.  The tests recompute them from scratch as that fixed
-point, and again from the short saddle connections that the exact ray tracer
-in :mod:`octocf.saddle` enumerates; this module imports neither derivation.
+point, and again from the short saddle connections that an exact ray tracer
+of the glued octagon enumerates; this module imports neither derivation.
 
 For a direction theta strictly inside sector i, :func:`verify_sector` runs
 sector i's move word (resolved once by :func:`h2moves.resolved_word`) on Q'

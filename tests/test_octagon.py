@@ -922,7 +922,7 @@ def test_trace_holonomies_are_saddle_connections_of_the_octagon():
     # cross-module check: wedge sides created by renormalized staircase runs,
     # transported back to the original frame, are validated by the exact
     # ray tracer as saddle connections of the surface
-    from octocf.saddle import is_saddle_connection
+    from saddle_oracle import is_saddle_connection
 
     d = Direction(Vec2(QuadNum(Fraction(5, 2)), QuadNum(1)))
     trace = run_expansion(d, 4)

@@ -1,7 +1,7 @@
 """Dual derivation oracles for the frozen base-quadrangulation vectors.
 
 Oracle (a) enumerates short saddle connections of the octagon with the exact
-ray tracer of ``octocf.saddle`` and searches for wedge data with the right gluing pattern, straddle
+ray tracer of ``saddle_oracle`` and searches for wedge data with the right gluing pattern, straddle
 windows, and area; oracle (b) solves the joint renormalization fixed-point
 system (``helpers.derive_qprime_vectors_fixed_point``).  Both must land on
 the frozen constants.
@@ -21,7 +21,7 @@ from octocf.octagon import (
     sector_midpoint,
     verify_sector,
 )
-from octocf.saddle import (
+from saddle_oracle import (
     MAX_CROSSINGS,
     CrossingBudgetExhausted,
     enumerate_saddle_connections,
@@ -122,7 +122,7 @@ def _passes_all_sectors(vecs) -> bool:
 
 
 def test_octagon_model_identifications():
-    from octocf.saddle import OctagonModel
+    from saddle_oracle import OctagonModel
 
     model = OctagonModel.unit()
     assert model.area == OCTAGON_AREA

@@ -63,7 +63,7 @@ from octocf.octagon import (
     verify_sector,
 )
 from octocf.render import RenderSpec
-from octocf.saddle import OctagonModel
+from saddle_oracle import OctagonModel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "octocf"
 
