@@ -194,10 +194,16 @@ def _cmd_expand(args) -> int:
 def _cmd_reconstruct(args) -> int:
     from .farey import reconstruct
 
+    tokens = args.entries.replace(",", " ").split()
     try:
-        entries = [int(tok) for tok in args.entries.replace(",", " ").split()]
+        entries = [int(tok) for tok in tokens]
     except ValueError:
         raise _ParseFailure(f"cannot parse entries {args.entries!r}")
+    # an entry is written in plain decimal; int() would also take "02", "+1",
+    # "0_1" or the digits of other scripts
+    for tok, entry in zip(tokens, entries):
+        if str(entry) != tok:
+            raise _ParseFailure(f"cannot parse entry {tok!r} in {args.entries!r}")
     interval = reconstruct(entries)
     lo, hi = interval.lo, interval.hi
     record = _printed(lambda: {**interval.to_json(), "lo_u": lo.u_text(), "hi_u": hi.u_text()})

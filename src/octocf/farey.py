@@ -392,6 +392,9 @@ class FareyExpansion(_FrozenValue):
     rays within the window, in which case all later entries equal ``tail``
     and the underlying direction is terminating.  Entries given in another
     sequence are kept as a tuple, so the value is hashable.
+
+    The constructor is the trust boundary for callers' values; :func:`_expansion`
+    is the one unchecked builder.
     """
 
     __slots__ = ("entries", "boundary_hit", "tail")
@@ -414,10 +417,10 @@ class FareyExpansion(_FrozenValue):
         return self.tail is not None
 
     def __str__(self) -> str:
-        head = str(self.entries[0])
-        rest = ",".join(str(s) for s in self.entries[1:])
-        tail = f",{self.tail},{self.tail},..." if self.terminating else ""
-        return f"[{head};{rest}{tail}]"
+        head, *rest = map(str, self.entries)
+        if self.terminating:
+            rest += (str(self.tail), str(self.tail), "...")
+        return f"[{head};{','.join(rest)}]"
 
     def to_json(self) -> dict:
         record = {
@@ -428,6 +431,34 @@ class FareyExpansion(_FrozenValue):
         if self.tail is not None:
             record["tail"] = self.tail
         return record
+
+
+def _expansion(
+    entries: tuple[int, ...], boundary_hit: bool, tail: int | None, _setters=FareyExpansion._setters
+) -> FareyExpansion:
+    """A FareyExpansion from fields that are admissible by construction, with no check.
+
+    The counterpart of ``FareyExpansion(...)`` for :func:`_walk` and
+    :func:`dual_expansion`, as ``numerics._direction`` is of ``Direction(...)``.
+    Each fact the constructor checks holds there by construction:
+
+    - the walk's entries are sectors 0..7 from :func:`_sectors`, or j + 1 <= 7
+      on a tie (j, j+1), and a parabolic run repeats its entry 1 or 7; an
+      entry 0 after step 0 raises :class:`WalkInvariantError` in the walk;
+    - the tail is one of the literals 1, 7 or None;
+    - the dual partner of the last non-tail entry s lies in 1..7, as s is not
+      the tail: under a tail of 1 it is s + 1 for an even s or s - 1 for an
+      odd s >= 3, under a tail of 7 s + 1 for an odd s <= 5 or s - 1 for an
+      even s, and the one -1, from s = 0, is the ray theta = 0, returned as is;
+    - every entry is an ``int``: the walk's come from int literals and int
+      sums, the dual rule's from the entries of a checked or walked expansion.
+    """
+    expansion = _object_new(FareyExpansion)
+    set_entries, set_hit, set_tail = _setters
+    set_entries(expansion, entries)
+    set_hit(expansion, boundary_hit)
+    set_tail(expansion, tail)
+    return expansion
 
 
 class InadmissiblePrefixError(ValueError):
@@ -458,6 +489,10 @@ def _walk(
     them, resolves a tie by the policy, applies the integral branch as
     :func:`_images` does and strips sqrt2 as :func:`_compose` does, in place.
 
+    Each step checks two kernel invariants, no entry 0 after step 0 (see
+    :func:`_expansion`) and no negative run length, raising
+    :class:`WalkInvariantError` with the step.
+
     M = GAMMA_NU[j] for j = 1, 7 is unipotent, so from the iterate v the images
     are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray and
     every later step repeats this one, tie included.  Otherwise the orbit
@@ -480,6 +515,8 @@ def _walk(
         # on the tie (j, j+1) HIGH takes j+1, and so does LOW after step 0 on (0, 1)
         if tie and (high or not j and entries):
             j += 1
+        if not j and entries:  # every iterate after step 0 lies in [pi/8, pi]
+            raise WalkInvariantError(f"entry 0 at step {len(entries)}")
         hit = hit or tie
         k, (ap, aq, bp, bq, cp, cq, dp, dq) = _BRANCHES[j]
         e += k
@@ -512,7 +549,7 @@ def _walk(
     # a fixed ray is fixed by the step it takes, so the last iterate decides the
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    return FareyExpansion(tuple(entries), hit, tail), den, steps
+    return _expansion(tuple(entries), hit, tail), den, steps
 
 
 def _run_length(j: int, c0p: int, c0q: int, w: _IntVec, room: int) -> int:
@@ -655,19 +692,18 @@ def dual_expansion(e: FareyExpansion) -> FareyExpansion:
     """
     if e.tail is None:
         raise ValueError("dual expansions exist only for terminating directions")
-    entries = tuple(e.entries)
+    entries = e.entries
     k = len(bytes(entries).rstrip(bytes((e.tail,)))) - 1
     if k < 0:
         # all shown entries equal the tail
         if e.tail == 1:
-            return FareyExpansion((0,) + entries[1:], e.boundary_hit, 1)
+            return _expansion((0,) + entries[1:], e.boundary_hit, 1)
         return e  # the ray theta = pi is self-dual
     s = entries[k]
     if e.tail == 1:
         partner = s + 1 if s % 2 == 0 else s - 1
     else:
         partner = s + 1 if s % 2 == 1 else s - 1
-    if partner < 0 or (partner == 0 and k != 0):
+    if partner < 0:  # s = 0 under a tail of 7
         return e  # the ray theta = 0 is self-dual
-    entries = entries[:k] + (partner,) + entries[k + 1 :]
-    return FareyExpansion(entries, e.boundary_hit, e.tail)
+    return _expansion(entries[:k] + (partner,) + entries[k + 1 :], e.boundary_hit, e.tail)

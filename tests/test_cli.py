@@ -166,6 +166,24 @@ class TestReconstruct:
         code, _, err = run_cli(capsys, "reconstruct", "--entries", "2,0,1")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "entries, token",
+        [
+            ("2,1,0_1", "0_1"), ("02,+1,1", "02"), ("2,+1,1", "+1"), ("2,\u0661,1", "\u0661"),
+            ("2 1 \uff11", "\uff11"), ("2,-0", "-0"), ("2,1_1", "1_1"),
+        ],
+    )
+    def test_entries_are_plain_decimals(self, capsys, entries, token):
+        # int() takes each of these tokens; an entry list is written without them
+        assert run_cli(capsys, "reconstruct", "--entries", entries) == (
+            EXIT_PARSE, "", f"error: cannot parse entry {token!r} in {entries!r}\n"
+        )
+
+    @pytest.mark.parametrize("entries", ["8", "2,-1", "2,1,9"])
+    def test_plain_tokens_outside_the_sectors_are_inadmissible(self, capsys, entries):
+        code, out, err = run_cli(capsys, "reconstruct", "--entries", entries)
+        assert (code, out) == (EXIT_PARSE, "") and err.startswith("error: inadmissible prefix (")
+
 
 class TestConvergents:
     def test_sqrt2_json(self, capsys):

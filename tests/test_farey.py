@@ -696,6 +696,16 @@ class TestWalkInvariant:
             _expand_orbit(_STALLED, 27, TiePolicy.HIGH)
         assert str(raised.value) == "negative parabolic run length -1 at entry 7, step 0"
 
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("runs, step", [([(3, 1)], 1), ([(1, 5)], 5), ([(7, 2), (4, 1)], 3)])
+    def test_a_later_entry_0_stops_the_walk(self, decide, runs, step, policy):
+        # each run is one sector decision; the one after them says sector 0
+        real, calls = farey._sectors, itertools.count()
+        decide(lambda *v: real(*v) if next(calls) < len(runs) else (0,))
+        with pytest.raises(WalkInvariantError) as raised:
+            farey._walk(pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), runs), 40, policy)
+        assert str(raised.value) == f"entry 0 at step {step}"
+
     def test_the_true_kernel_walks_on(self):
         assert expand(_RUNAWAY, 27, TiePolicy.HIGH).entries == (
             (1,) * 5 + (6, 1) + (7,) * 4 + (4, 6) + (7,) * 14
@@ -799,13 +809,32 @@ class TestExpand:
         with pytest.raises(TypeError):
             FareyExpansion((2, 1, 1), terminating=True)
 
-    @pytest.mark.parametrize("tail", [5, 0, 2, True, 1.0, "7"])
+    @pytest.mark.parametrize(
+        "e, text",
+        [
+            (FareyExpansion((2, 1, 1), tail=1), "[2;1,1,1,1,...]"),
+            (FareyExpansion((0,), False, 1), "[0;1,1,...]"),
+            (expand(Direction(Vec2(-1, 0)), 1), "[7;7,7,...]"),
+            (expand(Direction(Vec2(1, 0)), 2), "[0;7,7,7,...]"),
+            (FareyExpansion((2,)), "[2;]"),
+            (FareyExpansion((2, 3, 4)), "[2;3,4]"),
+        ],
+    )
+    def test_text(self, e, text):
+        assert str(e) == text
+
+    @pytest.mark.parametrize("tail", [5, 0, 2, 8, True, 1.0, "7"])
     def test_tail_is_the_int_1_or_7(self, tail):
         # True == 1 and 1.0 == 1, so only the type refuses them
-        with pytest.raises(ValueError, match="tail must be the int 1 or 7"):
-            FareyExpansion((1, 2), tail=tail)
-        with pytest.raises(ValueError, match="tail must be the int 1 or 7"):
-            replace(FareyExpansion((1, 1), tail=1), tail=tail)
+        for build in (
+            lambda: FareyExpansion((1, 2), tail=tail),
+            lambda: replace(FareyExpansion((1, 1), tail=1), tail=tail),
+        ):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert (type(raised.value), str(raised.value)) == (
+                ValueError, f"a tail must be the int 1 or 7, got {tail!r}"
+            )
 
     def test_replace_keeps_the_entry_checks(self):
         e = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
@@ -819,7 +848,7 @@ class TestExpand:
         walked = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
         dual = dual_expansion(expand(pulled_back(Vec2(-1, 0), [(3, 1), (5, 2)]), 30))
         assert dual.terminating
-        for entries in [(True,), (1.0,), (2, True), (2, 1.0), (True, 1), (2, 0), (3, 1, 2, 0)]:
+        for entries in [(True,), (1.0,), (8,), (2, True), (2, 1.0), (2, 8), (True, 1), (2, 0), (3, 1, 2, 0)]:
             with pytest.raises(InadmissiblePrefixError):
                 FareyExpansion(entries)
             for e in (walked, dual):
@@ -1097,7 +1126,7 @@ _REFUSED = [
     pytest.param(entries, id=name)
     for name, entries in [
         ("256", (256,)), ("later-256", (2, 256)), ("2**70", (2**70,)), ("later-2**70", (3, 2**70)),
-        ("-1", (-1,)), ("later--1", (3, -1)),
+        ("8", (8,)), ("later-8", (2, 8)), ("-1", (-1,)), ("later--1", (3, -1)),
         ("intenum", (_Entry.ONE,)), ("later-intenum", (2, _Entry.ONE)),
         ("index", (_Index(),)), ("later-index", (2, _Index())),
         ("True", (True,)), ("later-True", (2, True)), ("1.0", (1.0,)), ("later-1.0", (2, 1.0)),
@@ -1281,29 +1310,104 @@ class TestDualExpansion:
         assert dual_expansion(e) == reference_dual_expansion(e)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.one_of(
-        classify_directions(),
-        st.builds(
-            pulled_back,
-            st.sampled_from(_HORIZONTALS_AND_PI8),
-            st.lists(st.tuples(st.integers(1, 7), st.integers(1, 5)), max_size=8),
-        ),
-    ),
-    st.integers(1, 60),
-    st.sampled_from(list(TiePolicy)),
-)
-def test_walk_and_dual_results_equal_their_checked_rebuild(d, depth, policy):
-    expansion = farey._walk(d, depth, policy)[0]
-    results = [expansion]
-    if expansion.terminating:
-        results.append(dual_expansion(expansion))
-        assert results[1] == reference_dual_expansion(expansion)
+def _assert_as_checked(e: FareyExpansion) -> None:
+    """``e`` is the expansion that the checked constructor builds of its fields."""
+    rebuilt = FareyExpansion(e.entries, e.boundary_hit, e.tail)
+    assert e == rebuilt and hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt)
+    assert str(e) == str(rebuilt)
+    assert type(e.entries) is tuple and {type(s) for s in e.entries} == {int}
+
+
+def _assert_builds_are_checked(d: Direction, depth: int, policy: TiePolicy) -> FareyExpansion:
+    """What ``expand``, ``_expand_orbit`` and ``dual_expansion`` build, unchecked, for
+    ``d`` equals its checked construction; returns the expansion."""
+    walked = expand(d, depth, policy)
+    results = [walked, _expand_orbit(d, depth, policy)[0]]
+    if walked.terminating:
+        results.append(dual_expansion(walked))
+        assert results[-1] == reference_dual_expansion(walked)
     for e in results:
-        rebuilt = FareyExpansion(e.entries, e.boundary_hit, e.tail)
-        assert e == rebuilt and hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt)
-        assert type(e.entries) is tuple and {type(s) for s in e.entries} == {int}
+        _assert_as_checked(e)
+    assert results[1] == walked
+    return walked
+
+
+def _run_pulled_back(v: Vec2, j: int, n: int) -> Vec2:
+    """``v`` pulled back through n entries j = 1 or 7 at once: the inverse
+    branch M is unipotent, so M^n = I + n(M - I)."""
+    return v + (GAMMA_NU_INV[j].apply(v) - v).scale(n)
+
+
+#: Directions whose coordinates have a common denominator other than 1.
+_FRACTIONAL_DIRECTIONS = st.builds(
+    lambda a, b, c, den: Direction(Vec2(QuadNum(Fraction(a, den), b), QuadNum(Fraction(c, den), 1))),
+    st.integers(-(10**6), 10**6),
+    st.integers(-50, 50),
+    st.integers(-(10**6), 10**6),
+    st.integers(2, 10**4),
+).filter(lambda d: farey._ints(d.vector)[1] != 1)
+
+
+class TestUncheckedBuilds:
+    """The walk and the dual rule build their expansions through the unchecked
+    ``farey._expansion``; each must equal what the checked constructor builds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            classify_directions(),
+            _FRACTIONAL_DIRECTIONS,
+            st.builds(
+                pulled_back,
+                st.sampled_from(_HORIZONTALS_AND_PI8),
+                st.lists(st.tuples(st.integers(1, 7), st.integers(1, 5)), max_size=8),
+            ),
+        ),
+        st.integers(1, 60),
+        st.sampled_from(list(TiePolicy)),
+    )
+    def test_walk_and_dual_results_equal_their_checked_rebuild(self, d, depth, policy):
+        _assert_builds_are_checked(d, depth, policy)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("j", range(9))
+    def test_ties_on_the_rays_j_pi_over_8(self, j, policy):
+        d = farey._boundary_direction(j)
+        for depth in (1, 2, 30):
+            want = reference_expand_orbit(d, depth, policy)[0]
+            assert _assert_builds_are_checked(d, depth, policy) == want and want.terminating
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("ray, tail", [(_HORIZONTALS_AND_PI8[2], 1), (Vec2(-1, 0), 7)])
+    def test_pull_backs_with_a_tail(self, ray, tail, policy):
+        rng = random.Random(tail)
+        for _ in range(10):
+            runs = [(rng.randint(1, 7), rng.choice((1, 2, 5))) for _ in range(rng.randint(1, 6))]
+            e = _assert_builds_are_checked(pulled_back(ray, runs), 60, policy)
+            assert e.tail == tail
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("j", [1, 7])
+    def test_runs_of_10_to_the_5_entries(self, j, policy):
+        n = 10**5
+        for ray, tail in ((_HORIZONTALS_AND_PI8[2], 1), (Vec2(-1, 0), 7)):
+            # the fixed ray pulled back through 3 j^n has two expansions
+            d = Direction(GAMMA_NU_INV[3].apply(_run_pulled_back(ray, j, n)))
+            e = _assert_builds_are_checked(d, n + 12, policy)
+            assert e.tail == tail and e.entries.count(j) >= n - 1
+            assert (3, j) in (e.entries[:2], dual_expansion(e).entries[:2])
+        d = Direction(_run_pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), j, n))
+        e = _assert_builds_are_checked(d, n + 2, policy)
+        assert e.entries == (j,) * n + (2, 1) and e.tail is None
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 10**5])
+    def test_windows_of_the_tail_alone(self, n, policy):
+        assert _assert_builds_are_checked(Direction(Vec2(-1, 0)), n, policy).entries == (7,) * n
+        pi8 = _assert_builds_are_checked(Direction(_HORIZONTALS_AND_PI8[2]), n, policy)
+        assert pi8.entries == ((1,) if policy is TiePolicy.HIGH else (0,)) + (1,) * (n - 1)
+        for e in (FareyExpansion((1,) * n, tail=1), FareyExpansion((7,) * n, True, 7)):
+            _assert_as_checked(dual_expansion(e))
 
 
 class TestIntervalOrdering:
