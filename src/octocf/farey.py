@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from enum import Enum
 from functools import cache
 from itertools import product
-from math import gcd
+from math import gcd, inf
 
 from .numerics import (
     Direction,
@@ -438,7 +438,7 @@ def _expansion(
 ) -> FareyExpansion:
     """A FareyExpansion from fields that are admissible by construction, with no check.
 
-    The counterpart of ``FareyExpansion(...)`` for :func:`_walk` and
+    The counterpart of ``FareyExpansion(...)`` for :func:`_flatten` and
     :func:`dual_expansion`, as ``numerics._direction`` is of ``Direction(...)``.
     Each fact the constructor checks holds there by construction:
 
@@ -472,52 +472,51 @@ class WalkInvariantError(RuntimeError):
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
-    return _walk(d, depth, policy)[0]
+    return _flatten(*_walk(d, depth, policy)[1:], depth)
 
 
 def _walk(
-    d: Direction, depth: int, policy: TiePolicy
-) -> tuple[FareyExpansion, int, list[tuple[int, bool, _IntVec, int, _IntVec | None, int]]]:
-    """The Farey orbit of ``d`` on integral vectors, with its expansion.
+    d: Direction, depth: int | None, policy: TiePolicy
+) -> tuple[int, int | None, list[tuple[int, bool, _IntVec, int, _IntVec | None, int]]]:
+    """The Farey orbit of ``d`` on integral vectors, up to ``depth`` entries.
 
-    Returns the expansion, the denominator ``den`` and one ``(j, tie, x, e, w,
-    n)`` per step into a sector: entry j, whether the iterate sat on a sector
-    boundary, the image x/(den*sqrt2^e), and the n further steps of a
-    parabolic run, whose images are x + t*w for t = 1..n.
+    Returns the denominator ``den``, the tail and one ``(j, tie, x, e, w, n)``
+    per step into a sector, the only record of the itinerary: entry j, whether
+    the iterate sat on a sector boundary, the image x/(den*sqrt2^e), and the n
+    further steps of a parabolic run, whose images are x + t*w for t = 1..n.
 
-    The iterate is four local ints.  A step takes one :func:`_sectors` on
-    them, resolves a tie by the policy, applies the integral branch as
-    :func:`_images` does and strips sqrt2 as :func:`_compose` does, in place.
-
-    Each step checks two kernel invariants, no entry 0 after step 0 (see
-    :func:`_expansion`) and no negative run length, raising
-    :class:`WalkInvariantError` with the step.
+    The iterate is four local ints.  A step takes one :func:`_sectors` on them,
+    resolves a tie by the policy, applies the integral branch as :func:`_images`
+    does and strips sqrt2 as :func:`_compose` does, in place.  An entry 0 after
+    step 0 (see :func:`_expansion`) or a negative run length raises
+    :class:`WalkInvariantError` with the entry count.
 
     M = GAMMA_NU[j] for j = 1, 7 is unipotent, so from the iterate v the images
-    are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray and
-    every later step repeats this one, tie included.  Otherwise the orbit
-    moves away from the fixed ray, an end of sector j, towards the other end
-    b.  The iterate is strictly inside sector j exactly while cross(x + t*w, b)
-    = c0 + t*c1 is positive, and c1 < 0 on the open sector, so the iterates
-    inside are those with t < ceil(-c0/c1) if c0 > 0, none otherwise; each
-    takes entry j with no tie, and the iterate after them is left to the
-    ordinary step, which decides its ties.  The fixed ray has c0 > 0 too
-    (sqrt2 for j = 1, 1 for j = 7), so c0 is tested before w is built.
+    are M^t x = x + t*w with w = (M - I)v.  If w = 0, v is the fixed ray, which
+    every later step repeats, tie included, so the walk ends there with n = 0;
+    with ``depth`` None it runs to that step, which every slope in Q(sqrt2)
+    reaches as a cusp direction (Veech 1989), with no bound proved in code.
+    Otherwise the orbit moves away from the fixed ray, an end of sector j,
+    towards the other end b.  The iterate is strictly inside sector j exactly
+    while cross(x + t*w, b) = c0 + t*c1 is positive, and c1 < 0 on the open
+    sector, so the iterates inside are those with t < ceil(-c0/c1) if c0 > 0,
+    none otherwise; each takes entry j with no tie, and the iterate after them
+    is left to the ordinary step, which decides its ties.  The fixed ray has
+    c0 > 0 too (sqrt2 for j = 1, 1 for j = 7), so c0 is tested before w is built.
     """
+    depth = inf if depth is None else depth
     if depth < 1:
         raise ValueError("depth must be >= 1")
     (xp, xq, yp, yq), den = _ints(d.vector)
-    e, high, hit = 0, policy is TiePolicy.HIGH, False
-    entries, steps = [], []
-    while len(entries) < depth:
+    e, high, count, steps = 0, policy is TiePolicy.HIGH, 0, []
+    while count < depth:
         sectors = _sectors(xp, xq, yp, yq)
         j, tie = sectors[0], len(sectors) > 1
         # on the tie (j, j+1) HIGH takes j+1, and so does LOW after step 0 on (0, 1)
-        if tie and (high or not j and entries):
+        if tie and (high or not j and count):
             j += 1
-        if not j and entries:  # every iterate after step 0 lies in [pi/8, pi]
-            raise WalkInvariantError(f"entry 0 at step {len(entries)}")
-        hit = hit or tie
+        if not j and count:  # every iterate after step 0 lies in [pi/8, pi]
+            raise WalkInvariantError(f"entry 0 at step {count}")
         k, (ap, aq, bp, bq, cp, cq, dp, dq) = _BRANCHES[j]
         e += k
         x = (
@@ -532,31 +531,43 @@ def _walk(
             if _sign(c0p, c0q) > 0:
                 v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
                 w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])  # x - sqrt2^k * v
-                n = _run_length(j, c0p, c0q, w, depth - len(entries) - 1)
+                if not any(w):  # the fixed ray
+                    steps.append((j, tie, x, e, w, 0))
+                    break
+                n = _run_length(j, c0p, c0q, w, depth - count - 1)
                 if n < 0:  # the iterate is outside sector j, and the walk would stall
                     raise WalkInvariantError(
-                        f"negative parabolic run length {n} at entry {j}, step {len(entries)}"
+                        f"negative parabolic run length {n} at entry {j}, step {count}"
                     )
         steps.append((j, tie, x, e, w, n))
+        count += n + 1
         if n:
-            entries += [j] * (n + 1)
             xp, xq, yp, yq = x[0] + n * w[0], x[1] + n * w[1], x[2] + n * w[2], x[3] + n * w[3]
         else:
-            entries.append(j)
             xp, xq, yp, yq = x
         while not (xp & 1 or yp & 1):  # strip sqrt2 as _compose does
             xp, xq, yp, yq, e = xq, xp >> 1, yq, yp >> 1, e - 1
     # a fixed ray is fixed by the step it takes, so the last iterate decides the
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    return _expansion(tuple(entries), hit, tail), den, steps
+    return den, tail, steps
+
+
+def _flatten(tail: int | None, steps: list, depth: int) -> FareyExpansion:
+    """The expansion of ``depth`` entries from :func:`_walk`'s ``tail`` and ``steps``."""
+    entries = []
+    for j, _, _, _, _, n in steps:
+        if n:
+            entries += [j] * (n + 1)
+        else:
+            entries.append(j)
+    entries += [tail] * (depth - len(entries))  # the steps along a fixed ray
+    return _expansion(tuple(entries), any([step[1] for step in steps]), tail)
 
 
 def _run_length(j: int, c0p: int, c0q: int, w: _IntVec, room: int) -> int:
     """How many steps of the parabolic entry j follow the step to x, at most ``room``,
-    given c0 = cross(x, _RUN_EXIT[j]) = c0p + c0q*sqrt2 > 0."""
-    if not any(w):
-        return room
+    given c0 = cross(x, _RUN_EXIT[j]) = c0p + c0q*sqrt2 > 0 and w = (M - I)v nonzero."""
     c1p, c1q = _cross(w, _RUN_EXIT[j])
     # c0/c1 = c0*conj(c1)/N(c1), over a positive denominator
     p, q, norm = c0p * c1p - 2 * c0q * c1q, c0q * c1p - c0p * c1q, c1p * c1p - 2 * c1q * c1q
@@ -575,14 +586,14 @@ def _expand_orbit(
     walk's ints by :func:`_directions`, one call per walk step.  On sector j,
     M keeps y >= 0, so the run images are the exact vectors of single steps.
     """
-    expansion, den, steps = _walk(d, depth, policy)
+    den, tail, steps = _walk(d, depth, policy)
     orbit = []
     for j, tie, x, e, w, n in steps:
-        # on the fixed ray (w = 0) each further step of the run repeats this one
-        image, *run = _directions(x, w, n if n and any(w) else 0, den, e)
+        image, *run = _directions(x, w, n, den, e)
         orbit.append((j, tie, image))
-        orbit += [(j, False, i) for i in run] if run else [(j, tie, image)] * n
-    return expansion, orbit
+        orbit += [(j, False, i) for i in run]
+    orbit += [orbit[-1]] * (depth - len(orbit))  # the steps along a fixed ray
+    return _flatten(tail, steps, depth), orbit
 
 
 #: The ray at angle j*pi/8 for j = 0..8, as ints: (1, 0), (SECTOR_BOUNDS[j-1], 1)

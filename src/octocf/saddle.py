@@ -1,9 +1,8 @@
 """The exact saddle-connection test of the regular-octagon surface.
 
-A vector of Q(sqrt2)^2 is decided by the Farey walk of its direction, which
-ends on a fixed ray whose saddle connections are sides of Q'.  The tests
-check it against an independent ray tracer (``tests/saddle_oracle.py``);
-no command loads this module.
+A vector of Q(sqrt2)^2 is decided by one Farey walk of its direction to a
+fixed ray, whose saddle connections are sides of Q'.  The ray tracer of
+``tests/saddle_oracle.py`` checks it; no command loads this module.
 """
 
 from __future__ import annotations
@@ -30,22 +29,12 @@ def is_saddle_connection(w: Vec2) -> bool:
     surface (nu_j a symmetry of the octagon, gamma the reflection (x, y) ->
     (-x, y) followed by the horizontal twist), so the walk's frame M carries
     saddle connections onto saddle connections: w is one exactly when M*w
-    is.  M*w lies on the fixed ray where the walk ends, whose connections
-    are two sides of Q'.  It is the last step's image x, as a parabolic run
-    ends on its fixed ray only when it starts there, and then stays.  The
-    walk runs under ``TiePolicy.LOW``, its depth doubling from 64 until the
-    tail is set.  That ends because every slope in Q(sqrt2) is a cusp
-    direction of this Veech surface (Veech 1989; McMullen, JAMS 2003), and
-    the walk of a cusp direction reaches its fixed ray; no bound on the
-    entries it takes is proved in code.
+    is.  One walk under ``TiePolicy.LOW``, with no depth, runs to the first
+    step on a fixed ray, whose connections are two sides of Q'; M*w is that
+    step's image x.
     """
     if w.is_zero():
         return False
-    d, depth = Direction(w), 64
-    while True:
-        expansion, den, steps = _walk(d, depth, TiePolicy.LOW)
-        if expansion.tail is not None:
-            break
-        depth *= 2
+    den, tail, steps = _walk(Direction(w), None, TiePolicy.LOW)
     _, _, x, e, _, _ = steps[-1]
-    return _directions(x, None, 0, den, e)[0].vector in _TAIL_CONNECTIONS[expansion.tail]
+    return _directions(x, None, 0, den, e)[0].vector in _TAIL_CONNECTIONS[tail]

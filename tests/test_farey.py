@@ -98,7 +98,7 @@ class TestDihedralElements:
             else:
                 assert c1 < 0 and end.cross(exit_end).sign() == 0
         # the walk tests cross(x, exit) > 0 before it builds w, which is zero on the
-        # fixed ray, so the ray must pass the test to reach its whole-window run
+        # fixed ray, so the ray must pass the test for the walk to stop on it
         assert ray.cross(exit_end) == {1: QuadNum(0, 1), 7: QuadNum(1)}[j]
         walked = expand(Direction(ray), 50, TiePolicy.HIGH)
         assert (walked.entries, walked.tail) == ((j,) * 50, j)
@@ -436,9 +436,8 @@ class TestBuilders:
         directions += [farey._boundary_direction(j) for j in range(9)]
         runs = Counter()
         for d in directions:
-            _, den, steps = farey._walk(d, 60, policy)
+            den, _, steps = farey._walk(d, 60, policy)
             for j, _, x, e, w, n in steps:
-                n = n if n and any(w) else 0
                 self._assert_directions(x, w, n, den, e)
                 runs[j] += n > 0
         assert runs[1] and runs[7]
@@ -506,6 +505,21 @@ class TestOrbit:
             assert tie == (len(sectors) > 1)
             assert image == Direction(GAMMA_NU[j].apply(cur.vector))
             cur = image
+
+    @settings(max_examples=60, deadline=None)
+    @given(classify_directions(), st.sampled_from(list(TiePolicy)), st.integers(0, 5))
+    def test_the_walk_to_the_fixed_ray_flattens_to_expand(self, d, policy, extra):
+        # with no depth the walk ends on its first step on a fixed ray, whose
+        # entry is the tail; expand past it repeats that entry
+        den, tail, steps = farey._walk(d, None, policy)
+        j, _, _, _, w, n = steps[-1]
+        assert tail in (1, 7) and j == tail and n == 0 and not any(w)
+        entries = [j for j, _, _, _, _, n in steps for _ in range(n + 1)]
+        depth = len(entries) + extra
+        want = expand(d, depth, policy)
+        assert want.entries == (*entries, *[tail] * extra) and want.tail == tail
+        assert want.boundary_hit == any(tie for _, tie, *_ in steps)
+        assert farey._walk(d, depth, policy) == (den, tail, steps)
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])

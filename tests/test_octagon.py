@@ -683,7 +683,7 @@ class TestReusedValues:
         directions += [pulled_back(Vec2(1, 2), [(s, 1), (j, 40)]) for s in (0, 3) for j in (1, 7)]
         for d in directions:
             for j, _, _, _, w, n in farey._walk(d, 60, TiePolicy.LOW)[2]:
-                if n and any(w):
+                if n:
                     seen[j] += 1
                     assert (w[2] == w[3] == 0) == (j == 7), (j, w)
         assert seen[1] and seen[7]

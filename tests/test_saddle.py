@@ -15,8 +15,16 @@ from hypothesis import strategies as st
 
 import saddle_oracle
 from helpers import pulled_back
-from octocf.farey import Direction, TiePolicy, _boundary_direction, expand
-from octocf.numerics import QuadNum, Vec2
+from octocf import saddle
+from octocf.farey import (
+    GAMMA_NU,
+    GAMMA_NU_INV,
+    Direction,
+    TiePolicy,
+    _boundary_direction,
+    expand,
+)
+from octocf.numerics import Mat2, QuadNum, Vec2, quad_floor
 from octocf.octagon import QPRIME_VECTORS, run_expansion
 from octocf.saddle import is_saddle_connection
 
@@ -70,13 +78,65 @@ def test_pulled_back_sides_past_1000_bits(side):
 @pytest.mark.parametrize("side", [QPRIME_VECTORS[0], QPRIME_VECTORS[1]])
 @pytest.mark.parametrize("length", [64, 128])
 def test_the_walk_meets_its_ray_on_the_last_entry_of_a_depth(length, side):
-    # the walk doubles its depth from 64, so here the step that reaches the
-    # fixed ray is the last one walked, not a step along the ray
+    # expand reads the tail from the last iterate: at the depth whose last
+    # step reaches the fixed ray it is set, though no step along the ray is
+    # taken; the saddle test walks on to that step, with no depth
     entries = (3, *([2, 5, 4, 6] * 32)[: length - 2], 5)
     w = _pulled_back_side(entries, side)
     d = Direction(w)
     assert expand(d, length - 1).tail is None and expand(d, length).tail is not None
     _assert_accepted_but_not_rescaled(w)
+
+
+def _power(m: Mat2, n: int, v: Vec2) -> Vec2:
+    """m^n * v for a unipotent m, as v + n*(m - I)v, with no loop over n."""
+    return v + (m.apply(v) - v).scale(n)
+
+
+#: Each side of Q' pulled back through a run of 10^30 entries 1 or 7 whose
+#: fixed ray it is not on; a long run is crossed in one step of the walk.
+_LONG_RUNS = [
+    (j, side)
+    for side in sorted(set(QPRIME_VECTORS), key=str)
+    for j in (1, 7)
+    if side.y.is_zero() == (j == 1)
+]
+
+
+@pytest.mark.parametrize("j, side", _LONG_RUNS)
+def test_sides_pulled_back_through_a_run_of_10_to_the_30(j, side):
+    w = _power(GAMMA_NU_INV[j], 10**30, side)
+    assert max(abs(i) for c in (w.x, w.y) for i in c.ints) > 10**29
+    _assert_accepted_but_not_rescaled(w)
+
+
+def test_a_run_of_10_to_the_30_sevens_is_decided():
+    # the twist GAMMA_NU[7] = [[1, 2+2sqrt2], [0, 1]] is the derivative of an
+    # affine symmetry, so a power of it that brings w near the y axis keeps
+    # the answer, and the ray tracer decides the short vector
+    w = Vec2(-(10**30), 1)
+    k = quad_floor(-(10**30), 10**30, 2, 2)  # floor(10^30/(2 + 2sqrt2))
+    short = _power(GAMMA_NU[7], k, w)
+    assert short.y == QuadNum(1) and -5 <= short.x.floor() <= 0
+    answer = is_saddle_connection(w)
+    assert answer is saddle_oracle.is_saddle_connection(short) is is_saddle_connection(-w)
+
+
+def test_one_walk_decides_a_vector(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    walk = saddle._walk
+    monkeypatch.setattr(saddle, "_walk", counted)
+    long_runs = [_power(GAMMA_NU_INV[j], 10**30, side) for j, side in _LONG_RUNS]
+    deep = _pulled_back_side((3, *([2, 5, 4, 6] * 32)), QPRIME_VECTORS[1])
+    for w in [*long_runs, deep, Vec2(-(10**30), 1), Vec2(1000, 1), Vec2(-2, 0)]:
+        calls.clear()
+        is_saddle_connection(w)
+        assert len(calls) == 1 and calls[0][1:] == (None, TiePolicy.LOW), str(w)
 
 
 @pytest.mark.parametrize(
