@@ -34,6 +34,7 @@ from .numerics import (
     _mat,
     _object_new,
     _reduced,
+    _sign,
     _vec,
     quad_floor,
     theta_cmp,
@@ -155,7 +156,18 @@ def _cross(v: _IntVec, w: _IntVec) -> tuple[int, int]:
 def _compose(frame: _Frame, branch: _Frame) -> _Frame:
     """frame*branch, divided by sqrt2 while P stays integral: p + q*sqrt2 =
     sqrt2*(q + (p/2)*sqrt2) when p is even.  Without it P gains a sqrt2 factor at
-    almost every branch with k = 1."""
+    almost every branch with k = 1.
+
+    The strip reads the p of a, b and c only, as d's has the parity of a's.  Both
+    arguments are products of branches nu_j^-1 G, G = GAMMA = G^-1, so they are
+    (r_1 G r_1^-1)...(r_n G r_n^-1) r_n with each r_i dihedral.  G = I + 2X with X
+    integral, and r is integral or R/sqrt2 with R integral, as is r^-1 (R' then),
+    so r G r^-1 is I + 2rXr^-1 or I + RXR', integral: their product U is integral
+    with det -1 or 1.  Mod 2 an integral r is I or S = [[0, 1], [1, 0]] and R, R'
+    are I + S, so each conjugate, and U, commutes with S.  U is invertible mod
+    sqrt2, so the frame returned is (0, U) or (1, U*R), alpha*I + beta*S mod 2
+    either way, so a = d; each matrix tested before it is sqrt2^i times it.
+    """
     (e, (ap, aq, bp, bq, cp, cq, dp, dq)), (k, (ep, eq, fp, fq, gp, gq, hp, hq)) = frame, branch
     p, e = (
         ap * ep + bp * gp + 2 * (aq * eq + bq * gq),
@@ -167,7 +179,7 @@ def _compose(frame: _Frame, branch: _Frame) -> _Frame:
         cp * fp + dp * hp + 2 * (cq * fq + dq * hq),
         cp * fq + cq * fp + dp * hq + dq * hp,
     ), e + k
-    while not (p[0] & 1 or p[2] & 1 or p[4] & 1 or p[6] & 1):
+    while not (p[0] & 1 or p[2] & 1 or p[4] & 1):
         p, e = (p[1], p[0] >> 1, p[3], p[2] >> 1, p[5], p[4] >> 1, p[7], p[6] >> 1), e - 1
     return e, p
 
@@ -311,12 +323,6 @@ def _frames(entries: Sequence[int]) -> list[tuple[Mat2, _Rational]]:
     return frames
 
 
-def _sign(p: int, q: int) -> int:
-    """An int with the sign of p + q*sqrt2, as in numerics.quad_sign: p or q when
-    they agree in sign, else the one of larger magnitude, p^2 against 2q^2."""
-    return (p or q) if (p >= 0) == (q >= 0) else p if p * p > 2 * q * q else q
-
-
 def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
     """All sector indices whose closed sector contains the ray of (xp + xq*sqrt2,
     yp + yq*sqrt2), y >= 0.
@@ -329,23 +335,23 @@ def _sectors(xp: int, xq: int, yp: int, yq: int) -> tuple[int, ...]:
     tie (j, j+1).  On the horizontals every sign is that of x: theta = 0 is
     sector 0 and theta = pi sector 7.
     """
-    s = _sign(xp, xq)  # b_3 = 0
+    s = _sign(xp, xq, 2)  # b_3 = 0
     if s > 0:
-        s = _sign(xp - yp, xq - yq)  # b_1 = 1
+        s = _sign(xp - yp, xq - yq, 2)  # b_1 = 1
         if s > 0:
-            s = _sign(xp - yp - 2 * yq, xq - yq - yp)  # b_0 = 1 + sqrt2
+            s = _sign(xp - yp - 2 * yq, xq - yq - yp, 2)  # b_0 = 1 + sqrt2
             return (0,) if s > 0 else (1,) if s else (0, 1)
         if s:
-            s = _sign(xp + yp - 2 * yq, xq + yq - yp)  # b_2 = sqrt2 - 1
+            s = _sign(xp + yp - 2 * yq, xq + yq - yp, 2)  # b_2 = sqrt2 - 1
             return (2,) if s > 0 else (3,) if s else (2, 3)
         return (1, 2)
     if s:
-        s = _sign(xp + yp, xq + yq)  # b_5 = -1
+        s = _sign(xp + yp, xq + yq, 2)  # b_5 = -1
         if s > 0:
-            s = _sign(xp - yp + 2 * yq, xq - yq + yp)  # b_4 = 1 - sqrt2
+            s = _sign(xp - yp + 2 * yq, xq - yq + yp, 2)  # b_4 = 1 - sqrt2
             return (4,) if s > 0 else (5,) if s else (4, 5)
         if s:
-            s = _sign(xp + yp + 2 * yq, xq + yq + yp)  # b_6 = -1 - sqrt2
+            s = _sign(xp + yp + 2 * yq, xq + yq + yp, 2)  # b_6 = -1 - sqrt2
             return (6,) if s > 0 else (7,) if s else (6, 7)
         return (5, 6)
     return (3, 4)
@@ -472,6 +478,8 @@ class WalkInvariantError(RuntimeError):
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
+    if type(depth) is not int:  # True is an int too, and None would walk to the tail
+        raise TypeError(f"depth must be an int, got {type(depth).__name__}")
     return _flatten(*_walk(d, depth, policy)[1:], depth)
 
 
@@ -528,7 +536,7 @@ def _walk(
         w, n = None, 0
         if j in _PARABOLIC:
             c0p, c0q = _cross(x, _RUN_EXIT[j])
-            if _sign(c0p, c0q) > 0:
+            if _sign(c0p, c0q, 2) > 0:
                 v = (2 * xq, xp, 2 * yq, yp) if k else (xp, xq, yp, yq)
                 w = (x[0] - v[0], x[1] - v[1], x[2] - v[2], x[3] - v[3])  # x - sqrt2^k * v
                 if not any(w):  # the fixed ray

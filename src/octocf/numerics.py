@@ -72,26 +72,16 @@ def _rational_text(n: int, den: int) -> str:
 # and that d is not a perfect square whenever q != 0.
 
 
-def quad_sign(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d).
+def _sign(p: int, q: int, d: int) -> int:
+    """An int with the sign of p + q*sqrt(d), the package's one sign rule: p or q
+    when they agree in sign, else the one of larger magnitude, p^2 against d*q^2."""
+    return (p or q) if (p >= 0) == (q >= 0) else p if p * p > d * q * q else q
 
-    If p and q agree in sign the answer is immediate; otherwise compare p^2
-    against d*q^2, which decides |p| against |q*sqrt(d)| in integers.
-    """
-    if q == 0:
-        return (p > 0) - (p < 0)
-    sq = 1 if q > 0 else -1
-    if p == 0:
-        return sq
-    sp = 1 if p > 0 else -1
-    if sp == sq:
-        return sp
-    diff = p * p - d * q * q
-    if diff > 0:
-        return sp
-    if diff < 0:
-        return sq
-    return 0  # unreachable for nonzero input: sqrt(d) is irrational
+
+def quad_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) as -1, 0 or 1: :func:`_sign`, normalised."""
+    s = _sign(p, q, d)
+    return (s > 0) - (s < 0)
 
 
 def quad_floor(p: int, q: int, den: int, d: int) -> int:

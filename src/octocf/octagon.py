@@ -196,21 +196,18 @@ def _sector_direction(j: int, f: QuadNum) -> Direction:
 
 
 def _midpoint_first_parameters(count: int) -> list[QuadNum]:
-    pool = [QuadNum(1) / 2, QuadNum(1) / 4, QuadNum(3) / 4]
-    d = 8
-    while len(pool) < count:
-        pool.extend(QuadNum(n) / d for n in range(1, d, 2))
-        d *= 2
-    return pool[:count]
+    """1/2, 1/4, 3/4, 1/8, ...: parameter n is (2r + 1)/2^(m+1), where n + 1 = 2^m + r
+    and 0 <= r < 2^m."""
+    params = []
+    for i in range(1, count + 1):
+        h = 1 << i.bit_length()  # 2^(m+1) for i = n + 1
+        params.append(QuadNum(2 * i + 1 - h) / h)
+    return params
 
 
 def _steps(count: int) -> list[QuadNum]:
-    pool = [QuadNum(1), QuadNum(1) / 2, QuadNum(2)]
-    n = 3
-    while len(pool) < count:
-        pool.append(QuadNum(n))
-        n += 1
-    return pool[:count]
+    """1, 1/2, 2, 3, 4, ..., the first ``count``."""
+    return [QuadNum(1), QuadNum(1) / 2, *map(QuadNum, range(2, count))][:count]
 
 
 # -- executing sector words ----------------------------------------------------
@@ -651,6 +648,8 @@ def run_expansion(
     checked constructor reports it.  With ``n = 0`` no table is read, and
     the initial state is ``qprime(ref)``.
     """
+    if type(n) is not int:  # as for expand's depth, True is refused
+        raise TypeError(f"step count n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("step count must be >= 0")
     expansion, orbit = _expand_orbit(direction, n + 1, policy)

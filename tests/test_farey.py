@@ -186,6 +186,48 @@ class TestDihedralElements:
             one_by_one = farey._compose(one_by_one, farey._INVERSE_BRANCHES[j])
         assert farey._compose(frame, farey._blocks()[bytes((s, t, u))]) == one_by_one
 
+    @staticmethod
+    def _check_swap_form(frame):
+        # the invariant that lets _compose's strip skip d: the frame is (0, P) or
+        # (1, P) with P = alpha*I + beta*S mod 2, S the swap, so a = d and b = c
+        # mod 2 in both ints, and P is not divisible by sqrt2
+        e, p = frame
+        assert e in (0, 1)
+        assert [(p[i] - p[j]) & 1 for i, j in ((0, 6), (1, 7), (2, 4), (3, 5))] == [0] * 4
+        assert p[0] & 1 or p[2] & 1 or p[4] & 1
+
+    def test_blocks_are_swap_forms_mod_2(self):
+        for frame in farey._blocks().values():
+            self._check_swap_form(frame)
+
+    @pytest.mark.parametrize("j", farey._PARABOLIC)
+    def test_parabolic_run_factors_are_swap_forms_mod_2(self, j):
+        # reconstruct composes a run of n entries j as the one factor I + n(M - I)
+        k, m = farey._INVERSE_BRANCHES[j]
+        identity = (0, farey._SCALARS[0])
+        for n in [*range(1, 40), 2**20, 3**40 + 1]:
+            run = (k, tuple(i + n * (a - i) for i, a in zip(farey._SCALARS[k], m)))
+            power = Mat2.identity()
+            for _ in range(min(n, 39)):
+                power = power @ GAMMA_NU_INV[j]
+            for head in (identity, farey._INVERSE_BRANCHES[2], farey._blocks()[b"\5\6\3"]):
+                frame = farey._compose(head, run)
+                self._check_swap_form(frame)
+                if n < 40 and head is identity:
+                    assert farey._matrix(farey._rational(frame)) == power
+
+    def test_random_words_are_swap_forms_mod_2(self):
+        rng = random.Random(20261020)
+        for word in range(1000):
+            frame, product = (0, farey._SCALARS[0]), Mat2.identity()
+            for j in rng.choices(range(8), k=rng.randint(1, 60)):
+                frame = farey._compose(frame, farey._INVERSE_BRANCHES[j])
+                self._check_swap_form(frame)
+                if word < 50:
+                    product = product @ GAMMA_NU_INV[j]
+            if word < 50:
+                assert farey._matrix(farey._rational(frame)) == product
+
     def test_sector_ends_are_the_grid_rays(self):
         assert len(farey._END_INTS) == 9
         for j, ints in enumerate(farey._END_INTS):
@@ -672,8 +714,8 @@ _STALLED = numerics._direction(Vec2(QuadNum(-102, 72), QuadNum(483, -342)))
 
 def _wrong_b0(xp, xq, yp, yq, _sectors=farey._sectors):
     """``farey._sectors`` with the wrong b_0 test."""
-    if farey._sign(xp, xq) > 0 and farey._sign(xp - yp, xq - yq) > 0:
-        s = farey._sign(xp - yp + 2 * yq, xq - yq - yp)
+    if numerics._sign(xp, xq, 2) > 0 and numerics._sign(xp - yp, xq - yq, 2) > 0:
+        s = numerics._sign(xp - yp + 2 * yq, xq - yq - yp, 2)
         return (0,) if s > 0 else (1,) if s else (0, 1)
     return _sectors(xp, xq, yp, yq)
 
@@ -788,6 +830,14 @@ class TestExpand:
         assert low.entries == (0, 1, 1, 1) and low.boundary_hit and low.tail == 1
         assert high.entries == (1, 1, 1, 1) and high.boundary_hit and high.tail == 1
         assert dual_expansion(low).entries == high.entries
+
+    @pytest.mark.parametrize("depth", [3.0, 2.5, None, True, False, "3"])
+    def test_a_depth_that_is_not_an_int_is_refused(self, depth, monkeypatch):
+        # None once walked to the tail before it failed on the arithmetic
+        monkeypatch.setattr(farey, "_walk", None)  # refused before the walk
+        message = f"^depth must be an int, got {type(depth).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            expand(Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1))), depth)
 
     def test_first_entry_of_u2(self):
         e = expand(Direction(Vec2(2, 1)), 1)

@@ -42,6 +42,8 @@ from octocf.numerics import (
     Vec2,
     _cross_sign,
     _reduced,
+    _sign,
+    quad_sign,
     to_decimal,
 )
 from octocf.octagon import sector_direction
@@ -49,7 +51,57 @@ from octocf.octagon import sector_direction
 GAMMA = Mat2(-1, QuadNum(2, 2), 0, 1)
 
 
+def _reference_sign(p: int, q: int, d: int) -> int:
+    """The sign of p + q*sqrt(d), d not a square: that of p or q where the other is
+    0 or of the same sign, else that of the one whose square, p^2 or d*q^2, is larger."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > d * q * q else sq
+
+
+@st.composite
+def _sign_operands(draw):
+    """(p, q, d) with d in {2, 3, 5}: free ints of 8 to 4000 bits, a zero p or q, or
+    p = -floor(q*sqrt(d)) + delta, where p and q*sqrt(d) cancel in all but a few units."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    bits = draw(st.sampled_from((8, 64, 1024, 4000)))
+    q = draw(st.integers(-(1 << bits), 1 << bits))
+    kind = draw(st.sampled_from(("free", "near", "zero")))
+    if kind == "free":
+        p = draw(st.integers(-(1 << bits), 1 << bits))
+    elif kind == "near":
+        t = isqrt(d * q * q)  # floor(|q|*sqrt(d))
+        p = (-t if q > 0 else t + 1) + draw(st.integers(-2, 2))
+    else:
+        p, q = draw(st.sampled_from(((0, q), (q, 0))))
+    return p, q, d
+
+
 class TestSign:
+    @given(_sign_operands())
+    @example((0, 0, 2))
+    @example((-(1 << 4000), 0, 5))
+    @example((0, -1, 3))
+    @example((-1, 1, 2))
+    @example((3, -2, 2))
+    @example((-(isqrt(2 * 10**2400)), 10**1200, 2))
+    def test_the_one_sign_rule_against_the_reference(self, operands):
+        p, q, d = operands
+        want = _reference_sign(p, q, d)
+        s = _sign(p, q, d)
+        assert (s > 0) - (s < 0) == want
+        assert type(quad_sign(p, q, d)) is int and quad_sign(p, q, d) == want
+        got = QuadraticIrrational(p, q, 1, d).sign()
+        assert type(got) is int and got == want
+        if d == 2:
+            got = QuadNum(p, q).sign()
+            assert type(got) is int and got == want
+            # cross((p + q*sqrt2, 0), (0, 1)) = p + q*sqrt2, and its negation swapped
+            v, w = Vec2(QuadNum(p, q), 0), Vec2(0, 1)
+            for got in (_cross_sign(v, w), -_cross_sign(w, v)):
+                assert type(got) is int and got == want
+
     def test_zero(self):
         assert QuadNum(0, 0).sign() == 0
 

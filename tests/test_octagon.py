@@ -123,6 +123,11 @@ class TestFrozenData:
             assert sector_sample_directions(j, 5000) == grid
             for count in (1, 2, 3, 4, 7, 8, 15, 16, 17):
                 assert sector_sample_directions(j, count) == grid[:count]
+        # the parameters come from closed forms, and each count takes a prefix
+        for count in range(1, 400):
+            got = octagon._midpoint_first_parameters(count)
+            assert got == [QuadNum(f) for f in dyadic[:count]]
+            assert octagon._steps(count) == [QuadNum(f) for f in steps[:count]]
 
     def test_sample_grid_budget(self):
         # verify --samples admits 10**6 samples per sector
@@ -274,6 +279,13 @@ class TestRunExpansion:
         trace = run_expansion(sector_midpoint(2), 0)
         assert trace.steps == ()
         assert trace.initial.wedge_vector_tuple() == QPRIME_VECTORS
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, None, True, False, "3"])
+    def test_a_step_count_that_is_not_an_int_is_refused(self, n, monkeypatch):
+        monkeypatch.setattr(octagon, "_expand_orbit", None)  # refused before the walk
+        message = f"^step count n must be an int, got {type(n).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            run_expansion(sector_midpoint(2), n)
 
     def test_states_return_to_base_after_every_step(self):
         d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
