@@ -21,6 +21,7 @@ from math import gcd, isqrt
 from .numerics import (
     QuadNum,
     _FrozenValue,
+    _int_arg,
     _is_fraction,
     _rational_text,
     _reduced,
@@ -189,8 +190,7 @@ def _steps(alpha, n: int):
     a, b, c, d = _ints(alpha)
     if quad_sign(a, b, d) <= 0:
         raise ValueError("alpha must be positive")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _int_arg(n, "n", 0)
     e_prev, e_cur = (0, 1), (1, 0)
     # C = a + b*sqrt(d) for (0, 1) and C = -c for (1, 0)
     n_prev, n_cur, s, t = a * a - d * b * b, c * c, -a * c, b * c

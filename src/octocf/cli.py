@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _max_int_digits
+from .numerics import Direction, QuadNum, QuadNumParseError, Vec2, _int_arg, _max_int_digits
 
 #: ``typing.TYPE_CHECKING`` without importing ``typing`` at start-up; type
 #: checkers take any constant of this name as true.
@@ -104,12 +104,6 @@ def _decimal(text: str, what: str) -> Fraction:
     return approx
 
 
-def _check_count(value: int, flag: str, least: int) -> None:
-    """A parse failure naming ``flag`` unless ``value`` lies in least..10**6."""
-    if not least <= value <= _MAX_COUNT:
-        raise _ParseFailure(f"{flag} must be between {least} and {_MAX_COUNT}")
-
-
 def _policy(args) -> TiePolicy:
     from .farey import TiePolicy
 
@@ -180,7 +174,7 @@ def _emit_json(args, obj) -> int:
 def _cmd_expand(args) -> int:
     from .farey import dual_expansion, expand
 
-    _check_count(args.depth, "--depth", 1)
+    _int_arg(args.depth, "--depth", 1, _MAX_COUNT)
     direction, approximate = _parse_direction(args.u, args.side)
     e = expand(direction, args.depth, _policy(args))
     record = e.to_json()
@@ -214,8 +208,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_convergents(args) -> int:
     from . import classical
 
-    if args.steps < 0:
-        raise _ParseFailure("--steps must be >= 0")
+    _int_arg(args.steps, "--steps", 0)
     alpha, approximate = _parse_alpha(args.alpha)
     digits = _max_int_digits()
     listed, limit = 0, 10**digits
@@ -289,7 +282,7 @@ def _parse_alpha(text: str):
 
 
 def _cmd_simulate(args) -> int:
-    _check_count(args.steps, "--steps", 0)
+    _int_arg(args.steps, "--steps", 0, _MAX_COUNT)
     direction, approximate = _parse_direction(args.u, args.side)
     state = _initial_state(args.quad, direction)
     record = {"initial": state.to_json(), "steps": None, "halted": None}
@@ -360,7 +353,7 @@ def _decode(build, data, what: str):
 def _cmd_trace(args) -> int:
     from . import octagon
 
-    _check_count(args.steps, "--steps", 0)
+    _int_arg(args.steps, "--steps", 0, _MAX_COUNT)
     direction, approximate = _parse_direction(args.u, args.side)
     trace = octagon.run_expansion(direction, args.steps, _policy(args))
     record = _printed(trace.to_json)
@@ -374,8 +367,8 @@ def _cmd_verify(args) -> int:
 
     from . import octagon
 
-    _check_count(args.samples, "--samples", 1)
-    _check_count(args.random_samples, "--random-samples", 0)
+    _int_arg(args.samples, "--samples", 1, _MAX_COUNT)
+    _int_arg(args.random_samples, "--random-samples", 0, _MAX_COUNT)
     if args.random_samples:
         text = os.environ.get("OCTOCF_SEED", "0")
         try:
@@ -390,7 +383,7 @@ def _cmd_verify(args) -> int:
         extra = []
         for i in sectors:
             for _ in range(args.random_samples):
-                d = octagon._sector_direction(i, _random_parameter(rng, i))
+                d = octagon.sector_direction(i, _random_parameter(rng, i))
                 extra.append(octagon.verify_sector(i, d))
         record["random_samples"] = [r.to_json() for r in extra]
         record["seed"] = seed

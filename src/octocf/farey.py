@@ -31,6 +31,7 @@ from .numerics import (
     Vec2,
     _FrozenValue,
     _direction,
+    _int_arg,
     _mat,
     _object_new,
     _reduced,
@@ -478,8 +479,7 @@ class WalkInvariantError(RuntimeError):
 
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
-    if type(depth) is not int:  # True is an int too, and None would walk to the tail
-        raise TypeError(f"depth must be an int, got {type(depth).__name__}")
+    _int_arg(depth, "depth", 1)  # None would walk to the tail
     return _flatten(*_walk(d, depth, policy)[1:], depth)
 
 
@@ -513,8 +513,6 @@ def _walk(
     c0 > 0 too (sqrt2 for j = 1, 1 for j = 7), so c0 is tested before w is built.
     """
     depth = inf if depth is None else depth
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     (xp, xq, yp, yq), den = _ints(d.vector)
     e, high, count, steps = 0, policy is TiePolicy.HIGH, 0, []
     while count < depth:

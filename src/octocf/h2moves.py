@@ -35,7 +35,7 @@ from itertools import permutations
 
 from . import intmat
 from .diagch import CombDatum, Side, StaircaseMove, elementary_matrix, perm_conjugate
-from .numerics import _FrozenValue
+from .numerics import _FrozenValue, _int_arg
 
 __all__ = [
     "NodeId",
@@ -368,19 +368,19 @@ SECTOR_MATRICES: dict[int, intmat.IntMat] = {
 
 def sector_matrix(i: int) -> intmat.IntMat:
     """The acceleration matrix of sector i, verbatim."""
-    _check_sector(i)
+    _int_arg(i, "sector index", 1, 7)
     return SECTOR_MATRICES[i]
 
 
 def sector_raw_plan(i: int) -> tuple[RawToken, ...]:
     """The executable token plan of sector i's word on the base quadrangulation."""
-    _check_sector(i)
+    _int_arg(i, "sector index", 1, 7)
     return _RAW_PLANS[i]
 
 
 def sector_raw_word(i: int) -> list[str]:
     """The printed move strings of sector i's word (relabelings are silent)."""
-    _check_sector(i)
+    _int_arg(i, "sector index", 1, 7)
     out = []
     for token in _RAW_PLANS[i]:
         if isinstance(token, LetterToken):
@@ -392,14 +392,14 @@ def sector_raw_word(i: int) -> list[str]:
 
 def sector_word(i: int) -> MoveWord:
     """The reduced-graph word of sector i; sectors 2 and 3 have none stored."""
-    _check_sector(i)
+    _int_arg(i, "sector index", 1, 7)
     if i not in _REDUCED_WORDS:
         raise KeyError(f"sector {i} carries a raw word only")
     return MoveWord(NodeId.LEFT, _REDUCED_WORDS[i])
 
 
 def has_reduced_word(i: int) -> bool:
-    _check_sector(i)
+    _int_arg(i, "sector index", 1, 7)
     return i in _REDUCED_WORDS
 
 
@@ -481,8 +481,3 @@ def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
     if len(solutions) != 1:
         raise SectorWordError(f"no unique symmetry relabeling from {comb}")
     return solutions[0]
-
-
-def _check_sector(i: int) -> None:
-    if i not in range(1, 8):
-        raise ValueError(f"sector index must be 1..7, got {i}")

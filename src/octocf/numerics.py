@@ -59,6 +59,18 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _int_arg(value, name: str, least: int, most: int | None = None) -> None:
+    """The package's one check of a count or an index: ``value`` must be an int,
+    not a bool, in least..most (no upper bound when ``most`` is None)."""
+    if type(value) is not int:  # True is an int too
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if most is None:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    elif not least <= value <= most:
+        raise ValueError(f"{name} must be between {least} and {most}")
+
+
 def _rational_text(n: int, den: int) -> str:
     """n/den, den > 0, as ``str(Fraction(n, den))`` writes it: ``-3`` or ``7/2``."""
     g = gcd(n, den)
@@ -402,8 +414,7 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     The output is exact round-half-even of the true real value.  For
     irrational q no tie is possible; rational ties round half to even.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _int_arg(digits, "digits", 1)
     p, s, den = q._p, q._q, q._den
     unit = 10**digits
     if s == 0:

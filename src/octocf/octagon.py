@@ -78,7 +78,9 @@ from .numerics import (
     QuadNum,
     Vec2,
     _FrozenValue,
+    _coerce,
     _cross_sign,
+    _int_arg,
     _object_new,
     _vec,
 )
@@ -163,28 +165,22 @@ def sector_sample_directions(j: int, count: int = 3) -> list[Direction]:
 
     Finite sectors are sampled at dyadic fractions of the u-interval; the
     two sectors touching u = infinity are sampled by stepping away from
-    their finite endpoint.
+    their finite endpoint.  :func:`sector_direction` checks j.
     """
-    if j not in range(8):
-        raise ValueError("sector index must be 0..7")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _int_arg(count, "count", 1)
     params = _steps(count) if j in (0, 7) else _midpoint_first_parameters(count)
-    return [_sector_direction(j, f) for f in params]
+    return [sector_direction(j, f) for f in params]
 
 
-def sector_direction(j: int, f: Fraction) -> Direction:
-    """The direction of sector j at the parameter f, strictly inside the sector.
+def sector_direction(j: int, f: int | Fraction | QuadNum) -> Direction:
+    """The direction of sector j at the exact parameter f, strictly inside the sector.
 
     Sectors 1..6 take u = lo + (hi - lo)*f between their ends lo and hi of u,
     for 0 < f < 1; sectors 0 and 7, which reach u = infinity, take u at the
-    distance f > 0 from their finite end.
+    distance f > 0 from their finite end.  Any other f is refused (ValueError).
     """
-    return _sector_direction(j, QuadNum(f))
-
-
-def _sector_direction(j: int, f: QuadNum) -> Direction:
-    """:func:`sector_direction` at a rational parameter held as a QuadNum."""
+    _int_arg(j, "sector index", 0, 7)
+    f = _coerce(f)
     if j == 0:
         u = SECTOR_BOUNDS[0] + f
     elif j == 7:
@@ -192,7 +188,15 @@ def _sector_direction(j: int, f: QuadNum) -> Direction:
     else:
         hi, lo = SECTOR_BOUNDS[j - 1], SECTOR_BOUNDS[j]
         u = lo + (hi - lo) * f
-    return Direction(Vec2(u, QuadNum(1)))
+    return _strictly_inside(j, Direction(Vec2(u, QuadNum(1))))
+
+
+def _strictly_inside(j: int, direction: Direction) -> Direction:
+    """``direction``, after a ValueError unless it lies strictly inside sector j
+    (theta = pi classifies as (7,) but is an endpoint)."""
+    if classify(direction) != (j,) or direction.is_theta_pi:
+        raise ValueError(f"direction {direction} is not strictly inside sector {j}")
+    return direction
 
 
 def _midpoint_first_parameters(count: int) -> list[QuadNum]:
@@ -310,11 +314,8 @@ def _checked_run(i: int, direction: Direction) -> tuple[_WordRun | None, SectorR
     sector tables and rendering all take their run from here.  The run is
     ``None`` when Q' itself fails, and is complete only when the report passed.
     """
-    if i not in range(1, 8):
-        raise ValueError("sector index must be 1..7")
-    # theta = pi classifies as (7,) but is an endpoint
-    if classify(direction) != (i,) or direction.is_theta_pi:
-        raise ValueError(f"direction {direction} is not strictly inside sector {i}")
+    _int_arg(i, "sector index", 1, 7)
+    _strictly_inside(i, direction)
     word = resolved_word(i)
     run = None
 
@@ -385,8 +386,7 @@ def prove_sector(i: int) -> bool:
     :func:`verify_sector`, the label matrix A_i included, and then
     :meth:`_SectorTable.proved` proves its slants on the whole sector.
     """
-    if i not in range(1, 8):
-        raise ValueError("sector index must be 1..7")
+    _int_arg(i, "sector index", 1, 7)
     try:
         _sector_table(i)
     except _WORD_ERRORS:
@@ -648,10 +648,7 @@ def run_expansion(
     checked constructor reports it.  With ``n = 0`` no table is read, and
     the initial state is ``qprime(ref)``.
     """
-    if type(n) is not int:  # as for expand's depth, True is refused
-        raise TypeError(f"step count n must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    _int_arg(n, "step count n", 0)
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
     if not n:

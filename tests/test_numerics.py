@@ -581,19 +581,19 @@ class TestLiteralBoundary:
         assert Mat2(Fraction(1, 2), 0, 0, True) == Mat2(half, 0, 0, 1)
         assert sector_direction(3, _Half(1, 2)) == sector_direction(3, Fraction(1, 2))
         assert sector_direction(7, True) == sector_direction(7, 1)
+        # the parameter is any exact value of the field, as in arithmetic
+        assert sector_direction(3, half) == sector_direction(3, Fraction(1, 2))
 
     @pytest.mark.parametrize("value", [1.5, "1/2", None, QuadNum(1)])
     def test_inexact_arguments(self, value):
         name = type(value).__name__
         for build in (lambda: QuadNum(value), lambda: QuadNum(1, value)):
             assert outcome(build) == (TypeError, f"expected int or Fraction, got {name}")
-        assert outcome(sector_direction, 3, value) == (
-            TypeError, f"expected int or Fraction, got {name}"
-        )
         if not isinstance(value, QuadNum):
             coerced = (TypeError, f"cannot coerce {name} into Q(sqrt(2))")
             assert outcome(lambda: QuadNum(1) * value) == coerced
             assert outcome(Vec2, value, 0) == outcome(Mat2, 1, 0, 0, value) == coerced
+            assert outcome(sector_direction, 3, value) == coerced
 
 
 @pytest.mark.parametrize(

@@ -102,16 +102,28 @@ class TestFrozenData:
 
     @given(
         st.integers(0, 7),
-        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
-        st.fractions(min_value=0, max_value=10**3, max_denominator=10**3),
+        st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
+        st.fractions(min_value=-10, max_value=10**3, max_denominator=10**3),
+        st.fractions(min_value=-1, max_value=1, max_denominator=100),
     )
-    @example(1, Fraction(1, 10**6), Fraction(1, 10**3))
-    @example(6, Fraction(10**6 - 1, 10**6), Fraction(10**3))
-    def test_sector_direction_is_strictly_inside_its_sector(self, j, t, f):
-        # the parameters verify --random-samples draws, and those of the samples
-        f = f if j in (0, 7) else t
-        assume(0 < f < 1 or (j in (0, 7) and f > 0))
-        assert classify(sector_direction(j, f)) == (j,)
+    @example(1, Fraction(1, 10**6), Fraction(1, 10**3), Fraction(0))
+    @example(6, Fraction(10**6 - 1, 10**6), Fraction(10**3), Fraction(0))
+    @example(3, Fraction(0), Fraction(0), Fraction(0))
+    @example(3, Fraction(1), Fraction(0), Fraction(0))
+    @example(0, Fraction(1, 2), Fraction(0), Fraction(0))
+    @example(7, Fraction(1, 2), Fraction(-1), Fraction(1))
+    def test_sector_direction_is_strictly_inside_its_sector(self, j, t, f, s):
+        # the parameters verify --random-samples draws, and those of the samples,
+        # are accepted, irrational ones too; every accepted (j, f) is a direction
+        # of the open sector j, and every other f is refused
+        f = QuadNum(f if j in (0, 7) else t, s)
+        inside = 0 < f < 1 or (j in (0, 7) and f > 0)
+        try:
+            d = sector_direction(j, f)
+        except ValueError as exc:
+            assert not inside and str(exc).endswith(f"is not strictly inside sector {j}")
+        else:
+            assert inside and classify(d) == (j,)
 
     def test_sample_grid_is_enumerated_level_by_level(self):
         # sectors 1..6: 1/2, then the odd numerators over 4, 8, 16, ... level by
