@@ -35,10 +35,11 @@ EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
 
+#: The largest denominator of the rational that replaces a decimal input.
 _MAX_DENOMINATOR = 10**6
 
 #: The largest value of a count flag (``--depth``, ``--steps``, ``--samples``,
-#: ``--random-samples``), the same bound as a ``convergents`` listing.
+#: ``--random-samples``) and of the intermediates a ``convergents`` listing holds.
 _MAX_COUNT = 10**6
 
 class _ParseFailure(ValueError):
@@ -102,6 +103,19 @@ def _decimal(text: str, what: str) -> Fraction:
         file=sys.stderr,
     )
     return approx
+
+
+def _plain_int(token: str, what: str) -> int:
+    """The int that ``token`` writes in plain decimal, else a parse failure
+    naming ``what``; int() alone would also take "02", "+1", " 3", "0_1" or the
+    digits of other scripts."""
+    try:
+        value = int(token)
+        if str(value) == token:
+            return value
+    except ValueError:
+        pass
+    raise _ParseFailure(f"cannot parse {what}")
 
 
 def _policy(args) -> TiePolicy:
@@ -188,16 +202,10 @@ def _cmd_expand(args) -> int:
 def _cmd_reconstruct(args) -> int:
     from .farey import reconstruct
 
-    tokens = args.entries.replace(",", " ").split()
-    try:
-        entries = [int(tok) for tok in tokens]
-    except ValueError:
-        raise _ParseFailure(f"cannot parse entries {args.entries!r}")
-    # an entry is written in plain decimal; int() would also take "02", "+1",
-    # "0_1" or the digits of other scripts
-    for tok, entry in zip(tokens, entries):
-        if str(entry) != tok:
-            raise _ParseFailure(f"cannot parse entry {tok!r} in {args.entries!r}")
+    entries = [
+        _plain_int(tok, f"entry {tok!r} in {args.entries!r}")
+        for tok in args.entries.replace(",", " ").split()
+    ]
     interval = reconstruct(entries)
     lo, hi = interval.lo, interval.hi
     record = _printed(lambda: {**interval.to_json(), "lo_u": lo.u_text(), "hi_u": hi.u_text()})
@@ -218,8 +226,8 @@ def _cmd_convergents(args) -> int:
         # Convergents grow, so each new vector holds the largest int listed so far.
         nonlocal listed
         listed += max(digit - 1, 0)
-        if listed > _MAX_DENOMINATOR:
-            raise _ParseFailure(f"more than {_MAX_DENOMINATOR} intermediate convergents to list")
+        if listed > _MAX_COUNT:
+            raise _ParseFailure(f"more than {_MAX_COUNT} intermediate convergents to list")
         if max(vector) >= limit:
             raise _ParseFailure(f"convergents with more than {digits} digits to list")
 
@@ -414,21 +422,15 @@ def _cmd_dump_matrices(args) -> int:
     return _emit_json(args, record)
 
 
-#: The sectors that have a move word, as ``render --input sector:<i>`` names them.
-_WORD_SECTORS = tuple(str(i) for i in range(1, 8))
-
-
 def _cmd_render(args) -> int:
     from . import octagon, render
 
     if args.input == "qprime":
         states = [octagon.qprime(octagon.sector_midpoint(4))]
     elif args.input.startswith("sector:"):
-        # only the seven words exist; int() would also take "08", " 3" or "+3"
         text = args.input.split(":", 1)[1]
-        if text not in _WORD_SECTORS:
-            raise _ParseFailure("sector index must be 1..7")
-        sector = int(text)
+        sector = _plain_int(text, f"sector index {text!r}")
+        _int_arg(sector, "sector index", 1, 7)  # only the seven words exist
         states = octagon.sector_move_states(sector, octagon.sector_midpoint(sector))
     else:
         data = _read_json(None if args.input == "-" else args.input, "trace")
@@ -462,34 +464,28 @@ def _add_direction_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_expand(sub) -> None:
-    p = sub.add_parser("expand", help="octagon Farey expansion of a direction")
+def _add_policy(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=("low", "high"), default="low")
+
+
+def _add_expand(p: argparse.ArgumentParser) -> None:
     _add_direction_args(p)
     p.add_argument("--depth", type=int, default=16)
-    p.add_argument("--policy", choices=("low", "high"), default="low")
+    _add_policy(p)
     p.add_argument("--dual", action="store_true", help="include the dual expansion when terminating")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_expand)
 
 
-def _add_reconstruct(sub) -> None:
-    p = sub.add_parser("reconstruct", help="exact direction interval of an expansion prefix")
+def _add_reconstruct(p: argparse.ArgumentParser) -> None:
     p.add_argument("--entries", required=True, help="comma separated, e.g. '2,1,1,7'")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_reconstruct)
 
 
-def _add_convergents(sub) -> None:
-    p = sub.add_parser("convergents", help="torus continued fraction convergents")
+def _add_convergents(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", required=True, help="'sqrt2', 'golden', exact literal, or decimal")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_convergents)
 
 
-def _add_simulate(sub) -> None:
-    p = sub.add_parser("simulate", help="plain diagonal-changes run (first available move)")
+def _add_simulate(p: argparse.ArgumentParser) -> None:
     _add_direction_args(p)
     p.add_argument(
         "--quad",
@@ -497,21 +493,15 @@ def _add_simulate(sub) -> None:
         help="'qprime', 'q0', 'torus', a quadrangulation JSON file, or '-' for stdin",
     )
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_simulate)
 
 
-def _add_trace(sub) -> None:
-    p = sub.add_parser("trace", help="renormalized diagonal-changes trace of an expansion")
+def _add_trace(p: argparse.ArgumentParser) -> None:
     _add_direction_args(p)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--policy", choices=("low", "high"), default="low")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_trace)
+    _add_policy(p)
 
 
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="machine-check the acceleration theorem")
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sector", type=int, choices=range(1, 8))
     p.add_argument("--samples", type=int, default=3, help="exact grid samples per sector")
     p.add_argument(
@@ -520,18 +510,9 @@ def _add_verify(sub) -> None:
         default=0,
         help="extra random interior directions per sector (OCTOCF_SEED)",
     )
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
 
 
-def _add_dump_matrices(sub) -> None:
-    p = sub.add_parser("dump-matrices", help="emit the move matrices and A1..A7 as JSON")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dump_matrices)
-
-
-def _add_render(sub) -> None:
-    p = sub.add_parser("render", help="render a trace or quadrangulation to SVG")
+def _add_render(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--input",
         required=True,
@@ -541,20 +522,25 @@ def _add_render(sub) -> None:
     p.add_argument("--no-labels", action="store_true")
     p.add_argument("--direction", help="overlay direction (same syntax as --u)")
     p.add_argument("--side", choices=("pos", "neg"), default="pos")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_render)
 
 
-#: Each subcommand's parser builder, in the order ``--help`` lists them.
+#: Each subcommand's help, its command and the builder of its own arguments,
+#: in the order ``--help`` lists them; every subcommand also takes ``--out``.
 _SUBCOMMANDS = {
-    "expand": _add_expand,
-    "reconstruct": _add_reconstruct,
-    "convergents": _add_convergents,
-    "simulate": _add_simulate,
-    "trace": _add_trace,
-    "verify": _add_verify,
-    "dump-matrices": _add_dump_matrices,
-    "render": _add_render,
+    "expand": ("octagon Farey expansion of a direction", _cmd_expand, _add_expand),
+    "reconstruct": (
+        "exact direction interval of an expansion prefix", _cmd_reconstruct, _add_reconstruct
+    ),
+    "convergents": ("torus continued fraction convergents", _cmd_convergents, _add_convergents),
+    "simulate": (
+        "plain diagonal-changes run (first available move)", _cmd_simulate, _add_simulate
+    ),
+    "trace": ("renormalized diagonal-changes trace of an expansion", _cmd_trace, _add_trace),
+    "verify": ("machine-check the acceleration theorem", _cmd_verify, _add_verify),
+    "dump-matrices": (
+        "emit the move matrices and A1..A7 as JSON", _cmd_dump_matrices, lambda p: None
+    ),
+    "render": ("render a trace or quadrangulation to SVG", _cmd_render, _add_render),
 }
 
 
@@ -571,11 +557,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in _SUBCOMMANDS:
         metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
         sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        _SUBCOMMANDS[command](sub)
+        names = [command]
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
+        names = _SUBCOMMANDS
+    for name in names:
+        help_text, cmd, add_own = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_own(p)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd)
     return parser
 
 

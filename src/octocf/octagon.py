@@ -359,11 +359,9 @@ def _compare_vectors(got, want) -> tuple[bool, str | None]:
 
 
 def _first_matrix_mismatch(got: intmat.IntMat, want: intmat.IntMat) -> str:
-    for r in range(6):
-        for c in range(6):
-            if got[r][c] != want[r][c]:
-                return f"first differing matrix entry at ({r+1},{c+1}): {got[r][c]} != {want[r][c]}"
-    return "matrices equal"
+    """The first entry where ``got`` differs from ``want``; called only when one does."""
+    r, c = next((r, c) for r in range(6) for c in range(6) if got[r][c] != want[r][c])
+    return f"first differing matrix entry at ({r+1},{c+1}): {got[r][c]} != {want[r][c]}"
 
 
 class TheoremReport(_FrozenValue):

@@ -11,7 +11,7 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 from .diagch import LabeledQuadrangulation
-from .numerics import Direction, QuadNum, Vec2, _FrozenValue, to_decimal
+from .numerics import Direction, QuadNum, Vec2, _FrozenValue, _is_fraction, to_decimal
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -24,13 +24,15 @@ _PANELS_PER_ROW = 4
 
 
 class RenderSpec(_FrozenValue):
-    """Rendering options: ``scale`` factor, ``show_labels``, and an optional
-    ``direction_overlay``."""
+    """Rendering options: ``scale`` factor (a positive int or Fraction),
+    ``show_labels``, and an optional ``direction_overlay``."""
 
     __slots__ = ("scale", "show_labels", "direction_overlay")
     _defaults = (60, True, None)
 
     def __post_init__(self):
+        if type(self.scale) is not int and not _is_fraction(self.scale):  # True is an int too
+            raise TypeError(f"scale must be an int or a Fraction, got {type(self.scale).__name__}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -67,10 +69,8 @@ def render_states(states, spec: RenderSpec = RenderSpec()) -> str:
     cols = min(len(states), _PANELS_PER_ROW)
     for idx, (state, (lo_x, _, _, hi_y)) in enumerate(zip(states, bounds)):
         row, col = divmod(idx, _PANELS_PER_ROW)
-        # SVG y axis points down: flip within the panel
-        origin_x = cell_w * QuadNum(col) + pad - lo_x
-        origin_y = cell_h * QuadNum(row) + pad + hi_y
-        panels.append(_render_panel(state, origin_x, origin_y, spec, idx))
+        origin = Vec2(cell_w * QuadNum(col) + pad - lo_x, cell_h * QuadNum(row) + pad + hi_y)
+        panels.append(_render_panel(state, origin, spec, idx))
     width = _fmt(cell_w * QuadNum(cols), spec.scale)
     height = _fmt(cell_h * QuadNum(rows), spec.scale)
     body = "\n".join(panels)
@@ -86,47 +86,39 @@ def render_state(state: LabeledQuadrangulation, spec: RenderSpec = RenderSpec())
     return render_states([state], spec)
 
 
-def _point(origin_x: QuadNum, origin_y: QuadNum, v: Vec2, scale: int | Fraction) -> str:
-    return f"{_fmt(origin_x + v.x, scale)},{_fmt(origin_y - v.y, scale)}"
+def _svg_xy(origin: Vec2, v: Vec2, scale: int | Fraction) -> tuple[str, str]:
+    """The SVG coordinates of ``v`` in the panel whose origin is ``origin``; the
+    SVG y axis points down, so y flips within the panel."""
+    return _fmt(origin.x + v.x, scale), _fmt(origin.y - v.y, scale)
 
 
 def _render_panel(
-    state: LabeledQuadrangulation,
-    origin_x: QuadNum,
-    origin_y: QuadNum,
-    spec: RenderSpec,
-    index: int,
+    state: LabeledQuadrangulation, origin: Vec2, spec: RenderSpec, index: int
 ) -> str:
     parts = [f'<g id="panel-{index}">']
     for i in range(1, state.comb.k + 1):
-        base, right, top, left = _quad_corners(state, i)
-        points = " ".join(
-            _point(origin_x, origin_y, v, spec.scale) for v in (base, right, top, left)
-        )
+        corners = _quad_corners(state, i)
+        xy = [_svg_xy(origin, v, spec.scale) for v in corners]
+        points = " ".join(f"{x},{y}" for x, y in xy)
         parts.append(
             f'<polygon points="{points}" fill="#dce9f5" stroke="#23435f" stroke-width="1"/>'
         )
+        (x1, y1), (x2, y2) = xy[0], xy[2]  # the diagonal, from the base to the top
         parts.append(
-            f'<line x1="{_fmt(origin_x + base.x, spec.scale)}" '
-            f'y1="{_fmt(origin_y - base.y, spec.scale)}" '
-            f'x2="{_fmt(origin_x + top.x, spec.scale)}" '
-            f'y2="{_fmt(origin_y - top.y, spec.scale)}" '
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="#a04040" stroke-width="1" stroke-dasharray="4,3"/>'
         )
         if spec.show_labels:
-            center_x = (base.x + right.x + top.x + left.x) / 4
-            center_y = (base.y + right.y + top.y + left.y) / 4
+            center = Vec2(sum(v.x for v in corners) / 4, sum(v.y for v in corners) / 4)
+            x, y = _svg_xy(origin, center, spec.scale)
             parts.append(
-                f'<text x="{_fmt(origin_x + center_x, spec.scale)}" '
-                f'y="{_fmt(origin_y - center_y, spec.scale)}" '
-                f'font-size="12" text-anchor="middle" fill="#23435f">{i}</text>'
+                f'<text x="{x}" y="{y}" font-size="12" text-anchor="middle" fill="#23435f">'
+                f"{i}</text>"
             )
-    overlay = spec.direction_overlay or state.ref_dir
-    ray = _normalized_ray(overlay)
+    ray = _normalized_ray(spec.direction_overlay or state.ref_dir)
+    (x1, y1), (x2, y2) = _svg_xy(origin, Vec2(0, 0), spec.scale), _svg_xy(origin, ray, spec.scale)
     parts.append(
-        f'<line x1="{_fmt(origin_x, spec.scale)}" y1="{_fmt(origin_y, spec.scale)}" '
-        f'x2="{_fmt(origin_x + ray.x, spec.scale)}" y2="{_fmt(origin_y - ray.y, spec.scale)}" '
-        f'stroke="#2f8f2f" stroke-width="1.5"/>'
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#2f8f2f" stroke-width="1.5"/>'
     )
     parts.append("</g>")
     return "\n".join(parts)

@@ -171,10 +171,12 @@ class TestReconstruct:
         [
             ("2,1,0_1", "0_1"), ("02,+1,1", "02"), ("2,+1,1", "+1"), ("2,\u0661,1", "\u0661"),
             ("2 1 \uff11", "\uff11"), ("2,-0", "-0"), ("2,1_1", "1_1"),
+            ("2,x,1", "x"), ("1.5", "1.5"), ("2,1e1", "1e1"),
         ],
     )
     def test_entries_are_plain_decimals(self, capsys, entries, token):
-        # int() takes each of these tokens; an entry list is written without them
+        # int() takes the first seven tokens and refuses the last three; one
+        # rule reads every integer token, so all share one message
         assert run_cli(capsys, "reconstruct", "--entries", entries) == (
             EXIT_PARSE, "", f"error: cannot parse entry {token!r} in {entries!r}\n"
         )
@@ -558,6 +560,13 @@ class TestTraceAndSimulate:
         assert len(record["steps"]) == 3
         assert record["halted"] is None
 
+    def test_trace_of_a_decimal_is_approximate(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--u", "0.37", "--steps", "3")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["approximate"] is True and len(record["steps"]) == 3
+        assert err == "warning: decimal input '0.37' replaced by the nearby rational 37/100\n"
+
     def test_simulate_torus(self, capsys):
         record = run_json(
             capsys, "simulate", "--u", "1+sqrt2", "--quad", "torus", "--steps", "5"
@@ -773,12 +782,20 @@ class TestMalformedInput:
 
     def test_render_sector_zero_has_no_word(self, capsys):
         code, out, err = run_cli(capsys, "render", "--input", "sector:0")
-        assert (code, out, err) == (EXIT_PARSE, "", "error: sector index must be 1..7\n")
+        assert (code, out, err) == (
+            EXIT_PARSE, "", "error: sector index must be between 1 and 7\n"
+        )
 
     @pytest.mark.parametrize("index", ["9", "-1", "08", "+3", " 3", "abc", ""])
     def test_render_sector_index_outside_the_words(self, capsys, index):
+        # a plain integer outside 1..7 is out of range; any other token does not parse
         code, out, err = run_cli(capsys, "render", "--input", f"sector:{index}")
-        assert (code, out, err) == (EXIT_PARSE, "", "error: sector index must be 1..7\n")
+        message = (
+            "sector index must be between 1 and 7"
+            if index in ("9", "-1")
+            else f"cannot parse sector index {index!r}"
+        )
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
 
     def test_render_stdin_panels_not_a_list(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"panels": 3}'))

@@ -831,6 +831,21 @@ class TestExpand:
         assert high.entries == (1, 1, 1, 1) and high.boundary_hit and high.tail == 1
         assert dual_expansion(low).entries == high.entries
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8).map(farey._boundary_direction),  # the rays j*pi/8
+        st.integers(0, 7),
+        st.lists(st.integers(1, 7), max_size=29),
+        st.integers(1, 30),
+    )
+    def test_the_high_tie_rule_gives_the_dual_expansion(self, ray, first, later, depth):
+        # a direction whose orbit meets a sector bound within the depth has a
+        # tail, and there the high tie rule takes the other expansion
+        d = pulled_back(ray.vector, [(j, 1) for j in (first, *later)])
+        low = expand(d, depth)
+        want = low if low.tail is None else dual_expansion(low)
+        assert expand(d, depth, TiePolicy.HIGH) == want
+
     @pytest.mark.parametrize("depth", [3.0, 2.5, None, True, False, "3"])
     def test_a_depth_that_is_not_an_int_is_refused(self, depth, monkeypatch):
         # None once walked to the tail before it failed on the arithmetic

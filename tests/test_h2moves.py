@@ -3,13 +3,15 @@
 import pytest
 
 from helpers import int_det
-from octocf import intmat
+from octocf import h2moves, intmat
+from octocf.diagch import Side
 from octocf.h2moves import (
     QPRIME_COMB,
     LetterToken,
     MoveWord,
     NodeId,
     ReducedMove,
+    SectorWordError,
     SymmetryToken,
     compose_word,
     has_reduced_word,
@@ -200,3 +202,35 @@ class TestResolvedWords:
                     comb = (comb.swapped() if reflect else comb).relabeled(sigma)
             assert comb == QPRIME_COMB
             assert reflections == resolved_word(i).parity
+
+
+class TestCorruptedPlans:
+    """A token plan that does not fit its gluing data is refused, naming why."""
+
+    def test_plan_ending_off_the_reduced_graph(self, monkeypatch):
+        # rdot's pi_r batch on label 1 replaced by a pi_l batch on the cycle (1, 2)
+        plan = (LetterToken(Side.PI_L, (1, 2)),)
+        monkeypatch.setitem(h2moves._MOVE_PLANS, ReducedMove.RDOT, (None, plan))
+        with pytest.raises(SectorWordError) as got:
+            compose_word(MoveWord(NodeId.LEFT, (ReducedMove.RDOT,)))
+        assert str(got.value) == (
+            "CombDatum(k=3, pi_l=(2, 1, 3), pi_r=(3, 1, 2)) is not a node of the reduced graph"
+        )
+
+    def test_marked_set_that_splits_a_cycle(self):
+        # label 2 alone, where pi_r of Q' has the cycle (2, 3)
+        with pytest.raises(SectorWordError) as got:
+            h2moves._resolve((LetterToken(Side.PI_R, (2,)),), QPRIME_COMB)
+        assert str(got.value) == (
+            "marked set {2} is not a union of pi_r cycles of "
+            "CombDatum(k=3, pi_l=(2, 1, 3), pi_r=(1, 3, 2))"
+        )
+
+    def test_symmetry_with_no_closing_relabeling(self):
+        # at the right node pi_l is a 3-cycle, so no relabeling of the swapped
+        # gluing data gives Q'
+        with pytest.raises(SectorWordError) as got:
+            h2moves._resolve((SymmetryToken(),), NodeId.RIGHT.comb)
+        assert str(got.value) == (
+            "no unique symmetry relabeling from CombDatum(k=3, pi_l=(2, 3, 1), pi_r=(1, 3, 2))"
+        )

@@ -204,6 +204,44 @@ class TestVerifySector:
             "step 1 of sector 7: pi_l-cycle(1, 2) does not match the current gluing data"
         )
 
+    def test_word_ending_off_qprime_is_reported(self, monkeypatch):
+        # sector 1's first move alone: it runs, but ends away from Q', so the
+        # renormalization refuses it, and the renderer raises the same text
+        word = resolved_word(1)
+        monkeypatch.setattr(
+            octagon, "resolved_word", lambda i: ResolvedWord(word.steps[:1], word.matrix, 0)
+        )
+        failure = (
+            "sector 1 word ends at CombDatum(k=3, pi_l=(2, 3, 1), pi_r=(1, 3, 2)), not at Q'"
+        )
+        report = verify_sector(1, sector_midpoint(1))
+        assert not report.passed and not report.moves_available
+        assert report.failure == failure
+        with pytest.raises(SectorWordError) as got:
+            sector_move_states(1, sector_midpoint(1))
+        assert str(got.value) == failure
+
+    def test_wrong_branch_is_reported_at_the_first_wedge(self, monkeypatch):
+        # renormalizing sector 7 by the reflection instead of gamma*nu_7: the
+        # wedges miss Q' and the image falls into the contracting sector 0
+        branches = list(GAMMA_NU)
+        branches[7] = octagon.REFLECTION
+        monkeypatch.setattr(octagon, "GAMMA_NU", branches)
+        run, report = octagon._checked_run(7, sector_midpoint(7))
+        assert (report.passed, report.matrix_equal, report.closes_up) == (False, True, False)
+        assert report.failure == (
+            "first differing wedge entry at (1,l): (1+1/2*sqrt(2), 1/2*sqrt(2)) != (-1, 0)"
+        )
+        assert classify(run.state.ref_dir) == (0,)
+
+    def test_image_outside_the_expanding_sectors_is_reported(self, monkeypatch):
+        # with the interior check lifted, sector 1's word at its end pi/8 runs
+        # and closes up, and only the image check refuses the direction
+        monkeypatch.setattr(octagon, "_strictly_inside", lambda j, d: d)
+        report = verify_sector(1, _boundary_direction(1))
+        assert (report.passed, report.matrix_equal, report.closes_up) == (False, True, True)
+        assert report.failure == "renormalized direction left the expanding sectors"
+
 
 class TestResolvedWords:
     """Each sector word is resolved once; every move is checked on the live state."""
@@ -580,6 +618,16 @@ class TestTableDrivenTraces:
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
             _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4], _sector_table(3)[0].wedges)
 
+    def test_proof_checks_that_the_branch_carries_the_sector(self, monkeypatch):
+        # the frame is gamma*nu_3's, but the branch is gamma*nu_4
+        branches = list(GAMMA_NU)
+        branches[3] = GAMMA_NU[4]
+        monkeypatch.setattr(octagon, "GAMMA_NU", branches)
+        moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
+        with pytest.raises(SectorWordError) as got:
+            _SectorTable.proved(3, moves, (1,) * len(moves), GAMMA_NU_INV[3], ())
+        assert str(got.value) == "gamma*nu_3 does not carry sector 3 onto [pi/8, pi]"
+
     def test_proof_checks_that_its_wedges_straddle_the_expanding_arc(self):
         # the wedges of Q0 straddle the near-horizontal sector 0, not [pi/8, pi]
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
@@ -593,7 +641,9 @@ class TestTableDrivenTraces:
         monkeypatch.setattr(octagon, "sector_matrix", lambda j: sector_matrix(4))
         _sector_table.cache_clear()
         try:
-            assert not verify_sector(3, sector_midpoint(3)).matrix_equal
+            report = verify_sector(3, sector_midpoint(3))
+            assert not report.matrix_equal
+            assert report.failure == "first differing matrix entry at (1,3): 0 != 1"
             assert not octagon.prove_sector(3)
             assert not verify_theorem(1, sectors=[3]).proved[3]
         finally:

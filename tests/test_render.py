@@ -57,8 +57,24 @@ def test_no_labels_option():
 
 
 def test_scale_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^scale must be positive$"):
         RenderSpec(scale=Fraction(0))
+    with pytest.raises(ValueError, match="^scale must be positive$"):
+        RenderSpec(scale=-1)
+
+
+@pytest.mark.parametrize("scale", [1.5, None, True, "60"])
+def test_a_scale_that_is_not_an_int_or_fraction_is_refused(scale):
+    # a float once drew inexact coordinates, and None or "60" failed in the comparison
+    message = f"^scale must be an int or a Fraction, got {type(scale).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        RenderSpec(scale=scale)
+
+
+def test_an_int_scale_and_its_fraction_draw_the_same_svg():
+    state = qprime(sector_midpoint(4))
+    svg = render_state(state, RenderSpec(scale=60))
+    assert render_state(state, RenderSpec(scale=Fraction(60))) == svg == render_state(state)
 
 
 def test_trace_panels_from_expansion_trace_json():
