@@ -23,6 +23,7 @@ from .numerics import (
     _FrozenValue,
     _int_arg,
     _is_fraction,
+    _quotient,
     _rational_text,
     _reduced,
     quad_float,
@@ -37,13 +38,6 @@ __all__ = [
     "geometric_convergents",
     "intermediate_convergents",
 ]
-
-
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 class QuadraticIrrational(_FrozenValue):
@@ -63,8 +57,9 @@ class QuadraticIrrational(_FrozenValue):
             raise ZeroDivisionError("zero denominator")
         if d < 0:
             raise ValueError("the radicand must be nonnegative")
-        if _is_square(d):
-            a, b, d = a + b * isqrt(d), 0, 0
+        r = isqrt(d)
+        if r * r == d:
+            a, b, d = a + b * r, 0, 0
         if b == 0:
             d = 0
         if c < 0:
@@ -118,10 +113,8 @@ def gauss_step(x):
     a, b, c, d = _ints(x)
     if quad_sign(a, b, d) <= 0 or quad_sign(a - c, b, d) >= 0:
         raise ValueError("gauss_step needs 0 < x < 1")
-    # 1/x = c*(a - b*sqrt(d))/norm by the conjugate; the norm is nonzero for x != 0
-    p, q, norm = c * a, -c * b, a * a - d * b * b
-    if norm < 0:
-        p, q, norm = -p, -q, -norm
+    # 1/x = c/(a + b*sqrt(d)); the norm is nonzero for x != 0
+    p, q, norm = _quotient(c, 0, a, b, d)
     digit = quad_floor(p, q, norm, d)
     p -= digit * norm
     if isinstance(x, QuadraticIrrational):

@@ -121,7 +121,7 @@ def _plain_int(token: str, what: str) -> int:
 def _policy(args) -> TiePolicy:
     from .farey import TiePolicy
 
-    return TiePolicy.HIGH if args.policy == "high" else TiePolicy.LOW
+    return TiePolicy(args.policy)  # the --policy choices are its values
 
 
 def _emit(args, chunks) -> int:

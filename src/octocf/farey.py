@@ -34,6 +34,7 @@ from .numerics import (
     _int_arg,
     _mat,
     _object_new,
+    _quotient,
     _reduced,
     _sign,
     _vec,
@@ -575,10 +576,7 @@ def _run_length(j: int, c0p: int, c0q: int, w: _IntVec, room: int) -> int:
     """How many steps of the parabolic entry j follow the step to x, at most ``room``,
     given c0 = cross(x, _RUN_EXIT[j]) = c0p + c0q*sqrt2 > 0 and w = (M - I)v nonzero."""
     c1p, c1q = _cross(w, _RUN_EXIT[j])
-    # c0/c1 = c0*conj(c1)/N(c1), over a positive denominator
-    p, q, norm = c0p * c1p - 2 * c0q * c1q, c0q * c1p - c0p * c1q, c1p * c1p - 2 * c1q * c1q
-    if norm < 0:
-        p, q, norm = -p, -q, -norm
+    p, q, norm = _quotient(c0p, c0q, c1p, c1q, 2)  # c0/c1
     return min(room, -quad_floor(p, q, norm, 2))
 
 

@@ -96,6 +96,13 @@ def quad_sign(p: int, q: int, d: int) -> int:
     return (s > 0) - (s < 0)
 
 
+def _quotient(p1: int, q1: int, p2: int, q2: int, d: int) -> tuple[int, int, int]:
+    """(p1 + q1*sqrt(d))/(p2 + q2*sqrt(d)) as (p + q*sqrt(d))/norm, the one conjugate
+    division: norm > 0, or 0 for a zero divisor, which the caller refuses."""
+    p, q, norm = p1 * p2 - d * q1 * q2, q1 * p2 - p1 * q2, p2 * p2 - d * q2 * q2
+    return (p, q, norm) if norm > 0 else (-p, -q, -norm)
+
+
 def quad_floor(p: int, q: int, den: int, d: int) -> int:
     """Exact floor of (p + q*sqrt(d))/den.
 
@@ -255,13 +262,10 @@ class QuadNum:
 
     def inverse(self) -> "QuadNum":
         """Exact inverse via the conjugate: den/(p+q*sqrt2) = den*(p-q*sqrt2)/(p^2-2q^2)."""
-        p, q, den = self._p, self._q, self._den
-        norm = p * p - 2 * q * q
+        p, q, norm = _quotient(self._den, 0, self._p, self._q, 2)
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        if norm < 0:
-            p, q, norm = -p, -q, -norm
-        return _reduced(den * p, -den * q, norm)
+        return _reduced(p, q, norm)
 
     # -- order structure ---------------------------------------------------
 
@@ -454,8 +458,8 @@ def _as_dataclass(cls):
 class _FrozenValue:
     """Base of the slotted immutable value types.
 
-    The fields are the names in a class's own ``__slots__``; a subclass with
-    no new slots keeps its base's.  Once per class, ``_fields`` is set to a
+    The fields are the names in a class's own ``__slots__``, which every
+    subclass declares.  Once per class, ``_fields`` is set to a
     getter of their values as a tuple, ``_setters`` to their slot setters,
     both in ``__slots__`` order, and ``__match_args__`` to their names.
     Equality, hash, repr and pickling (through the constructor) are over that
@@ -478,9 +482,7 @@ class _FrozenValue:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        names = cls.__dict__.get("__slots__")
-        if not names:
-            return
+        names = cls.__dict__["__slots__"]
         if len(names) == 1:
             get = attrgetter(names[0])
             cls._fields = staticmethod(lambda value: (get(value),))
@@ -525,13 +527,6 @@ class _FrozenValue:
 
     def __reduce__(self):
         return self.__class__, self._fields(self)
-
-    def __setstate__(self, state: dict) -> None:
-        """Loads a pickle holding the fields as a ``__dict__``, as one of an
-        unslotted dataclass does; the checks run as in ``__init__``."""
-        for setter, name in zip(self._setters, self.__slots__):
-            setter(self, state[name])
-        self.__post_init__()
 
     def __replace__(self, **changes):
         """``copy.replace``: a copy with ``changes``, built by the constructor."""

@@ -1,5 +1,5 @@
-"""Fixtures shared by the test modules, a CPU budget for each test and a
-memory cap on the test process."""
+"""Fixtures shared by the test modules, a CPU budget for each test and for
+the collection of each module, and a memory cap on the test process."""
 
 import contextlib
 import signal
@@ -9,9 +9,10 @@ import pytest
 
 from helpers import DEFAULT_MAX_STR_DIGITS
 
-#: The CPU seconds one test may spend in this process, about ten times the
-#: slowest tier-1 test.  A defect that sends a loop or a hypothesis search
-#: running away then fails its test in seconds instead of stalling the suite.
+#: The CPU seconds one test, or the collection of one node (a module's import
+#: included), may spend in this process, about ten times the slowest tier-1
+#: test.  A defect that sends a loop or a hypothesis search running away then
+#: fails its test or its collection in seconds instead of stalling the suite.
 TEST_CPU_BUDGET = 20.0
 
 
@@ -22,10 +23,10 @@ class CPUBudgetExceeded(BaseException):
 
 
 @contextlib.contextmanager
-def cpu_budget(seconds: float):
+def cpu_budget(seconds: float, what: str = "the test"):
     """Raises CPUBudgetExceeded in the block once it has spent ``seconds`` of
     this process's CPU time (``ITIMER_PROF``, POSIX only; the processes it
-    starts are not counted).
+    starts are not counted), with a message naming ``what`` spent it.
 
     The alarm repeats every 0.1 s after the first, so code that swallows
     one (a gc callback, a ``__del__``, an ``except BaseException``) cannot
@@ -33,9 +34,7 @@ def cpu_budget(seconds: float):
     message whatever it raised or returned.  The timer and handler it
     replaces are restored on exit, so budgets nest.
     """
-    message = (
-        f"the test spent its CPU budget of {seconds:g} s (TEST_CPU_BUDGET in tests/conftest.py)"
-    )
+    message = f"{what} spent its CPU budget of {seconds:g} s (TEST_CPU_BUDGET in tests/conftest.py)"
     fired = []
 
     def over_budget(signum, frame):
@@ -93,6 +92,27 @@ def pytest_runtest_call(item):
         return (yield)
     with cpu_budget(TEST_CPU_BUDGET):
         return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    """Runs each node's ``collect``, a module's import included, in a budget of
+    TEST_CPU_BUDGET seconds of CPU, so a module whose import runs away fails its
+    collection.  pytest makes the failed report after the budget ends, as it
+    does a failed test's, so the budget's repeating alarm cannot cut it short."""
+    if not hasattr(signal, "setitimer"):
+        return (yield)
+    collect = collector.collect
+
+    def budgeted():
+        with cpu_budget(TEST_CPU_BUDGET, f"collecting {collector.nodeid}"):
+            return list(collect())
+
+    collector.collect = budgeted
+    try:
+        return (yield)
+    finally:
+        del collector.collect
 
 
 @pytest.fixture

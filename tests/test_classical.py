@@ -45,6 +45,15 @@ class TestGaussStep:
         with pytest.raises(ValueError):
             gauss_step(Fraction(0))
 
+    @pytest.mark.parametrize("x", [0.5, "1/2", None])
+    def test_an_inexact_number_is_refused(self, x):
+        message = (
+            "^expected an exact number: int, Fraction, QuadNum or QuadraticIrrational, "
+            f"got {type(x).__name__}$"
+        )
+        with pytest.raises(TypeError, match=message):
+            gauss_step(x)
+
     def test_quadratic_irrational_type_preserved(self):
         phi_minus_1 = QuadraticIrrational(-1, 1, 2, 5)
         digit, rest = gauss_step(phi_minus_1)
@@ -145,6 +154,11 @@ class TestQuadraticIrrational:
     def test_sign(self):
         assert QuadraticIrrational(-1, 1, 2, 5).sign() == 1  # phi - 1
         assert QuadraticIrrational(-3, 1, 2, 5).sign() == -1  # phi - 2
+
+    def test_text(self):
+        assert str(GOLDEN) == "(1+1*sqrt(5))/2"
+        assert str(QuadraticIrrational(6, 0, 4, 9)) == "3/2"
+        assert str(QuadraticIrrational(1, 1, 1, 9)) == "4"  # a square radicand folds in
 
 
 class TestValueTypes:

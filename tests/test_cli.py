@@ -573,6 +573,14 @@ class TestTraceAndSimulate:
         )
         assert len(record["steps"]) == 5
 
+    def test_simulate_from_q0(self, capsys):
+        from octocf.numerics import Direction, Vec2
+        from octocf.octagon import q_zero
+
+        record = run_json(capsys, "simulate", "--u", "3", "--quad", "q0", "--steps", "2")
+        assert record["initial"] == q_zero(Direction(Vec2(3, 1))).to_json()
+        assert len(record["steps"]) == 2 and record["halted"] is False
+
     #: SHA-256 of ``simulate --quad torus --u 1+sqrt2 --steps 200``, taken when
     #: the whole record was built before it was written.
     SIMULATE_200 = "eebc5196f7df029ee8d6ffe90c8762a2fba093ea61468ab87cff05d8c0f0fb9c"

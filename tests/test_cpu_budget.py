@@ -1,6 +1,6 @@
-"""The per-test CPU budget and the memory cap that ``conftest.py`` sets: code
-that runs away fails with a message naming the budget, and hypothesis stops
-at once; an allocation past the cap raises MemoryError.
+"""The CPU budgets and the memory cap that ``conftest.py`` sets: code that runs
+away in a test or in collection fails with a message naming the budget, and
+hypothesis stops at once; an allocation past the cap raises MemoryError.
 
 Each test runs a short budget of its own inside the one the hook set; the
 hook's timer and handler come back after it.
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     TEST_ADDRESS_SPACE,
     TEST_CPU_BUDGET,
@@ -86,6 +87,21 @@ def test_the_budget_stops_hypothesis_shrinking():
         with cpu_budget(0.05):
             runaway()
     assert len(calls) == 2
+
+
+class _Spinning(pytest.Collector):
+    def collect(self):
+        _spin()
+
+
+def test_a_collection_that_runs_away_fails_naming_collection(request, monkeypatch):
+    monkeypatch.setattr(conftest, "TEST_CPU_BUDGET", 0.05)  # the hook reads it when it runs
+    # a child of this module, so that the hooks of tests/conftest.py apply to it
+    collector = _Spinning.from_parent(request.node.parent, name="spinning")
+    report = collector.ihook.pytest_make_collect_report(collector=collector)
+    assert report.failed and report.nodeid == collector.nodeid
+    message = f"collecting {collector.nodeid} spent its CPU budget of 0.05 s"
+    assert message in str(report.longrepr)
 
 
 #: Caps its own address space at 256 MiB by ``cap_address_space``, then asks

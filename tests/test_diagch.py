@@ -50,6 +50,12 @@ class TestPermHelpers:
             perm_compose((1, 3, 2), p), perm_inverse((1, 3, 2))
         )
 
+    def test_a_tuple_that_is_not_a_permutation_is_refused(self):
+        with pytest.raises(ValueError, match=r"^\(1, 1, 3\) is not a permutation of 1\.\.3$"):
+            CombDatum(3, (1, 1, 3), (1, 2, 3))
+        with pytest.raises(ValueError, match=r"^\(0, 1\) is not a permutation of 1\.\.2$"):
+            torus_state(Vec2(-1, 1), Vec2(1, 1)).relabeled((0, 1))
+
 
 class TestDiagonalAndSlant:
     def test_symmetric_square(self):

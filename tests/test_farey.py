@@ -1318,6 +1318,7 @@ class TestValueTypes:
             "hi=Direction(vector=Vec2(x=QuadNum(Fraction(1, 1), Fraction(0, 1)), "
             "y=QuadNum(Fraction(1, 1), Fraction(1, 1)))))"
         )
+        assert str(values[0]) == "[dir(2, 2+sqrt(2)), dir(1, 1+sqrt(2))]"
 
     def test_reversed_endpoints_are_refused(self):
         lo, hi = Direction(Vec2(1, 1)), Direction(Vec2(-1, 1))

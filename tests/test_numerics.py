@@ -41,6 +41,7 @@ from octocf.numerics import (
     QuadNumParseError,
     Vec2,
     _cross_sign,
+    _quotient,
     _reduced,
     _sign,
     quad_sign,
@@ -76,6 +77,19 @@ def _sign_operands(draw):
     else:
         p, q = draw(st.sampled_from(((0, q), (q, 0))))
     return p, q, d
+
+
+@st.composite
+def _quotient_operands(draw):
+    """(p1, q1, p2, q2, d) with d in {2, 3, 5} and a nonzero divisor p2 + q2*sqrt(d)
+    of either norm sign: p2 = +-(floor(|q2|*sqrt(d)) + 0 or 1) puts p2^2 just below
+    or just above d*q2^2, for q2 of 8 to 1024 bits."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    bits = draw(st.sampled_from((8, 64, 1024)))
+    ints = st.integers(-(1 << bits), 1 << bits)
+    q2 = draw(ints.filter(bool))
+    p2 = (isqrt(d * q2 * q2) + draw(st.integers(0, 1))) * draw(st.sampled_from((1, -1)))
+    return draw(ints), draw(ints), p2, q2, d
 
 
 class TestSign:
@@ -127,6 +141,12 @@ class TestSign:
     def test_trichotomy(self, a):
         assert (a.sign() == 0) == a.is_zero()
         assert a.sign() in (-1, 0, 1)
+        assert bool(a) is not a.is_zero()
+
+    @given(quadnums(), quadnums())
+    def test_comparisons_read_the_sign_of_the_difference(self, a, b):
+        s = (a - b).sign()
+        assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
 
 
 class TestFieldOps:
@@ -140,6 +160,10 @@ class TestFieldOps:
         h = QuadNum(0, Fraction(1, 2))
         assert h * h == QuadNum(Fraction(1, 2))
 
+    def test_reflected_subtraction(self):
+        assert 1 - QuadNum(0, 1) == QuadNum(1, -1)
+        assert Fraction(1, 2) - QuadNum(1, 1) == QuadNum(Fraction(-1, 2), -1)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             QuadNum(1, 1) / QuadNum(0, 0)
@@ -151,6 +175,17 @@ class TestFieldOps:
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+    @given(_quotient_operands())
+    @example((1, 0, 1, 1, 2))  # 1/(1 + sqrt2): norm -1
+    @example((5, 2, -3, 1, 2))  # norm 7
+    @example((7, -3, -4, 0, 3))  # a rational divisor
+    def test_the_one_conjugate_division(self, operands):
+        p1, q1, p2, q2, d = operands
+        p, q, norm = _quotient(p1, q1, p2, q2, d)
+        assert norm > 0 and norm == abs(p2 * p2 - d * q2 * q2)
+        # (p + q*sqrt(d))/norm times the divisor is the dividend
+        assert (p * p2 + d * q * q2, p * q2 + q * p2) == (norm * p1, norm * q1)
 
     @given(nonzero_quadnums())
     def test_multiplicative_inverse(self, a):
@@ -204,6 +239,11 @@ class TestMat2:
             assert pickle.dumps(m) == pickle.dumps(fresh)
             assert repr(m) == repr(fresh)
         assert Mat2.__slots__ == ("a", "b", "c", "d")
+
+    def test_text_and_json(self):
+        assert str(GAMMA) == "[[-1, 2+2*sqrt(2)], [0, 1]]"
+        zero, one = {"a": "0", "b": "0"}, {"a": "1", "b": "0"}
+        assert GAMMA.to_json() == [[{"a": "-1", "b": "0"}, {"a": "2", "b": "2"}], [zero, one]]
 
     def test_singular_inverse_raises_on_every_call(self):
         m = Mat2(1, QuadNum(1, 1), QuadNum(1, -1), -1)

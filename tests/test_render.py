@@ -56,6 +56,13 @@ def test_no_labels_option():
     assert "<text" not in svg
 
 
+def test_no_states_are_refused():
+    with pytest.raises(ValueError, match="^nothing to render$"):
+        render_states([])
+    with pytest.raises(ValueError, match="^nothing to render$"):
+        render_states(iter(()))
+
+
 def test_scale_validation():
     with pytest.raises(ValueError, match="^scale must be positive$"):
         RenderSpec(scale=Fraction(0))

@@ -469,23 +469,3 @@ def test_positional_match_patterns_take_the_fields():
             pytest.fail("no match")
     assert Mat2.__match_args__ == ("a", "b", "c", "d")
 
-
-#: Pickles written when ``FareyExpansion`` and ``ExpansionTrace`` were
-#: unslotted dataclasses, whose state is a ``__dict__`` of the fields: each
-#: holds ``(FareyExpansion((2, 1, 7, 7), True, 7), run_expansion(d, 2))`` for
-#: d = (1 + sqrt2, 1), at pickle protocols 2 and 4.
-DATACLASS_PICKLES = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("protocol", [2, 4])
-def test_pickles_of_the_dataclasses_still_load(protocol):
-    data = (DATACLASS_PICKLES / f"dataclass_values.protocol{protocol}.pickle").read_bytes()
-    expansion, trace = pickle.loads(data)
-    assert expansion == FareyExpansion((2, 1, 7, 7), True, 7)
-    want = run_expansion(Direction(Vec2(QuadNum(1, 1), 1)), 2)
-    assert len(want.steps) == 2
-    assert trace == want and hash(trace) == hash(want) and repr(trace) == repr(want)
-    assert type(trace.expansion.entries) is tuple
-    # a new pickle goes through the constructor, with no state dict
-    assert pickle.loads(pickle.dumps(trace, protocol)) == want
-    assert b"boundary_hit" not in pickle.dumps(expansion, protocol)
