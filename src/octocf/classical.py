@@ -88,7 +88,8 @@ class QuadraticIrrational(_FrozenValue):
     def __str__(self) -> str:
         if self.b == 0:
             return _rational_text(self.a, self.c)
-        return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
+        text = f"{self.a}{self.b:+}*sqrt({self.d})"
+        return text if self.c == 1 else f"({text})/{self.c}"
 
 
 def _ints(x) -> tuple[int, int, int, int]:

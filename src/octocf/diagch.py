@@ -47,8 +47,6 @@ __all__ = [
     "HitsSingularity",
     "elementary_matrix",
     "perm_cycles",
-    "perm_compose",
-    "perm_inverse",
     "perm_conjugate",
 ]
 
@@ -100,34 +98,37 @@ def perm_cycles(pi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, img in enumerate(p, start=1):
-        inv[img - 1] = i
-    return tuple(inv)
-
-
 def perm_conjugate(sigma: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
-    """sigma o p o sigma^{-1}, the relabeling action on gluing data."""
-    return perm_compose(perm_compose(sigma, p), perm_inverse(sigma))
-
-
-class Side(Enum):
-    """Which permutation's cycle a staircase move runs along."""
-
-    PI_R = "pi_r"  # left-slanted diagonals, left vectors updated
-    PI_L = "pi_l"  # right-slanted diagonals, right vectors updated
+    """sigma o p o sigma^{-1}, the relabeling action on gluing data: sigma(i) -> sigma(p(i))."""
+    if len(sigma) != len(p):
+        raise ValueError(f"{sigma} does not relabel 1..{len(p)}")
+    out = [0] * len(p)
+    for s, j in zip(sigma, p):
+        out[s - 1] = sigma[j - 1]
+    return tuple(out)
 
 
 class Slant(Enum):
     LEFT = 1
     RIGHT = -1
     PARALLEL = 0
+
+
+class Side(Enum):
+    """Which permutation's cycle a staircase move runs along: a pi_r move replaces
+    the left sides (``slot`` 0) and needs left-slanted diagonals (``slant``), and
+    a pi_l move is its mirror."""
+
+    PI_R = "pi_r"
+    PI_L = "pi_l"
+
+    @property
+    def slot(self) -> int:
+        return 0 if self is Side.PI_R else 1
+
+    @property
+    def slant(self) -> Slant:
+        return Slant(1 - 2 * self.slot)
 
 
 class CombDatum(_FrozenValue):
@@ -141,8 +142,14 @@ class CombDatum(_FrozenValue):
         perm_check(self.pi_l)
         perm_check(self.pi_r)
 
+    def walked_and_other(self, side: Side) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The permutation a ``side`` move walks, and the other one, which sits
+        in the move's slot of ``(pi_l, pi_r)``: pi_r and pi_l for a pi_r move."""
+        perms = (self.pi_l, self.pi_r)
+        return perms[1 - side.slot], perms[side.slot]
+
     def cycles(self, side: Side) -> tuple[tuple[int, ...], ...]:
-        return perm_cycles(self.pi_r if side is Side.PI_R else self.pi_l)
+        return perm_cycles(self.walked_and_other(side)[0])
 
     def relabeled(self, sigma: tuple[int, ...]) -> "CombDatum":
         return CombDatum(
@@ -155,16 +162,16 @@ class CombDatum(_FrozenValue):
     def after_move(self, side: Side, cycle: tuple[int, ...]) -> "CombDatum":
         """The gluing data after the staircase move along ``cycle``.
 
-        A pi_r move sets pi_l(i) to pi_l(pi_r(i)) on the cycle, a pi_l move
-        sets pi_r(i) to pi_r(pi_l(i)).
+        With p the walked permutation and o the other, o(i) becomes o(p(i))
+        on the cycle: a pi_r move sets pi_l(i) to pi_l(pi_r(i)).
         """
-        pi_l, pi_r = list(self.pi_l), list(self.pi_r)
+        p, o = self.walked_and_other(side)
+        moved = list(o)
         for i in cycle:
-            if side is Side.PI_R:
-                pi_l[i - 1] = self.pi_l[self.pi_r[i - 1] - 1]
-            else:
-                pi_r[i - 1] = self.pi_r[self.pi_l[i - 1] - 1]
-        return CombDatum(self.k, tuple(pi_l), tuple(pi_r))
+            moved[i - 1] = o[p[i - 1] - 1]
+        perms = [self.pi_l, self.pi_r]
+        perms[side.slot] = tuple(moved)
+        return CombDatum(self.k, *perms)
 
     def to_json(self) -> dict:
         return {"k": self.k, "pi_l": list(self.pi_l), "pi_r": list(self.pi_r)}
@@ -193,24 +200,17 @@ def elementary_matrix(
 ) -> intmat.IntMat:
     """The 2k x 2k unipotent matrix of the staircase move along ``cycle``.
 
-    For a cycle of pi_r the row of (i,l) gains a one in column (pi_l(i),r)
-    for every i in the cycle; for a cycle of pi_l the row of (i,r) gains a
-    one in column (pi_r(i),l).  Cached: it depends on the gluing data alone.
+    With s the move's slot and o the other permutation, the row of (i,s)
+    gains a one in column (o(i),1-s) for every i in the cycle.  Cached: it
+    depends on the gluing data alone.
     """
     start = cycle.index(min(cycle))
     normalized = cycle[start:] + cycle[:start]
     if normalized not in comb.cycles(side):
         raise ValueError(f"{cycle} is not a cycle of {side.value}")
-    if side is Side.PI_R:
-        entries = [(_slot(i, 0), _slot(comb.pi_l[i - 1], 1)) for i in cycle]
-    else:
-        entries = [(_slot(i, 1), _slot(comb.pi_r[i - 1], 0)) for i in cycle]
+    s, other = side.slot, comb.walked_and_other(side)[1]
+    entries = [(_slot(i, s), _slot(other[i - 1], 1 - s)) for i in cycle]
     return intmat.elementary(2 * comb.k, entries)
-
-
-def _doubled_area(w: Wedge, diagonal: Vec2) -> QuadNum:
-    """Twice the area of the quadrilateral with wedge ``w`` and ``diagonal``."""
-    return w.r.cross(diagonal) + diagonal.cross(w.l)
 
 
 class StaircaseMove(_FrozenValue):
@@ -242,7 +242,8 @@ class LabeledQuadrangulation(_FrozenValue):
                 )
             if _cross_sign(w.r, w.l) <= 0:
                 raise QuadrangulationError(f"wedge {i} does not open a positive cone")
-            if _doubled_area(w, left_path).sign() <= 0:
+            # twice the area is cross(r, D) + cross(D, l) = cross(r - l, D)
+            if _cross_sign(w.r - w.l, left_path) <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
             if not w.cone_contains(self.ref_dir):
                 raise QuadrangulationError(
@@ -256,7 +257,7 @@ class LabeledQuadrangulation(_FrozenValue):
         return self.wedges[i - 1].l + self.wedges[self.comb.pi_l[i - 1] - 1].r
 
     def total_area(self) -> QuadNum:
-        doubled = (_doubled_area(w, self.diagonal(i)) for i, w in enumerate(self.wedges, 1))
+        doubled = ((w.r - w.l).cross(self.diagonal(i)) for i, w in enumerate(self.wedges, 1))
         return sum(doubled, QuadNum(0)) / 2
 
     def slant(self, i: int) -> Slant:
@@ -265,8 +266,7 @@ class LabeledQuadrangulation(_FrozenValue):
     # -- moves ----------------------------------------------------------------
 
     def cycle_is_well_slanted(self, cycle: tuple[int, ...], side: Side) -> bool:
-        want = Slant.LEFT if side is Side.PI_R else Slant.RIGHT
-        return all(self.slant(i) is want for i in cycle)
+        return all(self.slant(i) is side.slant for i in cycle)
 
     def available_moves(self) -> list[StaircaseMove]:
         """Every executable staircase move, pi_r cycles first, by least label."""
@@ -292,14 +292,13 @@ class LabeledQuadrangulation(_FrozenValue):
         for i, slant in slants.items():
             if slant is Slant.PARALLEL:
                 raise HitsSingularity(i)
-        left = move.side is Side.PI_R  # the move replaces left sides
-        want = Slant.LEFT if left else Slant.RIGHT
-        if any(slant is not want for slant in slants.values()):
+        if any(slant is not move.side.slant for slant in slants.values()):
             raise MoveNotAvailableError(f"{move} is not well slanted")
         wedges = list(self.wedges)
         for i in move.cycle:
-            w = self.wedges[i - 1]
-            wedges[i - 1] = Wedge(diagonals[i], w.r) if left else Wedge(w.l, diagonals[i])
+            sides = [wedges[i - 1].l, wedges[i - 1].r]
+            sides[move.side.slot] = diagonals[i]
+            wedges[i - 1] = Wedge(*sides)
         comb = self.comb.after_move(move.side, move.cycle)
         return LabeledQuadrangulation(comb, tuple(wedges), self.ref_dir)
 
@@ -308,12 +307,11 @@ class LabeledQuadrangulation(_FrozenValue):
     def relabeled(self, sigma: tuple[int, ...]) -> "LabeledQuadrangulation":
         """Rename quadrilateral i to sigma(i); pure bookkeeping."""
         perm_check(sigma)
+        comb = self.comb.relabeled(sigma)  # refuses a sigma of another length
         new_wedges = [None] * self.comb.k
         for i in range(1, self.comb.k + 1):
             new_wedges[sigma[i - 1] - 1] = self.wedges[i - 1]
-        return LabeledQuadrangulation(
-            self.comb.relabeled(sigma), tuple(new_wedges), self.ref_dir
-        )
+        return LabeledQuadrangulation(comb, tuple(new_wedges), self.ref_dir)
 
     def transformed(self, m: Mat2) -> "LabeledQuadrangulation":
         """Apply a linear map to all wedge vectors and the reference direction.

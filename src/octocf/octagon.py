@@ -40,8 +40,6 @@ from .diagch import (
     LabeledQuadrangulation,
     MoveNotAvailableError,
     QuadrangulationError,
-    Side,
-    Slant,
     StaircaseMove,
     TrainTrackError,
     Wedge,
@@ -241,11 +239,9 @@ class _WordRun:
         """One resolved step: a staircase move, or a relabeling ``(sigma, reflect)``."""
         if isinstance(step, StaircaseMove):
             self.flips.append(self.to_original.det().sign())
+            # the move puts each diagonal of its cycle in the side it replaces
+            created = tuple((i, self.to_original.apply(self.state.diagonal(i))) for i in step.cycle)
             self.state = self.state.apply(step)
-            pick = (lambda w: w.l) if step.side is Side.PI_R else (lambda w: w.r)
-            created = tuple(
-                (i, self.to_original.apply(pick(self.state.wedges[i - 1]))) for i in step.cycle
-            )
             self.records.append(MoveRecord(step.side, step.cycle, created))
             self.states.append(self.state)
             return
@@ -540,7 +536,7 @@ class _SectorTable(_FrozenValue):
                 raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
         for rec, flip in zip(moves, flips, strict=True):
-            want = Slant.LEFT.value if rec.side is Side.PI_R else Slant.RIGHT.value
+            want = rec.side.slant.value
             for j, d in rec.new_sides:
                 signs = [flip * _cross_sign(e.vector, d) for e in (lo, hi)]
                 if signs == [0, 0] or any(s not in (want, 0) for s in signs):

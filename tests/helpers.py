@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from octocf.classical import GeometricConvergents, QuadraticIrrational
-from octocf.diagch import HitsSingularity, LabeledQuadrangulation
+from octocf.diagch import CombDatum, HitsSingularity, LabeledQuadrangulation, Side, Wedge
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -269,6 +269,49 @@ def reference_cross(v: Vec2, w: Vec2) -> QuadNum:
 
 def reference_dot(v: Vec2, w: Vec2) -> QuadNum:
     return v.x * w.x + v.y * w.y
+
+
+# The staircase rules written out per side, each move's mirror in its own
+# branch, and permutations composed from an inverse: the `==` oracles of the
+# one slot rule, the one area expression and the one-pass conjugation in `diagch`.
+
+
+def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, img in enumerate(p, start=1):
+        inv[img - 1] = i
+    return tuple(inv)
+
+
+def reference_conjugate(sigma: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
+    return perm_compose(perm_compose(sigma, p), perm_inverse(sigma))
+
+
+def reference_after_move(comb: CombDatum, side: Side, cycle: tuple[int, ...]) -> CombDatum:
+    pi_l, pi_r = list(comb.pi_l), list(comb.pi_r)
+    for i in cycle:
+        if side is Side.PI_R:
+            pi_l[i - 1] = comb.pi_l[comb.pi_r[i - 1] - 1]
+        else:
+            pi_r[i - 1] = comb.pi_r[comb.pi_l[i - 1] - 1]
+    return CombDatum(comb.k, tuple(pi_l), tuple(pi_r))
+
+
+def reference_elementary_entries(comb: CombDatum, cycle: tuple[int, ...], side: Side):
+    """The (row, column) ones of the move's matrix over the basis (1,l),(1,r),...,(k,r)."""
+    if side is Side.PI_R:
+        return [(2 * (i - 1), 2 * (comb.pi_l[i - 1] - 1) + 1) for i in cycle]
+    return [(2 * (i - 1) + 1, 2 * (comb.pi_r[i - 1] - 1)) for i in cycle]
+
+
+def reference_doubled_area(w: Wedge, diagonal: Vec2) -> QuadNum:
+    """Twice the area of the quadrilateral with wedge ``w`` and ``diagonal``."""
+    return w.r.cross(diagonal) + diagonal.cross(w.l)
 
 
 # The projective line over Q(sqrt(2)) for the Moebius oracle: a point is a

@@ -160,6 +160,11 @@ class TestQuadraticIrrational:
         assert str(QuadraticIrrational(6, 0, 4, 9)) == "3/2"
         assert str(QuadraticIrrational(1, 1, 1, 9)) == "4"  # a square radicand folds in
 
+    def test_text_of_a_negative_radical_or_a_unit_denominator(self):
+        assert str(QuadraticIrrational(1, -1, 1, 2)) == "1-1*sqrt(2)"
+        assert str(QuadraticIrrational(-1, -3, 2, 7)) == "(-1-3*sqrt(7))/2"
+        assert str(QuadraticIrrational.sqrt_of(2)) == "0+1*sqrt(2)"
+
 
 class TestValueTypes:
     def test_quadratic_irrationals_are_frozen_values(self):

@@ -8,7 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from helpers import int_det, matvec
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    int_det,
+    matvec,
+    perm_compose,
+    perm_inverse,
+    quadnums,
+    reference_after_move,
+    reference_conjugate,
+    reference_doubled_area,
+    reference_elementary_entries,
+)
 from octocf import intmat
 from octocf.classical import geometric_convergents, intermediate_convergents
 from octocf.diagch import (
@@ -23,12 +36,10 @@ from octocf.diagch import (
     TrainTrackError,
     Wedge,
     elementary_matrix,
-    perm_compose,
     perm_conjugate,
     perm_cycles,
-    perm_inverse,
 )
-from octocf.numerics import Direction, Mat2, QuadNum, Vec2
+from octocf.numerics import Direction, Mat2, QuadNum, Vec2, _cross_sign
 
 VERTICAL = Direction(Vec2(0, 1))
 TORUS = CombDatum(1, (1,), (1,))
@@ -221,6 +232,12 @@ class TestBookkeeping:
         back = state.relabeled(sigma).relabeled(perm_inverse(sigma))
         assert back == state
 
+    @pytest.mark.parametrize("sigma", [(2, 1), (1, 2, 3)])
+    def test_a_sigma_of_another_length_is_refused(self, sigma):
+        state = torus_state(Vec2(-1, 2), Vec2(2, 1))
+        with pytest.raises(ValueError, match=r"does not relabel 1\.\.1$"):
+            state.relabeled(sigma)
+
     def test_transformed_orientation_reversal_swaps(self):
         state = torus_state(Vec2(-1, 2), Vec2(2, 1))
         mirrored = state.transformed(Mat2(-1, 0, 0, 1))
@@ -239,6 +256,67 @@ class TestBookkeeping:
         record[field] = value
         with pytest.raises(ValueError, match="JSON integers"):
             LabeledQuadrangulation.from_json(record)
+
+
+def permutations(k):
+    return st.permutations(range(1, k + 1)).map(tuple)
+
+
+@st.composite
+def gluing_data(draw):
+    k = draw(st.integers(1, 6))
+    return CombDatum(k, draw(permutations(k)), draw(permutations(k)))
+
+
+def small_vectors():
+    return st.builds(Vec2, quadnums(6, 3), quadnums(6, 3))
+
+
+class TestAgainstTheTwoBranchForms:
+    """Each side rule, the area and the conjugation equal the forms that wrote
+    a pi_l move as its own branch (kept in tests/helpers.py)."""
+
+    @given(gluing_data())
+    def test_every_cycle_of_both_sides(self, comb):
+        for side in Side:
+            walked = comb.pi_r if side is Side.PI_R else comb.pi_l
+            assert comb.cycles(side) == perm_cycles(walked)
+            for cycle in comb.cycles(side):
+                for rotated in (cycle, cycle[1:] + cycle[:1]):
+                    after = comb.after_move(side, rotated)
+                    assert after == reference_after_move(comb, side, rotated)
+                    expected = intmat.elementary(
+                        2 * comb.k, reference_elementary_entries(comb, rotated, side)
+                    )
+                    assert elementary_matrix(comb, rotated, side) == expected
+
+    @given(small_vectors(), small_vectors(), small_vectors())
+    def test_doubled_area(self, l, r, diagonal):
+        w = Wedge(l, r)
+        doubled = reference_doubled_area(w, diagonal)
+        assert (r - l).cross(diagonal) == doubled
+        assert _cross_sign(r - l, diagonal) == doubled.sign()
+        if _cross_sign(r, l) > 0:  # the torus state on w, or on -w if l + r points down
+            s = -1 if (l + r).y.sign() < 0 else 1
+            state = torus_state(l.scale(s), r.scale(s), Direction(l + r))
+            assert state.total_area() == reference_doubled_area(w, l + r) / 2
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(permutations(k), permutations(k))))
+    def test_conjugate(self, pair):
+        sigma, p = pair
+        assert perm_conjugate(sigma, p) == reference_conjugate(sigma, p)
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), permutations(k))), st.data())
+    def test_a_sigma_of_the_wrong_length_is_refused(self, drawn, data):
+        k, pi = drawn
+        sigma = data.draw(permutations(data.draw(st.integers(1, 7).filter(lambda n: n != k))))
+        comb = CombDatum(k, pi, pi)
+        with pytest.raises(ValueError, match=r"does not relabel 1\.\."):
+            perm_conjugate(sigma, pi)
+        with pytest.raises(ValueError, match=r"does not relabel 1\.\."):
+            comb.relabeled(sigma)
+        with pytest.raises((ValueError, IndexError)):  # the parent refused it too
+            CombDatum(k, reference_conjugate(sigma, pi), reference_conjugate(sigma, pi))
 
 
 def test_staircase_layer_loads_no_farey_map():
