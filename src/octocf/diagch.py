@@ -32,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import intmat
-from .numerics import Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign
+from .numerics import Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _int_arg
 
 __all__ = [
     "Side",
@@ -75,13 +75,16 @@ class HitsSingularity(MoveNotAvailableError):
 
 
 def perm_check(pi: tuple[int, ...]) -> None:
+    """The one permutation rule: ``pi`` holds each of the ints 1..len(pi) once."""
     k = len(pi)
-    if sorted(pi) != list(range(1, k + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{k}")
+    if any(type(i) is not int for i in pi) or sorted(pi) != list(range(1, k + 1)):
+        raise ValueError(f"{pi} is not a permutation of 1..{k}")  # True == 1 == 1.0
 
 
 def perm_cycles(pi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cycle decomposition; each cycle starts at its least element."""
+    """Cycle decomposition; each cycle starts at its least element.  The walk
+    from ``start`` returns to it because ``pi`` is checked to be a permutation."""
+    perm_check(pi)
     seen = set()
     cycles = []
     for start in range(1, len(pi) + 1):
@@ -100,6 +103,7 @@ def perm_cycles(pi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def perm_conjugate(sigma: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     """sigma o p o sigma^{-1}, the relabeling action on gluing data: sigma(i) -> sigma(p(i))."""
+    perm_check(sigma)
     if len(sigma) != len(p):
         raise ValueError(f"{sigma} does not relabel 1..{len(p)}")
     out = [0] * len(p)
@@ -137,7 +141,8 @@ class CombDatum(_FrozenValue):
     __slots__ = ("k", "pi_l", "pi_r")
 
     def __post_init__(self):
-        if self.k < 1 or len(self.pi_l) != self.k or len(self.pi_r) != self.k:
+        _int_arg(self.k, "k", 1)
+        if len(self.pi_l) != self.k or len(self.pi_r) != self.k:
             raise ValueError("permutation length must equal k")
         perm_check(self.pi_l)
         perm_check(self.pi_r)
@@ -306,8 +311,7 @@ class LabeledQuadrangulation(_FrozenValue):
 
     def relabeled(self, sigma: tuple[int, ...]) -> "LabeledQuadrangulation":
         """Rename quadrilateral i to sigma(i); pure bookkeeping."""
-        perm_check(sigma)
-        comb = self.comb.relabeled(sigma)  # refuses a sigma of another length
+        comb = self.comb.relabeled(sigma)  # refuses a sigma that does not relabel 1..k
         new_wedges = [None] * self.comb.k
         for i in range(1, self.comb.k + 1):
             new_wedges[sigma[i - 1] - 1] = self.wedges[i - 1]

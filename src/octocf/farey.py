@@ -18,7 +18,7 @@ are decided exactly.  ``Direction`` and ``theta_cmp`` are re-exported from
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import MutableSequence, Sequence
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -481,18 +481,22 @@ class WalkInvariantError(RuntimeError):
 def expand(d: Direction, depth: int, policy: TiePolicy = TiePolicy.LOW) -> FareyExpansion:
     """The first ``depth`` itinerary entries of ``d`` under the Farey map."""
     _int_arg(depth, "depth", 1)  # None would walk to the tail
-    return _flatten(*_walk(d, depth, policy)[1:], depth)
+    steps = []
+    _, tail = _walk(d, depth, policy, steps)
+    return _flatten(tail, steps, depth)
 
 
 def _walk(
-    d: Direction, depth: int | None, policy: TiePolicy
-) -> tuple[int, int | None, list[tuple[int, bool, _IntVec, int, _IntVec | None, int]]]:
+    d: Direction, depth: int | None, policy: TiePolicy, steps: MutableSequence[tuple]
+) -> tuple[int, int | None]:
     """The Farey orbit of ``d`` on integral vectors, up to ``depth`` entries.
 
-    Returns the denominator ``den``, the tail and one ``(j, tie, x, e, w, n)``
-    per step into a sector, the only record of the itinerary: entry j, whether
-    the iterate sat on a sector boundary, the image x/(den*sqrt2^e), and the n
-    further steps of a parabolic run, whose images are x + t*w for t = 1..n.
+    Returns the denominator ``den`` and the tail, and appends to ``steps`` one
+    ``(j, tie, x, e, w, n)`` per step into a sector, the only record of the
+    itinerary: entry j, whether the iterate sat on a sector boundary, the image
+    x/(den*sqrt2^e), and the n further steps of a parabolic run, whose images
+    are x + t*w for t = 1..n.  The caller owns ``steps``: a list keeps every
+    record, and ``deque(maxlen=1)`` only the last.
 
     The iterate is four local ints.  A step takes one :func:`_sectors` on them,
     resolves a tie by the policy, applies the integral branch as :func:`_images`
@@ -515,7 +519,7 @@ def _walk(
     """
     depth = inf if depth is None else depth
     (xp, xq, yp, yq), den = _ints(d.vector)
-    e, high, count, steps = 0, policy is TiePolicy.HIGH, 0, []
+    e, high, count = 0, policy is TiePolicy.HIGH, 0
     while count < depth:
         sectors = _sectors(xp, xq, yp, yq)
         j, tie = sectors[0], len(sectors) > 1
@@ -557,7 +561,7 @@ def _walk(
     # a fixed ray is fixed by the step it takes, so the last iterate decides the
     # tail; it lies in [pi/8, pi], where y = 0 is the ray pi
     tail = 7 if yp == yq == 0 else 1 if (xp, xq) == (yp + 2 * yq, yp + yq) else None
-    return den, tail, steps
+    return den, tail
 
 
 def _flatten(tail: int | None, steps: list, depth: int) -> FareyExpansion:
@@ -590,8 +594,8 @@ def _expand_orbit(
     walk's ints by :func:`_directions`, one call per walk step.  On sector j,
     M keeps y >= 0, so the run images are the exact vectors of single steps.
     """
-    den, tail, steps = _walk(d, depth, policy)
-    orbit = []
+    steps, orbit = [], []
+    den, tail = _walk(d, depth, policy, steps)
     for j, tie, x, e, w, n in steps:
         image, *run = _directions(x, w, n, den, e)
         orbit.append((j, tie, image))

@@ -7,6 +7,8 @@ fixed ray, whose saddle connections are sides of Q'.  The ray tracer of
 
 from __future__ import annotations
 
+from collections import deque
+
 from .farey import TiePolicy, _directions, _walk
 from .numerics import Direction, Vec2
 from .octagon import QPRIME_VECTORS
@@ -31,10 +33,11 @@ def is_saddle_connection(w: Vec2) -> bool:
     saddle connections onto saddle connections: w is one exactly when M*w
     is.  One walk under ``TiePolicy.LOW``, with no depth, runs to the first
     step on a fixed ray, whose connections are two sides of Q'; M*w is that
-    step's image x.
+    step's image x, and the walk keeps no other step's record.
     """
     if w.is_zero():
         return False
-    den, tail, steps = _walk(Direction(w), None, TiePolicy.LOW)
+    steps = deque(maxlen=1)  # the last step's record, not one per step
+    den, tail = _walk(Direction(w), None, TiePolicy.LOW, steps)
     _, _, x, e, _, _ = steps[-1]
     return _directions(x, None, 0, den, e)[0].vector in _TAIL_CONNECTIONS[tail]

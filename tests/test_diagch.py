@@ -1,6 +1,7 @@
 """Diagonal-changes engine: wedges, staircase moves, matrices, invariants."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,29 @@ class TestPermHelpers:
             CombDatum(3, (1, 1, 3), (1, 2, 3))
         with pytest.raises(ValueError, match=r"^\(0, 1\) is not a permutation of 1\.\.2$"):
             torus_state(Vec2(-1, 1), Vec2(1, 1)).relabeled((0, 1))
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            # a repeated or a missing image would walk perm_cycles round forever
+            (lambda: perm_cycles((2, 2)), (2, 2)),
+            (lambda: perm_cycles((0, 1)), (0, 1)),
+            (lambda: perm_cycles((3, 1)), (3, 1)),
+            (lambda: perm_conjugate((1, 1, 1), (1, 2, 3)), (1, 1, 1)),
+            # True == 1 == 1.0, so only the type tells these apart from a permutation
+            (lambda: CombDatum(2, (1.0, 2.0), (1, 2)), (1.0, 2.0)),
+            (lambda: CombDatum(1, (True,), (1,)), (True,)),
+        ],
+        ids=["cycles-repeated", "cycles-missing", "cycles-past-k", "conjugate", "float", "bool"],
+    )
+    def test_a_permutation_defect_is_refused(self, build, bad):
+        message = f"^{re.escape(str(bad))} is not a permutation of 1\\.\\.{len(bad)}$"
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_a_k_that_is_not_an_int_is_refused(self):
+        with pytest.raises(TypeError, match="^k must be an int, got float$"):
+            CombDatum(1.0, (1,), (1,))
 
 
 class TestDiagonalAndSlant:

@@ -6,7 +6,7 @@ import itertools
 import math
 import pickle
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -478,7 +478,8 @@ class TestBuilders:
         directions += [farey._boundary_direction(j) for j in range(9)]
         runs = Counter()
         for d in directions:
-            den, _, steps = farey._walk(d, 60, policy)
+            steps = []
+            den, _ = farey._walk(d, 60, policy, steps)
             for j, _, x, e, w, n in steps:
                 self._assert_directions(x, w, n, den, e)
                 runs[j] += n > 0
@@ -553,7 +554,8 @@ class TestOrbit:
     def test_the_walk_to_the_fixed_ray_flattens_to_expand(self, d, policy, extra):
         # with no depth the walk ends on its first step on a fixed ray, whose
         # entry is the tail; expand past it repeats that entry
-        den, tail, steps = farey._walk(d, None, policy)
+        steps = []
+        den, tail = farey._walk(d, None, policy, steps)
         j, _, _, _, w, n = steps[-1]
         assert tail in (1, 7) and j == tail and n == 0 and not any(w)
         entries = [j for j, _, _, _, _, n in steps for _ in range(n + 1)]
@@ -561,7 +563,21 @@ class TestOrbit:
         want = expand(d, depth, policy)
         assert want.entries == (*entries, *[tail] * extra) and want.tail == tail
         assert want.boundary_hit == any(tie for _, tie, *_ in steps)
-        assert farey._walk(d, depth, policy) == (den, tail, steps)
+        again = []
+        assert farey._walk(d, depth, policy, again) == (den, tail) and again == steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classify_directions(),
+        st.sampled_from(list(TiePolicy)),
+        st.none() | st.integers(1, 30),
+    )
+    def test_a_walk_that_keeps_one_record_keeps_the_last(self, d, policy, depth):
+        # the caller owns the records: a list keeps them all, a deque of
+        # length 1 the last, and the walk returns the same den and tail
+        every, last = [], deque(maxlen=1)
+        assert farey._walk(d, depth, policy, last) == farey._walk(d, depth, policy, every)
+        assert every and list(last) == every[-1:]
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])
@@ -759,7 +775,7 @@ class TestWalkInvariant:
         real, calls = farey._sectors, itertools.count()
         decide(lambda *v: real(*v) if next(calls) < len(runs) else (0,))
         with pytest.raises(WalkInvariantError) as raised:
-            farey._walk(pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), runs), 40, policy)
+            farey._walk(pulled_back(Vec2(QuadNum(Fraction(1, 2)), QuadNum(1)), runs), 40, policy, [])
         assert str(raised.value) == f"entry 0 at step {step}"
 
     def test_the_true_kernel_walks_on(self):

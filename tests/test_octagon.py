@@ -756,7 +756,9 @@ class TestReusedValues:
         directions = [random_clean_direction(rng, 50) for _ in range(10)]
         directions += [pulled_back(Vec2(1, 2), [(s, 1), (j, 40)]) for s in (0, 3) for j in (1, 7)]
         for d in directions:
-            for j, _, _, _, w, n in farey._walk(d, 60, TiePolicy.LOW)[2]:
+            steps = []
+            farey._walk(d, 60, TiePolicy.LOW, steps)
+            for j, _, _, _, w, n in steps:
                 if n:
                     seen[j] += 1
                     assert (w[2] == w[3] == 0) == (j == 7), (j, w)

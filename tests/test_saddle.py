@@ -7,6 +7,7 @@ ones, where the tracer runs out of crossings.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import saddle_oracle
-from helpers import pulled_back
+from helpers import height_direction, pulled_back
 from octocf import saddle
 from octocf.farey import (
     GAMMA_NU,
@@ -136,7 +137,7 @@ def test_one_walk_decides_a_vector(monkeypatch):
     for w in [*long_runs, deep, Vec2(-(10**30), 1), Vec2(1000, 1), Vec2(-2, 0)]:
         calls.clear()
         is_saddle_connection(w)
-        assert len(calls) == 1 and calls[0][1:] == (None, TiePolicy.LOW), str(w)
+        assert len(calls) == 1 and calls[0][1:3] == (None, TiePolicy.LOW), str(w)
 
 
 @pytest.mark.parametrize(
@@ -219,3 +220,16 @@ def test_terminating_traces_halt_before_the_tail_on_connections(first, rest, sid
     assert trace.halted == "hits_singularity"
     assert len(trace.steps) == tail_start - 2
     _assert_trace_sides_are_connections(trace)
+
+
+def test_the_walk_to_the_tail_holds_one_record():
+    # the walk keeps only the last step's record, so its memory does not grow
+    # with its step count: a list of every record peaks at 15 MB here
+    w = height_direction(random.Random(3), 1024).vector
+    tracemalloc.start()
+    try:
+        is_saddle_connection(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
