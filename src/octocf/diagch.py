@@ -104,6 +104,7 @@ def perm_cycles(pi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def perm_conjugate(sigma: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     """sigma o p o sigma^{-1}, the relabeling action on gluing data: sigma(i) -> sigma(p(i))."""
     perm_check(sigma)
+    perm_check(p)
     if len(sigma) != len(p):
         raise ValueError(f"{sigma} does not relabel 1..{len(p)}")
     out = [0] * len(p)

@@ -22,7 +22,7 @@ from collections.abc import MutableSequence, Sequence
 from enum import Enum
 from functools import cache
 from itertools import product
-from math import gcd, inf
+from math import inf
 
 from .numerics import (
     Direction,
@@ -230,34 +230,18 @@ def _images(rational: _Rational, vectors: Sequence[tuple[_IntVec, int]]) -> list
     """The Vec2 P'*v/(scale*den) for each ``(v, den)`` of ``vectors``, v as ints,
     under the matrix P'/scale of :func:`_rational`.
 
-    P' is unpacked once, and each coordinate is formed and divided by its gcd
-    in one pass, as :func:`numerics._reduced` divides, with no sqrt2 to strip
-    first and no call per coordinate.  It serves the frames that are not
-    scalars: the trace replay's holonomies and :func:`reconstruct`'s ends.
+    P' is unpacked once, and each coordinate is formed with no sqrt2 to strip
+    first.  It serves the frames that are not scalars: the trace replay's
+    holonomies and :func:`reconstruct`'s ends.
     """
     scale, (ap, aq, bp, bq, cp, cq, dp, dq) = rational
-    set_x, set_y = Vec2._setters
     made = []
     for (xp, xq, yp, yq), den in vectors:
         den *= scale
         p, q = ap * xp + bp * yp + 2 * (aq * xq + bq * yq), ap * xq + aq * xp + bp * yq + bq * yp
-        g = gcd(den, p, q)
-        x = _object_new(QuadNum)
-        if g == 1:
-            x._p, x._q, x._den = p, q, den
-        else:
-            x._p, x._q, x._den = p // g, q // g, den // g
+        x = _reduced(p, q, den)
         p, q = cp * xp + dp * yp + 2 * (cq * xq + dq * yq), cp * xq + cq * xp + dp * yq + dq * yp
-        g = gcd(den, p, q)
-        y = _object_new(QuadNum)
-        if g == 1:
-            y._p, y._q, y._den = p, q, den
-        else:
-            y._p, y._q, y._den = p // g, q // g, den // g
-        v = _object_new(Vec2)
-        set_x(v, x)
-        set_y(v, y)
-        made.append(v)
+        made.append(_vec(x, _reduced(p, q, den)))
     return made
 
 
@@ -265,8 +249,7 @@ def _directions(x: _IntVec, w: _IntVec | None, n: int, den: int, e: int) -> list
     """The Directions of (x + t*w)/(den*sqrt2^e), t = 0..n, each nonzero with y >= 0;
     x and w are ints, and w is read only when n > 0.
 
-    1/sqrt2^e is made rational once, by :func:`_rational`, and each coordinate
-    is reduced with one inline gcd, as in :func:`_images`.  When w has no y ints,
+    1/sqrt2^e is made rational once, by :func:`_rational`.  When w has no y ints,
     as on every run of 7s (w = ((2+2sqrt2)*y, 0)), the vectors share one y.
     """
     scale, (sp, sq, *_) = _rational((e, _SCALARS[0]))
@@ -275,22 +258,9 @@ def _directions(x: _IntVec, w: _IntVec | None, n: int, den: int, e: int) -> list
     wxp, wxq, wyp, wyq = w if n else (0, 0, 0, 0)
     made, y = [], None
     for _ in range(n + 1):
-        p, q = sp * xp + 2 * sq * xq, sp * xq + sq * xp
-        g = gcd(den, p, q)
-        xs = _object_new(QuadNum)
-        if g == 1:
-            xs._p, xs._q, xs._den = p, q, den
-        else:
-            xs._p, xs._q, xs._den = p // g, q // g, den // g
         if y is None or wyp or wyq:
-            p, q = sp * yp + 2 * sq * yq, sp * yq + sq * yp
-            g = gcd(den, p, q)
-            y = _object_new(QuadNum)
-            if g == 1:
-                y._p, y._q, y._den = p, q, den
-            else:
-                y._p, y._q, y._den = p // g, q // g, den // g
-        made.append(_direction(_vec(xs, y)))
+            y = _reduced(sp * yp + 2 * sq * yq, sp * yq + sq * yp, den)
+        made.append(_direction(_vec(_reduced(sp * xp + 2 * sq * xq, sp * xq + sq * xp, den), y)))
         xp, xq, yp, yq = xp + wxp, xq + wxq, yp + wyp, yq + wyq
     return made
 

@@ -188,10 +188,7 @@ class QuadNum:
         if type(a) is int and type(b) is int:
             self._p, self._q, self._den = a, b, 1
             return
-        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
-        p, q, den = an * bd, bn * ad, ad * bd
-        g = gcd(den, p, q)
-        self._p, self._q, self._den = p // g, q // g, den // g
+        self._p, self._q, self._den = _from_ratios(_ratio(a), _ratio(b)).ints
 
     @property
     def a(self) -> Fraction:

@@ -35,6 +35,10 @@ class RenderSpec(_FrozenValue):
             raise TypeError(f"scale must be an int or a Fraction, got {type(self.scale).__name__}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        overlay = self.direction_overlay
+        if overlay is not None and not isinstance(overlay, Direction):
+            kind = type(overlay).__name__
+            raise TypeError(f"direction_overlay must be a Direction or None, got {kind}")
 
 
 def _fmt(q: QuadNum, scale: int | Fraction) -> str:

@@ -76,11 +76,27 @@ class TestPermHelpers:
             (lambda: perm_cycles((0, 1)), (0, 1)),
             (lambda: perm_cycles((3, 1)), (3, 1)),
             (lambda: perm_conjugate((1, 1, 1), (1, 2, 3)), (1, 1, 1)),
+            # an unchecked p indexed sigma at p(i) - 1: -1 read its last entry
+            (lambda: perm_conjugate((1, 2, 3), (0, 1, 2)), (0, 1, 2)),
+            (lambda: perm_conjugate((1, 2, 3), (1, 1, 1)), (1, 1, 1)),
+            (lambda: perm_conjugate((1, 2, 3), (5, 5, 5)), (5, 5, 5)),
+            (lambda: perm_conjugate((1, 2, 3), (1.0, 2, 3)), (1.0, 2, 3)),
             # True == 1 == 1.0, so only the type tells these apart from a permutation
             (lambda: CombDatum(2, (1.0, 2.0), (1, 2)), (1.0, 2.0)),
             (lambda: CombDatum(1, (True,), (1,)), (True,)),
         ],
-        ids=["cycles-repeated", "cycles-missing", "cycles-past-k", "conjugate", "float", "bool"],
+        ids=[
+            "cycles-repeated",
+            "cycles-missing",
+            "cycles-past-k",
+            "conjugate",
+            "conjugate-p-zero",
+            "conjugate-p-repeated",
+            "conjugate-p-past-k",
+            "conjugate-p-float",
+            "float",
+            "bool",
+        ],
     )
     def test_a_permutation_defect_is_refused(self, build, bad):
         message = f"^{re.escape(str(bad))} is not a permutation of 1\\.\\.{len(bad)}$"

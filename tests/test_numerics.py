@@ -1,11 +1,13 @@
 """Exact arithmetic kernel: field axioms, ordering, value types, decimals, and the
 Moebius oracle that the Farey tests use."""
 
+import ast
 import gc
 import pickle
 import sys
 from fractions import Fraction
 from math import gcd, isclose, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -33,6 +35,7 @@ from helpers import (
     reference_to_json,
     reference_u_text,
 )
+from octocf import farey, numerics
 from octocf.classical import QuadraticIrrational
 from octocf.numerics import (
     Direction,
@@ -315,6 +318,21 @@ class TestOneReductionKernel:
         want = QuadNum(Fraction(p, den), Fraction(q, den))
         _same_canonical(_reduced(p, q, den), want)
         _same_canonical(_reduced(p * g, q * g, den * g), want)
+
+    def test_only_numerics_writes_the_slots_of_a_quadnum(self):
+        # every == and hash reads the canonical form, so the one reduction,
+        # numerics._reduced, makes each QuadNum from unreduced ints
+        writers = {
+            (path.name, node.attr)
+            for path in sorted(Path(numerics.__file__).parent.glob("*.py"))
+            if path.name != "numerics.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in ("_p", "_q", "_den")
+        }
+        assert writers == set()
+        assert not hasattr(farey, "gcd")
 
     @given(_wide_quadnum_lists(4))
     def test_cross_and_dot(self, xs):

@@ -514,9 +514,8 @@ class TestTableDrivenTraces:
             calls.append(den)
             return math.gcd(den, p, q)
 
-        # farey._images reduces inline, numerics._reduced for everything else
+        # every reduction goes through numerics._reduced, farey._images' included
         monkeypatch.setattr(numerics, "gcd", counted)
-        monkeypatch.setattr(farey, "gcd", counted)
 
         def reductions(n):
             calls.clear()

@@ -78,6 +78,14 @@ def test_a_scale_that_is_not_an_int_or_fraction_is_refused(scale):
         RenderSpec(scale=scale)
 
 
+@pytest.mark.parametrize("overlay", ["x", Vec2(1, 1), (1, 1)], ids=["str", "vec2", "tuple"])
+def test_a_direction_overlay_that_is_not_a_direction_is_refused(overlay):
+    # "x" once built a spec that render_state failed on with an AttributeError
+    message = f"^direction_overlay must be a Direction or None, got {type(overlay).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        RenderSpec(direction_overlay=overlay)
+
+
 def test_an_int_scale_and_its_fraction_draw_the_same_svg():
     state = qprime(sector_midpoint(4))
     svg = render_state(state, RenderSpec(scale=60))
