@@ -17,7 +17,8 @@ counterclockwise of the reference ray.  A cycle of pi_r all of whose
 diagonals are left-slanted supports a staircase move replacing every left
 side by the diagonal; symmetrically a cycle of pi_l with all diagonals
 right-slanted replaces the right sides.  Both moves act linearly on the
-2k-tuple of wedge vectors by a unipotent nonnegative integer matrix.
+2k-tuple of wedge vectors by a unipotent nonnegative integer matrix, and a
+relabeling by a permutation matrix, both in the wedge basis of :func:`_slot`.
 
 Horizontal saddle connections are legal; a parallel diagonal means the
 reference direction points at a singularity.  That is a terminal state, which
@@ -32,7 +33,9 @@ from enum import Enum
 from functools import lru_cache
 
 from . import intmat
-from .numerics import Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _int_arg
+from .numerics import (
+    Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _int_arg, _object_new
+)
 
 __all__ = [
     "Side",
@@ -46,6 +49,7 @@ __all__ = [
     "MoveNotAvailableError",
     "HitsSingularity",
     "elementary_matrix",
+    "relabeling_matrix",
     "perm_cycles",
     "perm_conjugate",
 ]
@@ -197,6 +201,7 @@ class Wedge(_FrozenValue):
 
 
 def _slot(i: int, eps: int) -> int:
+    """The index of side eps (0: l, 1: r) of quadrilateral i in the basis (1,l),(1,r),...,(k,r)."""
     return 2 * (i - 1) + eps
 
 
@@ -217,6 +222,19 @@ def elementary_matrix(
     s, other = side.slot, comb.walked_and_other(side)[1]
     entries = [(_slot(i, s), _slot(other[i - 1], 1 - s)) for i in cycle]
     return intmat.elementary(2 * comb.k, entries)
+
+
+def relabeling_matrix(sigma: tuple[int, ...], reflect: bool) -> intmat.IntMat:
+    """The 2k x 2k label matrix of ``relabeled(sigma)``, after a reflection's
+    ``transformed`` (which exchanges l and r) when ``reflect`` is set: the row
+    of (sigma(i), eps), eps flipped under ``reflect``, is the unit row of (i, eps)."""
+    perm_check(sigma)
+    unit = intmat.identity(2 * len(sigma))
+    rows = list(unit)  # every row is replaced
+    for i, s in enumerate(sigma, 1):
+        for eps in (0, 1):
+            rows[_slot(s, eps ^ reflect)] = unit[_slot(i, eps)]
+    return tuple(rows)
 
 
 class StaircaseMove(_FrozenValue):
@@ -334,6 +352,17 @@ class LabeledQuadrangulation(_FrozenValue):
         return LabeledQuadrangulation(
             comb, tuple(wedges), Direction(m.apply(self.ref_dir.vector))
         )
+
+    def _at(self, ref_dir: Direction) -> "LabeledQuadrangulation":
+        """This checked state at the reference ``ref_dir``, built unchecked.  The
+        precondition is that ``ref_dir`` lies in every wedge cone, the one checked
+        fact that reads the reference; then the result is ``==`` to the checked one."""
+        state = _object_new(LabeledQuadrangulation)
+        set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
+        set_comb(state, self.comb)
+        set_wedges(state, self.wedges)
+        set_ref_dir(state, ref_dir)
+        return state
 
     def wedge_vector_tuple(self) -> tuple[Vec2, ...]:
         """The 2k wedge vectors in basis order (1,l),(1,r),...,(k,r)."""

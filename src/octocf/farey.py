@@ -383,6 +383,8 @@ class FareyExpansion(_FrozenValue):
             raise ValueError("an expansion needs at least one entry")
         if _entry_bytes(self.entries) is None:
             raise InadmissiblePrefixError(f"inadmissible entries {self.entries}")
+        if type(self.boundary_hit) is not bool:  # 1 == True and hashes like it
+            raise TypeError(f"boundary_hit must be a bool, got {type(self.boundary_hit).__name__}")
         # True == 1, so the type is tested as for the entries
         if self.tail is not None and (type(self.tail) is not int or self.tail not in _PARABOLIC):
             raise ValueError(f"a tail must be the int 1 or 7, got {self.tail!r}")

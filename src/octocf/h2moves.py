@@ -11,8 +11,8 @@ in both directions, the single right-staircase self-loop, the full left
 move combined with a cyclic relabeling (self-loop at RIGHT), and the
 left/right symmetry combined with the relabeling 1<->3 (self-loop at LEFT).
 Each move is a token plan from its source node; resolving it over the node's
-gluing data gives its target and its 6x6 integer matrix on the wedge vectors
-in the basis (1,l),(1,r),(2,l),(2,r),(3,l),(3,r).
+gluing data gives its target and its 6x6 integer matrix on the wedge vectors,
+built by :mod:`octocf.diagch` in its wedge basis.
 
 Composing the stored per-sector move words yields the seven acceleration
 matrices A1..A7: one octagon Farey step equals one such word of staircase
@@ -34,7 +34,7 @@ from functools import cache
 from itertools import permutations
 
 from . import intmat
-from .diagch import CombDatum, Side, StaircaseMove, elementary_matrix, perm_conjugate
+from .diagch import CombDatum, Side, StaircaseMove, elementary_matrix, relabeling_matrix
 from .numerics import _FrozenValue, _int_arg
 
 __all__ = [
@@ -452,7 +452,7 @@ def _resolve(plan, comb: CombDatum) -> tuple[ResolvedWord, CombDatum]:
         else:
             sigma, reflect = token.sigma, False
         steps.append((sigma, reflect))
-        matrix = intmat.matmul(intmat.block_perm_matrix(sigma, swap=reflect), matrix)
+        matrix = intmat.matmul(relabeling_matrix(sigma, reflect), matrix)
         comb = comb.relabeled(sigma)
     return ResolvedWord(tuple(steps), matrix, parity), comb
 
@@ -473,10 +473,7 @@ def _partition_marked(comb: CombDatum, side: Side, marked) -> list[tuple[int, ..
 def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
     """The unique relabeling returning the swapped gluing data to Q'."""
     solutions = [
-        sigma
-        for sigma in permutations(range(1, comb.k + 1))
-        if perm_conjugate(sigma, comb.pi_r) == Q_PRIME_PI_L
-        and perm_conjugate(sigma, comb.pi_l) == Q_PRIME_PI_R
+        s for s in permutations(range(1, comb.k + 1)) if comb.swapped().relabeled(s) == QPRIME_COMB
     ]
     if len(solutions) != 1:
         raise SectorWordError(f"no unique symmetry relabeling from {comb}")

@@ -1,8 +1,7 @@
 """Small dense integer matrices as tuples of tuples.
 
-These track how staircase moves recombine labeled wedge vectors; sizes stay
-tiny (2k x 2k with k = 3 for the octagon), so plain Python integers are all
-that is needed.
+The label matrices of :mod:`octocf.diagch` are built and composed with
+them; sizes stay tiny, so plain Python integers are all that is needed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ __all__ = [
     "identity",
     "matmul",
     "elementary",
-    "block_perm_matrix",
 ]
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -41,20 +39,4 @@ def elementary(n: int, entries) -> IntMat:
     rows = [list(r) for r in identity(n)]
     for i, j in entries:
         rows[i][j] += 1
-    return freeze(rows)
-
-
-def block_perm_matrix(sigma: tuple[int, ...], swap: bool = False) -> IntMat:
-    """The 2k x 2k matrix relabeling quadrilateral i to sigma(i).
-
-    Row/column blocks follow the basis ordering (1,l),(1,r),...,(k,r); with
-    ``swap`` the left and right slots are exchanged inside every block.
-    """
-    k = len(sigma)
-    rows = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(1, k + 1):
-        for eps in (0, 1):
-            src = 2 * (i - 1) + eps
-            dst = 2 * (sigma[i - 1] - 1) + (1 - eps if swap else eps)
-            rows[dst][src] = 1
     return freeze(rows)

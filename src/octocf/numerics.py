@@ -241,7 +241,7 @@ class QuadNum:
         return _coerce(other) - self
 
     def __neg__(self) -> "QuadNum":
-        return _new(-self._p, -self._q, self._den)
+        return _reduced(-self._p, -self._q, self._den)
 
     def __mul__(self, other) -> "QuadNum":
         if other.__class__ is not QuadNum:
@@ -355,13 +355,6 @@ class QuadNum:
 _object_new = object.__new__
 
 
-def _new(p: int, q: int, den: int) -> QuadNum:
-    """A QuadNum from ints already in canonical form."""
-    x = _object_new(QuadNum)
-    x._p, x._q, x._den = p, q, den
-    return x
-
-
 def _reduced(p: int, q: int, den: int) -> QuadNum:
     """A QuadNum from ints with den > 0, divided by their gcd unless it is 1.
 
@@ -415,7 +408,7 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     The output is exact round-half-even of the true real value.  For
     irrational q no tie is possible; rational ties round half to even.
     """
-    _int_arg(digits, "digits", 1)
+    _int_arg(digits, "digits", 1, _max_int_digits())  # the digits are written as one int
     p, s, den = q._p, q._q, q._den
     unit = 10**digits
     if s == 0:

@@ -117,7 +117,7 @@ OCTAGON_AREA = QuadNum(2, 2)
 #: The vertical-axis reflection (x, y) -> (-x, y).
 REFLECTION = Mat2(-1, 0, 0, 1)
 
-#: Wedge vectors of Q' in basis order (1,l),(1,r),(2,l),(2,r),(3,l),(3,r).
+#: Wedge vectors of Q' in the order of ``wedge_vector_tuple``.
 #: All three left sides are horizontal saddle connections (a unit side and
 #: twice the long horizontal diagonal); the right sides are the short
 #: diagonal and the long diagonal through the center.
@@ -130,22 +130,20 @@ QPRIME_VECTORS: tuple[Vec2, ...] = (
     Vec2(QuadNum(1, 1), QuadNum(1)),
 )
 
-Q0_COMB = QPRIME_COMB.swapped()
-
-#: Wedge vectors of Q0 = gamma * Q', with left/right exchanged because gamma
-#: reverses orientation.
-Q0_VECTORS: tuple[Vec2, ...] = tuple(
-    GAMMA.apply(QPRIME_VECTORS[2 * i + (1 - eps)]) for i in range(3) for eps in (0, 1)
-)
-
 
 def _wedges(vectors) -> tuple[Wedge, ...]:
-    return tuple(Wedge(vectors[2 * i], vectors[2 * i + 1]) for i in range(3))
+    return tuple(map(Wedge, vectors[0::2], vectors[1::2]))
 
 
 def qprime(ref_dir: Direction) -> LabeledQuadrangulation:
     """Q' referenced at ``ref_dir``, which must have angle in [pi/8, pi]."""
     return LabeledQuadrangulation(QPRIME_COMB, _wedges(QPRIME_VECTORS), ref_dir)
+
+
+#: Q0 = gamma * Q', from Q' at the vertical, which it straddles.
+_Q0 = qprime(_boundary_direction(4)).transformed(GAMMA)
+Q0_COMB = _Q0.comb
+Q0_VECTORS: tuple[Vec2, ...] = _Q0.wedge_vector_tuple()
 
 
 def q_zero(ref_dir: Direction) -> LabeledQuadrangulation:
@@ -347,16 +345,17 @@ def _checked_run(i: int, direction: Direction) -> tuple[_WordRun | None, SectorR
 
 
 def _compare_vectors(got, want) -> tuple[bool, str | None]:
-    labels = ["(1,l)", "(1,r)", "(2,l)", "(2,r)", "(3,l)", "(3,r)"]
     for slot, (g, w) in enumerate(zip(got, want)):
         if g != w:
-            return False, f"first differing wedge entry at {labels[slot]}: {g} != {w}"
+            label = f"({slot // 2 + 1},{'lr'[slot % 2]})"
+            return False, f"first differing wedge entry at {label}: {g} != {w}"
     return True, None
 
 
 def _first_matrix_mismatch(got: intmat.IntMat, want: intmat.IntMat) -> str:
     """The first entry where ``got`` differs from ``want``; called only when one does."""
-    r, c = next((r, c) for r in range(6) for c in range(6) if got[r][c] != want[r][c])
+    n = len(want)
+    r, c = next((r, c) for r in range(n) for c in range(n) if got[r][c] != want[r][c])
     return f"first differing matrix entry at ({r+1},{c+1}): {got[r][c]} != {want[r][c]}"
 
 
@@ -492,7 +491,7 @@ class _SectorTable(_FrozenValue):
         "bounds",  # ((sector endpoint, first parallel label), ...)
         "holonomies",  # the distinct created sides, as _ints, with _COLUMN_SIDE last
         "layout",  # per move: (side, cycle, ((label, index into holonomies), ...))
-        "wedges",  # the wedges of the checked Q' that the word was recorded from
+        "start",  # the checked Q' that the word was recorded from
     )
 
     @staticmethod
@@ -501,13 +500,13 @@ class _SectorTable(_FrozenValue):
         moves: tuple[MoveRecord, ...],
         flips: tuple[int, ...],
         frame: Mat2,
-        wedges: tuple[Wedge, ...],
+        start: LabeledQuadrangulation,
     ) -> "_SectorTable":
         """The table, once its word is proved well slanted on the whole of sector i.
 
-        ``wedges`` are those of the checked Q' that the run started from, so
-        their train-track relations, positive cones and areas hold; the table
-        keeps them for :func:`run_expansion`, which then checks only that its
+        ``start`` is the checked Q' that the run started from, so its
+        train-track relations, positive cones and areas hold; the table keeps
+        it for :func:`run_expansion`, which then checks only that its
         reference lies in every cone.
         ``moves`` are the executor's records, in the frame of the step's start.
         A move's created sides are its cycle diagonals, so the proof reads
@@ -531,7 +530,7 @@ class _SectorTable(_FrozenValue):
         images = [Direction(GAMMA_NU[i].apply(e.vector)) for e in (lo, hi)]
         if not all(any(a.ray_eq(b) for b in images) for a in _EXPANDING_ARC):
             raise SectorWordError(f"gamma*nu_{i} does not carry sector {i} onto [pi/8, pi]")
-        for w in wedges:
+        for w in start.wedges:
             if not all(w.cone_contains(e) for e in _EXPANDING_ARC):
                 raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
@@ -559,7 +558,7 @@ class _SectorTable(_FrozenValue):
             (rec.side, rec.cycle, tuple((j, index[h]) for j, h in rec.new_sides))
             for rec in moves
         )
-        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout, wedges)
+        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout, start)
 
     def replay(
         self, ref: Direction, frame: Mat2, to_original: _Rational, on_bound: bool
@@ -607,9 +606,7 @@ def _sector_table(i: int) -> tuple[_SectorTable, SectorReport]:
     run, report = _checked_run(i, sector_midpoint(i))
     if not report.passed:
         raise SectorWordError(f"sector {i} word fails at its midpoint: {report.failure}")
-    table = _SectorTable.proved(
-        i, tuple(run.records), tuple(run.flips), run.to_original, run.start.wedges
-    )
+    table = _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original, run.start)
     return table, report
 
 
@@ -631,16 +628,17 @@ def run_expansion(
     only on a sector boundary, ends the trace with the ``hits_singularity``
     marker.
 
-    Q' is checked where the tables are proved: each table keeps the wedges
-    of the checked Q' its word was recorded from, so their train-track
-    relations, cones and areas are checked once per proved table set.  A
-    call checks only that its first reference lies in every cone of Q'.
-    The initial state, each step and each step's state (Q' at the
-    renormalized direction) are then filled through their slots, as the
-    replay fills its records.  Where the cone test or the first table's
-    proof fails, the checked :func:`qprime` runs first, so Q' fails as the
-    checked constructor reports it.  With ``n = 0`` no table is read, and
-    the initial state is ``qprime(ref)``.
+    Q' is checked where the tables are proved: each table keeps the checked
+    Q' its word was recorded from, so its train-track relations, cones and
+    areas are checked once per proved table set.  A call checks only that
+    its first reference lies in every cone of Q'; each later one does by
+    the tables' proof (the branch carries its sector onto [pi/8, pi], which
+    Q' straddles).  So each state is the table's Q' moved by ``_at``, and
+    each step is filled through its slots, as the replay fills its records.
+    Where the cone test or the first table's proof fails, the checked
+    :func:`qprime` runs first, so Q' fails as the checked constructor
+    reports it.  With ``n = 0`` no table is read, and the initial state is
+    ``qprime(ref)``.
     """
     _int_arg(n, "step count n", 0)
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
@@ -648,17 +646,13 @@ def run_expansion(
     if not n:
         return ExpansionTrace(direction, expansion, qprime(ref), (), None)
     try:
-        wedges = _sector_table(orbit[1][0])[0].wedges
+        start = _sector_table(orbit[1][0])[0].start
     except SectorWordError:
         qprime(ref)  # a Q' that fails its own checks raises their error first
         raise
-    if not all(w.cone_contains(ref) for w in wedges):
+    if not all(w.cone_contains(ref) for w in start.wedges):
         qprime(ref)  # raises QuadrangulationError for the first cone that misses ref
-    set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
-    initial = _object_new(LabeledQuadrangulation)
-    set_comb(initial, QPRIME_COMB)
-    set_wedges(initial, wedges)
-    set_ref_dir(initial, ref)
+    initial = start._at(ref)
     frames = _frames(expansion.entries)
     matrix, to_original = frames[0]
     steps: list[TraceStep] = []
@@ -671,14 +665,10 @@ def run_expansion(
         except HitsSingularity:
             halted = "hits_singularity"
             break
-        state = _object_new(LabeledQuadrangulation)
-        set_comb(state, QPRIME_COMB)
-        set_wedges(state, wedges)
-        set_ref_dir(state, image)
         step = _object_new(TraceStep)
         set_entry(step, entry)
         set_records(step, records)
-        set_state(step, state)
+        set_state(step, start._at(image))
         set_to_original(step, next_matrix)
         steps.append(step)
         matrix, to_original, ref = next_matrix, next_original, image

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import outcome
 from octocf import classical, farey, h2moves, octagon
-from octocf.numerics import Direction, QuadNum, Vec2, to_decimal
+from octocf.numerics import Direction, QuadNum, Vec2, _max_int_digits, to_decimal
 
 _D = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
 _GOLDEN = classical.QuadraticIrrational.golden_ratio()
@@ -42,7 +42,9 @@ ARGUMENTS = {
     "geometric_convergents n": (
         lambda v: classical.geometric_convergents(_GOLDEN, v), "n", 0, None
     ),
-    "to_decimal digits": (lambda v: to_decimal(QuadNum(1, 1), v), "digits", 1, None),
+    "to_decimal digits": (
+        lambda v: to_decimal(QuadNum(1, 1), v), "digits", 1, _max_int_digits()
+    ),
 }
 
 

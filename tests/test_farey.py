@@ -931,6 +931,18 @@ class TestExpand:
                 ValueError, f"a tail must be the int 1 or 7, got {tail!r}"
             )
 
+    @pytest.mark.parametrize("hit", ["yes", 1, 0, None, 1.0])
+    def test_boundary_hit_is_a_bool(self, hit):
+        # 1 == True and hashes like it, so only the type refuses it
+        for build in (
+            lambda: FareyExpansion((1, 2), hit),
+            lambda: replace(FareyExpansion((1, 1)), boundary_hit=hit),
+        ):
+            with pytest.raises(TypeError) as raised:
+                build()
+            assert str(raised.value) == f"boundary_hit must be a bool, got {type(hit).__name__}"
+        assert FareyExpansion((1, 2), True).to_json()["boundary_hit"] is True
+
     def test_replace_keeps_the_entry_checks(self):
         e = expand(Direction(Vec2(QuadNum.parse("19/7"), QuadNum(1))), 40)
         for entries in [(1.0,) + e.entries[1:], e.entries[:1] + (True,), (2, 0)]:

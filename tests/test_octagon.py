@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,7 @@ from helpers import (
     derive_qprime_vectors_fixed_point,
     height_direction,
     initial_quadrangulation,
+    matvec,
     pulled_back,
     random_clean_direction,
     reference_run_expansion,
@@ -29,6 +31,7 @@ from helpers import (
 )
 from octocf import farey, intmat, numerics, octagon
 from octocf.diagch import (
+    CombDatum,
     MoveNotAvailableError,
     QuadrangulationError,
     Side,
@@ -36,6 +39,7 @@ from octocf.diagch import (
     TrainTrackError,
     Wedge,
     elementary_matrix,
+    relabeling_matrix,
 )
 from octocf.farey import (
     GAMMA_NU,
@@ -68,11 +72,13 @@ from octocf.octagon import (
     Q0_VECTORS,
     QPRIME_COMB,
     QPRIME_VECTORS,
+    REFLECTION,
     MoveRecord,
     TraceStep,
     _sector_table,
     _SectorTable,
     _WordRun,
+    q_zero,
     qprime,
     run_expansion,
     sector_direction,
@@ -160,9 +166,16 @@ class TestFrozenData:
             initial_quadrangulation(2, sector_midpoint(5))
 
     def test_q0_is_gamma_image_of_qprime(self):
-        d = sector_midpoint(3)
-        image = qprime(d).transformed(GAMMA_NU[0])  # gamma itself
-        assert image.wedge_vector_tuple() == Q0_VECTORS
+        # written out apart from diagch: gamma reverses orientation, so each
+        # wedge of Q0 is the gamma image of the wedge of Q' with l and r exchanged
+        gamma = GAMMA_NU[0]
+        want = tuple(
+            gamma.apply(QPRIME_VECTORS[2 * i + 1 - eps]) for i in range(3) for eps in (0, 1)
+        )
+        assert Q0_VECTORS == want
+        assert octagon.Q0_COMB == QPRIME_COMB.swapped() == CombDatum(3, (1, 3, 2), (2, 1, 3))
+        for d in (sector_midpoint(3), sector_midpoint(7)):
+            assert qprime(d).transformed(gamma).wedge_vector_tuple() == Q0_VECTORS
 
 
 class TestVerifySector:
@@ -257,12 +270,26 @@ class TestResolvedWords:
                     m = elementary_matrix(run.state.comb, step.cycle, step.side)
                 else:
                     sigma, reflect = step
-                    m = intmat.block_perm_matrix(sigma, swap=reflect)
+                    m = relabeling_matrix(sigma, reflect)
                 matrix = intmat.matmul(m, matrix)
                 run.execute(step)
             assert matrix == word.matrix == sector_matrix(i)
             run.renormalize(i)
             assert run.state.wedge_vector_tuple() == QPRIME_VECTORS
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("sigma", list(permutations((1, 2, 3))))
+    def test_relabeling_matrix_moves_the_labels_of_the_state(self, sigma, reflect):
+        # the matrix moves labels and the reflection moves vectors, so applied to
+        # the (reflected) wedge vectors it gives those of the relabeled state
+        m = relabeling_matrix(sigma, reflect)
+        for d in (sector_midpoint(1), sector_midpoint(4), sector_midpoint(7)):
+            state = qprime(d)
+            vectors = state.wedge_vector_tuple()
+            if reflect:
+                state = state.transformed(REFLECTION)
+                vectors = tuple(REFLECTION.apply(v) for v in vectors)
+            assert matvec(m, vectors) == state.relabeled(sigma).wedge_vector_tuple()
 
     def test_renormalize_checks_the_gluing_data(self):
         run = _WordRun(state=qprime(sector_midpoint(1)).relabeled((2, 1, 3)))
@@ -601,7 +628,7 @@ class TestTableDrivenTraces:
         table, _ = _sector_table(i)
         moves = tuple(octagon._checked_run(i, sector_midpoint(i))[0].records)
         plain = (1,) * len(moves)  # the plain words reflect before no move
-        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i], table.wedges) == table
+        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i], table.start) == table
         first = moves[0]
         (label, _), *rest = first.new_sides  # a move's created sides are its diagonals
         # the midpoint direction is left of one endpoint and right of the other;
@@ -609,13 +636,13 @@ class TestTableDrivenTraces:
         wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
         bad = replace(first, new_sides=((label, wrong), *rest))
         with pytest.raises(SectorWordError, match=f"diagonal {label}"):
-            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i], table.wedges)
+            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i], table.start)
 
     def test_proof_checks_the_renormalizer(self):
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         flips = (1,) * len(moves)
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
-            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4], _sector_table(3)[0].wedges)
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4], _sector_table(3)[0].start)
 
     def test_proof_checks_that_the_branch_carries_the_sector(self, monkeypatch):
         # the frame is gamma*nu_3's, but the branch is gamma*nu_4
@@ -624,7 +651,7 @@ class TestTableDrivenTraces:
         monkeypatch.setattr(octagon, "GAMMA_NU", branches)
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         with pytest.raises(SectorWordError) as got:
-            _SectorTable.proved(3, moves, (1,) * len(moves), GAMMA_NU_INV[3], ())
+            _SectorTable.proved(3, moves, (1,) * len(moves), GAMMA_NU_INV[3], None)
         assert str(got.value) == "gamma*nu_3 does not carry sector 3 onto [pi/8, pi]"
 
     def test_proof_checks_that_its_wedges_straddle_the_expanding_arc(self):
@@ -632,7 +659,7 @@ class TestTableDrivenTraces:
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         flips = (1,) * len(moves)
         with pytest.raises(SectorWordError, match="does not straddle"):
-            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[3], octagon._wedges(Q0_VECTORS))
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[3], q_zero(sector_midpoint(0)))
 
     def test_proof_checks_the_label_matrix(self, monkeypatch):
         # sector 3's word with A4 as its wanted matrix: every slant still
@@ -659,10 +686,10 @@ class TestTableDrivenTraces:
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         moves, n = tuple(run.records), len(run.records)
         assert run.flips == [-1] * n
-        mirrored_proof = _SectorTable.proved(i, moves, (-1,) * n, run.to_original, run.start.wedges)
+        mirrored_proof = _SectorTable.proved(i, moves, (-1,) * n, run.to_original, run.start)
         assert mirrored_proof == mirror_table
         with pytest.raises(SectorWordError, match="not well slanted"):
-            _SectorTable.proved(i, moves, (1,) * n, run.to_original, run.start.wedges)
+            _SectorTable.proved(i, moves, (1,) * n, run.to_original, run.start)
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
@@ -745,7 +772,7 @@ class TestReusedValues:
                 for rec in run.records
             )
             with pytest.raises(SectorWordError, match="creates no side"):
-                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original, run.start.wedges)
+                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original, run.start)
         # exactly the branch of entry 7 fixes (1, 0)
         fixing = {j for j in range(8) if GAMMA_NU_INV[j].apply(Vec2(1, 0)) == Vec2(1, 0)}
         assert farey._KEEPS_FIRST_COLUMN == fixing == {7}
@@ -819,9 +846,20 @@ class TestQPrimeCheckedOncePerTableSet:
     def test_initial_shares_the_wedges_of_the_first_table(self):
         trace = run_expansion(sector_midpoint(4), 3)
         table, _ = _sector_table(trace.expansion.entries[1])
-        assert trace.initial.wedges is table.wedges
-        assert all(step.state.wedges is table.wedges for step in trace.steps)
-        assert table.wedges == qprime(sector_midpoint(1)).wedges
+        assert trace.initial.wedges is table.start.wedges
+        assert all(step.state.wedges is table.start.wedges for step in trace.steps)
+        assert table.start == qprime(sector_midpoint(trace.expansion.entries[1]))
+
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_at_is_the_checked_state(self, j):
+        # references in every cone of Q': the expanding arc's ends and samples of
+        # each expanding sector
+        start = _sector_table(j)[0].start
+        refs = [*sector_sample_directions(j, 3), _boundary_direction(1), _boundary_direction(8)]
+        for ref in refs:
+            moved = start._at(ref)
+            assert moved == qprime(ref) and moved.wedges is start.wedges
+            assert json.dumps(moved.to_json()) == json.dumps(qprime(ref).to_json())
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_broken_constant_fails_as_the_checked_constructor(

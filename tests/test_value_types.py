@@ -85,6 +85,26 @@ def test_no_class_in_src_is_a_dataclass():
     assert found == set()
 
 
+def test_only_the_defining_module_writes_the_slots_of_a_value_type():
+    # a value's fields are checked by its constructor or by an unchecked builder
+    # of its own module, which states why the fields hold: every slot setter and
+    # every bare instance in src/ names a class of the same module (or self, cls)
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_setters":
+                named = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_object_new":
+                (named,) = node.args
+            else:
+                continue
+            if not (isinstance(named, ast.Name) and named.id in own | {"self", "cls"}):
+                found.add((path.stem, ast.unparse(named)))
+    assert found == set()
+
+
 def _torus(ref=Vec2(1, 2)) -> LabeledQuadrangulation:
     wedge = Wedge(Vec2(0, 1), Vec2(1, 0))
     return LabeledQuadrangulation(CombDatum(1, (1,), (1,)), (wedge,), Direction(ref))
@@ -127,7 +147,7 @@ def _values():
         (
             _SectorTable,
             [table, _sector_table(2)[0], _SectorTable(*(getattr(table, f) for f in table.__slots__))],
-            ("bounds", "holonomies", "layout", "wedges"),
+            ("bounds", "holonomies", "layout", "start"),
         ),
         (
             RenderSpec,
@@ -270,7 +290,7 @@ REPRS = [
         "y=QuadNum(Fraction(0, 1), Fraction(0, 1))), None), (Vec2(x=QuadNum(Fraction(0, 1), "
         "Fraction(1, 1)), y=QuadNum(Fraction(1, 1), Fraction(0, 1))), 2)), "
         "holonomies=(((1, 0, 0, 2), 3),), layout=((<Side.PI_R: 'pi_r'>, (1,), ((1, 0),)),), "
-        "wedges=())",
+        "start=())",
     ),
     (
         lambda: RenderSpec(),
