@@ -34,7 +34,8 @@ from functools import lru_cache
 
 from . import intmat
 from .numerics import (
-    Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_sign, _int_arg, _object_new
+    Direction, Mat2, QuadNum, Vec2, _FrozenValue, _cross_ints, _cross_sign, _int_arg,
+    _object_new,
 )
 
 __all__ = [
@@ -200,6 +201,25 @@ class Wedge(_FrozenValue):
         return {"l": self.l.to_json(), "r": self.r.to_json()}
 
 
+def _vec_ints(v: Vec2) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The canonical ints (p, q, den) of both coordinates of ``v``."""
+    return v.x.ints, v.y.ints
+
+
+def _add(a: tuple[int, int, int], b: tuple[int, int, int], sign: int) -> tuple[int, int, int]:
+    """a + sign*b on the ints (p, q, den) of (p + q*sqrt(2))/den, left unreduced."""
+    (p1, q1, d1), (p2, q2, d2) = a, b
+    if d1 == d2:
+        return p1 + sign * p2, q1 + sign * q2, d1
+    return p1 * d2 + sign * p2 * d1, q1 * d2 + sign * q2 * d1, d1 * d2
+
+
+def _equal(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether unreduced ints (p, q, den) denote one number: cross-multiplied."""
+    (p1, q1, d1), (p2, q2, d2) = a, b
+    return p1 * d2 == p2 * d1 and q1 * d2 == q2 * d1
+
+
 def _slot(i: int, eps: int) -> int:
     """The index of side eps (0: l, 1: r) of quadrilateral i in the basis (1,l),(1,r),...,(k,r)."""
     return 2 * (i - 1) + eps
@@ -253,23 +273,30 @@ class LabeledQuadrangulation(_FrozenValue):
     __slots__ = ("comb", "wedges", "ref_dir")
 
     def __post_init__(self):
+        """Checks each quadrilateral on the canonical ints of its vectors: sums
+        stay unreduced, are compared cross-multiplied and signed by
+        :func:`_cross_ints`, so no QuadNum, Vec2 or gcd is made but to word a
+        refusal."""
         if len(self.wedges) != self.comb.k:
             raise QuadrangulationError("need one wedge per quadrilateral")
-        for i in range(1, self.comb.k + 1):
-            w = self.wedges[i - 1]
-            left_path = self.diagonal(i)
-            right_path = w.r + self.wedges[self.comb.pi_r[i - 1] - 1].l
-            if left_path != right_path:
+        sides = [(_vec_ints(w.l), _vec_ints(w.r)) for w in self.wedges]
+        ux, uy = _vec_ints(self.ref_dir.vector)
+        for i, ((lx, ly), (rx, ry)), jl, jr in zip(
+            range(1, self.comb.k + 1), sides, self.comb.pi_l, self.comb.pi_r
+        ):
+            (jx, jy), (ex, ey) = sides[jl - 1][1], sides[jr - 1][0]
+            dx, dy = _add(lx, jx, 1), _add(ly, jy, 1)  # the diagonal D, the left path
+            if not (_equal(dx, _add(rx, ex, 1)) and _equal(dy, _add(ry, ey, 1))):
                 raise TrainTrackError(
-                    f"train-track relation fails at quadrilateral {i}: "
-                    f"{left_path} != {right_path}"
+                    f"train-track relation fails at quadrilateral {i}: {self.diagonal(i)} "
+                    f"!= {self.wedges[i - 1].r + self.wedges[jr - 1].l}"
                 )
-            if _cross_sign(w.r, w.l) <= 0:
+            if _cross_ints(rx, ry, lx, ly) <= 0:
                 raise QuadrangulationError(f"wedge {i} does not open a positive cone")
             # twice the area is cross(r, D) + cross(D, l) = cross(r - l, D)
-            if _cross_sign(w.r - w.l, left_path) <= 0:
+            if _cross_ints(_add(rx, lx, -1), _add(ry, ly, -1), dx, dy) <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
-            if not w.cone_contains(self.ref_dir):
+            if not _cross_ints(ux, uy, lx, ly) >= 0 >= _cross_ints(ux, uy, rx, ry):
                 raise QuadrangulationError(
                     f"reference direction leaves the wedge cone of quadrilateral {i}"
                 )

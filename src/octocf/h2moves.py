@@ -22,7 +22,8 @@ renormalizing element of each sector.
 
 One resolver walks every token plan over gluing data: :func:`resolved_word`
 resolves each sector's raw plan once from the base gluing data, and
-:func:`compose_word` a reduced word's concatenated move plans.  The octagon
+:func:`compose_word` composes the resolutions of a reduced word's moves, each
+resolved once at its node.  The octagon
 executor only runs the resolved steps on the geometry, where every staircase
 move is checked against the live gluing data.
 """
@@ -130,12 +131,21 @@ class MoveWord(_FrozenValue):
 
 def compose_word(word: MoveWord) -> tuple[intmat.IntMat, int, NodeId]:
     """The word's matrix (later moves on the left), parity and end node, from its move plans."""
-    resolved, end = _resolve(_word_plan(word), word.start.comb)
-    return resolved.matrix, resolved.parity, _node(end)
+    return _compose(word.start, tuple(_MOVE_PLANS[m][1] for m in word.moves))
 
 
-def _word_plan(word: MoveWord) -> tuple[RawToken, ...]:
-    return tuple(token for m in word.moves for token in _MOVE_PLANS[m][1])
+@cache
+def _compose(start: NodeId, plans) -> tuple[intmat.IntMat, int, NodeId]:
+    """Move plans resolved one by one, each at the node the last one ended on, and
+    composed.  This is the concatenated plan resolved from ``start``: each move
+    ends at a node, whose gluing data are ``==`` to the ones the walk reaches."""
+    matrix, parity, node = intmat.identity(2 * start.comb.k), 0, start
+    for plan in plans:
+        resolved, end = _resolve(plan, node.comb)
+        matrix = intmat.matmul(resolved.matrix, matrix)
+        parity ^= resolved.parity
+        node = _node(end)
+    return matrix, parity, node
 
 
 # -- raw per-sector words ------------------------------------------------------
@@ -472,8 +482,9 @@ def _partition_marked(comb: CombDatum, side: Side, marked) -> list[tuple[int, ..
 
 def _closure_relabel(comb: CombDatum) -> tuple[int, ...]:
     """The unique relabeling returning the swapped gluing data to Q'."""
+    swapped = comb.swapped()
     solutions = [
-        s for s in permutations(range(1, comb.k + 1)) if comb.swapped().relabeled(s) == QPRIME_COMB
+        s for s in permutations(range(1, comb.k + 1)) if swapped.relabeled(s) == QPRIME_COMB
     ]
     if len(solutions) != 1:
         raise SectorWordError(f"no unique symmetry relabeling from {comb}")

@@ -6,6 +6,8 @@ them; sizes stay tiny, so plain Python integers are all that is needed.
 
 from __future__ import annotations
 
+from operator import mul
+
 __all__ = [
     "IntMat",
     "identity",
@@ -25,13 +27,9 @@ def freeze(rows) -> IntMat:
 
 
 def matmul(a: IntMat, b: IntMat) -> IntMat:
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    assert len(a[0]) == inner, "dimension mismatch"
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m))
-        for i in range(n)
-    )
+    assert len(a[0]) == len(b), "dimension mismatch"
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def elementary(n: int, entries) -> IntMat:

@@ -7,8 +7,9 @@ equality is field equality), so they can be shared freely and used as dict
 keys.
 
 The side of a ray that a vector lies on is the one orientation predicate of
-the Farey map and of diagonal changes: ``_cross_sign`` reads it with no gcd,
-and :func:`theta_cmp` orders :class:`Direction` rays by angle with it.
+the Farey map and of diagonal changes: ``_cross_ints`` reads it from
+unreduced ints with no gcd, ``_cross_sign`` from two :class:`Vec2`, and
+:func:`theta_cmp` orders :class:`Direction` rays by angle with it.
 
 The bilinear 2x2 forms (``Mat2.apply``, ``Mat2 @``, ``det``, ``Vec2.cross``
 and ``dot``) build each output entry with one kernel that forms both
@@ -381,17 +382,25 @@ def _dot2(x1: QuadNum, y1: QuadNum, x2: QuadNum, y2: QuadNum) -> QuadNum:
     return _reduced(pa * db + pb * da, qa * db + qb * da, da * db)
 
 
-def _cross_sign(v: Vec2, w: Vec2) -> int:
-    """The sign of cross(v, w) = v.x*w.y - v.y*w.x from the unreduced products,
-    with no gcd: the denominators are positive."""
-    x1, y1, x2, y2 = v.x, v.y, w.x, w.y
-    p1, q1, p2, q2 = x1._p, x1._q, y2._p, y2._q
-    p3, q3, p4, q4 = y1._p, y1._q, x2._p, x2._q
-    pa, qa, da = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, x1._den * y2._den
-    pb, qb, db = p3 * p4 + 2 * q3 * q4, p3 * q4 + q3 * p4, y1._den * x2._den
+def _cross_ints(x1, y1, x2, y2) -> int:
+    """The sign of x1*y2 - y1*x2, each entry the ints (p, q, den) of
+    (p + q*sqrt(2))/den with den > 0, reduced or not: the package's one
+    side-of-ray rule.  Both products are formed unreduced, with no gcd."""
+    (p1, q1, d1), (p2, q2, d2), (p3, q3, d3), (p4, q4, d4) = x1, y2, y1, x2
+    pa, qa, da = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+    pb, qb, db = p3 * p4 + 2 * q3 * q4, p3 * q4 + q3 * p4, d3 * d4
     if da == db:
         return quad_sign(pa - pb, qa - qb, 2)
     return quad_sign(pa * db - pb * da, qa * db - qb * da, 2)
+
+
+def _cross_sign(v: Vec2, w: Vec2) -> int:
+    """The sign of cross(v, w) = v.x*w.y - v.y*w.x, by :func:`_cross_ints`."""
+    x1, y1, x2, y2 = v.x, v.y, w.x, w.y
+    return _cross_ints(
+        (x1._p, x1._q, x1._den), (y1._p, y1._q, y1._den),
+        (x2._p, x2._q, x2._den), (y2._p, y2._q, y2._den),
+    )
 
 
 def _coerce(x) -> QuadNum:
@@ -408,9 +417,20 @@ def to_decimal(q: QuadNum, digits: int) -> str:
     The output is exact round-half-even of the true real value.  For
     irrational q no tie is possible; rational ties round half to even.
     """
-    _int_arg(digits, "digits", 1, _max_int_digits())  # the digits are written as one int
+    limit = _max_int_digits()
+    _int_arg(digits, "digits", 1, limit)  # the digits are written as one int
     p, s, den = q._p, q._q, q._den
     unit = 10**digits
+    # So is the integer part: |q| >= 10**limit - 1/(2*unit) rounds to more than
+    # limit digits.  |q| < 2**(bits + 2 - len(den)) <= 8**limit clears all but
+    # the values near that bound, which are decided exactly.
+    if max(p.bit_length(), s.bit_length() + 1) + 2 - den.bit_length() > 3 * limit:
+        a, b = (p, s) if quad_sign(p, s, 2) >= 0 else (-p, -s)
+        if _sign(2 * unit * a - (2 * 10**limit * unit - 1) * den, 2 * unit * b, 2) >= 0:
+            raise ValueError(
+                f"the integer part has more than {limit} digits, past Python's "
+                "int-to-string limit"
+            )
     if s == 0:
         n, rest = divmod(p * unit, den)
         if 2 * rest > den or (2 * rest == den and n & 1):

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import strategies as st
 
 from octocf.classical import GeometricConvergents, QuadraticIrrational
-from octocf.diagch import CombDatum, HitsSingularity, LabeledQuadrangulation, Side, Wedge
+from octocf import h2moves
+from octocf.diagch import (
+    CombDatum,
+    HitsSingularity,
+    LabeledQuadrangulation,
+    QuadrangulationError,
+    Side,
+    TrainTrackError,
+    Wedge,
+)
 from octocf.farey import (
     GAMMA,
     GAMMA_NU,
@@ -31,9 +40,16 @@ from octocf.farey import (
     expand,
     theta_cmp,
 )
-from octocf.h2moves import QPRIME_COMB, SectorWordError, resolved_word, sector_matrix
+from octocf.h2moves import (
+    QPRIME_COMB,
+    MoveWord,
+    RawToken,
+    SectorWordError,
+    resolved_word,
+    sector_matrix,
+)
 from octocf.intmat import IntMat
-from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, quad_sign
+from octocf.numerics import Mat2, QuadNum, QuadNumParseError, Vec2, quad_sign, to_decimal
 from octocf.octagon import (
     OCTAGON_AREA,
     ExpansionTrace,
@@ -159,6 +175,33 @@ def reference_to_decimal(q: QuadNum, digits: int) -> str:
     sign = "-" if n < 0 else ""
     intpart, fracpart = divmod(abs(n), 10**digits)
     return f"{sign}{intpart}.{fracpart:0{digits}d}"
+
+
+def check_decimal_integer_part(limit: int) -> None:
+    """``to_decimal`` at the live digit limit ``limit``: an integer part of
+    ``limit`` digits prints, and a value that rounds to one more is refused by
+    name, decided exactly next to the bound 10**limit - 1/200 of two places."""
+    top = 10**limit
+    below = QuadNum(Fraction(1393, 985), -1)  # sqrt(2) - 1393/985: just below 0
+    for value, text in [
+        (QuadNum(top - 1), f"{top - 1}.00"),
+        (QuadNum(Fraction(100 * top - 1, 100)), f"{top - 1}.99"),
+        (QuadNum(Fraction(200 * top - 1, 200)) + below, f"{top - 1}.99"),
+        (-QuadNum(Fraction(200 * top - 1, 200)) - below, f"-{top - 1}.99"),
+    ]:
+        assert to_decimal(value, 2) == text
+    message = f"^the integer part has more than {limit} digits, past Python's int-to-string limit$"
+    for value in [
+        QuadNum(top),
+        QuadNum(-top),
+        QuadNum(top, 1),
+        QuadNum(10 ** (limit + 100)),
+        QuadNum(Fraction(200 * top - 1, 200)),  # a tie, rounded to the even 10**limit
+        QuadNum(Fraction(-200 * top + 1, 200)),
+        QuadNum(Fraction(200 * top - 1, 200)) - below,
+    ]:
+        with pytest.raises(ValueError, match=message):
+            to_decimal(value, 2)
 
 
 def outcome(f, *args):
@@ -312,6 +355,37 @@ def reference_elementary_entries(comb: CombDatum, cycle: tuple[int, ...], side: 
 def reference_doubled_area(w: Wedge, diagonal: Vec2) -> QuadNum:
     """Twice the area of the quadrilateral with wedge ``w`` and ``diagonal``."""
     return w.r.cross(diagonal) + diagonal.cross(w.l)
+
+
+def reference_state_check(comb: CombDatum, wedges, ref_dir: Direction) -> None:
+    """``LabeledQuadrangulation``'s check as it was written on QuadNum and Vec2
+    values, each sum reduced and each sign read from a reduced cross product:
+    the oracle of the check on unreduced ints, refusals and messages included."""
+    if len(wedges) != comb.k:
+        raise QuadrangulationError("need one wedge per quadrilateral")
+    for i in range(1, comb.k + 1):
+        w = wedges[i - 1]
+        left_path = w.l + wedges[comb.pi_l[i - 1] - 1].r
+        right_path = w.r + wedges[comb.pi_r[i - 1] - 1].l
+        if left_path != right_path:
+            raise TrainTrackError(
+                f"train-track relation fails at quadrilateral {i}: {left_path} != {right_path}"
+            )
+        if w.r.cross(w.l).sign() <= 0:
+            raise QuadrangulationError(f"wedge {i} does not open a positive cone")
+        if (w.r - w.l).cross(left_path).sign() <= 0:
+            raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
+        v = ref_dir.vector
+        if not v.cross(w.l).sign() >= 0 >= v.cross(w.r).sign():
+            raise QuadrangulationError(
+                f"reference direction leaves the wedge cone of quadrilateral {i}"
+            )
+
+
+def word_plan(word: MoveWord) -> tuple[RawToken, ...]:
+    """A reduced word's move plans concatenated: resolved from the word's start,
+    the `==` oracle of ``h2moves.compose_word``."""
+    return tuple(token for m in word.moves for token in h2moves._MOVE_PLANS[m][1])
 
 
 # The projective line over Q(sqrt(2)) for the Moebius oracle: a point is a

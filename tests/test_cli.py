@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DEFAULT_MAX_STR_DIGITS
+from helpers import DEFAULT_MAX_STR_DIGITS, check_decimal_integer_part
 from octocf.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VERIFY_FAIL, main
 from octocf.jsonout import json_text
 from octocf.numerics import _max_int_digits
@@ -439,6 +439,11 @@ class TestLiveDigitLimit:
         code, _, err = run_cli(capsys, "expand", "--u", u, "--depth", "2")
         assert code == EXIT_OK
         assert err.startswith(f"warning: decimal input '{u}' replaced by the nearby rational ")
+
+    def test_decimal_integer_part(self, digit_limit):
+        check_decimal_integer_part(_max_int_digits())  # the limit Python started with
+        digit_limit(640)
+        check_decimal_integer_part(640)
 
     def test_no_limit_keeps_the_default_bounds(self, capsys, digit_limit):
         digit_limit(0)

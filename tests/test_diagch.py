@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     int_det,
     matvec,
+    outcome,
     perm_compose,
     perm_inverse,
     quadnums,
@@ -22,6 +23,7 @@ from helpers import (
     reference_conjugate,
     reference_doubled_area,
     reference_elementary_entries,
+    reference_state_check,
 )
 from octocf import intmat
 from octocf.classical import geometric_convergents, intermediate_convergents
@@ -148,6 +150,124 @@ class TestDiagonalAndSlant:
     def test_reference_outside_wedge_rejected(self):
         with pytest.raises(QuadrangulationError, match="reference direction"):
             torus_state(Vec2(-1, 2), Vec2(2, 1), Direction(Vec2(1, 0)))
+
+
+def v2(x, y) -> Vec2:
+    """A vector from ``(a, b)`` pairs, a + b*sqrt(2) per coordinate."""
+    return Vec2(QuadNum(*x), QuadNum(*y))
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+#: Q' with y halved: its coordinates have the denominators 1, 2 and 4 and sqrt(2) parts.
+MIXED_COMB = CombDatum(3, (2, 1, 3), (1, 3, 2))
+MIXED_WEDGES = (
+    Wedge(v2((-1, 0), (0, 0)), v2((1, HALF), (0, QUARTER))),
+    Wedge(v2((-1, -1), (0, 0)), v2((1, HALF), (0, QUARTER))),
+    Wedge(v2((-1, -1), (0, 0)), v2((1, 1), (HALF, 0))),
+)
+#: A linear map with det 1/2 > 0 and entries over 2 and 4 with a sqrt(2) part.
+SHEAR = Mat2(HALF, QuadNum(0, QUARTER), 0, 1)
+
+
+def sheared(wedges):
+    return tuple(Wedge(SHEAR.apply(w.l), SHEAR.apply(w.r)) for w in wedges)
+
+
+class TestStateCheck:
+    """Each refusal of the state check, by type and message, on coordinates whose
+    denominators differ, so each comparison is cross-multiplied."""
+
+    def test_the_mixed_state_is_accepted(self):
+        for ref in (VERTICAL, Direction(MIXED_WEDGES[0].r), Direction(v2((0, 1), (1, 0)))):
+            LabeledQuadrangulation(MIXED_COMB, MIXED_WEDGES, ref)
+            LabeledQuadrangulation(MIXED_COMB, sheared(MIXED_WEDGES), Direction(SHEAR.apply(ref.vector)))
+
+    def test_train_track(self):
+        # r2 moved by sqrt(2)/4 in y: the rational parts of both paths still agree
+        wedges = list(MIXED_WEDGES)
+        wedges[1] = Wedge(wedges[1].l, wedges[1].r + v2((0, 0), (0, QUARTER)))
+        with pytest.raises(TrainTrackError) as got:
+            LabeledQuadrangulation(MIXED_COMB, tuple(wedges), VERTICAL)
+        assert str(got.value) == (
+            "train-track relation fails at quadrilateral 1: (1/2*sqrt(2), 1/2*sqrt(2)) "
+            "!= (1/2*sqrt(2), 1/4*sqrt(2))"
+        )
+
+    def test_wedge_cone(self):
+        mirror = Mat2(-1, 0, 0, 1)
+        wedges = tuple(Wedge(mirror.apply(w.l), mirror.apply(w.r)) for w in MIXED_WEDGES)
+        with pytest.raises(QuadrangulationError) as got:
+            LabeledQuadrangulation(MIXED_COMB, wedges, VERTICAL)
+        assert type(got.value) is QuadrangulationError
+        assert str(got.value) == "wedge 1 does not open a positive cone"
+
+    @pytest.mark.parametrize(
+        "wedges",
+        [
+            # the diagonal of quadrilateral 1 is (0, -3): zero area
+            (Wedge(Vec2(-2, -2), Vec2(-2, -1)), Wedge(Vec2(2, -2), Vec2(2, -1))),
+            # the diagonal of quadrilateral 1 is (2, -1): twice its area is -2
+            (Wedge(Vec2(-1, 1), Vec2(1, 1)), Wedge(Vec2(1, -2), Vec2(3, -2))),
+        ],
+        ids=["zero", "negative"],
+    )
+    def test_area(self, wedges):
+        with pytest.raises(QuadrangulationError) as got:
+            LabeledQuadrangulation(
+                CombDatum(2, (2, 1), (2, 1)), sheared(wedges), Direction(SHEAR.apply(Vec2(0, 1)))
+            )
+        assert type(got.value) is QuadrangulationError
+        assert str(got.value) == "quadrilateral 1 has non-positive area"
+
+    def test_reference_cone(self):
+        # below r1 = (1 + sqrt(2)/2, sqrt(2)/4), which bounds the cone of quadrilateral 1
+        ref = Direction(v2((1, HALF), (QUARTER, 0)))
+        with pytest.raises(QuadrangulationError) as got:
+            LabeledQuadrangulation(MIXED_COMB, MIXED_WEDGES, ref)
+        assert type(got.value) is QuadrangulationError
+        assert str(got.value) == "reference direction leaves the wedge cone of quadrilateral 1"
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_the_int_check_refuses_as_the_value_check(self, data):
+        comb, wedges, ref = data.draw(candidate_states())
+        got = outcome(LabeledQuadrangulation, comb, wedges, ref)
+        want = outcome(reference_state_check, comb, wedges, ref)
+        if want is None:
+            assert isinstance(got, LabeledQuadrangulation)
+        else:
+            assert got == want
+
+
+def _vectors(max_den=4):
+    return st.builds(Vec2, quadnums(4, max_den), quadnums(4, max_den))
+
+
+@st.composite
+def candidate_states(draw):
+    """States that pass or fail each check: a torus (its relation always holds),
+    two quadrilaterals with r2 = l2 + r1 - l1, or a linear image of the mixed
+    state, each wedge vector moved by a small vector with some chance."""
+    kind = draw(st.sampled_from(["torus", "pair", "image"]))
+    if kind == "torus":
+        comb, wedges = TORUS, (Wedge(draw(_vectors()), draw(_vectors())),)
+    elif kind == "pair":
+        l1, r1, l2 = draw(_vectors()), draw(_vectors()), draw(_vectors())
+        comb = CombDatum(2, (2, 1), (2, 1))
+        wedges = (Wedge(l1, r1), Wedge(l2, l2 + r1 - l1))
+    else:
+        m = draw(st.builds(Mat2, *[quadnums(3, 4)] * 4).filter(lambda m: not m.det().is_zero()))
+        comb, wedges = MIXED_COMB, tuple(Wedge(m.apply(w.l), m.apply(w.r)) for w in MIXED_WEDGES)
+    moved = []
+    for w in wedges:
+        l, r = w.l, w.r
+        if draw(st.integers(0, 9)) == 0:
+            l = l + draw(_vectors())
+        if draw(st.integers(0, 9)) == 0:
+            r = r + draw(_vectors())
+        moved.append(Wedge(l, r))
+    ref = draw(_vectors().filter(lambda v: not v.is_zero()))
+    return comb, tuple(moved), Direction(ref)
 
 
 class TestElementaryMatrices:

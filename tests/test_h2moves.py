@@ -1,8 +1,10 @@
 """Reduced move system: the five matrices, words, and the seven sector matrices."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import int_det
+from helpers import int_det, word_plan
 from octocf import h2moves, intmat
 from octocf.diagch import Side
 from octocf.h2moves import (
@@ -88,10 +90,46 @@ class TestMoveWords:
         _, parity, _ = compose_word(sector_word(7))
         assert parity == 0
 
+    @pytest.mark.parametrize("i", [1, 4, 5, 6, 7])
+    def test_stored_words_compose_as_their_concatenated_plans(self, i):
+        assert compose_word(sector_word(i)) == _concatenated(sector_word(i))
+        assert compose_word(sector_word(i)) is compose_word(sector_word(i))  # composed once
+
+    @given(st.data())
+    def test_admissible_words_compose_as_their_concatenated_plans(self, data):
+        word = data.draw(move_words())
+        assert compose_word(word) == _concatenated(word)
+
+    def test_self_loops_at_both_nodes(self):
+        loops = (ReducedMove.RDOT, ReducedMove.SYM_RELABEL, ReducedMove.RR_L_TO_R,
+                 ReducedMove.RDOT, ReducedMove.LLL_RELABEL, ReducedMove.RR_R_TO_L)
+        for start, moves in ((NodeId.LEFT, loops), (NodeId.RIGHT, loops[3:] + loops[:3])):
+            word = MoveWord(start, moves)
+            assert compose_word(word) == _concatenated(word)
+            assert compose_word(word)[2] is start
+
     def test_sector_four_parity_counts_five_symmetries(self):
         word = sector_word(4)
         assert sum(1 for m in word.moves if m is ReducedMove.SYM_RELABEL) == 5
         assert compose_word(word)[1] == 1
+
+
+def _concatenated(word: MoveWord):
+    """The word's move plans walked as one plan from its start."""
+    resolved, end = h2moves._resolve(word_plan(word), word.start.comb)
+    return resolved.matrix, resolved.parity, h2moves._node(end)
+
+
+@st.composite
+def move_words(draw):
+    """Paths in the reduced graph from either node, self-loops at both included."""
+    start = node = draw(st.sampled_from(list(NodeId)))
+    moves = []
+    for _ in range(draw(st.integers(0, 12))):
+        options = [m for m in ReducedMove if m.source in (None, node)]
+        moves.append(draw(st.sampled_from(options)))
+        node = moves[-1].target or node
+    return MoveWord(start, tuple(moves))
 
 
 class TestRawWords:

@@ -14,6 +14,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    DEFAULT_MAX_STR_DIGITS,
+    check_decimal_integer_part,
     check_value_type,
     fractions,
     moebius,
@@ -498,6 +500,11 @@ class TestDecimal:
         offset = (QuadNum(Fraction(-p, q), 1) / 10**digits) * side
         value = QuadNum(Fraction(2 * k + 1, 2 * 10**digits)) + offset
         assert to_decimal(value, digits) == reference_to_decimal(value, digits)
+
+
+    @pytest.mark.usefixtures("default_digit_limit")
+    def test_an_integer_part_past_the_digit_limit_is_refused(self):
+        check_decimal_integer_part(DEFAULT_MAX_STR_DIGITS)
 
 
 class TestParseAndJson:

@@ -28,6 +28,7 @@ from helpers import (
     random_clean_direction,
     reference_run_expansion,
     strictly_straddled,
+    word_plan,
 )
 from octocf import farey, intmat, numerics, octagon
 from octocf.diagch import (
@@ -60,7 +61,6 @@ from octocf.h2moves import (
     SymmetryToken,
     _closure_relabel,
     _resolve,
-    _word_plan,
     resolved_word,
     sector_matrix,
     sector_raw_plan,
@@ -298,7 +298,7 @@ class TestResolvedWords:
 
     @pytest.mark.parametrize("i", [1, 4, 5, 6, 7])
     def test_reduced_words_run_on_the_geometry(self, i):
-        word, end = _resolve(_word_plan(sector_word(i)), QPRIME_COMB)
+        word, end = _resolve(word_plan(sector_word(i)), QPRIME_COMB)
         assert end == QPRIME_COMB
         for d in sector_sample_directions(i, 3):
             run = _WordRun(state=qprime(d))
