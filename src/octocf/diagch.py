@@ -257,6 +257,10 @@ def relabeling_matrix(sigma: tuple[int, ...], reflect: bool) -> intmat.IntMat:
     return tuple(rows)
 
 
+def _outside_cone(i: int) -> QuadrangulationError:
+    return QuadrangulationError(f"reference direction leaves the wedge cone of quadrilateral {i}")
+
+
 class StaircaseMove(_FrozenValue):
     """A well-slanted staircase move candidate: a ``side``'s ``cycle`` with its ``matrix``."""
 
@@ -297,9 +301,7 @@ class LabeledQuadrangulation(_FrozenValue):
             if _cross_ints(_add(rx, lx, -1), _add(ry, ly, -1), dx, dy) <= 0:
                 raise QuadrangulationError(f"quadrilateral {i} has non-positive area")
             if not _cross_ints(ux, uy, lx, ly) >= 0 >= _cross_ints(ux, uy, rx, ry):
-                raise QuadrangulationError(
-                    f"reference direction leaves the wedge cone of quadrilateral {i}"
-                )
+                raise _outside_cone(i)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -380,10 +382,21 @@ class LabeledQuadrangulation(_FrozenValue):
             comb, tuple(wedges), Direction(m.apply(self.ref_dir.vector))
         )
 
+    def at(self, ref_dir: Direction) -> "LabeledQuadrangulation":
+        """This state at the reference ``ref_dir``, ``==`` to the checked one or
+        refused as it would be.  Of the constructor's checks only the reference
+        cone reads the reference, so that is the one run, over quadrilaterals
+        1..k in order."""
+        for i, w in enumerate(self.wedges, 1):
+            if not w.cone_contains(ref_dir):
+                raise _outside_cone(i)
+        return self._at(ref_dir)
+
     def _at(self, ref_dir: Direction) -> "LabeledQuadrangulation":
         """This checked state at the reference ``ref_dir``, built unchecked.  The
         precondition is that ``ref_dir`` lies in every wedge cone, the one checked
-        fact that reads the reference; then the result is ``==`` to the checked one."""
+        fact that reads the reference (what :meth:`at` checks); then the result
+        is ``==`` to the checked one."""
         state = _object_new(LabeledQuadrangulation)
         set_comb, set_wedges, set_ref_dir = LabeledQuadrangulation._setters
         set_comb(state, self.comb)

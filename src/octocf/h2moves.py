@@ -55,19 +55,13 @@ __all__ = [
     "sector_raw_plan",
     "sector_matrix",
     "SECTOR_MATRICES",
-    "Q_PRIME_PI_L",
-    "Q_PRIME_PI_R",
     "QPRIME_COMB",
 ]
 
-#: Gluing data of the two reduced nodes (and of the octagon's base
-#: quadrangulation, which sits at LEFT).
-Q_PRIME_PI_L = (2, 1, 3)  # (1,2)(3)
-Q_PRIME_PI_R = (1, 3, 2)  # (1)(2,3)
-
-#: Gluing data of Q', where every sector word starts and ends.
-QPRIME_COMB = CombDatum(3, Q_PRIME_PI_L, Q_PRIME_PI_R)
-_RIGHT_COMB = CombDatum(3, (2, 3, 1), Q_PRIME_PI_R)  # pi_l = (1,2,3)
+#: Gluing data of the two reduced nodes: Q', where every sector word starts
+#: and ends, sits at LEFT.
+QPRIME_COMB = CombDatum(3, (2, 1, 3), (1, 3, 2))  # pi_l = (1,2)(3), pi_r = (1)(2,3)
+_RIGHT_COMB = CombDatum(3, (2, 3, 1), QPRIME_COMB.pi_r)  # pi_l = (1,2,3)
 
 
 class NodeId(Enum):

@@ -25,9 +25,9 @@ every slant the word meets is linear in the reference, so checking it at the
 two sector endpoints decides it on the whole arc (see
 :meth:`_SectorTable.proved`).  Because of it, :func:`run_expansion` replays
 each sector's word from its proved table with no per-step checks; only a
-reference on a sector endpoint looks up whether the word halts there.  Each
-table also keeps the checked Q' it was recorded from, so a trace checks only
-that its first reference lies in the cones of Q'.
+reference on a sector endpoint looks up whether the word halts there.  Q' is
+one checked state, built at import; every Q' at a reference is that state
+moved by :meth:`LabeledQuadrangulation.at`, which checks only the cones.
 """
 
 from __future__ import annotations
@@ -135,20 +135,31 @@ def _wedges(vectors) -> tuple[Wedge, ...]:
     return tuple(map(Wedge, vectors[0::2], vectors[1::2]))
 
 
+#: The directions pi/8 and pi bounding the expanding sectors 1..7.
+_EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
+
+#: Q', checked once: the constructor checks its train tracks, cones and areas
+#: at pi/8, and moving it to pi checks that every cone also holds pi, so each
+#: cone holds the closed arc [pi/8, pi] (a cone is convex, the arc narrower than pi).
+_QPRIME = LabeledQuadrangulation(
+    QPRIME_COMB, _wedges(QPRIME_VECTORS), _EXPANDING_ARC[0]
+).at(_EXPANDING_ARC[1])
+
+
 def qprime(ref_dir: Direction) -> LabeledQuadrangulation:
     """Q' referenced at ``ref_dir``, which must have angle in [pi/8, pi]."""
-    return LabeledQuadrangulation(QPRIME_COMB, _wedges(QPRIME_VECTORS), ref_dir)
+    return _QPRIME.at(ref_dir)
 
 
-#: Q0 = gamma * Q', from Q' at the vertical, which it straddles.
-_Q0 = qprime(_boundary_direction(4)).transformed(GAMMA)
+#: Q0 = gamma * Q'.
+_Q0 = _QPRIME.transformed(GAMMA)
 Q0_COMB = _Q0.comb
 Q0_VECTORS: tuple[Vec2, ...] = _Q0.wedge_vector_tuple()
 
 
 def q_zero(ref_dir: Direction) -> LabeledQuadrangulation:
     """Q0, the base quadrangulation for directions in sector 0."""
-    return LabeledQuadrangulation(Q0_COMB, _wedges(Q0_VECTORS), ref_dir)
+    return _Q0.at(ref_dir)
 
 
 def sector_midpoint(j: int) -> Direction:
@@ -224,10 +235,10 @@ class MoveRecord(_FrozenValue):
 class _WordRun:
     """Runs the steps of a resolved sector word on the geometry."""
 
-    __slots__ = ("start", "state", "to_original", "records", "flips", "states")
+    __slots__ = ("state", "to_original", "records", "flips", "states")
 
     def __init__(self, state: LabeledQuadrangulation, to_original: Mat2 = Mat2.identity()):
-        self.start = self.state = state  # the state the run began from, and the current one
+        self.state = state
         self.to_original = to_original  # current -> original frame
         self.records: list[MoveRecord] = []
         self.flips: list[int] = []  # sign of det(to_original) before each move
@@ -301,25 +312,22 @@ def verify_sector(i: int, direction: Direction) -> SectorReport:
     return _checked_run(i, direction)[1]
 
 
-def _checked_run(i: int, direction: Direction) -> tuple[_WordRun | None, SectorReport]:
+def _checked_run(i: int, direction: Direction) -> tuple[_WordRun, SectorReport]:
     """Sector i's word run on Q' at ``direction``, with every check of :func:`verify_sector`.
 
     The one driver of :class:`_WordRun` for a single word: the verifier, the
     sector tables and rendering all take their run from here.  The run is
-    ``None`` when Q' itself fails, and is complete only when the report passed.
+    complete only when the report passed.  ``direction`` lies strictly inside
+    a sector of [pi/8, pi], so Q' holds it in every cone.
     """
     _int_arg(i, "sector index", 1, 7)
     _strictly_inside(i, direction)
     word = resolved_word(i)
-    run = None
+    run = _WordRun(state=qprime(direction))
 
-    def failed(text: str) -> tuple[_WordRun | None, SectorReport]:
+    def failed(text: str) -> tuple[_WordRun, SectorReport]:
         return run, SectorReport(i, direction, False, False, False, False, 0, text)
 
-    try:
-        run = _WordRun(state=qprime(direction))
-    except _WORD_ERRORS as exc:
-        return failed(str(exc))
     area = run.state.total_area()
     if area != OCTAGON_AREA:
         return failed(f"base quadrangulation area {area} != {OCTAGON_AREA}")
@@ -389,7 +397,11 @@ def prove_sector(i: int) -> bool:
 
 def verify_theorem(samples_per_sector: int = 3, sectors=range(1, 8)) -> TheoremReport:
     """Prove each sector, cross-check it by :func:`verify_sector` on an exact
-    grid, and check the reduced-word identities."""
+    grid, and check the reduced-word identities.  ``sectors`` is read once and
+    must name at least one sector."""
+    sectors = tuple(sectors)
+    if not sectors:
+        raise ValueError("sectors names no sector to verify")
     reports, proved = [], {}
     for i in sectors:
         samples = sector_sample_directions(i, samples_per_sector)
@@ -471,9 +483,6 @@ class ExpansionTrace(_FrozenValue):
         }
 
 
-#: The directions pi/8 and pi bounding the expanding sectors 1..7.
-_EXPANDING_ARC = (_boundary_direction(1), _boundary_direction(8))
-
 #: The created side that every sector word makes; a frame maps it to its second column.
 _COLUMN_SIDE = Vec2(0, 1)
 
@@ -491,23 +500,14 @@ class _SectorTable(_FrozenValue):
         "bounds",  # ((sector endpoint, first parallel label), ...)
         "holonomies",  # the distinct created sides, as _ints, with _COLUMN_SIDE last
         "layout",  # per move: (side, cycle, ((label, index into holonomies), ...))
-        "start",  # the checked Q' that the word was recorded from
     )
 
     @staticmethod
     def proved(
-        i: int,
-        moves: tuple[MoveRecord, ...],
-        flips: tuple[int, ...],
-        frame: Mat2,
-        start: LabeledQuadrangulation,
+        i: int, moves: tuple[MoveRecord, ...], flips: tuple[int, ...], frame: Mat2
     ) -> "_SectorTable":
         """The table, once its word is proved well slanted on the whole of sector i.
 
-        ``start`` is the checked Q' that the run started from, so its
-        train-track relations, positive cones and areas hold; the table keeps
-        it for :func:`run_expansion`, which then checks only that its
-        reference lies in every cone.
         ``moves`` are the executor's records, in the frame of the step's start.
         A move's created sides are its cycle diagonals, so the proof reads
         them from ``new_sides``.  ``flips[k]`` is the determinant (+1 or -1)
@@ -520,8 +520,9 @@ class _SectorTable(_FrozenValue):
         0 at most on one endpoint.  Well-slanted moves keep the reference
         inside every wedge cone they make.  The word renormalizes by the
         Farey branch ``gamma*nu_i``, which carries the sector onto
-        [pi/8, pi], and Q' straddles [pi/8, pi].  The replay takes the side
-        (0, 1) from its frame's second column, so the word must create it.
+        [pi/8, pi], and Q' straddles [pi/8, pi] (checked where :data:`_QPRIME`
+        is built).  The replay takes the side (0, 1) from its frame's second
+        column, so the word must create it.
         Raises :class:`SectorWordError` for the first fact that fails.
         """
         if frame != GAMMA_NU_INV[i]:
@@ -530,9 +531,6 @@ class _SectorTable(_FrozenValue):
         images = [Direction(GAMMA_NU[i].apply(e.vector)) for e in (lo, hi)]
         if not all(any(a.ray_eq(b) for b in images) for a in _EXPANDING_ARC):
             raise SectorWordError(f"gamma*nu_{i} does not carry sector {i} onto [pi/8, pi]")
-        for w in start.wedges:
-            if not all(w.cone_contains(e) for e in _EXPANDING_ARC):
-                raise SectorWordError("Q' does not straddle [pi/8, pi]")
         first_parallel: list[int | None] = [None, None]
         for rec, flip in zip(moves, flips, strict=True):
             want = rec.side.slant.value
@@ -558,7 +556,7 @@ class _SectorTable(_FrozenValue):
             (rec.side, rec.cycle, tuple((j, index[h]) for j, h in rec.new_sides))
             for rec in moves
         )
-        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout, start)
+        return _SectorTable(bounds, tuple(_ints(h) for h in sides), layout)
 
     def replay(
         self, ref: Direction, frame: Mat2, to_original: _Rational, on_bound: bool
@@ -606,7 +604,7 @@ def _sector_table(i: int) -> tuple[_SectorTable, SectorReport]:
     run, report = _checked_run(i, sector_midpoint(i))
     if not report.passed:
         raise SectorWordError(f"sector {i} word fails at its midpoint: {report.failure}")
-    table = _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original, run.start)
+    table = _SectorTable.proved(i, tuple(run.records), tuple(run.flips), run.to_original)
     return table, report
 
 
@@ -628,31 +626,16 @@ def run_expansion(
     only on a sector boundary, ends the trace with the ``hits_singularity``
     marker.
 
-    Q' is checked where the tables are proved: each table keeps the checked
-    Q' its word was recorded from, so its train-track relations, cones and
-    areas are checked once per proved table set.  A call checks only that
-    its first reference lies in every cone of Q'; each later one does by
-    the tables' proof (the branch carries its sector onto [pi/8, pi], which
-    Q' straddles).  So each state is the table's Q' moved by ``_at``, and
-    each step is filled through its slots, as the replay fills its records.
-    Where the cone test or the first table's proof fails, the checked
-    :func:`qprime` runs first, so Q' fails as the checked constructor
-    reports it.  With ``n = 0`` no table is read, and the initial state is
-    ``qprime(ref)``.
+    Only the first reference is checked against the cones of Q', by
+    :func:`qprime`; each later one lies in them by the tables' proof (the
+    branch carries its sector onto [pi/8, pi], which Q' straddles).  So each
+    later state is Q' moved by ``_at``, and each step is filled through its
+    slots, as the replay fills its records.
     """
     _int_arg(n, "step count n", 0)
     expansion, orbit = _expand_orbit(direction, n + 1, policy)
     _, _, ref = orbit[0]
-    if not n:
-        return ExpansionTrace(direction, expansion, qprime(ref), (), None)
-    try:
-        start = _sector_table(orbit[1][0])[0].start
-    except SectorWordError:
-        qprime(ref)  # a Q' that fails its own checks raises their error first
-        raise
-    if not all(w.cone_contains(ref) for w in start.wedges):
-        qprime(ref)  # raises QuadrangulationError for the first cone that misses ref
-    initial = start._at(ref)
+    initial = qprime(ref)
     frames = _frames(expansion.entries)
     matrix, to_original = frames[0]
     steps: list[TraceStep] = []
@@ -668,7 +651,7 @@ def run_expansion(
         step = _object_new(TraceStep)
         set_entry(step, entry)
         set_records(step, records)
-        set_state(step, start._at(image))
+        set_state(step, initial._at(image))
         set_to_original(step, next_matrix)
         steps.append(step)
         matrix, to_original, ref = next_matrix, next_original, image

@@ -117,10 +117,12 @@ def pytest_make_collect_report(collector):
 
 @pytest.fixture
 def unproved_sectors():
-    """No sector table proved before a test patches the constants it is built from.
+    """No sector table proved before a test patches ``octagon._QPRIME``, the Q'
+    that the tables are proved from.
 
-    Clearing ``_sector_table`` is all it takes: each table keeps the checked Q'
-    it was recorded from, so no other cache holds Q'.
+    Clearing ``_sector_table`` is all it takes: a table reads Q' only while it
+    is proved and keeps no state of it, and every other reader of Q' reads
+    ``_QPRIME`` when called.
     """
     from octocf.octagon import _sector_table
 

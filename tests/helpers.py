@@ -54,6 +54,7 @@ from octocf.octagon import (
     OCTAGON_AREA,
     ExpansionTrace,
     TraceStep,
+    _EXPANDING_ARC,
     _wedges,
     _WordRun,
     q_zero,
@@ -802,6 +803,13 @@ def reference_run_expansion(
             )
         )
     return ExpansionTrace(direction, expansion, initial, tuple(steps), halted)
+
+
+def built_as_qprime(vectors, comb: CombDatum = QPRIME_COMB) -> LabeledQuadrangulation:
+    """The import-time build of ``octagon._QPRIME`` from other wedge vectors (and
+    gluing data): checked at pi/8, then moved to pi."""
+    low, high = _EXPANDING_ARC
+    return LabeledQuadrangulation(comb, _wedges(vectors), low).at(high)
 
 
 # The Q' wedge vectors derived from scratch: the `==` oracle of the frozen

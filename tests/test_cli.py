@@ -529,11 +529,12 @@ class TestVerify:
     def test_corrupted_constant_fails_with_located_mismatch(
         self, capsys, monkeypatch, unproved_sectors
     ):
-        # scaled constants form a valid quadrangulation of the wrong surface
+        # a scaled Q' is a valid quadrangulation of the wrong surface
         import octocf.octagon as octagon_module
+        from octocf.numerics import Mat2
 
-        scaled = tuple(v.scale(2) for v in octagon_module.QPRIME_VECTORS)
-        monkeypatch.setattr(octagon_module, "QPRIME_VECTORS", scaled)
+        scaled = octagon_module._QPRIME.transformed(Mat2(2, 0, 0, 2))
+        monkeypatch.setattr(octagon_module, "_QPRIME", scaled)
         code, out, _ = run_cli(capsys, "verify", "--sector", "1", "--samples", "1")
         assert code == EXIT_VERIFY_FAIL
         record = json.loads(out)
@@ -542,21 +543,21 @@ class TestVerify:
         assert failure is not None and "area" in failure
         assert record["proved"] == {"1": False}
 
-    def test_inconsistent_constant_reported_as_verification_failure(
+    def test_corrupted_constant_fails_the_trace_with_the_proof_text(
         self, capsys, monkeypatch, unproved_sectors
     ):
         import octocf.octagon as octagon_module
-        from octocf.numerics import Vec2
+        from octocf.numerics import Mat2
 
-        broken = list(octagon_module.QPRIME_VECTORS)
-        broken[3] = Vec2(1, 1)  # violates the train-track relations
-        monkeypatch.setattr(octagon_module, "QPRIME_VECTORS", tuple(broken))
-        code, out, _ = run_cli(capsys, "verify", "--sector", "1", "--samples", "1")
-        assert code == EXIT_VERIFY_FAIL
-        record = json.loads(out)
-        failure = record["sectors"][0]["failure"]
-        assert failure is not None and "quadrilateral" in failure
-        assert record["proved"] == {"1": False}
+        area = octagon_module.OCTAGON_AREA
+        scaled = octagon_module._QPRIME.transformed(Mat2(2, 0, 0, 2))
+        monkeypatch.setattr(octagon_module, "_QPRIME", scaled)
+        code, out, err = run_cli(capsys, "trace", "--u", "19/7", "--steps", "3")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "error: sector 1 word fails at its midpoint: base quadrangulation area "
+            f"{area * 4} != {area}\n"
+        )
 
 
 class TestTraceAndSimulate:

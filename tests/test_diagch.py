@@ -270,6 +270,85 @@ def candidate_states(draw):
     return comb, tuple(moved), Direction(ref)
 
 
+@st.composite
+def checked_states(draw):
+    """A checked state with k = 1..4 quadrilaterals, as a linear image of the mixed
+    state or of quadrilaterals glued by one permutation p on both sides, with
+    r_i = l_i + (d, 0) and l_i = (x_i, y_i), -d <= x_i <= 0 < y_i: the relations
+    hold as r - l is constant, and every cone holds the vertical (some on a side)."""
+    if draw(st.booleans()):
+        comb, wedges = MIXED_COMB, MIXED_WEDGES
+    else:
+        k = draw(st.integers(1, 4))
+        p = draw(st.permutations(range(1, k + 1)).map(tuple))
+        d = draw(st.integers(1, 3))
+        lefts = [
+            Vec2(-d * draw(st.fractions(0, 1, max_denominator=4)), draw(st.integers(1, 3)))
+            for _ in range(k)
+        ]
+        comb, wedges = CombDatum(k, p, p), tuple(Wedge(l, l + Vec2(d, 0)) for l in lefts)
+    # m keeps the vertical's image in the upper half plane, where directions live
+    maps = st.builds(Mat2, *[quadnums(3, 4)] * 4)
+    m = draw(maps.filter(lambda m: m.d.sign() > 0 and not m.det().is_zero()))
+    return LabeledQuadrangulation(comb, wedges, VERTICAL).transformed(m)
+
+
+@st.composite
+def references(draw, state):
+    """A reference for ``state``: any, its own, inside or on a side of one of its
+    cones, the opposite of a side, or a horizontal ray."""
+    w = draw(st.sampled_from(state.wedges))
+    kind = draw(st.sampled_from(["any", "own", "inside", "side", "opposite", "horizontal"]))
+    if kind == "any":
+        return Direction(draw(_vectors().filter(lambda v: not v.is_zero())))
+    if kind == "own":
+        return state.ref_dir
+    if kind == "inside":
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        return Direction(w.l.scale(QuadNum(a)) + w.r.scale(QuadNum(b)))
+    side = draw(st.sampled_from([w.l, w.r]))
+    if kind == "side":
+        return Direction(side)
+    if kind == "opposite":
+        return Direction(-side)
+    return Direction(draw(st.sampled_from([Vec2(1, 0), Vec2(-1, 0)])))
+
+
+class TestAt:
+    """``at`` moves a checked state to another reference with the one check
+    that reads it, and answers as the constructor does."""
+
+    def test_the_first_cone_that_misses_is_named(self):
+        # the cones of 45..90 and 90..135 degrees, which both hold the vertical
+        comb = CombDatum(2, (2, 1), (2, 1))
+        wedges = (Wedge(Vec2(0, 1), Vec2(1, 1)), Wedge(Vec2(-1, 1), Vec2(0, 1)))
+        state = LabeledQuadrangulation(comb, wedges, VERTICAL)
+        for ref, label in ((Vec2(1, 2), 2), (Vec2(-1, 2), 1), (Vec2(1, 0), 1)):
+            with pytest.raises(QuadrangulationError) as got:
+                state.at(Direction(ref))
+            assert type(got.value) is QuadrangulationError
+            assert str(got.value) == (
+                f"reference direction leaves the wedge cone of quadrilateral {label}"
+            )
+            assert outcome(LabeledQuadrangulation, comb, wedges, Direction(ref)) == (
+                QuadrangulationError, str(got.value)
+            )
+        assert state.at(VERTICAL) == state and state.at(VERTICAL).wedges is wedges
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_at_answers_as_the_constructor(self, data):
+        state = data.draw(checked_states())
+        ref = data.draw(references(state))
+        got = outcome(state.at, ref)
+        want = outcome(LabeledQuadrangulation, state.comb, state.wedges, ref)
+        assert got == want
+        if isinstance(want, LabeledQuadrangulation):
+            assert got.wedges is state.wedges and got.ref_dir is ref
+        else:
+            assert want[0] is QuadrangulationError
+
+
 class TestElementaryMatrices:
     def test_torus(self):
         assert elementary_matrix(TORUS, (1,), Side.PI_R) == ((1, 1), (0, 1))

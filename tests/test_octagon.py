@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    built_as_qprime,
     check_value_type,
     cone_contains_cone,
     cones_of,
@@ -33,6 +34,7 @@ from helpers import (
 from octocf import farey, intmat, numerics, octagon
 from octocf.diagch import (
     CombDatum,
+    LabeledQuadrangulation,
     MoveNotAvailableError,
     QuadrangulationError,
     Side,
@@ -69,14 +71,17 @@ from octocf.h2moves import (
 from octocf.numerics import Mat2, QuadNum, Vec2
 from octocf.octagon import (
     OCTAGON_AREA,
+    Q0_COMB,
     Q0_VECTORS,
     QPRIME_COMB,
     QPRIME_VECTORS,
     REFLECTION,
     MoveRecord,
     TraceStep,
+    _EXPANDING_ARC,
     _sector_table,
     _SectorTable,
+    _wedges,
     _WordRun,
     q_zero,
     qprime,
@@ -345,6 +350,21 @@ class TestVerifyTheorem:
         assert report.passed
         assert all(r.sector == 4 for r in report.sector_reports)
 
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_sectors_are_read_once(self, one_shot):
+        # a one-shot iterable gives both loops, proofs and word identities, its sectors
+        report = verify_theorem(1, sectors=iter([1, 4]) if one_shot else [1, 4])
+        assert report.word_identities == {1: True, 4: True}
+        assert report.proved == {1: True, 4: True} and report.passed
+        assert [r.sector for r in report.sector_reports] == [1, 4]
+
+    @pytest.mark.parametrize("sectors", [[], (), range(1, 1), iter([])])
+    def test_no_sector_is_refused(self, sectors):
+        with pytest.raises(ValueError) as got:
+            verify_theorem(3, sectors=sectors)
+        assert type(got.value) is ValueError
+        assert str(got.value) == "sectors names no sector to verify"
+
     def test_json_shape(self):
         record = verify_theorem(samples_per_sector=1, sectors=[2]).to_json()
         assert record["passed"] is True
@@ -550,11 +570,7 @@ class TestTableDrivenTraces:
             assert len(trace.steps) == n
             return len(calls), trace
 
-        base, start = reductions(0)
-        # only n = 0 builds a checked Q'; a longer trace takes it from the proved tables
-        calls.clear()
-        qprime(start.initial.ref_dir)
-        base -= len(calls)
+        base, _ = reductions(0)  # every trace moves Q' to its first reference alike
         for n in (5, 40):
             total, trace = reductions(n)
             entries = trace.expansion.entries  # step k takes entries[k + 1]
@@ -628,7 +644,7 @@ class TestTableDrivenTraces:
         table, _ = _sector_table(i)
         moves = tuple(octagon._checked_run(i, sector_midpoint(i))[0].records)
         plain = (1,) * len(moves)  # the plain words reflect before no move
-        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i], table.start) == table
+        assert _SectorTable.proved(i, moves, plain, GAMMA_NU_INV[i]) == table
         first = moves[0]
         (label, _), *rest = first.new_sides  # a move's created sides are its diagonals
         # the midpoint direction is left of one endpoint and right of the other;
@@ -636,13 +652,13 @@ class TestTableDrivenTraces:
         wrong = Vec2(0, 0) if zero else sector_midpoint(i).vector
         bad = replace(first, new_sides=((label, wrong), *rest))
         with pytest.raises(SectorWordError, match=f"diagonal {label}"):
-            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i], table.start)
+            _SectorTable.proved(i, (bad, *moves[1:]), plain, GAMMA_NU_INV[i])
 
     def test_proof_checks_the_renormalizer(self):
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         flips = (1,) * len(moves)
         with pytest.raises(SectorWordError, match="gamma\\*nu_3"):
-            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4], _sector_table(3)[0].start)
+            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[4])
 
     def test_proof_checks_that_the_branch_carries_the_sector(self, monkeypatch):
         # the frame is gamma*nu_3's, but the branch is gamma*nu_4
@@ -651,15 +667,8 @@ class TestTableDrivenTraces:
         monkeypatch.setattr(octagon, "GAMMA_NU", branches)
         moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
         with pytest.raises(SectorWordError) as got:
-            _SectorTable.proved(3, moves, (1,) * len(moves), GAMMA_NU_INV[3], None)
+            _SectorTable.proved(3, moves, (1,) * len(moves), GAMMA_NU_INV[3])
         assert str(got.value) == "gamma*nu_3 does not carry sector 3 onto [pi/8, pi]"
-
-    def test_proof_checks_that_its_wedges_straddle_the_expanding_arc(self):
-        # the wedges of Q0 straddle the near-horizontal sector 0, not [pi/8, pi]
-        moves = tuple(octagon._checked_run(3, sector_midpoint(3))[0].records)
-        flips = (1,) * len(moves)
-        with pytest.raises(SectorWordError, match="does not straddle"):
-            _SectorTable.proved(3, moves, flips, GAMMA_NU_INV[3], q_zero(sector_midpoint(0)))
 
     def test_proof_checks_the_label_matrix(self, monkeypatch):
         # sector 3's word with A4 as its wanted matrix: every slant still
@@ -686,10 +695,10 @@ class TestTableDrivenTraces:
         run, _ = octagon._checked_run(i, sector_midpoint(i))
         moves, n = tuple(run.records), len(run.records)
         assert run.flips == [-1] * n
-        mirrored_proof = _SectorTable.proved(i, moves, (-1,) * n, run.to_original, run.start)
+        mirrored_proof = _SectorTable.proved(i, moves, (-1,) * n, run.to_original)
         assert mirrored_proof == mirror_table
         with pytest.raises(SectorWordError, match="not well slanted"):
-            _SectorTable.proved(i, moves, (1,) * n, run.to_original, run.start)
+            _SectorTable.proved(i, moves, (1,) * n, run.to_original)
         assert (run.to_original, mirror_table.bounds) == (GAMMA_NU_INV[i], table.bounds)
         ends = [_boundary_direction(i), _boundary_direction(i + 1)]
         for ref in ends + sector_sample_directions(i, 2):
@@ -772,7 +781,7 @@ class TestReusedValues:
                 for rec in run.records
             )
             with pytest.raises(SectorWordError, match="creates no side"):
-                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original, run.start)
+                _SectorTable.proved(i, moves, tuple(run.flips), run.to_original)
         # exactly the branch of entry 7 fixes (1, 0)
         fixing = {j for j in range(8) if GAMMA_NU_INV[j].apply(Vec2(1, 0)) == Vec2(1, 0)}
         assert farey._KEEPS_FIRST_COLUMN == fixing == {7}
@@ -828,10 +837,9 @@ _FIRST_STEP_INPUTS = [
 ]
 
 
-class TestQPrimeCheckedOncePerTableSet:
-    """The constant facts of Q' are checked when the sector tables are proved;
-    each ``run_expansion`` call checks only that its first reference lies in
-    every cone of Q'."""
+class TestQPrimeCheckedOnce:
+    """Q' is one checked state, ``octagon._QPRIME``, built at import; every Q' at
+    a reference is that state moved by ``at``, which checks only the cones."""
 
     @pytest.mark.parametrize("policy", list(TiePolicy))
     @pytest.mark.parametrize("d, n", _FIRST_STEP_INPUTS)
@@ -843,48 +851,76 @@ class TestQPrimeCheckedOncePerTableSet:
         want = reference_run_expansion(d, n, policy)
         assert trace == want and json.dumps(trace.to_json()) == json.dumps(want.to_json())
 
-    def test_initial_shares_the_wedges_of_the_first_table(self):
+    def test_the_import_build_is_qprime_at_pi(self):
+        assert built_as_qprime(QPRIME_VECTORS) == octagon._QPRIME
+        assert octagon._QPRIME.ref_dir.is_theta_pi
+        assert octagon._Q0 == octagon._QPRIME.transformed(octagon.GAMMA)
+
+    def test_every_state_shares_the_wedges_of_qprime(self):
+        wedges = octagon._QPRIME.wedges
         trace = run_expansion(sector_midpoint(4), 3)
-        table, _ = _sector_table(trace.expansion.entries[1])
-        assert trace.initial.wedges is table.start.wedges
-        assert all(step.state.wedges is table.start.wedges for step in trace.steps)
-        assert table.start == qprime(sector_midpoint(trace.expansion.entries[1]))
+        assert trace.initial.wedges is wedges
+        assert all(step.state.wedges is wedges for step in trace.steps)
+        refs = [*_EXPANDING_ARC, *(d for j in range(1, 8) for d in sector_sample_directions(j, 4))]
+        for ref in refs:
+            assert qprime(ref).wedges is wedges and qprime(ref).ref_dir is ref
+        assert q_zero(sector_midpoint(0)).wedges is octagon._Q0.wedges
 
     @pytest.mark.parametrize("j", range(1, 8))
     def test_at_is_the_checked_state(self, j):
         # references in every cone of Q': the expanding arc's ends and samples of
         # each expanding sector
-        start = _sector_table(j)[0].start
-        refs = [*sector_sample_directions(j, 3), _boundary_direction(1), _boundary_direction(8)]
+        refs = [*sector_sample_directions(j, 3), *_EXPANDING_ARC]
         for ref in refs:
-            moved = start._at(ref)
-            assert moved == qprime(ref) and moved.wedges is start.wedges
-            assert json.dumps(moved.to_json()) == json.dumps(qprime(ref).to_json())
+            checked = LabeledQuadrangulation(QPRIME_COMB, _wedges(QPRIME_VECTORS), ref)
+            assert qprime(ref) == checked
+            assert json.dumps(qprime(ref).to_json()) == json.dumps(checked.to_json())
 
-    @pytest.mark.parametrize("n", [0, 1, 5])
-    def test_broken_constant_fails_as_the_checked_constructor(
-        self, n, monkeypatch, unproved_sectors
-    ):
-        # proved once with the true Q', then proved again from the broken one
-        d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
-        run_expansion(d, 5)
+    def test_no_checked_state_is_built_per_call(self, monkeypatch):
+        d = random_clean_direction(random.Random(52), 50)
+        run_expansion(d, 50)  # proves the tables the trace replays
+        built = Counter()
+        post_init = LabeledQuadrangulation.__post_init__
+
+        def counted(state):
+            built.update(["checked"])
+            post_init(state)
+
+        monkeypatch.setattr(LabeledQuadrangulation, "__post_init__", counted)
+        for ref in [*_EXPANDING_ARC, *map(sector_midpoint, range(1, 8))]:
+            qprime(ref)
+        q_zero(sector_midpoint(0))
+        assert len(run_expansion(d, 50).steps) == 50
+        assert not built
+        LabeledQuadrangulation(QPRIME_COMB, _wedges(QPRIME_VECTORS), _EXPANDING_ARC[0])
+        assert built == {"checked": 1}  # the counter sees a checked construction
+
+    def test_broken_constant_fails_at_the_import_build(self):
         broken = list(QPRIME_VECTORS)
         broken[3] = Vec2(1, 1)  # violates the train-track relations
-        monkeypatch.setattr(octagon, "QPRIME_VECTORS", tuple(broken))
-        _sector_table.cache_clear()
         with pytest.raises(TrainTrackError) as want:
-            qprime(Direction(GAMMA_NU[1].apply(d.vector)))
+            LabeledQuadrangulation(QPRIME_COMB, _wedges(broken), sector_midpoint(4))
         assert str(want.value).startswith("train-track relation fails at quadrilateral 1")
         with pytest.raises(TrainTrackError) as got:
-            run_expansion(d, n)
+            built_as_qprime(broken)
         assert str(got.value) == str(want.value)
+
+    def test_the_import_build_checks_that_the_wedges_straddle_the_expanding_arc(self):
+        # the wedges of Q0 straddle the near-horizontal sector 0, not [pi/8, pi]:
+        # they hold pi/8, so the constructor passes, and moving to pi refuses them
+        LabeledQuadrangulation(Q0_COMB, _wedges(Q0_VECTORS), _EXPANDING_ARC[0])
+        with pytest.raises(QuadrangulationError) as got:
+            built_as_qprime(Q0_VECTORS, Q0_COMB)
+        assert type(got.value) is QuadrangulationError
+        assert str(got.value) == "reference direction leaves the wedge cone of quadrilateral 1"
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_scaled_constant_fails_the_proof(self, n, monkeypatch, unproved_sectors):
-        # scaled constants form a valid quadrangulation of the wrong surface
+        # a scaled Q' is a valid quadrangulation of the wrong surface
         d = Direction(Vec2(QuadNum(Fraction(19, 7)), QuadNum(1)))
         run_expansion(d, 5)
-        monkeypatch.setattr(octagon, "QPRIME_VECTORS", tuple(v.scale(2) for v in QPRIME_VECTORS))
+        scaled = octagon._QPRIME.transformed(Mat2(2, 0, 0, 2))
+        monkeypatch.setattr(octagon, "_QPRIME", scaled)
         _sector_table.cache_clear()
         with pytest.raises(SectorWordError) as got:
             run_expansion(d, n)
@@ -892,7 +928,7 @@ class TestQPrimeCheckedOncePerTableSet:
             "sector 1 word fails at its midpoint: base quadrangulation area "
             f"{OCTAGON_AREA * 4} != {OCTAGON_AREA}"
         )
-        assert run_expansion(d, 0).initial.wedge_vector_tuple() == octagon.QPRIME_VECTORS
+        assert run_expansion(d, 0).initial.wedges is scaled.wedges
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_reference_outside_a_cone_fails_as_the_checked_constructor(self, n, monkeypatch):

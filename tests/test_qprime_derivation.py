@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import derive_qprime_vectors_fixed_point
+from helpers import built_as_qprime, derive_qprime_vectors_fixed_point
 from octocf.diagch import LabeledQuadrangulation, QuadrangulationError, Wedge
 from octocf.numerics import QuadNum, Vec2
 from octocf.octagon import (
@@ -108,17 +108,19 @@ def _passes_all_sectors(vecs) -> bool:
 
     if tuple(vecs) == QPRIME_VECTORS:
         return all(verify_sector(i, sector_midpoint(i)).passed for i in range(1, 8))
-    # run the verifier against a temporarily substituted constant set
-    original = octagon_module.QPRIME_VECTORS
-    octagon_module.QPRIME_VECTORS = tuple(vecs)
+    # run the verifier against a temporarily substituted Q', built as at import
+    try:
+        candidate = built_as_qprime(vecs)
+    except ValueError:  # QuadrangulationError and TrainTrackError included
+        return False
+    original = octagon_module._QPRIME, octagon_module.QPRIME_VECTORS
+    octagon_module._QPRIME, octagon_module.QPRIME_VECTORS = candidate, tuple(vecs)
     try:
         return all(
             octagon_module.verify_sector(i, sector_midpoint(i)).passed for i in range(1, 8)
         )
-    except (ValueError, QuadrangulationError):
-        return False
     finally:
-        octagon_module.QPRIME_VECTORS = original
+        octagon_module._QPRIME, octagon_module.QPRIME_VECTORS = original
 
 
 def test_octagon_model_identifications():

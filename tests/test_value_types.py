@@ -147,7 +147,7 @@ def _values():
         (
             _SectorTable,
             [table, _sector_table(2)[0], _SectorTable(*(getattr(table, f) for f in table.__slots__))],
-            ("bounds", "holonomies", "layout", "start"),
+            ("bounds", "holonomies", "layout"),
         ),
         (
             RenderSpec,
@@ -284,13 +284,11 @@ REPRS = [
             ((Vec2(1, 0), None), (Vec2(QuadNum(0, 1), 1), 2)),
             (((1, 0, 0, 2), 3),),
             ((Side.PI_R, (1,), ((1, 0),)),),
-            (),
         ),
         "_SectorTable(bounds=((Vec2(x=QuadNum(Fraction(1, 1), Fraction(0, 1)), "
         "y=QuadNum(Fraction(0, 1), Fraction(0, 1))), None), (Vec2(x=QuadNum(Fraction(0, 1), "
         "Fraction(1, 1)), y=QuadNum(Fraction(1, 1), Fraction(0, 1))), 2)), "
-        "holonomies=(((1, 0, 0, 2), 3),), layout=((<Side.PI_R: 'pi_r'>, (1,), ((1, 0),)),), "
-        "start=())",
+        "holonomies=(((1, 0, 0, 2), 3),), layout=((<Side.PI_R: 'pi_r'>, (1,), ((1, 0),)),))",
     ),
     (
         lambda: RenderSpec(),
